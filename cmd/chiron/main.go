@@ -65,7 +65,7 @@ func cmdTrain(args []string) error {
 	evalEpisodes := fs.Int("eval", 5, "deterministic evaluation episodes after training")
 	seed := fs.Int64("seed", 7, "random seed")
 	real := fs.Bool("real", false, "measure accuracy with real FedAvg neural training instead of the surrogate curve")
-	workers := fs.Int("workers", 0, "matrix-kernel worker count (0 = GOMAXPROCS); results are identical at any setting")
+	workers := fs.Int("workers", 0, "matrix-kernel worker count, also bounding the PPO update's concurrent critic/actor and per-agent streams (0 = GOMAXPROCS, 1 = serial); results are identical at any setting")
 	baseline := fs.String("baseline", "chiron", "mechanism to train: chiron, drl, or greedy")
 	logEvery := fs.Int("log-every", 50, "print progress every this many episodes (0 disables)")
 	save := fs.String("save", "", "write the trained mechanism checkpoint to this path (any learnable mechanism)")

@@ -27,7 +27,11 @@
 //	POST   /sessions/{id}/nodes/{node}/heartbeat   {"through_round": 6}
 //	DELETE /sessions/{id}/nodes/{node}?round=K
 //
-// A full backlog answers POST /sessions with 429 and a Retry-After header.
+// A full backlog answers POST /sessions with 429 and a Retry-After header;
+// a create, register or heartbeat body over 1 MiB is answered 413.
+//
+// Sessions' matrix kernels and PPO update streams use GOMAXPROCS−1 workers
+// (at least one), leaving a core for the request path.
 package main
 
 import (
@@ -38,10 +42,19 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 	"time"
 
+	"chiron/internal/mat"
 	"chiron/internal/session"
+)
+
+// Connection limits: a client gets readHeaderTimeout to send its request
+// headers, and an idle keep-alive connection is closed after idleTimeout.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
 )
 
 func main() {
@@ -65,8 +78,18 @@ func serve(args []string) error {
 	if err != nil {
 		return err
 	}
+	// Training uses every kernel worker it is given, and the PPO update's
+	// independent streams fork onto as many cores as mat.Workers allows;
+	// keep one core for the request path so control-plane latency does not
+	// queue behind learners.
+	mat.SetWorkers(max(1, runtime.GOMAXPROCS(0)-1))
 	srv := newServer(pool, nil, *heartbeat)
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.routes()}
+	httpSrv := &http.Server{
+		Addr:              *addr,
+		Handler:           srv.routes(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 
 	// SIGINT/SIGTERM drains the listener, then stops every hosted session
 	// at its next episode boundary and waits for the terminal states.

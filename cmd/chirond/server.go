@@ -77,8 +77,7 @@ type sessionView struct {
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var req createRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if !decodeBody(w, r, &req, false) {
 		return
 	}
 	if req.Spec == nil {
@@ -257,8 +256,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		Node      int `json:"node"`
 		FromRound int `json:"from_round,omitempty"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if !decodeBody(w, r, &req, false) {
 		return
 	}
 	if err := reg.Register(req.Node, req.FromRound); err != nil {
@@ -282,8 +280,7 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	}
 	// A bare heartbeat (empty body) re-arms the deadline without raising
 	// the node's declared progress.
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if !decodeBody(w, r, &req, true) {
 		return
 	}
 	if err := reg.Heartbeat(node, req.ThroughRound); err != nil {
@@ -334,6 +331,27 @@ func (s *Server) StopAll() {
 	for _, sess := range sessions {
 		sess.Wait()
 	}
+}
+
+// maxBodyBytes caps every JSON request body; a larger one is answered 413
+// before the server buffers it.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most maxBodyBytes.
+// allowEmpty accepts a missing body, leaving v untouched. On failure it
+// writes the 413 or 400 response itself and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, allowEmpty bool) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil, allowEmpty && errors.Is(err, io.EOF):
+		return true
+	case errors.As(err, &tooLarge):
+		writeErr(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit))
+	default:
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	}
+	return false
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -258,4 +259,31 @@ func TestServerRequestErrors(t *testing.T) {
 	if status["state"] != "done" {
 		t.Fatalf("plain session finished %v", status["state"])
 	}
+}
+
+// TestServerRejectsOversizedBodies pins the request-body cap: a create,
+// register or heartbeat body larger than maxBodyBytes is refused with 413
+// before it is decoded, while the same endpoints keep serving normal
+// requests.
+func TestServerRejectsOversizedBodies(t *testing.T) {
+	c := newTestServer(t, 1, 2, nil)
+	rid := c.must("POST", "/sessions", map[string]any{
+		"spec": serverSpec("cap", 7), "registry": true,
+	}, http.StatusCreated)["id"].(string)
+
+	// A syntactically valid prefix makes the decoder read past the cap
+	// instead of stopping at the first byte.
+	huge := map[string]any{"pad": strings.Repeat("x", maxBodyBytes)}
+	for _, path := range []string{
+		"/sessions",
+		"/sessions/" + rid + "/nodes",
+		"/sessions/" + rid + "/nodes/1/heartbeat",
+	} {
+		code, body, _ := c.do("POST", path, huge)
+		if code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("POST %s with a %d-byte body = %d (%v), want 413", path, maxBodyBytes, code, body)
+		}
+	}
+	c.must("POST", "/sessions/"+rid+"/nodes", map[string]any{"node": 1}, http.StatusOK)
+	c.must("POST", "/sessions/"+rid+"/nodes/1/heartbeat", nil, http.StatusOK)
 }

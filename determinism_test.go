@@ -10,6 +10,7 @@ package chiron_test
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -23,6 +24,7 @@ import (
 	"chiron/internal/experiment"
 	"chiron/internal/fl"
 	"chiron/internal/mat"
+	"chiron/internal/mechanism"
 	"chiron/internal/nn"
 	"chiron/internal/rl"
 )
@@ -100,7 +102,11 @@ func flFingerprint(t *testing.T, workers int) uint64 {
 }
 
 // ppoFingerprint runs two PPO updates over a fixed 32-transition episode and
-// hashes the resulting policy parameters plus a value estimate.
+// hashes everything the update writes: the policy and critic parameters,
+// both Adam optimizers' step counts and moment estimates, each update's
+// UpdateStats, and a value estimate. Above one worker the critic and actor
+// epochs run as concurrent streams, so equal fingerprints pin that fork as
+// bit-identical to the serial path.
 func ppoFingerprint(t *testing.T, workers int) uint64 {
 	t.Helper()
 	mat.SetWorkers(workers)
@@ -124,14 +130,28 @@ func ppoFingerprint(t *testing.T, workers int) uint64 {
 		}
 		buf.Add(rl.Transition{State: state, Action: act, Reward: rng.Float64(), NextState: state, Done: i == 31, LogProb: lp})
 	}
+	h := fnv.New64a()
 	for i := 0; i < 2; i++ {
-		if _, err := agent.Update(buf); err != nil {
+		stats, err := agent.Update(buf)
+		if err != nil {
 			t.Fatal(err)
 		}
+		hashFloats(h, []float64{stats.ActorLoss, stats.CriticLoss, stats.Entropy, stats.MeanRatio,
+			stats.ClipFrac, float64(stats.NumSamples), stats.ActorLR, stats.CriticLR})
 	}
-	h := fnv.New64a()
-	for _, p := range agent.Policy().Params() {
-		hashFloats(h, p.Value.Data())
+	snap := agent.Snapshot()
+	for _, tensors := range [][][]float64{snap.Actor, snap.Critic} {
+		for _, p := range tensors {
+			hashFloats(h, p)
+		}
+	}
+	for _, opt := range []*rl.OptState{snap.ActorOpt, snap.CriticOpt} {
+		hashFloats(h, []float64{float64(opt.T)})
+		for _, moments := range [][][]float64{opt.M, opt.V} {
+			for _, m := range moments {
+				hashFloats(h, m)
+			}
+		}
 	}
 	v, err := agent.Value(state)
 	if err != nil {
@@ -177,8 +197,10 @@ func TestFLDeterministicAcrossWorkers(t *testing.T) {
 
 func TestPPODeterministicAcrossWorkers(t *testing.T) {
 	base := ppoFingerprint(t, 1)
-	if got := ppoFingerprint(t, 4); got != base {
-		t.Fatalf("ppo fingerprint differs: workers=1 %x, workers=4 %x", base, got)
+	for _, workers := range []int{2, 4} {
+		if got := ppoFingerprint(t, workers); got != base {
+			t.Fatalf("ppo fingerprint differs: workers=1 %x, workers=%d %x", base, workers, got)
+		}
 	}
 	prev := runtime.GOMAXPROCS(2)
 	defer runtime.GOMAXPROCS(prev)
@@ -191,6 +213,75 @@ func TestSystemTrainDeterministicAcrossWorkers(t *testing.T) {
 	base := systemFingerprint(t, 1)
 	if got := systemFingerprint(t, 4); got != base {
 		t.Fatalf("system training diverged between workers=1 and workers=4:\n%s\nvs\n%s", base, got)
+	}
+}
+
+// learner is a training mechanism whose full state is a unified checkpoint.
+type learner interface {
+	Train(episodes int, callback func(mechanism.EpisodeResult)) ([]mechanism.EpisodeResult, error)
+	Checkpoint() *rl.Checkpoint
+}
+
+// trainTwin trains kind on the Fig. 3 setup (MNIST surrogate, N=5, η=300)
+// for a few episodes at the given kernel worker count and returns the
+// rendered episode results and the checkpoint bytes.
+func trainTwin(t *testing.T, kind experiment.MechanismKind, workers int) (results string, checkpoint []byte) {
+	t.Helper()
+	mat.SetWorkers(workers)
+	defer mat.SetWorkers(0)
+
+	p, err := experiment.ConvergenceDefaults(experiment.Fig3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := experiment.BuildEnv(experiment.Setup{Preset: p.Preset, Nodes: p.Nodes, Budget: p.Budget, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := experiment.BuildMechanism(kind, env, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, ok := m.(learner)
+	if !ok {
+		t.Fatalf("%s is not a checkpointing learner", m.Name())
+	}
+	res, err := l.Train(4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := l.Checkpoint()
+	for _, a := range state.Agents {
+		if a.Snapshot.ActorOpt.T == 0 || a.Snapshot.CriticOpt.T == 0 {
+			t.Fatalf("%s agent %q never updated in %d episodes", m.Name(), a.Name, len(res))
+		}
+	}
+	ck, err := json.Marshal(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%+v", res), ck
+}
+
+// TestTrainingBitIdenticalAcrossUpdateStreams pins the concurrent PPO
+// update end to end. Serial kernels (workers=1) run every update stream
+// one after another; the default and workers=4 fork the critic and actor
+// epochs and, for Chiron, the inner and exterior agents. Every episode
+// result and every checkpoint byte must agree.
+func TestTrainingBitIdenticalAcrossUpdateStreams(t *testing.T) {
+	for _, kind := range []experiment.MechanismKind{experiment.KindChiron, experiment.KindDRLBased} {
+		t.Run(kind.String(), func(t *testing.T) {
+			wantRes, wantCk := trainTwin(t, kind, 1)
+			for _, workers := range []int{0, 4} {
+				res, ck := trainTwin(t, kind, workers)
+				if res != wantRes {
+					t.Fatalf("workers=%d episode results diverged from workers=1:\n%s\nvs\n%s", workers, res, wantRes)
+				}
+				if !bytes.Equal(ck, wantCk) {
+					t.Fatalf("workers=%d checkpoint bytes diverged from workers=1", workers)
+				}
+			}
+		})
 	}
 }
 

@@ -13,9 +13,9 @@ import (
 // a reason.
 func FuzzSanitizeUpdate(f *testing.F) {
 	f.Add([]byte{}, uint8(4), float64(10))
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0xf0, 0x7f}, uint8(1), float64(10))         // +Inf parameter
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0xf0, 0x7f}, uint8(1), float64(10))            // +Inf parameter
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0xf8, 0x7f, 2, 2, 2, 2}, uint8(1), float64(0)) // NaN + short tail
-	f.Add([]byte{64, 64, 64, 64, 64, 64, 64, 64}, uint8(1), float64(1e-12))    // norm blowup
+	f.Add([]byte{64, 64, 64, 64, 64, 64, 64, 64}, uint8(1), float64(1e-12))       // norm blowup
 
 	f.Fuzz(func(t *testing.T, data []byte, dim uint8, maxDeltaNorm float64) {
 		n := int(dim%8) + 1 // global model size 1..8

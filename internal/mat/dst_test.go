@@ -203,8 +203,8 @@ func TestWorkspaceReuse(t *testing.T) {
 	if &v1[0] != &v2[0] {
 		t.Fatal("workspace did not recycle the returned vector")
 	}
-	ws.Put(nil)     // must not panic
-	ws.PutVec(nil)  // must not panic
+	ws.Put(nil)      // must not panic
+	ws.PutVec(nil)   // must not panic
 	_ = ws.Get(0, 0) // degenerate shapes are fine
 }
 

@@ -69,7 +69,7 @@ func TestMinParticipationPriceProperty(t *testing.T) {
 		if !n.BestResponse(pmin).Participating {
 			t.Fatalf("trial %d: node declines its own threshold price %v", trial, pmin)
 		}
-		if n.BestResponse(pmin*0.999).Participating {
+		if n.BestResponse(pmin * 0.999).Participating {
 			t.Fatalf("trial %d: node participates below the threshold %v", trial, pmin)
 		}
 	})

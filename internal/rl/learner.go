@@ -1,6 +1,11 @@
 package rl
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+
+	"chiron/internal/mat"
+)
 
 // Pair couples a PPO learner with its rollout buffer and reward
 // conditioning — one "policy+learner pair" of the unified agent stack.
@@ -30,9 +35,9 @@ func (p *Pair) Store(t Transition) {
 
 // Scheduler runs the end-of-episode learner work for a set of pairs: the
 // learning-rate decay ticks, the MinSamples batching gate, the PPO updates
-// in pair order, and the buffer resets. The two decay orders in the zoo are
-// both modeled exactly because they are numerically distinct (the learning
-// rate in force during an update differs):
+// (concurrent across pairs), and the buffer resets. The two decay orders
+// in the zoo are both modeled exactly because they are numerically
+// distinct (the learning rate in force during an update differs):
 //
 //   - DecayFirst (Chiron, Algorithm 1 lines 17–27): every agent's decay
 //     schedule advances each episode; when the gate buffer is still below
@@ -43,7 +48,8 @@ func (p *Pair) Store(t Transition) {
 //     episode that produced no samples; otherwise update, reset, and only
 //     then tick the decay schedule.
 type Scheduler struct {
-	// Pairs is the update order (Chiron: inner before exterior).
+	// Pairs lists the agents (Chiron: inner before exterior); update
+	// errors are reported in this order.
 	Pairs []*Pair
 	// Gate selects the pair whose buffer length is compared against
 	// MinSamples; negative gates on the last pair.
@@ -99,19 +105,56 @@ func (s *Scheduler) EndEpisode() error {
 	return nil
 }
 
-// flush updates every pair with a non-empty buffer, in pair order, then
-// resets all buffers.
+// flush updates every pair with a non-empty buffer, then resets all
+// buffers. The pairs share no parameters, optimizer state or buffers, so
+// their updates run concurrently; the first error in pair order wins.
 func (s *Scheduler) flush() error {
-	for _, p := range s.Pairs {
+	errs := make([]error, len(s.Pairs))
+	updates := make([]func(), 0, len(s.Pairs))
+	for i, p := range s.Pairs {
 		if p.Buf.Len() == 0 {
 			continue
 		}
-		if _, err := p.Agent.Update(p.Buf); err != nil {
-			return fmt.Errorf("rl: %s update: %w", p.Name, err)
+		updates = append(updates, func() {
+			if _, err := p.Agent.Update(p.Buf); err != nil {
+				errs[i] = fmt.Errorf("rl: %s update: %w", p.Name, err)
+			}
+		})
+	}
+	concurrently(updates...)
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
 	for _, p := range s.Pairs {
 		p.Buf.Reset()
 	}
 	return nil
+}
+
+// concurrently runs every stream to completion. With more than one kernel
+// worker configured (mat.Workers) the streams after the first each get a
+// plain goroutine while the caller runs the first; otherwise they run one
+// after another in order, so -workers 1 stays truly serial. The streams
+// must touch disjoint mutable state, which makes the result bit-identical
+// either way. Plain goroutines rather than the mat worker pool keep the
+// streams' own GEMM row-band fan-out from waiting on a pool they occupy.
+func concurrently(streams ...func()) {
+	if len(streams) < 2 || mat.Workers() <= 1 {
+		for _, run := range streams {
+			run()
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(len(streams) - 1)
+	for _, run := range streams[1:] {
+		go func() {
+			defer wg.Done()
+			run()
+		}()
+	}
+	streams[0]()
+	wg.Wait()
 }

@@ -6,7 +6,10 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"chiron/internal/mat"
 )
 
 func smallPair(t *testing.T, name string, seed int64, cfg PPOConfig) *Pair {
@@ -208,6 +211,29 @@ func TestSchedulerRejectsNoPairs(t *testing.T) {
 	s := &Scheduler{}
 	if err := s.EndEpisode(); err == nil {
 		t.Fatal("scheduler with no pairs did not error")
+	}
+}
+
+// TestSchedulerReportsErrorsInPairOrder pins the concurrent flush's error
+// contract: when several pairs fail, the first in Pairs order is reported,
+// whether the updates ran serially or side by side.
+func TestSchedulerReportsErrorsInPairOrder(t *testing.T) {
+	defer mat.SetWorkers(0)
+	for _, workers := range []int{1, 4} {
+		mat.SetWorkers(workers)
+		inner := smallPair(t, "inner", 1, smallCfg())
+		exterior := smallPair(t, "exterior", 2, smallCfg())
+		for _, p := range []*Pair{inner, exterior} {
+			bad := sampleTransition(1, true)
+			bad.State = []float64{0.1}
+			p.Store(sampleTransition(1, false))
+			p.Store(bad)
+		}
+		s := &Scheduler{Pairs: []*Pair{inner, exterior}, Gate: 1, MinSamples: 1, DecayFirst: true}
+		err := s.EndEpisode()
+		if err == nil || !strings.Contains(err.Error(), "rl: inner update") {
+			t.Fatalf("workers=%d: EndEpisode error %v, want the inner pair's", workers, err)
+		}
 	}
 }
 

@@ -94,7 +94,8 @@ type UpdateStats struct {
 }
 
 // PPO is an actor-critic PPO learner over a Gaussian policy. It is not
-// safe for concurrent use.
+// safe for concurrent use; Update itself runs the critic and actor epochs
+// concurrently (see concurrently), each stream on state only it touches.
 type PPO struct {
 	cfg     PPOConfig
 	actor   *GaussianPolicy
@@ -105,8 +106,11 @@ type PPO struct {
 
 	// Recycled update scratch: batched states, the V(s) copy taken before
 	// the V(s') forward pass overwrites the critic's output buffer, TD
-	// targets plus the critic loss gradient, and the actor mean gradient.
-	// Reused across Update calls so steady-state training allocates nothing.
+	// targets plus the critic loss gradient (critic stream only), and the
+	// actor mean gradient (actor stream only). Reused across Update calls,
+	// so a steady-state update allocates only the stream fork's few
+	// objects, plus a closure per kernel call large enough to fan out
+	// into GEMM row bands.
 	states, nextStates *mat.Matrix
 	targets, cgrad     *mat.Matrix
 	meanGrad           *mat.Matrix
@@ -216,20 +220,27 @@ func (p *PPO) Update(buf *Buffer) (UpdateStats, error) {
 	}
 	normalizeAdvantages(adv)
 
+	// The critic's M regression epochs and the actor's M surrogate epochs
+	// read only the now-fixed trans, states, nextStates and adv, and each
+	// writes only its own network, Adam state and scratch — so they run as
+	// two concurrent streams, bit-identical to running them one after the
+	// other.
 	stats := UpdateStats{NumSamples: n}
-	for epoch := 0; epoch < p.cfg.UpdateEpochs; epoch++ {
-		criticLoss, err := p.updateCritic(trans, states, nextStates)
-		if err != nil {
-			return UpdateStats{}, fmt.Errorf("rl: critic update: %w", err)
+	var criticErr, actorErr error
+	concurrently(func() {
+		for epoch := 0; epoch < p.cfg.UpdateEpochs && criticErr == nil; epoch++ {
+			stats.CriticLoss, criticErr = p.updateCritic(trans, states, nextStates)
 		}
-		actorLoss, meanRatio, clipFrac, err := p.updateActor(trans, states, adv)
-		if err != nil {
-			return UpdateStats{}, fmt.Errorf("rl: actor update: %w", err)
+	}, func() {
+		for epoch := 0; epoch < p.cfg.UpdateEpochs && actorErr == nil; epoch++ {
+			stats.ActorLoss, stats.MeanRatio, stats.ClipFrac, actorErr = p.updateActor(trans, states, adv)
 		}
-		stats.CriticLoss = criticLoss
-		stats.ActorLoss = actorLoss
-		stats.MeanRatio = meanRatio
-		stats.ClipFrac = clipFrac
+	})
+	if criticErr != nil {
+		return UpdateStats{}, fmt.Errorf("rl: critic update: %w", criticErr)
+	}
+	if actorErr != nil {
+		return UpdateStats{}, fmt.Errorf("rl: actor update: %w", actorErr)
 	}
 	stats.Entropy = p.actor.Entropy()
 	stats.ActorLR = p.optA.LR()

@@ -47,8 +47,10 @@ type SystemConfig struct {
 	// NewChurnSampler.
 	Churn ChurnSchedule
 	// Workers bounds the compute worker pool used by the matrix kernels
-	// (0 = GOMAXPROCS). Results are bit-identical at any worker count; the
-	// setting is process-wide, so the last constructed system wins.
+	// (0 = GOMAXPROCS); above 1 it also lets each PPO update run its
+	// critic and actor epochs, and the two agents' updates, concurrently.
+	// Results are bit-identical at any worker count; the setting is
+	// process-wide, so the last constructed system wins.
 	Workers int
 }
 
