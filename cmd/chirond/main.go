@@ -28,7 +28,8 @@
 //	DELETE /sessions/{id}/nodes/{node}?round=K
 //
 // A full backlog answers POST /sessions with 429 and a Retry-After header;
-// a create, register or heartbeat body over 1 MiB is answered 413.
+// a create, register or heartbeat body over 1 MiB is answered 413, and one
+// carrying a field the endpoint does not declare is answered 400.
 //
 // Sessions' matrix kernels and PPO update streams use GOMAXPROCS−1 workers
 // (at least one), leaving a core for the request path.

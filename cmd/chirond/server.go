@@ -338,10 +338,14 @@ func (s *Server) StopAll() {
 const maxBodyBytes = 1 << 20
 
 // decodeBody decodes r's JSON body into v, reading at most maxBodyBytes.
-// allowEmpty accepts a missing body, leaving v untouched. On failure it
-// writes the 413 or 400 response itself and returns false.
+// A field v does not declare (at any depth, the spec included) is a 400, so
+// a misspelt knob cannot silently fall back to its default. allowEmpty
+// accepts a missing body, leaving v untouched. On failure it writes the 413
+// or 400 response itself and returns false.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any, allowEmpty bool) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
 	var tooLarge *http.MaxBytesError
 	switch {
 	case err == nil, allowEmpty && errors.Is(err, io.EOF):

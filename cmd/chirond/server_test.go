@@ -287,3 +287,110 @@ func TestServerRejectsOversizedBodies(t *testing.T) {
 	c.must("POST", "/sessions/"+rid+"/nodes", map[string]any{"node": 1}, http.StatusOK)
 	c.must("POST", "/sessions/"+rid+"/nodes/1/heartbeat", nil, http.StatusOK)
 }
+
+// TestServerRejectsUnknownFields pins strict decoding: a create, register
+// or heartbeat body carrying a field its endpoint does not declare, at the
+// top level or inside the spec, is a 400 naming the field, and the same
+// body without it is served.
+func TestServerRejectsUnknownFields(t *testing.T) {
+	c := newTestServer(t, 1, 4, nil)
+	rid := c.must("POST", "/sessions", map[string]any{
+		"spec": serverSpec("strict", 8), "registry": true,
+	}, http.StatusCreated)["id"].(string)
+	spec := func() map[string]any {
+		var m map[string]any
+		data, err := json.Marshal(serverSpec("strict-body", 9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(data, &m); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	typoSpec := spec()
+	typoSpec["eval_episode"] = 3
+	for _, tc := range []struct {
+		name, path string
+		known      map[string]any
+		unknown    map[string]any
+		ok         int
+	}{
+		{"create", "/sessions",
+			map[string]any{"spec": spec()},
+			map[string]any{"spec": spec(), "worker": 2}, http.StatusCreated},
+		{"create spec", "/sessions",
+			map[string]any{"spec": spec()},
+			map[string]any{"spec": typoSpec}, http.StatusCreated},
+		{"register", "/sessions/" + rid + "/nodes",
+			map[string]any{"node": 1, "from_round": 2},
+			map[string]any{"node": 3, "from": 2}, http.StatusOK},
+		{"heartbeat", "/sessions/" + rid + "/nodes/1/heartbeat",
+			map[string]any{"through_round": 4},
+			map[string]any{"through_round": 4, "round": 5}, http.StatusOK},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			body := c.must("POST", tc.path, tc.unknown, http.StatusBadRequest)
+			if msg, _ := body["error"].(string); !strings.Contains(msg, "unknown field") {
+				t.Fatalf("POST %s error %q, want it to name the unknown field", tc.path, msg)
+			}
+			c.must("POST", tc.path, tc.known, tc.ok)
+		})
+	}
+}
+
+// FuzzServerRequests drives arbitrary requests through the API mux against
+// a server holding one registry session, s-1, with node 1 registered. No
+// request may panic a handler or be answered 500: malformed input is the
+// client's error.
+func FuzzServerRequests(f *testing.F) {
+	create, err := json.Marshal(map[string]any{"spec": serverSpec("fuzz", 3), "registry": true})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range []struct{ method, path, body string }{
+		{"POST", "/sessions", string(create)},
+		{"POST", "/sessions", `{"spec": {"name": 1}}`},
+		{"GET", "/sessions", ""},
+		{"GET", "/sessions/s-1", ""},
+		{"GET", "/sessions/s-1/result", ""},
+		{"GET", "/sessions/s-1/episodes?since=-3", ""},
+		{"POST", "/sessions/s-1/pause", ""},
+		{"POST", "/sessions/s-1/nodes", `{"node": 2, "from_round": -1}`},
+		{"POST", "/sessions/s-1/nodes/1/heartbeat", `{"through_round": 9223372036854775807}`},
+		{"POST", "/sessions/s-1/nodes/1/heartbeat", `[`},
+		{"DELETE", "/sessions/s-1/nodes/1?round=x", ""},
+		{"PUT", "/sessions/s-1/nodes/1", "{}"},
+		{"GET", "/%2e%2e/sessions", ""},
+	} {
+		f.Add(seed.method, seed.path, seed.body)
+	}
+	f.Fuzz(func(t *testing.T, method, path, body string) {
+		req, err := http.NewRequest(method, "http://chirond"+path, strings.NewReader(body))
+		if err != nil {
+			return // not an HTTP request at all
+		}
+		pool, err := session.NewPool(1, 2, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := newServer(pool, session.NewManualClock(time.Unix(0, 0)), time.Minute)
+		defer srv.StopAll()
+		mux := srv.routes()
+		for _, setup := range []struct{ path, body string }{
+			{"/sessions", string(create)},
+			{"/sessions/s-1/nodes", `{"node": 1}`},
+		} {
+			rec := httptest.NewRecorder()
+			mux.ServeHTTP(rec, httptest.NewRequest("POST", setup.path, strings.NewReader(setup.body)))
+			if rec.Code/100 != 2 {
+				t.Fatalf("setup POST %s = %d: %s", setup.path, rec.Code, rec.Body)
+			}
+		}
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, req)
+		if rec.Code >= 500 {
+			t.Fatalf("%s %q = %d: %s", method, path, rec.Code, rec.Body)
+		}
+	})
+}

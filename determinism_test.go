@@ -107,28 +107,53 @@ func flFingerprint(t *testing.T, workers int) uint64 {
 // UpdateStats, and a value estimate. Above one worker the critic and actor
 // epochs run as concurrent streams, so equal fingerprints pin that fork as
 // bit-identical to the serial path.
-func ppoFingerprint(t *testing.T, workers int) uint64 {
+//
+// The chain episode repeats one state, so every next state equals the next
+// row's state and the critic values it from the states forward pass. The
+// mixed episode draws a fresh state per row, breaks the chain on every third
+// row and flags interior terminals, so the critic must also value next
+// states that appear nowhere in the batch.
+func ppoFingerprint(t *testing.T, workers int, mixed bool) uint64 {
 	t.Helper()
 	mat.SetWorkers(workers)
 	defer mat.SetWorkers(0)
 
+	const steps = 32
 	rng := rand.New(rand.NewSource(7))
 	stateDim := 3*5*4 + 2
 	agent, err := rl.NewPPO(rng, stateDim, 1, rl.DefaultPPOConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := &rl.Buffer{}
-	state := make([]float64, stateDim)
-	for i := range state {
-		state[i] = rng.Float64()
+	randState := func() []float64 {
+		s := make([]float64, stateDim)
+		for i := range s {
+			s[i] = rng.Float64()
+		}
+		return s
 	}
-	for i := 0; i < 32; i++ {
-		act, lp, err := agent.Act(rng, state)
+	states := make([][]float64, steps+1)
+	states[0] = randState()
+	for i := 1; i <= steps; i++ {
+		states[i] = states[0]
+		if mixed {
+			states[i] = randState()
+		}
+	}
+	buf := &rl.Buffer{}
+	for i := 0; i < steps; i++ {
+		act, lp, err := agent.Act(rng, states[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		buf.Add(rl.Transition{State: state, Action: act, Reward: rng.Float64(), NextState: state, Done: i == 31, LogProb: lp})
+		next, done := states[i+1], i == steps-1
+		if mixed {
+			if i%3 == 1 {
+				next = randState()
+			}
+			done = done || i%7 == 6
+		}
+		buf.Add(rl.Transition{State: states[i], Action: act, Reward: rng.Float64(), NextState: next, Done: done, LogProb: lp})
 	}
 	h := fnv.New64a()
 	for i := 0; i < 2; i++ {
@@ -153,7 +178,7 @@ func ppoFingerprint(t *testing.T, workers int) uint64 {
 			}
 		}
 	}
-	v, err := agent.Value(state)
+	v, err := agent.Value(states[steps])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,17 +220,25 @@ func TestFLDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// ppoFingerprints are ppoFingerprint's values under the scalar Go GEMM
+// kernels and a critic that ran a separate V(s′) forward pass per epoch.
+// Kernel and critic changes must reproduce them bit for bit.
+var ppoFingerprints = map[bool]uint64{false: 0x5b8d110801afe3f7, true: 0xf87b1edc46d96b25}
+
 func TestPPODeterministicAcrossWorkers(t *testing.T) {
-	base := ppoFingerprint(t, 1)
-	for _, workers := range []int{2, 4} {
-		if got := ppoFingerprint(t, workers); got != base {
-			t.Fatalf("ppo fingerprint differs: workers=1 %x, workers=%d %x", base, workers, got)
+	for _, mixed := range []bool{false, true} {
+		want := ppoFingerprints[mixed]
+		for _, workers := range []int{1, 2, 4} {
+			if got := ppoFingerprint(t, workers, mixed); got != want {
+				t.Fatalf("mixed=%v workers=%d: ppo fingerprint %#x, want %#x", mixed, workers, got, want)
+			}
 		}
-	}
-	prev := runtime.GOMAXPROCS(2)
-	defer runtime.GOMAXPROCS(prev)
-	if got := ppoFingerprint(t, 0); got != base {
-		t.Fatalf("ppo fingerprint differs: workers=1 %x, GOMAXPROCS=2 %x", base, got)
+		prev := runtime.GOMAXPROCS(2)
+		got := ppoFingerprint(t, 0, mixed)
+		runtime.GOMAXPROCS(prev)
+		if got != want {
+			t.Fatalf("mixed=%v GOMAXPROCS=2: ppo fingerprint %#x, want %#x", mixed, got, want)
+		}
 	}
 }
 

@@ -41,13 +41,6 @@ func MulTo(dst, a, b *Matrix) error {
 	return nil
 }
 
-// mulRange computes rows [lo, hi) of dst = a × b via the register-tiled
-// kernel in gemm.go. Each dst element accumulates over k ascending, so
-// banding the rows never changes the reduction order.
-func mulRange(dst, a, b *Matrix, lo, hi int) {
-	gemmRange(dst.data, dst.cols, a.data, a.cols, b.data, b.cols, lo, hi)
-}
-
 // MulTransATo computes dst = aᵀ × b without allocating. dst must be
 // a.Cols()×b.Cols() and must not alias a or b.
 func MulTransATo(dst, a, b *Matrix) error {
@@ -65,16 +58,9 @@ func MulTransATo(dst, a, b *Matrix) error {
 	return nil
 }
 
-// mulTransARange computes rows [lo, hi) of dst = aᵀ × b via the k-tiled
-// kernel in gemm.go: output row i reads column i of a against the rows of
-// b, accumulating over k ascending, so the serial (full-range) and banded
-// forms are bit-identical.
-func mulTransARange(dst, a, b *Matrix, lo, hi int) {
-	gemmTransARange(dst.data, dst.cols, a.data, a.cols, a.rows, b.data, b.cols, lo, hi)
-}
-
-// MulTransBTo computes dst = a × bᵀ without allocating. dst must be
-// a.Rows()×b.Rows() and must not alias a or b.
+// MulTransBTo computes dst = a × bᵀ without allocating in steady state:
+// on amd64 it packs bᵀ into a recycled panel for the strip kernel. dst must
+// be a.Rows()×b.Rows() and must not alias a or b.
 func MulTransBTo(dst, a, b *Matrix) error {
 	if a.cols != b.cols {
 		return fmt.Errorf("%w: mulTransB %dx%d by (%dx%d)T", ErrShape, a.rows, a.cols, b.rows, b.cols)
@@ -82,18 +68,18 @@ func MulTransBTo(dst, a, b *Matrix) error {
 	if err := checkDst("mulTransB", dst, a.rows, b.rows); err != nil {
 		return err
 	}
+	s := stripCols(b.rows)
+	var bt []float64
+	if s > 0 {
+		bt = packTransB(b, s)
+		defer releasePanel(bt)
+	}
 	if flops := a.rows * a.cols * b.rows; serialRows(a.rows, flops) {
-		mulTransBRange(dst, a, b, 0, a.rows)
+		mulTransBRange(dst, a, b, bt, s, 0, a.rows)
 	} else {
-		parallelRows(a.rows, flops, func(lo, hi int) { mulTransBRange(dst, a, b, lo, hi) })
+		parallelRows(a.rows, flops, func(lo, hi int) { mulTransBRange(dst, a, b, bt, s, lo, hi) })
 	}
 	return nil
-}
-
-// mulTransBRange computes rows [lo, hi) of dst = a × bᵀ as register-blocked
-// row-dot-products over k ascending (gemm.go).
-func mulTransBRange(dst, a, b *Matrix, lo, hi int) {
-	gemmTransBRange(dst.data, dst.cols, a.data, a.cols, b.data, b.rows, lo, hi)
 }
 
 // AddTo computes dst = a + b elementwise without allocating. dst may alias

@@ -2,7 +2,9 @@ package mat
 
 // Register-tiled GEMM micro-kernels, generic over the two supported scalar
 // types. The float64 Matrix kernels (MulTo, MulTransATo, MulTransBTo) and
-// the float32 Matrix32 mirrors both lower onto these.
+// the float32 Matrix32 mirrors both lower onto these; on amd64 the float64
+// forms hand their whole 8-column blocks to the SSE2 strip kernel instead
+// (strip.go), and these compute the column tail.
 //
 // Blocking scheme (DESIGN.md §16): the output is split into contiguous row
 // bands (one per worker — the parallel axis), each band into column blocks
@@ -29,7 +31,7 @@ const (
 	// gemmNR is the register-block width: output columns accumulated in
 	// registers per micro-kernel pass. Eight float64 accumulators plus
 	// operand temporaries fit the amd64 XMM file and give eight
-	// independent FMA chains.
+	// independent multiply-add chains.
 	gemmNR = 8
 	// gemmKC is the k-tile depth for the transpose-A kernel, whose k axis
 	// can be very deep (im2col weight gradients). A tile of 64 keeps both
@@ -40,17 +42,18 @@ const (
 	gemmKC = 64
 )
 
-// gemmRange computes rows [lo, hi) of dst = a × b. Per dst row the column
-// axis is walked in gemmNR-wide register blocks; each block accumulates its
-// full k reduction in registers (ascending k, matching the naive kernel)
-// and stores once. Rows where an a element is zero skip that k exactly like
-// the naive kernel, preserving bit-identity in the presence of Inf/NaN
-// operands.
-func gemmRange[T Elem](dst []T, dcols int, a []T, acols int, b []T, bcols int, lo, hi int) {
+// gemmRange computes columns [j0, dcols) of rows [lo, hi) of dst = a × b;
+// j0 > 0 leaves the leading columns to the amd64 strip kernel. Per dst row
+// the column axis is walked in gemmNR-wide register blocks; each block
+// accumulates its full k reduction in registers (ascending k, matching the
+// naive kernel) and stores once. Rows where an a element is zero skip that
+// k exactly like the naive kernel, preserving bit-identity in the presence
+// of Inf/NaN operands.
+func gemmRange[T Elem](dst []T, dcols int, a []T, acols int, b []T, bcols int, lo, hi, j0 int) {
 	for i := lo; i < hi; i++ {
 		arow := a[i*acols : (i+1)*acols]
 		drow := dst[i*dcols : (i+1)*dcols]
-		j := 0
+		j := j0
 		for ; j+gemmNR <= dcols; j += gemmNR {
 			var c0, c1, c2, c3, c4, c5, c6, c7 T
 			off := j
@@ -106,14 +109,15 @@ func gemmRange[T Elem](dst []T, dcols int, a []T, acols int, b []T, bcols int, l
 	}
 }
 
-// gemmTransBRange computes rows [lo, hi) of dst = a × bᵀ as register-blocked
-// row dot products: eight output columns (rows of b) accumulate concurrently,
-// each over k ascending, sharing every arow load.
-func gemmTransBRange[T Elem](dst []T, dcols int, a []T, acols int, b []T, brows int, lo, hi int) {
+// gemmTransBRange computes columns [j0, dcols) of rows [lo, hi) of
+// dst = a × bᵀ as register-blocked row dot products: eight output columns
+// (rows of b) accumulate concurrently, each over k ascending, sharing every
+// arow load. Unlike the other two kernels it has no a==0 skip.
+func gemmTransBRange[T Elem](dst []T, dcols int, a []T, acols int, b []T, brows int, lo, hi, j0 int) {
 	for i := lo; i < hi; i++ {
 		arow := a[i*acols : (i+1)*acols : (i+1)*acols]
 		drow := dst[i*dcols : (i+1)*dcols]
-		j := 0
+		j := j0
 		for ; j+8 <= brows; j += 8 {
 			b0 := b[j*acols : (j+1)*acols : (j+1)*acols]
 			b1 := b[(j+1)*acols : (j+2)*acols : (j+2)*acols]
@@ -160,13 +164,19 @@ func gemmTransBRange[T Elem](dst []T, dcols int, a []T, acols int, b []T, brows 
 	}
 }
 
-// gemmTransARange computes rows [lo, hi) of dst = aᵀ × b (output row i reads
-// column i of a). The k axis is tiled at gemmKC: within a tile, a gemmNR
-// register block accumulates ascending-k products on top of the running dst
-// values loaded at tile entry, so the per-element addition sequence is the
-// unbroken ascending-k chain of the naive kernel. The a[k][i]==0 skip of the
-// naive kernel is preserved.
-func gemmTransARange[T Elem](dst []T, dcols int, a []T, acols, arows int, b []T, bcols int, lo, hi int) {
+// gemmTransARange computes columns [j0, dcols) of rows [lo, hi) of
+// dst = aᵀ × b (output row i reads column i of a). The k axis is tiled at
+// gemmKC: within a tile, a gemmNR register block accumulates ascending-k
+// products on top of the running dst values loaded at tile entry, so the
+// per-element addition sequence is the unbroken ascending-k chain of the
+// naive kernel. The a[k][i]==0 skip of the naive kernel is preserved. An
+// empty reduction (arows == 0) zeroes the columns.
+func gemmTransARange[T Elem](dst []T, dcols int, a []T, acols, arows int, b []T, bcols int, lo, hi, j0 int) {
+	if arows == 0 {
+		for i := lo; i < hi; i++ {
+			clear(dst[i*dcols+j0 : (i+1)*dcols])
+		}
+	}
 	for k0 := 0; k0 < arows; k0 += gemmKC {
 		k1 := k0 + gemmKC
 		if k1 > arows {
@@ -175,7 +185,7 @@ func gemmTransARange[T Elem](dst []T, dcols int, a []T, acols, arows int, b []T,
 		first := k0 == 0
 		for i := lo; i < hi; i++ {
 			drow := dst[i*dcols : (i+1)*dcols]
-			j := 0
+			j := j0
 			for ; j+gemmNR <= dcols; j += gemmNR {
 				var c0, c1, c2, c3, c4, c5, c6, c7 T
 				if !first {

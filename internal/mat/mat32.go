@@ -137,10 +137,10 @@ func MulTo32(dst, a, b *Matrix32) error {
 		return err
 	}
 	if flops := a.rows * a.cols * b.cols; serialRows(a.rows, flops) {
-		gemmRange(dst.data, dst.cols, a.data, a.cols, b.data, b.cols, 0, a.rows)
+		gemmRange(dst.data, dst.cols, a.data, a.cols, b.data, b.cols, 0, a.rows, 0)
 	} else {
 		parallelRows(a.rows, flops, func(lo, hi int) {
-			gemmRange(dst.data, dst.cols, a.data, a.cols, b.data, b.cols, lo, hi)
+			gemmRange(dst.data, dst.cols, a.data, a.cols, b.data, b.cols, lo, hi, 0)
 		})
 	}
 	return nil
@@ -156,10 +156,10 @@ func MulTransATo32(dst, a, b *Matrix32) error {
 		return err
 	}
 	if flops := a.rows * a.cols * b.cols; serialRows(a.cols, flops) {
-		gemmTransARange(dst.data, dst.cols, a.data, a.cols, a.rows, b.data, b.cols, 0, a.cols)
+		gemmTransARange(dst.data, dst.cols, a.data, a.cols, a.rows, b.data, b.cols, 0, a.cols, 0)
 	} else {
 		parallelRows(a.cols, flops, func(lo, hi int) {
-			gemmTransARange(dst.data, dst.cols, a.data, a.cols, a.rows, b.data, b.cols, lo, hi)
+			gemmTransARange(dst.data, dst.cols, a.data, a.cols, a.rows, b.data, b.cols, lo, hi, 0)
 		})
 	}
 	return nil
@@ -175,10 +175,10 @@ func MulTransBTo32(dst, a, b *Matrix32) error {
 		return err
 	}
 	if flops := a.rows * a.cols * b.rows; serialRows(a.rows, flops) {
-		gemmTransBRange(dst.data, dst.cols, a.data, a.cols, b.data, b.rows, 0, a.rows)
+		gemmTransBRange(dst.data, dst.cols, a.data, a.cols, b.data, b.rows, 0, a.rows, 0)
 	} else {
 		parallelRows(a.rows, flops, func(lo, hi int) {
-			gemmTransBRange(dst.data, dst.cols, a.data, a.cols, b.data, b.rows, lo, hi)
+			gemmTransBRange(dst.data, dst.cols, a.data, a.cols, b.data, b.rows, lo, hi, 0)
 		})
 	}
 	return nil

@@ -1,0 +1,168 @@
+package mat
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// saltedOperand returns a rows×cols matrix of values in [-2, 2] with about
+// one element in six replaced by +0 or −0 and specials more set to ±Inf or
+// NaN. Zeros in a left operand meeting Inf/NaN in a right one tell the
+// a == 0 skip (0·Inf adds nothing) from its absence (0·Inf adds NaN); the
+// specials are few so most outputs stay finite and are compared bit for
+// bit.
+func saltedOperand(rng *rand.Rand, rows, cols, specials int) *Matrix {
+	m := New(rows, cols)
+	m.Randomize(rng, 2)
+	for i := range m.data {
+		if rng.Intn(6) == 0 {
+			m.data[i] = math.Copysign(0, float64(rng.Intn(2)*2-1))
+		}
+	}
+	for s := 0; s < specials && len(m.data) > 0; s++ {
+		m.data[rng.Intn(len(m.data))] = []float64{math.Inf(1), math.Inf(-1), math.NaN()}[rng.Intn(3)]
+	}
+	return m
+}
+
+// sameFloats reports the first element where got and want differ in bits,
+// treating any two NaNs as equal (the payload of a NaN produced from two
+// NaN operands depends on operand order, which neither kernel promises).
+func sameFloats(got, want []float64) (int, bool) {
+	for i, g := range got {
+		w := want[i]
+		if math.IsNaN(g) && math.IsNaN(w) {
+			continue
+		}
+		if math.Float64bits(g) != math.Float64bits(w) {
+			return i, false
+		}
+	}
+	return 0, true
+}
+
+// TestStripKernelMatchesGeneric pins the float64 GEMMs, which on amd64 run
+// their whole 8-column blocks through the SSE2 strip kernel, to the generic
+// Go kernels bit for bit. It covers every column tail (dst widths 1–40),
+// reductions on both sides of the gemmKC tile depth, row bands at 1, 2 and
+// 4 workers, and Inf/NaN/±0 operands, so the a == 0 skip of MulTo and
+// MulTransATo and its absence in MulTransBTo are both pinned.
+func TestStripKernelMatchesGeneric(t *testing.T) {
+	if !haveStrips {
+		t.Skip("no strip kernel on this architecture")
+	}
+	defer SetWorkers(0)
+	rng := rand.New(rand.NewSource(3))
+	for _, k := range []int{0, 1, 63, 64, 65, 200} {
+		for cols := 1; cols <= 40; cols++ {
+			for _, rows := range []int{7, 33} {
+				a := saltedOperand(rng, rows, k, 2)
+				at := transpose(a)
+				b := saltedOperand(rng, k, cols, 3)
+				bt := transpose(b)
+
+				want := map[string]*Matrix{"MulTo": New(rows, cols), "MulTransATo": New(rows, cols), "MulTransBTo": New(rows, cols)}
+				for _, m := range want {
+					m.Fill(math.NaN())
+				}
+				gemmRange(want["MulTo"].data, cols, a.data, k, b.data, cols, 0, rows, 0)
+				gemmTransARange(want["MulTransATo"].data, cols, at.data, rows, k, b.data, cols, 0, rows, 0)
+				gemmTransBRange(want["MulTransBTo"].data, cols, a.data, k, bt.data, cols, 0, rows, 0)
+
+				for _, workers := range []int{1, 2, 4} {
+					SetWorkers(workers)
+					for _, op := range []struct {
+						name string
+						run  func(dst *Matrix) error
+					}{
+						{"MulTo", func(dst *Matrix) error { return MulTo(dst, a, b) }},
+						{"MulTransATo", func(dst *Matrix) error { return MulTransATo(dst, at, b) }},
+						{"MulTransBTo", func(dst *Matrix) error { return MulTransBTo(dst, a, bt) }},
+					} {
+						dst := New(rows, cols)
+						dst.Fill(999) // stale contents must be fully overwritten
+						if err := op.run(dst); err != nil {
+							t.Fatalf("%s: %v", op.name, err)
+						}
+						if i, ok := sameFloats(dst.data, want[op.name].data); !ok {
+							t.Fatalf("%s rows=%d k=%d cols=%d workers=%d: element (%d,%d) = %v (%#x), generic kernel %v (%#x)",
+								op.name, rows, k, cols, workers, i/cols, i%cols,
+								dst.data[i], math.Float64bits(dst.data[i]), want[op.name].data[i], math.Float64bits(want[op.name].data[i]))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMulTransBToConcurrentCallers runs MulTransBTo from several
+// goroutines at once, as the PPO update's critic and actor streams do, with
+// panel sizes that differ per caller, so the shared free list of packed
+// panels hands each call a panel of its own.
+func TestMulTransBToConcurrentCallers(t *testing.T) {
+	defer SetWorkers(0)
+	SetWorkers(1)
+	const callers, calls = 4, 50
+	errs := make(chan error, callers)
+	for c := 0; c < callers; c++ {
+		rng := rand.New(rand.NewSource(int64(c)))
+		a := saltedOperand(rng, 9, 8*(c+1)+3, 0)
+		bt := saltedOperand(rng, 8*(c+2)+5, 8*(c+1)+3, 0)
+		want := New(a.rows, bt.rows)
+		gemmTransBRange(want.data, want.cols, a.data, a.cols, bt.data, bt.rows, 0, a.rows, 0)
+		go func() {
+			dst := New(a.rows, bt.rows)
+			for i := 0; i < calls; i++ {
+				if err := MulTransBTo(dst, a, bt); err != nil {
+					errs <- err
+					return
+				}
+				if j, ok := sameFloats(dst.data, want.data); !ok {
+					errs <- fmt.Errorf("call %d: element %d = %v, want %v", i, j, dst.data[j], want.data[j])
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for c := 0; c < callers; c++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// TestStripRowBoundsChecked pins the Go-side guard in front of the
+// assembly: an operand too short for the strip panics before the kernel
+// reads or writes past it.
+func TestStripRowBoundsChecked(t *testing.T) {
+	if !haveStrips {
+		t.Skip("no strip kernel on this architecture")
+	}
+	const k, cols = 4, 16
+	for _, tc := range []struct {
+		name       string
+		dst, a, b  int // operand lengths
+		aStride    int
+		shouldFail bool
+	}{
+		{"exact", cols, k, k * cols, 1, false},
+		{"short dst", cols - 1, k, k * cols, 1, true},
+		{"short a", cols, k - 1, k * cols, 1, true},
+		{"strided a", cols, 3*(k-1) + 1, k * cols, 3, false},
+		{"short strided a", cols, 3 * (k - 1), k * cols, 3, true},
+		{"short b", cols, k, k*cols - 1, 1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); (r != nil) != tc.shouldFail {
+					t.Fatalf("panic = %v, want panic %v", r, tc.shouldFail)
+				}
+			}()
+			stripRow(make([]float64, tc.dst), make([]float64, tc.a), tc.aStride, make([]float64, tc.b), cols, k, cols, false, true)
+		})
+	}
+}

@@ -104,18 +104,25 @@ type PPO struct {
 	optC    *nn.Adam
 	episode int
 
-	// Recycled update scratch: batched states, the V(s) copy taken before
-	// the V(s') forward pass overwrites the critic's output buffer, TD
-	// targets plus the critic loss gradient (critic stream only), and the
-	// actor mean gradient (actor stream only). Reused across Update calls,
-	// so a steady-state update allocates only the stream fork's few
+	// offChainPlan is a second fused plan over the critic's parameters
+	// with its own workspaces. It values the off-chain next states (see
+	// linkNextStates), so the critic's own workspaces keep the batch's row
+	// count and its last forward stays the one over the states.
+	offChainPlan *nn.FusedMLP
+
+	// Recycled update scratch: batched states and off-chain next states,
+	// where each row's V(s′) lives (next) and the values themselves (vals),
+	// TD targets plus the critic loss gradient (critic stream only), and
+	// the actor mean gradient (actor stream only). Reused across Update
+	// calls, so a steady-state update allocates only the stream fork's few
 	// objects, plus a closure per kernel call large enough to fan out
 	// into GEMM row bands.
-	states, nextStates *mat.Matrix
-	targets, cgrad     *mat.Matrix
-	meanGrad           *mat.Matrix
-	oneState           *mat.Matrix
-	vBuf, adv          []float64
+	states, offChain *mat.Matrix
+	targets, cgrad   *mat.Matrix
+	meanGrad         *mat.Matrix
+	oneState         *mat.Matrix
+	next             []int
+	vals, adv        []float64
 }
 
 // NewPPO builds an agent for the given state/action dimensions.
@@ -132,12 +139,17 @@ func NewPPO(rng *rand.Rand, stateDim, actionDim int, cfg PPOConfig) (*PPO, error
 	if err != nil {
 		return nil, fmt.Errorf("rl: critic network: %w", err)
 	}
+	offChainPlan, ok := nn.Fuse(critic)
+	if !ok {
+		return nil, fmt.Errorf("rl: critic network does not fuse")
+	}
 	return &PPO{
-		cfg:    cfg,
-		actor:  actor,
-		critic: critic,
-		optA:   nn.NewAdam(actor.Params(), cfg.ActorLR),
-		optC:   nn.NewAdam(critic.Params(), cfg.CriticLR),
+		cfg:          cfg,
+		actor:        actor,
+		critic:       critic,
+		offChainPlan: offChainPlan,
+		optA:         nn.NewAdam(actor.Params(), cfg.ActorLR),
+		optC:         nn.NewAdam(critic.Params(), cfg.CriticLR),
 	}, nil
 }
 
@@ -201,17 +213,16 @@ func (p *PPO) Update(buf *Buffer) (UpdateStats, error) {
 	stateDim := len(trans[0].State)
 
 	p.states = mat.Ensure(p.states, n, stateDim)
-	p.nextStates = mat.Ensure(p.nextStates, n, stateDim)
-	states, nextStates := p.states, p.nextStates
+	states := p.states
 	for i, t := range trans {
 		copy(states.Row(i), t.State)
-		copy(nextStates.Row(i), t.NextState)
 	}
+	p.linkNextStates(trans)
 
 	// Advantages from the pre-update critic, normalized across the batch
 	// for stable scaling: plain TD(0) residuals by default (Algorithm 1),
 	// or their GAE(λ) accumulation when configured.
-	adv, err := p.tdAdvantages(trans, states, nextStates)
+	adv, err := p.tdAdvantages(trans)
 	if err != nil {
 		return UpdateStats{}, err
 	}
@@ -221,15 +232,15 @@ func (p *PPO) Update(buf *Buffer) (UpdateStats, error) {
 	normalizeAdvantages(adv)
 
 	// The critic's M regression epochs and the actor's M surrogate epochs
-	// read only the now-fixed trans, states, nextStates and adv, and each
-	// writes only its own network, Adam state and scratch — so they run as
-	// two concurrent streams, bit-identical to running them one after the
-	// other.
+	// read only the now-fixed trans, states and adv, and each writes only
+	// its own network, Adam state and scratch (the critic's includes next,
+	// vals and offChain) — so they run as two concurrent streams,
+	// bit-identical to running them one after the other.
 	stats := UpdateStats{NumSamples: n}
 	var criticErr, actorErr error
 	concurrently(func() {
 		for epoch := 0; epoch < p.cfg.UpdateEpochs && criticErr == nil; epoch++ {
-			stats.CriticLoss, criticErr = p.updateCritic(trans, states, nextStates)
+			stats.CriticLoss, criticErr = p.updateCritic(trans)
 		}
 	}, func() {
 		for epoch := 0; epoch < p.cfg.UpdateEpochs && actorErr == nil; epoch++ {
@@ -248,31 +259,94 @@ func (p *PPO) Update(buf *Buffer) (UpdateStats, error) {
 	return stats, nil
 }
 
-// tdAdvantages computes r + γV(s')(1−done) − V(s) with the current critic.
-// The returned slice is owned by the agent and reused by the next call.
-func (p *PPO) tdAdvantages(trans []Transition, states, nextStates *mat.Matrix) ([]float64, error) {
-	v, err := p.critic.Forward(states)
+// linkNextStates decides where each row's V(s′) comes from, once per
+// update. A buffer holds trajectories, so a non-terminal row's next state
+// is almost always the next row's state, which the critic's forward pass
+// over the batch already values. The critic values each row on its own
+// (every GEMM element, bias add and activation reads only its row), so that
+// value is bit-identical to a separate forward pass over the next states.
+// Next states that differ from the next row's state in any bit are
+// gathered into offChain for a forward pass of their own; terminal rows
+// bootstrap nothing. next[i] indexes V(s′_i) in vals (row i+1 of V(s), or
+// n plus the row of offChain), or is −1 for a terminal row.
+func (p *PPO) linkNextStates(trans []Transition) {
+	n := len(trans)
+	if len(p.next) != n {
+		p.next = make([]int, n)
+	}
+	k := 0
+	for i, t := range trans {
+		switch {
+		case t.Done:
+			p.next[i] = -1
+		case i+1 < n && sameBits(t.NextState, trans[i+1].State):
+			p.next[i] = i + 1
+		default:
+			p.next[i] = n + k
+			k++
+		}
+	}
+	p.vals = mat.EnsureVec(p.vals, n+k)
+	if k == 0 {
+		return
+	}
+	p.offChain = mat.Ensure(p.offChain, k, len(trans[0].State))
+	for i, t := range trans {
+		if p.next[i] >= n {
+			copy(p.offChain.Row(p.next[i]-n), t.NextState)
+		}
+	}
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	for i, v := range a {
+		if math.Float64bits(v) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// values runs the current critic over the batch, V(s) into vals[:n] and
+// the off-chain V(s′) into vals[n:], and returns the critic's output V(s).
+// The off-chain rows go through offChainPlan, so the critic's own plan
+// holds the states' activations for a following backward pass.
+func (p *PPO) values() (*mat.Matrix, error) {
+	n := p.states.Rows()
+	if len(p.vals) > n {
+		vo, err := p.offChainPlan.Forward(p.offChain)
+		if err != nil {
+			return nil, err
+		}
+		copy(p.vals[n:], vo.Data())
+	}
+	v, err := p.critic.Forward(p.states)
 	if err != nil {
 		return nil, err
 	}
-	// The critic recycles its output buffer, so V(s) must be copied out
-	// before the V(s') pass overwrites it.
-	p.vBuf = mat.EnsureVec(p.vBuf, len(trans))
-	for i := range trans {
-		p.vBuf[i] = v.At(i, 0)
+	copy(p.vals[:n], v.Data())
+	return v, nil
+}
+
+// nextValue is V(s′_i) from the last values call, or 0 for a terminal row.
+func (p *PPO) nextValue(i int) float64 {
+	if j := p.next[i]; j >= 0 {
+		return p.vals[j]
 	}
-	vn, err := p.critic.Forward(nextStates)
-	if err != nil {
+	return 0
+}
+
+// tdAdvantages computes r + γV(s′)(1−done) − V(s) with the current critic.
+// The returned slice is owned by the agent and reused by the next call.
+func (p *PPO) tdAdvantages(trans []Transition) ([]float64, error) {
+	if _, err := p.values(); err != nil {
 		return nil, err
 	}
 	p.adv = mat.EnsureVec(p.adv, len(trans))
 	adv := p.adv
 	for i, t := range trans {
-		next := vn.At(i, 0)
-		if t.Done {
-			next = 0
-		}
-		adv[i] = t.Reward + p.cfg.Gamma*next - p.vBuf[i]
+		adv[i] = t.Reward + p.cfg.Gamma*p.nextValue(i) - p.vals[i]
 	}
 	return adv, nil
 }
@@ -307,10 +381,11 @@ func normalizeAdvantages(adv []float64) {
 }
 
 // updateCritic performs one semi-gradient TD(0) regression pass: targets
-// r + γV(s') are recomputed with the current critic and treated as
-// constants, per line 19 of Algorithm 1.
-func (p *PPO) updateCritic(trans []Transition, states, nextStates *mat.Matrix) (float64, error) {
-	vn, err := p.critic.Forward(nextStates)
+// r + γV(s′) are recomputed with the current critic and treated as
+// constants, per line 19 of Algorithm 1. One forward pass over the states
+// yields both the prediction and, through linkNextStates, the targets.
+func (p *PPO) updateCritic(trans []Transition) (float64, error) {
+	pred, err := p.values()
 	if err != nil {
 		return 0, err
 	}
@@ -318,15 +393,7 @@ func (p *PPO) updateCritic(trans []Transition, states, nextStates *mat.Matrix) (
 	p.targets = mat.Ensure(p.targets, n, 1)
 	targets := p.targets
 	for i, t := range trans {
-		next := vn.At(i, 0)
-		if t.Done {
-			next = 0
-		}
-		targets.Set(i, 0, t.Reward+p.cfg.Gamma*next)
-	}
-	pred, err := p.critic.Forward(states)
-	if err != nil {
-		return 0, err
+		targets.Set(i, 0, t.Reward+p.cfg.Gamma*p.nextValue(i))
 	}
 	p.cgrad = mat.Ensure(p.cgrad, n, 1)
 	loss, err := nn.MSETo(p.cgrad, pred, targets)
