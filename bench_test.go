@@ -28,7 +28,6 @@ import (
 	"chiron/internal/edgeenv"
 	"chiron/internal/experiment"
 	"chiron/internal/fl"
-	"chiron/internal/mat"
 	"chiron/internal/nn"
 	"chiron/internal/rl"
 )
@@ -383,52 +382,6 @@ func BenchmarkFedAvgRound(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := srv.Evaluate(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMNISTCNNForward measures a forward pass of the paper's 21,840
-// parameter MNIST CNN on a batch of 10.
-func BenchmarkMNISTCNNForward(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	net, err := nn.NewMNISTCNN(rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := mat.New(10, 28*28)
-	x.Randomize(rng, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := net.Forward(x); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkLeNetForwardBackward measures a full training step of the
-// paper's 62,006-parameter CIFAR-10 LeNet on a batch of 10.
-func BenchmarkLeNetForwardBackward(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	net, err := nn.NewLeNet(rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := mat.New(10, 3*32*32)
-	x.Randomize(rng, 1)
-	labels := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		logits, err := net.Forward(x)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_, grad, err := nn.SoftmaxCrossEntropy(logits, labels)
-		if err != nil {
-			b.Fatal(err)
-		}
-		net.ZeroGrad()
-		if _, err := net.Backward(grad); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,12 +1,12 @@
 package chiron_test
 
-// Compute micro-benchmarks for the numeric stack that every hot loop of the
-// reproduction funnels through: the RealTraining MLP step, the MNIST-CNN
-// Conv2D im2col path, and one full PPO update. All report allocs/op so that
-// regressions in the destination-passing path (which should keep steady-state
-// allocations near zero) are visible straight from `go test -bench=Compute
-// -benchmem`. CI runs exactly these and uploads the results as
-// BENCH_compute.json.
+// Compute micro-benchmarks for the float64 numeric stack that every hot loop
+// of the reproduction funnels through: the RealTraining MLP step, one full
+// PPO update, a frozen-policy evaluation grid and one federated client
+// round. All report allocs/op so that regressions in the destination-passing
+// path (which should keep steady-state allocations near zero) are visible
+// straight from `go test -bench=Compute -benchmem`. CI runs exactly these and
+// gates them against BENCH_compute.json with cmd/benchgate.
 
 import (
 	"math/rand"
@@ -50,33 +50,6 @@ func BenchmarkComputeMLPForwardBackward(b *testing.B) {
 		}
 		net.ZeroGrad()
 		if err := net.BackwardParamsOnly(grad); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkComputeConv2DForwardBackward measures the im2col Conv2D path in
-// isolation: one forward plus the parameter-gradient backward of the MNIST
-// CNN's first convolution (1→10 channels, 5×5) on a batch of 10 — as the
-// network's first layer its input gradient has no consumer, so the trained
-// hot path skips it.
-func BenchmarkComputeConv2DForwardBackward(b *testing.B) {
-	rng := rand.New(rand.NewSource(12))
-	conv, err := nn.NewConv2D(rng, nn.Shape3{C: 1, H: 28, W: 28}, 10, 5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := mat.New(10, 28*28)
-	x.Randomize(rng, 1)
-	grad := mat.New(10, conv.OutShape().Size())
-	grad.Randomize(rng, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := conv.Forward(x); err != nil {
-			b.Fatal(err)
-		}
-		if err := conv.BackwardParamsOnly(grad); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -156,9 +129,9 @@ func benchFrozenGrid(b *testing.B, cells int) []*core.Chiron {
 }
 
 // BenchmarkComputePolicyEvalSequential measures a 16-cell frozen-policy
-// evaluation grid the sequential way: one deterministic episode per cell,
-// each round running two 1×d policy forwards — the ablation runners' shape
-// before the lockstep evaluator.
+// evaluation grid cell by cell: one deterministic episode per cell, each
+// round running two 1×d policy forwards — the shape of the abl-robust and
+// abl-faults jobs.
 func BenchmarkComputePolicyEvalSequential(b *testing.B) {
 	agents := benchFrozenGrid(b, 16)
 	b.ReportAllocs()
@@ -168,22 +141,6 @@ func BenchmarkComputePolicyEvalSequential(b *testing.B) {
 			if _, err := mechanism.Evaluate(agent, 1); err != nil {
 				b.Fatal(err)
 			}
-		}
-	}
-}
-
-// BenchmarkComputePolicyEvalLockstep measures the same 16-cell grid through
-// core.EvaluateLockstep: all cells advance together and each round's
-// decisions evaluate with ONE batched forward per policy network. Results
-// are bit-identical to the sequential path (the propcheck lockstep property
-// pins this); only the GEMM shapes change.
-func BenchmarkComputePolicyEvalLockstep(b *testing.B) {
-	agents := benchFrozenGrid(b, 16)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.EvaluateLockstep(agents, 1); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

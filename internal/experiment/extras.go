@@ -223,34 +223,40 @@ func trainFrozenChiron(seed int64, scale float64) (*core.Checkpoint, []*device.N
 	return ch.Checkpoint(), fleet, nil
 }
 
-// evalFrozenChironLockstep restores ck into one fresh agent per environment
-// and evaluates every cell in lockstep — the shared tail of the
-// frozen-policy studies. All cells share the frozen weights, so each
-// round's decisions across every scenario are computed with one batched
-// forward per policy network instead of one per cell; results are
-// bit-identical to evaluating each agent sequentially (see core.EvaluateLockstep).
-func evalFrozenChironLockstep(envs []*edgeenv.Env, ck *core.Checkpoint, seed int64) ([]mechanism.EpisodeResult, error) {
-	agents := make([]*core.Chiron, len(envs))
-	for i, env := range envs {
-		agent, err := core.New(env, TunedChironConfig(seed))
-		if err != nil {
-			return nil, err
-		}
-		if err := agent.Restore(ck); err != nil {
-			return nil, err
-		}
-		agents[i] = agent
+// evalFrozenChiron builds the clean 5-node η=300 MNIST environment around
+// fleet, lets perturb add a study's disturbance to its config, restores ck
+// into a fresh agent on it and averages three deterministic episodes — the
+// shared tail of the frozen-policy studies. It returns the environment too,
+// whose ledger still holds the last evaluation episode.
+func evalFrozenChiron(ck *core.Checkpoint, fleet []*device.Node, seed int64, perturb func(*edgeenv.Config) error) (mechanism.EpisodeResult, *edgeenv.Env, error) {
+	acc, err := accuracy.NewPresetCurve(rand.New(rand.NewSource(seed+1)), accuracy.PresetMNIST, 5)
+	if err != nil {
+		return mechanism.EpisodeResult{}, nil, err
 	}
-	return core.EvaluateLockstep(agents, 3)
+	cfg := edgeenv.DefaultConfig(fleet, acc, 300)
+	if err := perturb(&cfg); err != nil {
+		return mechanism.EpisodeResult{}, nil, err
+	}
+	env, err := edgeenv.New(cfg)
+	if err != nil {
+		return mechanism.EpisodeResult{}, nil, err
+	}
+	agent, err := core.New(env, TunedChironConfig(seed))
+	if err != nil {
+		return mechanism.EpisodeResult{}, nil, err
+	}
+	if err := agent.Restore(ck); err != nil {
+		return mechanism.EpisodeResult{}, nil, err
+	}
+	res, err := mechanism.Evaluate(agent, 3)
+	return res, env, err
 }
 
 // runRobustnessAblation trains once on the clean environment and evaluates
-// the frozen policy under increasing churn. The scenarios are not separate
-// jobs: every cell shares the frozen weights, so the lockstep evaluator
-// batches all five scenarios' per-round policy forwards into single GEMM
-// sweeps. Each scenario still owns its environment and churn RNG.
+// the frozen policy under increasing churn. One job per scenario, each
+// owning its environment, churn RNG and restored agent; the checkpoint and
+// fleet are shared read-only.
 func runRobustnessAblation(scale float64, jobs int) (string, error) {
-	_ = jobs // the lockstep evaluator IS the batching; env setup is cheap
 	const seed = 7
 	ck, fleet, err := trainFrozenChiron(seed, scale)
 	if err != nil {
@@ -267,25 +273,24 @@ func runRobustnessAblation(scale float64, jobs int) (string, error) {
 		{"availability 80%", 0, 0.80},
 		{"jitter 30% + avail 80%", 0.30, 0.80},
 	}
-	envs := make([]*edgeenv.Env, 0, len(scenarios))
+	plan := Plan[mechanism.EpisodeResult]{Name: "abl-robust", Workers: jobs}
 	for _, sc := range scenarios {
-		acc, err := accuracy.NewPresetCurve(rand.New(rand.NewSource(seed+1)), accuracy.PresetMNIST, 5)
-		if err != nil {
-			return "", err
-		}
-		cfg := edgeenv.DefaultConfig(fleet, acc, 300)
-		cfg.CommJitter = sc.jitter
-		cfg.Availability = sc.availability
-		if sc.jitter > 0 || (sc.availability > 0 && sc.availability < 1) {
-			cfg.Rng = rand.New(rand.NewSource(seed + 2))
-		}
-		env, err := edgeenv.New(cfg)
-		if err != nil {
-			return "", err
-		}
-		envs = append(envs, env)
+		plan.Jobs = append(plan.Jobs, Job[mechanism.EpisodeResult]{
+			Label: fmt.Sprintf("Chiron %s seed=%d", sc.name, seed),
+			Run: func() (mechanism.EpisodeResult, error) {
+				res, _, err := evalFrozenChiron(ck, fleet, seed, func(cfg *edgeenv.Config) error {
+					cfg.CommJitter = sc.jitter
+					cfg.Availability = sc.availability
+					if sc.jitter > 0 || (sc.availability > 0 && sc.availability < 1) {
+						cfg.Rng = rand.New(rand.NewSource(seed + 2))
+					}
+					return nil
+				})
+				return res, err
+			},
+		})
 	}
-	results, err := evalFrozenChironLockstep(envs, ck, seed)
+	results, err := plan.Execute()
 	if err != nil {
 		return "", err
 	}
@@ -318,11 +323,9 @@ func FleetDeadline(nodes []*device.Node) float64 {
 // runFaultSweep trains Chiron on the clean environment once, then
 // evaluates the frozen policy under escalating injected fault rates — the
 // degradation table for crash, straggler, upload-drop, and corruption
-// failures combined with a round deadline and zero failure payment. The
-// fault levels evaluate together through the lockstep evaluator (one
-// batched forward per policy per round across all levels).
+// failures combined with a round deadline and zero failure payment. One job
+// per fault level; each counts its failures before it returns.
 func runFaultSweep(scale float64, jobs int) (string, error) {
-	_ = jobs // the lockstep evaluator IS the batching; env setup is cheap
 	const seed = 7
 	ck, fleet, err := trainFrozenChiron(seed, scale)
 	if err != nil {
@@ -339,44 +342,51 @@ func runFaultSweep(scale float64, jobs int) (string, error) {
 		{"severe (6x)", base.Scale(6)},
 	}
 	deadline := FleetDeadline(fleet)
-	envs := make([]*edgeenv.Env, 0, len(levels))
-	for _, lv := range levels {
-		acc, err := accuracy.NewPresetCurve(rand.New(rand.NewSource(seed+1)), accuracy.PresetMNIST, 5)
-		if err != nil {
-			return "", err
-		}
-		cfg := edgeenv.DefaultConfig(fleet, acc, 300)
-		if lv.rates.Any() {
-			sampler, err := faults.NewSampler(lv.rates, seed+3)
-			if err != nil {
-				return "", err
-			}
-			cfg.Faults = sampler
-			cfg.RoundDeadline = deadline
-			cfg.MaxRetries = 2
-			cfg.RetryBackoff = 1
-		}
-		env, err := edgeenv.New(cfg)
-		if err != nil {
-			return "", err
-		}
-		envs = append(envs, env)
+	type faultRow struct {
+		res      mechanism.EpisodeResult
+		failures int
 	}
-	results, err := evalFrozenChironLockstep(envs, ck, seed)
+	plan := Plan[faultRow]{Name: "abl-faults", Workers: jobs}
+	for _, lv := range levels {
+		plan.Jobs = append(plan.Jobs, Job[faultRow]{
+			Label: fmt.Sprintf("Chiron %s seed=%d", lv.name, seed),
+			Run: func() (faultRow, error) {
+				res, env, err := evalFrozenChiron(ck, fleet, seed, func(cfg *edgeenv.Config) error {
+					if !lv.rates.Any() {
+						return nil
+					}
+					sampler, err := faults.NewSampler(lv.rates, seed+3)
+					if err != nil {
+						return err
+					}
+					cfg.Faults = sampler
+					cfg.RoundDeadline = deadline
+					cfg.MaxRetries = 2
+					cfg.RetryBackoff = 1
+					return nil
+				})
+				if err != nil {
+					return faultRow{}, err
+				}
+				// The ledger still holds the last evaluation episode, so its
+				// per-round outcomes give a representative failure count.
+				row := faultRow{res: res}
+				for _, r := range env.Ledger().Rounds() {
+					row.failures += r.Failures()
+				}
+				return row, nil
+			},
+		})
+	}
+	results, err := plan.Execute()
 	if err != nil {
 		return "", err
 	}
 	rows := make([]string, 0, len(levels))
 	for i, lv := range levels {
-		res := results[i]
-		// The ledger still holds the last evaluation episode, so its
-		// per-round outcomes give a representative failure count.
-		var failures int
-		for _, r := range envs[i].Ledger().Rounds() {
-			failures += r.Failures()
-		}
+		res := results[i].res
 		rows = append(rows, fmt.Sprintf("%-16s %10.3f %8d %10.1f%% %10d",
-			lv.name, res.FinalAccuracy, res.Rounds, 100*res.TimeEfficiency, failures))
+			lv.name, res.FinalAccuracy, res.Rounds, 100*res.TimeEfficiency, results[i].failures))
 	}
 	return renderRows(
 		DescribeExtra(AblFaults),

@@ -1,6 +1,9 @@
 package experiment
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -102,5 +105,36 @@ func TestRunDispatchesExtras(t *testing.T) {
 	}
 	if !strings.Contains(report, "lambda") {
 		t.Fatalf("Run did not dispatch to the ablation:\n%s", report)
+	}
+}
+
+// TestFrozenPolicyReportsMatchGoldens pins the abl-robust and abl-faults
+// reports byte for byte at one and two workers. The goldens were rendered
+// when these studies still evaluated every scenario in one batched lockstep
+// pass, so they also pin that per-scenario mechanism.Evaluate jobs reproduce
+// that evaluator's results exactly.
+func TestFrozenPolicyReportsMatchGoldens(t *testing.T) {
+	for _, tc := range []struct {
+		artifact Artifact
+		jobs     int
+	}{
+		{AblRobust, 1},
+		{AblRobust, 2},
+		{AblFaults, 1},
+		{AblFaults, 2},
+	} {
+		t.Run(fmt.Sprintf("%s/jobs=%d", tc.artifact, tc.jobs), func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", string(tc.artifact)+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := RunExtraJobs(tc.artifact, 0.002, tc.jobs)
+			if err != nil {
+				t.Fatalf("RunExtraJobs: %v", err)
+			}
+			if got != string(want) {
+				t.Fatalf("report differs from golden:\ngot:\n%s\nwant:\n%s", got, want)
+			}
+		})
 	}
 }

@@ -1,10 +1,10 @@
 package mat
 
-// Register-tiled GEMM micro-kernels, generic over the two supported scalar
-// types. The float64 Matrix kernels (MulTo, MulTransATo, MulTransBTo) and
-// the float32 Matrix32 mirrors both lower onto these; on amd64 the float64
-// forms hand their whole 8-column blocks to the SSE2 strip kernel instead
-// (strip.go), and these compute the column tail.
+// Register-tiled Go GEMM micro-kernels. The Matrix kernels (MulTo,
+// MulTransATo, MulTransBTo) lower onto these; on amd64 they hand their whole
+// 8-column blocks to the SSE2 strip kernel instead (strip.go), and these
+// compute the column tail. Off amd64 these compute every column, and the
+// strip kernel's tests use them as the oracle.
 //
 // Blocking scheme (DESIGN.md §16): the output is split into contiguous row
 // bands (one per worker — the parallel axis), each band into column blocks
@@ -21,12 +21,6 @@ package mat
 // accumulating into registers; the addition sequence per element is the
 // same as an unbroken k loop, so tiling is bit-invisible too.
 
-// Elem is the scalar type set of the generic kernels: the precision seam
-// the Backend values select between.
-type Elem interface {
-	~float32 | ~float64
-}
-
 const (
 	// gemmNR is the register-block width: output columns accumulated in
 	// registers per micro-kernel pass. Eight float64 accumulators plus
@@ -34,10 +28,10 @@ const (
 	// independent multiply-add chains.
 	gemmNR = 8
 	// gemmKC is the k-tile depth for the transpose-A kernel, whose k axis
-	// can be very deep (im2col weight gradients). A tile of 64 keeps both
-	// streamed operand panels (KC×acols of a, KC×bcols of b) L1-resident
-	// for the shapes this package serves, so the strided column reads of a
-	// hit cache. Tiling is bit-invisible: a tile boundary only moves the
+	// is the batch: a dense layer's weight gradient xᵀ·g reduces over every
+	// row of a PPO minibatch. A tile of 64 keeps both streamed operand
+	// panels (KC×acols of a, KC×bcols of b) L1-resident for the shapes this
+	// package serves, so the strided column reads of a hit cache. Tiling is bit-invisible: a tile boundary only moves the
 	// running sum through dst, never reorders any element's additions.
 	gemmKC = 64
 )
@@ -49,13 +43,13 @@ const (
 // naive kernel) and stores once. Rows where an a element is zero skip that
 // k exactly like the naive kernel, preserving bit-identity in the presence
 // of Inf/NaN operands.
-func gemmRange[T Elem](dst []T, dcols int, a []T, acols int, b []T, bcols int, lo, hi, j0 int) {
+func gemmRange(dst []float64, dcols int, a []float64, acols int, b []float64, bcols int, lo, hi, j0 int) {
 	for i := lo; i < hi; i++ {
 		arow := a[i*acols : (i+1)*acols]
 		drow := dst[i*dcols : (i+1)*dcols]
 		j := j0
 		for ; j+gemmNR <= dcols; j += gemmNR {
-			var c0, c1, c2, c3, c4, c5, c6, c7 T
+			var c0, c1, c2, c3, c4, c5, c6, c7 float64
 			off := j
 			for _, av := range arow {
 				if av == 0 {
@@ -78,7 +72,7 @@ func gemmRange[T Elem](dst []T, dcols int, a []T, acols int, b []T, bcols int, l
 			dd[4], dd[5], dd[6], dd[7] = c4, c5, c6, c7
 		}
 		for ; j+4 <= dcols; j += 4 {
-			var c0, c1, c2, c3 T
+			var c0, c1, c2, c3 float64
 			off := j
 			for _, av := range arow {
 				if av == 0 {
@@ -96,7 +90,7 @@ func gemmRange[T Elem](dst []T, dcols int, a []T, acols int, b []T, bcols int, l
 			dd[0], dd[1], dd[2], dd[3] = c0, c1, c2, c3
 		}
 		for ; j < dcols; j++ {
-			var c T
+			var c float64
 			off := j
 			for _, av := range arow {
 				if av != 0 {
@@ -113,7 +107,7 @@ func gemmRange[T Elem](dst []T, dcols int, a []T, acols int, b []T, bcols int, l
 // dst = a × bᵀ as register-blocked row dot products: eight output columns
 // (rows of b) accumulate concurrently, each over k ascending, sharing every
 // arow load. Unlike the other two kernels it has no a==0 skip.
-func gemmTransBRange[T Elem](dst []T, dcols int, a []T, acols int, b []T, brows int, lo, hi, j0 int) {
+func gemmTransBRange(dst []float64, dcols int, a []float64, acols int, b []float64, brows int, lo, hi, j0 int) {
 	for i := lo; i < hi; i++ {
 		arow := a[i*acols : (i+1)*acols : (i+1)*acols]
 		drow := dst[i*dcols : (i+1)*dcols]
@@ -127,7 +121,7 @@ func gemmTransBRange[T Elem](dst []T, dcols int, a []T, acols int, b []T, brows 
 			b5 := b[(j+5)*acols : (j+6)*acols : (j+6)*acols]
 			b6 := b[(j+6)*acols : (j+7)*acols : (j+7)*acols]
 			b7 := b[(j+7)*acols : (j+8)*acols : (j+8)*acols]
-			var s0, s1, s2, s3, s4, s5, s6, s7 T
+			var s0, s1, s2, s3, s4, s5, s6, s7 float64
 			for k, av := range arow {
 				s0 += av * b0[k]
 				s1 += av * b1[k]
@@ -145,7 +139,7 @@ func gemmTransBRange[T Elem](dst []T, dcols int, a []T, acols int, b []T, brows 
 		for ; j+2 <= brows; j += 2 {
 			b0 := b[j*acols : (j+1)*acols : (j+1)*acols]
 			b1 := b[(j+1)*acols : (j+2)*acols : (j+2)*acols]
-			var s0, s1 T
+			var s0, s1 float64
 			for k, av := range arow {
 				s0 += av * b0[k]
 				s1 += av * b1[k]
@@ -155,7 +149,7 @@ func gemmTransBRange[T Elem](dst []T, dcols int, a []T, acols int, b []T, brows 
 		}
 		for ; j < brows; j++ {
 			brow := b[j*acols : (j+1)*acols : (j+1)*acols]
-			var sum T
+			var sum float64
 			for k, av := range arow {
 				sum += av * brow[k]
 			}
@@ -171,7 +165,7 @@ func gemmTransBRange[T Elem](dst []T, dcols int, a []T, acols int, b []T, brows 
 // per-element addition sequence is the unbroken ascending-k chain of the
 // naive kernel. The a[k][i]==0 skip of the naive kernel is preserved. An
 // empty reduction (arows == 0) zeroes the columns.
-func gemmTransARange[T Elem](dst []T, dcols int, a []T, acols, arows int, b []T, bcols int, lo, hi, j0 int) {
+func gemmTransARange(dst []float64, dcols int, a []float64, acols, arows int, b []float64, bcols int, lo, hi, j0 int) {
 	if arows == 0 {
 		for i := lo; i < hi; i++ {
 			clear(dst[i*dcols+j0 : (i+1)*dcols])
@@ -187,7 +181,7 @@ func gemmTransARange[T Elem](dst []T, dcols int, a []T, acols, arows int, b []T,
 			drow := dst[i*dcols : (i+1)*dcols]
 			j := j0
 			for ; j+gemmNR <= dcols; j += gemmNR {
-				var c0, c1, c2, c3, c4, c5, c6, c7 T
+				var c0, c1, c2, c3, c4, c5, c6, c7 float64
 				if !first {
 					dd := drow[j : j+gemmNR : j+gemmNR]
 					c0, c1, c2, c3 = dd[0], dd[1], dd[2], dd[3]
@@ -218,7 +212,7 @@ func gemmTransARange[T Elem](dst []T, dcols int, a []T, acols, arows int, b []T,
 				dd[4], dd[5], dd[6], dd[7] = c4, c5, c6, c7
 			}
 			for ; j < dcols; j++ {
-				var c T
+				var c float64
 				if !first {
 					c = drow[j]
 				}

@@ -9,7 +9,7 @@ const haveStrips = true
 // k ascending: dst[j] = init_j + Σ_k a[k·aStride]·b[k·bStride + j], where
 // init_j is dst[j] when load is set and +0 otherwise, and the strides count
 // elements. With skipZero set a k whose a value is ±0 adds nothing, like the
-// generic kernels' a == 0 skip. It does no bounds checks; call it through
+// Go kernels' a == 0 skip. It does no bounds checks; call it through
 // stripRow.
 //
 //go:noescape

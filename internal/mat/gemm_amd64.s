@@ -9,7 +9,7 @@
 //	acc += a[k] * b[k][j:j+2]
 //
 // with a separate MULPD and ADDPD: two roundings per product, the same as
-// the scalar MULSD/ADDSD of the generic kernels. No FMA, no reassociation.
+// the scalar MULSD/ADDSD of the Go kernels. No FMA, no reassociation.
 //
 // Register use: DI dst strip, SI a, DX a stride (bytes), BX b strip,
 // R8 b stride (bytes), CX k, R9 columns left, R10/R11 a/b cursors,
@@ -45,7 +45,7 @@
 
 // ZEROSKIP jumps to skip when a[k] is +0 or −0 (its bits shifted left by
 // one are zero); NaN and every nonzero value fall through, exactly like
-// the generic kernels' a == 0 test.
+// the Go kernels' a == 0 test.
 #define ZEROSKIP(skip) \
 	MOVQ (R10), AX; \
 	SHLQ $1, AX;    \

@@ -7,9 +7,9 @@ import (
 )
 
 // Kernel-level benchmarks at the shapes the agent stack actually runs: the
-// policy/critic MLP layers (batch 32, widths 62→64→64→1) and the im2col
-// conv factorization (5760-row panels). These pin the register-tiled
-// kernels in gemm.go directly, below the nn layer.
+// N=5 policy/critic MLP layers (batch 32, widths 62→64→64→1) and the N=100
+// agents' wide layers (batch 64, a 1202-dim exterior state, a 100-wide
+// inner head). These pin the GEMM kernels directly, below the nn layer.
 
 func benchMatrix(rng *rand.Rand, r, c int) *Matrix {
 	m := New(r, c)
@@ -25,7 +25,7 @@ func BenchmarkGemmMulTo(b *testing.B) {
 		{32, 62, 64},   // policy MLP input layer
 		{32, 64, 64},   // policy MLP hidden layer
 		{32, 64, 1},    // value head
-		{5760, 10, 25}, // conv backward: grad × weights
+		{64, 1202, 64}, // N=100 exterior input layer
 	}
 	for _, cs := range cases {
 		b.Run(fmt.Sprintf("%dx%dx%d", cs.m, cs.k, cs.n), func(b *testing.B) {
@@ -48,7 +48,7 @@ func BenchmarkGemmMulTransATo(b *testing.B) {
 	cases := []struct{ m, k, n int }{
 		{62, 32, 64},   // dW of the input layer: xᵀ × grad
 		{64, 32, 64},   // dW of a hidden layer
-		{10, 5760, 25}, // conv dW: gradᵀ × im2col panel (deep k)
+		{1202, 64, 64}, // dW of the N=100 exterior input layer
 	}
 	for _, cs := range cases {
 		b.Run(fmt.Sprintf("%dx%dx%d", cs.m, cs.k, cs.n), func(b *testing.B) {
@@ -69,8 +69,8 @@ func BenchmarkGemmMulTransATo(b *testing.B) {
 
 func BenchmarkGemmMulTransBTo(b *testing.B) {
 	cases := []struct{ m, k, n int }{
-		{32, 64, 64},   // dx through a hidden layer: grad × Wᵀ
-		{5760, 25, 10}, // conv forward: im2col panel × Wᵀ
+		{32, 64, 64},  // dx through a hidden layer: grad × Wᵀ
+		{64, 100, 64}, // dx through the N=100 inner head: grad × Wᵀ
 	}
 	for _, cs := range cases {
 		b.Run(fmt.Sprintf("%dx%dx%d", cs.m, cs.k, cs.n), func(b *testing.B) {

@@ -2,7 +2,7 @@
 
 package mat
 
-// haveStrips is false off amd64: the generic Go kernels compute every
+// haveStrips is false off amd64: the Go kernels compute every
 // column.
 const haveStrips = false
 

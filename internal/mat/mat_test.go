@@ -103,11 +103,18 @@ func TestMulDstShapeError(t *testing.T) {
 }
 
 // TestMulTransAgainstExplicitTranspose checks MulTransA/MulTransB against
-// naive transposition over random matrices.
+// Mul on explicitly transposed operands, over random small shapes plus one
+// that spans a whole 8-column block and a column tail. Equality is exact:
+// every form accumulates each element over k ascending, so the operand
+// layout cannot move a single ULP.
 func TestMulTransAgainstExplicitTranspose(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
+	shapes := [][3]int{{19, 23, 17}}
 	for trial := 0; trial < 20; trial++ {
-		r, k, c := 1+rng.Intn(6), 1+rng.Intn(6), 1+rng.Intn(6)
+		shapes = append(shapes, [3]int{1 + rng.Intn(6), 1 + rng.Intn(6), 1 + rng.Intn(6)})
+	}
+	for _, sh := range shapes {
+		r, k, c := sh[0], sh[1], sh[2]
 		a := New(r, k)
 		b := New(r, c) // for MulTransA: aᵀ(k×r) × b(r×c)
 		a.Randomize(rng, 2)
@@ -122,7 +129,7 @@ func TestMulTransAgainstExplicitTranspose(t *testing.T) {
 		if err != nil {
 			t.Fatalf("MulTransA: %v", err)
 		}
-		assertClose(t, got, want, 1e-12)
+		assertIdentical(t, "MulTransA", got, want)
 
 		// MulTransB: a2(r×k) × b2ᵀ(k×c)ᵀ where b2 is c×k.
 		b2 := New(c, k)
@@ -135,7 +142,7 @@ func TestMulTransAgainstExplicitTranspose(t *testing.T) {
 		if err != nil {
 			t.Fatalf("MulTransB: %v", err)
 		}
-		assertClose(t, got2, want2, 1e-12)
+		assertIdentical(t, "MulTransB", got2, want2)
 	}
 }
 
@@ -147,19 +154,6 @@ func transpose(m *Matrix) *Matrix {
 		}
 	}
 	return out
-}
-
-func assertClose(t *testing.T, got, want *Matrix, tol float64) {
-	t.Helper()
-	if got.Rows() != want.Rows() || got.Cols() != want.Cols() {
-		t.Fatalf("shape %dx%d, want %dx%d", got.Rows(), got.Cols(), want.Rows(), want.Cols())
-	}
-	g, w := got.Data(), want.Data()
-	for i := range g {
-		if math.Abs(g[i]-w[i]) > tol {
-			t.Fatalf("element %d = %v, want %v", i, g[i], w[i])
-		}
-	}
 }
 
 func TestAddSub(t *testing.T) {

@@ -2,11 +2,10 @@ package mat
 
 import "math"
 
-// Scalar activation helpers shared by the nn layers and the fused execution
-// plans in both precisions. They live here (rather than in nn) so the
-// float64 and float32 compute paths dedupe on one definition — a precision
-// bug in a re-implemented sigmoid is exactly the kind of drift the Backend
-// tolerance properties exist to catch.
+// Scalar activation helpers. They live here rather than in nn so the
+// layered Activate pass and the fused MLP epilogue share one definition:
+// the two execution paths are pinned bit-identical, and a second sigmoid
+// written slightly differently would break that silently.
 
 // Sigmoid is the numerically stable logistic function 1/(1+e⁻ᵛ): the
 // positive branch avoids overflow in exp, the negative branch avoids
@@ -17,17 +16,4 @@ func Sigmoid(v float64) float64 {
 	}
 	e := math.Exp(v)
 	return e / (1 + e)
-}
-
-// Sigmoid32 computes the logistic function for the float32 backend: the
-// argument is widened to float64, evaluated by the same branch-stable
-// formula, and rounded once on the way out — one rounding, not a chain.
-func Sigmoid32(v float32) float32 {
-	return float32(Sigmoid(float64(v)))
-}
-
-// Tanh32 computes tanh for the float32 backend, widening through float64
-// like Sigmoid32 so the only float32 rounding is the final store.
-func Tanh32(v float32) float32 {
-	return float32(math.Tanh(float64(v)))
 }

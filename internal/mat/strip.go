@@ -2,9 +2,9 @@ package mat
 
 import "sync"
 
-// Routing between the amd64 strip kernel and the generic kernels for the
+// Routing between the amd64 strip kernel and the Go kernels for the
 // float64 GEMMs (DESIGN.md §16). The strip kernel computes every whole
-// 8-column block of a dst row; the generic kernel computes the remaining
+// 8-column block of a dst row; the Go kernel computes the remaining
 // column tail, and everything off amd64. Both accumulate each element over
 // k ascending with one rounding per multiply and per add, so which one
 // computes an element never changes its bits.
@@ -32,7 +32,7 @@ func stripRow(dst, a []float64, aStride int, b []float64, bStride, kn, cols int,
 	gemmStrips(&dst[0], ap, aStride, bp, bStride, kn, cols, load, skipZero)
 }
 
-// mulRange computes rows [lo, hi) of dst = a × b: strips, then the generic
+// mulRange computes rows [lo, hi) of dst = a × b: strips, then the Go
 // kernel's column tail.
 func mulRange(dst, a, b *Matrix, lo, hi int) {
 	s := stripCols(dst.cols)
@@ -43,12 +43,12 @@ func mulRange(dst, a, b *Matrix, lo, hi int) {
 }
 
 // mulTransARange computes rows [lo, hi) of dst = aᵀ × b. The strips follow
-// the generic kernel's gemmKC tiling of k, reloading the running sums from
+// the Go kernel's gemmKC tiling of k, reloading the running sums from
 // dst at each tile after the first.
 func mulTransARange(dst, a, b *Matrix, lo, hi int) {
 	s := stripCols(dst.cols)
 	if a.rows == 0 {
-		s = 0 // the generic kernel zeroes an empty reduction
+		s = 0 // the Go kernel zeroes an empty reduction
 	}
 	for k0 := 0; k0 < a.rows && s > 0; k0 += gemmKC {
 		kn := min(gemmKC, a.rows-k0)
@@ -61,7 +61,7 @@ func mulTransARange(dst, a, b *Matrix, lo, hi int) {
 
 // mulTransBRange computes rows [lo, hi) of dst = a × bᵀ. bt holds the first
 // s rows of b transposed (a.cols × s, see packTransB), so the strips run the
-// a × b form over it, without the a == 0 skip the generic transpose-B
+// a × b form over it, without the a == 0 skip the Go transpose-B
 // kernel never had.
 func mulTransBRange(dst, a, b *Matrix, bt []float64, s, lo, hi int) {
 	for i := lo; i < hi && s > 0; i++ {

@@ -44,7 +44,7 @@ func sameFloats(got, want []float64) (int, bool) {
 }
 
 // TestStripKernelMatchesGeneric pins the float64 GEMMs, which on amd64 run
-// their whole 8-column blocks through the SSE2 strip kernel, to the generic
+// their whole 8-column blocks through the SSE2 strip kernel, to the plain
 // Go kernels bit for bit. It covers every column tail (dst widths 1–40),
 // reductions on both sides of the gemmKC tile depth, row bands at 1, 2 and
 // 4 workers, and Inf/NaN/±0 operands, so the a == 0 skip of MulTo and
@@ -87,7 +87,7 @@ func TestStripKernelMatchesGeneric(t *testing.T) {
 							t.Fatalf("%s: %v", op.name, err)
 						}
 						if i, ok := sameFloats(dst.data, want[op.name].data); !ok {
-							t.Fatalf("%s rows=%d k=%d cols=%d workers=%d: element (%d,%d) = %v (%#x), generic kernel %v (%#x)",
+							t.Fatalf("%s rows=%d k=%d cols=%d workers=%d: element (%d,%d) = %v (%#x), Go kernel %v (%#x)",
 								op.name, rows, k, cols, workers, i/cols, i%cols,
 								dst.data[i], math.Float64bits(dst.data[i]), want[op.name].data[i], math.Float64bits(want[op.name].data[i]))
 						}

@@ -14,9 +14,10 @@ type Trainable interface {
 
 // Aggregator folds per-episode results into their running sums and averages
 // them on Result. It is the ONE accumulation order for evaluation averages —
-// Evaluate and the batched lockstep evaluator both fold through it episode
-// by episode, so the floating-point averaging order (and therefore seeded
-// CSV output) is identical everywhere.
+// Evaluate folds through it episode by episode, and so do callers that
+// run episodes themselves (bench/trace.go), so the floating-point
+// averaging order (and therefore seeded CSV output) is identical
+// everywhere.
 type Aggregator struct {
 	agg EpisodeResult
 	n   int

@@ -42,9 +42,9 @@ type fusedUnit struct {
 }
 
 // Fuse builds a fused execution plan for the network's layer stack. It
-// reports false when the stack contains anything other than Dense layers
-// optionally followed by activations — such networks (conv stacks, dropout
-// stacks) keep the general layered path.
+// reports false when the stack is empty or is anything other than Dense
+// layers each optionally followed by an activation — such networks keep
+// the general layered path.
 func Fuse(n *Network) (*FusedMLP, bool) {
 	return fuseLayers(n.layers)
 }
@@ -89,7 +89,7 @@ func (f *FusedMLP) Forward(x *mat.Matrix) (*mat.Matrix, error) {
 		if x.Cols() != d.in {
 			return nil, fmt.Errorf("nn: fused forward unit %d: input width %d, want %d", l, x.Cols(), d.in)
 		}
-		y := ensureMat(f.ys[l], x.Rows(), d.out)
+		y := mat.Ensure(f.ys[l], x.Rows(), d.out)
 		f.ys[l] = y
 		if err := mat.MulTo(y, x, d.w.Value); err != nil {
 			return nil, fmt.Errorf("nn: fused forward unit %d: %w", l, err)
@@ -153,7 +153,7 @@ func (f *FusedMLP) Backward(grad *mat.Matrix, needInputGrad bool) (*mat.Matrix, 
 		}
 		delta := g
 		if u.act != ActIdentity {
-			dm := ensureMat(f.delta[l], g.Rows(), g.Cols())
+			dm := mat.Ensure(f.delta[l], g.Rows(), g.Cols())
 			f.delta[l] = dm
 			dd, gd, yd := dm.Data(), g.Data(), f.ys[l].Data()
 			switch u.act {
@@ -182,7 +182,7 @@ func (f *FusedMLP) Backward(grad *mat.Matrix, needInputGrad bool) (*mat.Matrix, 
 		if l > 0 {
 			x = f.ys[l-1]
 		}
-		dw := ensureMat(f.dw[l], d.in, d.out)
+		dw := mat.Ensure(f.dw[l], d.in, d.out)
 		f.dw[l] = dw
 		if err := mat.MulTransATo(dw, x, delta); err != nil {
 			return nil, fmt.Errorf("nn: fused backward unit %d dW: %w", l, err)
@@ -190,7 +190,7 @@ func (f *FusedMLP) Backward(grad *mat.Matrix, needInputGrad bool) (*mat.Matrix, 
 		if err := d.w.Grad.AddScaled(dw, 1); err != nil {
 			return nil, fmt.Errorf("nn: fused backward unit %d accumulate dW: %w", l, err)
 		}
-		f.sums[l] = ensureVec(f.sums[l], d.out)
+		f.sums[l] = mat.EnsureVec(f.sums[l], d.out)
 		if err := delta.SumRowsTo(f.sums[l]); err != nil {
 			return nil, fmt.Errorf("nn: fused backward unit %d db: %w", l, err)
 		}
@@ -201,7 +201,7 @@ func (f *FusedMLP) Backward(grad *mat.Matrix, needInputGrad bool) (*mat.Matrix, 
 		if l == 0 && !needInputGrad {
 			return nil, nil
 		}
-		dx := ensureMat(f.dxs[l], delta.Rows(), d.in)
+		dx := mat.Ensure(f.dxs[l], delta.Rows(), d.in)
 		f.dxs[l] = dx
 		if err := mat.MulTransBTo(dx, delta, d.w.Value); err != nil {
 			return nil, fmt.Errorf("nn: fused backward unit %d dx: %w", l, err)

@@ -1,15 +1,12 @@
 package nn_test
 
-// Fused-path pins. The float64 fused plan claims bit-identity with layered
+// Fused-path pins. The fused plan claims bit-identity with layered
 // execution, so these tests compare it against running the same layer
-// objects one by one — exact equality, no tolerances. The float32 plan
-// claims tolerance-equivalence with the float64 reference, so its checks go
-// through mat.Float32Backend.Within and a loosened numeric gradient check.
-// Every comparison runs twice (fresh workspaces, then recycled) and again
-// under a 4-worker kernel pool.
+// objects one by one — exact equality, no tolerances. Every comparison runs
+// twice (fresh workspaces, then recycled) and again under a 4-worker kernel
+// pool.
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -85,74 +82,43 @@ func TestFusedVsLayeredBitIdentical(t *testing.T) {
 
 // TestFusedBackwardParamsOnlyMatchesFull pins that skipping the first
 // unit's input-gradient GEMM changes nothing observable: parameter
-// gradients are bit-identical to the full backward pass.
+// gradients are bit-identical to the full backward pass. The layered case
+// starts with an activation, so it does not fuse and runs Network's layered
+// BackwardParamsOnly.
 func TestFusedBackwardParamsOnlyMatchesFull(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	net, err := nn.NewMLP(rng, nn.ActTanh, 5, 9, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := mat.New(6, 5)
-	x.Randomize(rng, 1)
-	grad := mat.New(6, 4)
-	grad.Randomize(rng, 1)
+	for _, layered := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(32))
+		var layers []nn.Layer
+		if layered {
+			layers = append(layers, nn.NewActivate(nn.ActTanh))
+		}
+		layers = append(layers, nn.NewDense(rng, 5, 9), nn.NewActivate(nn.ActTanh), nn.NewDense(rng, 9, 4))
+		net := nn.NewNetwork(layers...)
+		if (net.Fused() == nil) != layered {
+			t.Fatalf("layered=%v: fused plan %v", layered, net.Fused())
+		}
+		x := mat.New(6, 5)
+		x.Randomize(rng, 1)
+		grad := mat.New(6, 4)
+		grad.Randomize(rng, 1)
 
-	for pass := 0; pass < 2; pass++ {
-		if _, err := net.Forward(x); err != nil {
-			t.Fatal(err)
-		}
-		net.ZeroGrad()
-		if _, err := net.Backward(grad); err != nil {
-			t.Fatal(err)
-		}
-		want := net.FlattenGrads()
-		net.ZeroGrad()
-		if err := net.BackwardParamsOnly(grad); err != nil {
-			t.Fatal(err)
-		}
-		for i, w := range want {
-			if g := net.FlattenGrads()[i]; g != w {
-				t.Fatalf("pass %d: grad[%d] params-only %v full %v", pass, i, g, w)
+		for pass := 0; pass < 2; pass++ {
+			if _, err := net.Forward(x); err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-}
-
-// TestConvBackwardParamsOnlyMatchesFull pins the same claim for the Conv2D
-// first-layer skip used by the MNIST CNN.
-func TestConvBackwardParamsOnlyMatchesFull(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	shape := nn.Shape3{C: 1, H: 8, W: 8}
-	conv, err := nn.NewConv2D(rng, shape, 3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dense := nn.NewDense(rng, conv.OutShape().Size(), 4)
-	net := nn.NewNetwork(conv, nn.NewActivate(nn.ActTanh), dense)
-	x := mat.New(3, shape.Size())
-	x.Randomize(rng, 1)
-	grad := mat.New(3, 4)
-	grad.Randomize(rng, 1)
-
-	for pass := 0; pass < 2; pass++ {
-		if _, err := net.Forward(x); err != nil {
-			t.Fatal(err)
-		}
-		net.ZeroGrad()
-		if _, err := net.Backward(grad); err != nil {
-			t.Fatal(err)
-		}
-		want := net.FlattenGrads()
-		if _, err := net.Forward(x); err != nil {
-			t.Fatal(err)
-		}
-		net.ZeroGrad()
-		if err := net.BackwardParamsOnly(grad); err != nil {
-			t.Fatal(err)
-		}
-		for i, w := range want {
-			if g := net.FlattenGrads()[i]; g != w {
-				t.Fatalf("pass %d: grad[%d] params-only %v full %v", pass, i, g, w)
+			net.ZeroGrad()
+			if _, err := net.Backward(grad); err != nil {
+				t.Fatal(err)
+			}
+			want := net.FlattenGrads()
+			net.ZeroGrad()
+			if err := net.BackwardParamsOnly(grad); err != nil {
+				t.Fatal(err)
+			}
+			for i, w := range want {
+				if g := net.FlattenGrads()[i]; g != w {
+					t.Fatalf("layered=%v pass %d: grad[%d] params-only %v full %v", layered, pass, i, g, w)
+				}
 			}
 		}
 	}
@@ -192,202 +158,5 @@ func TestFusedVsLayeredParallelWorkers(t *testing.T) {
 				t.Fatalf("pass %d: grad[%d] fused %v layered %v", pass, i, g, w)
 			}
 		}
-	}
-}
-
-// fused32Loss forwards the float32 plan and evaluates softmax cross-entropy
-// on the widened logits, the scalar objective for the float32 gradcheck.
-func fused32Loss(t *testing.T, f *nn.FusedMLP32, x *mat.Matrix32, labels []int) (float64, *mat.Matrix) {
-	t.Helper()
-	out, err := f.Forward(x)
-	if err != nil {
-		t.Fatalf("fused32 forward: %v", err)
-	}
-	logits := mat.New(out.Rows(), out.Cols())
-	for i, v := range out.Data() {
-		logits.Data()[i] = float64(v)
-	}
-	loss, grad, err := nn.SoftmaxCrossEntropy(logits, labels)
-	if err != nil {
-		t.Fatalf("loss: %v", err)
-	}
-	_ = loss
-	l, err := nn.SoftmaxCrossEntropyTo(grad, logits, labels, make([]float64, logits.Cols()))
-	if err != nil {
-		t.Fatalf("loss: %v", err)
-	}
-	return l, grad
-}
-
-// numericVsBackprop32 is the float32 gradient check: analytic gradients from
-// the fused32 backward pass against central differences of the widened
-// loss, with tolerances loosened for single-precision arithmetic. eps is
-// the finite-difference step: large enough to clear the float32 rounding
-// noise floor, but for ReLU networks small enough that the step rarely
-// crosses an activation kink (where central differences are simply wrong).
-func numericVsBackprop32(t *testing.T, f *nn.FusedMLP32, x *mat.Matrix32, labels []int, eps float64) {
-	t.Helper()
-	_, grad := fused32Loss(t, f, x, labels)
-	grad32 := mat.New32(grad.Rows(), grad.Cols())
-	if err := grad32.SetFrom(grad); err != nil {
-		t.Fatal(err)
-	}
-	f.ZeroGrad()
-	if _, err := f.Backward(grad32, false); err != nil {
-		t.Fatalf("fused32 backward: %v", err)
-	}
-
-	// Noise floor: widened-loss values carry ~1e-6 relative float32 error,
-	// so the difference quotient carries ~1e-6/eps absolute error — covered
-	// by the 2e-3 absolute term for every eps used here.
-	for pi, p := range f.Params32() {
-		data := p.Value.Data()
-		gd := p.Grad.Data()
-		for i := range data {
-			orig := data[i]
-			data[i] = orig + float32(eps)
-			lp, _ := fused32Loss(t, f, x, labels)
-			data[i] = orig - float32(eps)
-			lm, _ := fused32Loss(t, f, x, labels)
-			data[i] = orig
-			numeric := (lp - lm) / (2 * eps)
-			analytic := float64(gd[i])
-			diff := math.Abs(numeric - analytic)
-			scale := math.Abs(numeric) + math.Abs(analytic)
-			if diff > 2e-3+1e-2*scale {
-				// Before failing, test for a ReLU kink inside the stencil: a
-				// kink at distance t from the center skews the quotient by
-				// |Δslope|·(eps−t)/(2eps), which is exactly the second
-				// difference over 2eps. When that term explains most of the
-				// disagreement the stencil is straddling a kink — central
-				// differences are simply wrong there — so skip. A genuine
-				// backprop bug leaves the second difference near zero and
-				// still fails.
-				l0, _ := fused32Loss(t, f, x, labels)
-				if math.Abs(lp+lm-2*l0)/(2*eps) > 0.5*diff {
-					continue
-				}
-				t.Fatalf("param %d[%d]: numeric %v vs backprop %v (diff %v)", pi, i, numeric, analytic, diff)
-			}
-		}
-	}
-}
-
-func TestGradCheckFused32(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		act  nn.Activation
-		eps  float64
-	}{
-		{"relu", nn.ActReLU, 1e-3},
-		{"tanh", nn.ActTanh, 1e-2},
-		{"sigmoid", nn.ActSigmoid, 1e-2},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(35))
-			net, err := nn.NewMLP(rng, tc.act, 4, 6, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			f32, ok := nn.Fuse32(net)
-			if !ok {
-				t.Fatal("MLP stack did not fuse")
-			}
-			x64 := mat.New(5, 4)
-			x64.Randomize(rng, 1)
-			x, err := f32.Stage(x64)
-			if err != nil {
-				t.Fatal(err)
-			}
-			labels := []int{0, 1, 2, 0, 1}
-			// First pass exercises fresh buffers, second the recycled ones.
-			numericVsBackprop32(t, f32, x, labels, tc.eps)
-			numericVsBackprop32(t, f32, x, labels, tc.eps)
-		})
-	}
-}
-
-func TestGradCheckFused32ParallelWorkers(t *testing.T) {
-	mat.SetWorkers(4)
-	defer mat.SetWorkers(0)
-	rng := rand.New(rand.NewSource(36))
-	net, err := nn.NewMLP(rng, nn.ActTanh, 6, 9, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f32, ok := nn.Fuse32(net)
-	if !ok {
-		t.Fatal("MLP stack did not fuse")
-	}
-	x64 := mat.New(7, 6)
-	x64.Randomize(rng, 1)
-	x, err := f32.Stage(x64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	labels := []int{0, 1, 2, 3, 0, 1, 2}
-	numericVsBackprop32(t, f32, x, labels, 1e-2)
-	numericVsBackprop32(t, f32, x, labels, 1e-2)
-}
-
-// TestFused32WithinToleranceOfFloat64 pins the backend contract: float32
-// forward outputs stay within mat.Float32Backend.Within of the float64
-// reference, including after the float64 side trains and Refresh re-syncs.
-func TestFused32WithinToleranceOfFloat64(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	net, err := nn.NewMLP(rng, nn.ActTanh, 8, 16, 16, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f32, ok := nn.Fuse32(net)
-	if !ok {
-		t.Fatal("MLP stack did not fuse")
-	}
-	backend := f32.Backend()
-	x := mat.New(10, 8)
-
-	check := func(round int) {
-		t.Helper()
-		want, err := net.Forward(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		x32, err := f32.Stage(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := f32.Forward(x32)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, w := range want.Data() {
-			if g := float64(got.Data()[i]); !backend.Within(g, w) {
-				t.Fatalf("round %d: output[%d] float32 %v vs float64 %v exceeds %+v", round, i, g, w, backend)
-			}
-		}
-	}
-
-	opt := nn.NewSGD(net.Params(), 0.05, 0)
-	grad := mat.New(10, 4)
-	for round := 0; round < 3; round++ {
-		x.Randomize(rng, 1)
-		check(round)
-		// Train the float64 side a step, re-sync, and check again.
-		out, err := net.Forward(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := nn.SoftmaxCrossEntropyTo(grad, out, []int{0, 1, 2, 3, 0, 1, 2, 3, 0, 1}, make([]float64, 4)); err != nil {
-			t.Fatal(err)
-		}
-		net.ZeroGrad()
-		if err := net.BackwardParamsOnly(grad); err != nil {
-			t.Fatal(err)
-		}
-		if err := opt.Step(); err != nil {
-			t.Fatal(err)
-		}
-		f32.Refresh()
-		check(round)
 	}
 }

@@ -89,23 +89,32 @@ func TestGradCheckDenseMLP(t *testing.T) {
 	numericVsBackprop(t, net, x, labels)
 }
 
+// TestGradCheckActivations checks each activation fused between two Dense
+// layers. The layered case leads with an activation, so the stack does not
+// fuse and the check runs Network's layer-by-layer forward and backward.
 func TestGradCheckActivations(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		act  nn.Activation
+		name    string
+		act     nn.Activation
+		layered bool
 	}{
-		{"relu", nn.ActReLU},
-		{"tanh", nn.ActTanh},
-		{"sigmoid", nn.ActSigmoid},
-		{"identity", nn.ActIdentity},
+		{"relu", nn.ActReLU, false},
+		{"tanh", nn.ActTanh, false},
+		{"sigmoid", nn.ActSigmoid, false},
+		{"identity", nn.ActIdentity, false},
+		{"tanh_layered", nn.ActTanh, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(22))
-			net := nn.NewNetwork(
-				nn.NewDense(rng, 3, 8),
-				nn.NewActivate(tc.act),
-				nn.NewDense(rng, 8, 2),
-			)
+			var layers []nn.Layer
+			if tc.layered {
+				layers = append(layers, nn.NewActivate(nn.ActSigmoid))
+			}
+			layers = append(layers, nn.NewDense(rng, 3, 8), nn.NewActivate(tc.act), nn.NewDense(rng, 8, 2))
+			net := nn.NewNetwork(layers...)
+			if (net.Fused() == nil) != tc.layered {
+				t.Fatalf("fused plan %v, want layered=%v", net.Fused(), tc.layered)
+			}
 			x := mat.New(4, 3)
 			x.Randomize(rng, 1)
 			labels := []int{0, 1, 1, 0}
@@ -113,30 +122,6 @@ func TestGradCheckActivations(t *testing.T) {
 			numericVsBackprop(t, net, x, labels)
 		})
 	}
-}
-
-func TestGradCheckConv2D(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	shape := nn.Shape3{C: 1, H: 6, W: 6}
-	conv, err := nn.NewConv2D(rng, shape, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool, err := nn.NewMaxPool2D(conv.OutShape(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net := nn.NewNetwork(
-		conv,
-		nn.NewActivate(nn.ActTanh),
-		pool,
-		nn.NewDense(rng, pool.OutShape().Size(), 3),
-	)
-	x := mat.New(3, shape.Size())
-	x.Randomize(rng, 1)
-	labels := []int{0, 1, 2}
-	numericVsBackprop(t, net, x, labels)
-	numericVsBackprop(t, net, x, labels)
 }
 
 // TestGradCheckParallelWorkers repeats the MLP check with a multi-worker

@@ -1,8 +1,10 @@
-// Package nn is a from-scratch neural-network library built for the Chiron
-// reproduction. It provides the dense and convolutional layers, losses, and
-// optimizers needed both by the federated-learning workload models (the
-// paper's MNIST CNN and LeNet) and by the PPO actor/critic networks of the
-// hierarchical reinforcement mechanism.
+// Package nn is a from-scratch float64 neural-network library built for
+// the Chiron reproduction. It provides the dense layers, activations,
+// losses and optimizers (SGD, Adam) needed by the PPO actor/critic networks
+// of the hierarchical reinforcement mechanism and by the MLP classifier of
+// the real FedAvg workload. A pure Dense/Activate stack runs through one
+// fused execution plan (fused.go), bit-identical to running its layers one
+// by one.
 //
 // Design: layers implement forward/backward over mini-batches stored as
 // row-major mat.Matrix values (one sample per row). Parameters are exposed
@@ -80,7 +82,7 @@ func (d *Dense) Forward(x *mat.Matrix) (*mat.Matrix, error) {
 		return nil, fmt.Errorf("nn: dense forward: input width %d, want %d", x.Cols(), d.in)
 	}
 	d.lastX = x
-	d.y = ensureMat(d.y, x.Rows(), d.out)
+	d.y = mat.Ensure(d.y, x.Rows(), d.out)
 	if err := mat.MulTo(d.y, x, d.w.Value); err != nil {
 		return nil, fmt.Errorf("nn: dense forward: %w", err)
 	}
@@ -96,7 +98,7 @@ func (d *Dense) Backward(grad *mat.Matrix) (*mat.Matrix, error) {
 		return nil, fmt.Errorf("nn: dense backward before forward")
 	}
 	// dW += xᵀ·grad
-	d.dw = ensureMat(d.dw, d.in, d.out)
+	d.dw = mat.Ensure(d.dw, d.in, d.out)
 	if err := mat.MulTransATo(d.dw, d.lastX, grad); err != nil {
 		return nil, fmt.Errorf("nn: dense backward dW: %w", err)
 	}
@@ -105,7 +107,7 @@ func (d *Dense) Backward(grad *mat.Matrix) (*mat.Matrix, error) {
 	}
 	// db += column sums of grad
 	bias := d.b.Grad.Row(0)
-	d.sums = ensureVec(d.sums, d.out)
+	d.sums = mat.EnsureVec(d.sums, d.out)
 	if err := grad.SumRowsTo(d.sums); err != nil {
 		return nil, fmt.Errorf("nn: dense backward db: %w", err)
 	}
@@ -113,7 +115,7 @@ func (d *Dense) Backward(grad *mat.Matrix) (*mat.Matrix, error) {
 		bias[i] += v
 	}
 	// dx = grad·Wᵀ
-	d.dx = ensureMat(d.dx, grad.Rows(), d.in)
+	d.dx = mat.Ensure(d.dx, grad.Rows(), d.in)
 	if err := mat.MulTransBTo(d.dx, grad, d.w.Value); err != nil {
 		return nil, fmt.Errorf("nn: dense backward dx: %w", err)
 	}
@@ -164,7 +166,7 @@ func NewActivate(kind Activation) *Activate { return &Activate{kind: kind} }
 
 // Forward implements Layer.
 func (a *Activate) Forward(x *mat.Matrix) (*mat.Matrix, error) {
-	y := ensureMat(a.lastY, x.Rows(), x.Cols())
+	y := mat.Ensure(a.lastY, x.Rows(), x.Cols())
 	var err error
 	switch a.kind {
 	case ActReLU:
@@ -190,7 +192,7 @@ func (a *Activate) Backward(grad *mat.Matrix) (*mat.Matrix, error) {
 	if a.lastY == nil {
 		return nil, fmt.Errorf("nn: activation backward before forward")
 	}
-	a.dx = ensureMat(a.dx, grad.Rows(), grad.Cols())
+	a.dx = mat.Ensure(a.dx, grad.Rows(), grad.Cols())
 	dx := a.dx
 	if err := dx.CopyFrom(grad); err != nil {
 		return nil, fmt.Errorf("nn: activation backward: %w", err)

@@ -92,22 +92,6 @@ func TestSigmoidGradCheck(t *testing.T) {
 	numericGradCheck(t, net, x, []int{0, 1, 0}, 1e-4)
 }
 
-func TestConvGradCheck(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	conv, err := NewConv2D(rng, Shape3{C: 1, H: 6, W: 6}, 2, 3)
-	if err != nil {
-		t.Fatalf("NewConv2D: %v", err)
-	}
-	pool, err := NewMaxPool2D(conv.OutShape(), 2)
-	if err != nil {
-		t.Fatalf("NewMaxPool2D: %v", err)
-	}
-	net := NewNetwork(conv, pool, NewActivate(ActReLU), NewDense(rng, pool.OutShape().Size(), 3))
-	x := mat.New(2, 36)
-	x.Randomize(rng, 1)
-	numericGradCheck(t, net, x, []int{1, 2}, 1e-3)
-}
-
 func TestDenseForwardShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	d := NewDense(rng, 3, 2)
@@ -166,63 +150,5 @@ func TestReLUForward(t *testing.T) {
 	// Input must not be mutated.
 	if x.At(0, 0) != -1 {
 		t.Fatal("activation mutated its input")
-	}
-}
-
-func TestMaxPoolForwardBackward(t *testing.T) {
-	pool, err := NewMaxPool2D(Shape3{C: 1, H: 2, W: 2}, 2)
-	if err != nil {
-		t.Fatalf("NewMaxPool2D: %v", err)
-	}
-	x, _ := mat.NewFromData(1, 4, []float64{1, 5, 3, 2})
-	y, err := pool.Forward(x)
-	if err != nil {
-		t.Fatalf("Forward: %v", err)
-	}
-	if y.Cols() != 1 || y.At(0, 0) != 5 {
-		t.Fatalf("maxpool output %v", y.Data())
-	}
-	grad, _ := mat.NewFromData(1, 1, []float64{7})
-	dx, err := pool.Backward(grad)
-	if err != nil {
-		t.Fatalf("Backward: %v", err)
-	}
-	want := []float64{0, 7, 0, 0}
-	for i, v := range dx.Data() {
-		if v != want[i] {
-			t.Fatalf("maxpool grad[%d] = %v, want %v", i, v, want[i])
-		}
-	}
-}
-
-func TestMaxPoolRejectsIndivisible(t *testing.T) {
-	if _, err := NewMaxPool2D(Shape3{C: 1, H: 3, W: 4}, 2); err == nil {
-		t.Fatal("NewMaxPool2D accepted indivisible height")
-	}
-}
-
-func TestConvRejectsSmallInput(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	if _, err := NewConv2D(rng, Shape3{C: 1, H: 2, W: 2}, 1, 3); err == nil {
-		t.Fatal("NewConv2D accepted input smaller than kernel")
-	}
-}
-
-func TestConvKnownValue(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	conv, err := NewConv2D(rng, Shape3{C: 1, H: 3, W: 3}, 1, 3)
-	if err != nil {
-		t.Fatalf("NewConv2D: %v", err)
-	}
-	// Set kernel to all ones and bias to 0.5: output = sum(input) + 0.5.
-	conv.w.Value.Fill(1)
-	conv.b.Value.Fill(0.5)
-	x, _ := mat.NewFromData(1, 9, []float64{1, 2, 3, 4, 5, 6, 7, 8, 9})
-	y, err := conv.Forward(x)
-	if err != nil {
-		t.Fatalf("Forward: %v", err)
-	}
-	if y.Size() != 1 || math.Abs(y.At(0, 0)-45.5) > 1e-12 {
-		t.Fatalf("conv output = %v, want 45.5", y.Data())
 	}
 }

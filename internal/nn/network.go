@@ -13,7 +13,9 @@ type Network struct {
 	layers []Layer
 	params []Param // cached: the layer stack is immutable after construction
 	// fused is the single-pass execution plan used when the stack is a pure
-	// Dense/Activate MLP; nil for stacks (conv, dropout) that run layered.
+	// Dense/Activate MLP; nil for any other layer order (an empty stack, or
+	// one with an activation that follows no Dense layer), which runs
+	// layered.
 	// Fused and layered execution are bit-identical (see fused.go), so
 	// which one runs is invisible to callers.
 	fused *FusedMLP
@@ -48,6 +50,14 @@ func NewMLP(rng *rand.Rand, act Activation, widths ...int) (*Network, error) {
 		}
 	}
 	return NewNetwork(layers...), nil
+}
+
+// NewClassifierMLP builds the one-hidden-layer ReLU classifier the real
+// FedAvg workload trains on the downscaled synthetic datasets. The paper's
+// CNNs enter the simulation only through their upload time
+// (device.Node.CommTime, ξ/B), so no convolutional model is built.
+func NewClassifierMLP(rng *rand.Rand, inputDim, hidden, classes int) (*Network, error) {
+	return NewMLP(rng, ActReLU, inputDim, hidden, classes)
 }
 
 // Layers returns the network's layers in forward order. The returned slice
@@ -92,18 +102,11 @@ func (n *Network) Backward(grad *mat.Matrix) (*mat.Matrix, error) {
 	return grad, nil
 }
 
-// paramsOnlyBackward is implemented by layers that can skip producing their
-// input gradient — worthwhile only for a network's first layer, where that
-// gradient has no consumer.
-type paramsOnlyBackward interface {
-	BackwardParamsOnly(grad *mat.Matrix) error
-}
-
 // BackwardParamsOnly accumulates parameter gradients like Backward but
 // skips computing the gradient with respect to the network input — dead
-// work for every optimizer-driven training loop. On a fused MLP (or a
-// first layer implementing the skip, like Conv2D) a whole GEMM is saved
-// per pass.
+// work for every optimizer-driven training loop. On a fused MLP a whole
+// GEMM is saved per pass; a layered stack still runs its first layer's
+// full backward.
 func (n *Network) BackwardParamsOnly(grad *mat.Matrix) error {
 	if n.fused != nil {
 		_, err := n.fused.Backward(grad, false)
@@ -116,12 +119,6 @@ func (n *Network) BackwardParamsOnly(grad *mat.Matrix) error {
 		}
 	}
 	if len(n.layers) > 0 {
-		if po, ok := n.layers[0].(paramsOnlyBackward); ok {
-			if err := po.BackwardParamsOnly(grad); err != nil {
-				return fmt.Errorf("nn: layer 0 backward: %w", err)
-			}
-			return nil
-		}
 		if _, err := n.layers[0].Backward(grad); err != nil {
 			return fmt.Errorf("nn: layer 0 backward: %w", err)
 		}
@@ -130,8 +127,7 @@ func (n *Network) BackwardParamsOnly(grad *mat.Matrix) error {
 }
 
 // Fused exposes the network's fused execution plan, or nil when the layer
-// stack does not fuse. Callers use it to build precision-lowered twins
-// (Fuse32) and in tests that pin fused-vs-layered bit-identity.
+// stack does not fuse. Tests use it to pin fused-vs-layered bit-identity.
 func (n *Network) Fused() *FusedMLP { return n.fused }
 
 // Params returns all trainable parameters in layer order. The slice is

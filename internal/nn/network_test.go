@@ -194,40 +194,6 @@ func TestAdamReducesLoss(t *testing.T) {
 	}
 }
 
-func TestExpDecaySchedule(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	net, _ := NewMLP(rng, ActTanh, 2, 2)
-	opt := NewAdam(net.Params(), 1.0)
-	decay, err := NewExpDecay(opt, 0.95, 20)
-	if err != nil {
-		t.Fatalf("NewExpDecay: %v", err)
-	}
-	for i := 0; i < 19; i++ {
-		decay.Tick()
-	}
-	if opt.LR() != 1.0 {
-		t.Fatalf("LR decayed early: %v", opt.LR())
-	}
-	decay.Tick() // 20th
-	if math.Abs(opt.LR()-0.95) > 1e-12 {
-		t.Fatalf("LR after 20 ticks = %v, want 0.95", opt.LR())
-	}
-	for i := 0; i < 20; i++ {
-		decay.Tick()
-	}
-	if math.Abs(opt.LR()-0.95*0.95) > 1e-12 {
-		t.Fatalf("LR after 40 ticks = %v, want 0.9025", opt.LR())
-	}
-}
-
-func TestExpDecayRejectsBadInterval(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	net, _ := NewMLP(rng, ActTanh, 2, 2)
-	if _, err := NewExpDecay(NewSGD(net.Params(), 1, 0), 0.9, 0); err == nil {
-		t.Fatal("NewExpDecay accepted interval 0")
-	}
-}
-
 // Property: LoadParams(FlattenParams()) is the identity on network outputs
 // for random parameter vectors.
 func TestParamVectorRoundTripProperty(t *testing.T) {
@@ -255,53 +221,5 @@ func TestParamVectorRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestModelZooParameterCounts(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	cnn, err := NewMNISTCNN(rng)
-	if err != nil {
-		t.Fatalf("NewMNISTCNN: %v", err)
-	}
-	if cnn.NumParams() != MNISTCNNParams {
-		t.Fatalf("MNIST CNN params %d, want %d", cnn.NumParams(), MNISTCNNParams)
-	}
-	lenet, err := NewLeNet(rng)
-	if err != nil {
-		t.Fatalf("NewLeNet: %v", err)
-	}
-	if lenet.NumParams() != LeNetParams {
-		t.Fatalf("LeNet params %d, want %d", lenet.NumParams(), LeNetParams)
-	}
-}
-
-func TestModelZooForwardShapes(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	cnn, err := NewMNISTCNN(rng)
-	if err != nil {
-		t.Fatalf("NewMNISTCNN: %v", err)
-	}
-	x := mat.New(2, 28*28)
-	x.Randomize(rng, 1)
-	y, err := cnn.Forward(x)
-	if err != nil {
-		t.Fatalf("cnn forward: %v", err)
-	}
-	if y.Rows() != 2 || y.Cols() != 10 {
-		t.Fatalf("cnn output %dx%d", y.Rows(), y.Cols())
-	}
-	lenet, err := NewLeNet(rng)
-	if err != nil {
-		t.Fatalf("NewLeNet: %v", err)
-	}
-	x2 := mat.New(2, 3*32*32)
-	x2.Randomize(rng, 1)
-	y2, err := lenet.Forward(x2)
-	if err != nil {
-		t.Fatalf("lenet forward: %v", err)
-	}
-	if y2.Rows() != 2 || y2.Cols() != 10 {
-		t.Fatalf("lenet output %dx%d", y2.Rows(), y2.Cols())
 	}
 }

@@ -12,7 +12,7 @@ type Optimizer interface {
 	// Step applies one update using the current gradients. It does not
 	// clear gradients; call Network.ZeroGrad between steps.
 	Step() error
-	// SetLR changes the learning rate (used by decay schedules).
+	// SetLR changes the learning rate (PPO learning-rate decay, checkpoint restore).
 	SetLR(lr float64)
 	// LR reports the current learning rate.
 	LR() float64
@@ -174,33 +174,4 @@ func (a *Adam) SetState(t int, m, v [][]float64) error {
 		copy(a.v[i].Data(), v[i])
 	}
 	return nil
-}
-
-// ExpDecay multiplies the optimizer learning rate by factor every interval
-// steps, the paper's "decays by 95% every 20 episodes" schedule.
-type ExpDecay struct {
-	opt      Optimizer
-	factor   float64
-	interval int
-	count    int
-}
-
-// NewExpDecay wraps opt with an exponential decay schedule. interval must
-// be positive; factor is the multiplier applied at each boundary.
-func NewExpDecay(opt Optimizer, factor float64, interval int) (*ExpDecay, error) {
-	if interval <= 0 {
-		return nil, fmt.Errorf("nn: exp decay interval %d, want > 0", interval)
-	}
-	return &ExpDecay{opt: opt, factor: factor, interval: interval}, nil
-}
-
-// Tick advances the schedule by one unit (an episode, in Chiron's usage)
-// and applies the decay when a boundary is crossed. It returns the learning
-// rate in force after the tick.
-func (e *ExpDecay) Tick() float64 {
-	e.count++
-	if e.count%e.interval == 0 {
-		e.opt.SetLR(e.opt.LR() * e.factor)
-	}
-	return e.opt.LR()
 }

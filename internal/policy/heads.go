@@ -18,19 +18,6 @@ func (h BoundedScalarHead) Total(u float64) float64 {
 	return LogSquash(u, h.Lo, h.Hi)
 }
 
-// TotalBatch maps a column of pre-squash actions (one row per batched
-// decision, acts.Cols() == 1) into dst, element for element the same
-// arithmetic as Total — the batched evaluator's exterior head.
-func (h BoundedScalarHead) TotalBatch(dst []float64, acts *mat.Matrix) error {
-	if acts.Cols() != 1 || acts.Rows() != len(dst) {
-		return fmt.Errorf("policy: total batch %dx%d into %d", acts.Rows(), acts.Cols(), len(dst))
-	}
-	for i := range dst {
-		dst[i] = h.Total(acts.At(i, 0))
-	}
-	return nil
-}
-
 // SimplexHead maps a pre-squash action vector to allocation proportions on
 // the simplex and scales them by a total price — the Eqn. 13 inner head:
 // p_{i,k} = a^E_k · a^I_{i,k}.
@@ -63,23 +50,6 @@ func (h SimplexHead) PricesTo(dst []float64, total float64, u []float64) error {
 	}
 	for i, pr := range dst {
 		dst[i] = total * pr
-	}
-	return nil
-}
-
-// PricesBatch decomposes one total price per row: row i of dst becomes
-// Prices(totals[i], acts.Row(i)). Rows are independent and each matches the
-// scalar path element for element, so batching decisions across hosted
-// episodes changes no price bit. dst may alias acts.
-func (h SimplexHead) PricesBatch(dst *mat.Matrix, totals []float64, acts *mat.Matrix) error {
-	if dst.Rows() != acts.Rows() || dst.Cols() != acts.Cols() || len(totals) != acts.Rows() {
-		return fmt.Errorf("policy: prices batch dst %dx%d totals %d acts %dx%d",
-			dst.Rows(), dst.Cols(), len(totals), acts.Rows(), acts.Cols())
-	}
-	for i, total := range totals {
-		if err := h.PricesTo(dst.Row(i), total, acts.Row(i)); err != nil {
-			return err
-		}
 	}
 	return nil
 }

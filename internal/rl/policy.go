@@ -96,9 +96,9 @@ func (p *GaussianPolicy) MeanBatch(states *mat.Matrix) (*mat.Matrix, error) {
 	return p.net.Forward(states)
 }
 
-// MeanNet exposes the mean network. Callers use it to build precision-
-// lowered twins (nn.Fuse32) for tolerance-validated batched inference; the
-// float64 network remains the training state.
+// MeanNet exposes the mean network, read-only: callers inspect its layer
+// widths (for example to count an update's floating-point operations) and
+// must not mutate it.
 func (p *GaussianPolicy) MeanNet() *nn.Network { return p.net }
 
 // BackwardMean propagates a gradient with respect to the batch means back

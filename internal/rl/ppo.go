@@ -169,16 +169,6 @@ func (p *PPO) ActDeterministic(state []float64) ([]float64, error) {
 	return p.actor.Mean(state)
 }
 
-// ActDeterministicBatch evaluates the policy mean for a batch of states
-// (one per row) with a single fused forward pass. Every destination element
-// of the underlying GEMMs accumulates over its own reduction independently,
-// so row r is bit-identical to ActDeterministic(states.Row(r)) — batching
-// decisions across hosted episodes is invisible to the results. The
-// returned matrix is the policy's recycled output buffer.
-func (p *PPO) ActDeterministicBatch(states *mat.Matrix) (*mat.Matrix, error) {
-	return p.actor.MeanBatch(states)
-}
-
 // Value estimates V(s) for a single state.
 func (p *PPO) Value(state []float64) (float64, error) {
 	p.oneState = mat.Ensure(p.oneState, 1, len(state))
