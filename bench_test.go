@@ -126,7 +126,7 @@ func BenchmarkTable1LargeScale(b *testing.B) { benchComparison(b, experiment.Tab
 func ablationEnv(b *testing.B, timeWeight float64, historyLen int) *edgeenv.Env {
 	b.Helper()
 	rng := rand.New(rand.NewSource(7))
-	fleet, err := device.NewFleet(rng, device.DefaultFleetSpec(5))
+	fleet, err := device.NewFleetBatch(rng, device.DefaultFleetSpec(5))
 	if err != nil {
 		b.Fatal(err)
 	}

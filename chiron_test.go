@@ -108,6 +108,25 @@ func TestSystemCustomNodes(t *testing.T) {
 	}
 }
 
+func TestSystemRejectsInvalidCustomNode(t *testing.T) {
+	good := chiron.Node{
+		CyclesPerBit: 20, Capacitance: 2e-28, CommEnergyRate: 0.002,
+		Epochs: 5, FreqMin: 1.5e8, FreqMax: 1.5e9, DataBits: 4e7,
+		CommTime: 12, SampleCount: 500,
+	}
+	bad := good
+	bad.ID = 7 // the error names the entry's index, not its ID
+	bad.Capacitance = 0
+	_, err := chiron.NewSystem(chiron.SystemConfig{CustomNodes: []*chiron.Node{&good, &bad}, Budget: 60})
+	if err == nil || !strings.Contains(err.Error(), "node 1: capacitance") {
+		t.Fatalf("NewSystem error = %v, want it to name node 1's capacitance", err)
+	}
+	_, err = chiron.NewSystem(chiron.SystemConfig{CustomNodes: []*chiron.Node{&good, &good, nil}, Budget: 60})
+	if err == nil || !strings.Contains(err.Error(), "CustomNodes[2]") {
+		t.Fatalf("NewSystem error = %v, want it to name CustomNodes[2]", err)
+	}
+}
+
 func TestSystemRealTraining(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real training skipped in -short mode")

@@ -93,7 +93,7 @@ func benchFrozenGrid(b *testing.B, cells int) []*core.Chiron {
 	b.Helper()
 	const nodes = 5
 	newEnv := func(seed int64) *edgeenv.Env {
-		fleet, err := device.NewFleet(rand.New(rand.NewSource(seed)), device.DefaultFleetSpec(nodes))
+		fleet, err := device.NewFleetBatch(rand.New(rand.NewSource(seed)), device.DefaultFleetSpec(nodes))
 		if err != nil {
 			b.Fatal(err)
 		}

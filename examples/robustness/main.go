@@ -23,6 +23,7 @@ import (
 	"chiron/internal/core"
 	"chiron/internal/device"
 	"chiron/internal/edgeenv"
+	"chiron/internal/experiment"
 	"chiron/internal/faults"
 	"chiron/internal/market"
 )
@@ -53,18 +54,13 @@ func run(w io.Writer, nodes, eps, evalEps int, budget float64) error {
 	// Evaluate the frozen policy under churn and injected faults. Each
 	// scenario rebuilds the environment with the same fleet and restores
 	// the trained weights into a fresh agent bound to it.
-	fleet, err := device.NewFleet(rand.New(rand.NewSource(seed)), device.DefaultFleetSpec(nodes))
+	fleet, err := device.NewFleetBatch(rand.New(rand.NewSource(seed)), device.DefaultFleetSpec(nodes))
 	if err != nil {
 		return err
 	}
 	// Deadline: 20% above the slowest clean response, so healthy nodes
 	// are never cut but crashes time out and big stragglers are dropped.
-	var deadline float64
-	for _, n := range fleet {
-		if t := n.ComputeTime(n.FreqMin) + n.CommTime; t*1.2 > deadline {
-			deadline = t * 1.2
-		}
-	}
+	deadline := experiment.FleetDeadline(fleet)
 	faultMix := faults.Rates{Crash: 0.03, Straggle: 0.06, Drop: 0.05, Corrupt: 0.03}
 	scenarios := []struct {
 		name         string

@@ -14,9 +14,9 @@ import (
 func testEnv(t *testing.T, nodes int, budget float64) *edgeenv.Env {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
-	fleet, err := device.NewFleet(rng, device.DefaultFleetSpec(nodes))
+	fleet, err := device.NewFleetBatch(rng, device.DefaultFleetSpec(nodes))
 	if err != nil {
-		t.Fatalf("NewFleet: %v", err)
+		t.Fatalf("NewFleetBatch: %v", err)
 	}
 	acc, err := accuracy.NewPresetCurve(rand.New(rand.NewSource(8)), accuracy.PresetMNIST, nodes)
 	if err != nil {

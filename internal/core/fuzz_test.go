@@ -13,7 +13,7 @@ import (
 
 // fuzzEnv mirrors testEnv for fuzz setup, where no *testing.T exists yet.
 func fuzzEnv() (*edgeenv.Env, error) {
-	fleet, err := device.NewFleet(rand.New(rand.NewSource(7)), device.DefaultFleetSpec(3))
+	fleet, err := device.NewFleetBatch(rand.New(rand.NewSource(7)), device.DefaultFleetSpec(3))
 	if err != nil {
 		return nil, err
 	}

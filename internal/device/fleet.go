@@ -45,8 +45,8 @@ type Fleet struct {
 // NewFleetBatch draws a heterogeneous fleet directly into columns using the
 // same per-node draw order as NewFleet (DataBits, FreqMax, CommTime,
 // Reserve), so a given rng seed yields the bit-identical fleet in either
-// layout. Use this instead of NewFleet + FromNodes when N is large enough
-// that materializing per-node structs matters.
+// layout. It is how callers drawing from a spec build the fleet the round
+// pipeline runs over; NewFleet stays as the per-node reference.
 func NewFleetBatch(rng *rand.Rand, spec FleetSpec) (*Fleet, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -77,8 +77,9 @@ func NewFleetBatch(rng *rand.Rand, spec FleetSpec) (*Fleet, error) {
 	return f, nil
 }
 
-// FromNodes packs an existing per-node fleet into columns. Node IDs are
-// ignored: column index i holds nodes[i].
+// FromNodes packs an existing per-node fleet into columns — the entry
+// point for callers holding explicit nodes. Node IDs are ignored: column
+// index i holds nodes[i].
 func FromNodes(nodes []*Node) *Fleet {
 	f := newEmptyFleet(len(nodes))
 	for i, n := range nodes {

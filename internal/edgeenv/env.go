@@ -17,11 +17,11 @@
 // progress; and failed nodes earn a configurable fraction of their
 // contracted payment, keeping the ledger exact under churn.
 //
-// At fleet scale the environment runs on the struct-of-arrays path: pass
-// Config.Fleet (a device.Fleet built with device.NewFleetBatch) instead of
-// Config.Nodes and set CompactRounds, and every Step streams whole columns
-// through the batch kernels with zero steady-state allocation — per-node
-// structs and per-round vectors are never materialized. See DESIGN.md §13.
+// The fleet enters as a struct-of-arrays device.Fleet, whether drawn from
+// a spec or packed once from explicit nodes. Every Step streams whole
+// columns through the batch kernels; with CompactRounds set it does so
+// with zero steady-state allocation, and per-node structs and per-round
+// vectors are never materialized. See DESIGN.md §13.
 package edgeenv
 
 import (
@@ -38,14 +38,8 @@ import (
 
 // Config parameterizes the environment.
 type Config struct {
-	// Nodes is the edge fleet. The environment never mutates nodes.
-	// Optional when Fleet is set.
-	Nodes []*device.Node
-	// Fleet is the struct-of-arrays form of the fleet. When nil it is
-	// packed once from Nodes; at fleet scale construct it directly
-	// (device.NewFleetBatch) and leave Nodes nil so per-node structs are
-	// never materialized. When both are set, column i must describe
-	// Nodes[i] — the environment trusts the caller and reads only Fleet.
+	// Fleet is the edge fleet (required). The environment never mutates
+	// its columns.
 	Fleet *device.Fleet
 	// CompactRounds switches committed round records to streamed
 	// aggregates (market.Round with NumNodes/MaxTime/SumTime instead of
@@ -115,10 +109,6 @@ type Config struct {
 	// waits before each re-upload attempt, on top of the node's upload
 	// time itself.
 	RetryBackoff float64
-	// Retry, when non-nil, overrides MaxRetries and RetryBackoff with a
-	// full faults.Backoff policy (geometric growth, per-delay cap). Nil
-	// keeps the flat policy the two scalar knobs describe.
-	Retry *faults.Backoff
 	// Churn schedules node arrivals and departures across the episode
 	// (faults.ChurnScript for exact sequences, faults.ChurnSampler for
 	// seed-deterministic sampling). Nil keeps the paper's fixed fleet. An
@@ -149,9 +139,9 @@ const DefaultMaxRounds = 200
 // second-scale round times of the Sec. VI-A device constants balance the
 // unit-scale accuracy term the way the paper's dimensionless utility does;
 // see DESIGN.md for the analysis.
-func DefaultConfig(nodes []*device.Node, acc accuracy.Model, budget float64) Config {
+func DefaultConfig(fleet *device.Fleet, acc accuracy.Model, budget float64) Config {
 	return Config{
-		Nodes:      nodes,
+		Fleet:      fleet,
 		Accuracy:   acc,
 		Budget:     budget,
 		Lambda:     2000,
@@ -161,34 +151,18 @@ func DefaultConfig(nodes []*device.Node, acc accuracy.Model, budget float64) Con
 	}
 }
 
-// DefaultFleetConfig is DefaultConfig for a struct-of-arrays fleet: the
-// paper's settings plus CompactRounds, the configuration million-node
-// benchmarks run under. Per-node structs are never materialized.
+// DefaultFleetConfig is DefaultConfig plus CompactRounds, the
+// configuration million-node benchmarks run under.
 func DefaultFleetConfig(fleet *device.Fleet, acc accuracy.Model, budget float64) Config {
-	return Config{
-		Fleet:         fleet,
-		CompactRounds: true,
-		Accuracy:      acc,
-		Budget:        budget,
-		Lambda:        2000,
-		TimeWeight:    0.3,
-		HistoryLen:    4,
-		MaxRounds:     DefaultMaxRounds,
-	}
-}
-
-// numNodes resolves the fleet size from whichever layout the config carries.
-func (c Config) numNodes() int {
-	if c.Fleet != nil {
-		return c.Fleet.Len()
-	}
-	return len(c.Nodes)
+	cfg := DefaultConfig(fleet, acc, budget)
+	cfg.CompactRounds = true
+	return cfg
 }
 
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
 	switch {
-	case c.numNodes() == 0:
+	case c.Fleet == nil || c.Fleet.Len() == 0:
 		return fmt.Errorf("edgeenv: no nodes")
 	case c.Accuracy == nil:
 		return fmt.Errorf("edgeenv: no accuracy model")
@@ -220,23 +194,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("edgeenv: failure payment %v outside [0,1]", c.FailurePayment)
 	case c.MinQuorum < 0:
 		return fmt.Errorf("edgeenv: min quorum %d, want >= 0", c.MinQuorum)
-	case c.MinQuorum > c.numNodes():
-		return fmt.Errorf("edgeenv: min quorum %d exceeds fleet size %d", c.MinQuorum, c.numNodes())
+	case c.MinQuorum > c.Fleet.Len():
+		return fmt.Errorf("edgeenv: min quorum %d exceeds fleet size %d", c.MinQuorum, c.Fleet.Len())
 	}
-	if c.Retry != nil {
-		if err := c.Retry.Validate(); err != nil {
-			return fmt.Errorf("edgeenv: %w", err)
-		}
-	}
-	if c.Fleet != nil {
-		return c.Fleet.Validate()
-	}
-	for _, n := range c.Nodes {
-		if err := n.Validate(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.Fleet.Validate()
 }
 
 // StepResult reports the outcome of one environment step.
@@ -261,7 +222,7 @@ type StepResult struct {
 type Env struct {
 	cfg       Config
 	fleet     *device.Fleet
-	nodes     []*device.Node // lazily materialized from fleet when nil
+	nodes     []*device.Node // lazily materialized from fleet by Nodes
 	ledger    *market.Ledger
 	pipe      *round.Pipeline
 	st        *round.State // reused across Steps; see round.State.Reset
@@ -284,10 +245,7 @@ func New(cfg Config) (*Env, error) {
 		return nil, err
 	}
 	fleet := cfg.Fleet
-	if fleet == nil {
-		fleet = device.FromNodes(cfg.Nodes)
-	}
-	e := &Env{cfg: cfg, fleet: fleet, nodes: cfg.Nodes, ledger: ledger, done: true}
+	e := &Env{cfg: cfg, fleet: fleet, ledger: ledger, done: true}
 	// Normalization constants stream over the columns; the expressions
 	// match the old per-node loop exactly (PriceForFreq's association is
 	// the fleet's priceCoef·ζ).
@@ -312,15 +270,8 @@ func New(cfg Config) (*Env, error) {
 	if emptyTimeout == 0 {
 		emptyTimeout = e.timeNorm
 	}
-	// The two scalar retry knobs describe the flat policy; a full Backoff
-	// overrides them.
-	retry := faults.Constant(cfg.RetryBackoff, cfg.MaxRetries)
-	if cfg.Retry != nil {
-		retry = *cfg.Retry
-	}
 	e.pipe, err = round.New(round.Config{
 		Fleet:          fleet,
-		Nodes:          cfg.Nodes,
 		Compact:        cfg.CompactRounds,
 		Churn:          cfg.Churn,
 		Availability:   cfg.Availability,
@@ -331,7 +282,7 @@ func New(cfg Config) (*Env, error) {
 		Recorder:       cfg.DrawRecorder,
 		Faults:         cfg.Faults,
 		Deadline:       cfg.RoundDeadline,
-		Retry:          retry,
+		Retry:          faults.Constant(cfg.RetryBackoff, cfg.MaxRetries),
 		FailurePayment: cfg.FailurePayment,
 		EmptyTimeout:   emptyTimeout,
 		MinQuorum:      minQuorum,
@@ -357,9 +308,9 @@ func (e *Env) NumNodes() int { return e.fleet.Len() }
 func (e *Env) Fleet() *device.Fleet { return e.fleet }
 
 // Nodes returns the per-node fleet view (callers must not mutate the
-// nodes). On a Fleet-only environment the structs are materialized lazily
-// on first call and cached — an O(N) cost fleet-scale callers avoid by
-// staying on Fleet's columns.
+// nodes). The structs are materialized from the fleet on first call and
+// cached — an O(N) cost fleet-scale callers avoid by staying on Fleet's
+// columns.
 func (e *Env) Nodes() []*device.Node {
 	if e.nodes == nil {
 		e.nodes = e.fleet.Nodes()

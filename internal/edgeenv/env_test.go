@@ -13,9 +13,9 @@ import (
 func testEnv(t *testing.T, nodes int, budget float64) *Env {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
-	fleet, err := device.NewFleet(rng, device.DefaultFleetSpec(nodes))
+	fleet, err := device.NewFleetBatch(rng, device.DefaultFleetSpec(nodes))
 	if err != nil {
-		t.Fatalf("NewFleet: %v", err)
+		t.Fatalf("NewFleetBatch: %v", err)
 	}
 	acc, err := accuracy.NewPresetCurve(rand.New(rand.NewSource(8)), accuracy.PresetMNIST, nodes)
 	if err != nil {
@@ -39,9 +39,9 @@ func fullPrices(env *Env) []float64 {
 
 func TestConfigValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	fleet, err := device.NewFleet(rng, device.DefaultFleetSpec(2))
+	fleet, err := device.NewFleetBatch(rng, device.DefaultFleetSpec(2))
 	if err != nil {
-		t.Fatalf("NewFleet: %v", err)
+		t.Fatalf("NewFleetBatch: %v", err)
 	}
 	acc, err := accuracy.NewPresetCurve(rng, accuracy.PresetMNIST, 2)
 	if err != nil {
@@ -52,7 +52,8 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatalf("good config rejected: %v", err)
 	}
 	mutations := []func(*Config){
-		func(c *Config) { c.Nodes = nil },
+		func(c *Config) { c.Fleet = nil },
+		func(c *Config) { c.Fleet = device.FromNodes(nil) },
 		func(c *Config) { c.Accuracy = nil },
 		func(c *Config) { c.Budget = 0 },
 		func(c *Config) { c.Lambda = 0 },
@@ -65,6 +66,9 @@ func TestConfigValidation(t *testing.T) {
 		mutate(&bad)
 		if err := bad.Validate(); err == nil {
 			t.Fatalf("mutation %d accepted", i)
+		}
+		if _, err := New(bad); err == nil {
+			t.Fatalf("mutation %d accepted by New", i)
 		}
 	}
 }
@@ -233,7 +237,7 @@ func TestRandomPricesFeasible(t *testing.T) {
 func TestEpisodeSafetyProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		fleet, err := device.NewFleet(rng, device.DefaultFleetSpec(3))
+		fleet, err := device.NewFleetBatch(rng, device.DefaultFleetSpec(3))
 		if err != nil {
 			return false
 		}

@@ -17,9 +17,9 @@ import (
 func faultEnv(t *testing.T, nodes int, budget float64, mutate func(*Config)) *Env {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
-	fleet, err := device.NewFleet(rng, device.DefaultFleetSpec(nodes))
+	fleet, err := device.NewFleetBatch(rng, device.DefaultFleetSpec(nodes))
 	if err != nil {
-		t.Fatalf("NewFleet: %v", err)
+		t.Fatalf("NewFleetBatch: %v", err)
 	}
 	acc, err := accuracy.NewPresetCurve(rand.New(rand.NewSource(8)), accuracy.PresetMNIST, nodes)
 	if err != nil {
@@ -53,9 +53,9 @@ func cleanRound(t *testing.T, nodes int, budget float64) market.Round {
 
 func TestFaultConfigValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	fleet, err := device.NewFleet(rng, device.DefaultFleetSpec(2))
+	fleet, err := device.NewFleetBatch(rng, device.DefaultFleetSpec(2))
 	if err != nil {
-		t.Fatalf("NewFleet: %v", err)
+		t.Fatalf("NewFleetBatch: %v", err)
 	}
 	acc, err := accuracy.NewPresetCurve(rng, accuracy.PresetMNIST, 2)
 	if err != nil {
@@ -372,7 +372,7 @@ func TestBudgetInvariantUnderChurn(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		cfg := DefaultConfig(fleet, acc, 20+rng.Float64()*100)
+		cfg := DefaultConfig(device.FromNodes(fleet), acc, 20+rng.Float64()*100)
 		cfg.MaxRounds = 50
 		cfg.Faults = sampler
 		cfg.RoundDeadline = deadline

@@ -40,7 +40,7 @@ func faultedEpisodeTrace(t *testing.T, seed int64) ([]byte, int) {
 	if err != nil {
 		t.Fatalf("NewSampler: %v", err)
 	}
-	cfg := edgeenv.DefaultConfig(fleet, acc, 500)
+	cfg := edgeenv.DefaultConfig(device.FromNodes(fleet), acc, 500)
 	cfg.Faults = sampler
 	cfg.RoundDeadline = deadline
 	cfg.MaxRetries = 2

@@ -12,9 +12,9 @@ import (
 func robustEnv(t *testing.T, jitter, availability float64) *Env {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
-	fleet, err := device.NewFleet(rng, device.DefaultFleetSpec(5))
+	fleet, err := device.NewFleetBatch(rng, device.DefaultFleetSpec(5))
 	if err != nil {
-		t.Fatalf("NewFleet: %v", err)
+		t.Fatalf("NewFleetBatch: %v", err)
 	}
 	acc, err := accuracy.NewPresetCurve(rand.New(rand.NewSource(8)), accuracy.PresetMNIST, 5)
 	if err != nil {

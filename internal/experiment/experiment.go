@@ -47,7 +47,7 @@ func BuildEnv(s Setup) (*edgeenv.Env, error) {
 		return nil, fmt.Errorf("experiment: nodes %d, want > 0", s.Nodes)
 	}
 	rng := rand.New(rand.NewSource(s.Seed))
-	nodes, err := device.NewFleet(rng, device.DefaultFleetSpec(s.Nodes))
+	fleet, err := device.NewFleetBatch(rng, device.DefaultFleetSpec(s.Nodes))
 	if err != nil {
 		return nil, fmt.Errorf("experiment: fleet: %w", err)
 	}
@@ -55,7 +55,7 @@ func BuildEnv(s Setup) (*edgeenv.Env, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiment: accuracy: %w", err)
 	}
-	cfg := edgeenv.DefaultConfig(nodes, acc, s.Budget)
+	cfg := edgeenv.DefaultConfig(fleet, acc, s.Budget)
 	if s.Lambda > 0 {
 		cfg.Lambda = s.Lambda
 	}

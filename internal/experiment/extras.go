@@ -204,7 +204,7 @@ func runRewardAblation(scale float64, jobs int) (string, error) {
 // trainFrozenChiron trains a Chiron agent on the clean 5-node η=300 MNIST
 // environment and returns its checkpoint plus the (read-only) fleet the
 // frozen-policy studies re-create their perturbed environments around.
-func trainFrozenChiron(seed int64, scale float64) (*core.Checkpoint, []*device.Node, error) {
+func trainFrozenChiron(seed int64, scale float64) (*core.Checkpoint, *device.Fleet, error) {
 	clean, err := BuildEnv(Setup{Preset: accuracy.PresetMNIST, Nodes: 5, Budget: 300, Seed: seed})
 	if err != nil {
 		return nil, nil, err
@@ -216,7 +216,7 @@ func trainFrozenChiron(seed int64, scale float64) (*core.Checkpoint, []*device.N
 	if _, err := ch.Train(ScaleCount(500, scale), nil); err != nil {
 		return nil, nil, err
 	}
-	fleet, err := device.NewFleet(rand.New(rand.NewSource(seed)), device.DefaultFleetSpec(5))
+	fleet, err := device.NewFleetBatch(rand.New(rand.NewSource(seed)), device.DefaultFleetSpec(5))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -228,7 +228,7 @@ func trainFrozenChiron(seed int64, scale float64) (*core.Checkpoint, []*device.N
 // into a fresh agent on it and averages three deterministic episodes — the
 // shared tail of the frozen-policy studies. It returns the environment too,
 // whose ledger still holds the last evaluation episode.
-func evalFrozenChiron(ck *core.Checkpoint, fleet []*device.Node, seed int64, perturb func(*edgeenv.Config) error) (mechanism.EpisodeResult, *edgeenv.Env, error) {
+func evalFrozenChiron(ck *core.Checkpoint, fleet *device.Fleet, seed int64, perturb func(*edgeenv.Config) error) (mechanism.EpisodeResult, *edgeenv.Env, error) {
 	acc, err := accuracy.NewPresetCurve(rand.New(rand.NewSource(seed+1)), accuracy.PresetMNIST, 5)
 	if err != nil {
 		return mechanism.EpisodeResult{}, nil, err
@@ -310,10 +310,10 @@ func runRobustnessAblation(scale float64, jobs int) (string, error) {
 // above the slowest clean response the fleet can produce (minimum
 // frequency, nominal upload), so no healthy node is ever cut but crashed
 // nodes time out and ≥1.5× stragglers lose the round.
-func FleetDeadline(nodes []*device.Node) float64 {
+func FleetDeadline(fleet *device.Fleet) float64 {
 	var worst float64
-	for _, n := range nodes {
-		if t := n.ComputeTime(n.FreqMin) + n.CommTime; t > worst {
+	for i := 0; i < fleet.Len(); i++ {
+		if t := fleet.Workload(i)/fleet.FreqMin[i] + fleet.CommTime[i]; t > worst {
 			worst = t
 		}
 	}

@@ -13,9 +13,9 @@ import (
 func summarizeEnv(t *testing.T) *edgeenv.Env {
 	t.Helper()
 	const nodes = 3
-	fleet, err := device.NewFleet(rand.New(rand.NewSource(3)), device.DefaultFleetSpec(nodes))
+	fleet, err := device.NewFleetBatch(rand.New(rand.NewSource(3)), device.DefaultFleetSpec(nodes))
 	if err != nil {
-		t.Fatalf("NewFleet: %v", err)
+		t.Fatalf("NewFleetBatch: %v", err)
 	}
 	acc, err := accuracy.NewPresetCurve(rand.New(rand.NewSource(4)), accuracy.PresetMNIST, nodes)
 	if err != nil {

@@ -28,9 +28,9 @@ func agentStackEnv(t *testing.T, seed int64) *edgeenv.Env {
 	t.Helper()
 	const nodes = 3
 	rng := rand.New(rand.NewSource(seed))
-	fleet, err := device.NewFleet(rng, device.DefaultFleetSpec(nodes))
+	fleet, err := device.NewFleetBatch(rng, device.DefaultFleetSpec(nodes))
 	if err != nil {
-		t.Fatalf("NewFleet: %v", err)
+		t.Fatalf("NewFleetBatch: %v", err)
 	}
 	acc, err := accuracy.NewPresetCurve(rand.New(rand.NewSource(seed+100)), accuracy.PresetMNIST, nodes)
 	if err != nil {

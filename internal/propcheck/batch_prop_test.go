@@ -140,11 +140,10 @@ func TestBatchSimplexSplitBitIdentity(t *testing.T) {
 	})
 }
 
-// twinEnvs draws one random environment twice: once on the vector-record
-// per-node path (Nodes) and once on the compact struct-of-arrays path
-// (Fleet only, CompactRounds), with independently seeded but identical
-// accuracy models, churn/fault schedules, and draw RNGs. The pair is the
-// fixture for the full-round bit-identity property.
+// twinEnvs draws one random environment twice: once with per-node round
+// records and once with CompactRounds, with independently seeded but
+// identical accuracy models, churn/fault schedules, and draw RNGs. The pair
+// is the fixture for the full-round bit-identity property.
 func twinEnvs(rng *rand.Rand) (vec, compact *edgeenv.Env, err error) {
 	n := 2 + rng.Intn(15)
 	nodes := RandomFleet(rng, n)
@@ -152,7 +151,7 @@ func twinEnvs(rng *rand.Rand) (vec, compact *edgeenv.Env, err error) {
 	presets := []accuracy.Preset{accuracy.PresetMNIST, accuracy.PresetFashion, accuracy.PresetCIFAR}
 	preset := presets[rng.Intn(len(presets))]
 
-	base := edgeenv.DefaultConfig(nodes, nil, Uniform(rng, 30, 400))
+	base := edgeenv.DefaultConfig(device.FromNodes(nodes), nil, Uniform(rng, 30, 400))
 	base.Lambda = Uniform(rng, 100, 4000)
 	base.TimeWeight = Uniform(rng, 0, 1.5)
 	base.MaxRounds = 6 + rng.Intn(20)
@@ -183,13 +182,9 @@ func twinEnvs(rng *rand.Rand) (vec, compact *edgeenv.Env, err error) {
 	}
 	churnSeed := rng.Int63()
 
-	build := func(useFleet bool) (*edgeenv.Env, error) {
+	build := func(compact bool) (*edgeenv.Env, error) {
 		cfg := base
-		if useFleet {
-			cfg.Nodes = nil
-			cfg.Fleet = device.FromNodes(nodes)
-			cfg.CompactRounds = true
-		}
+		cfg.CompactRounds = compact
 		acc, err := accuracy.NewPresetCurve(rand.New(rand.NewSource(accSeed)), preset, n)
 		if err != nil {
 			return nil, err

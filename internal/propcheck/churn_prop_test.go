@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"chiron/internal/accuracy"
+	"chiron/internal/device"
 	"chiron/internal/edgeenv"
 	"chiron/internal/faults"
 	"chiron/internal/market"
@@ -17,7 +18,7 @@ import (
 // fleet with random failure-payment, deadline, and quorum settings.
 func churnPropEnv(rng *rand.Rand) (*edgeenv.Env, error) {
 	n := 2 + rng.Intn(5)
-	fleet := RandomFleet(rng, n)
+	fleet := device.FromNodes(RandomFleet(rng, n))
 	acc, err := accuracy.NewPresetCurve(
 		rand.New(rand.NewSource(rng.Int63())), accuracy.PresetMNIST, n)
 	if err != nil {

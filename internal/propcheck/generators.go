@@ -127,7 +127,7 @@ func RandomEnv(rng *rand.Rand, maxNodes int) (*edgeenv.Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := edgeenv.DefaultConfig(fleet, acc, Uniform(rng, 30, 400))
+	cfg := edgeenv.DefaultConfig(device.FromNodes(fleet), acc, Uniform(rng, 30, 400))
 	cfg.Lambda = Uniform(rng, 100, 4000)
 	cfg.TimeWeight = Uniform(rng, 0, 1.5)
 	cfg.MaxRounds = 8 + rng.Intn(25)

@@ -30,9 +30,9 @@ func resumeEnv(t *testing.T, seed int64) *edgeenv.Env {
 	t.Helper()
 	const nodes = 3
 	rng := rand.New(rand.NewSource(seed))
-	fleet, err := device.NewFleet(rng, device.DefaultFleetSpec(nodes))
+	fleet, err := device.NewFleetBatch(rng, device.DefaultFleetSpec(nodes))
 	if err != nil {
-		t.Fatalf("NewFleet: %v", err)
+		t.Fatalf("NewFleetBatch: %v", err)
 	}
 	acc, err := accuracy.NewSurrogateCurve(rand.New(rand.NewSource(seed+100)), 0.95, 0.85, 25, 0, nodes)
 	if err != nil {

@@ -45,7 +45,7 @@ func TestRespondChurnAbsence(t *testing.T) {
 		t.Fatalf("Offer: %v", err)
 	}
 	resp := round.Respond{
-		Nodes:      nodes,
+		Fleet:      device.FromNodes(nodes),
 		Churn:      churn,
 		CommJitter: jitter,
 		Rng:        rand.New(rand.NewSource(seed)),
@@ -99,7 +99,7 @@ func TestRespondNilChurnKeepsStream(t *testing.T) {
 			t.Fatalf("Offer: %v", err)
 		}
 		resp := round.Respond{
-			Nodes:        nodes,
+			Fleet:        device.FromNodes(nodes),
 			Churn:        churn,
 			Availability: 0.6,
 			CommJitter:   0.2,
@@ -213,7 +213,7 @@ func TestPipelineDepartureSettlement(t *testing.T) {
 	ledger := testLedger(t, 1e6)
 	model := &stubModel{acc: 0.3, step: 0.01}
 	p, err := round.New(round.Config{
-		Nodes:          nodes,
+		Fleet:          device.FromNodes(nodes),
 		Churn:          churnScript(t, "-1@1"),
 		FailurePayment: failurePayment,
 		EmptyTimeout:   5,
@@ -258,7 +258,7 @@ func TestPipelineZeroSurvivorsQuorum(t *testing.T) {
 	ledger := testLedger(t, 1e6)
 	model := &stubModel{acc: 0.3, step: 0.01}
 	p, err := round.New(round.Config{
-		Nodes:          nodes,
+		Fleet:          device.FromNodes(nodes),
 		Churn:          churnScript(t, "-0@1"),
 		Faults:         faults.Script{1: {1: {Kind: faults.Crash}}},
 		FailurePayment: failurePayment,

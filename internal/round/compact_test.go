@@ -30,14 +30,13 @@ func (m *flatModel) Accuracy() float64 { return m.acc }
 
 // stressedConfigs builds a vector-record and a compact twin of the same
 // stressed environment: churn, availability, jitter, faults, deadline,
-// retries, failure payment, and a quorum all enabled. The compact config
-// exercises the Fleet-only construction path (no per-node structs).
+// retries, failure payment, and a quorum all enabled.
 func stressedConfigs(t *testing.T, n int, seed int64) (vec, compact edgeenv.Config) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	nodes, err := device.NewFleet(rng, device.DefaultFleetSpec(n))
+	fleet, err := device.NewFleetBatch(rng, device.DefaultFleetSpec(n))
 	if err != nil {
-		t.Fatalf("NewFleet: %v", err)
+		t.Fatalf("NewFleetBatch: %v", err)
 	}
 	churn, err := faults.NewChurnSampler(faults.ChurnRates{Depart: 0.1, Arrive: 0.7}, seed+1)
 	if err != nil {
@@ -48,7 +47,7 @@ func stressedConfigs(t *testing.T, n int, seed int64) (vec, compact edgeenv.Conf
 		t.Fatalf("NewSampler: %v", err)
 	}
 	base := func() edgeenv.Config {
-		cfg := edgeenv.DefaultConfig(nodes, &stubModel{acc: 0.1, step: 0.02}, 500)
+		cfg := edgeenv.DefaultConfig(fleet, &stubModel{acc: 0.1, step: 0.02}, 500)
 		cfg.MaxRounds = 12
 		cfg.CommJitter = 0.2
 		cfg.Availability = 0.9
@@ -65,8 +64,6 @@ func stressedConfigs(t *testing.T, n int, seed int64) (vec, compact edgeenv.Conf
 	vec.Rng = rand.New(rand.NewSource(seed + 3))
 	compact = base()
 	compact.Rng = rand.New(rand.NewSource(seed + 3))
-	compact.Nodes = nil
-	compact.Fleet = device.FromNodes(nodes)
 	compact.CompactRounds = true
 	// Each config needs its own accuracy model instance (stateful).
 	vec.Accuracy = &stubModel{acc: 0.1, step: 0.02}

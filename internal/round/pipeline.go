@@ -16,14 +16,9 @@ import (
 // the caller (edgeenv resolves the default quorum and empty-round timeout
 // before building the pipeline).
 type Config struct {
-	// Fleet is the struct-of-arrays fleet the batch stages run over. When
-	// nil it is packed once from Nodes. At fleet scale, construct the
-	// Fleet directly (device.NewFleetBatch) and leave Nodes nil — the
-	// pipeline never needs per-node structs.
+	// Fleet is the struct-of-arrays fleet the batch stages run over
+	// (required, never mutated by the pipeline).
 	Fleet *device.Fleet
-	// Nodes is the per-node fleet view (never mutated by the pipeline).
-	// Optional when Fleet is set.
-	Nodes []*device.Node
 	// Compact switches the pipeline to aggregate-only round records: no
 	// per-node vectors are allocated per round, and committed
 	// market.Rounds carry the streamed T_k/ΣT reductions instead. The
@@ -78,12 +73,8 @@ type Pipeline struct {
 
 // New validates cfg's pipeline-critical fields and assembles the chain.
 func New(cfg Config) (*Pipeline, error) {
-	fleet := cfg.Fleet
-	if fleet == nil && len(cfg.Nodes) > 0 {
-		fleet = device.FromNodes(cfg.Nodes)
-	}
 	switch {
-	case fleet == nil || fleet.Len() == 0:
+	case cfg.Fleet == nil || cfg.Fleet.Len() == 0:
 		return nil, fmt.Errorf("round: no nodes")
 	case cfg.Accuracy == nil:
 		return nil, fmt.Errorf("round: no accuracy model")
@@ -100,10 +91,9 @@ func New(cfg Config) (*Pipeline, error) {
 		return nil, fmt.Errorf("round: %w", err)
 	}
 	return &Pipeline{
-		Offer: Offer{NumNodes: fleet.Len(), Compact: cfg.Compact},
+		Offer: Offer{NumNodes: cfg.Fleet.Len(), Compact: cfg.Compact},
 		Respond: Respond{
-			Fleet:        fleet,
-			Nodes:        cfg.Nodes,
+			Fleet:        cfg.Fleet,
 			Churn:        cfg.Churn,
 			Availability: cfg.Availability,
 			CommJitter:   cfg.CommJitter,

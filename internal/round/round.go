@@ -339,13 +339,9 @@ type DrawRecorder interface {
 // are then reduced in a single ascending-index pass, so the result is
 // bit-identical to the per-node scalar loop at any worker count.
 type Respond struct {
-	// Fleet is the struct-of-arrays fleet the batch kernels run over.
-	// When nil, it is derived from Nodes on each Run (a compatibility
-	// path for directly constructed stages; the pipeline always sets it).
+	// Fleet is the struct-of-arrays fleet the batch kernels run over
+	// (required, never mutated).
 	Fleet *device.Fleet
-	// Nodes is the per-node fleet view (never mutated). Optional when
-	// Fleet is set.
-	Nodes []*device.Node
 	// Churn is the fleet-membership schedule (nil = fixed fleet). A node
 	// absent at this round's Offer stage is skipped entirely; a node the
 	// schedule departs mid-round still responds (it is present at the
@@ -381,9 +377,6 @@ func (r Respond) Name() string { return "respond" }
 // Run implements Stage.
 func (r Respond) Run(st *State) error {
 	fleet := r.Fleet
-	if fleet == nil {
-		fleet = device.FromNodes(r.Nodes)
-	}
 	n := fleet.Len()
 
 	// Phase 1 — sequential churn/draw pre-pass. Only this phase consumes

@@ -93,7 +93,7 @@ func TestRespondPlaysBestResponse(t *testing.T) {
 	if err := (round.Offer{NumNodes: 3}).Run(st); err != nil {
 		t.Fatalf("Offer: %v", err)
 	}
-	if err := (round.Respond{Nodes: nodes}).Run(st); err != nil {
+	if err := (round.Respond{Fleet: device.FromNodes(nodes)}).Run(st); err != nil {
 		t.Fatalf("Respond: %v", err)
 	}
 
@@ -154,7 +154,7 @@ func TestRespondChurnRNGOrder(t *testing.T) {
 		t.Fatalf("Offer: %v", err)
 	}
 	resp := round.Respond{
-		Nodes:        nodes,
+		Fleet:        device.FromNodes(nodes),
 		Availability: availability,
 		CommJitter:   jitter,
 		Rng:          rand.New(rand.NewSource(seed)),
@@ -439,7 +439,7 @@ func TestNewValidation(t *testing.T) {
 	model := &stubModel{}
 	ledger := testLedger(t, 10)
 	valid := round.Config{
-		Nodes: nodes, Accuracy: model, Ledger: ledger,
+		Fleet: device.FromNodes(nodes), Accuracy: model, Ledger: ledger,
 		MinQuorum: 1, EmptyTimeout: 1,
 	}
 	if _, err := round.New(valid); err != nil {
@@ -450,7 +450,8 @@ func TestNewValidation(t *testing.T) {
 		mutate func(*round.Config)
 		want   string
 	}{
-		{"no nodes", func(c *round.Config) { c.Nodes = nil }, "no nodes"},
+		{"no nodes", func(c *round.Config) { c.Fleet = nil }, "no nodes"},
+		{"empty fleet", func(c *round.Config) { c.Fleet = device.FromNodes(nil) }, "no nodes"},
 		{"no accuracy", func(c *round.Config) { c.Accuracy = nil }, "no accuracy"},
 		{"no ledger", func(c *round.Config) { c.Ledger = nil }, "no ledger"},
 		{"bad quorum", func(c *round.Config) { c.MinQuorum = 0 }, "quorum"},
@@ -474,7 +475,7 @@ func TestPipelineStopsAtTerminalStatus(t *testing.T) {
 	model := &stubModel{acc: 0.5, step: 0.1}
 	ledger := testLedger(t, 100)
 	p, err := round.New(round.Config{
-		Nodes: nodes, Accuracy: model, Ledger: ledger,
+		Fleet: device.FromNodes(nodes), Accuracy: model, Ledger: ledger,
 		MinQuorum: 1, EmptyTimeout: 3,
 	})
 	if err != nil {
@@ -500,7 +501,7 @@ func TestPipelineStopsAtTerminalStatus(t *testing.T) {
 
 func TestStagesOrder(t *testing.T) {
 	p, err := round.New(round.Config{
-		Nodes: []*device.Node{testNode(0)}, Accuracy: &stubModel{},
+		Fleet: device.FromNodes([]*device.Node{testNode(0)}), Accuracy: &stubModel{},
 		Ledger: testLedger(t, 1), MinQuorum: 1, EmptyTimeout: 1,
 	})
 	if err != nil {
@@ -550,7 +551,7 @@ func TestPipelineEconomicLaws(t *testing.T) {
 		failurePayment := propcheck.Uniform(rng, 0, 1)
 		ledger := testLedger(t, propcheck.Uniform(rng, 10, 500))
 		cfg := round.Config{
-			Nodes:          nodes,
+			Fleet:          device.FromNodes(nodes),
 			Availability:   availability,
 			CommJitter:     jitter,
 			Rng:            rand.New(rand.NewSource(rng.Int63())),

@@ -61,8 +61,8 @@ func scale(v float64) float64 {
 // buildFleet draws the composed fleet: each class's nodes come from the
 // paper's DefaultFleetSpec with the profile (and per-class) multipliers
 // applied, drawn from the shared rng in class order so the fleet is a pure
-// function of (classes, seed). Node IDs are global across classes.
-func (s *Spec) buildFleet(rng *rand.Rand) ([]*device.Node, error) {
+// function of (classes, seed), and packed into one fleet.
+func (s *Spec) buildFleet(rng *rand.Rand) (*device.Fleet, error) {
 	nodes := make([]*device.Node, 0, s.NumNodes())
 	for i, c := range s.Classes {
 		p, ok := profiles[c.Profile]
@@ -86,12 +86,9 @@ func (s *Spec) buildFleet(rng *rand.Rand) ([]*device.Node, error) {
 		if err != nil {
 			return nil, fmt.Errorf("scenario: class %d (%s): %w", i, c.Profile, err)
 		}
-		for _, n := range classNodes {
-			n.ID = len(nodes)
-			nodes = append(nodes, n)
-		}
+		nodes = append(nodes, classNodes...)
 	}
-	return nodes, nil
+	return device.FromNodes(nodes), nil
 }
 
 // buildAccuracy constructs the dataset's calibrated curve bound to rng,
@@ -251,7 +248,7 @@ func (s *Spec) BuildEnv(budget float64, hooks envHooks) (*edgeenv.Env, *rand.Ran
 	if budget <= 0 {
 		return nil, nil, fmt.Errorf("%w: η=%v", ErrNegativeBudget, budget)
 	}
-	nodes, err := s.buildFleet(rand.New(rand.NewSource(s.Seed)))
+	fleet, err := s.buildFleet(rand.New(rand.NewSource(s.Seed)))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -260,7 +257,7 @@ func (s *Spec) BuildEnv(budget float64, hooks envHooks) (*edgeenv.Env, *rand.Ran
 	if err != nil {
 		return nil, nil, err
 	}
-	cfg := edgeenv.DefaultConfig(nodes, curve, budget)
+	cfg := edgeenv.DefaultConfig(fleet, curve, budget)
 	if s.Lambda > 0 {
 		cfg.Lambda = s.Lambda
 	}

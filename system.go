@@ -83,14 +83,21 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		mat.SetWorkers(cfg.Workers)
 	}
 
-	nodes := cfg.CustomNodes
-	if len(nodes) == 0 {
+	var fleet *device.Fleet
+	if len(cfg.CustomNodes) > 0 {
+		for i, n := range cfg.CustomNodes {
+			if n == nil {
+				return nil, fmt.Errorf("chiron: CustomNodes[%d] is nil", i)
+			}
+		}
+		fleet = device.FromNodes(cfg.CustomNodes)
+	} else {
 		spec := device.DefaultFleetSpec(cfg.Nodes)
 		if cfg.Fleet != nil {
 			spec = *cfg.Fleet
 		}
 		var err error
-		nodes, err = device.NewFleet(rand.New(rand.NewSource(cfg.Seed)), spec)
+		fleet, err = device.NewFleetBatch(rand.New(rand.NewSource(cfg.Seed)), spec)
 		if err != nil {
 			return nil, fmt.Errorf("chiron: fleet: %w", err)
 		}
@@ -99,13 +106,13 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	acc := cfg.Accuracy
 	if acc == nil {
 		var err error
-		acc, err = buildAccuracyModel(cfg, len(nodes))
+		acc, err = buildAccuracyModel(cfg, fleet.Len())
 		if err != nil {
 			return nil, err
 		}
 	}
 
-	envCfg := edgeenv.DefaultConfig(nodes, acc, cfg.Budget)
+	envCfg := edgeenv.DefaultConfig(fleet, acc, cfg.Budget)
 	if cfg.Lambda > 0 {
 		envCfg.Lambda = cfg.Lambda
 	}
