@@ -1,18 +1,16 @@
 package chiron_test
 
-// The benchmark harness regenerates every table and figure of the paper's
-// evaluation (Sec. VI). Each BenchmarkFig*/BenchmarkTable* below runs the
-// same experiment pipeline as `chiron-bench`, scaled down by -benchscale
-// (default 0.02 → 10 training episodes per learner) so `go test -bench=.`
-// finishes in minutes; pass -benchscale=1.0 for the paper's full 500
-// episodes. Headline numbers are emitted as custom benchmark metrics
-// (accuracy, rounds, time-eff%), so regression in the *shape* of a result
-// is visible straight from benchmark output.
-//
 // Ablation benchmarks cover the design choices called out in DESIGN.md:
 // the hierarchical split vs a single agent, the history window L, the
 // Eqn. 9 vs literal Eqn. 14 reward weighting, and surrogate vs real
-// accuracy measurement.
+// accuracy measurement. They train for 500·-benchscale episodes (default
+// 0.02 → 10; at least 3) and report accuracy and time-eff% as custom
+// metrics. The paper's tables and figures are regenerated by
+// `chiron-bench`, and their training and grid workloads are timed by the
+// bench/ module.
+//
+// Substrate micro-benchmarks time one environment round, one Eqn. 11 best
+// response, one PPO update and one FedAvg round.
 
 import (
 	"flag"
@@ -26,98 +24,12 @@ import (
 	"chiron/internal/dataset"
 	"chiron/internal/device"
 	"chiron/internal/edgeenv"
-	"chiron/internal/experiment"
 	"chiron/internal/fl"
 	"chiron/internal/nn"
 	"chiron/internal/rl"
 )
 
-var benchScale = flag.Float64("benchscale", 0.02, "experiment scale for paper-artifact benchmarks (1.0 = full paper runs)")
-
-// reportComparison surfaces the Chiron row of the largest budget as
-// benchmark metrics.
-func reportComparison(b *testing.B, cmp *experiment.Comparison) {
-	b.Helper()
-	if len(cmp.Points) == 0 {
-		return
-	}
-	last := cmp.Points[len(cmp.Points)-1]
-	for name, r := range last.Results {
-		if name != "Chiron" {
-			continue
-		}
-		b.ReportMetric(r.FinalAccuracy, "accuracy")
-		b.ReportMetric(float64(r.Rounds), "rounds")
-		b.ReportMetric(100*r.TimeEfficiency, "time-eff%")
-	}
-}
-
-func benchComparison(b *testing.B, a experiment.Artifact) {
-	b.Helper()
-	params, err := experiment.ComparisonDefaults(a)
-	if err != nil {
-		b.Fatal(err)
-	}
-	scaled := params.Scale(*benchScale)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cmp, err := experiment.RunComparison(scaled)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportComparison(b, cmp)
-		}
-	}
-}
-
-func benchConvergence(b *testing.B, a experiment.Artifact) {
-	b.Helper()
-	params, err := experiment.ConvergenceDefaults(a)
-	if err != nil {
-		b.Fatal(err)
-	}
-	scaled := params.Scale(*benchScale)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		conv, err := experiment.RunConvergence(scaled)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			last := conv.Episodes[len(conv.Episodes)-1]
-			b.ReportMetric(conv.SmoothedReward[len(conv.SmoothedReward)-1], "reward")
-			b.ReportMetric(float64(last.Rounds), "rounds")
-		}
-	}
-}
-
-// BenchmarkFig3ConvergenceMNIST regenerates Fig. 3: Chiron's episode-reward
-// learning curve on MNIST with 5 nodes, η=300.
-func BenchmarkFig3ConvergenceMNIST(b *testing.B) { benchConvergence(b, experiment.Fig3) }
-
-// BenchmarkFig4MNIST regenerates Fig. 4(a–c): final accuracy, rounds, and
-// time efficiency vs budget on MNIST for Chiron, DRL-based, and Greedy.
-func BenchmarkFig4MNIST(b *testing.B) { benchComparison(b, experiment.Fig4) }
-
-// BenchmarkFig5FashionMNIST regenerates Fig. 5(a–c) on Fashion-MNIST.
-func BenchmarkFig5FashionMNIST(b *testing.B) { benchComparison(b, experiment.Fig5) }
-
-// BenchmarkFig6CIFAR10 regenerates Fig. 6(a–c) on CIFAR-10 with the
-// paper's larger budgets.
-func BenchmarkFig6CIFAR10(b *testing.B) { benchComparison(b, experiment.Fig6) }
-
-// BenchmarkFig7aLargeScaleChiron regenerates Fig. 7(a): Chiron's exterior
-// convergence with 100 edge nodes.
-func BenchmarkFig7aLargeScaleChiron(b *testing.B) { benchConvergence(b, experiment.Fig7a) }
-
-// BenchmarkFig7bLargeScaleDRLBased regenerates Fig. 7(b): the single-agent
-// DRL-based approach at 100 nodes (the paper's non-convergence case).
-func BenchmarkFig7bLargeScaleDRLBased(b *testing.B) { benchConvergence(b, experiment.Fig7b) }
-
-// BenchmarkTable1LargeScale regenerates Table I: Chiron at 100 nodes
-// across budgets 140–380.
-func BenchmarkTable1LargeScale(b *testing.B) { benchComparison(b, experiment.Tab1) }
+var benchScale = flag.Float64("benchscale", 0.02, "training scale for the ablation benchmarks (1.0 = the paper's 500 episodes)")
 
 // ---------------------------------------------------------------------------
 // Ablation benchmarks (design choices from DESIGN.md).
@@ -325,6 +237,7 @@ func BenchmarkPPOUpdate(b *testing.B) {
 		}
 		buf.Add(rl.Transition{State: state, Action: act, Reward: rng.Float64(), NextState: state, Done: i == 31, LogProb: lp})
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := agent.Update(buf); err != nil {
@@ -367,6 +280,7 @@ func BenchmarkFedAvgRound(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		global := srv.Global()

@@ -2,17 +2,13 @@
 // 100 edge nodes on the MNIST task across four budgets, reporting final
 // accuracy, training rounds, and time efficiency per budget.
 //
-// With -fleet it instead exercises the struct-of-arrays fleet core: full
-// compact-mode rounds at growing fleet sizes, reporting rounds/sec,
-// ns/node·round, and resident bytes/node — the same scaling ladder behind
-// BENCH_fleet.json (cmd/fleetbench writes the committed artifact; this
-// mode is the runnable walkthrough of the same code path).
+// Fleet-scale round throughput (100k nodes, no learner) is the bench/
+// module's fleet-100k workload; see README.md.
 //
 // Run with:
 //
 //	go run ./examples/largescale            (fast pass, 150 episodes/budget)
 //	go run ./examples/largescale -full      (paper scale, 500 episodes/budget)
-//	go run ./examples/largescale -fleet     (fleet scaling benchmark, 1k → 1M nodes)
 package main
 
 import (
@@ -23,20 +19,11 @@ import (
 	"time"
 
 	"chiron"
-	"chiron/internal/experiment"
 )
 
 func main() {
 	full := flag.Bool("full", false, "run the paper's full 500 episodes per budget")
-	fleet := flag.Bool("fleet", false, "run the struct-of-arrays fleet scaling benchmark instead of Table I")
 	flag.Parse()
-	if *fleet {
-		if err := runFleet(os.Stdout, experiment.DefaultFleetBenchCases()); err != nil {
-			fmt.Fprintf(os.Stderr, "largescale: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	episodes := 150
 	if *full {
 		episodes = 500
@@ -45,26 +32,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "largescale: %v\n", err)
 		os.Exit(1)
 	}
-}
-
-// runFleet drives the compact-mode scaling ladder and renders the table
-// the README's fleet-scale section quotes.
-func runFleet(w io.Writer, cases []experiment.FleetBenchCase) error {
-	fmt.Fprintln(w, "Struct-of-arrays fleet core: full rounds (Offer→Respond→Execute→Settle→Commit),")
-	fmt.Fprintln(w, "compact records, all nodes joining at 80% saturation prices.")
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "%-10s %8s %14s %16s %12s\n", "nodes", "rounds", "rounds/sec", "ns/node·round", "bytes/node")
-	results, err := experiment.RunFleetBench(experiment.FleetBenchParams{Cases: cases, Seed: 7})
-	if err != nil {
-		return err
-	}
-	for _, r := range results {
-		fmt.Fprintf(w, "%-10d %8d %14.1f %16.1f %12.0f\n",
-			r.Nodes, r.Rounds, r.RoundsPerSec, r.NsPerNodeRound, r.BytesPerNode)
-	}
-	fmt.Fprintln(w, "\nper-round allocations are independent of N: the round State is reused and")
-	fmt.Fprintln(w, "committed records carry streamed aggregates (see DESIGN.md §13).")
-	return nil
 }
 
 func run(w io.Writer, nodes, episodes int, budgets []float64) error {

@@ -3,8 +3,6 @@ package main
 import (
 	"io"
 	"testing"
-
-	"chiron/internal/experiment"
 )
 
 // TestRunSmoke runs the Table I sweep with one tiny budget and a small
@@ -12,13 +10,5 @@ import (
 func TestRunSmoke(t *testing.T) {
 	if err := run(io.Discard, 4, 2, []float64{40}); err != nil {
 		t.Fatalf("run: %v", err)
-	}
-}
-
-// TestRunFleetSmoke exercises the -fleet mode on a reduced ladder.
-func TestRunFleetSmoke(t *testing.T) {
-	cases := []experiment.FleetBenchCase{{Nodes: 256, Rounds: 4}, {Nodes: 1024, Rounds: 2}}
-	if err := runFleet(io.Discard, cases); err != nil {
-		t.Fatalf("runFleet: %v", err)
 	}
 }

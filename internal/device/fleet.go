@@ -318,9 +318,9 @@ func (f *Fleet) zeroResponse(i int, out *BatchResponse) {
 	}
 }
 
-// MemoryFootprint returns the fleet's resident column bytes — the
-// denominator-independent part of the bytes/node metric BENCH_fleet
-// reports.
+// MemoryFootprint returns the fleet's resident column bytes: 104 B per
+// node, the fixed part of a compact fleet's per-node memory (the reusable
+// round scratch is the rest).
 func (f *Fleet) MemoryFootprint() int {
 	floatCols := 11 // 8 parameter + 3 derived
 	intCols := 2

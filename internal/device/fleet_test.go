@@ -194,7 +194,7 @@ func TestBatchResponseResize(t *testing.T) {
 	}
 }
 
-// TestMemoryFootprint pins the bytes/node constant the benchmark reports.
+// TestMemoryFootprint pins the fleet's resident column bytes per node.
 func TestMemoryFootprint(t *testing.T) {
 	fleet := FromNodes([]*Node{testNode(), testNode()})
 	perNode := fleet.MemoryFootprint() / 2

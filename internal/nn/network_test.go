@@ -223,3 +223,43 @@ func TestParamVectorRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestClassifierStepAllocsZero pins the RealTraining inner loop of
+// fl.Client.TrainRound at zero steady-state allocations: a 64-32-10
+// classifier's forward pass, softmax cross-entropy and params-only backward
+// pass on a batch of 10 reuse the network's recycled workspaces. The
+// batch is small enough that no GEMM fans out into row bands, so the
+// contract holds at any worker count.
+func TestClassifierStepAllocsZero(t *testing.T) {
+	defer mat.SetWorkers(0)
+	rng := rand.New(rand.NewSource(11))
+	net, err := NewClassifierMLP(rng, 64, 32, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := mat.New(10, 64)
+	x.Randomize(rng, 1)
+	labels := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	grad := mat.New(10, 10)
+	probs := make([]float64, 10)
+	step := func() {
+		logits, err := net.Forward(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := SoftmaxCrossEntropyTo(grad, logits, labels, probs); err != nil {
+			t.Fatal(err)
+		}
+		net.ZeroGrad()
+		if err := net.BackwardParamsOnly(grad); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, workers := range []int{1, 2} {
+		mat.SetWorkers(workers)
+		step() // size the workspaces
+		if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
+			t.Errorf("workers=%d: %v allocs per training step, want 0", workers, allocs)
+		}
+	}
+}

@@ -1,10 +1,12 @@
 // Compact-mode (fleet-scale) pipeline tests: aggregate equivalence with
-// the vector-record path, worker-count invariance, and the steady-state
-// allocation contract.
+// the vector-record path, worker-count invariance, the fleet-ladder
+// digests, and the steady-state allocation contract.
 package round_test
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -29,9 +31,10 @@ func (m *flatModel) Advance(participants []int) (float64, error) {
 func (m *flatModel) Accuracy() float64 { return m.acc }
 
 // stressedConfigs builds a vector-record and a compact twin of the same
-// stressed environment: churn, availability, jitter, faults, deadline,
-// retries, failure payment, and a quorum all enabled.
-func stressedConfigs(t *testing.T, n int, seed int64) (vec, compact edgeenv.Config) {
+// stressed environment over n nodes with the given budget: churn,
+// availability, jitter, faults, deadline, retries, failure payment, and a
+// quorum all enabled.
+func stressedConfigs(t *testing.T, n int, seed int64, budget float64) (vec, compact edgeenv.Config) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	fleet, err := device.NewFleetBatch(rng, device.DefaultFleetSpec(n))
@@ -47,7 +50,7 @@ func stressedConfigs(t *testing.T, n int, seed int64) (vec, compact edgeenv.Conf
 		t.Fatalf("NewSampler: %v", err)
 	}
 	base := func() edgeenv.Config {
-		cfg := edgeenv.DefaultConfig(fleet, &stubModel{acc: 0.1, step: 0.02}, 500)
+		cfg := edgeenv.DefaultConfig(fleet, &stubModel{acc: 0.1, step: 0.02}, budget)
 		cfg.MaxRounds = 12
 		cfg.CommJitter = 0.2
 		cfg.Availability = 0.9
@@ -77,7 +80,7 @@ func stressedConfigs(t *testing.T, n int, seed int64) (vec, compact edgeenv.Conf
 // within float tolerance — under the full failure model.
 func TestCompactMatchesVectorPipeline(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
-		vecCfg, compactCfg := stressedConfigs(t, 24, 100+seed*17)
+		vecCfg, compactCfg := stressedConfigs(t, 24, 100+seed*17, 500)
 		vecEnv, err := edgeenv.New(vecCfg)
 		if err != nil {
 			t.Fatalf("vector env: %v", err)
@@ -156,7 +159,10 @@ func episodeDigest(t *testing.T, workers int) []float64 {
 	t.Helper()
 	mat.SetWorkers(workers)
 	defer mat.SetWorkers(0)
-	_, cfg := stressedConfigs(t, 64, 4242)
+	// 5,000 nodes put both Respond and Execute above mat.ParallelRange's
+	// fan-out threshold, so every failure path runs sharded; the budget
+	// scales with the fleet so the episode lasts several rounds.
+	_, cfg := stressedConfigs(t, 5000, 4242, 40_000)
 	env, err := edgeenv.New(cfg)
 	if err != nil {
 		t.Fatalf("env: %v", err)
@@ -191,6 +197,88 @@ func TestCompactWorkerInvariance(t *testing.T) {
 		for i := range ref {
 			if got[i] != ref[i] {
 				t.Fatalf("workers=%d: digest[%d] = %b != %b", workers, i, got[i], ref[i])
+			}
+		}
+	}
+}
+
+// fleetLadderDigest drives full compact rounds over a seed-7 fleet of n
+// nodes at 80% of every node's saturation price — the all-join worst case
+// for per-round work — and returns the FNV-64a digest of each committed
+// round's Payment, MaxTime, SumTime, Participants and Completed. The budget
+// is the saturation outlay Σ p_i(ζ_i^max)·ζ_i^max times the round count,
+// so no round runs short of money.
+func fleetLadderDigest(t *testing.T, n, rounds, workers int) string {
+	t.Helper()
+	mat.SetWorkers(workers)
+	defer mat.SetWorkers(0)
+	fleet, err := device.NewFleetBatch(rand.New(rand.NewSource(7)), device.DefaultFleetSpec(n))
+	if err != nil {
+		t.Fatalf("NewFleetBatch: %v", err)
+	}
+	var maxOutlay float64
+	for i := 0; i < fleet.Len(); i++ {
+		maxOutlay += fleet.PriceForFreq(i, fleet.FreqMax[i]) * fleet.FreqMax[i]
+	}
+	cfg := edgeenv.DefaultFleetConfig(fleet, &flatModel{step: 1e-6}, maxOutlay*float64(rounds+2)+1)
+	cfg.MaxRounds = rounds + 2
+	env, err := edgeenv.New(cfg)
+	if err != nil {
+		t.Fatalf("env: %v", err)
+	}
+	if err := env.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	prices := make([]float64, n)
+	for i := range prices {
+		prices[i] = fleet.PriceForFreq(i, fleet.FreqMax[i]) * 0.8
+	}
+	// The warm-up round is outside the digest.
+	if _, err := env.Step(prices); err != nil {
+		t.Fatalf("warm-up step: %v", err)
+	}
+	h := fnv.New64a()
+	var buf [8]byte
+	for k := 0; k < rounds; k++ {
+		res, err := env.Step(prices)
+		if err != nil {
+			t.Fatalf("round %d: %v", k, err)
+		}
+		if res.Done {
+			t.Fatalf("episode ended early at round %d", k)
+		}
+		for _, v := range []float64{
+			res.Round.Payment, res.Round.MaxTime, res.Round.SumTime,
+			float64(res.Round.Participants), float64(res.Round.Completed),
+		} {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			h.Write(buf[:])
+		}
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestFleetLadderDigests pins the sharded Respond and Execute stages at
+// fleet scale: 1k, 10k and 100k nodes reproduce committed round digests at
+// one worker and at four. 1k runs both stages inline (below
+// mat.ParallelRange's fan-out threshold); 10k and 100k shard both. 100k
+// runs only without -short.
+func TestFleetLadderDigests(t *testing.T) {
+	for _, c := range []struct {
+		nodes, rounds int
+		digest        string
+		long          bool
+	}{
+		{1_000, 512, "9133fc2b13a5c725", false},
+		{10_000, 128, "7c40a1b13d7abe25", false},
+		{100_000, 32, "38d7126536796025", true},
+	} {
+		if c.long && testing.Short() {
+			continue
+		}
+		for _, workers := range []int{1, 4} {
+			if got := fleetLadderDigest(t, c.nodes, c.rounds, workers); got != c.digest {
+				t.Errorf("N=%d workers=%d: digest %s, want %s", c.nodes, workers, got, c.digest)
 			}
 		}
 	}
