@@ -25,6 +25,7 @@ import (
 	"chiron/internal/device"
 	"chiron/internal/edgeenv"
 	"chiron/internal/fl"
+	"chiron/internal/mechanism"
 	"chiron/internal/nn"
 	"chiron/internal/rl"
 )
@@ -113,7 +114,7 @@ func BenchmarkAblationSingleAgent(b *testing.B) {
 		if _, err := d.Train(episodes, nil); err != nil {
 			b.Fatal(err)
 		}
-		res, err := core.EvaluateMechanism(d, 2)
+		res, err := mechanism.Evaluate(d, 2)
 		if err != nil {
 			b.Fatal(err)
 		}

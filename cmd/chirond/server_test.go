@@ -21,7 +21,7 @@ func serverSpec(name string, seed int64) *scenario.Spec {
 		Dataset: "mnist",
 		Seed:    seed,
 		Classes: []scenario.DeviceClass{
-			{Profile: scenario.ProfileNames()[0], Count: 5},
+			{Profile: "paper", Count: 5},
 		},
 		Budgets:      []float64{60, 90},
 		Mechanisms:   []string{"uniform", "equal-time"},
@@ -170,7 +170,7 @@ func TestServerSessionsMatchCLITwins(t *testing.T) {
 
 		twin := serverSpec(fmt.Sprintf("twin-%d", i), seed)
 		twin.Churn = &scenario.ChurnSpec{Script: "+1@3,-2@6"}
-		want, err := scenario.Run(twin, 1)
+		want, err := scenario.Run(twin, 1, scenario.CellHooks{})
 		if err != nil {
 			t.Fatal(err)
 		}

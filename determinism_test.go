@@ -80,12 +80,12 @@ func flFingerprint(t *testing.T, workers int) uint64 {
 	for round := 0; round < 3; round++ {
 		global := server.Global()
 		updates := make([]fl.Update, 0, len(clients))
-		for _, c := range clients {
+		for i, c := range clients {
 			params, _, err := c.TrainRound(global)
 			if err != nil {
 				t.Fatal(err)
 			}
-			updates = append(updates, fl.Update{Client: c.ID(), Params: params, Samples: c.NumSamples()})
+			updates = append(updates, fl.Update{Client: i, Params: params, Samples: c.NumSamples()})
 		}
 		if err := server.Aggregate(updates); err != nil {
 			t.Fatal(err)
@@ -178,12 +178,39 @@ func ppoFingerprint(t *testing.T, workers int, mixed bool) uint64 {
 			}
 		}
 	}
-	v, err := agent.Value(states[steps])
+	v, err := criticValue(agent.Config().Hidden, snap.Critic, states[steps])
 	if err != nil {
 		t.Fatal(err)
 	}
 	hashFloats(h, []float64{v})
 	return h.Sum64()
+}
+
+// criticValue estimates V(state) with a fresh tanh critic of the agent's
+// shape (state → hidden… → 1) loaded with the snapshot's critic tensors, so
+// it runs the same forward pass as the agent's own critic.
+func criticValue(hidden []int, tensors [][]float64, state []float64) (float64, error) {
+	widths := append(append([]int{len(state)}, hidden...), 1)
+	critic, err := nn.NewMLP(rand.New(rand.NewSource(0)), nn.ActTanh, widths...)
+	if err != nil {
+		return 0, err
+	}
+	var flat []float64
+	for _, p := range tensors {
+		flat = append(flat, p...)
+	}
+	if err := critic.LoadParams(flat); err != nil {
+		return 0, err
+	}
+	x, err := mat.NewFromData(1, len(state), state)
+	if err != nil {
+		return 0, err
+	}
+	out, err := critic.Forward(x)
+	if err != nil {
+		return 0, err
+	}
+	return out.At(0, 0), nil
 }
 
 // systemFingerprint trains a small full system (surrogate accuracy) for two

@@ -14,7 +14,7 @@ import (
 	"os"
 
 	"chiron"
-	"chiron/internal/core"
+	"chiron/internal/mechanism"
 )
 
 func main() {
@@ -61,7 +61,7 @@ func run(w io.Writer, nodes, episodes, evalEps int, budget float64) error {
 	if _, err := drl.Train(episodes, nil); err != nil {
 		return err
 	}
-	drlRes, err := core.EvaluateMechanism(drl, evalEps)
+	drlRes, err := mechanism.Evaluate(drl, evalEps)
 	if err != nil {
 		return err
 	}
@@ -72,7 +72,7 @@ func run(w io.Writer, nodes, episodes, evalEps int, budget float64) error {
 	if _, err := greedy.Train(episodes, nil); err != nil {
 		return err
 	}
-	greedyRes, err := core.EvaluateMechanism(greedy, evalEps)
+	greedyRes, err := mechanism.Evaluate(greedy, evalEps)
 	if err != nil {
 		return err
 	}

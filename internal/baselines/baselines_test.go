@@ -166,16 +166,16 @@ func TestGreedyWarmupAndExploration(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewGreedy: %v", err)
 	}
-	if g.BufferSize() != 8 {
-		t.Fatalf("warmup buffer %d, want 8", g.BufferSize())
+	if g.head.Len() != 8 {
+		t.Fatalf("warmup buffer %d, want 8", g.head.Len())
 	}
 	res, err := g.RunEpisode(true)
 	if err != nil {
 		t.Fatalf("RunEpisode: %v", err)
 	}
 	// With ε=1 every played round appends a new action.
-	if g.BufferSize() < 8+res.Rounds {
-		t.Fatalf("buffer %d after %d exploring rounds", g.BufferSize(), res.Rounds)
+	if g.head.Len() < 8+res.Rounds {
+		t.Fatalf("buffer %d after %d exploring rounds", g.head.Len(), res.Rounds)
 	}
 }
 
@@ -189,7 +189,7 @@ func TestGreedyExploitsBestAction(t *testing.T) {
 	if _, err := g.RunEpisode(true); err != nil {
 		t.Fatalf("RunEpisode: %v", err)
 	}
-	size := g.BufferSize()
+	size := g.head.Len()
 	if size != 8 {
 		t.Fatalf("buffer grew without exploration: %d", size)
 	}

@@ -239,21 +239,10 @@ func (d *DRLBased) Checkpoint() *rl.Checkpoint {
 // Restore overwrites the baseline's training state from a checkpoint taken
 // on an identically shaped system.
 func (d *DRLBased) Restore(ck *rl.Checkpoint) error {
-	if ck == nil {
-		return fmt.Errorf("baselines: restore from nil checkpoint")
+	if err := rl.CheckPins(ck, drlCheckpointMechanism, d.env.NumNodes(), d.obs.Dim(), d.pair.Name); err != nil {
+		return err
 	}
-	if ck.Mechanism != "" && ck.Mechanism != drlCheckpointMechanism {
-		return fmt.Errorf("%w: checkpoint for mechanism %q, want %q", rl.ErrShapeMismatch, ck.Mechanism, drlCheckpointMechanism)
-	}
-	st := ck.Agent("agent")
-	if st == nil || st.Snapshot == nil {
-		return fmt.Errorf("%w: missing agent snapshot", rl.ErrCorruptCheckpoint)
-	}
-	if ck.Nodes != d.env.NumNodes() || ck.StateDim != d.obs.Dim() {
-		return fmt.Errorf("%w: checkpoint for %d nodes / state dim %d, environment has %d / %d",
-			rl.ErrShapeMismatch, ck.Nodes, ck.StateDim, d.env.NumNodes(), d.obs.Dim())
-	}
-	if err := rl.RestorePair(d.pair, st); err != nil {
+	if err := rl.RestorePair(d.pair, ck.Agent(d.pair.Name)); err != nil {
 		return fmt.Errorf("baselines: restore drl-based: %w", err)
 	}
 	d.drv.SetEpisode(ck.Episode)

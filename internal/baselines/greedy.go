@@ -87,9 +87,6 @@ func (g *Greedy) Name() string { return "Greedy" }
 // Env implements mechanism.Mechanism.
 func (g *Greedy) Env() *edgeenv.Env { return g.env }
 
-// BufferSize reports the replay-buffer length (grows with exploration).
-func (g *Greedy) BufferSize() int { return g.head.Len() }
-
 // Episode returns the number of training episodes completed.
 func (g *Greedy) Episode() int { return g.drv.Episode() }
 
@@ -161,14 +158,8 @@ func (g *Greedy) Checkpoint() (*rl.Checkpoint, error) {
 // Restore overwrites the baseline's training state from a checkpoint taken
 // on an identically shaped system.
 func (g *Greedy) Restore(ck *rl.Checkpoint) error {
-	if ck == nil {
-		return fmt.Errorf("baselines: restore from nil checkpoint")
-	}
-	if ck.Mechanism != "" && ck.Mechanism != greedyCheckpointMechanism {
-		return fmt.Errorf("%w: checkpoint for mechanism %q, want %q", rl.ErrShapeMismatch, ck.Mechanism, greedyCheckpointMechanism)
-	}
-	if ck.Nodes != g.env.NumNodes() {
-		return fmt.Errorf("%w: checkpoint for %d nodes, environment has %d", rl.ErrShapeMismatch, ck.Nodes, g.env.NumNodes())
+	if err := rl.CheckPins(ck, greedyCheckpointMechanism, g.env.NumNodes(), 0); err != nil {
+		return err
 	}
 	if len(ck.Extra) == 0 {
 		return fmt.Errorf("%w: missing greedy replay buffer", rl.ErrCorruptCheckpoint)

@@ -37,25 +37,13 @@ func (c *Chiron) Checkpoint() *Checkpoint {
 // Restore overwrites the agent's training state from a checkpoint taken on
 // an identically shaped system.
 func (c *Chiron) Restore(ck *Checkpoint) error {
-	if ck == nil {
-		return fmt.Errorf("core: restore from nil checkpoint")
+	if err := rl.CheckPins(ck, checkpointMechanism, c.env.NumNodes(), c.obs.Dim(), c.pairE.Name, c.pairI.Name); err != nil {
+		return err
 	}
-	if ck.Mechanism != "" && ck.Mechanism != checkpointMechanism {
-		return fmt.Errorf("%w: checkpoint for mechanism %q, want %q", rl.ErrShapeMismatch, ck.Mechanism, checkpointMechanism)
-	}
-	ext, inn := ck.Agent("exterior"), ck.Agent("inner")
-	if ext == nil || ext.Snapshot == nil || inn == nil || inn.Snapshot == nil {
-		return fmt.Errorf("%w: missing agent snapshot (exterior=%v inner=%v)",
-			ErrCorruptCheckpoint, ext != nil && ext.Snapshot != nil, inn != nil && inn.Snapshot != nil)
-	}
-	if ck.Nodes != c.env.NumNodes() || ck.StateDim != c.obs.Dim() {
-		return fmt.Errorf("%w: checkpoint for %d nodes / state dim %d, environment has %d / %d",
-			rl.ErrShapeMismatch, ck.Nodes, ck.StateDim, c.env.NumNodes(), c.obs.Dim())
-	}
-	if err := rl.RestorePair(c.pairE, ext); err != nil {
+	if err := rl.RestorePair(c.pairE, ck.Agent(c.pairE.Name)); err != nil {
 		return fmt.Errorf("core: restore exterior: %w", err)
 	}
-	if err := rl.RestorePair(c.pairI, inn); err != nil {
+	if err := rl.RestorePair(c.pairI, ck.Agent(c.pairI.Name)); err != nil {
 		return fmt.Errorf("core: restore inner: %w", err)
 	}
 	c.drv.SetEpisode(ck.Episode)

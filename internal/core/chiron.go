@@ -407,15 +407,7 @@ func (c *Chiron) Train(episodes int, callback func(mechanism.EpisodeResult)) ([]
 // Evaluate plays episodes episodes with deterministic (mean) actions and no
 // learning, returning the mean of each metric.
 func (c *Chiron) Evaluate(episodes int) (mechanism.EpisodeResult, error) {
-	return EvaluateMechanism(c, episodes)
-}
-
-// EvaluateMechanism averages deterministic episodes for any mechanism.
-//
-// Deprecated: it delegates to mechanism.Evaluate, the consolidated
-// train/evaluate path; call that directly in new code.
-func EvaluateMechanism(m mechanism.Mechanism, episodes int) (mechanism.EpisodeResult, error) {
-	return mechanism.Evaluate(m, episodes)
+	return mechanism.Evaluate(c, episodes)
 }
 
 // PriceVector reproduces the deterministic pricing decision for the current

@@ -8,6 +8,7 @@ import (
 	"chiron/internal/accuracy"
 	"chiron/internal/device"
 	"chiron/internal/edgeenv"
+	"chiron/internal/mat"
 	"chiron/internal/mechanism"
 )
 
@@ -131,12 +132,12 @@ func TestRunEpisodeTrainPopulatesAndClearsBuffers(t *testing.T) {
 func TestRunEpisodeEvalDoesNotLearn(t *testing.T) {
 	env := testEnv(t, 3, 100)
 	ch := newTestChiron(t, env)
-	before := ch.Exterior().Policy().Params()[0].Value.Clone()
+	before := mat.CloneVec(ch.Exterior().Policy().Params()[0].Value.Data())
 	if _, err := ch.RunEpisode(false); err != nil {
 		t.Fatalf("RunEpisode: %v", err)
 	}
 	after := ch.Exterior().Policy().Params()[0].Value
-	for i, v := range before.Data() {
+	for i, v := range before {
 		if after.Data()[i] != v {
 			t.Fatal("eval episode mutated policy parameters")
 		}
@@ -226,12 +227,12 @@ func TestTrainingImproves(t *testing.T) {
 	}
 }
 
-func TestEvaluateMechanismAverages(t *testing.T) {
+func TestEvaluateAverages(t *testing.T) {
 	env := testEnv(t, 2, 100)
 	ch := newTestChiron(t, env)
-	res, err := EvaluateMechanism(ch, 3)
+	res, err := ch.Evaluate(3)
 	if err != nil {
-		t.Fatalf("EvaluateMechanism: %v", err)
+		t.Fatalf("Evaluate: %v", err)
 	}
 	if res.Episode != 3 {
 		t.Fatalf("Episode field %d, want eval count 3", res.Episode)
@@ -239,8 +240,8 @@ func TestEvaluateMechanismAverages(t *testing.T) {
 	if res.Rounds <= 0 {
 		t.Fatalf("rounds %d", res.Rounds)
 	}
-	if _, err := EvaluateMechanism(ch, 0); err == nil {
-		t.Fatal("EvaluateMechanism accepted zero episodes")
+	if _, err := ch.Evaluate(0); err == nil {
+		t.Fatal("Evaluate accepted zero episodes")
 	}
 }
 

@@ -124,14 +124,3 @@ func (d *Dataset) Batches(size int, fn func(x *mat.Matrix, y []int) error) error
 	}
 	return nil
 }
-
-// ClassCounts returns the per-class sample counts.
-func (d *Dataset) ClassCounts() []int {
-	counts := make([]int, d.Classes)
-	for _, y := range d.Y {
-		if y >= 0 && y < d.Classes {
-			counts[y]++
-		}
-	}
-	return counts
-}

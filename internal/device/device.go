@@ -154,17 +154,6 @@ func (n *Node) BestResponseWithComm(price, commTime float64) Response {
 	}
 }
 
-// OptimalComputeTime returns t^{cmp,*}_{i,k} = 2 α σ² c² d² / p (Eqn. 12),
-// the compute time at the unconstrained interior optimum. It is exposed for
-// analysis and tests; BestResponse applies the frequency box constraints.
-func (n *Node) OptimalComputeTime(price float64) float64 {
-	if price <= 0 {
-		return math.Inf(1)
-	}
-	w := n.workload()
-	return 2 * n.Capacitance * w * w / price
-}
-
 // PriceForFreq returns the price that makes freq the node's interior best
 // response — the inverse of Eqn. 11. Useful for constructing oracle pricing
 // strategies in tests and baselines.

@@ -93,9 +93,6 @@ func TestBestResponseInteriorEqn11(t *testing.T) {
 	}
 	// Eqn. 12: optimal compute time 2ασ²c²d²/p.
 	wantCmp := 2 * n.Capacitance * n.workload() * n.workload() / price
-	if math.Abs(n.OptimalComputeTime(price)-wantCmp) > 1e-9 {
-		t.Fatalf("OptimalComputeTime = %v, want %v", n.OptimalComputeTime(price), wantCmp)
-	}
 	if math.Abs(resp.Time-(wantCmp+n.CommTime)) > 1e-9 {
 		t.Fatalf("response time = %v, want %v", resp.Time, wantCmp+n.CommTime)
 	}

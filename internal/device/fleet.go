@@ -2,10 +2,7 @@ package device
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
-
-	"chiron/internal/mat"
 )
 
 // Fleet is the struct-of-arrays batch form of a device fleet: one
@@ -195,29 +192,6 @@ func (f *Fleet) MaxTotalPrice() float64 {
 	return sum
 }
 
-// ComputeTimeColumn writes T^cmp_i = w_i/freqs[i] (Eqn. 6) for nodes
-// [lo,hi) into dst. A non-positive frequency yields +Inf, matching the
-// scalar ComputeTime.
-func (f *Fleet) ComputeTimeColumn(lo, hi int, freqs, dst []float64) {
-	for i := lo; i < hi; i++ {
-		if freqs[i] <= 0 {
-			dst[i] = math.Inf(1)
-			continue
-		}
-		dst[i] = f.workload[i] / freqs[i]
-	}
-}
-
-// UtilityColumn writes u_i = p_i·ζ_i − E_i (Eqn. 8) for nodes [lo,hi) into
-// dst, using each node's nominal upload time — identical to the scalar
-// Utility method.
-func (f *Fleet) UtilityColumn(lo, hi int, prices, freqs, dst []float64) {
-	for i := lo; i < hi; i++ {
-		energy := f.energyCoef[i]*freqs[i]*freqs[i] + f.CommEnergyRate[i]*f.CommTime[i]
-		dst[i] = prices[i]*freqs[i] - energy
-	}
-}
-
 // BatchResponse is the struct-of-arrays form of Response: column i holds
 // node i's reaction to the posted price. Joined is the participation
 // screen; declined nodes carry zeros in every other column, exactly like
@@ -231,29 +205,6 @@ type BatchResponse struct {
 	Payment []float64
 	Util    []float64 // optional
 	Energy  []float64 // optional
-}
-
-// Resize grows (or reslices) every non-nil column set to length n. Util
-// and Energy are allocated only if already non-nil.
-func (b *BatchResponse) Resize(n int) {
-	b.Joined = ensureBools(b.Joined, n)
-	b.Freq = mat.EnsureVec(b.Freq, n)
-	b.Time = mat.EnsureVec(b.Time, n)
-	b.Payment = mat.EnsureVec(b.Payment, n)
-	if b.Util != nil {
-		b.Util = mat.EnsureVec(b.Util, n)
-	}
-	if b.Energy != nil {
-		b.Energy = mat.EnsureVec(b.Energy, n)
-	}
-}
-
-// ensureBools is EnsureVec for masks.
-func ensureBools(v []bool, n int) []bool {
-	if len(v) == n {
-		return v
-	}
-	return make([]bool, n)
 }
 
 // BestResponseRange plays OP_{i,k} for nodes [lo,hi): the Eqn. (11)
@@ -316,13 +267,4 @@ func (f *Fleet) zeroResponse(i int, out *BatchResponse) {
 	if out.Energy != nil {
 		out.Energy[i] = 0
 	}
-}
-
-// MemoryFootprint returns the fleet's resident column bytes: 104 B per
-// node, the fixed part of a compact fleet's per-node memory (the reusable
-// round scratch is the rest).
-func (f *Fleet) MemoryFootprint() int {
-	floatCols := 11 // 8 parameter + 3 derived
-	intCols := 2
-	return f.n * (floatCols*8 + intCols*8)
 }

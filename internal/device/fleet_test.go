@@ -3,6 +3,7 @@ package device
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -64,8 +65,9 @@ func TestBestResponseRangeMatchesScalar(t *testing.T) {
 	n := fleet.Len()
 	prices := make([]float64, n)
 	comm := make([]float64, n)
-	out := BatchResponse{Util: []float64{}, Energy: []float64{}}
-	out.Resize(n)
+	out := newBatchResponse(n)
+	out.Util = make([]float64, n)
+	out.Energy = make([]float64, n)
 	for trial := 0; trial < 50; trial++ {
 		for i := 0; i < n; i++ {
 			// Cover decline (non-positive price), interior, and both clip
@@ -107,8 +109,7 @@ func TestBestResponseRangeEligibleMask(t *testing.T) {
 	for i := range eligible {
 		eligible[i] = i%2 == 0
 	}
-	var out BatchResponse
-	out.Resize(n)
+	out := newBatchResponse(n)
 	// Poison the buffers to prove declined nodes are rewritten.
 	for i := range out.Freq {
 		out.Joined[i] = true
@@ -131,7 +132,7 @@ func TestBestResponseRangeEligibleMask(t *testing.T) {
 	}
 }
 
-// TestFleetColumns pins the derived-column helpers against the scalar
+// TestFleetColumns pins the per-node derived quantities against the scalar
 // methods.
 func TestFleetColumns(t *testing.T) {
 	nodes, err := NewFleet(rand.New(rand.NewSource(2)), DefaultFleetSpec(12))
@@ -139,7 +140,6 @@ func TestFleetColumns(t *testing.T) {
 		t.Fatalf("NewFleet: %v", err)
 	}
 	fleet := FromNodes(nodes)
-	n := fleet.Len()
 	var wantTotal float64
 	for i, nd := range nodes {
 		if got := fleet.Workload(i); got != float64(nd.Epochs)*nd.CyclesPerBit*nd.DataBits {
@@ -153,52 +153,33 @@ func TestFleetColumns(t *testing.T) {
 	if got := fleet.MaxTotalPrice(); got != wantTotal {
 		t.Fatalf("MaxTotalPrice %v != %v", got, wantTotal)
 	}
-
-	freqs := make([]float64, n)
-	prices := make([]float64, n)
-	ct := make([]float64, n)
-	ut := make([]float64, n)
-	for i := range freqs {
-		freqs[i] = fleet.FreqMin[i] * (1 + float64(i))
-		prices[i] = fleet.PriceForFreq(i, freqs[i])
-	}
-	freqs[0] = 0 // +Inf branch
-	fleet.ComputeTimeColumn(0, n, freqs, ct)
-	fleet.UtilityColumn(0, n, prices, freqs, ut)
-	for i := 0; i < n; i++ {
-		if got, want := ct[i], nodes[i].ComputeTime(freqs[i]); got != want {
-			t.Fatalf("computeTime %d: %v != %v", i, got, want)
-		}
-		if got, want := ut[i], nodes[i].Utility(prices[i], freqs[i]); got != want {
-			t.Fatalf("utility %d: %v != %v", i, got, want)
-		}
-	}
 }
 
-// TestBatchResponseResize pins buffer-reuse semantics.
-func TestBatchResponseResize(t *testing.T) {
-	var b BatchResponse
-	b.Resize(4)
-	if len(b.Joined) != 4 || len(b.Freq) != 4 || b.Util != nil {
-		t.Fatalf("resize(4): joined %d freq %d util %v", len(b.Joined), len(b.Freq), b.Util)
-	}
-	prev := &b.Freq[0]
-	b.Resize(4)
-	if &b.Freq[0] != prev {
-		t.Fatal("same-size resize reallocated")
-	}
-	b.Util = []float64{}
-	b.Resize(6)
-	if len(b.Util) != 6 || len(b.Freq) != 6 {
-		t.Fatalf("resize(6): util %d freq %d", len(b.Util), len(b.Freq))
-	}
-}
-
-// TestMemoryFootprint pins the fleet's resident column bytes per node.
-func TestMemoryFootprint(t *testing.T) {
+// TestFleetColumnBytes pins the fleet's resident column bytes per node:
+// every column, parameter or derived, is one 8-byte word per node, 13 in
+// all. A new column changes the per-node cost of a 100k-node fleet and
+// must update this pin deliberately.
+func TestFleetColumnBytes(t *testing.T) {
 	fleet := FromNodes([]*Node{testNode(), testNode()})
-	perNode := fleet.MemoryFootprint() / 2
-	if perNode != 11*8+2*8 {
-		t.Fatalf("per-node footprint %d", perNode)
+	v := reflect.ValueOf(fleet).Elem()
+	var bytes int
+	for i := 0; i < v.NumField(); i++ {
+		if col := v.Field(i); col.Kind() == reflect.Slice {
+			bytes += col.Cap() * int(col.Type().Elem().Size())
+		}
+	}
+	if perNode := bytes / fleet.Len(); perNode != 13*8 {
+		t.Fatalf("per-node footprint %d bytes, want %d", perNode, 13*8)
+	}
+}
+
+// newBatchResponse returns the four round-pipeline columns sized for n
+// nodes, with the optional Util and Energy columns left nil.
+func newBatchResponse(n int) BatchResponse {
+	return BatchResponse{
+		Joined:  make([]bool, n),
+		Freq:    make([]float64, n),
+		Time:    make([]float64, n),
+		Payment: make([]float64, n),
 	}
 }

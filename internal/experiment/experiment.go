@@ -130,12 +130,3 @@ func BuildMechanism(kind MechanismKind, env *edgeenv.Env, seed int64) (mechanism
 		return nil, fmt.Errorf("experiment: unknown mechanism kind %v", kind)
 	}
 }
-
-// TrainAndEvaluate trains a mechanism for trainEpisodes (no-op for the
-// static references) and then averages evalEpisodes deterministic episodes.
-//
-// Deprecated: it delegates to mechanism.TrainAndEvaluate, the consolidated
-// path every runner shares; call that directly in new code.
-func TrainAndEvaluate(m mechanism.Mechanism, trainEpisodes, evalEpisodes int) (mechanism.EpisodeResult, error) {
-	return mechanism.TrainAndEvaluate(m, trainEpisodes, evalEpisodes)
-}

@@ -60,14 +60,9 @@ func DescribeExtra(a Artifact) string {
 	}
 }
 
-// RunExtra executes an ablation study serially at the given scale and
-// returns a rendered report.
-func RunExtra(a Artifact, scale float64) (string, error) {
-	return RunExtraJobs(a, scale, 1)
-}
-
-// RunExtraJobs is RunExtra with a worker bound for the study's job plan
-// (1 = serial, 0 = GOMAXPROCS). Reports are byte-identical at any setting.
+// RunExtraJobs executes an ablation study at the given scale and returns a
+// rendered report. jobs bounds the study's job plan (1 = serial, 0 =
+// GOMAXPROCS); reports are byte-identical at any setting.
 func RunExtraJobs(a Artifact, scale float64, jobs int) (string, error) {
 	if scale <= 0 || scale > 1 {
 		return "", fmt.Errorf("experiment: scale %v outside (0,1]", scale)

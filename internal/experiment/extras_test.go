@@ -29,18 +29,18 @@ func TestExtraRegistry(t *testing.T) {
 }
 
 func TestRunExtraRejectsBadInput(t *testing.T) {
-	if _, err := RunExtra(AblLambda, 0); err == nil {
+	if _, err := RunExtraJobs(AblLambda, 0, 1); err == nil {
 		t.Fatal("accepted scale 0")
 	}
-	if _, err := RunExtra(Artifact("abl-nope"), 0.5); err == nil {
+	if _, err := RunExtraJobs(Artifact("abl-nope"), 0.5, 1); err == nil {
 		t.Fatal("accepted unknown ablation")
 	}
 }
 
 func TestRunExtraLambdaTiny(t *testing.T) {
-	report, err := RunExtra(AblLambda, 0.002) // 1 episode per λ
+	report, err := RunExtraJobs(AblLambda, 0.002, 1) // 1 episode per λ
 	if err != nil {
-		t.Fatalf("RunExtra: %v", err)
+		t.Fatalf("RunExtraJobs: %v", err)
 	}
 	for _, want := range []string{"lambda", "500", "2000", "8000"} {
 		if !strings.Contains(report, want) {
@@ -50,9 +50,9 @@ func TestRunExtraLambdaTiny(t *testing.T) {
 }
 
 func TestRunExtraRewardTiny(t *testing.T) {
-	report, err := RunExtra(AblReward, 0.002)
+	report, err := RunExtraJobs(AblReward, 0.002, 1)
 	if err != nil {
-		t.Fatalf("RunExtra: %v", err)
+		t.Fatalf("RunExtraJobs: %v", err)
 	}
 	if !strings.Contains(report, "eqn14") {
 		t.Fatalf("report missing eqn14 row:\n%s", report)
@@ -60,9 +60,9 @@ func TestRunExtraRewardTiny(t *testing.T) {
 }
 
 func TestRunExtraRobustTiny(t *testing.T) {
-	report, err := RunExtra(AblRobust, 0.002)
+	report, err := RunExtraJobs(AblRobust, 0.002, 1)
 	if err != nil {
-		t.Fatalf("RunExtra: %v", err)
+		t.Fatalf("RunExtraJobs: %v", err)
 	}
 	for _, want := range []string{"clean", "jitter", "availability"} {
 		if !strings.Contains(report, want) {
@@ -75,9 +75,9 @@ func TestRunExtraNonIIDTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real training skipped in -short mode")
 	}
-	report, err := RunExtra(AblNonIID, 0.04) // 1 round per split
+	report, err := RunExtraJobs(AblNonIID, 0.04, 1) // 1 round per split
 	if err != nil {
-		t.Fatalf("RunExtra: %v", err)
+		t.Fatalf("RunExtraJobs: %v", err)
 	}
 	for _, want := range []string{"iid", "dirichlet", "shards"} {
 		if !strings.Contains(report, want) {
@@ -87,9 +87,9 @@ func TestRunExtraNonIIDTiny(t *testing.T) {
 }
 
 func TestRunExtraFaultSweepTiny(t *testing.T) {
-	report, err := RunExtra(AblFaults, 0.002)
+	report, err := RunExtraJobs(AblFaults, 0.002, 1)
 	if err != nil {
-		t.Fatalf("RunExtra: %v", err)
+		t.Fatalf("RunExtraJobs: %v", err)
 	}
 	for _, want := range []string{"clean", "light", "moderate", "severe", "failures"} {
 		if !strings.Contains(report, want) {

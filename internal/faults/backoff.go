@@ -77,26 +77,6 @@ func (b Backoff) Delay(attempt int) float64 {
 	return d
 }
 
-// Total returns the summed delay of the first n retry attempts. The flat
-// case uses the same closed form the pre-consolidation pipeline computed —
-// n·Base as a single multiply — so seeded traces stay bit-identical.
-func (b Backoff) Total(n int) float64 {
-	if n <= 0 || b.Base <= 0 {
-		return 0
-	}
-	if b.flat() {
-		return float64(n) * b.Base
-	}
-	var sum float64
-	for a := 1; a <= n; a++ {
-		sum += b.Delay(a)
-		if math.IsInf(sum, 1) {
-			return math.MaxFloat64
-		}
-	}
-	return sum
-}
-
 // RetryTime returns the wall-clock cost of n re-upload attempts that each
 // pay commTime plus the attempt's backoff delay. Flat policies use the
 // single-multiply closed form n·(commTime+Base) the pre-consolidation

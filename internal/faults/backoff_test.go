@@ -84,10 +84,6 @@ func TestBackoffOverflow(t *testing.T) {
 		t.Fatalf("capped Delay(huge) = %v, want 60", d)
 	}
 
-	total := uncapped.Total(5000)
-	if math.IsInf(total, 0) || math.IsNaN(total) || total != math.MaxFloat64 {
-		t.Fatalf("uncapped Total(5000) = %v, want MaxFloat64 saturation", total)
-	}
 	rt := uncapped.RetryTime(12.5, 5000)
 	if math.IsInf(rt, 0) || math.IsNaN(rt) || rt != math.MaxFloat64 {
 		t.Fatalf("uncapped RetryTime(12.5, 5000) = %v, want MaxFloat64 saturation", rt)
@@ -96,25 +92,22 @@ func TestBackoffOverflow(t *testing.T) {
 	// Monotone in the attempt count until saturation.
 	prev := 0.0
 	for n := 1; n <= 400; n++ {
-		tot := capped.Total(n)
+		tot := capped.RetryTime(0, n)
 		if tot < prev {
-			t.Fatalf("Total(%d) = %v < Total(%d) = %v", n, tot, n-1, prev)
+			t.Fatalf("RetryTime(0, %d) = %v < RetryTime(0, %d) = %v", n, tot, n-1, prev)
 		}
 		prev = tot
 	}
 }
 
 // TestBackoffFlatClosedForm pins the bit-identity contract: the flat
-// policy's Total and RetryTime are the exact single-multiply closed forms
+// policy's RetryTime is the exact single-multiply closed form
 // the pre-consolidation round pipeline computed.
 func TestBackoffFlatClosedForm(t *testing.T) {
 	const base, comm = 0.3, 7.7
 	for _, factor := range []float64{0, 1} {
 		b := Backoff{Base: base, Factor: factor, MaxRetries: 9}
 		for n := 0; n <= 9; n++ {
-			if got, want := b.Total(n), float64(n)*base; got != want {
-				t.Errorf("factor %v: Total(%d) = %v, want %v", factor, n, got, want)
-			}
 			if got, want := b.RetryTime(comm, n), float64(n)*(comm+base); got != want {
 				t.Errorf("factor %v: RetryTime(%d) = %v, want %v", factor, n, got, want)
 			}

@@ -260,11 +260,6 @@ func (r ChurnRates) Validate() error {
 	return nil
 }
 
-// Any reports whether the rates can ever change fleet membership.
-func (r ChurnRates) Any() bool {
-	return r.Depart > 0 || r.Arrive > 0 || r.InitialAbsent > 0
-}
-
 // ChurnSampler is a seed-deterministic sampled ChurnSchedule. Each
 // (round, node) cell's uniform draw derives from (seed, round, node) — the
 // same discipline as the fault Sampler — so membership never depends on
@@ -284,9 +279,6 @@ func NewChurnSampler(rates ChurnRates, seed int64) (*ChurnSampler, error) {
 	}
 	return &ChurnSampler{rates: rates, seed: seed}, nil
 }
-
-// Rates returns the sampler's churn rates.
-func (s *ChurnSampler) Rates() ChurnRates { return s.rates }
 
 // churnSalt decorrelates churn cells from fault-Sampler cells at the same
 // seed, so the two schedules never reuse a uniform draw.

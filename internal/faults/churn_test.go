@@ -145,12 +145,6 @@ func TestChurnRatesValidate(t *testing.T) {
 			t.Errorf("accepted %+v", bad)
 		}
 	}
-	if (ChurnRates{}).Any() {
-		t.Error("zero rates report Any")
-	}
-	if !(ChurnRates{Arrive: 0.01}).Any() {
-		t.Error("nonzero rates report !Any")
-	}
 }
 
 // TestChurnSamplerDeterminism: same seed ⇒ identical membership, different

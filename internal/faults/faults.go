@@ -94,26 +94,6 @@ type Fault struct {
 	Mode CorruptionMode
 }
 
-// Validate reports whether the fault is well formed.
-func (f Fault) Validate() error {
-	switch f.Kind {
-	case None, Crash, Corrupt:
-		return nil
-	case Straggle:
-		if f.Slowdown < 1 || math.IsInf(f.Slowdown, 0) || math.IsNaN(f.Slowdown) {
-			return fmt.Errorf("faults: straggle slowdown %v, want finite >= 1", f.Slowdown)
-		}
-		return nil
-	case Drop:
-		if f.Attempts < 1 {
-			return fmt.Errorf("faults: drop attempts %d, want >= 1", f.Attempts)
-		}
-		return nil
-	default:
-		return fmt.Errorf("faults: unknown kind %d", f.Kind)
-	}
-}
-
 // Schedule answers "which fault, if any, hits node i in round k". Rounds
 // and nodes are the environment's indices (rounds 1-based, nodes 0-based).
 // Implementations must be deterministic: At(k, i) always returns the same
@@ -133,18 +113,6 @@ func (s Script) At(round, node int) (Fault, bool) {
 		return Fault{}, false
 	}
 	return f, true
-}
-
-// Validate checks every scripted fault.
-func (s Script) Validate() error {
-	for round, nodes := range s {
-		for node, f := range nodes {
-			if err := f.Validate(); err != nil {
-				return fmt.Errorf("faults: script round %d node %d: %w", round, node, err)
-			}
-		}
-	}
-	return nil
 }
 
 // Rates parameterizes a sampled fault schedule: each is the per-node,
@@ -230,9 +198,6 @@ func NewSampler(rates Rates, seed int64) (*Sampler, error) {
 	}
 	return &Sampler{rates: rates, seed: seed}, nil
 }
-
-// Rates returns the sampler's fault rates.
-func (s *Sampler) Rates() Rates { return s.rates }
 
 // splitmix64 is the SplitMix64 finalizer — a cheap, well-mixed hash that
 // turns (seed, round, node) into an independent RNG stream per cell.

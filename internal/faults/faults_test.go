@@ -6,28 +6,6 @@ import (
 	"testing"
 )
 
-func TestFaultValidate(t *testing.T) {
-	cases := []struct {
-		fault Fault
-		ok    bool
-	}{
-		{Fault{Kind: None}, true},
-		{Fault{Kind: Crash}, true},
-		{Fault{Kind: Corrupt, Mode: CorruptBlowup}, true},
-		{Fault{Kind: Straggle, Slowdown: 2}, true},
-		{Fault{Kind: Straggle, Slowdown: 0.5}, false},
-		{Fault{Kind: Straggle, Slowdown: math.Inf(1)}, false},
-		{Fault{Kind: Drop, Attempts: 1}, true},
-		{Fault{Kind: Drop, Attempts: 0}, false},
-		{Fault{Kind: Kind(99)}, false},
-	}
-	for _, c := range cases {
-		if err := c.fault.Validate(); (err == nil) != c.ok {
-			t.Errorf("Validate(%+v) = %v, want ok=%v", c.fault, err, c.ok)
-		}
-	}
-}
-
 func TestRatesValidate(t *testing.T) {
 	if err := (Rates{Crash: 0.1, Straggle: 0.2, Drop: 0.1, Corrupt: 0.05}).Validate(); err != nil {
 		t.Fatalf("valid rates rejected: %v", err)
@@ -83,17 +61,6 @@ func TestScriptAt(t *testing.T) {
 	}
 	if _, ok := s.At(4, 1); ok {
 		t.Fatal("unscripted round fired")
-	}
-}
-
-func TestScriptValidate(t *testing.T) {
-	good := Script{1: {0: {Kind: Straggle, Slowdown: 3}}}
-	if err := good.Validate(); err != nil {
-		t.Fatalf("valid script rejected: %v", err)
-	}
-	bad := Script{1: {0: {Kind: Drop, Attempts: 0}}}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("invalid script accepted")
 	}
 }
 
@@ -191,8 +158,8 @@ func TestSamplerFaultFieldsWellFormed(t *testing.T) {
 			if !ok {
 				continue
 			}
-			if err := f.Validate(); err != nil {
-				t.Fatalf("sampled invalid fault %+v: %v", f, err)
+			if f.Kind != Straggle && f.Kind != Drop {
+				t.Fatalf("sampled fault kind %v outside the configured rates", f.Kind)
 			}
 			if f.Kind == Straggle && (f.Slowdown < 1.5 || f.Slowdown > 4) {
 				t.Fatalf("slowdown %v outside [1.5,4]", f.Slowdown)

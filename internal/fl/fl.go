@@ -87,9 +87,6 @@ func NewClient(id int, data *dataset.Dataset, factory ModelFactory, cfg Config, 
 	return &Client{id: id, data: data, model: model, cfg: cfg, rng: rng, opt: opt}, nil
 }
 
-// ID returns the client identifier.
-func (c *Client) ID() int { return c.id }
-
 // NumSamples returns |D_i|, the FedAvg weight.
 func (c *Client) NumSamples() int { return c.data.Len() }
 

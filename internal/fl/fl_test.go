@@ -66,8 +66,8 @@ func TestNewClientValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewClient: %v", err)
 	}
-	if c.ID() != 3 || c.NumSamples() != 50 {
-		t.Fatalf("client id %d samples %d", c.ID(), c.NumSamples())
+	if c.id != 3 || c.NumSamples() != 50 {
+		t.Fatalf("client id %d samples %d", c.id, c.NumSamples())
 	}
 }
 

@@ -3,10 +3,7 @@ package mat
 import "fmt"
 
 // Destination-passing forms of the package's kernels: every *To function
-// writes its result into a caller-supplied dst and allocates nothing. The
-// original allocating forms (Mul, Add, ...) are thin wrappers that allocate
-// a destination when handed nil and then delegate here, so the two paths
-// compute bit-identical results.
+// writes its result into a caller-supplied dst and allocates nothing.
 //
 // dst must not alias any operand unless a function documents otherwise; the
 // GEMM kernels read operand rows while streaming writes into dst rows, so
@@ -82,48 +79,6 @@ func MulTransBTo(dst, a, b *Matrix) error {
 	return nil
 }
 
-// AddTo computes dst = a + b elementwise without allocating. dst may alias
-// a or b.
-func AddTo(dst, a, b *Matrix) error {
-	if a.rows != b.rows || a.cols != b.cols {
-		return fmt.Errorf("%w: add %dx%d and %dx%d", ErrShape, a.rows, a.cols, b.rows, b.cols)
-	}
-	if err := checkDst("add", dst, a.rows, a.cols); err != nil {
-		return err
-	}
-	for i := range dst.data {
-		dst.data[i] = a.data[i] + b.data[i]
-	}
-	return nil
-}
-
-// SubTo computes dst = a − b elementwise without allocating. dst may alias
-// a or b.
-func SubTo(dst, a, b *Matrix) error {
-	if a.rows != b.rows || a.cols != b.cols {
-		return fmt.Errorf("%w: sub %dx%d and %dx%d", ErrShape, a.rows, a.cols, b.rows, b.cols)
-	}
-	if err := checkDst("sub", dst, a.rows, a.cols); err != nil {
-		return err
-	}
-	for i := range dst.data {
-		dst.data[i] = a.data[i] - b.data[i]
-	}
-	return nil
-}
-
-// ScaleTo computes dst = s·a elementwise without allocating. dst may alias
-// a.
-func ScaleTo(dst, a *Matrix, s float64) error {
-	if err := checkDst("scale", dst, a.rows, a.cols); err != nil {
-		return err
-	}
-	for i, v := range a.data {
-		dst.data[i] = s * v
-	}
-	return nil
-}
-
 // ApplyTo computes dst[i] = f(a[i]) elementwise without allocating. dst may
 // alias a.
 func ApplyTo(dst, a *Matrix, f func(float64) float64) error {
@@ -137,7 +92,7 @@ func ApplyTo(dst, a *Matrix, f func(float64) float64) error {
 }
 
 // SumRowsTo sums each column across rows into out, which must have length
-// Cols. It is the allocation-free form of SumRows.
+// Cols.
 func (m *Matrix) SumRowsTo(out []float64) error {
 	if len(out) != m.cols {
 		return fmt.Errorf("%w: sumRows out len %d for %d cols", ErrShape, len(out), m.cols)
@@ -152,4 +107,24 @@ func (m *Matrix) SumRowsTo(out []float64) error {
 		}
 	}
 	return nil
+}
+
+// Ensure returns m when it already has the requested shape and a freshly
+// allocated rows×cols matrix otherwise, for code that keeps one long-lived
+// scratch buffer per role: contents are unspecified, so callers must fully
+// overwrite (every *To kernel does) or Zero first.
+func Ensure(m *Matrix, rows, cols int) *Matrix {
+	if m != nil && m.rows == rows && m.cols == cols {
+		return m
+	}
+	return New(rows, cols)
+}
+
+// EnsureVec is Ensure for flat slices: it returns v when len(v) == n and a
+// new slice otherwise, with unspecified contents.
+func EnsureVec(v []float64, n int) []float64 {
+	if len(v) == n {
+		return v
+	}
+	return make([]float64, n)
 }

@@ -4,10 +4,10 @@
 // matrices, the handful of BLAS-like routines the upper layers need, and
 // deterministic random initialization driven by an explicit *rand.Rand.
 //
-// The compute core is destination-passing: the *To kernels (MulTo, AddTo,
+// The compute core is destination-passing: the *To kernels (MulTo,
 // ApplyTo, ...) write into caller-supplied matrices and allocate nothing,
-// and a Workspace arena lets hot loops recycle scratch buffers across
-// passes. Large GEMMs are row-blocked across a bounded worker pool
+// and Ensure/EnsureVec let hot loops keep one scratch buffer per role
+// across passes. Large GEMMs are row-blocked across a bounded worker pool
 // (SetWorkers; default GOMAXPROCS) with a fixed per-element reduction
 // order, so results are bit-identical at any parallelism.
 package mat
@@ -73,37 +73,13 @@ func (m *Matrix) Set(r, c int, v float64) { m.data[r*m.cols+c] = v }
 // same matrix observes the change immediately. Holding a returned slice
 // across an operation that writes the matrix (a *To kernel targeting it, an
 // optimizer step, a reused layer buffer) reads the new values, not a
-// snapshot. Callers that need isolation must copy: use CopyData, CopyRow,
-// or Clone.
+// snapshot. Callers that need isolation must copy.
 func (m *Matrix) Data() []float64 { return m.data }
 
 // Row returns a view of row r (shared backing array). The aliasing contract
 // of Data applies: the view stays live, so mutations through the matrix are
-// visible in the slice and vice versa. Use CopyRow for a snapshot.
+// visible in the slice and vice versa.
 func (m *Matrix) Row(r int) []float64 { return m.data[r*m.cols : (r+1)*m.cols] }
-
-// CopyData returns a fresh copy of the row-major backing data, isolated
-// from later mutations of m.
-func (m *Matrix) CopyData() []float64 {
-	cp := make([]float64, len(m.data))
-	copy(cp, m.data)
-	return cp
-}
-
-// CopyRow returns a fresh copy of row r, isolated from later mutations of
-// m.
-func (m *Matrix) CopyRow(r int) []float64 {
-	cp := make([]float64, m.cols)
-	copy(cp, m.data[r*m.cols:(r+1)*m.cols])
-	return cp
-}
-
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	cp := New(m.rows, m.cols)
-	copy(cp.data, m.data)
-	return cp
-}
 
 // Zero sets every element of m to zero.
 func (m *Matrix) Zero() {
@@ -135,100 +111,11 @@ func (m *Matrix) Randomize(rng *rand.Rand, scale float64) {
 	}
 }
 
-// RandomizeNormal fills m with N(0, std²) values drawn from rng.
-func (m *Matrix) RandomizeNormal(rng *rand.Rand, std float64) {
-	for i := range m.data {
-		m.data[i] = rng.NormFloat64() * std
-	}
-}
-
 // XavierInit fills m using Glorot/Xavier uniform initialization for a layer
 // with the given fan-in and fan-out.
 func (m *Matrix) XavierInit(rng *rand.Rand, fanIn, fanOut int) {
 	limit := math.Sqrt(6.0 / float64(fanIn+fanOut))
 	m.Randomize(rng, limit)
-}
-
-// HeInit fills m using He/Kaiming normal initialization for ReLU networks.
-func (m *Matrix) HeInit(rng *rand.Rand, fanIn int) {
-	std := math.Sqrt(2.0 / float64(fanIn))
-	m.RandomizeNormal(rng, std)
-}
-
-// Mul computes dst = a × b and returns dst. If dst is nil a new matrix is
-// allocated. dst must not alias a or b. It is the allocating wrapper over
-// MulTo.
-func Mul(dst, a, b *Matrix) (*Matrix, error) {
-	if dst == nil {
-		if a.cols != b.rows {
-			return nil, fmt.Errorf("%w: mul %dx%d by %dx%d", ErrShape, a.rows, a.cols, b.rows, b.cols)
-		}
-		dst = New(a.rows, b.cols)
-	}
-	if err := MulTo(dst, a, b); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
-// MulTransB computes dst = a × bᵀ and returns dst. If dst is nil a new
-// matrix is allocated. It is the allocating wrapper over MulTransBTo.
-func MulTransB(dst, a, b *Matrix) (*Matrix, error) {
-	if dst == nil {
-		if a.cols != b.cols {
-			return nil, fmt.Errorf("%w: mulTransB %dx%d by (%dx%d)T", ErrShape, a.rows, a.cols, b.rows, b.cols)
-		}
-		dst = New(a.rows, b.rows)
-	}
-	if err := MulTransBTo(dst, a, b); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
-// MulTransA computes dst = aᵀ × b and returns dst. If dst is nil a new
-// matrix is allocated. It is the allocating wrapper over MulTransATo.
-func MulTransA(dst, a, b *Matrix) (*Matrix, error) {
-	if dst == nil {
-		if a.rows != b.rows {
-			return nil, fmt.Errorf("%w: mulTransA (%dx%d)T by %dx%d", ErrShape, a.rows, a.cols, b.rows, b.cols)
-		}
-		dst = New(a.cols, b.cols)
-	}
-	if err := MulTransATo(dst, a, b); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
-// Add computes dst = a + b elementwise and returns dst. If dst is nil a new
-// matrix is allocated. It is the allocating wrapper over AddTo.
-func Add(dst, a, b *Matrix) (*Matrix, error) {
-	if dst == nil {
-		if a.rows != b.rows || a.cols != b.cols {
-			return nil, fmt.Errorf("%w: add %dx%d and %dx%d", ErrShape, a.rows, a.cols, b.rows, b.cols)
-		}
-		dst = New(a.rows, a.cols)
-	}
-	if err := AddTo(dst, a, b); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
-// Sub computes dst = a − b elementwise and returns dst. If dst is nil a new
-// matrix is allocated. It is the allocating wrapper over SubTo.
-func Sub(dst, a, b *Matrix) (*Matrix, error) {
-	if dst == nil {
-		if a.rows != b.rows || a.cols != b.cols {
-			return nil, fmt.Errorf("%w: sub %dx%d and %dx%d", ErrShape, a.rows, a.cols, b.rows, b.cols)
-		}
-		dst = New(a.rows, a.cols)
-	}
-	if err := SubTo(dst, a, b); err != nil {
-		return nil, err
-	}
-	return dst, nil
 }
 
 // AddRowVector adds vector v to every row of m in place.
@@ -261,39 +148,4 @@ func (m *Matrix) AddScaled(other *Matrix, s float64) error {
 		m.data[i] += s * v
 	}
 	return nil
-}
-
-// Apply replaces each element x of m with f(x).
-func (m *Matrix) Apply(f func(float64) float64) {
-	for i, v := range m.data {
-		m.data[i] = f(v)
-	}
-}
-
-// SumRows sums each column across rows, returning a length-Cols slice. It
-// is the allocating wrapper over SumRowsTo.
-func (m *Matrix) SumRows() []float64 {
-	out := make([]float64, m.cols)
-	_ = m.SumRowsTo(out)
-	return out
-}
-
-// MaxNorm returns the largest absolute element of m (0 for empty matrices).
-func (m *Matrix) MaxNorm() float64 {
-	var best float64
-	for _, v := range m.data {
-		if a := math.Abs(v); a > best {
-			best = a
-		}
-	}
-	return best
-}
-
-// FrobeniusNorm returns the Frobenius norm of m.
-func (m *Matrix) FrobeniusNorm() float64 {
-	var sum float64
-	for _, v := range m.data {
-		sum += v * v
-	}
-	return math.Sqrt(sum)
 }

@@ -3,32 +3,7 @@ package mat
 import (
 	"fmt"
 	"math"
-	"math/rand"
 )
-
-// Dot returns the inner product of a and b. It returns an error when the
-// lengths differ.
-func Dot(a, b []float64) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("%w: dot len %d and %d", ErrShape, len(a), len(b))
-	}
-	var sum float64
-	for i, v := range a {
-		sum += v * b[i]
-	}
-	return sum, nil
-}
-
-// Axpy performs dst += s·src in place.
-func Axpy(dst, src []float64, s float64) error {
-	if len(dst) != len(src) {
-		return fmt.Errorf("%w: axpy len %d and %d", ErrShape, len(dst), len(src))
-	}
-	for i, v := range src {
-		dst[i] += s * v
-	}
-	return nil
-}
 
 // ScaleVec multiplies every element of v by s in place.
 func ScaleVec(v []float64, s float64) {
@@ -88,18 +63,6 @@ func MaxVec(v []float64) (float64, int) {
 	return best, idx
 }
 
-// MinVec returns the minimum element of v and its index; it returns
-// (+Inf, -1) for an empty slice.
-func MinVec(v []float64) (float64, int) {
-	best, idx := math.Inf(1), -1
-	for i, x := range v {
-		if x < best {
-			best, idx = x, i
-		}
-	}
-	return best, idx
-}
-
 // Softmax writes the softmax of src into dst (which may alias src) and
 // returns dst. It is numerically stable for large logits.
 func Softmax(dst, src []float64) ([]float64, error) {
@@ -126,19 +89,6 @@ func Softmax(dst, src []float64) ([]float64, error) {
 	return dst, nil
 }
 
-// LogSumExp returns log(Σ exp(v_i)) computed stably.
-func LogSumExp(v []float64) float64 {
-	if len(v) == 0 {
-		return math.Inf(-1)
-	}
-	maxv, _ := MaxVec(v)
-	var sum float64
-	for _, x := range v {
-		sum += math.Exp(x - maxv)
-	}
-	return maxv + math.Log(sum)
-}
-
 // Clamp returns x restricted to [lo, hi].
 func Clamp(x, lo, hi float64) float64 {
 	if x < lo {
@@ -148,13 +98,6 @@ func Clamp(x, lo, hi float64) float64 {
 		return hi
 	}
 	return x
-}
-
-// ClampVec clamps every element of v into [lo, hi] in place.
-func ClampVec(v []float64, lo, hi float64) {
-	for i, x := range v {
-		v[i] = Clamp(x, lo, hi)
-	}
 }
 
 // Normalize rescales v in place so its elements sum to one. When the sum is
@@ -172,9 +115,4 @@ func Normalize(v []float64) {
 		return
 	}
 	ScaleVec(v, 1/sum)
-}
-
-// RandPerm fills a permutation of [0,n) using rng.
-func RandPerm(rng *rand.Rand, n int) []int {
-	return rng.Perm(n)
 }

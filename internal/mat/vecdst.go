@@ -5,15 +5,13 @@ import "fmt"
 // Destination-passing vector kernels, the flat-slice counterparts of the
 // *To matrix kernels in dst.go: every function writes its full result into
 // a caller-supplied dst and allocates nothing, so hot loops can stream
-// node-axis columns through them with Workspace- or EnsureVec-managed
-// buffers. Unless noted otherwise dst may alias any operand — all kernels
-// are elementwise with dst[i] depending only on operand element i.
+// node-axis columns through them with EnsureVec-managed buffers. dst may
+// alias the operand — the kernels are elementwise with dst[i] depending
+// only on operand element i.
 //
 // The arithmetic is deliberately the plain scalar expression per element
 // (no reciprocal-multiply or reassociation tricks), so a batched pass over
-// a column is bit-identical to the per-element scalar code it replaces —
-// the contract the struct-of-arrays fleet kernels in internal/device rely
-// on.
+// a column is bit-identical to the per-element scalar code it replaces.
 
 // checkVecDst validates that dst and every operand share one length.
 func checkVecDst(op string, dst []float64, operands ...[]float64) error {
@@ -21,17 +19,6 @@ func checkVecDst(op string, dst []float64, operands ...[]float64) error {
 		if len(v) != len(dst) {
 			return fmt.Errorf("%w: %s dst len %d, operand len %d", ErrShape, op, len(dst), len(v))
 		}
-	}
-	return nil
-}
-
-// ScaleVecTo computes dst[i] = s·src[i].
-func ScaleVecTo(dst, src []float64, s float64) error {
-	if err := checkVecDst("scaleVec", dst, src); err != nil {
-		return err
-	}
-	for i, v := range src {
-		dst[i] = s * v
 	}
 	return nil
 }
@@ -49,85 +36,9 @@ func DivScalarVecTo(dst, src []float64, s float64) error {
 	return nil
 }
 
-// AddVecTo computes dst[i] = a[i] + b[i].
-func AddVecTo(dst, a, b []float64) error {
-	if err := checkVecDst("addVec", dst, a, b); err != nil {
-		return err
-	}
-	for i := range dst {
-		dst[i] = a[i] + b[i]
-	}
-	return nil
-}
-
-// MulElemVecTo computes dst[i] = a[i]·b[i].
-func MulElemVecTo(dst, a, b []float64) error {
-	if err := checkVecDst("mulElemVec", dst, a, b); err != nil {
-		return err
-	}
-	for i := range dst {
-		dst[i] = a[i] * b[i]
-	}
-	return nil
-}
-
-// DivElemVecTo computes dst[i] = a[i]/b[i].
-func DivElemVecTo(dst, a, b []float64) error {
-	if err := checkVecDst("divElemVec", dst, a, b); err != nil {
-		return err
-	}
-	for i := range dst {
-		dst[i] = a[i] / b[i]
-	}
-	return nil
-}
-
-// ClampVecTo computes dst[i] = Clamp(src[i], lo, hi) against scalar bounds.
-func ClampVecTo(dst, src []float64, lo, hi float64) error {
-	if err := checkVecDst("clampVec", dst, src); err != nil {
-		return err
-	}
-	for i, v := range src {
-		dst[i] = Clamp(v, lo, hi)
-	}
-	return nil
-}
-
-// ClampVecBoundsTo computes dst[i] = Clamp(src[i], lo[i], hi[i]) against
-// per-element bounds columns — the box-constraint step of the batched
-// Eqn. (11) best response, where every node carries its own [ζ_min, ζ_max].
-func ClampVecBoundsTo(dst, src, lo, hi []float64) error {
-	if err := checkVecDst("clampVecBounds", dst, src, lo, hi); err != nil {
-		return err
-	}
-	for i, v := range src {
-		dst[i] = Clamp(v, lo[i], hi[i])
-	}
-	return nil
-}
-
 // FillVec sets every element of dst to s.
 func FillVec(dst []float64, s float64) {
 	for i := range dst {
 		dst[i] = s
 	}
-}
-
-// SumVecRange returns Σ v[lo:hi] accumulated in ascending index order —
-// the streaming-reduction primitive batch stages use: partial sums over
-// fixed ranges, combined by the caller in range-ascending order, are
-// bit-deterministic at any worker count.
-func SumVecRange(v []float64, lo, hi int) float64 {
-	var sum float64
-	for _, x := range v[lo:hi] {
-		sum += x
-	}
-	return sum
-}
-
-// MaxVecRange returns max(v[lo:hi]) scanned in ascending index order, or
-// -Inf for an empty range (mirroring MaxVec).
-func MaxVecRange(v []float64, lo, hi int) float64 {
-	best, _ := MaxVec(v[lo:hi])
-	return best
 }

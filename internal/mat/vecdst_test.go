@@ -7,17 +7,8 @@ import (
 
 func TestVecDstKernels(t *testing.T) {
 	a := []float64{1, -2, 3.5, 0}
-	b := []float64{4, 0.5, -1, 8}
 	dst := make([]float64, 4)
 
-	if err := ScaleVecTo(dst, a, 3); err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if dst[i] != 3*a[i] {
-			t.Fatalf("scale[%d] = %v", i, dst[i])
-		}
-	}
 	if err := DivScalarVecTo(dst, a, 7); err != nil {
 		t.Fatal(err)
 	}
@@ -26,28 +17,10 @@ func TestVecDstKernels(t *testing.T) {
 			t.Fatalf("divScalar[%d] = %v", i, dst[i])
 		}
 	}
-	if err := AddVecTo(dst, a, b); err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if dst[i] != a[i]+b[i] {
-			t.Fatalf("add[%d] = %v", i, dst[i])
-		}
-	}
-	if err := MulElemVecTo(dst, a, b); err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if dst[i] != a[i]*b[i] {
-			t.Fatalf("mul[%d] = %v", i, dst[i])
-		}
-	}
-	if err := DivElemVecTo(dst, a, b); err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if dst[i] != a[i]/b[i] {
-			t.Fatalf("div[%d] = %v", i, dst[i])
+	FillVec(dst, 7)
+	for i := range dst {
+		if dst[i] != 7 {
+			t.Fatalf("fill[%d] = %v", i, dst[i])
 		}
 	}
 }
@@ -81,61 +54,14 @@ func TestDivScalarVecToIsTrueDivision(t *testing.T) {
 	}
 }
 
-func TestClampVecBoundsTo(t *testing.T) {
-	src := []float64{0.5, 5, -3, 2}
-	lo := []float64{1, 1, 1, 1}
-	hi := []float64{4, 4, 4, 4}
-	dst := make([]float64, 4)
-	if err := ClampVecBoundsTo(dst, src, lo, hi); err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{1, 4, 1, 2}
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Fatalf("clampBounds[%d] = %v, want %v", i, dst[i], want[i])
-		}
-	}
-	if err := ClampVecTo(dst, src, 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if dst[0] != 0.5 || dst[1] != 1 || dst[2] != 0 {
-		t.Fatalf("clamp = %v", dst)
-	}
-}
-
 func TestVecDstShapeErrors(t *testing.T) {
 	short := []float64{1}
 	full := []float64{1, 2}
-	if err := ScaleVecTo(full, short, 2); err == nil {
-		t.Fatal("scale shape mismatch accepted")
+	if err := DivScalarVecTo(full, short, 2); err == nil {
+		t.Fatal("divScalar shape mismatch accepted")
 	}
-	if err := AddVecTo(full, full, short); err == nil {
-		t.Fatal("add shape mismatch accepted")
-	}
-	if err := ClampVecBoundsTo(full, full, short, full); err == nil {
-		t.Fatal("clampBounds shape mismatch accepted")
-	}
-}
-
-func TestVecRangeReductions(t *testing.T) {
-	v := []float64{3, 1, 4, 1, 5, 9, 2, 6}
-	if got := SumVecRange(v, 2, 6); got != 4+1+5+9 {
-		t.Fatalf("SumVecRange = %v", got)
-	}
-	if got := SumVecRange(v, 3, 3); got != 0 {
-		t.Fatalf("empty SumVecRange = %v", got)
-	}
-	if got := MaxVecRange(v, 0, 5); got != 5 {
-		t.Fatalf("MaxVecRange = %v", got)
-	}
-	if got := MaxVecRange(v, 4, 4); !math.IsInf(got, -1) {
-		t.Fatalf("empty MaxVecRange = %v", got)
-	}
-	FillVec(v, 7)
-	for i := range v {
-		if v[i] != 7 {
-			t.Fatalf("fill[%d] = %v", i, v[i])
-		}
+	if err := DivScalarVecTo(short, full, 2); err == nil {
+		t.Fatal("divScalar short dst accepted")
 	}
 }
 
@@ -179,7 +105,9 @@ func TestParallelRangeDeterministicSum(t *testing.T) {
 				if end > n {
 					end = n
 				}
-				partials[b] = SumVecRange(v, b*block, end)
+				for _, x := range v[b*block : end] {
+					partials[b] += x
+				}
 			}
 		})
 		var sum float64

@@ -14,6 +14,15 @@ import (
 	"chiron/internal/nn"
 )
 
+// flattenGrads serializes all of net's gradients into one vector.
+func flattenGrads(net *nn.Network) []float64 {
+	out := make([]float64, 0, net.NumParams())
+	for _, p := range net.Params() {
+		out = append(out, p.Grad.Data()...)
+	}
+	return out
+}
+
 // layeredForwardBackward runs the network's layers one by one, bypassing the
 // fused plan, and returns a copy of the output and the flattened gradients.
 func layeredForwardBackward(t *testing.T, net *nn.Network, x, grad *mat.Matrix) (*mat.Matrix, []float64) {
@@ -25,7 +34,10 @@ func layeredForwardBackward(t *testing.T, net *nn.Network, x, grad *mat.Matrix) 
 			t.Fatalf("layer %d forward: %v", i, err)
 		}
 	}
-	out := cur.Clone()
+	out := mat.New(cur.Rows(), cur.Cols())
+	if err := out.CopyFrom(cur); err != nil {
+		t.Fatal(err)
+	}
 	net.ZeroGrad()
 	g := grad
 	layers := net.Layers()
@@ -34,7 +46,7 @@ func layeredForwardBackward(t *testing.T, net *nn.Network, x, grad *mat.Matrix) 
 			t.Fatalf("layer %d backward: %v", i, err)
 		}
 	}
-	return out, net.FlattenGrads()
+	return out, flattenGrads(net)
 }
 
 // TestFusedVsLayeredBitIdentical pins the fused plan's core claim: forward
@@ -72,7 +84,7 @@ func TestFusedVsLayeredBitIdentical(t *testing.T) {
 				t.Fatalf("act %v pass %d: fused backward: %v", act, pass, err)
 			}
 			for i, w := range wantG {
-				if g := net.FlattenGrads()[i]; g != w {
+				if g := flattenGrads(net)[i]; g != w {
 					t.Fatalf("act %v pass %d: grad[%d] fused %v layered %v", act, pass, i, g, w)
 				}
 			}
@@ -110,13 +122,13 @@ func TestFusedBackwardParamsOnlyMatchesFull(t *testing.T) {
 			if _, err := net.Backward(grad); err != nil {
 				t.Fatal(err)
 			}
-			want := net.FlattenGrads()
+			want := flattenGrads(net)
 			net.ZeroGrad()
 			if err := net.BackwardParamsOnly(grad); err != nil {
 				t.Fatal(err)
 			}
 			for i, w := range want {
-				if g := net.FlattenGrads()[i]; g != w {
+				if g := flattenGrads(net)[i]; g != w {
 					t.Fatalf("layered=%v pass %d: grad[%d] params-only %v full %v", layered, pass, i, g, w)
 				}
 			}
@@ -154,7 +166,7 @@ func TestFusedVsLayeredParallelWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, w := range wantG {
-			if g := net.FlattenGrads()[i]; g != w {
+			if g := flattenGrads(net)[i]; g != w {
 				t.Fatalf("pass %d: grad[%d] fused %v layered %v", pass, i, g, w)
 			}
 		}

@@ -25,17 +25,15 @@ func numericVsBackprop(t *testing.T, net *nn.Network, x *mat.Matrix, labels []in
 	if err != nil {
 		t.Fatalf("forward: %v", err)
 	}
-	// Allocating loss form on the analytic pass, destination-passing form on
-	// the numeric evaluations below, so both stay covered.
-	_, grad, err := nn.SoftmaxCrossEntropy(logits, labels)
-	if err != nil {
+	grad := mat.New(logits.Rows(), logits.Cols())
+	if _, err := nn.SoftmaxCrossEntropyTo(grad, logits, labels, nil); err != nil {
 		t.Fatalf("loss: %v", err)
 	}
 	net.ZeroGrad()
 	if _, err := net.Backward(grad); err != nil {
 		t.Fatalf("backward: %v", err)
 	}
-	analytic := net.FlattenGrads()
+	analytic := flattenGrads(net)
 
 	theta := net.FlattenParams()
 	lossGrad := mat.New(logits.Rows(), logits.Cols())

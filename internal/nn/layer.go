@@ -31,7 +31,7 @@ type Param struct {
 // Layers run on the destination-passing compute path: the matrices returned
 // by Forward and Backward are owned by the layer and recycled on its next
 // Forward/Backward call. Callers that need a result to survive past the next
-// pass must copy it (Clone, CopyData, CopyRow).
+// pass must copy it (CopyFrom into a matrix it owns).
 type Layer interface {
 	// Forward consumes a batch (one sample per row) and returns the layer
 	// output. Implementations may retain the input for the backward pass

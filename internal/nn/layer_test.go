@@ -17,7 +17,7 @@ func numericGradCheck(t *testing.T, net *Network, x *mat.Matrix, labels []int, t
 		if err != nil {
 			t.Fatalf("forward: %v", err)
 		}
-		l, _, err := SoftmaxCrossEntropy(logits, labels)
+		l, _, err := crossEntropy(logits, labels)
 		if err != nil {
 			t.Fatalf("loss: %v", err)
 		}
@@ -28,7 +28,7 @@ func numericGradCheck(t *testing.T, net *Network, x *mat.Matrix, labels []int, t
 	if err != nil {
 		t.Fatalf("forward: %v", err)
 	}
-	_, grad, err := SoftmaxCrossEntropy(logits, labels)
+	_, grad, err := crossEntropy(logits, labels)
 	if err != nil {
 		t.Fatalf("loss: %v", err)
 	}

@@ -7,26 +7,13 @@ import (
 	"chiron/internal/mat"
 )
 
-// SoftmaxCrossEntropy computes the mean softmax cross-entropy loss for a
-// batch of logits (one sample per row) against integer class labels, along
-// with the gradient of the loss with respect to the logits.
-//
-// The gradient is already divided by the batch size, so callers can feed it
-// straight into Network.Backward. It is the allocating wrapper over
-// SoftmaxCrossEntropyTo.
-func SoftmaxCrossEntropy(logits *mat.Matrix, labels []int) (loss float64, grad *mat.Matrix, err error) {
-	grad = mat.New(logits.Rows(), logits.Cols())
-	loss, err = SoftmaxCrossEntropyTo(grad, logits, labels, nil)
-	if err != nil {
-		return 0, nil, err
-	}
-	return loss, grad, nil
-}
-
-// SoftmaxCrossEntropyTo is the destination-passing form of
-// SoftmaxCrossEntropy: the gradient is written into grad (same shape as
-// logits) and probs, when non-nil, supplies a length-Cols scratch slice so
-// steady-state training loops allocate nothing.
+// SoftmaxCrossEntropyTo computes the mean softmax cross-entropy loss for a
+// batch of logits (one sample per row) against integer class labels. The
+// gradient with respect to the logits is written into grad (same shape as
+// logits), already divided by the batch size, so callers can feed it
+// straight into Network.Backward. probs, when non-nil, supplies a
+// length-Cols scratch slice so steady-state training loops allocate
+// nothing.
 func SoftmaxCrossEntropyTo(grad, logits *mat.Matrix, labels []int, probs []float64) (loss float64, err error) {
 	n := logits.Rows()
 	if n != len(labels) {
@@ -66,20 +53,9 @@ func SoftmaxCrossEntropyTo(grad, logits *mat.Matrix, labels []int, probs []float
 	return loss * inv, nil
 }
 
-// MSE computes the mean squared error between pred and target along with
-// the gradient with respect to pred (already divided by the element count).
-// It is the allocating wrapper over MSETo.
-func MSE(pred, target *mat.Matrix) (loss float64, grad *mat.Matrix, err error) {
-	grad = mat.New(pred.Rows(), pred.Cols())
-	loss, err = MSETo(grad, pred, target)
-	if err != nil {
-		return 0, nil, err
-	}
-	return loss, grad, nil
-}
-
-// MSETo is the destination-passing form of MSE: the gradient is written
-// into grad, which must match pred's shape.
+// MSETo computes the mean squared error between pred and target. The
+// gradient with respect to pred (already divided by the element count) is
+// written into grad, which must match pred's shape.
 func MSETo(grad, pred, target *mat.Matrix) (loss float64, err error) {
 	if pred.Rows() != target.Rows() || pred.Cols() != target.Cols() {
 		return 0, fmt.Errorf("nn: mse: pred %dx%d target %dx%d",

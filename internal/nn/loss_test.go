@@ -8,11 +8,25 @@ import (
 	"chiron/internal/mat"
 )
 
+// crossEntropy runs SoftmaxCrossEntropyTo into a fresh gradient matrix.
+func crossEntropy(logits *mat.Matrix, labels []int) (float64, *mat.Matrix, error) {
+	grad := mat.New(logits.Rows(), logits.Cols())
+	loss, err := SoftmaxCrossEntropyTo(grad, logits, labels, nil)
+	return loss, grad, err
+}
+
+// mse runs MSETo into a fresh gradient matrix.
+func mse(pred, target *mat.Matrix) (float64, *mat.Matrix, error) {
+	grad := mat.New(pred.Rows(), pred.Cols())
+	loss, err := MSETo(grad, pred, target)
+	return loss, grad, err
+}
+
 func TestCrossEntropyUniformLogits(t *testing.T) {
 	logits := mat.New(1, 4) // all-zero logits = uniform distribution
-	loss, grad, err := SoftmaxCrossEntropy(logits, []int{2})
+	loss, grad, err := crossEntropy(logits, []int{2})
 	if err != nil {
-		t.Fatalf("SoftmaxCrossEntropy: %v", err)
+		t.Fatalf("crossEntropy: %v", err)
 	}
 	if math.Abs(loss-math.Log(4)) > 1e-12 {
 		t.Fatalf("loss = %v, want ln4", loss)
@@ -31,9 +45,9 @@ func TestCrossEntropyGradSumsToZero(t *testing.T) {
 	logits := mat.New(5, 7)
 	logits.Randomize(rng, 3)
 	labels := []int{0, 6, 3, 2, 1}
-	_, grad, err := SoftmaxCrossEntropy(logits, labels)
+	_, grad, err := crossEntropy(logits, labels)
 	if err != nil {
-		t.Fatalf("SoftmaxCrossEntropy: %v", err)
+		t.Fatalf("crossEntropy: %v", err)
 	}
 	for r := 0; r < grad.Rows(); r++ {
 		var sum float64
@@ -48,19 +62,19 @@ func TestCrossEntropyGradSumsToZero(t *testing.T) {
 
 func TestCrossEntropyErrors(t *testing.T) {
 	logits := mat.New(2, 3)
-	if _, _, err := SoftmaxCrossEntropy(logits, []int{0}); err == nil {
+	if _, _, err := crossEntropy(logits, []int{0}); err == nil {
 		t.Fatal("accepted mismatched labels")
 	}
-	if _, _, err := SoftmaxCrossEntropy(logits, []int{0, 5}); err == nil {
+	if _, _, err := crossEntropy(logits, []int{0, 5}); err == nil {
 		t.Fatal("accepted out-of-range label")
 	}
-	if _, _, err := SoftmaxCrossEntropy(logits, []int{0, -1}); err == nil {
+	if _, _, err := crossEntropy(logits, []int{0, -1}); err == nil {
 		t.Fatal("accepted negative label")
 	}
 }
 
 func TestCrossEntropyEmptyBatch(t *testing.T) {
-	loss, grad, err := SoftmaxCrossEntropy(mat.New(0, 3), nil)
+	loss, grad, err := crossEntropy(mat.New(0, 3), nil)
 	if err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
@@ -72,9 +86,9 @@ func TestCrossEntropyEmptyBatch(t *testing.T) {
 func TestMSE(t *testing.T) {
 	pred, _ := mat.NewFromData(1, 2, []float64{1, 3})
 	target, _ := mat.NewFromData(1, 2, []float64{0, 0})
-	loss, grad, err := MSE(pred, target)
+	loss, grad, err := mse(pred, target)
 	if err != nil {
-		t.Fatalf("MSE: %v", err)
+		t.Fatalf("mse: %v", err)
 	}
 	if math.Abs(loss-5) > 1e-12 { // (1+9)/2
 		t.Fatalf("loss = %v, want 5", loss)
@@ -85,8 +99,8 @@ func TestMSE(t *testing.T) {
 }
 
 func TestMSEShapeError(t *testing.T) {
-	if _, _, err := MSE(mat.New(1, 2), mat.New(2, 1)); err == nil {
-		t.Fatal("MSE accepted mismatched shapes")
+	if _, _, err := mse(mat.New(1, 2), mat.New(2, 1)); err == nil {
+		t.Fatal("mse accepted mismatched shapes")
 	}
 }
 

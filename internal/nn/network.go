@@ -191,15 +191,6 @@ func (n *Network) LoadParams(flat []float64) error {
 	return nil
 }
 
-// FlattenGrads serializes all gradients into a single vector.
-func (n *Network) FlattenGrads() []float64 {
-	out := make([]float64, 0, n.NumParams())
-	for _, p := range n.Params() {
-		out = append(out, p.Grad.Data()...)
-	}
-	return out
-}
-
 // ClipGradNorm rescales all gradients so their global L2 norm does not
 // exceed maxNorm, returning the pre-clip norm.
 func (n *Network) ClipGradNorm(maxNorm float64) float64 {

@@ -9,6 +9,15 @@ import (
 	"chiron/internal/mat"
 )
 
+// flattenGrads serializes all of net's gradients into one vector.
+func flattenGrads(net *Network) []float64 {
+	out := make([]float64, 0, net.NumParams())
+	for _, p := range net.Params() {
+		out = append(out, p.Grad.Data()...)
+	}
+	return out
+}
+
 func TestMLPRejectsTooFewWidths(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	if _, err := NewMLP(rng, ActTanh, 4); err == nil {
@@ -64,12 +73,12 @@ func TestZeroGrad(t *testing.T) {
 	x := mat.New(2, 3)
 	x.Randomize(rng, 1)
 	logits, _ := net.Forward(x)
-	_, grad, _ := SoftmaxCrossEntropy(logits, []int{0, 1})
+	_, grad, _ := crossEntropy(logits, []int{0, 1})
 	if _, err := net.Backward(grad); err != nil {
 		t.Fatalf("Backward: %v", err)
 	}
 	var nonzero bool
-	for _, g := range net.FlattenGrads() {
+	for _, g := range flattenGrads(net) {
 		if g != 0 {
 			nonzero = true
 			break
@@ -79,7 +88,7 @@ func TestZeroGrad(t *testing.T) {
 		t.Fatal("backward produced all-zero gradients")
 	}
 	net.ZeroGrad()
-	for i, g := range net.FlattenGrads() {
+	for i, g := range flattenGrads(net) {
 		if g != 0 {
 			t.Fatalf("grad %d = %v after ZeroGrad", i, g)
 		}
@@ -97,7 +106,7 @@ func TestClipGradNorm(t *testing.T) {
 		t.Fatalf("pre-clip norm %v, want > 1", before)
 	}
 	var sq float64
-	for _, g := range net.FlattenGrads() {
+	for _, g := range flattenGrads(net) {
 		sq += g * g
 	}
 	if math.Abs(math.Sqrt(sq)-1.0) > 1e-9 {
@@ -112,7 +121,7 @@ func TestClipGradNormBelowThresholdUntouched(t *testing.T) {
 		p.Grad.Fill(1e-6)
 	}
 	net.ClipGradNorm(10)
-	for _, g := range net.FlattenGrads() {
+	for _, g := range flattenGrads(net) {
 		if g != 1e-6 {
 			t.Fatal("clip modified small gradients")
 		}
@@ -139,7 +148,7 @@ func TestSGDReducesLoss(t *testing.T) {
 		if err != nil {
 			t.Fatalf("forward: %v", err)
 		}
-		loss, grad, err := SoftmaxCrossEntropy(logits, labels)
+		loss, grad, err := crossEntropy(logits, labels)
 		if err != nil {
 			t.Fatalf("loss: %v", err)
 		}
@@ -176,7 +185,7 @@ func TestAdamReducesLoss(t *testing.T) {
 	var first, last float64
 	for step := 0; step < 80; step++ {
 		logits, _ := net.Forward(x)
-		loss, grad, _ := SoftmaxCrossEntropy(logits, labels)
+		loss, grad, _ := crossEntropy(logits, labels)
 		if step == 0 {
 			first = loss
 		}

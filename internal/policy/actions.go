@@ -52,11 +52,6 @@ func SquashVecTo(dst, u []float64, lo, hi float64) error {
 	return nil
 }
 
-// Clip bounds v to [lo, hi].
-func Clip(v, lo, hi float64) float64 {
-	return mat.Clamp(v, lo, hi)
-}
-
 // SimplexProject maps an unbounded pre-squash vector onto the probability
 // simplex via softmax — the transform behind the Eqn. 13 allocation
 // proportions.
@@ -66,13 +61,4 @@ func SimplexProject(u []float64) ([]float64, error) {
 		return nil, fmt.Errorf("policy: simplex project: %w", err)
 	}
 	return out, nil
-}
-
-// SimplexProjectTo is SimplexProject writing into a caller-supplied dst
-// (length len(u)); dst may alias u. It allocates nothing.
-func SimplexProjectTo(dst, u []float64) error {
-	if _, err := mat.Softmax(dst, u); err != nil {
-		return fmt.Errorf("policy: simplex project: %w", err)
-	}
-	return nil
 }

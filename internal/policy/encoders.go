@@ -158,50 +158,6 @@ func NewMyopicEncoder(env *edgeenv.Env) (*Concat, error) {
 	return NewConcat(NewHistoryEncoder(env))
 }
 
-// PresenceEncoder renders the fleet-membership mask of the environment's
-// churn schedule: one feature per node, 1 when the node is in the
-// recruitment pool at the upcoming round's Offer stage (a node departing
-// mid-round is still present at the Offer, so it encodes 1). Without a
-// churn schedule every node reads 1, so the block is constant — which is
-// why it is opt-in via NewChurnAwareEncoder rather than part of
-// NewExteriorEncoder: adding it there would change the observation
-// dimension every existing checkpoint and golden trace pins.
-type PresenceEncoder struct {
-	env   *edgeenv.Env
-	nodes int
-}
-
-// NewPresenceEncoder builds the encoder over env's churn schedule.
-func NewPresenceEncoder(env *edgeenv.Env) *PresenceEncoder {
-	return &PresenceEncoder{env: env, nodes: env.NumNodes()}
-}
-
-// Dim implements Encoder: one presence bit per node.
-func (p *PresenceEncoder) Dim() int { return p.nodes }
-
-// EncodeTo implements Encoder.
-func (p *PresenceEncoder) EncodeTo(dst []float64) {
-	churn := p.env.Config().Churn
-	round := p.env.Round()
-	for i := 0; i < p.nodes; i++ {
-		dst[i] = 1
-		if churn != nil {
-			if present, _ := churn.Membership(round, i); !present {
-				dst[i] = 0
-			}
-		}
-	}
-}
-
-// NewChurnAwareEncoder composes the churn-extended exterior observation
-// s^E_k = [history window | presence mask | budget fraction, round index]:
-// the varying node axis is exposed to the policy as an explicit mask over
-// a fixed-width layout, so network shapes (and checkpoints) stay valid as
-// nodes come and go.
-func NewChurnAwareEncoder(env *edgeenv.Env) (*Concat, error) {
-	return NewConcat(NewHistoryEncoder(env), NewPresenceEncoder(env), NewBudgetRoundEncoder(env))
-}
-
 // ConditioningEncoder renders the exterior action as the inner agent's
 // observation (the hierarchy of Fig. 2): the chosen total price normalized
 // by the fleet's saturation price.
@@ -220,10 +176,4 @@ func (ConditioningEncoder) Dim() int { return 1 }
 // State encodes the exterior total price into a fresh slice.
 func (e ConditioningEncoder) State(total float64) []float64 {
 	return []float64{total / e.maxTotal}
-}
-
-// EncodeTotal writes the conditioning feature into dst[0] — the
-// allocation-free form of State the batched evaluator stages rows with.
-func (e ConditioningEncoder) EncodeTotal(dst []float64, total float64) {
-	dst[0] = total / e.maxTotal
 }

@@ -40,20 +40,6 @@ func (h SimplexHead) Prices(total float64, u []float64) ([]float64, error) {
 	return props, nil
 }
 
-// PricesTo is Prices writing into a caller-supplied dst (length len(u));
-// dst may alias u. The arithmetic matches Prices element for element
-// (softmax then total·proportion), so reusing a price buffer across rounds
-// changes nothing but the allocation count.
-func (h SimplexHead) PricesTo(dst []float64, total float64, u []float64) error {
-	if err := SimplexProjectTo(dst, u); err != nil {
-		return err
-	}
-	for i, pr := range dst {
-		dst[i] = total * pr
-	}
-	return nil
-}
-
 // BoundedVectorHead maps each pre-squash component independently into
 // [Lo, Hi] — the DRL-based baseline's per-node price head, whose action
 // square covers the same feasible region as the total-price simplex.
@@ -64,12 +50,6 @@ type BoundedVectorHead struct {
 // Prices maps the pre-squash vector to per-node prices.
 func (h BoundedVectorHead) Prices(u []float64) []float64 {
 	return SquashVec(u, h.Lo, h.Hi)
-}
-
-// PricesTo is Prices writing into a caller-supplied dst (length len(u));
-// dst may alias u. It allocates nothing.
-func (h BoundedVectorHead) PricesTo(dst, u []float64) error {
-	return SquashVecTo(dst, u, h.Lo, h.Hi)
 }
 
 // StaticHead posts the same price vector every round — the head behind the

@@ -9,7 +9,6 @@ import (
 	"chiron/internal/accuracy"
 	"chiron/internal/device"
 	"chiron/internal/edgeenv"
-	"chiron/internal/faults"
 	"chiron/internal/market"
 )
 
@@ -109,12 +108,6 @@ func TestSimplexProject(t *testing.T) {
 	}
 	if math.Abs(sum-1) > 1e-12 {
 		t.Fatalf("proportions sum to %v", sum)
-	}
-}
-
-func TestClip(t *testing.T) {
-	if Clip(5, 0, 1) != 1 || Clip(-5, 0, 1) != 0 || Clip(0.5, 0, 1) != 0.5 {
-		t.Fatal("Clip wrong")
 	}
 }
 
@@ -391,108 +384,6 @@ func TestReplayHeadSnapshotRestore(t *testing.T) {
 	}
 	if err := h2.Restore([]ScoredAction{{}}); err == nil {
 		t.Fatal("Restore accepted action with no prices")
-	}
-}
-
-// churnEnv builds an environment whose churn schedule is the given script.
-func churnEnv(t *testing.T, nodes int, spec string) *edgeenv.Env {
-	t.Helper()
-	rng := rand.New(rand.NewSource(7))
-	fleet, err := device.NewFleetBatch(rng, device.DefaultFleetSpec(nodes))
-	if err != nil {
-		t.Fatalf("NewFleetBatch: %v", err)
-	}
-	acc, err := accuracy.NewPresetCurve(rand.New(rand.NewSource(8)), accuracy.PresetMNIST, nodes)
-	if err != nil {
-		t.Fatalf("NewPresetCurve: %v", err)
-	}
-	cfg := edgeenv.DefaultConfig(fleet, acc, 100)
-	cfg.Churn, err = faults.ParseChurnScript(spec)
-	if err != nil {
-		t.Fatalf("ParseChurnScript: %v", err)
-	}
-	env, err := edgeenv.New(cfg)
-	if err != nil {
-		t.Fatalf("edgeenv.New: %v", err)
-	}
-	return env
-}
-
-func TestPresenceEncoder(t *testing.T) {
-	// Node 1 absent until round 3; node 2 departs mid-round 2.
-	env := churnEnv(t, 4, "+1@3,-2@2")
-	if err := env.Reset(); err != nil {
-		t.Fatalf("Reset: %v", err)
-	}
-	enc := NewPresenceEncoder(env)
-	if enc.Dim() != 4 {
-		t.Fatalf("Dim = %d, want 4", enc.Dim())
-	}
-	read := func() []float64 {
-		dst := make([]float64, enc.Dim())
-		enc.EncodeTo(dst)
-		return dst
-	}
-	want := func(got, want []float64) {
-		t.Helper()
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("round %d presence = %v, want %v", env.Round(), got, want)
-			}
-		}
-	}
-	want(read(), []float64{1, 0, 1, 1}) // round 1
-	if _, err := env.Step(fullPrices(env)); err != nil {
-		t.Fatalf("Step: %v", err)
-	}
-	// Round 2: node 2 is departing mid-round but present at the Offer.
-	want(read(), []float64{1, 0, 1, 1})
-	if _, err := env.Step(fullPrices(env)); err != nil {
-		t.Fatalf("Step: %v", err)
-	}
-	// Round 3: node 1 arrived, node 2 is gone.
-	want(read(), []float64{1, 1, 0, 1})
-}
-
-func TestPresenceEncoderNoChurnIsAllOnes(t *testing.T) {
-	env := testEnv(t, 3, 100)
-	if err := env.Reset(); err != nil {
-		t.Fatalf("Reset: %v", err)
-	}
-	enc := NewPresenceEncoder(env)
-	dst := []float64{-1, -1, -1}
-	enc.EncodeTo(dst)
-	for i, v := range dst {
-		if v != 1 {
-			t.Fatalf("node %d presence = %v, want 1 without churn", i, v)
-		}
-	}
-}
-
-func TestChurnAwareEncoderDim(t *testing.T) {
-	env := churnEnv(t, 3, "-0@4")
-	if err := env.Reset(); err != nil {
-		t.Fatalf("Reset: %v", err)
-	}
-	ext, err := NewExteriorEncoder(env)
-	if err != nil {
-		t.Fatalf("NewExteriorEncoder: %v", err)
-	}
-	aware, err := NewChurnAwareEncoder(env)
-	if err != nil {
-		t.Fatalf("NewChurnAwareEncoder: %v", err)
-	}
-	// The churn-aware layout is the exterior layout plus one presence bit
-	// per node; the exterior dim itself must not move (checkpoint pin).
-	if aware.Dim() != ext.Dim()+env.NumNodes() {
-		t.Fatalf("churn-aware dim %d, want exterior %d + %d", aware.Dim(), ext.Dim(), env.NumNodes())
-	}
-	s := aware.State()
-	hist := 3 * env.NumNodes() * env.Config().HistoryLen
-	for i := 0; i < env.NumNodes(); i++ {
-		if s[hist+i] != 1 {
-			t.Fatalf("presence block at offset %d = %v, want 1", hist+i, s[hist+i])
-		}
 	}
 }
 

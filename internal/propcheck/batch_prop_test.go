@@ -45,8 +45,14 @@ func TestBatchBestResponseBitIdentity(t *testing.T) {
 			prices[i] = Uniform(rng, -0.3, 2.5) * sat
 			comm[i] = Uniform(rng, -0.1, 1.5) * (nodes[i].CommTime + 1)
 		}
-		out := device.BatchResponse{Util: []float64{}, Energy: []float64{}}
-		out.Resize(n)
+		out := device.BatchResponse{
+			Joined:  make([]bool, n),
+			Freq:    make([]float64, n),
+			Time:    make([]float64, n),
+			Payment: make([]float64, n),
+			Util:    make([]float64, n),
+			Energy:  make([]float64, n),
+		}
 		fleet.BestResponseRange(0, n, prices, comm, eligible, &out)
 		for i := 0; i < n; i++ {
 			want := nodes[i].BestResponseWithComm(prices[i], comm[i])
@@ -64,43 +70,9 @@ func TestBatchBestResponseBitIdentity(t *testing.T) {
 	})
 }
 
-// TestBatchColumnsBitIdentity checks the Eqn. (12)/(8) column kernels —
-// compute time and utility — against the scalar methods, including the
-// +Inf branch for stalled frequencies.
-func TestBatchColumnsBitIdentity(t *testing.T) {
-	Trials(t, 702, DefaultTrials, func(t *testing.T, rng *rand.Rand, trial int) {
-		n := 2 + rng.Intn(30)
-		nodes := RandomFleet(rng, n)
-		fleet := device.FromNodes(nodes)
-		freqs := make([]float64, n)
-		prices := make([]float64, n)
-		ct := make([]float64, n)
-		ut := make([]float64, n)
-		for i := 0; i < n; i++ {
-			switch rng.Intn(4) {
-			case 0:
-				freqs[i] = 0 // +Inf compute time
-			default:
-				freqs[i] = Uniform(rng, 0.5, 1.5) * nodes[i].FreqMax
-			}
-			prices[i] = Uniform(rng, 0, 2) * nodes[i].PriceForFreq(nodes[i].FreqMax)
-		}
-		fleet.ComputeTimeColumn(0, n, freqs, ct)
-		fleet.UtilityColumn(0, n, prices, freqs, ut)
-		for i := 0; i < n; i++ {
-			if want := nodes[i].ComputeTime(freqs[i]); ct[i] != want && !(math.IsInf(ct[i], 1) && math.IsInf(want, 1)) {
-				t.Fatalf("trial %d node %d: compute time %b != %b", trial, i, ct[i], want)
-			}
-			if want := nodes[i].Utility(prices[i], freqs[i]); ut[i] != want {
-				t.Fatalf("trial %d node %d: utility %b != %b", trial, i, ut[i], want)
-			}
-		}
-	})
-}
-
-// TestBatchSimplexSplitBitIdentity checks the destination-passing Eqn. (13)
-// price decomposition against the allocating head: identical bits, a valid
-// simplex, and an exact total·share decomposition.
+// TestBatchSimplexSplitBitIdentity checks the Eqn. (13) price
+// decomposition: the head's proportions form a valid simplex and its
+// prices are exactly total·share, bit for bit.
 func TestBatchSimplexSplitBitIdentity(t *testing.T) {
 	Trials(t, 703, DefaultTrials, func(t *testing.T, rng *rand.Rand, trial int) {
 		n := 1 + rng.Intn(40)
@@ -110,22 +82,9 @@ func TestBatchSimplexSplitBitIdentity(t *testing.T) {
 		}
 		total := Uniform(rng, 0.01, 50)
 		var head policy.SimplexHead
-		want, err := head.Prices(total, u)
+		prices, err := head.Prices(total, u)
 		if err != nil {
 			t.Fatalf("trial %d: Prices: %v", trial, err)
-		}
-		dst := make([]float64, n)
-		// Poison dst to prove full overwrite.
-		for i := range dst {
-			dst[i] = math.NaN()
-		}
-		if err := head.PricesTo(dst, total, u); err != nil {
-			t.Fatalf("trial %d: PricesTo: %v", trial, err)
-		}
-		for i := range dst {
-			if dst[i] != want[i] {
-				t.Fatalf("trial %d node %d: PricesTo %b != Prices %b", trial, i, dst[i], want[i])
-			}
 		}
 		props, err := head.Proportions(u)
 		if err != nil {
@@ -134,7 +93,7 @@ func TestBatchSimplexSplitBitIdentity(t *testing.T) {
 		if err := CheckSimplex(props); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if err := CheckPriceDecomposition(total, props, dst); err != nil {
+		if err := CheckPriceDecomposition(total, props, prices); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 	})

@@ -46,7 +46,8 @@ func TestOptimalComputeTimeProperty(t *testing.T) {
 		if !approxEqual(resp.Freq, f, tolExact) {
 			t.Fatalf("trial %d: interior optimum %v, want %v", trial, resp.Freq, f)
 		}
-		if got, want := n.ComputeTime(resp.Freq), n.OptimalComputeTime(p); !approxEqual(got, want, tolExact) {
+		w := float64(n.Epochs) * n.CyclesPerBit * n.DataBits
+		if got, want := n.ComputeTime(resp.Freq), 2*n.Capacitance*w*w/p; !approxEqual(got, want, tolExact) {
 			t.Fatalf("trial %d: compute time %v ≠ 2αω²/p = %v", trial, got, want)
 		}
 	})

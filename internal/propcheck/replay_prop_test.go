@@ -11,17 +11,19 @@ import (
 	"chiron/internal/trace"
 )
 
+// profileNames lists the scenario engine's built-in device profiles.
+var profileNames = []string{"paper", "phone", "laptop", "iot", "server"}
+
 // randomReplaySpec draws a small but fully-loaded scenario: a random
 // device-class mix, availability loss, bandwidth jitter, and (half the
 // time each) Markov churn and injected faults — the regimes where replay
 // determinism is hardest to keep. Budgets stay small so each trial's
 // episodes run tens of rounds, not hundreds.
 func randomReplaySpec(rng *rand.Rand, trial int) *scenario.Spec {
-	profiles := scenario.ProfileNames()
 	classes := make([]scenario.DeviceClass, 1+rng.Intn(2))
 	for i := range classes {
 		classes[i] = scenario.DeviceClass{
-			Profile: profiles[rng.Intn(len(profiles))],
+			Profile: profileNames[rng.Intn(len(profileNames))],
 			Count:   2 + rng.Intn(2),
 		}
 	}
@@ -54,6 +56,26 @@ func randomReplaySpec(rng *rand.Rand, trial int) *scenario.Spec {
 	return s
 }
 
+// record runs one scenario cell through the StartRecord step API —
+// training, then every evaluation episode — and streams its trace to tw.
+func record(s *scenario.Spec, tw *trace.Writer) (*scenario.EpisodeSet, error) {
+	run, err := scenario.StartRecord(s, "", 0, tw)
+	if err != nil {
+		return nil, err
+	}
+	for run.TrainRemaining() > 0 {
+		if _, err := run.TrainEpisode(); err != nil {
+			return nil, err
+		}
+	}
+	for ep := 1; ep <= run.Episodes(); ep++ {
+		if _, err := run.RecordEpisode(ep); err != nil {
+			return nil, err
+		}
+	}
+	return run.Finish()
+}
+
 // TestPropReplayBitIdentical is the replay engine's law: for any scenario
 // — under churn, faults, availability loss, and comm jitter — recording an
 // episode set and replaying the trace with the recorded mechanism and
@@ -66,9 +88,9 @@ func TestPropReplayBitIdentical(t *testing.T) {
 			t.Fatalf("trial %d: generated invalid spec: %v", trial, err)
 		}
 		var buf bytes.Buffer
-		rec, err := scenario.Record(s, "", 0, trace.NewWriter(&buf))
+		rec, err := record(s, trace.NewWriter(&buf))
 		if err != nil {
-			t.Fatalf("trial %d: Record: %v", trial, err)
+			t.Fatalf("trial %d: record: %v", trial, err)
 		}
 		tr, err := trace.Read(&buf)
 		if err != nil {

@@ -16,11 +16,10 @@ import (
 // jitter, and half the time Markov churn — the regimes where a hosted
 // session could plausibly drift from the CLI.
 func randomSessionSpec(rng *rand.Rand, trial int) *scenario.Spec {
-	profiles := scenario.ProfileNames()
 	classes := make([]scenario.DeviceClass, 1+rng.Intn(2))
 	for i := range classes {
 		classes[i] = scenario.DeviceClass{
-			Profile: profiles[rng.Intn(len(profiles))],
+			Profile: profileNames[rng.Intn(len(profileNames))],
 			Count:   2 + rng.Intn(2),
 		}
 	}
@@ -53,7 +52,7 @@ func randomSessionSpec(rng *rand.Rand, trial int) *scenario.Spec {
 // TestPropSessionMatchesCLIDigest is the serving layer's law: for any
 // scenario, a server-hosted session — at any worker count, with a pause
 // and resume injected at a random episode boundary — produces a run
-// digest bit-identical to the CLI's scenario.Run of the same spec and
+// digest bit-identical to an ungated scenario.Run of the same spec and
 // seed. Wall-clock lifecycle events must never leak into simulation
 // results.
 func TestPropSessionMatchesCLIDigest(t *testing.T) {
@@ -68,7 +67,7 @@ func TestPropSessionMatchesCLIDigest(t *testing.T) {
 		if err := spec.Validate(); err != nil {
 			t.Fatalf("trial %d: generated invalid spec: %v", trial, err)
 		}
-		want, err := scenario.Run(spec, 1)
+		want, err := scenario.Run(spec, 1, scenario.CellHooks{})
 		if err != nil {
 			t.Fatalf("trial %d: CLI run: %v", trial, err)
 		}
@@ -97,10 +96,10 @@ func TestPropSessionMatchesCLIDigest(t *testing.T) {
 		// refusal is fine once the session is terminal, and the final state
 		// and digest are checked below as usual.
 		for {
-			if st := s.State(); st.Terminal() {
+			if st := s.State(); terminal(st) {
 				break
 			} else if st == session.StatePaused {
-				if err := s.Resume(); err != nil && !s.State().Terminal() {
+				if err := s.Resume(); err != nil && !terminal(s.State()) {
 					t.Fatalf("trial %d: Resume: %v", trial, err)
 				}
 			}
@@ -118,4 +117,9 @@ func TestPropSessionMatchesCLIDigest(t *testing.T) {
 				trial, spec.Name, res.Digest(), want.Digest())
 		}
 	})
+}
+
+// terminal reports whether st is one of the session's absorbing states.
+func terminal(st session.State) bool {
+	return st == session.StateDone || st == session.StateStopped || st == session.StateFailed
 }

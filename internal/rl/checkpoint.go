@@ -60,6 +60,32 @@ func (c *Checkpoint) Agent(name string) *AgentState {
 	return nil
 }
 
+// CheckPins validates ck against the restoring mechanism before any state
+// is touched. ck must be non-nil and carry mechanism's tag (an untagged
+// legacy file is accepted); a foreign tag wraps ErrShapeMismatch. Every
+// named agent must hold a snapshot, else the error wraps
+// ErrCorruptCheckpoint. Finally the fleet size and the primary agent's
+// observation width (0 for mechanisms without a network) must match,
+// else ErrShapeMismatch.
+func CheckPins(ck *Checkpoint, mechanism string, nodes, stateDim int, agents ...string) error {
+	if ck == nil {
+		return fmt.Errorf("rl: restore from nil checkpoint")
+	}
+	if ck.Mechanism != "" && ck.Mechanism != mechanism {
+		return fmt.Errorf("%w: checkpoint for mechanism %q, want %q", ErrShapeMismatch, ck.Mechanism, mechanism)
+	}
+	for _, name := range agents {
+		if st := ck.Agent(name); st == nil || st.Snapshot == nil {
+			return fmt.Errorf("%w: missing %q agent snapshot", ErrCorruptCheckpoint, name)
+		}
+	}
+	if ck.Nodes != nodes || ck.StateDim != stateDim {
+		return fmt.Errorf("%w: checkpoint for %d nodes / state dim %d, environment has %d / %d",
+			ErrShapeMismatch, ck.Nodes, ck.StateDim, nodes, stateDim)
+	}
+	return nil
+}
+
 // PairState captures a pair's agent snapshot and buffered experience under
 // the pair's name.
 func PairState(p *Pair) AgentState {

@@ -134,18 +134,6 @@ func (p *GaussianPolicy) Sample(rng *rand.Rand, state []float64) (action []float
 	return action, logProb, nil
 }
 
-// LogProb returns log π(action|state) under the current parameters.
-func (p *GaussianPolicy) LogProb(state, action []float64) (float64, error) {
-	if len(action) != p.actionDim {
-		return 0, fmt.Errorf("rl: logprob action dim %d, want %d", len(action), p.actionDim)
-	}
-	mean, err := p.Mean(state)
-	if err != nil {
-		return 0, err
-	}
-	return p.logProb(mean, action), nil
-}
-
 // logProb evaluates the diagonal-Gaussian log-density.
 func (p *GaussianPolicy) logProb(mean, action []float64) float64 {
 	ls := p.logStd.Value.Data()

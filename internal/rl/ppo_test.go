@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"chiron/internal/mat"
 	"chiron/internal/policy"
 )
 
@@ -196,11 +197,12 @@ func TestCriticLearnsValue(t *testing.T) {
 			t.Fatalf("Update: %v", err)
 		}
 	}
-	v, err := agent.Value(state)
+	x, _ := mat.NewFromData(1, len(state), state)
+	values, err := agent.critic.Forward(x)
 	if err != nil {
-		t.Fatalf("Value: %v", err)
+		t.Fatalf("critic forward: %v", err)
 	}
-	if math.Abs(v-reward) > 0.5 {
+	if v := values.At(0, 0); math.Abs(v-reward) > 0.5 {
 		t.Fatalf("critic value %v, want ≈%v", v, reward)
 	}
 }

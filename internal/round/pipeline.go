@@ -120,9 +120,6 @@ func New(cfg Config) (*Pipeline, error) {
 	}, nil
 }
 
-// Fleet returns the struct-of-arrays fleet the pipeline runs over.
-func (p *Pipeline) Fleet() *device.Fleet { return p.Respond.Fleet }
-
 // Stages returns the chain in execution order.
 func (p *Pipeline) Stages() []Stage {
 	return []Stage{p.Offer, p.Respond, p.Execute, p.Settle, p.Commit}

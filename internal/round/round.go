@@ -219,19 +219,6 @@ func (st *State) outcomes() []market.Outcome {
 	return st.Record.Outcomes
 }
 
-// Freqs exposes the active frequency column (record vector or compact
-// scratch) for inspection by tests and metric extractors. Callers must
-// not retain it across rounds in compact mode — the buffer is reused.
-func (st *State) Freqs() []float64 { return st.freqs() }
-
-// Times exposes the active round-time column under the same aliasing
-// caveat as Freqs.
-func (st *State) Times() []float64 { return st.times() }
-
-// Outcomes exposes the active outcome column under the same aliasing
-// caveat as Freqs.
-func (st *State) Outcomes() []market.Outcome { return st.outcomes() }
-
 // Stage is one link of the round chain. Run mutates the State in place;
 // an error aborts the round (the caller decides episode semantics).
 type Stage interface {

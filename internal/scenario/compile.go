@@ -28,11 +28,6 @@ var profiles = map[string]profile{
 	"server": {freq: 3.0, comm: 0.4, data: 1.5, reserve: 2},
 }
 
-// ProfileNames returns the built-in device profile names.
-func ProfileNames() []string {
-	return []string{"paper", "phone", "laptop", "iot", "server"}
-}
-
 // datasetPreset resolves a spec dataset name to the calibrated accuracy
 // preset.
 func datasetPreset(name string) (accuracy.Preset, error) {

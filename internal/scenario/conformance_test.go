@@ -36,7 +36,7 @@ func TestConformanceGoldens(t *testing.T) {
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
 			s := conformanceSpec(t, name)
-			res, err := Run(s, 0)
+			res, err := Run(s, 0, CellHooks{})
 			if err != nil {
 				t.Fatalf("Run(%s): %v", name, err)
 			}
@@ -64,11 +64,11 @@ func TestConformanceGoldens(t *testing.T) {
 // serially or concurrently.
 func TestRunWorkerInvariance(t *testing.T) {
 	s := conformanceSpec(t, "budget-pacing")
-	serial, err := Run(s, 1)
+	serial, err := Run(s, 1, CellHooks{})
 	if err != nil {
 		t.Fatalf("serial run: %v", err)
 	}
-	parallel, err := Run(s, 4)
+	parallel, err := Run(s, 4, CellHooks{})
 	if err != nil {
 		t.Fatalf("parallel run: %v", err)
 	}
@@ -82,7 +82,7 @@ func TestRunWorkerInvariance(t *testing.T) {
 // result field by one ULP must change it.
 func TestDigestDetectsOneULP(t *testing.T) {
 	s := conformanceSpec(t, "paper-baseline")
-	res, err := Run(s, 1)
+	res, err := Run(s, 1, CellHooks{})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

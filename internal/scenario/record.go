@@ -102,10 +102,11 @@ func loadCheckpointBytes(cp mechanism.Checkpointer, data []byte) error {
 // RecordRun is one open recording cell: a draw-capturing environment and
 // mechanism whose execution is exposed as resumable steps — one training
 // episode at a time, then one recorded evaluation episode at a time — so a
-// hosted session can pause between episodes while streaming exactly the
-// trace Record streams. The versioned header (spec + post-training
-// checkpoint) is written lazily before the first recorded episode, after
-// training has finished.
+// hosted session can pause between episodes. Per evaluation episode the
+// trace carries every round's environment draws, the committed round
+// records, and the episode summary. The versioned header (spec +
+// post-training checkpoint) is written lazily before the first recorded
+// episode, after training has finished.
 type RecordRun struct {
 	spec       *Spec
 	kind       experiment.MechanismKind
@@ -265,33 +266,4 @@ func (r *RecordRun) Finish() (*EpisodeSet, error) {
 		return nil, err
 	}
 	return r.out, nil
-}
-
-// Record runs one (mechanism, budget) cell of the scenario with the round
-// pipeline's draw capture enabled and streams a replayable trace to tw:
-// a versioned header embedding the spec and the mechanism's post-training
-// checkpoint, then — per evaluation episode — every round's environment
-// draws, the committed round records, and the episode summary.
-//
-// mech selects the recorded mechanism ("" = the spec's first); budget
-// selects the cell (0 = the spec's first). Training episodes run with
-// capture disabled — only the deterministic evaluation is recorded. Record
-// is the batch form of the StartRecord step API above, which hosted
-// sessions drive episode by episode.
-func Record(s *Spec, mech string, budget float64, tw *trace.Writer) (*EpisodeSet, error) {
-	run, err := StartRecord(s, mech, budget, tw)
-	if err != nil {
-		return nil, err
-	}
-	for run.TrainRemaining() > 0 {
-		if _, err := run.TrainEpisode(); err != nil {
-			return nil, err
-		}
-	}
-	for ep := 1; ep <= run.Episodes(); ep++ {
-		if _, err := run.RecordEpisode(ep); err != nil {
-			return nil, err
-		}
-	}
-	return run.Finish()
 }

@@ -9,6 +9,26 @@ import (
 	"chiron/internal/trace"
 )
 
+// record runs one cell of s through the StartRecord step API —
+// training, then every evaluation episode — and streams its trace to tw.
+func record(s *Spec, tw *trace.Writer) (*EpisodeSet, error) {
+	run, err := StartRecord(s, "", 0, tw)
+	if err != nil {
+		return nil, err
+	}
+	for run.TrainRemaining() > 0 {
+		if _, err := run.TrainEpisode(); err != nil {
+			return nil, err
+		}
+	}
+	for ep := 1; ep <= run.Episodes(); ep++ {
+		if _, err := run.RecordEpisode(ep); err != nil {
+			return nil, err
+		}
+	}
+	return run.Finish()
+}
+
 // recordToTrace records one cell of the named library scenario into memory
 // and parses the trace back.
 func recordToTrace(t *testing.T, name string) (*Spec, *trace.Trace, *EpisodeSet) {
@@ -19,9 +39,9 @@ func recordToTrace(t *testing.T, name string) (*Spec, *trace.Trace, *EpisodeSet)
 	}
 	var buf bytes.Buffer
 	tw := trace.NewWriter(&buf)
-	rec, err := Record(s, "", 0, tw)
+	rec, err := record(s, tw)
 	if err != nil {
-		t.Fatalf("Record(%s): %v", name, err)
+		t.Fatalf("record(%s): %v", name, err)
 	}
 	tr, err := trace.Read(&buf)
 	if err != nil {

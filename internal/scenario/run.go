@@ -170,16 +170,11 @@ func CellJob(s *Spec, c Cell, hooks CellHooks) experiment.Job[mechanism.EpisodeR
 
 // Run compiles the spec and executes its mechanism × budget grid on the
 // experiment plan scheduler: every cell is an independent job (own
-// environment, own training), workers bounds concurrency (1 = serial, 0 =
-// GOMAXPROCS), and the result is byte-identical at any worker count — the
-// invariant the conformance goldens pin.
-func Run(s *Spec, workers int) (*Result, error) {
-	return RunGated(s, workers, CellHooks{})
-}
-
-// RunGated is Run with session hooks threaded into every cell job — the
-// entry point internal/session drives. Run is RunGated with no hooks.
-func RunGated(s *Spec, workers int, hooks CellHooks) (*Result, error) {
+// environment, own training) with hooks threaded into it, workers bounds
+// concurrency (1 = serial, 0 = GOMAXPROCS), and the result is
+// byte-identical at any worker count — the invariant the conformance
+// goldens pin. A zero CellHooks runs the grid ungated.
+func Run(s *Spec, workers int, hooks CellHooks) (*Result, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}

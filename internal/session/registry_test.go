@@ -10,7 +10,7 @@ import (
 
 func registrySpec(seed int64) *scenario.Spec {
 	s := quickSpec("registry", seed)
-	s.Classes = []scenario.DeviceClass{{Profile: scenario.ProfileNames()[0], Count: 5}}
+	s.Classes = []scenario.DeviceClass{{Profile: "paper", Count: 5}}
 	return s
 }
 
@@ -171,7 +171,7 @@ func TestRegistrySessionMatchesCLITwin(t *testing.T) {
 
 	twin := registrySpec(17)
 	twin.Churn = &scenario.ChurnSpec{Script: script}
-	want, err := scenario.Run(twin, 1)
+	want, err := scenario.Run(twin, 1, scenario.CellHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestRegistrySessionMatchesCLITwin(t *testing.T) {
 	}
 
 	// The churn genuinely changed the run: the no-churn digest differs.
-	base, err := scenario.Run(registrySpec(17), 1)
+	base, err := scenario.Run(registrySpec(17), 1, scenario.CellHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}

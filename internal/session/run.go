@@ -24,6 +24,7 @@ func (s *Session) run(spec *scenario.Spec) {
 	s.mu.Lock()
 	// A pause or stop issued while queued stays in force; only an
 	// untouched queued session proceeds straight to running.
+	s.acquired = true
 	if s.state == StateQueued {
 		s.state = StateRunning
 	}
@@ -58,11 +59,11 @@ func (s *Session) finish(err error) {
 	s.finishLocked()
 }
 
-// runGrid runs the spec's full mechanism × budget grid through the same
-// scenario.RunGated path the CLI's scenario.Run uses, with the session
-// gate and episode observer threaded into every cell.
+// runGrid runs the spec's full mechanism × budget grid through
+// scenario.Run, with the session gate and episode observer threaded into
+// every cell.
 func (s *Session) runGrid(spec *scenario.Spec) error {
-	res, err := scenario.RunGated(spec, s.cfg.Workers, scenario.CellHooks{
+	res, err := scenario.Run(spec, s.cfg.Workers, scenario.CellHooks{
 		Gate:    s.gate,
 		Episode: s.observe,
 	})

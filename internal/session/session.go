@@ -86,11 +86,6 @@ func (s State) String() string {
 	}
 }
 
-// Terminal reports whether the state is absorbing.
-func (s State) Terminal() bool {
-	return s == StateDone || s == StateStopped || s == StateFailed
-}
-
 // ErrStopped is the gate sentinel a Stop injects; run paths surface it
 // (possibly wrapped by the experiment scheduler) and the session maps it
 // back to StateStopped rather than StateFailed.
@@ -208,6 +203,7 @@ type Session struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	state    State
+	acquired bool // the run goroutine holds its worker slot (or needs none)
 	err      error
 	stopCh   chan struct{} // closed by Stop; unblocks queue waits
 	done     chan struct{} // closed on terminal transition
@@ -348,13 +344,18 @@ func (s *Session) Pause() error {
 	}
 }
 
-// Resume lifts a pause. A no-op when already running.
+// Resume lifts a pause: the session returns to running once it holds a
+// worker slot, and to queued while it still waits for one. A no-op while
+// queued or running.
 func (s *Session) Resume() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch s.state {
 	case StatePaused:
-		s.state = StateRunning
+		s.state = StateQueued
+		if s.acquired {
+			s.state = StateRunning
+		}
 		s.cond.Broadcast()
 		return nil
 	case StateQueued, StateRunning:

@@ -23,7 +23,7 @@ func quickSpec(name string, seed int64) *scenario.Spec {
 		Dataset: "mnist",
 		Seed:    seed,
 		Classes: []scenario.DeviceClass{
-			{Profile: scenario.ProfileNames()[0], Count: 3},
+			{Profile: "paper", Count: 3},
 		},
 		Budgets:      []float64{60, 90},
 		Mechanisms:   []string{"uniform", "equal-time"},
@@ -139,7 +139,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestGridMatchesCLIDigest(t *testing.T) {
 	spec := quickSpec("grid-twin", 11)
-	want, err := scenario.Run(spec, 1)
+	want, err := scenario.Run(spec, 1, scenario.CellHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestGridMatchesCLIDigest(t *testing.T) {
 
 func TestPauseResumeKeepsDigest(t *testing.T) {
 	spec := quickSpec("pause-twin", 23)
-	want, err := scenario.Run(spec, 1)
+	want, err := scenario.Run(spec, 1, scenario.CellHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,9 +223,29 @@ func TestPauseResumeKeepsDigest(t *testing.T) {
 	}
 }
 
+// record runs one cell of s through the StartRecord step API —
+// training, then every evaluation episode — and streams its trace to tw.
+func record(s *scenario.Spec, tw *trace.Writer) (*scenario.EpisodeSet, error) {
+	run, err := scenario.StartRecord(s, "", 0, tw)
+	if err != nil {
+		return nil, err
+	}
+	for run.TrainRemaining() > 0 {
+		if _, err := run.TrainEpisode(); err != nil {
+			return nil, err
+		}
+	}
+	for ep := 1; ep <= run.Episodes(); ep++ {
+		if _, err := run.RecordEpisode(ep); err != nil {
+			return nil, err
+		}
+	}
+	return run.Finish()
+}
+
 func TestRecordMatchesCLIRecord(t *testing.T) {
 	var cliBuf bytes.Buffer
-	want, err := scenario.Record(quickSpec("rec-twin", 31), "", 0, trace.NewWriter(&cliBuf))
+	want, err := record(quickSpec("rec-twin", 31), trace.NewWriter(&cliBuf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,6 +508,17 @@ func TestPoolAdmissionAndBackpressure(t *testing.T) {
 	time.Sleep(10 * time.Millisecond)
 	if got := s2.State(); got != StateQueued {
 		t.Fatalf("second session state %s, want queued", got)
+	}
+	// Pause then Resume returns it to the line, not to running: it still
+	// holds no worker.
+	if err := s2.Pause(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.Resume(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s2.State(); got != StateQueued {
+		t.Fatalf("second session state %s after pause/resume, want queued", got)
 	}
 	// Stopping the queued session abandons the line.
 	s2.Stop()
