@@ -56,7 +56,7 @@ func MulTransATo(dst, a, b *Matrix) error {
 }
 
 // MulTransBTo computes dst = a × bᵀ without allocating in steady state:
-// on amd64 it packs bᵀ into a recycled panel for the strip kernel. dst must
+// with AVX2 it packs bᵀ into a recycled panel for the assembly kernel. dst must
 // be a.Rows()×b.Rows() and must not alias a or b.
 func MulTransBTo(dst, a, b *Matrix) error {
 	if a.cols != b.cols {
@@ -65,16 +65,15 @@ func MulTransBTo(dst, a, b *Matrix) error {
 	if err := checkDst("mulTransB", dst, a.rows, b.rows); err != nil {
 		return err
 	}
-	s := stripCols(b.rows)
 	var bt []float64
-	if s > 0 {
-		bt = packTransB(b, s)
+	if haveAVX2 && b.rows > 0 {
+		bt = packTransB(b)
 		defer releasePanel(bt)
 	}
 	if flops := a.rows * a.cols * b.rows; serialRows(a.rows, flops) {
-		mulTransBRange(dst, a, b, bt, s, 0, a.rows)
+		mulTransBRange(dst, a, b, bt, 0, a.rows)
 	} else {
-		parallelRows(a.rows, flops, func(lo, hi int) { mulTransBRange(dst, a, b, bt, s, lo, hi) })
+		parallelRows(a.rows, flops, func(lo, hi int) { mulTransBRange(dst, a, b, bt, lo, hi) })
 	}
 	return nil
 }

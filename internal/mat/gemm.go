@@ -1,10 +1,9 @@
 package mat
 
 // Register-tiled Go GEMM micro-kernels. The Matrix kernels (MulTo,
-// MulTransATo, MulTransBTo) lower onto these; on amd64 they hand their whole
-// 8-column blocks to the SSE2 strip kernel instead (strip.go), and these
-// compute the column tail. Off amd64 these compute every column, and the
-// strip kernel's tests use them as the oracle.
+// MulTransATo, MulTransBTo) lower onto these on CPUs without AVX2 and off
+// amd64; with AVX2 the assembly kernel computes every column instead
+// (strip.go), and its tests use these as the oracle.
 //
 // Blocking scheme (DESIGN.md §16): the output is split into contiguous row
 // bands (one per worker — the parallel axis), each band into column blocks
@@ -36,18 +35,17 @@ const (
 	gemmKC = 64
 )
 
-// gemmRange computes columns [j0, dcols) of rows [lo, hi) of dst = a × b;
-// j0 > 0 leaves the leading columns to the amd64 strip kernel. Per dst row
+// gemmRange computes rows [lo, hi) of dst = a × b. Per dst row
 // the column axis is walked in gemmNR-wide register blocks; each block
 // accumulates its full k reduction in registers (ascending k, matching the
 // naive kernel) and stores once. Rows where an a element is zero skip that
 // k exactly like the naive kernel, preserving bit-identity in the presence
 // of Inf/NaN operands.
-func gemmRange(dst []float64, dcols int, a []float64, acols int, b []float64, bcols int, lo, hi, j0 int) {
+func gemmRange(dst []float64, dcols int, a []float64, acols int, b []float64, bcols int, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		arow := a[i*acols : (i+1)*acols]
 		drow := dst[i*dcols : (i+1)*dcols]
-		j := j0
+		j := 0
 		for ; j+gemmNR <= dcols; j += gemmNR {
 			var c0, c1, c2, c3, c4, c5, c6, c7 float64
 			off := j
@@ -103,15 +101,14 @@ func gemmRange(dst []float64, dcols int, a []float64, acols int, b []float64, bc
 	}
 }
 
-// gemmTransBRange computes columns [j0, dcols) of rows [lo, hi) of
-// dst = a × bᵀ as register-blocked row dot products: eight output columns
+// gemmTransBRange computes rows [lo, hi) of dst = a × bᵀ as register-blocked row dot products: eight output columns
 // (rows of b) accumulate concurrently, each over k ascending, sharing every
 // arow load. Unlike the other two kernels it has no a==0 skip.
-func gemmTransBRange(dst []float64, dcols int, a []float64, acols int, b []float64, brows int, lo, hi, j0 int) {
+func gemmTransBRange(dst []float64, dcols int, a []float64, acols int, b []float64, brows int, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		arow := a[i*acols : (i+1)*acols : (i+1)*acols]
 		drow := dst[i*dcols : (i+1)*dcols]
-		j := j0
+		j := 0
 		for ; j+8 <= brows; j += 8 {
 			b0 := b[j*acols : (j+1)*acols : (j+1)*acols]
 			b1 := b[(j+1)*acols : (j+2)*acols : (j+2)*acols]
@@ -158,17 +155,16 @@ func gemmTransBRange(dst []float64, dcols int, a []float64, acols int, b []float
 	}
 }
 
-// gemmTransARange computes columns [j0, dcols) of rows [lo, hi) of
-// dst = aᵀ × b (output row i reads column i of a). The k axis is tiled at
+// gemmTransARange computes rows [lo, hi) of dst = aᵀ × b (output row i reads column i of a). The k axis is tiled at
 // gemmKC: within a tile, a gemmNR register block accumulates ascending-k
 // products on top of the running dst values loaded at tile entry, so the
 // per-element addition sequence is the unbroken ascending-k chain of the
 // naive kernel. The a[k][i]==0 skip of the naive kernel is preserved. An
 // empty reduction (arows == 0) zeroes the columns.
-func gemmTransARange(dst []float64, dcols int, a []float64, acols, arows int, b []float64, bcols int, lo, hi, j0 int) {
+func gemmTransARange(dst []float64, dcols int, a []float64, acols, arows int, b []float64, bcols int, lo, hi int) {
 	if arows == 0 {
 		for i := lo; i < hi; i++ {
-			clear(dst[i*dcols+j0 : (i+1)*dcols])
+			clear(dst[i*dcols : (i+1)*dcols])
 		}
 	}
 	for k0 := 0; k0 < arows; k0 += gemmKC {
@@ -179,7 +175,7 @@ func gemmTransARange(dst []float64, dcols int, a []float64, acols, arows int, b 
 		first := k0 == 0
 		for i := lo; i < hi; i++ {
 			drow := dst[i*dcols : (i+1)*dcols]
-			j := j0
+			j := 0
 			for ; j+gemmNR <= dcols; j += gemmNR {
 				var c0, c1, c2, c3, c4, c5, c6, c7 float64
 				if !first {

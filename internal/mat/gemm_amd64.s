@@ -1,54 +1,114 @@
 #include "textflag.h"
 
-// SSE2 strip kernel for the float64 GEMMs (see gemm_amd64.go). One call
-// computes cols (a multiple of 8) columns of one dst row as 16-column
-// strips, then one 8-column strip when 8 columns remain. Each strip keeps
-// its columns in packed accumulators (two float64 per XMM register) and
-// walks k ascending; per k it broadcasts a[k] and does, per register pair,
+// AVX2 kernels for the float64 GEMMs and the Adam step (see gemm_amd64.go).
+// Every lane does exactly the arithmetic of the Go code it replaces, in the
+// same order: a separate VMULPD and VADDPD per product, so two roundings,
+// like the Go kernels' scalar c += av*b. No FMA, no reassociation, and lanes
+// never mix, so there is no horizontal sum.
 //
-//	acc += a[k] * b[k][j:j+2]
+// gemmKernel computes cols columns of n ≤ 4 dst rows. The whole 8-column
+// blocks of each row run as 32-, 16- and 8-column strips held in YMM
+// accumulators (four float64 each); per k, ascending, the strip broadcasts
+// a[k] and multiplies and adds it into every accumulator. The remaining
+// cols mod 8 columns (the narrow heads) run the n rows side by side, so the
+// rows' add chains overlap instead of waiting on each other; a row past n
+// repeats row n-1, which stores the same values twice. Masked loads and
+// stores confine the tail to its columns.
 //
-// with a separate MULPD and ADDPD: two roundings per product, the same as
-// the scalar MULSD/ADDSD of the Go kernels. No FMA, no reassociation.
-//
-// Register use: DI dst strip, SI a, DX a stride (bytes), BX b strip,
-// R8 b stride (bytes), CX k, R9 columns left, R10/R11 a/b cursors,
-// R12 k countdown, AX the zero test, X0–X7 accumulators, X8 the broadcast
-// a[k], X9–X12 products.
+// Register use, strips: DI dst strip, SI a row, DX a stride (bytes), BX b
+// strip, R8 b stride (bytes), CX rows left, R9 strip columns left, R10/R11
+// a/b cursors, R12 k countdown, R13 dst row, AX the zero test, Y0–Y7
+// accumulators, Y8 the broadcast a[k], Y9–Y12 products. Tail: CX dst, SI/DI/R9
+// row offsets, R13 upper-half lane count, Y0–Y3 and Y4–Y7 the rows' lower
+// and upper column halves, Y9/Y10 b[k], Y14/Y15 lane masks.
 
-// MAC2 accumulates b[k][off/8 : off/8+2] · a[k] into acc through tmp.
-#define MAC2(off, tmp, acc) \
-	MOVUPD off(R11), tmp; \
-	MULPD  X8, tmp;       \
-	ADDPD  tmp, acc
+// tailMask is four all-ones lanes then four zero lanes: the four lanes read
+// from tailMask+32-8n enable the first n.
+DATA tailMask<>+0(SB)/8, $-1
+DATA tailMask<>+8(SB)/8, $-1
+DATA tailMask<>+16(SB)/8, $-1
+DATA tailMask<>+24(SB)/8, $-1
+DATA tailMask<>+32(SB)/8, $0
+DATA tailMask<>+40(SB)/8, $0
+DATA tailMask<>+48(SB)/8, $0
+DATA tailMask<>+56(SB)/8, $0
+GLOBL tailMask<>(SB), RODATA|NOPTR, $64
 
-#define MAC16 \
-	MAC2(0, X9, X0);    \
-	MAC2(16, X10, X1);  \
-	MAC2(32, X11, X2);  \
-	MAC2(48, X12, X3);  \
-	MAC2(64, X9, X4);   \
-	MAC2(80, X10, X5);  \
-	MAC2(96, X11, X6);  \
-	MAC2(112, X12, X7)
+// MAC accumulates b[k][off/8 : off/8+4] · a[k] into acc through tmp.
+#define MAC(off, tmp, acc) \
+	VMULPD off(R11), Y8, tmp; \
+	VADDPD tmp, acc, acc
 
 #define MAC8 \
-	MAC2(0, X9, X0);   \
-	MAC2(16, X10, X1); \
-	MAC2(32, X11, X2); \
-	MAC2(48, X12, X3)
+	MAC(0, Y9, Y0); \
+	MAC(32, Y10, Y1)
 
-// BROADCAST loads a[k] into both lanes of X8.
-#define BROADCAST \
-	MOVSD    (R10), X8; \
-	UNPCKLPD X8, X8
+#define MAC16 \
+	MAC8; \
+	MAC(64, Y11, Y2); \
+	MAC(96, Y12, Y3)
 
-// ZEROSKIP jumps to skip when a[k] is +0 or −0 (its bits shifted left by
-// one are zero); NaN and every nonzero value fall through, exactly like
-// the Go kernels' a == 0 test.
-#define ZEROSKIP(skip) \
-	MOVQ (R10), AX; \
-	SHLQ $1, AX;    \
+#define MAC32 \
+	MAC16; \
+	MAC(128, Y9, Y4); \
+	MAC(160, Y10, Y5); \
+	MAC(192, Y11, Y6); \
+	MAC(224, Y12, Y7)
+
+#define LOAD8 \
+	VMOVUPD 0(DI), Y0; \
+	VMOVUPD 32(DI), Y1
+
+#define LOAD16 \
+	LOAD8; \
+	VMOVUPD 64(DI), Y2; \
+	VMOVUPD 96(DI), Y3
+
+#define LOAD32 \
+	LOAD16; \
+	VMOVUPD 128(DI), Y4; \
+	VMOVUPD 160(DI), Y5; \
+	VMOVUPD 192(DI), Y6; \
+	VMOVUPD 224(DI), Y7
+
+#define ZERO8 \
+	VXORPD Y0, Y0, Y0; \
+	VXORPD Y1, Y1, Y1
+
+#define ZERO16 \
+	ZERO8; \
+	VXORPD Y2, Y2, Y2; \
+	VXORPD Y3, Y3, Y3
+
+#define ZERO32 \
+	ZERO16; \
+	VXORPD Y4, Y4, Y4; \
+	VXORPD Y5, Y5, Y5; \
+	VXORPD Y6, Y6, Y6; \
+	VXORPD Y7, Y7, Y7
+
+#define STORE8 \
+	VMOVUPD Y0, 0(DI); \
+	VMOVUPD Y1, 32(DI)
+
+#define STORE16 \
+	STORE8; \
+	VMOVUPD Y2, 64(DI); \
+	VMOVUPD Y3, 96(DI)
+
+#define STORE32 \
+	STORE16; \
+	VMOVUPD Y4, 128(DI); \
+	VMOVUPD Y5, 160(DI); \
+	VMOVUPD Y6, 192(DI); \
+	VMOVUPD Y7, 224(DI)
+
+// ZEROSKIP jumps to skip when the a value at addr is +0 or −0 (its bits
+// shifted left by one are zero); NaN and every nonzero value fall through,
+// exactly like the Go kernels' a == 0 test.
+#define ZEROSKIP(addr, skip) \
+	MOVQ addr, AX; \
+	SHLQ $1, AX; \
 	JEQ  skip
 
 #define ADVANCE \
@@ -56,129 +116,310 @@
 	ADDQ R8, R11; \
 	DECQ R12
 
-// func gemmStrips(dst, a *float64, aStride int, b *float64, bStride, k, cols int, load, skipZero bool)
-TEXT ·gemmStrips(SB), NOSPLIT, $0-58
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ aStride+16(FP), DX
+// STRIP computes one strip of the current row: accumulators from dst
+// (load) or +0, then every k ascending, then one store.
+#define STRIP(LOADS, ZEROS, MACS, STORES, zero, kloop, sparse, next, dense, store) \
+	CMPB load+80(FP), $0; \
+	JEQ  zero; \
+	LOADS; \
+	JMP  kloop; \
+zero: \
+	ZEROS; \
+kloop: \
+	MOVQ  SI, R10; \
+	MOVQ  BX, R11; \
+	MOVQ  k+56(FP), R12; \
+	TESTQ R12, R12; \
+	JEQ   store; \
+	CMPB  skipZero+81(FP), $0; \
+	JEQ   dense; \
+sparse: \
+	ZEROSKIP((R10), next); \
+	VBROADCASTSD (R10), Y8; \
+	MACS; \
+next: \
+	ADVANCE; \
+	JNE sparse; \
+	JMP store; \
+dense: \
+	VBROADCASTSD (R10), Y8; \
+	MACS; \
+	ADVANCE; \
+	JNE dense; \
+store: \
+	STORES
+
+// ROWOFFS sets o1–o3 to the byte offsets of rows 1–3 for a row stride of
+// stride elements, with rows at or past n repeating row n-1. It clobbers
+// AX, BX and R12.
+#define ROWOFFS(stride, o1, o2, o3) \
+	MOVQ    stride, AX; \
+	SHLQ    $3, AX; \
+	MOVQ    rows+72(FP), BX; \
+	XORQ    o1, o1; \
+	CMPQ    BX, $2; \
+	CMOVQGE AX, o1; \
+	MOVQ    o1, o2; \
+	LEAQ    (AX)(AX*1), R12; \
+	CMPQ    BX, $3; \
+	CMOVQGE R12, o2; \
+	MOVQ    o2, o3; \
+	ADDQ    AX, R12; \
+	CMPQ    BX, $4; \
+	CMOVQGE R12, o3
+
+// TMAC4 adds a·b[k] over the lower four tail columns into lo, for the a
+// value at addr; TMAC8 also does the upper ones into hi.
+#define TMAC4(addr, lo) \
+	VBROADCASTSD addr, Y8; \
+	VMULPD       Y9, Y8, Y11; \
+	VADDPD       Y11, lo, lo
+
+#define TMAC8(addr, lo, hi) \
+	TMAC4(addr, lo); \
+	VMULPD Y10, Y8, Y12; \
+	VADDPD Y12, hi, hi
+
+// func gemmKernel(dst *float64, dstStride int, a *float64, aRowStride, aStride int, b *float64, bStride, k, cols, rows int, load, skipZero bool)
+TEXT ·gemmKernel(SB), NOSPLIT, $0-82
+	MOVQ aStride+32(FP), DX
 	SHLQ $3, DX
-	MOVQ b+24(FP), BX
-	MOVQ bStride+32(FP), R8
+	MOVQ bStride+48(FP), R8
 	SHLQ $3, R8
-	MOVQ k+40(FP), CX
-	MOVQ cols+48(FP), R9
+	MOVQ cols+64(FP), AX
+	ANDQ $-8, AX
+	JEQ  tail
+	MOVQ dst+0(FP), R13
+	MOVQ a+16(FP), SI
+	MOVQ rows+72(FP), CX
+
+row:
+	MOVQ R13, DI
+	MOVQ b+40(FP), BX
+	MOVQ cols+64(FP), R9
+	ANDQ $-8, R9
+
+strip32:
+	CMPQ R9, $32
+	JLT  strip16
+	STRIP(LOAD32, ZERO32, MAC32, STORE32, z32, k32, s32, n32, d32, st32)
+	ADDQ $256, DI
+	ADDQ $256, BX
+	SUBQ $32, R9
+	JMP  strip32
 
 strip16:
 	CMPQ R9, $16
 	JLT  strip8
-	CMPB load+56(FP), $0
-	JEQ  zero16
-	MOVUPD 0(DI), X0
-	MOVUPD 16(DI), X1
-	MOVUPD 32(DI), X2
-	MOVUPD 48(DI), X3
-	MOVUPD 64(DI), X4
-	MOVUPD 80(DI), X5
-	MOVUPD 96(DI), X6
-	MOVUPD 112(DI), X7
-	JMP  k16
-
-zero16:
-	XORPD X0, X0
-	XORPD X1, X1
-	XORPD X2, X2
-	XORPD X3, X3
-	XORPD X4, X4
-	XORPD X5, X5
-	XORPD X6, X6
-	XORPD X7, X7
-
-k16:
-	MOVQ  SI, R10
-	MOVQ  BX, R11
-	MOVQ  CX, R12
-	TESTQ R12, R12
-	JEQ   store16
-	CMPB  skipZero+57(FP), $0
-	JEQ   dense16
-
-sparse16:
-	ZEROSKIP(next16)
-	BROADCAST
-	MAC16
-
-next16:
-	ADVANCE
-	JNE sparse16
-	JMP store16
-
-dense16:
-	BROADCAST
-	MAC16
-	ADVANCE
-	JNE dense16
-
-store16:
-	MOVUPD X0, 0(DI)
-	MOVUPD X1, 16(DI)
-	MOVUPD X2, 32(DI)
-	MOVUPD X3, 48(DI)
-	MOVUPD X4, 64(DI)
-	MOVUPD X5, 80(DI)
-	MOVUPD X6, 96(DI)
-	MOVUPD X7, 112(DI)
-	ADDQ   $128, DI
-	ADDQ   $128, BX
-	SUBQ   $16, R9
-	JMP    strip16
+	STRIP(LOAD16, ZERO16, MAC16, STORE16, z16, k16, s16, n16, d16, st16)
+	ADDQ $128, DI
+	ADDQ $128, BX
+	SUBQ $16, R9
 
 strip8:
 	CMPQ R9, $8
-	JLT  done
-	CMPB load+56(FP), $0
-	JEQ  zero8
-	MOVUPD 0(DI), X0
-	MOVUPD 16(DI), X1
-	MOVUPD 32(DI), X2
-	MOVUPD 48(DI), X3
-	JMP  k8
+	JLT  nextrow
+	STRIP(LOAD8, ZERO8, MAC8, STORE8, z8, k8, s8, n8, d8, st8)
 
-zero8:
-	XORPD X0, X0
-	XORPD X1, X1
-	XORPD X2, X2
-	XORPD X3, X3
+nextrow:
+	MOVQ dstStride+8(FP), AX
+	LEAQ (R13)(AX*8), R13
+	MOVQ aRowStride+24(FP), AX
+	LEAQ (SI)(AX*8), SI
+	DECQ CX
+	JNE  row
 
-k8:
-	MOVQ  SI, R10
-	MOVQ  BX, R11
-	MOVQ  CX, R12
+tail:
+	MOVQ    cols+64(FP), AX
+	ANDQ    $7, AX
+	JEQ     done
+	MOVQ    $4, BX
+	CMPQ    AX, $4
+	CMOVQLT AX, BX
+	SUBQ    BX, AX
+	MOVQ    AX, R13
+	LEAQ    tailMask<>+32(SB), R9
+	NEGQ    BX
+	VMOVUPD (R9)(BX*8), Y14
+	NEGQ    AX
+	VMOVUPD (R9)(AX*8), Y15
+
+	MOVQ cols+64(FP), AX
+	ANDQ $-8, AX
+	MOVQ dst+0(FP), CX
+	LEAQ (CX)(AX*8), CX
+	MOVQ b+40(FP), R11
+	LEAQ (R11)(AX*8), R11
+	ROWOFFS(dstStride+8(FP), SI, DI, R9)
+	CMPB load+80(FP), $0
+	JEQ  tzero
+	VMASKMOVPD (CX), Y14, Y0
+	VMASKMOVPD (CX)(SI*1), Y14, Y1
+	VMASKMOVPD (CX)(DI*1), Y14, Y2
+	VMASKMOVPD (CX)(R9*1), Y14, Y3
+	VMASKMOVPD 32(CX), Y15, Y4
+	VMASKMOVPD 32(CX)(SI*1), Y15, Y5
+	VMASKMOVPD 32(CX)(DI*1), Y15, Y6
+	VMASKMOVPD 32(CX)(R9*1), Y15, Y7
+	JMP  tk
+
+tzero:
+	ZERO32
+
+tk:
+	ROWOFFS(aRowStride+24(FP), SI, DI, R9)
+	MOVQ  a+16(FP), R10
+	MOVQ  k+56(FP), R12
 	TESTQ R12, R12
-	JEQ   store8
-	CMPB  skipZero+57(FP), $0
-	JEQ   dense8
+	JEQ   tstore
+	CMPB  skipZero+81(FP), $0
+	JEQ   tdense
+	TESTQ R13, R13
+	JEQ   tsparse4
 
-sparse8:
-	ZEROSKIP(next8)
-	BROADCAST
-	MAC8
-
-next8:
+tsparse8:
+	VMASKMOVPD (R11), Y14, Y9
+	VMASKMOVPD 32(R11), Y15, Y10
+	ZEROSKIP((R10), ts80)
+	TMAC8((R10), Y0, Y4)
+ts80:
+	ZEROSKIP((R10)(SI*1), ts81)
+	TMAC8((R10)(SI*1), Y1, Y5)
+ts81:
+	ZEROSKIP((R10)(DI*1), ts82)
+	TMAC8((R10)(DI*1), Y2, Y6)
+ts82:
+	ZEROSKIP((R10)(R9*1), ts83)
+	TMAC8((R10)(R9*1), Y3, Y7)
+ts83:
 	ADVANCE
-	JNE sparse8
-	JMP store8
+	JNE tsparse8
+	JMP tstore
 
-dense8:
-	BROADCAST
-	MAC8
+tsparse4:
+	VMASKMOVPD (R11), Y14, Y9
+	ZEROSKIP((R10), ts40)
+	TMAC4((R10), Y0)
+ts40:
+	ZEROSKIP((R10)(SI*1), ts41)
+	TMAC4((R10)(SI*1), Y1)
+ts41:
+	ZEROSKIP((R10)(DI*1), ts42)
+	TMAC4((R10)(DI*1), Y2)
+ts42:
+	ZEROSKIP((R10)(R9*1), ts43)
+	TMAC4((R10)(R9*1), Y3)
+ts43:
 	ADVANCE
-	JNE dense8
+	JNE tsparse4
+	JMP tstore
 
-store8:
-	MOVUPD X0, 0(DI)
-	MOVUPD X1, 16(DI)
-	MOVUPD X2, 32(DI)
-	MOVUPD X3, 48(DI)
+tdense:
+	TESTQ R13, R13
+	JEQ   tdense4
+
+tdense8:
+	VMASKMOVPD (R11), Y14, Y9
+	VMASKMOVPD 32(R11), Y15, Y10
+	TMAC8((R10), Y0, Y4)
+	TMAC8((R10)(SI*1), Y1, Y5)
+	TMAC8((R10)(DI*1), Y2, Y6)
+	TMAC8((R10)(R9*1), Y3, Y7)
+	ADVANCE
+	JNE tdense8
+	JMP tstore
+
+tdense4:
+	VMASKMOVPD (R11), Y14, Y9
+	TMAC4((R10), Y0)
+	TMAC4((R10)(SI*1), Y1)
+	TMAC4((R10)(DI*1), Y2)
+	TMAC4((R10)(R9*1), Y3)
+	ADVANCE
+	JNE tdense4
+
+tstore:
+	ROWOFFS(dstStride+8(FP), SI, DI, R9)
+	VMASKMOVPD Y0, Y14, (CX)
+	VMASKMOVPD Y1, Y14, (CX)(SI*1)
+	VMASKMOVPD Y2, Y14, (CX)(DI*1)
+	VMASKMOVPD Y3, Y14, (CX)(R9*1)
+	VMASKMOVPD Y4, Y15, 32(CX)
+	VMASKMOVPD Y5, Y15, 32(CX)(SI*1)
+	VMASKMOVPD Y6, Y15, 32(CX)(DI*1)
+	VMASKMOVPD Y7, Y15, 32(CX)(R9*1)
 
 done:
+	VZEROUPPER
+	RET
+
+// func adamStep(p, grad, m, v *float64, n int, c *AdamCoeffs)
+//
+// Per element, in the order of the Go loop: m = b1·m + c1·g,
+// v = b2·v + (c2·g)·g, m̂ = m/bc1, v̂ = v/bc2, p −= (lr·m̂)/(√v̂ + ε).
+// VDIVPD and VSQRTPD round correctly, like DIVSD and SQRTSD. n is a
+// multiple of 4; the coefficients are read in AdamCoeffs field order.
+TEXT ·adamStep(SB), NOSPLIT, $0-48
+	MOVQ p+0(FP), DI
+	MOVQ grad+8(FP), SI
+	MOVQ m+16(FP), R8
+	MOVQ v+24(FP), R9
+	MOVQ n+32(FP), CX
+	MOVQ c+40(FP), AX
+	VBROADCASTSD 0(AX), Y8
+	VBROADCASTSD 8(AX), Y9
+	VBROADCASTSD 16(AX), Y10
+	VBROADCASTSD 24(AX), Y11
+	VBROADCASTSD 32(AX), Y12
+	VBROADCASTSD 40(AX), Y13
+	VBROADCASTSD 48(AX), Y14
+	VBROADCASTSD 56(AX), Y15
+	XORQ BX, BX
+	SHRQ $2, CX
+	JEQ  adone
+
+aloop:
+	VMOVUPD (SI)(BX*1), Y0
+	VMULPD  (R8)(BX*1), Y8, Y1
+	VMULPD  Y0, Y9, Y2
+	VADDPD  Y2, Y1, Y1
+	VMOVUPD Y1, (R8)(BX*1)
+	VMULPD  (R9)(BX*1), Y10, Y3
+	VMULPD  Y0, Y11, Y4
+	VMULPD  Y0, Y4, Y4
+	VADDPD  Y4, Y3, Y3
+	VMOVUPD Y3, (R9)(BX*1)
+	VDIVPD  Y12, Y1, Y1
+	VDIVPD  Y13, Y3, Y3
+	VSQRTPD Y3, Y3
+	VADDPD  Y15, Y3, Y3
+	VMULPD  Y1, Y14, Y1
+	VDIVPD  Y3, Y1, Y1
+	VMOVUPD (DI)(BX*1), Y5
+	VSUBPD  Y1, Y5, Y5
+	VMOVUPD Y5, (DI)(BX*1)
+	ADDQ    $32, BX
+	DECQ    CX
+	JNE     aloop
+
+adone:
+	VZEROUPPER
+	RET
+
+// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL sub+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv0() (xcr0 uint32)
+TEXT ·xgetbv0(SB), NOSPLIT, $0-4
+	MOVL $0, CX
+	XGETBV
+	MOVL AX, xcr0+0(FP)
 	RET

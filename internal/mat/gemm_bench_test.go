@@ -7,9 +7,11 @@ import (
 )
 
 // Kernel-level benchmarks at the shapes the agent stack actually runs: the
-// N=5 policy/critic MLP layers (batch 32, widths 62→64→64→1) and the N=100
-// agents' wide layers (batch 64, a 1202-dim exterior state, a 100-wide
-// inner head). These pin the GEMM kernels directly, below the nn layer.
+// N=5 policy/critic MLP layers (update batches of ~90–116 samples in
+// train-n5, widths 62→64→64 then the 5-wide policy head or the 1-wide value
+// head) and the N=100 agents' wide layers (batch 64, a 1202-dim exterior
+// state, a 100-wide inner head). These pin the GEMM kernels directly, below
+// the nn layer; the narrow heads are the dst widths mod 8.
 
 func benchMatrix(rng *rand.Rand, r, c int) *Matrix {
 	m := New(r, c)
@@ -22,9 +24,10 @@ func benchMatrix(rng *rand.Rand, r, c int) *Matrix {
 
 func BenchmarkGemmMulTo(b *testing.B) {
 	cases := []struct{ m, k, n int }{
-		{32, 62, 64},   // policy MLP input layer
-		{32, 64, 64},   // policy MLP hidden layer
-		{32, 64, 1},    // value head
+		{100, 62, 64},  // policy MLP input layer
+		{100, 64, 64},  // policy MLP hidden layer
+		{100, 64, 5},   // N=5 policy head
+		{100, 64, 1},   // value head
 		{64, 1202, 64}, // N=100 exterior input layer
 	}
 	for _, cs := range cases {
@@ -46,8 +49,10 @@ func BenchmarkGemmMulTo(b *testing.B) {
 
 func BenchmarkGemmMulTransATo(b *testing.B) {
 	cases := []struct{ m, k, n int }{
-		{62, 32, 64},   // dW of the input layer: xᵀ × grad
-		{64, 32, 64},   // dW of a hidden layer
+		{62, 100, 64},  // dW of the input layer: xᵀ × grad
+		{64, 100, 64},  // dW of a hidden layer
+		{64, 100, 5},   // dW of the N=5 policy head
+		{64, 100, 1},   // dW of the value head
 		{1202, 64, 64}, // dW of the N=100 exterior input layer
 	}
 	for _, cs := range cases {
@@ -69,7 +74,7 @@ func BenchmarkGemmMulTransATo(b *testing.B) {
 
 func BenchmarkGemmMulTransBTo(b *testing.B) {
 	cases := []struct{ m, k, n int }{
-		{32, 64, 64},  // dx through a hidden layer: grad × Wᵀ
+		{100, 64, 64}, // dx through a hidden layer: grad × Wᵀ
 		{64, 100, 64}, // dx through the N=100 inner head: grad × Wᵀ
 	}
 	for _, cs := range cases {

@@ -2,11 +2,15 @@
 
 package mat
 
-// haveStrips is false off amd64: the Go kernels compute every
-// column.
-const haveStrips = false
+// haveAVX2 is false off amd64: the Go kernels compute everything.
+const haveAVX2 = false
 
-// gemmStrips is never called when haveStrips is false.
-func gemmStrips(dst, a *float64, aStride int, b *float64, bStride, k, cols int, load, skipZero bool) {
-	panic("mat: strip kernel called without haveStrips")
+// gemmKernel is never called when haveAVX2 is false.
+func gemmKernel(dst *float64, dstStride int, a *float64, aRowStride, aStride int, b *float64, bStride, k, cols, rows int, load, skipZero bool) {
+	panic("mat: AVX2 kernel called without haveAVX2")
+}
+
+// adamStep is never called when haveAVX2 is false.
+func adamStep(p, grad, m, v *float64, n int, c *AdamCoeffs) {
+	panic("mat: AVX2 kernel called without haveAVX2")
 }

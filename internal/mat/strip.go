@@ -2,72 +2,68 @@ package mat
 
 import "sync"
 
-// Routing between the amd64 strip kernel and the Go kernels for the
-// float64 GEMMs (DESIGN.md §16). The strip kernel computes every whole
-// 8-column block of a dst row; the Go kernel computes the remaining
-// column tail, and everything off amd64. Both accumulate each element over
-// k ascending with one rounding per multiply and per add, so which one
-// computes an element never changes its bits.
+// Routing between the amd64 AVX2 kernel and the Go kernels for the float64
+// GEMMs (DESIGN.md §16). With AVX2 the kernel computes every column of every
+// dst row, four rows per call; without it, and off amd64, the Go kernels do.
+// Both accumulate each element over k ascending with one rounding per
+// multiply and per add, so which one computes an element never changes its
+// bits.
 
-// stripCols reports how many leading columns of a dcols-wide dst the strip
-// kernel computes: the whole 8-column blocks on amd64, none elsewhere.
-func stripCols(dcols int) int {
-	if !haveStrips {
-		return 0
-	}
-	return dcols &^ 7
-}
-
-// stripRow runs gemmStrips over dst[:cols], reading a[k·aStride] and
-// b[k·bStride + j] for k < kn, j < cols. It bounds-checks the last element
-// of each operand first: the assembly checks nothing.
-func stripRow(dst, a []float64, aStride int, b []float64, bStride, kn, cols int, load, skipZero bool) {
-	_ = dst[cols-1]
+// kernelRows runs gemmKernel over n ≤ 4 dst rows, reading row r's
+// a[r·aRowStride + k·aStride] and b[k·bStride + j] for k < kn, j < cols. It
+// bounds-checks the last element of each operand first: the assembly checks
+// nothing.
+func kernelRows(dst []float64, dstStride int, a []float64, aRowStride, aStride int, b []float64, bStride, kn, cols, n int, load, skipZero bool) {
+	_ = dst[(n-1)*dstStride+cols-1]
 	var ap, bp *float64
 	if kn > 0 {
-		_ = a[(kn-1)*aStride]
+		_ = a[(n-1)*aRowStride+(kn-1)*aStride]
 		_ = b[(kn-1)*bStride+cols-1]
 		ap, bp = &a[0], &b[0]
 	}
-	gemmStrips(&dst[0], ap, aStride, bp, bStride, kn, cols, load, skipZero)
+	gemmKernel(&dst[0], dstStride, ap, aRowStride, aStride, bp, bStride, kn, cols, n, load, skipZero)
 }
 
-// mulRange computes rows [lo, hi) of dst = a × b: strips, then the Go
-// kernel's column tail.
+// mulRange computes rows [lo, hi) of dst = a × b.
 func mulRange(dst, a, b *Matrix, lo, hi int) {
-	s := stripCols(dst.cols)
-	for i := lo; i < hi && s > 0; i++ {
-		stripRow(dst.data[i*dst.cols:], a.data[i*a.cols:], 1, b.data, b.cols, a.cols, s, false, true)
+	if !haveAVX2 || dst.cols == 0 {
+		gemmRange(dst.data, dst.cols, a.data, a.cols, b.data, b.cols, lo, hi)
+		return
 	}
-	gemmRange(dst.data, dst.cols, a.data, a.cols, b.data, b.cols, lo, hi, s)
+	for i := lo; i < hi; i += 4 {
+		kernelRows(dst.data[i*dst.cols:], dst.cols, a.data[i*a.cols:], a.cols, 1, b.data, b.cols, a.cols, dst.cols, min(4, hi-i), false, true)
+	}
 }
 
-// mulTransARange computes rows [lo, hi) of dst = aᵀ × b. The strips follow
-// the Go kernel's gemmKC tiling of k, reloading the running sums from
-// dst at each tile after the first.
+// mulTransARange computes rows [lo, hi) of dst = aᵀ × b, where dst row i
+// reads column i of a, so four rows read four adjacent a values per k. The
+// kernel follows the Go kernel's gemmKC tiling of k, reloading the running
+// sums from dst at each tile after the first.
 func mulTransARange(dst, a, b *Matrix, lo, hi int) {
-	s := stripCols(dst.cols)
-	if a.rows == 0 {
-		s = 0 // the Go kernel zeroes an empty reduction
+	if !haveAVX2 || dst.cols == 0 || a.rows == 0 {
+		gemmTransARange(dst.data, dst.cols, a.data, a.cols, a.rows, b.data, b.cols, lo, hi)
+		return
 	}
-	for k0 := 0; k0 < a.rows && s > 0; k0 += gemmKC {
+	for k0 := 0; k0 < a.rows; k0 += gemmKC {
 		kn := min(gemmKC, a.rows-k0)
-		for i := lo; i < hi; i++ {
-			stripRow(dst.data[i*dst.cols:], a.data[k0*a.cols+i:], a.cols, b.data[k0*b.cols:], b.cols, kn, s, k0 > 0, true)
+		for i := lo; i < hi; i += 4 {
+			kernelRows(dst.data[i*dst.cols:], dst.cols, a.data[k0*a.cols+i:], 1, a.cols, b.data[k0*b.cols:], b.cols, kn, dst.cols, min(4, hi-i), k0 > 0, true)
 		}
 	}
-	gemmTransARange(dst.data, dst.cols, a.data, a.cols, a.rows, b.data, b.cols, lo, hi, s)
 }
 
-// mulTransBRange computes rows [lo, hi) of dst = a × bᵀ. bt holds the first
-// s rows of b transposed (a.cols × s, see packTransB), so the strips run the
-// a × b form over it, without the a == 0 skip the Go transpose-B
-// kernel never had.
-func mulTransBRange(dst, a, b *Matrix, bt []float64, s, lo, hi int) {
-	for i := lo; i < hi && s > 0; i++ {
-		stripRow(dst.data[i*dst.cols:], a.data[i*a.cols:], 1, bt, s, a.cols, s, false, false)
+// mulTransBRange computes rows [lo, hi) of dst = a × bᵀ. bt is b transposed
+// (see packTransB), or nil when the Go kernel runs; the kernel runs the
+// a × b form over it without the a == 0 skip the Go transpose-B kernel
+// never had.
+func mulTransBRange(dst, a, b *Matrix, bt []float64, lo, hi int) {
+	if bt == nil {
+		gemmTransBRange(dst.data, dst.cols, a.data, a.cols, b.data, b.rows, lo, hi)
+		return
 	}
-	gemmTransBRange(dst.data, dst.cols, a.data, a.cols, b.data, b.rows, lo, hi, s)
+	for i := lo; i < hi; i += 4 {
+		kernelRows(dst.data[i*dst.cols:], dst.cols, a.data[i*a.cols:], a.cols, 1, bt, b.rows, a.cols, b.rows, min(4, hi-i), false, false)
+	}
 }
 
 // packs recycles the transposed panels MulTransBTo packs. It is a
@@ -80,9 +76,9 @@ var packs struct {
 	free [][]float64
 }
 
-// packTransB returns the first s rows of b transposed into a recycled
-// b.cols × s panel; release it with releasePanel.
-func packTransB(b *Matrix, s int) []float64 {
+// packTransB returns b transposed into a recycled b.cols × b.rows panel;
+// release it with releasePanel.
+func packTransB(b *Matrix) []float64 {
 	packs.Lock()
 	var bt []float64
 	if n := len(packs.free); n > 0 {
@@ -90,14 +86,14 @@ func packTransB(b *Matrix, s int) []float64 {
 		packs.free = packs.free[:n-1]
 	}
 	packs.Unlock()
-	if n := b.cols * s; cap(bt) < n {
+	if n := b.cols * b.rows; cap(bt) < n {
 		bt = make([]float64, n)
 	} else {
 		bt = bt[:n]
 	}
-	for j := 0; j < s; j++ {
+	for j := 0; j < b.rows; j++ {
 		for k, v := range b.data[j*b.cols : (j+1)*b.cols] {
-			bt[k*s+j] = v
+			bt[k*b.rows+j] = v
 		}
 	}
 	return bt

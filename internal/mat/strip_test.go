@@ -43,21 +43,23 @@ func sameFloats(got, want []float64) (int, bool) {
 	return 0, true
 }
 
-// TestStripKernelMatchesGeneric pins the float64 GEMMs, which on amd64 run
-// their whole 8-column blocks through the SSE2 strip kernel, to the plain
-// Go kernels bit for bit. It covers every column tail (dst widths 1–40),
-// reductions on both sides of the gemmKC tile depth, row bands at 1, 2 and
-// 4 workers, and Inf/NaN/±0 operands, so the a == 0 skip of MulTo and
-// MulTransATo and its absence in MulTransBTo are both pinned.
+// TestStripKernelMatchesGeneric pins the float64 GEMMs, which with AVX2
+// run every column through the assembly kernel, to the plain Go kernels bit
+// for bit. It covers dst widths 1–72 (two 32-column strips, the 16- and
+// 8-column strips and every column tail), row counts that leave 0–3 rows
+// after the last group of four, reductions on both sides of the gemmKC tile
+// depth, row bands at 1, 2 and 4 workers, and Inf/NaN/±0 operands, so the
+// a == 0 skip of MulTo and MulTransATo and its absence in MulTransBTo are
+// both pinned.
 func TestStripKernelMatchesGeneric(t *testing.T) {
-	if !haveStrips {
-		t.Skip("no strip kernel on this architecture")
+	if !haveAVX2 {
+		t.Skip("no AVX2 kernel on this CPU")
 	}
 	defer SetWorkers(0)
 	rng := rand.New(rand.NewSource(3))
 	for _, k := range []int{0, 1, 63, 64, 65, 200} {
-		for cols := 1; cols <= 40; cols++ {
-			for _, rows := range []int{7, 33} {
+		for cols := 1; cols <= 72; cols++ {
+			for _, rows := range []int{1, 3, 6, 7, 8, 33} {
 				a := saltedOperand(rng, rows, k, 2)
 				at := transpose(a)
 				b := saltedOperand(rng, k, cols, 3)
@@ -67,9 +69,9 @@ func TestStripKernelMatchesGeneric(t *testing.T) {
 				for _, m := range want {
 					m.Fill(math.NaN())
 				}
-				gemmRange(want["MulTo"].data, cols, a.data, k, b.data, cols, 0, rows, 0)
-				gemmTransARange(want["MulTransATo"].data, cols, at.data, rows, k, b.data, cols, 0, rows, 0)
-				gemmTransBRange(want["MulTransBTo"].data, cols, a.data, k, bt.data, cols, 0, rows, 0)
+				gemmRange(want["MulTo"].data, cols, a.data, k, b.data, cols, 0, rows)
+				gemmTransARange(want["MulTransATo"].data, cols, at.data, rows, k, b.data, cols, 0, rows)
+				gemmTransBRange(want["MulTransBTo"].data, cols, a.data, k, bt.data, cols, 0, rows)
 
 				for _, workers := range []int{1, 2, 4} {
 					SetWorkers(workers)
@@ -96,6 +98,35 @@ func TestStripKernelMatchesGeneric(t *testing.T) {
 			}
 		}
 	}
+
+	// A running sum of −0 that meets a ±0 a value and an Inf b keeps its
+	// bits: the skipped product adds nothing (or −0, which is the same),
+	// where +0 would turn it into +0 and the product itself into NaN. The
+	// GEMMs cannot start a sum at −0, so this loads it into the kernel
+	// directly, in every strip and tail column and in every row of a group.
+	negZero := math.Copysign(0, -1)
+	for cols := 1; cols <= 72; cols++ {
+		for n := 1; n <= 4; n++ {
+			dst := make([]float64, n*cols)
+			for i := range dst {
+				dst[i] = negZero
+			}
+			a := make([]float64, 2*n)
+			for i := range a {
+				a[i] = math.Copysign(0, float64(i%2*2-1))
+			}
+			b := make([]float64, 2*cols)
+			for i := range b {
+				b[i] = math.Inf(1 - i%2*2)
+			}
+			kernelRows(dst, cols, a, 2, 1, b, cols, 2, cols, n, true, true)
+			for i, v := range dst {
+				if math.Float64bits(v) != math.Float64bits(negZero) {
+					t.Fatalf("cols=%d rows=%d: element (%d,%d) = %v (%#x), want -0", cols, n, i/cols, i%cols, v, math.Float64bits(v))
+				}
+			}
+		}
+	}
 }
 
 // TestMulTransBToConcurrentCallers runs MulTransBTo from several
@@ -112,7 +143,7 @@ func TestMulTransBToConcurrentCallers(t *testing.T) {
 		a := saltedOperand(rng, 9, 8*(c+1)+3, 0)
 		bt := saltedOperand(rng, 8*(c+2)+5, 8*(c+1)+3, 0)
 		want := New(a.rows, bt.rows)
-		gemmTransBRange(want.data, want.cols, a.data, a.cols, bt.data, bt.rows, 0, a.rows, 0)
+		gemmTransBRange(want.data, want.cols, a.data, a.cols, bt.data, bt.rows, 0, a.rows)
 		go func() {
 			dst := New(a.rows, bt.rows)
 			for i := 0; i < calls; i++ {
@@ -135,26 +166,27 @@ func TestMulTransBToConcurrentCallers(t *testing.T) {
 	}
 }
 
-// TestStripRowBoundsChecked pins the Go-side guard in front of the
-// assembly: an operand too short for the strip panics before the kernel
-// reads or writes past it.
+// TestStripRowBoundsChecked pins kernelRows, the Go-side guard in front
+// of the assembly: an operand too short for the rows, reduction and
+// columns asked for panics before the kernel reads or writes past it.
 func TestStripRowBoundsChecked(t *testing.T) {
-	if !haveStrips {
-		t.Skip("no strip kernel on this architecture")
+	if !haveAVX2 {
+		t.Skip("no AVX2 kernel on this CPU")
 	}
-	const k, cols = 4, 16
+	const n, k, cols = 3, 4, 19
 	for _, tc := range []struct {
 		name       string
 		dst, a, b  int // operand lengths
+		aRowStride int
 		aStride    int
 		shouldFail bool
 	}{
-		{"exact", cols, k, k * cols, 1, false},
-		{"short dst", cols - 1, k, k * cols, 1, true},
-		{"short a", cols, k - 1, k * cols, 1, true},
-		{"strided a", cols, 3*(k-1) + 1, k * cols, 3, false},
-		{"short strided a", cols, 3 * (k - 1), k * cols, 3, true},
-		{"short b", cols, k, k*cols - 1, 1, true},
+		{"exact", n * cols, n * k, k * cols, k, 1, false},
+		{"short dst", n*cols - 1, n * k, k * cols, k, 1, true},
+		{"short a", n * cols, n*k - 1, k * cols, k, 1, true},
+		{"strided a", n * cols, (k-1)*5 + n, k * cols, 1, 5, false},
+		{"short strided a", n * cols, (k-1)*5 + n - 1, k * cols, 1, 5, true},
+		{"short b", n * cols, n * k, k*cols - 1, k, 1, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {
@@ -162,7 +194,7 @@ func TestStripRowBoundsChecked(t *testing.T) {
 					t.Fatalf("panic = %v, want panic %v", r, tc.shouldFail)
 				}
 			}()
-			stripRow(make([]float64, tc.dst), make([]float64, tc.a), tc.aStride, make([]float64, tc.b), cols, k, cols, false, true)
+			kernelRows(make([]float64, tc.dst), cols, make([]float64, tc.a), tc.aRowStride, tc.aStride, make([]float64, tc.b), cols, k, cols, n, false, true)
 		})
 	}
 }

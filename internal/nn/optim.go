@@ -106,34 +106,53 @@ func NewAdam(params []Param, lr float64) *Adam {
 	return a
 }
 
-// Step implements Optimizer.
+// Step implements Optimizer. With AVX2 the mat kernel updates each
+// parameter block four elements at a time and adamScalar the rest;
+// otherwise adamScalar updates everything, with the same bits.
 func (a *Adam) Step() error {
 	a.t++
-	bc1 := 1 - math.Pow(a.beta1, float64(a.t))
-	bc2 := 1 - math.Pow(a.beta2, float64(a.t))
-	// Hoist every field read out of the element loop: the compiler cannot
-	// prove the moment-buffer writes don't alias the receiver, so without
-	// locals it reloads beta/lr/eps on each iteration of the hot loop.
-	b1, b2 := a.beta1, a.beta2
-	c1, c2 := 1-a.beta1, 1-a.beta2
-	lr, eps := a.lr, a.eps
+	c := a.coeffs()
 	for i, p := range a.params {
 		md, vd := a.m[i].Data(), a.v[i].Data()
 		gd, pd := p.Grad.Data(), p.Value.Data()
-		if len(gd) != len(md) {
-			return fmt.Errorf("nn: adam step: param %d grad size %d state size %d", i, len(gd), len(md))
+		if len(gd) != len(md) || len(pd) != len(md) {
+			return fmt.Errorf("nn: adam step: param %d value/grad size %d/%d state size %d", i, len(pd), len(gd), len(md))
 		}
-		for j, g := range gd {
-			m := b1*md[j] + c1*g
-			v := b2*vd[j] + c2*g*g
-			md[j] = m
-			vd[j] = v
-			mhat := m / bc1
-			vhat := v / bc2
-			pd[j] -= lr * mhat / (math.Sqrt(vhat) + eps)
-		}
+		n := mat.AdamStepVec(pd, gd, md, vd, &c)
+		adamScalar(pd[n:], gd[n:], md[n:], vd[n:], &c)
 	}
 	return nil
+}
+
+// coeffs returns the scalars of step a.t.
+func (a *Adam) coeffs() mat.AdamCoeffs {
+	return mat.AdamCoeffs{
+		B1: a.beta1, C1: 1 - a.beta1,
+		B2: a.beta2, C2: 1 - a.beta2,
+		BC1: 1 - math.Pow(a.beta1, float64(a.t)),
+		BC2: 1 - math.Pow(a.beta2, float64(a.t)),
+		LR:  a.lr, Eps: a.eps,
+	}
+}
+
+// adamScalar is the element loop of one Adam step over equal-length
+// parameter, gradient and moment slices, and the oracle the vector kernel
+// is tested against.
+func adamScalar(pd, gd, md, vd []float64, c *mat.AdamCoeffs) {
+	// Hoist every coefficient out of the loop: the compiler cannot prove
+	// the moment-buffer writes don't alias c, so without locals it reloads
+	// them on each iteration.
+	b1, c1, b2, c2 := c.B1, c.C1, c.B2, c.C2
+	bc1, bc2, lr, eps := c.BC1, c.BC2, c.LR, c.Eps
+	for j, g := range gd {
+		m := b1*md[j] + c1*g
+		v := b2*vd[j] + c2*g*g
+		md[j] = m
+		vd[j] = v
+		mhat := m / bc1
+		vhat := v / bc2
+		pd[j] -= lr * mhat / (math.Sqrt(vhat) + eps)
+	}
 }
 
 // SetLR implements Optimizer.
