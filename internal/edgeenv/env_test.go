@@ -3,6 +3,7 @@ package edgeenv
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -95,6 +96,92 @@ func TestStepRejectsWrongPriceCount(t *testing.T) {
 	}
 	if _, err := env.Step([]float64{1e-9}); err == nil {
 		t.Fatal("Step accepted wrong price vector length")
+	}
+}
+
+// TestStepRejectsNaNPrice: a NaN price fails the step in Respond with an
+// error naming the node, before Settle and Commit run. The accuracy model,
+// the ledger and the round index are untouched, and the next valid step
+// plays round 1 exactly as a fresh environment does.
+func TestStepRejectsNaNPrice(t *testing.T) {
+	env := testEnv(t, 5, 1000)
+	if err := env.Reset(); err != nil {
+		t.Fatalf("Reset: %v", err)
+	}
+	acc := env.Config().Accuracy.Accuracy()
+	prices := fullPrices(env)
+	prices[2] = math.NaN()
+	_, err := env.Step(prices)
+	if err == nil {
+		t.Fatal("Step accepted a NaN price")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "respond") || !strings.Contains(msg, "node 2") {
+		t.Fatalf("error %q does not name the respond stage and node 2", msg)
+	}
+	if got := env.Config().Accuracy.Accuracy(); got != acc {
+		t.Fatalf("accuracy moved %v -> %v on a rejected round", acc, got)
+	}
+	l := env.Ledger()
+	if l.NumRounds() != 0 || l.Remaining() != 1000 || l.TotalSpent() != 0 || l.WastedTime() != 0 {
+		t.Fatalf("rejected round touched the ledger: %d rounds, %v remaining, %v spent, %v wasted",
+			l.NumRounds(), l.Remaining(), l.TotalSpent(), l.WastedTime())
+	}
+	if env.Round() != 1 || env.Done() {
+		t.Fatalf("rejected round moved the episode: round %d, done %v", env.Round(), env.Done())
+	}
+
+	prices = fullPrices(env)
+	got, err := env.Step(prices)
+	if err != nil {
+		t.Fatalf("Step after the rejected round: %v", err)
+	}
+	fresh := testEnv(t, 5, 1000)
+	if err := fresh.Reset(); err != nil {
+		t.Fatalf("Reset: %v", err)
+	}
+	want, err := fresh.Step(prices)
+	if err != nil {
+		t.Fatalf("fresh Step: %v", err)
+	}
+	if got.Round.Payment != want.Round.Payment || got.Round.Accuracy != want.Round.Accuracy ||
+		got.ExteriorReward != want.ExteriorReward || env.Round() != fresh.Round() {
+		t.Fatalf("round after the rejected one %+v differs from a fresh round 1 %+v", got.Round, want.Round)
+	}
+}
+
+// TestStepInfinitePrices pins the behaviour of infinite prices: −Inf is a
+// non-positive offer the node declines, and +Inf buys the node at an
+// infinite contracted payment, so the round overruns any budget and ends
+// the episode with nothing spent.
+func TestStepInfinitePrices(t *testing.T) {
+	env := testEnv(t, 5, 1000)
+	if err := env.Reset(); err != nil {
+		t.Fatalf("Reset: %v", err)
+	}
+	prices := fullPrices(env)
+	prices[1] = math.Inf(-1)
+	res, err := env.Step(prices)
+	if err != nil {
+		t.Fatalf("Step with a -Inf price: %v", err)
+	}
+	if res.Done || res.Round.Participants != 4 || res.Round.Freqs[1] != 0 {
+		t.Fatalf("-Inf price: done %v, %d participants, node 1 freq %v; want the node to decline",
+			res.Done, res.Round.Participants, res.Round.Freqs[1])
+	}
+	spent := env.Ledger().TotalSpent()
+
+	prices = fullPrices(env)
+	prices[3] = math.Inf(1)
+	res, err = env.Step(prices)
+	if err != nil {
+		t.Fatalf("Step with a +Inf price: %v", err)
+	}
+	if !res.Done || !env.Done() || res.Truncated {
+		t.Fatalf("+Inf price: done %v/%v truncated %v; want a budget overrun", res.Done, env.Done(), res.Truncated)
+	}
+	if env.Ledger().NumRounds() != 1 || env.Ledger().TotalSpent() != spent {
+		t.Fatalf("+Inf round was paid for: %d rounds, %v spent (before %v)",
+			env.Ledger().NumRounds(), env.Ledger().TotalSpent(), spent)
 	}
 }
 

@@ -33,7 +33,7 @@ func MulTo(dst, a, b *Matrix) error {
 	if flops := a.rows * a.cols * b.cols; serialRows(a.rows, flops) {
 		mulRange(dst, a, b, 0, a.rows)
 	} else {
-		parallelRows(a.rows, flops, func(lo, hi int) { mulRange(dst, a, b, lo, hi) })
+		parallelRows(a.rows, flops, a.rows, func(_, lo, hi int) { mulRange(dst, a, b, lo, hi) })
 	}
 	return nil
 }
@@ -50,7 +50,7 @@ func MulTransATo(dst, a, b *Matrix) error {
 	if flops := a.rows * a.cols * b.cols; serialRows(a.cols, flops) {
 		mulTransARange(dst, a, b, 0, a.cols)
 	} else {
-		parallelRows(a.cols, flops, func(lo, hi int) { mulTransARange(dst, a, b, lo, hi) })
+		parallelRows(a.cols, flops, a.cols, func(_, lo, hi int) { mulTransARange(dst, a, b, lo, hi) })
 	}
 	return nil
 }
@@ -73,7 +73,7 @@ func MulTransBTo(dst, a, b *Matrix) error {
 	if flops := a.rows * a.cols * b.rows; serialRows(a.rows, flops) {
 		mulTransBRange(dst, a, b, bt, 0, a.rows)
 	} else {
-		parallelRows(a.rows, flops, func(lo, hi int) { mulTransBRange(dst, a, b, bt, lo, hi) })
+		parallelRows(a.rows, flops, a.rows, func(_, lo, hi int) { mulTransBRange(dst, a, b, bt, lo, hi) })
 	}
 	return nil
 }

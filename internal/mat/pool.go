@@ -37,9 +37,9 @@ const parallelMinFlops = 32 * 1024
 
 // blockTask is one row band handed to the pool.
 type blockTask struct {
-	fn     func(lo, hi int)
-	lo, hi int
-	wg     *sync.WaitGroup
+	fn           func(band, lo, hi int)
+	band, lo, hi int
+	wg           *sync.WaitGroup
 }
 
 var (
@@ -60,7 +60,7 @@ func startPool() {
 	for i := 0; i < size; i++ {
 		go func() {
 			for t := range poolCh {
-				t.fn(t.lo, t.hi)
+				t.fn(t.band, t.lo, t.hi)
 				t.wg.Done()
 			}
 		}()
@@ -75,49 +75,54 @@ func serialRows(rows, flops int) bool {
 	return Workers() <= 1 || rows < 2 || flops < parallelMinFlops
 }
 
-// ParallelRange runs fn over contiguous index blocks covering [0, n) on
-// the package's bounded worker pool — the node-axis sharding primitive for
-// batch stages outside this package (the struct-of-arrays round pipeline).
-// work estimates the total scalar-operation count; small jobs, n < 2, and
-// Workers() <= 1 run inline on the caller with no synchronization.
+// ParallelRange runs fn over at most maxBands contiguous index bands
+// covering [0, n) on the package's bounded worker pool — the node-axis
+// sharding primitive for batch stages outside this package (the
+// struct-of-arrays round pipeline). work estimates the total
+// scalar-operation count; small jobs, n < 2, and Workers() <= 1 run inline
+// on the caller as a single band with no synchronization. fn receives its
+// band's ordinal, which ascends with lo, and ParallelRange returns the
+// number of bands it ran.
 //
 // fn must be safe to call concurrently on disjoint ranges and must write
 // only elements it owns. Elementwise kernels are bit-identical at any
 // worker count by construction (each element is computed exactly once,
-// independent of banding); reductions must NOT be accumulated across
-// blocks inside fn — compute per-block partials and combine them in
-// block-ascending order instead, or stream the reduction sequentially.
-func ParallelRange(n, work int, fn func(lo, hi int)) {
-	parallelRows(n, work, fn)
+// independent of banding). Reductions must NOT be accumulated across
+// bands inside fn. A float reduction must not depend on the banding:
+// stream it sequentially in ascending index order after the parallel pass,
+// or sum fixed-size blocks whose boundaries do not move with the worker
+// count. An exact reduction (an integer count, a boolean OR) may keep one
+// partial per band — in a caller-owned slice of length maxBands, indexed
+// by the ordinal — combined in band order afterwards.
+func ParallelRange(n, work, maxBands int, fn func(band, lo, hi int)) int {
+	return parallelRows(n, work, maxBands, fn)
 }
 
-// parallelRows runs fn over contiguous blocks covering [0, rows). flops
-// estimates the total multiply-accumulate work; small jobs, rows < 2, and
-// Workers() <= 1 run inline on the caller with no synchronization. The
-// caller always computes the first block itself so a worker pool stall can
-// never leave the operation making no progress.
-func parallelRows(rows, flops int, fn func(lo, hi int)) {
-	nw := Workers()
-	if nw > rows {
-		nw = rows
-	}
+// parallelRows runs fn over at most maxBands contiguous blocks covering
+// [0, rows) and returns how many it ran. flops estimates the total
+// multiply-accumulate work; small jobs, rows < 2, and Workers() <= 1 run
+// inline on the caller with no synchronization. The caller always computes
+// the first block itself so a worker pool stall can never leave the
+// operation making no progress.
+func parallelRows(rows, flops, maxBands int, fn func(band, lo, hi int)) int {
+	nw := min(Workers(), maxBands, rows)
 	if nw <= 1 || flops < parallelMinFlops {
-		if rows > 0 {
-			fn(0, rows)
+		if rows <= 0 {
+			return 0
 		}
-		return
+		fn(0, 0, rows)
+		return 1
 	}
 	poolOnce.Do(startPool)
 	chunk := (rows + nw - 1) / nw
 	var wg sync.WaitGroup
+	bands := 1
 	for lo := chunk; lo < rows; lo += chunk {
-		hi := lo + chunk
-		if hi > rows {
-			hi = rows
-		}
 		wg.Add(1)
-		poolCh <- blockTask{fn: fn, lo: lo, hi: hi, wg: &wg}
+		poolCh <- blockTask{fn: fn, band: bands, lo: lo, hi: min(lo+chunk, rows), wg: &wg}
+		bands++
 	}
-	fn(0, chunk)
+	fn(0, 0, chunk)
 	wg.Wait()
+	return bands
 }

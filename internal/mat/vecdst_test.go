@@ -67,13 +67,19 @@ func TestVecDstShapeErrors(t *testing.T) {
 
 // TestParallelRangeCoversAllIndices pins that the exported sharding
 // primitive partitions [0,n) exactly — every index visited once — for work
-// sizes on both sides of the fan-out threshold.
+// sizes on both sides of the fan-out threshold, runs at most maxBands
+// bands, and numbers them 0, 1, … in ascending lo order.
 func TestParallelRangeCoversAllIndices(t *testing.T) {
-	for _, tc := range []struct{ n, work int }{
-		{0, 0}, {1, 10}, {7, 100}, {1000, 1 << 20}, {1024, 1 << 20},
+	defer SetWorkers(0)
+	SetWorkers(4)
+	for _, tc := range []struct{ n, work, maxBands int }{
+		{0, 0, 4}, {1, 10, 4}, {7, 100, 4}, {1000, 1 << 20, 4}, {1024, 1 << 20, 4},
+		{5, 1 << 20, 4}, {1000, 1 << 20, 3}, {1000, 1 << 20, 1},
 	} {
 		visits := make([]int32, tc.n)
-		ParallelRange(tc.n, tc.work, func(lo, hi int) {
+		bandLo := make([]int, tc.maxBands)
+		bands := ParallelRange(tc.n, tc.work, tc.maxBands, func(band, lo, hi int) {
+			bandLo[band] = lo // one writer per band
 			for i := lo; i < hi; i++ {
 				visits[i]++ // disjoint ranges: no atomics needed
 			}
@@ -81,6 +87,14 @@ func TestParallelRangeCoversAllIndices(t *testing.T) {
 		for i, c := range visits {
 			if c != 1 {
 				t.Fatalf("n=%d work=%d: index %d visited %d times", tc.n, tc.work, i, c)
+			}
+		}
+		if bands > tc.maxBands || (tc.n > 0) != (bands > 0) {
+			t.Fatalf("n=%d work=%d maxBands=%d: ran %d bands", tc.n, tc.work, tc.maxBands, bands)
+		}
+		for b := 1; b < bands; b++ {
+			if bandLo[b] <= bandLo[b-1] {
+				t.Fatalf("n=%d: band %d starts at %d, band %d at %d", tc.n, b, bandLo[b], b-1, bandLo[b-1])
 			}
 		}
 	}
@@ -99,7 +113,7 @@ func TestParallelRangeDeterministicSum(t *testing.T) {
 	const block = 512
 	blockSum := func() float64 {
 		partials := make([]float64, (n+block-1)/block)
-		ParallelRange(len(partials), n, func(lo, hi int) {
+		ParallelRange(len(partials), n, len(partials), func(_, lo, hi int) {
 			for b := lo; b < hi; b++ {
 				end := (b + 1) * block
 				if end > n {

@@ -14,6 +14,7 @@ import (
 	"chiron/internal/device"
 	"chiron/internal/edgeenv"
 	"chiron/internal/faults"
+	"chiron/internal/market"
 	"chiron/internal/mat"
 )
 
@@ -149,6 +150,108 @@ func TestCompactMatchesVectorPipeline(t *testing.T) {
 		}
 		if lv.TotalTime() != lc.TotalTime() {
 			t.Fatalf("seed %d: total time %v != %v", seed, lc.TotalTime(), lv.TotalTime())
+		}
+	}
+}
+
+// TestCompactCleanFleetMatchesVector pins the clean-fleet rounds: with no
+// churn, faults or deadline, Execute makes no pass, Respond writes every
+// node's outcome and CommTimes entry, and Settle reduces over every node
+// with no branch on whether it joined. Each round posts fresh prices that
+// move many nodes across their participation threshold, so the joined set
+// changes every round and a stale entry from the previous round would
+// show. A 5,000-node compact env must match its vector-record twin
+// exactly, at one worker and at four, and both must match the reduction
+// over the joiners only, recomputed here from the vector record.
+func TestCompactCleanFleetMatchesVector(t *testing.T) {
+	const n, rounds = 5000, 16
+	defer mat.SetWorkers(0)
+	fleet, err := device.NewFleetBatch(rand.New(rand.NewSource(31)), device.DefaultFleetSpec(n))
+	if err != nil {
+		t.Fatalf("NewFleetBatch: %v", err)
+	}
+	newEnv := func(compact bool) *edgeenv.Env {
+		cfg := edgeenv.DefaultConfig(fleet, &flatModel{acc: 0.1, step: 1e-4}, 1e12)
+		cfg.MaxRounds = rounds + 1
+		cfg.CompactRounds = compact
+		env, err := edgeenv.New(cfg)
+		if err != nil {
+			t.Fatalf("env: %v", err)
+		}
+		if err := env.Reset(); err != nil {
+			t.Fatal(err)
+		}
+		return env
+	}
+	for _, workers := range []int{1, 4} {
+		mat.SetWorkers(workers)
+		vecEnv, compactEnv := newEnv(false), newEnv(true)
+		priceRng := rand.New(rand.NewSource(32))
+		var prevJoined []bool
+		for k := 0; k < rounds; k++ {
+			prices := make([]float64, n)
+			for i := range prices {
+				prices[i] = fleet.PriceForFreq(i, fleet.FreqMax[i]) * priceRng.Float64()
+			}
+			rv, err := vecEnv.Step(prices)
+			if err != nil {
+				t.Fatalf("workers=%d round %d vector step: %v", workers, k, err)
+			}
+			rc, err := compactEnv.Step(prices)
+			if err != nil {
+				t.Fatalf("workers=%d round %d compact step: %v", workers, k, err)
+			}
+			vr, cr := rv.Round, rc.Round
+
+			// The reduction over joiners only, in ascending node order.
+			var payment, maxTime, sumTime, fullSumTime float64
+			participants, completed, left := 0, 0, 0
+			joined := make([]bool, n)
+			for i, o := range vr.Outcomes {
+				fullSumTime += vr.Times[i]
+				if vr.Freqs[i] == 0 {
+					if o != market.OutcomeAbsent {
+						t.Fatalf("workers=%d round %d: declined node %d has outcome %v", workers, k, i, o)
+					}
+					if prevJoined != nil && prevJoined[i] {
+						left++
+					}
+					continue
+				}
+				joined[i] = true
+				participants++
+				if o == market.OutcomeCompleted {
+					completed++
+				}
+				payment += vr.Prices[i] * vr.Freqs[i]
+				if vr.Times[i] > maxTime {
+					maxTime = vr.Times[i]
+				}
+				sumTime += vr.Times[i]
+			}
+			if prevJoined != nil && left == 0 {
+				t.Fatalf("round %d: no joiner of round %d declined; the join set must change", k, k-1)
+			}
+			prevJoined = joined
+
+			ctx := fmt.Sprintf("workers=%d round %d", workers, k)
+			for _, c := range []struct {
+				name              string
+				want, vec, compct float64
+			}{
+				{"payment", payment, vr.Payment, cr.Payment},
+				{"max time", maxTime, vr.RoundTime(), cr.MaxTime},
+				{"sum time", sumTime, fullSumTime, cr.SumTime},
+				{"participants", float64(participants), float64(vr.Participants), float64(cr.Participants)},
+				{"completed", float64(completed), float64(vr.Completed), float64(cr.Completed)},
+			} {
+				if c.vec != c.want || c.compct != c.want {
+					t.Fatalf("%s: %s vector %b compact %b, want %b", ctx, c.name, c.vec, c.compct, c.want)
+				}
+			}
+			if completed != participants {
+				t.Fatalf("%s: %d of %d joiners completed on a clean fleet", ctx, completed, participants)
+			}
 		}
 	}
 }

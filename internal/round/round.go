@@ -33,12 +33,15 @@
 // pipeline are elementwise per node, so they shard over the bounded worker
 // pool (mat.ParallelRange) — bit-identical at any worker count because
 // each element is computed exactly once, independent of banding. Every
-// reduction (participant count, contracted-payment sum, the actual
-// payment, and the streamed T_k = max_i T_{i,k} / Σ_i T_{i,k} aggregates)
-// runs as a single sequential pass in ascending node order — the fixed
-// reduction order that keeps seeded traces byte-identical whether the
-// elementwise work ran on one worker or sixteen. RNG-consuming churn
-// draws always run in a sequential pre-pass, preserving the draw stream.
+// float reduction (the contracted-payment sum, the actual payment, and the
+// streamed T_k = max_i T_{i,k} / Σ_i T_{i,k} aggregates) runs as a single
+// sequential pass in ascending node order — the fixed reduction order that
+// keeps seeded traces byte-identical whether the elementwise work ran on
+// one worker or sixteen. Exact reductions (the participant count, the
+// any-departure and NaN-price flags) are kept per band inside the sharded
+// pass and combined in band order, which cannot change their value.
+// RNG-consuming churn draws always run in a sequential pre-pass,
+// preserving the draw stream.
 //
 // In compact mode (Config.Compact) the per-node record vectors are not
 // materialized at all: stages write into reusable State scratch columns
@@ -49,6 +52,7 @@ package round
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"chiron/internal/accuracy"
@@ -124,12 +128,15 @@ type State struct {
 	// Joined marks nodes whose best response accepted the offer.
 	Joined []bool
 	// Departing marks nodes the churn schedule removes mid-round: present
-	// at the Offer stage, gone before their upload lands.
+	// at the Offer stage, gone before their upload lands. Reset clears it;
+	// Respond sets the entries of departing nodes.
 	Departing []bool
-	// ContractPay holds each joiner's full contracted payment p_i·ζ_i.
+	// ContractPay holds each joiner's full contracted payment p_i·ζ_i, and
+	// exactly +0 for every other node.
 	ContractPay []float64
 	// CommTimes holds each joiner's (possibly jittered) upload time, the
-	// unit of retry churn in Execute.
+	// unit of retry churn in Execute, and 0 for every other node. Respond
+	// writes every entry; Reset leaves the previous round's values.
 	CommTimes []float64
 	// Contracted is Σ ContractPay: the worst-case round payment the budget
 	// feasibility check uses.
@@ -141,13 +148,31 @@ type State struct {
 
 	// Compact-mode scratch columns: the per-node working set that replaces
 	// the record vectors. They are sized by Offer and reused across
-	// rounds.
+	// rounds; Respond writes every entry of each, the outcome column
+	// included (completed for joiners, absent for everyone else).
 	scrFreqs, scrTimes []float64
 	scrOutcomes        []market.Outcome
 	// Churn-draw scratch for Respond's sequential RNG pre-pass.
 	scrEligible []bool
 	scrComm     []float64
+	// tallies holds Respond's per-band exact reductions.
+	tallies []bandTally
+	// noDepartures is set by Respond when no joined node departs this
+	// round. Reset clears it to "unknown", so a State filled by hand
+	// always gets Execute's full pass.
+	noDepartures bool
 }
+
+// bandTally is one Respond band's exact reductions: the participant count,
+// and two flags kept as 0/1 so they OR without a branch — a joined node
+// departs, a posted price is NaN.
+type bandTally struct {
+	participants       int
+	departs, nanPrices int
+}
+
+// joinOutcome is the outcome Respond records, indexed by "joined".
+var joinOutcome = [2]market.Outcome{market.OutcomeAbsent, market.OutcomeCompleted}
 
 // NewState positions a fresh blackboard for round index over n nodes.
 // prices is retained by reference until Offer clones it into the record.
@@ -170,20 +195,15 @@ func (st *State) Reset(index int, prices []float64, prevAccuracy float64, n int)
 	st.Status = StatusPending
 	st.Contracted = 0
 	st.Completed = st.Completed[:0]
+	st.noDepartures = false
 	st.Joined = ensureBools(st.Joined, n)
 	st.Departing = ensureBools(st.Departing, n)
 	st.ContractPay = mat.EnsureVec(st.ContractPay, n)
 	st.CommTimes = mat.EnsureVec(st.CommTimes, n)
-	// Joined, ContractPay, and the frequency/time columns are fully
-	// overwritten by Respond's elementwise pass; Departing and CommTimes
-	// are written sparsely (present/joined nodes only), so stale entries
-	// from the previous round must be cleared here.
-	for i := range st.Departing {
-		st.Departing[i] = false
-	}
-	for i := range st.CommTimes {
-		st.CommTimes[i] = 0
-	}
+	// Respond overwrites Joined, ContractPay, CommTimes and the
+	// frequency/time/outcome columns in full; Departing is written
+	// sparsely (present nodes only), so its stale entries are cleared here.
+	clear(st.Departing)
 }
 
 // ensureBools returns v when it already has length n, else a fresh mask.
@@ -254,13 +274,9 @@ func (o Offer) Run(st *State) error {
 		st.Record = market.Round{NumNodes: o.NumNodes}
 		st.scrFreqs = mat.EnsureVec(st.scrFreqs, o.NumNodes)
 		st.scrTimes = mat.EnsureVec(st.scrTimes, o.NumNodes)
+		// Respond overwrites all three columns in full.
 		if len(st.scrOutcomes) != o.NumNodes {
 			st.scrOutcomes = make([]market.Outcome, o.NumNodes)
-		}
-		// Freqs/Times are fully overwritten by Respond; Outcomes is
-		// written sparsely, so clear stale entries from the last round.
-		for i := range st.scrOutcomes {
-			st.scrOutcomes[i] = market.OutcomeAbsent
 		}
 		return nil
 	}
@@ -309,7 +325,11 @@ type DrawRecorder interface {
 // lookup against the churn schedule, an availability draw, a bandwidth-
 // jitter draw, and the Eqn. (11) best response to the posted price. It
 // fills Joined, Departing, Freqs, the nominal Times (compute + jittered
-// upload), ContractPay, CommTimes, Contracted, and Participants.
+// upload), ContractPay, CommTimes, the outcome column (completed for
+// joiners, absent otherwise), Contracted, and Participants. A NaN price
+// fails the round with an error naming the node, before any money or
+// model state moves; −Inf declines and +Inf joins at an unaffordable
+// payment, so Settle ends the episode as a budget overrun.
 //
 // RNG discipline: the draw pre-pass visits nodes in index order; each
 // available node consumes its availability draw before its jitter draw,
@@ -322,9 +342,10 @@ type DrawRecorder interface {
 // is.
 //
 // The best response itself is the batched device.Fleet kernel sharded
-// over the worker pool; the participant count and contracted-payment sum
-// are then reduced in a single ascending-index pass, so the result is
-// bit-identical to the per-node scalar loop at any worker count.
+// over the worker pool. The same band pass writes every node's outcome and
+// CommTimes entry and tallies the exact per-band reductions; the
+// contracted-payment sum then runs as one ascending-index pass, so the
+// result is bit-identical to the per-node scalar loop at any worker count.
 type Respond struct {
 	// Fleet is the struct-of-arrays fleet the batch kernels run over
 	// (required, never mutated).
@@ -427,8 +448,9 @@ func (r Respond) Run(st *State) error {
 		r.Recorder.RecordDraws(st.Index, eligible, st.Departing, commTimes)
 	}
 
-	// Phase 2 — the batched Eqn. (11) best response, sharded over the
-	// worker pool. Elementwise: bit-identical at any worker count.
+	// Phase 2 — the batched Eqn. (11) best response and respondBand,
+	// sharded over the worker pool. Elementwise: bit-identical at any
+	// worker count.
 	out := device.BatchResponse{
 		Joined:  st.Joined,
 		Freq:    st.freqs(),
@@ -436,27 +458,75 @@ func (r Respond) Run(st *State) error {
 		Payment: st.ContractPay,
 	}
 	prices := st.Prices
-	mat.ParallelRange(n, n*respondFlopsPerNode, func(lo, hi int) {
-		fleet.BestResponseRange(lo, hi, prices, commTimes, eligible, &out)
-	})
-
-	// Phase 3 — streaming reduction in ascending node order: the fixed
-	// order that keeps Contracted bit-identical to the scalar loop.
-	outcomes := st.outcomes()
-	participants := 0
-	var contracted float64
-	for i := 0; i < n; i++ {
-		if !st.Joined[i] {
-			continue
-		}
-		participants++
-		outcomes[i] = market.OutcomeCompleted
-		st.CommTimes[i] = commTimes[i]
-		contracted += st.ContractPay[i]
+	if w := mat.Workers(); len(st.tallies) < w {
+		st.tallies = make([]bandTally, w)
 	}
-	st.Record.Participants = participants
+	bands := mat.ParallelRange(n, n*respondFlopsPerNode, len(st.tallies), func(band, lo, hi int) {
+		fleet.BestResponseRange(lo, hi, prices, commTimes, eligible, &out)
+		st.tallies[band] = st.respondBand(lo, hi, commTimes)
+	})
+	var sum bandTally
+	for _, t := range st.tallies[:bands] {
+		sum.participants += t.participants
+		sum.departs |= t.departs
+		sum.nanPrices |= t.nanPrices
+	}
+	if sum.nanPrices != 0 {
+		for i, p := range prices {
+			if math.IsNaN(p) {
+				return fmt.Errorf("node %d: price is NaN", i)
+			}
+		}
+	}
+
+	// Phase 3 — the contracted-payment sum in ascending node order: the
+	// fixed order that keeps Contracted bit-identical to the scalar loop.
+	// A declined node's ContractPay is exactly +0 and no payment is
+	// negative, so summing every node adds x + 0 = x where the scalar loop
+	// skipped it.
+	var contracted float64
+	for _, p := range st.ContractPay {
+		contracted += p
+	}
+	st.Record.Participants = sum.participants
 	st.Contracted = contracted
+	st.noDepartures = sum.departs == 0
 	return nil
+}
+
+// respondBand writes nodes [lo,hi)'s outcome (completed when joined,
+// absent otherwise) and CommTimes entry (the round's upload time when
+// joined, 0 otherwise) in full, so neither column needs a per-round clear,
+// and tallies the band's exact reductions. The loop has no data-dependent
+// branch: the join pattern is as unpredictable as the fleet.
+func (st *State) respondBand(lo, hi int, commTimes []float64) bandTally {
+	var t bandTally
+	outcomes := st.outcomes()[lo:hi]
+	joined := st.Joined[lo:hi]
+	departing := st.Departing[lo:hi]
+	prices := st.Prices[lo:hi]
+	comm := commTimes[lo:hi]
+	dst := st.CommTimes[lo:hi]
+	for i := range outcomes {
+		j := b2i(joined[i])
+		outcomes[i] = joinOutcome[j&1]
+		// -j is all ones for a joiner and zero otherwise: the upload time
+		// or +0, bit for bit.
+		dst[i] = math.Float64frombits(math.Float64bits(comm[i]) & -uint64(j))
+		t.participants += j
+		t.departs |= j & b2i(departing[i])
+		t.nanPrices |= b2i(prices[i] != prices[i])
+	}
+	return t
+}
+
+// b2i is 1 for true and 0 for false; the compiler emits it without a
+// branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Execute runs the joined nodes through the failure pipeline: a mid-round
@@ -471,7 +541,10 @@ func (r Respond) Run(st *State) error {
 // The per-node failure transform is pure (fault schedules answer
 // hash-derived, read-only queries), so it shards over the worker pool;
 // each node's time and outcome are written exactly once, keeping the
-// result bit-identical at any worker count.
+// result bit-identical at any worker count. A round with no fault
+// schedule, no deadline and — as Respond established — no departing
+// joiner leaves every time and outcome as Respond wrote them, so Execute
+// returns without a pass.
 type Execute struct {
 	// Faults schedules per-node, per-round failures (nil disables).
 	Faults faults.Schedule
@@ -487,11 +560,14 @@ func (x Execute) Name() string { return "execute" }
 
 // Run implements Stage.
 func (x Execute) Run(st *State) error {
+	if x.Faults == nil && x.Deadline <= 0 && st.noDepartures {
+		return nil
+	}
 	times := st.times()
 	outcomes := st.outcomes()
 	index := st.Index
 	n := len(st.Joined)
-	mat.ParallelRange(n, n*executeFlopsPerNode, func(lo, hi int) {
+	mat.ParallelRange(n, n*executeFlopsPerNode, n, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if !st.Joined[i] {
 				continue
@@ -568,6 +644,11 @@ func (x Execute) Run(st *State) error {
 // and — in compact mode — streams the T_k = max_i T_{i,k} and Σ_i T_{i,k}
 // reductions into the record in the same single ascending pass, so no
 // per-node outcome ever needs to be materialized.
+//
+// The pass visits every node with no branch on whether it joined: a
+// declined node's ContractPay and time are exactly +0 and no payment or
+// time is negative, so its terms leave each running sum and the maximum
+// bit-identical to a pass over the joiners only.
 type Settle struct {
 	// FailurePayment ∈ [0,1] is the fraction of a failed node's contracted
 	// payment the server still pays.
@@ -602,30 +683,32 @@ func (s Settle) Run(st *State) error {
 		st.Status = StatusBudgetExhausted
 		return nil
 	}
-	times := st.times()
 	outcomes := st.outcomes()
+	n := len(outcomes)
+	times, pay := st.times()[:n], st.ContractPay[:n]
+	if cap(st.Completed) < n {
+		st.Completed = make([]int, 0, n)
+	}
+	completed := st.Completed[:n]
+	weight := [2]float64{s.FailurePayment, 1} // indexed by "completed"
+	payment := st.Record.Payment
 	var maxTime, sumTime float64
-	for i := range st.Joined {
-		if !st.Joined[i] {
-			continue
-		}
-		if outcomes[i] == market.OutcomeCompleted {
-			st.Record.Payment += st.ContractPay[i]
-			st.Completed = append(st.Completed, i)
-		} else {
-			st.Record.Payment += st.ContractPay[i] * s.FailurePayment
-		}
+	k := 0
+	for i, o := range outcomes {
+		done := b2i(o == market.OutcomeCompleted)
+		payment += pay[i] * weight[done&1]
+		completed[k] = i
+		k += done
 		t := times[i]
 		if t > maxTime {
 			maxTime = t
 		}
 		sumTime += t
 	}
-	st.Record.Completed = len(st.Completed)
+	st.Completed = completed[:k]
+	st.Record.Payment = payment
+	st.Record.Completed = k
 	if st.Compact {
-		// Declined nodes contribute T_{i,k} = 0, so reducing over the
-		// joined set only is exact: x + 0 = x in every term the full-fleet
-		// scan would add.
 		st.Record.MaxTime = maxTime
 		st.Record.SumTime = sumTime
 	}
@@ -660,9 +743,9 @@ func (c Commit) Run(st *State) error {
 	}
 	st.Record.Accuracy = acc
 	if err := c.Ledger.Commit(st.Record); err != nil {
-		// Unreachable given Settle's pre-check, but surface it rather
-		// than panic.
-		return fmt.Errorf("commit: %w", err)
+		// Unreachable given Settle's pre-check and Respond's NaN-price
+		// check, but surface it rather than panic.
+		return err
 	}
 	st.Status = StatusCommitted
 	return nil

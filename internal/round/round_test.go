@@ -128,6 +128,63 @@ func TestRespondPlaysBestResponse(t *testing.T) {
 	}
 }
 
+// TestRespondReusedStateShrinkingJoinSet runs two rounds through one
+// reused State, in vector and compact mode: every node joins the first
+// round, only nodes 1 and 4 the second. Respond writes every node's
+// outcome and CommTimes entry, so nothing the first round left may survive
+// into the second — no stale completed outcome reaching Settle's cohort,
+// no stale upload time.
+func TestRespondReusedStateShrinkingJoinSet(t *testing.T) {
+	const n = 6
+	nodes := make([]*device.Node, n)
+	for i := range nodes {
+		nodes[i] = testNode(i)
+		nodes[i].CommTime = float64(i + 1)
+	}
+	fleet := device.FromNodes(nodes)
+	price := nodes[0].PriceForFreq(1e9)
+	for _, compact := range []bool{false, true} {
+		st := round.NewState(1, nil, 0, n)
+		settle := round.Settle{FailurePayment: 0.5, EmptyTimeout: 1, Ledger: testLedger(t, 1e9)}
+		for k, joiners := range [][]int{{0, 1, 2, 3, 4, 5}, {1, 4}} {
+			prices := make([]float64, n)
+			for _, i := range joiners {
+				prices[i] = price
+			}
+			st.Reset(k+1, prices, 0, n)
+			for _, stage := range []round.Stage{
+				round.Offer{NumNodes: n, Compact: compact}, round.Respond{Fleet: fleet}, round.Execute{}, settle,
+			} {
+				if err := stage.Run(st); err != nil {
+					t.Fatalf("compact=%v round %d %s: %v", compact, k+1, stage.Name(), err)
+				}
+			}
+			if st.Record.Participants != len(joiners) || st.Record.Completed != len(joiners) ||
+				len(st.Completed) != len(joiners) {
+				t.Fatalf("compact=%v round %d: %d participants, %d completed (%v), want %d each",
+					compact, k+1, st.Record.Participants, st.Record.Completed, st.Completed, len(joiners))
+			}
+			for j, i := range joiners {
+				if st.Completed[j] != i {
+					t.Fatalf("compact=%v round %d: completed cohort %v, want %v", compact, k+1, st.Completed, joiners)
+				}
+			}
+			for i := 0; i < n; i++ {
+				wantComm := 0.0
+				if prices[i] > 0 {
+					wantComm = nodes[i].CommTime
+				}
+				if st.CommTimes[i] != wantComm {
+					t.Fatalf("compact=%v round %d: node %d CommTimes %v, want %v", compact, k+1, i, st.CommTimes[i], wantComm)
+				}
+				if !compact && (st.Record.Outcomes[i] == market.OutcomeCompleted) != (prices[i] > 0) {
+					t.Fatalf("round %d: node %d outcome %v", k+1, i, st.Record.Outcomes[i])
+				}
+			}
+		}
+	}
+}
+
 // TestRespondChurnRNGOrder pins the RNG discipline that keeps seeded traces
 // bit-identical: nodes are visited in index order, each online node draws
 // availability then jitter, and offline nodes consume no jitter draw. The
@@ -431,6 +488,22 @@ func TestCommitQuorumGate(t *testing.T) {
 				t.Fatalf("ledger recorded %d rounds, want 1 (missed quorum still commits)", ledger.NumRounds())
 			}
 		})
+	}
+}
+
+// TestCommitSurfacesLedgerError: a record the ledger rejects fails Commit
+// with the ledger's own error, so the pipeline's "commit:" stage prefix is
+// the only one in the chain.
+func TestCommitSurfacesLedgerError(t *testing.T) {
+	st := round.NewState(1, []float64{1}, 0, 1)
+	if err := (round.Offer{NumNodes: 1}).Run(st); err != nil {
+		t.Fatalf("Offer: %v", err)
+	}
+	st.Record.Payment = math.Inf(1)
+	c := round.Commit{Accuracy: &stubModel{}, Ledger: testLedger(t, 10), MinQuorum: 1}
+	err := c.Run(st)
+	if err == nil || strings.Contains(err.Error(), "commit") || !strings.HasPrefix(err.Error(), "market:") {
+		t.Fatalf("Commit error %v, want the ledger's error unwrapped", err)
 	}
 }
 
