@@ -25,6 +25,7 @@ import (
 
 	"chiron"
 	"chiron/internal/mechanism"
+	"chiron/internal/rl"
 	"chiron/internal/scenario"
 	"chiron/internal/session"
 	"chiron/internal/supervise"
@@ -142,7 +143,11 @@ func cmdTrain(args []string) error {
 		if !ok {
 			return fmt.Errorf("-load does not apply to mechanism %s", m.Name())
 		}
-		if err := agent.LoadCheckpoint(*load); err != nil {
+		ck, err := rl.LoadCheckpoint(*load)
+		if err != nil {
+			return err
+		}
+		if err := agent.Restore(ck); err != nil {
 			return err
 		}
 		fmt.Printf("restored checkpoint from %s (episode %d)\n", *load, agent.Episode())
@@ -254,7 +259,11 @@ func cmdTrain(args []string) error {
 		if !ok {
 			return fmt.Errorf("-save does not apply to mechanism %s", m.Name())
 		}
-		if err := agent.SaveCheckpoint(*save); err != nil {
+		ck, err := agent.Checkpoint()
+		if err != nil {
+			return err
+		}
+		if err := rl.SaveCheckpoint(*save, ck); err != nil {
 			return err
 		}
 		fmt.Printf("checkpoint written to %s\n", *save)

@@ -35,15 +35,11 @@ func (f *sigTarget) Train(episodes int, callback func(mechanism.EpisodeResult)) 
 	return out, nil
 }
 
-func (f *sigTarget) SaveCheckpoint(path string) error {
-	return rl.SaveCheckpoint(path, &rl.Checkpoint{Mechanism: "sig", Nodes: 1, Episode: f.episode})
+func (f *sigTarget) Checkpoint() (*rl.Checkpoint, error) {
+	return &rl.Checkpoint{Mechanism: "sig", Nodes: 1, Episode: f.episode}, nil
 }
 
-func (f *sigTarget) LoadCheckpoint(path string) error {
-	ck, err := rl.LoadCheckpoint(path)
-	if err != nil {
-		return err
-	}
+func (f *sigTarget) Restore(ck *rl.Checkpoint) error {
 	if ck.Mechanism != "sig" {
 		return fmt.Errorf("%w: checkpoint for %q, want \"sig\"", rl.ErrShapeMismatch, ck.Mechanism)
 	}

@@ -279,7 +279,7 @@ func TestSystemTrainDeterministicAcrossWorkers(t *testing.T) {
 // learner is a training mechanism whose full state is a unified checkpoint.
 type learner interface {
 	Train(episodes int, callback func(mechanism.EpisodeResult)) ([]mechanism.EpisodeResult, error)
-	Checkpoint() *rl.Checkpoint
+	Checkpoint() (*rl.Checkpoint, error)
 }
 
 // trainTwin trains kind on the Fig. 3 setup (MNIST surrogate, N=5, η=300)
@@ -310,7 +310,10 @@ func trainTwin(t *testing.T, kind experiment.MechanismKind, workers int) (result
 	if err != nil {
 		t.Fatal(err)
 	}
-	state := l.Checkpoint()
+	state, err := l.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, a := range state.Agents {
 		if a.Snapshot.ActorOpt.T == 0 || a.Snapshot.CriticOpt.T == 0 {
 			t.Fatalf("%s agent %q never updated in %d episodes", m.Name(), a.Name, len(res))

@@ -49,7 +49,10 @@ func run(w io.Writer, nodes, eps, evalEps int, budget float64) error {
 	if _, err := sys.Train(eps, nil); err != nil {
 		return err
 	}
-	ck := sys.Agent().Checkpoint()
+	ck, err := sys.Agent().Checkpoint()
+	if err != nil {
+		return err
+	}
 
 	// Evaluate the frozen policy under churn and injected faults. Each
 	// scenario rebuilds the environment with the same fleet and restores

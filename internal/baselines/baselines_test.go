@@ -32,19 +32,9 @@ func testEnv(t *testing.T, nodes int, budget float64) *edgeenv.Env {
 func TestDRLBasedConfigValidation(t *testing.T) {
 	env := testEnv(t, 2, 100)
 	bad := DefaultDRLBasedConfig()
-	bad.EnergyWeight = -1
-	if _, err := NewDRLBased(env, bad); err == nil {
-		t.Fatal("accepted negative energy weight")
-	}
-	bad = DefaultDRLBasedConfig()
 	bad.RewardScale = 0
 	if _, err := NewDRLBased(env, bad); err == nil {
 		t.Fatal("accepted zero reward scale")
-	}
-	bad = DefaultDRLBasedConfig()
-	bad.Mode = 0
-	if _, err := NewDRLBased(env, bad); err == nil {
-		t.Fatal("accepted invalid reward mode")
 	}
 }
 
@@ -96,36 +86,6 @@ func TestDRLBasedEpisodeRuns(t *testing.T) {
 	}
 	if a.Rounds != b.Rounds || math.Abs(a.BudgetSpent-b.BudgetSpent) > 1e-9 {
 		t.Fatal("deterministic episodes differ")
-	}
-}
-
-func TestDRLBasedEnergyModeReward(t *testing.T) {
-	env := testEnv(t, 3, 100)
-	cfg := DefaultDRLBasedConfig()
-	cfg.Mode = RewardTimeEnergy
-	d, err := NewDRLBased(env, cfg)
-	if err != nil {
-		t.Fatalf("NewDRLBased: %v", err)
-	}
-	if err := env.Reset(); err != nil {
-		t.Fatalf("Reset: %v", err)
-	}
-	prices := make([]float64, 3)
-	for i, n := range env.Nodes() {
-		prices[i] = n.PriceForFreq(n.FreqMax)
-	}
-	res, err := env.Step(prices)
-	if err != nil {
-		t.Fatalf("Step: %v", err)
-	}
-	r := d.myopicReward(res)
-	if r >= 0 {
-		t.Fatalf("time+energy reward %v, want negative", r)
-	}
-	// It must differ from the server-round reward mode.
-	d.cfg.Mode = RewardServerRound
-	if d.myopicReward(res) == r {
-		t.Fatal("reward modes indistinguishable")
 	}
 }
 

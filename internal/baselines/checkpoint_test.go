@@ -6,49 +6,48 @@ import (
 	"testing"
 
 	"chiron/internal/core"
+	"chiron/internal/mechanism"
 	"chiron/internal/rl"
 )
 
-// learner is the checkpoint surface the three learnable mechanisms share.
-type learner interface {
-	Restore(*rl.Checkpoint) error
-	SaveCheckpoint(path string) error
-	LoadCheckpoint(path string) error
-}
-
-// checkpointKind builds one learnable mechanism on a nodes-wide fleet and
-// returns it with its current checkpoint.
+// checkpointKind builds one learnable mechanism on a nodes-wide fleet.
 type checkpointKind struct {
 	name  string
-	build func(t *testing.T, nodes int) (learner, *rl.Checkpoint)
+	build func(t *testing.T, nodes int) mechanism.Checkpointer
 }
 
 var checkpointKinds = []checkpointKind{
-	{"chiron", func(t *testing.T, nodes int) (learner, *rl.Checkpoint) {
+	{"chiron", func(t *testing.T, nodes int) mechanism.Checkpointer {
 		c, err := core.New(testEnv(t, nodes, 100), core.DefaultConfig())
 		if err != nil {
 			t.Fatalf("core.New: %v", err)
 		}
-		return c, c.Checkpoint()
+		return c
 	}},
-	{"drl-based", func(t *testing.T, nodes int) (learner, *rl.Checkpoint) {
+	{"drl-based", func(t *testing.T, nodes int) mechanism.Checkpointer {
 		d, err := NewDRLBased(testEnv(t, nodes, 100), DefaultDRLBasedConfig())
 		if err != nil {
 			t.Fatalf("NewDRLBased: %v", err)
 		}
-		return d, d.Checkpoint()
+		return d
 	}},
-	{"greedy", func(t *testing.T, nodes int) (learner, *rl.Checkpoint) {
+	{"greedy", func(t *testing.T, nodes int) mechanism.Checkpointer {
 		g, err := NewGreedy(testEnv(t, nodes, 100), DefaultGreedyConfig())
 		if err != nil {
 			t.Fatalf("NewGreedy: %v", err)
 		}
-		ck, err := g.Checkpoint()
-		if err != nil {
-			t.Fatalf("Greedy.Checkpoint: %v", err)
-		}
-		return g, ck
+		return g
 	}},
+}
+
+// checkpointOf takes m's current checkpoint.
+func checkpointOf(t *testing.T, m mechanism.Checkpointer) *rl.Checkpoint {
+	t.Helper()
+	ck, err := m.Checkpoint()
+	if err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	return ck
 }
 
 // TestCheckpointPins runs every learnable mechanism's restore through the
@@ -59,17 +58,22 @@ var checkpointKinds = []checkpointKind{
 func TestCheckpointPins(t *testing.T) {
 	checkpoints := make(map[string]*rl.Checkpoint, len(checkpointKinds))
 	for _, k := range checkpointKinds {
-		_, checkpoints[k.name] = k.build(t, 3)
+		checkpoints[k.name] = checkpointOf(t, k.build(t, 3))
 	}
 	for _, k := range checkpointKinds {
 		t.Run(k.name, func(t *testing.T) {
-			m, own := k.build(t, 3)
+			m := k.build(t, 3)
+			own := checkpointOf(t, m)
 			path := filepath.Join(t.TempDir(), "ck.json")
-			if err := m.SaveCheckpoint(path); err != nil {
+			if err := rl.SaveCheckpoint(path, own); err != nil {
 				t.Fatalf("SaveCheckpoint: %v", err)
 			}
-			if err := m.LoadCheckpoint(path); err != nil {
-				t.Fatalf("LoadCheckpoint of its own file: %v", err)
+			loaded, err := rl.LoadCheckpoint(path)
+			if err != nil {
+				t.Fatalf("LoadCheckpoint: %v", err)
+			}
+			if err := m.Restore(loaded); err != nil {
+				t.Fatalf("Restore of its own file: %v", err)
 			}
 			if err := m.Restore(nil); err == nil {
 				t.Error("restored a nil checkpoint")
@@ -82,7 +86,7 @@ func TestCheckpointPins(t *testing.T) {
 					t.Errorf("%s checkpoint: err %v, want ErrShapeMismatch", name, err)
 				}
 			}
-			_, wide := k.build(t, 6)
+			wide := checkpointOf(t, k.build(t, 6))
 			if err := m.Restore(wide); !errors.Is(err, rl.ErrShapeMismatch) {
 				t.Errorf("6-node checkpoint: err %v, want ErrShapeMismatch", err)
 			}

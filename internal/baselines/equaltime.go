@@ -7,7 +7,6 @@ import (
 	"chiron/internal/device"
 	"chiron/internal/edgeenv"
 	"chiron/internal/mechanism"
-	"chiron/internal/policy"
 )
 
 // EqualTime is the Lemma-1 oracle: it computes, in closed form from the
@@ -17,8 +16,7 @@ import (
 // ablation baseline — Chiron must learn without the private information
 // this oracle reads directly.
 type EqualTime struct {
-	env *edgeenv.Env
-	drv *mechanism.Driver
+	static
 }
 
 var _ mechanism.Mechanism = (*EqualTime)(nil)
@@ -32,13 +30,11 @@ func NewEqualTime(env *edgeenv.Env, target float64) (*EqualTime, error) {
 	if target <= 0 {
 		return nil, fmt.Errorf("baselines: equal-time target %v, want > 0", target)
 	}
-	head, err := policy.NewStaticHead(PricesForTime(env.Nodes(), target))
+	st, err := newStatic("EqualTime-Oracle", env, PricesForTime(env.Nodes(), target))
 	if err != nil {
 		return nil, fmt.Errorf("baselines: equal-time: %w", err)
 	}
-	e := &EqualTime{env: env}
-	e.drv = mechanism.NewDriver("equal-time", env, staticActor{head: head})
-	return e, nil
+	return &EqualTime{st}, nil
 }
 
 // MinFeasibleTime returns the smallest round time every node can reach:
@@ -79,16 +75,4 @@ func PricesForTime(nodes []*device.Node, target float64) []float64 {
 		prices[i] = p
 	}
 	return prices
-}
-
-// Name implements mechanism.Mechanism.
-func (e *EqualTime) Name() string { return "EqualTime-Oracle" }
-
-// Env implements mechanism.Mechanism.
-func (e *EqualTime) Env() *edgeenv.Env { return e.env }
-
-// RunEpisode implements mechanism.Mechanism. The train flag is ignored —
-// the oracle is closed-form.
-func (e *EqualTime) RunEpisode(train bool) (mechanism.EpisodeResult, error) {
-	return e.drv.RunEpisode(train)
 }

@@ -45,10 +45,8 @@ func (c GreedyConfig) Validate() error {
 // exploring new random actions with probability ε. It has no learning-time
 // structure and no budget pacing.
 type Greedy struct {
-	cfg  GreedyConfig
-	env  *edgeenv.Env
+	*mechanism.Driver
 	head *policy.ReplayHead
-	drv  *mechanism.Driver
 	src  *rl.CountingSource
 	rng  *rand.Rand
 
@@ -73,31 +71,18 @@ func NewGreedy(env *edgeenv.Env, cfg GreedyConfig) (*Greedy, error) {
 		return nil, fmt.Errorf("baselines: greedy: %w", err)
 	}
 	src := rl.NewCountingSource(cfg.Seed)
-	g := &Greedy{cfg: cfg, env: env, head: head, src: src, rng: rand.New(src)}
+	g := &Greedy{head: head, src: src, rng: rand.New(src)}
 	for i := 0; i < cfg.WarmupActions; i++ {
 		head.Seed(env.RandomPrices(g.rng))
 	}
-	g.drv = mechanism.NewDriver("greedy", env, g)
+	g.Driver = mechanism.NewDriver("Greedy", env, g)
 	return g, nil
 }
-
-// Name implements mechanism.Mechanism.
-func (g *Greedy) Name() string { return "Greedy" }
-
-// Env implements mechanism.Mechanism.
-func (g *Greedy) Env() *edgeenv.Env { return g.env }
-
-// Episode returns the number of training episodes completed.
-func (g *Greedy) Episode() int { return g.drv.Episode() }
-
-// SetRoundHook installs a pre-round callback on the episode driver (see
-// mechanism.Driver.SetRoundHook).
-func (g *Greedy) SetRoundHook(hook func(episode, round int) error) { g.drv.SetRoundHook(hook) }
 
 // Decide implements mechanism.Actor.
 func (g *Greedy) Decide(train bool) ([]float64, error) {
 	g.lastIdx = g.head.Select(g.rng, train, func() []float64 {
-		return g.env.RandomPrices(g.rng)
+		return g.Env().RandomPrices(g.rng)
 	})
 	return g.head.Prices(g.lastIdx), nil
 }
@@ -118,18 +103,6 @@ func (g *Greedy) Discard(bool) {}
 // end-of-episode learner work.
 func (g *Greedy) EndEpisode(bool) error { return nil }
 
-// RunEpisode implements mechanism.Mechanism. With train=true the buffer
-// scores update and ε-exploration adds new actions; with train=false the
-// best known action is replayed every round.
-func (g *Greedy) RunEpisode(train bool) (mechanism.EpisodeResult, error) {
-	return g.drv.RunEpisode(train)
-}
-
-// Train runs training episodes, mirroring core.Chiron.Train.
-func (g *Greedy) Train(episodes int, callback func(mechanism.EpisodeResult)) ([]mechanism.EpisodeResult, error) {
-	return g.drv.Train(episodes, callback)
-}
-
 // greedyCheckpointMechanism tags Greedy checkpoints in the unified format.
 const greedyCheckpointMechanism = "greedy"
 
@@ -138,8 +111,8 @@ type greedyExtra struct {
 	Replay []policy.ScoredAction `json:"replay"`
 }
 
-// Checkpoint captures the baseline's training state in the unified format:
-// the scored replay buffer rides in the Extra payload.
+// Checkpoint implements mechanism.Checkpointer: the scored replay buffer
+// rides in the Extra payload.
 func (g *Greedy) Checkpoint() (*rl.Checkpoint, error) {
 	extra, err := json.Marshal(greedyExtra{Replay: g.head.Snapshot()})
 	if err != nil {
@@ -148,17 +121,16 @@ func (g *Greedy) Checkpoint() (*rl.Checkpoint, error) {
 	rng := g.src.State()
 	return &rl.Checkpoint{
 		Mechanism: greedyCheckpointMechanism,
-		Nodes:     g.env.NumNodes(),
-		Episode:   g.drv.Episode(),
+		Nodes:     g.Env().NumNodes(),
+		Episode:   g.Episode(),
 		RNG:       &rng,
 		Extra:     extra,
 	}, nil
 }
 
-// Restore overwrites the baseline's training state from a checkpoint taken
-// on an identically shaped system.
+// Restore implements mechanism.Checkpointer.
 func (g *Greedy) Restore(ck *rl.Checkpoint) error {
-	if err := rl.CheckPins(ck, greedyCheckpointMechanism, g.env.NumNodes(), 0); err != nil {
+	if err := rl.CheckPins(ck, greedyCheckpointMechanism, g.Env().NumNodes(), 0); err != nil {
 		return err
 	}
 	if len(ck.Extra) == 0 {
@@ -169,38 +141,19 @@ func (g *Greedy) Restore(ck *rl.Checkpoint) error {
 		return fmt.Errorf("%w: parse greedy replay: %v", rl.ErrCorruptCheckpoint, err)
 	}
 	for i, a := range extra.Replay {
-		if len(a.Prices) != g.env.NumNodes() {
+		if len(a.Prices) != g.Env().NumNodes() {
 			return fmt.Errorf("%w: replay action %d has %d prices, want %d",
-				rl.ErrCorruptCheckpoint, i, len(a.Prices), g.env.NumNodes())
+				rl.ErrCorruptCheckpoint, i, len(a.Prices), g.Env().NumNodes())
 		}
 	}
 	if err := g.head.Restore(extra.Replay); err != nil {
 		return fmt.Errorf("%w: %v", rl.ErrCorruptCheckpoint, err)
 	}
-	g.drv.SetEpisode(ck.Episode)
+	g.SetEpisode(ck.Episode)
 	if ck.RNG != nil {
 		if err := g.src.Restore(*ck.RNG); err != nil {
 			return fmt.Errorf("baselines: restore rng: %w", err)
 		}
 	}
 	return nil
-}
-
-// SaveCheckpoint writes the baseline's training state as JSON to path.
-func (g *Greedy) SaveCheckpoint(path string) error {
-	ck, err := g.Checkpoint()
-	if err != nil {
-		return err
-	}
-	return rl.SaveCheckpoint(path, ck)
-}
-
-// LoadCheckpoint restores the baseline's training state from a
-// SaveCheckpoint file.
-func (g *Greedy) LoadCheckpoint(path string) error {
-	ck, err := rl.LoadCheckpoint(path)
-	if err != nil {
-		return err
-	}
-	return g.Restore(ck)
 }

@@ -21,13 +21,41 @@ func (a staticActor) Observe(edgeenv.StepResult, bool) error { return nil }
 func (a staticActor) Discard(bool)                           {}
 func (a staticActor) EndEpisode(bool) error                  { return nil }
 
+// static runs a StaticHead through an unexported episode driver. It does
+// not embed *mechanism.Driver the way the learners do: that would promote
+// Train and make the references mechanism.Trainable, so every harness
+// would "train" them.
+type static struct {
+	drv *mechanism.Driver
+}
+
+// newStatic binds a static head posting prices to env under name.
+func newStatic(name string, env *edgeenv.Env, prices []float64) (static, error) {
+	head, err := policy.NewStaticHead(prices)
+	if err != nil {
+		return static{}, err
+	}
+	return static{drv: mechanism.NewDriver(name, env, staticActor{head: head})}, nil
+}
+
+// Name implements mechanism.Mechanism.
+func (s static) Name() string { return s.drv.Name() }
+
+// Env implements mechanism.Mechanism.
+func (s static) Env() *edgeenv.Env { return s.drv.Env() }
+
+// RunEpisode implements mechanism.Mechanism. The train flag is ignored —
+// a static head has nothing to learn.
+func (s static) RunEpisode(train bool) (mechanism.EpisodeResult, error) {
+	return s.drv.RunEpisode(train)
+}
+
 // Uniform is a static reference mechanism: every round it posts the same
 // total price, split equally across nodes. It is not a paper baseline but
 // serves as the ablation floor — any learning mechanism should beat it —
 // and as a deterministic fixture for tests.
 type Uniform struct {
-	env *edgeenv.Env
-	drv *mechanism.Driver
+	static
 }
 
 var _ mechanism.Mechanism = (*Uniform)(nil)
@@ -44,23 +72,9 @@ func NewUniform(env *edgeenv.Env, fraction float64) (*Uniform, error) {
 	for i := range prices {
 		prices[i] = per
 	}
-	head, err := policy.NewStaticHead(prices)
+	st, err := newStatic("Uniform", env, prices)
 	if err != nil {
 		return nil, fmt.Errorf("baselines: uniform: %w", err)
 	}
-	u := &Uniform{env: env}
-	u.drv = mechanism.NewDriver("uniform", env, staticActor{head: head})
-	return u, nil
-}
-
-// Name implements mechanism.Mechanism.
-func (u *Uniform) Name() string { return "Uniform" }
-
-// Env implements mechanism.Mechanism.
-func (u *Uniform) Env() *edgeenv.Env { return u.env }
-
-// RunEpisode implements mechanism.Mechanism. The train flag is ignored —
-// the mechanism is stateless.
-func (u *Uniform) RunEpisode(train bool) (mechanism.EpisodeResult, error) {
-	return u.drv.RunEpisode(train)
+	return &Uniform{st}, nil
 }

@@ -4,7 +4,36 @@ import (
 	"math"
 	"path/filepath"
 	"testing"
+
+	"chiron/internal/rl"
 )
+
+// mustCheckpoint takes c's current checkpoint.
+func mustCheckpoint(t *testing.T, c *Chiron) *rl.Checkpoint {
+	t.Helper()
+	ck, err := c.Checkpoint()
+	if err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	return ck
+}
+
+// saveFile writes c's checkpoint to path through rl.SaveCheckpoint.
+func saveFile(t *testing.T, c *Chiron, path string) {
+	t.Helper()
+	if err := rl.SaveCheckpoint(path, mustCheckpoint(t, c)); err != nil {
+		t.Fatalf("SaveCheckpoint: %v", err)
+	}
+}
+
+// loadFile restores c from a checkpoint file through rl.LoadCheckpoint.
+func loadFile(c *Chiron, path string) error {
+	ck, err := rl.LoadCheckpoint(path)
+	if err != nil {
+		return err
+	}
+	return c.Restore(ck)
+}
 
 func TestCheckpointRoundTrip(t *testing.T) {
 	env := testEnv(t, 3, 100)
@@ -18,14 +47,12 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "agent.json")
-	if err := ch.SaveCheckpoint(path); err != nil {
-		t.Fatalf("SaveCheckpoint: %v", err)
-	}
+	saveFile(t, ch, path)
 
 	// A fresh agent behaves differently until restored.
 	env2 := testEnv(t, 3, 100)
 	fresh := newTestChiron(t, env2)
-	if err := fresh.LoadCheckpoint(path); err != nil {
+	if err := loadFile(fresh, path); err != nil {
 		t.Fatalf("LoadCheckpoint: %v", err)
 	}
 	if fresh.Episode() != ch.Episode() {
@@ -43,7 +70,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 func TestCheckpointShapeMismatch(t *testing.T) {
 	env := testEnv(t, 3, 100)
 	ch := newTestChiron(t, env)
-	ck := ch.Checkpoint()
+	ck := mustCheckpoint(t, ch)
 
 	env2 := testEnv(t, 4, 100) // different fleet size
 	other := newTestChiron(t, env2)
@@ -58,7 +85,7 @@ func TestCheckpointShapeMismatch(t *testing.T) {
 func TestLoadCheckpointMissingFile(t *testing.T) {
 	env := testEnv(t, 2, 100)
 	ch := newTestChiron(t, env)
-	if err := ch.LoadCheckpoint(filepath.Join(t.TempDir(), "absent.json")); err == nil {
+	if err := loadFile(ch, filepath.Join(t.TempDir(), "absent.json")); err == nil {
 		t.Fatal("loaded a missing checkpoint")
 	}
 }

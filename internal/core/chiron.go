@@ -99,10 +99,11 @@ func (c Config) Validate() error {
 // Chiron is the hierarchical DRL incentive mechanism: a thin composition of
 // an exterior policy+learner pair (total price, bounded scalar head over
 // the full exterior observation) and an inner pair (allocation proportions,
-// simplex head conditioned on the exterior action).
+// simplex head conditioned on the exterior action), run by its embedded
+// episode driver.
 type Chiron struct {
+	*mechanism.Driver
 	cfg       Config
-	env       *edgeenv.Env
 	obs       *policy.Concat             // exterior observation s^E_k
 	cond      policy.ConditioningEncoder // inner observation s^I_k
 	priceHead policy.BoundedScalarHead   // a^E_k → p_total,k
@@ -110,7 +111,6 @@ type Chiron struct {
 	pairE     *rl.Pair
 	pairI     *rl.Pair
 	sched     *rl.Scheduler
-	drv       *mechanism.Driver
 	src       *rl.CountingSource
 	rng       *rand.Rand
 	maxTotal  float64
@@ -157,7 +157,6 @@ func New(env *edgeenv.Env, cfg Config) (*Chiron, error) {
 	}
 	c := &Chiron{
 		cfg:      cfg,
-		env:      env,
 		obs:      obs,
 		cond:     policy.NewConditioningEncoder(env),
 		pairE:    rl.NewPair("exterior", exterior, cfg.ExteriorRewardScale),
@@ -174,7 +173,7 @@ func New(env *edgeenv.Env, cfg Config) (*Chiron, error) {
 		MinSamples: cfg.MinUpdateSamples,
 		DecayFirst: true,
 	}
-	c.drv = mechanism.NewDriver("chiron", env, c)
+	c.Driver = mechanism.NewDriver("Chiron", env, c)
 	// The exterior action is a per-round total price (per unit CPU
 	// frequency). Its meaningful scale is set by the budget: the policy
 	// should be able to pace between "stretch η over up to 2·MaxRounds
@@ -205,9 +204,9 @@ func New(env *edgeenv.Env, cfg Config) (*Chiron, error) {
 // paymentForTotal estimates the round payment a uniformly split total
 // price induces through the nodes' best responses.
 func (c *Chiron) paymentForTotal(total float64) float64 {
-	per := total / float64(c.env.NumNodes())
+	per := total / float64(c.Env().NumNodes())
 	var sum float64
-	for _, n := range c.env.Nodes() {
+	for _, n := range c.Env().Nodes() {
 		sum += n.BestResponse(per).Payment
 	}
 	return sum
@@ -236,24 +235,11 @@ func (c *Chiron) totalPriceForPayment(target float64) float64 {
 	return hi
 }
 
-// Name implements mechanism.Mechanism.
-func (c *Chiron) Name() string { return "Chiron" }
-
-// Env implements mechanism.Mechanism.
-func (c *Chiron) Env() *edgeenv.Env { return c.env }
-
 // Exterior exposes the exterior PPO agent (for checkpointing and tests).
 func (c *Chiron) Exterior() *rl.PPO { return c.pairE.Agent }
 
 // Inner exposes the inner PPO agent.
 func (c *Chiron) Inner() *rl.PPO { return c.pairI.Agent }
-
-// Episode returns the number of training episodes completed.
-func (c *Chiron) Episode() int { return c.drv.Episode() }
-
-// SetRoundHook installs a pre-round callback on the episode driver (see
-// mechanism.Driver.SetRoundHook).
-func (c *Chiron) SetRoundHook(hook func(episode, round int) error) { c.drv.SetRoundHook(hook) }
 
 // decision is the per-round action bundle before environment execution.
 type decision struct {
@@ -388,20 +374,6 @@ func (c *Chiron) EndEpisode(train bool) error {
 	}
 	c.flushPending()
 	return c.sched.EndEpisode()
-}
-
-// RunEpisode implements mechanism.Mechanism: it plays one full episode and,
-// when train is set, performs the Algorithm 1 end-of-episode PPO updates on
-// both agents and advances the learning-rate decay schedule.
-func (c *Chiron) RunEpisode(train bool) (mechanism.EpisodeResult, error) {
-	return c.drv.RunEpisode(train)
-}
-
-// Train runs the Algorithm 1 outer loop for the given number of episodes,
-// invoking callback (if non-nil) after each. It returns the per-episode
-// results, the learning curve of Figs. 3 and 7(a).
-func (c *Chiron) Train(episodes int, callback func(mechanism.EpisodeResult)) ([]mechanism.EpisodeResult, error) {
-	return c.drv.Train(episodes, callback)
 }
 
 // Evaluate plays episodes episodes with deterministic (mean) actions and no

@@ -13,9 +13,7 @@ func TestLoadCheckpointTruncated(t *testing.T) {
 	env := testEnv(t, 2, 100)
 	ch := newTestChiron(t, env)
 	path := filepath.Join(t.TempDir(), "agent.json")
-	if err := ch.SaveCheckpoint(path); err != nil {
-		t.Fatalf("SaveCheckpoint: %v", err)
-	}
+	saveFile(t, ch, path)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("ReadFile: %v", err)
@@ -31,7 +29,7 @@ func TestLoadCheckpointTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunEpisode: %v", err)
 	}
-	if err := fresh.LoadCheckpoint(torn); !errors.Is(err, ErrCorruptCheckpoint) {
+	if err := loadFile(fresh, torn); !errors.Is(err, rl.ErrCorruptCheckpoint) {
 		t.Fatalf("err %v, want ErrCorruptCheckpoint", err)
 	}
 	// The failed load must leave the agent usable with its prior weights.
@@ -51,7 +49,7 @@ func TestLoadCheckpointGarbage(t *testing.T) {
 	if err := os.WriteFile(path, []byte("not json at all"), 0o644); err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}
-	if err := ch.LoadCheckpoint(path); !errors.Is(err, ErrCorruptCheckpoint) {
+	if err := loadFile(ch, path); !errors.Is(err, rl.ErrCorruptCheckpoint) {
 		t.Fatalf("err %v, want ErrCorruptCheckpoint", err)
 	}
 }
@@ -59,21 +57,21 @@ func TestLoadCheckpointGarbage(t *testing.T) {
 func TestRestoreRejectsMissingSnapshots(t *testing.T) {
 	env := testEnv(t, 2, 100)
 	ch := newTestChiron(t, env)
-	ck := ch.Checkpoint()
+	ck := mustCheckpoint(t, ch)
 
 	missingInner := *ck
 	missingInner.Agents = []rl.AgentState{*ck.Agent("exterior")}
-	if err := ch.Restore(&missingInner); !errors.Is(err, ErrCorruptCheckpoint) {
+	if err := ch.Restore(&missingInner); !errors.Is(err, rl.ErrCorruptCheckpoint) {
 		t.Fatalf("missing inner: err %v, want ErrCorruptCheckpoint", err)
 	}
 	missingExterior := *ck
 	missingExterior.Agents = []rl.AgentState{*ck.Agent("inner")}
-	if err := ch.Restore(&missingExterior); !errors.Is(err, ErrCorruptCheckpoint) {
+	if err := ch.Restore(&missingExterior); !errors.Is(err, rl.ErrCorruptCheckpoint) {
 		t.Fatalf("missing exterior: err %v, want ErrCorruptCheckpoint", err)
 	}
 	nilSnapshot := *ck
 	nilSnapshot.Agents = []rl.AgentState{{Name: "exterior"}, {Name: "inner"}}
-	if err := ch.Restore(&nilSnapshot); !errors.Is(err, ErrCorruptCheckpoint) {
+	if err := ch.Restore(&nilSnapshot); !errors.Is(err, rl.ErrCorruptCheckpoint) {
 		t.Fatalf("nil snapshots: err %v, want ErrCorruptCheckpoint", err)
 	}
 	// Structurally empty JSON ({}): parses fine but has no snapshots.
@@ -81,13 +79,13 @@ func TestRestoreRejectsMissingSnapshots(t *testing.T) {
 	if err := os.WriteFile(path, []byte("{}"), 0o644); err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}
-	if err := ch.LoadCheckpoint(path); !errors.Is(err, ErrCorruptCheckpoint) {
+	if err := loadFile(ch, path); !errors.Is(err, rl.ErrCorruptCheckpoint) {
 		t.Fatalf("empty object: err %v, want ErrCorruptCheckpoint", err)
 	}
 	// A shape mismatch stays a distinct failure, not corruption.
 	env2 := testEnv(t, 3, 100)
 	other := newTestChiron(t, env2)
-	if err := other.Restore(ck); err == nil || errors.Is(err, ErrCorruptCheckpoint) {
+	if err := other.Restore(ck); err == nil || errors.Is(err, rl.ErrCorruptCheckpoint) {
 		t.Fatalf("shape mismatch: err %v, want a non-corruption error", err)
 	}
 }

@@ -1,14 +1,14 @@
 package core
 
 import (
+	"encoding/json"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"chiron/internal/accuracy"
 	"chiron/internal/device"
 	"chiron/internal/edgeenv"
+	"chiron/internal/rl"
 )
 
 // fuzzEnv mirrors testEnv for fuzz setup, where no *testing.T exists yet.
@@ -24,16 +24,12 @@ func fuzzEnv() (*edgeenv.Env, error) {
 	return edgeenv.New(edgeenv.DefaultConfig(fleet, acc, 40))
 }
 
-// FuzzCheckpointLoad feeds arbitrary bytes to the checkpoint loader. The
-// loader must never panic, must reject structurally incomplete state with
-// an error instead of restoring it, and after a successful load the agent
-// must still be able to produce a valid checkpoint of its own.
+// FuzzCheckpointLoad feeds arbitrary bytes to the checkpoint parser and
+// restores whatever parses. Neither may panic, a structurally incomplete
+// checkpoint must be rejected with an error instead of restored, and after
+// a successful restore the agent must still produce a valid checkpoint of
+// its own.
 func FuzzCheckpointLoad(f *testing.F) {
-	dir, err := os.MkdirTemp("", "fuzz-checkpoint")
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Cleanup(func() { os.RemoveAll(dir) })
 	env, err := fuzzEnv()
 	if err != nil {
 		f.Fatal(err)
@@ -46,11 +42,11 @@ func FuzzCheckpointLoad(f *testing.F) {
 		f.Fatal(err)
 	}
 	// Seed with a genuine checkpoint, a torn tail, and structural damage.
-	valid := filepath.Join(dir, "valid.json")
-	if err := ch.SaveCheckpoint(valid); err != nil {
+	ck, err := ch.Checkpoint()
+	if err != nil {
 		f.Fatal(err)
 	}
-	data, err := os.ReadFile(valid)
+	data, err := json.Marshal(ck)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -62,21 +58,24 @@ func FuzzCheckpointLoad(f *testing.F) {
 	f.Add([]byte("\x00\x01\x02"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		path := filepath.Join(dir, "fuzz.json")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := ch.LoadCheckpoint(path); err != nil {
+		parsed, err := rl.ParseCheckpoint(data)
+		if err != nil {
 			return // rejected: the only other promise is "no panic"
 		}
-		// A load that claims success must leave a re-checkpointable agent.
-		ck := ch.Checkpoint()
+		if err := ch.Restore(parsed); err != nil {
+			return
+		}
+		// A restore that claims success must leave a re-checkpointable agent.
+		ck, err := ch.Checkpoint()
+		if err != nil {
+			t.Fatalf("Checkpoint after restore: %v", err)
+		}
 		ext, inn := ck.Agent("exterior"), ck.Agent("inner")
 		if ext == nil || ext.Snapshot == nil || inn == nil || inn.Snapshot == nil {
-			t.Fatalf("successful load left a hollow agent: %+v", ck)
+			t.Fatalf("successful restore left a hollow agent: %+v", ck)
 		}
 		if ck.Nodes != env.NumNodes() || ck.StateDim != ch.obs.Dim() {
-			t.Fatalf("successful load changed the pinned shape: %+v", ck)
+			t.Fatalf("successful restore changed the pinned shape: %+v", ck)
 		}
 	})
 }

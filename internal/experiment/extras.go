@@ -14,6 +14,7 @@ import (
 	"chiron/internal/fl"
 	"chiron/internal/mechanism"
 	"chiron/internal/nn"
+	"chiron/internal/rl"
 )
 
 // Extra ablation studies beyond the paper's artifacts, runnable through
@@ -199,7 +200,7 @@ func runRewardAblation(scale float64, jobs int) (string, error) {
 // trainFrozenChiron trains a Chiron agent on the clean 5-node η=300 MNIST
 // environment and returns its checkpoint plus the (read-only) fleet the
 // frozen-policy studies re-create their perturbed environments around.
-func trainFrozenChiron(seed int64, scale float64) (*core.Checkpoint, *device.Fleet, error) {
+func trainFrozenChiron(seed int64, scale float64) (*rl.Checkpoint, *device.Fleet, error) {
 	clean, err := BuildEnv(Setup{Preset: accuracy.PresetMNIST, Nodes: 5, Budget: 300, Seed: seed})
 	if err != nil {
 		return nil, nil, err
@@ -211,11 +212,15 @@ func trainFrozenChiron(seed int64, scale float64) (*core.Checkpoint, *device.Fle
 	if _, err := ch.Train(ScaleCount(500, scale), nil); err != nil {
 		return nil, nil, err
 	}
+	ck, err := ch.Checkpoint()
+	if err != nil {
+		return nil, nil, err
+	}
 	fleet, err := device.NewFleetBatch(rand.New(rand.NewSource(seed)), device.DefaultFleetSpec(5))
 	if err != nil {
 		return nil, nil, err
 	}
-	return ch.Checkpoint(), fleet, nil
+	return ck, fleet, nil
 }
 
 // evalFrozenChiron builds the clean 5-node η=300 MNIST environment around
@@ -223,7 +228,7 @@ func trainFrozenChiron(seed int64, scale float64) (*core.Checkpoint, *device.Fle
 // into a fresh agent on it and averages three deterministic episodes — the
 // shared tail of the frozen-policy studies. It returns the environment too,
 // whose ledger still holds the last evaluation episode.
-func evalFrozenChiron(ck *core.Checkpoint, fleet *device.Fleet, seed int64, perturb func(*edgeenv.Config) error) (mechanism.EpisodeResult, *edgeenv.Env, error) {
+func evalFrozenChiron(ck *rl.Checkpoint, fleet *device.Fleet, seed int64, perturb func(*edgeenv.Config) error) (mechanism.EpisodeResult, *edgeenv.Env, error) {
 	acc, err := accuracy.NewPresetCurve(rand.New(rand.NewSource(seed+1)), accuracy.PresetMNIST, 5)
 	if err != nil {
 		return mechanism.EpisodeResult{}, nil, err

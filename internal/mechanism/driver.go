@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"chiron/internal/edgeenv"
+	"chiron/internal/rl"
 )
 
 // Actor is the per-round decision surface a mechanism plugs into the shared
@@ -30,7 +31,10 @@ type Actor interface {
 }
 
 // Driver runs full episodes of one actor against one environment — the
-// single episode loop behind every mechanism's RunEpisode and Train.
+// single episode loop behind every mechanism's RunEpisode and Train. The
+// learners embed it, so its Name, Env, Episode, SetRoundHook, RunEpisode
+// and Train are theirs. Static references hold one unexported instead:
+// embedding would promote Train and make them mechanism.Trainable.
 type Driver struct {
 	name      string
 	env       *edgeenv.Env
@@ -39,10 +43,17 @@ type Driver struct {
 	roundHook func(episode, round int) error
 }
 
-// NewDriver binds actor to env. name labels training errors.
+// NewDriver binds actor to env. name is the mechanism's display name; it
+// also labels training errors.
 func NewDriver(name string, env *edgeenv.Env, actor Actor) *Driver {
 	return &Driver{name: name, env: env, actor: actor}
 }
+
+// Name implements Mechanism.
+func (d *Driver) Name() string { return d.name }
+
+// Env implements Mechanism.
+func (d *Driver) Env() *edgeenv.Env { return d.env }
 
 // Episode returns the number of episodes completed.
 func (d *Driver) Episode() int { return d.episode }
@@ -124,14 +135,17 @@ func (d *Driver) Train(episodes int, callback func(EpisodeResult)) ([]EpisodeRes
 	return results, nil
 }
 
-// Checkpointer is the optional save/load surface the learnable mechanisms
-// implement on top of Mechanism, all sharing the unified rl.Checkpoint
-// format.
+// Checkpointer is the optional checkpoint surface the learnable mechanisms
+// implement on top of Mechanism. Checkpoints are values in the unified
+// rl.Checkpoint format; reading and writing them as files is
+// rl.SaveCheckpoint and rl.LoadCheckpoint.
 type Checkpointer interface {
-	// SaveCheckpoint writes the mechanism's training state as JSON to path.
-	SaveCheckpoint(path string) error
-	// LoadCheckpoint restores the training state from a SaveCheckpoint file.
-	LoadCheckpoint(path string) error
+	// Checkpoint captures the mechanism's complete training state.
+	Checkpoint() (*rl.Checkpoint, error)
+	// Restore overwrites the training state from a checkpoint taken on an
+	// identically shaped system. Failures wrap rl.ErrCorruptCheckpoint or
+	// rl.ErrShapeMismatch.
+	Restore(ck *rl.Checkpoint) error
 	// Episode reports the number of training episodes completed.
 	Episode() int
 }

@@ -2,11 +2,11 @@ package propcheck
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -94,15 +94,15 @@ var chaosBuilders = []struct {
 // finalDigest checkpoints the target and returns the exact bytes — the
 // complete training state (weights, optimizer moments, carried buffers,
 // RNG draw counts, episode counter) in the unified JSON format.
-func finalDigest(t *testing.T, target supervise.Target, dir string) []byte {
+func finalDigest(t *testing.T, target supervise.Target) []byte {
 	t.Helper()
-	path := filepath.Join(dir, "digest.json")
-	if err := target.SaveCheckpoint(path); err != nil {
-		t.Fatalf("SaveCheckpoint: %v", err)
-	}
-	data, err := os.ReadFile(path)
+	ck, err := target.Checkpoint()
 	if err != nil {
-		t.Fatalf("read digest: %v", err)
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	data, err := json.Marshal(ck)
+	if err != nil {
+		t.Fatalf("marshal digest: %v", err)
 	}
 	return data
 }
@@ -127,7 +127,7 @@ func TestChaosResumeBitIdentity(t *testing.T) {
 				if _, err := ref.Train(total, nil); err != nil {
 					t.Fatalf("uninterrupted run: %v", err)
 				}
-				want := finalDigest(t, ref, t.TempDir())
+				want := finalDigest(t, ref)
 
 				// Two seed-random kill points, in schedule order, early
 				// enough that both are guaranteed to fire before the run
@@ -164,7 +164,7 @@ func TestChaosResumeBitIdentity(t *testing.T) {
 				if target.Episode() != total {
 					t.Fatalf("recovered run finished at episode %d, want %d", target.Episode(), total)
 				}
-				got := finalDigest(t, target, t.TempDir())
+				got := finalDigest(t, target)
 				if !bytes.Equal(got, want) {
 					t.Fatalf("final digest after kill+recover differs from the uninterrupted run\n"+
 						"(%d vs %d bytes; any one-ULP weight or one-draw RNG drift fails this)",
@@ -191,7 +191,7 @@ func TestChaosCorruptCheckpointFallback(t *testing.T) {
 	if _, err := ref.Train(total, nil); err != nil {
 		t.Fatalf("uninterrupted run: %v", err)
 	}
-	want := finalDigest(t, ref, t.TempDir())
+	want := finalDigest(t, ref)
 
 	plan := &killPlan{kills: []killPoint{{episode: 3, round: 2}}}
 	var runner *supervise.Runner
@@ -233,7 +233,7 @@ func TestChaosCorruptCheckpointFallback(t *testing.T) {
 	if report.Restarts != 1 || report.CorruptSkipped != 1 {
 		t.Fatalf("restarts %d corrupt-skipped %d, want 1 and 1", report.Restarts, report.CorruptSkipped)
 	}
-	got := finalDigest(t, target, t.TempDir())
+	got := finalDigest(t, target)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("final digest after corrupt-fallback recovery differs from the uninterrupted run (%d vs %d bytes)",
 			len(got), len(want))

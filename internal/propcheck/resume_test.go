@@ -12,7 +12,10 @@ import (
 	"chiron/internal/core"
 	"chiron/internal/device"
 	"chiron/internal/edgeenv"
+	"chiron/internal/experiment"
 	"chiron/internal/mechanism"
+	"chiron/internal/rl"
+	"chiron/internal/supervise"
 )
 
 // resumable is the full surface a checkpoint-resume digest needs.
@@ -111,14 +114,20 @@ func TestResumeDigestsMatchUninterrupted(t *testing.T) {
 			var resumed strings.Builder
 			first := tc.make(t)
 			traceMechanism(t, first, firstHalf, &resumed)
+			ck, err := first.Checkpoint()
+			if err != nil {
+				t.Fatalf("Checkpoint: %v", err)
+			}
 			path := filepath.Join(t.TempDir(), "resume.json")
-			if err := first.SaveCheckpoint(path); err != nil {
+			if err := rl.SaveCheckpoint(path, ck); err != nil {
 				t.Fatalf("SaveCheckpoint: %v", err)
 			}
-
-			second := tc.make(t)
-			if err := second.LoadCheckpoint(path); err != nil {
+			if ck, err = rl.LoadCheckpoint(path); err != nil {
 				t.Fatalf("LoadCheckpoint: %v", err)
+			}
+			second := tc.make(t)
+			if err := second.Restore(ck); err != nil {
+				t.Fatalf("Restore: %v", err)
 			}
 			if second.Episode() != firstHalf {
 				t.Fatalf("restored episode counter %d, want %d", second.Episode(), firstHalf)
@@ -148,4 +157,43 @@ func firstDiff(a, b string) string {
 		}
 	}
 	return fmt.Sprintf("traces differ in length: %d vs %d lines", len(al), len(bl))
+}
+
+// TestLearnerSurface pins which experiment kinds are learners. Chiron,
+// DRL-based and Greedy must satisfy supervise.Target. The static references
+// must satisfy neither mechanism.Trainable nor mechanism.Checkpointer: a
+// Train promoted onto them would silently turn on "training" in
+// TrainAndEvaluate and every scenario cell. Every kind reports its kind's
+// name, which scenario cells and session events are labelled with.
+func TestLearnerSurface(t *testing.T) {
+	cases := []struct {
+		kind    experiment.MechanismKind
+		learner bool
+	}{
+		{experiment.KindChiron, true},
+		{experiment.KindDRLBased, true},
+		{experiment.KindGreedy, true},
+		{experiment.KindUniform, false},
+		{experiment.KindEqualTimeOracle, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.kind.String(), func(t *testing.T) {
+			m, err := experiment.BuildMechanism(tc.kind, resumeEnv(t, 7), 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Name() != tc.kind.String() {
+				t.Errorf("Name() = %q, want %q", m.Name(), tc.kind.String())
+			}
+			_, target := m.(supervise.Target)
+			_, trainable := m.(mechanism.Trainable)
+			_, checkpointer := m.(mechanism.Checkpointer)
+			switch {
+			case tc.learner && !target:
+				t.Errorf("%s is not a supervise.Target", m.Name())
+			case !tc.learner && (trainable || checkpointer):
+				t.Errorf("static %s is trainable=%v checkpointer=%v, want neither", m.Name(), trainable, checkpointer)
+			}
+		})
+	}
 }

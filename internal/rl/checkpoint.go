@@ -166,9 +166,15 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rl: read checkpoint: %w", err)
 	}
+	return ParseCheckpoint(data)
+}
+
+// ParseCheckpoint decodes the JSON form of a checkpoint. Bytes that do not
+// parse fail with an error wrapping ErrCorruptCheckpoint.
+func ParseCheckpoint(data []byte) (*Checkpoint, error) {
 	var ck Checkpoint
 	if err := json.Unmarshal(data, &ck); err != nil {
-		return nil, fmt.Errorf("%w: parse %s: %v", ErrCorruptCheckpoint, path, err)
+		return nil, fmt.Errorf("%w: parse: %v", ErrCorruptCheckpoint, err)
 	}
 	return &ck, nil
 }

@@ -6,10 +6,7 @@ import (
 	"hash"
 	"hash/fnv"
 	"math/rand"
-	"os"
 
-	"chiron/internal/edgeenv"
-	"chiron/internal/experiment"
 	"chiron/internal/mechanism"
 	"chiron/internal/trace"
 )
@@ -56,76 +53,28 @@ func (s *EpisodeSet) Digest() string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// saveCheckpointBytes round-trips a mechanism checkpoint through a temp
-// file (the Checkpointer surface is path-based) and returns its JSON.
-func saveCheckpointBytes(cp mechanism.Checkpointer) (json.RawMessage, error) {
-	f, err := os.CreateTemp("", "chiron-ckpt-*.json")
-	if err != nil {
-		return nil, fmt.Errorf("scenario: checkpoint temp: %w", err)
-	}
-	path := f.Name()
-	f.Close()
-	defer os.Remove(path)
-	if err := cp.SaveCheckpoint(path); err != nil {
-		return nil, fmt.Errorf("scenario: save checkpoint: %w", err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: read checkpoint: %w", err)
-	}
-	return data, nil
-}
-
-// loadCheckpointBytes restores a checkpoint blob into cp via a temp file.
-func loadCheckpointBytes(cp mechanism.Checkpointer, data []byte) error {
-	f, err := os.CreateTemp("", "chiron-ckpt-*.json")
-	if err != nil {
-		return fmt.Errorf("scenario: checkpoint temp: %w", err)
-	}
-	path := f.Name()
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(path)
-		return fmt.Errorf("scenario: write checkpoint: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(path)
-		return fmt.Errorf("scenario: write checkpoint: %w", err)
-	}
-	defer os.Remove(path)
-	if err := cp.LoadCheckpoint(path); err != nil {
-		return fmt.Errorf("scenario: load checkpoint: %w", err)
-	}
-	return nil
-}
-
-// RecordRun is one open recording cell: a draw-capturing environment and
-// mechanism whose execution is exposed as resumable steps — one training
-// episode at a time, then one recorded evaluation episode at a time — so a
-// hosted session can pause between episodes. Per evaluation episode the
-// trace carries every round's environment draws, the committed round
-// records, and the episode summary. The versioned header (spec +
-// post-training checkpoint) is written lazily before the first recorded
-// episode, after training has finished.
+// RecordRun is one open recording cell: a CellRun compiled on a
+// draw-capturing environment, whose recorded evaluation runs one episode at
+// a time so a hosted session can pause between episodes. Training goes
+// through the embedded CellRun. Per evaluation episode the trace carries
+// every round's environment draws, the committed round records, and the
+// episode summary. The versioned header (spec + post-training checkpoint,
+// marshalled straight from the mechanism's checkpoint value) is written
+// lazily before the first recorded episode, after training has finished.
 type RecordRun struct {
-	spec       *Spec
-	kind       experiment.MechanismKind
-	budget     float64
+	*CellRun
 	rec        *recorder
-	env        *edgeenv.Env
 	accRng     *rand.Rand
-	m          mechanism.Mechanism
 	tw         *trace.Writer
-	trained    int
 	headerDone bool
 	out        *EpisodeSet
 }
 
 // StartRecord validates the spec, resolves the recorded cell (mech "" = the
 // spec's first mechanism, budget 0 = its first budget), and compiles the
-// draw-capturing environment and mechanism. The caller then drains
-// TrainEpisode until TrainRemaining reaches zero, records episodes
-// 1..Episodes() in order, and Finishes.
+// draw-capturing environment and mechanism. The caller then trains the
+// cell (Train, or TrainEpisode until TrainRemaining reaches zero), records
+// episodes 1..Episodes() in order, and Finishes.
 func StartRecord(s *Spec, mech string, budget float64, tw *trace.Writer) (*RecordRun, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -141,60 +90,26 @@ func StartRecord(s *Spec, mech string, budget float64, tw *trace.Writer) (*Recor
 		budget = s.Budgets[0]
 	}
 	rec := &recorder{}
-	env, accRng, err := s.BuildEnv(budget, envHooks{recorder: rec})
+	run, accRng, err := openCell(s, Cell{Mechanism: kind.String(), Kind: kind, Budget: budget}, envHooks{recorder: rec})
 	if err != nil {
 		return nil, err
 	}
-	m, err := experiment.BuildMechanism(kind, env, s.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: mechanism: %w", err)
-	}
 	return &RecordRun{
-		spec: s, kind: kind, budget: budget,
-		rec: rec, env: env, accRng: accRng, m: m, tw: tw,
+		CellRun: run, rec: rec, accRng: accRng, tw: tw,
 		out: &EpisodeSet{Scenario: s.Name, Mechanism: kind.String(), Budget: budget},
 	}, nil
 }
 
-// Mechanism returns the recorded cell's live mechanism.
-func (r *RecordRun) Mechanism() mechanism.Mechanism { return r.m }
-
 // Episodes reports how many evaluation episodes the recording covers.
 func (r *RecordRun) Episodes() int { return r.spec.EvalEpisodes }
-
-// TrainRemaining reports how many training episodes are still owed before
-// the recorded evaluation may begin.
-func (r *RecordRun) TrainRemaining() int {
-	if _, ok := r.m.(mechanism.Trainable); !ok {
-		return 0
-	}
-	return r.spec.TrainEpisodes - r.trained
-}
-
-// TrainEpisode runs the next single training episode with capture disabled.
-func (r *RecordRun) TrainEpisode() (mechanism.EpisodeResult, error) {
-	if r.headerDone {
-		return mechanism.EpisodeResult{}, fmt.Errorf("scenario: training after recording started")
-	}
-	t, ok := r.m.(mechanism.Trainable)
-	if !ok {
-		return mechanism.EpisodeResult{}, fmt.Errorf("scenario: %s is not trainable", r.m.Name())
-	}
-	res, err := t.Train(1, nil)
-	if err != nil {
-		return mechanism.EpisodeResult{}, fmt.Errorf("scenario: train %s: %w", r.m.Name(), err)
-	}
-	r.trained++
-	return res[0], nil
-}
 
 // writeHeader emits the versioned trace header: the spec and the
 // mechanism's post-training checkpoint. Called once, lazily, before the
 // first recorded episode.
 func (r *RecordRun) writeHeader() error {
 	header := trace.HeaderRecord{
-		Mechanism:    r.kind.String(),
-		Budget:       r.budget,
+		Mechanism:    r.cell.Mechanism,
+		Budget:       r.cell.Budget,
 		Seed:         r.spec.Seed,
 		Nodes:        r.spec.NumNodes(),
 		EvalEpisodes: r.spec.EvalEpisodes,
@@ -204,8 +119,12 @@ func (r *RecordRun) writeHeader() error {
 		return fmt.Errorf("scenario: marshal spec: %w", err)
 	}
 	if cp, ok := r.m.(mechanism.Checkpointer); ok {
-		if header.Checkpoint, err = saveCheckpointBytes(cp); err != nil {
-			return err
+		ck, err := cp.Checkpoint()
+		if err != nil {
+			return fmt.Errorf("scenario: checkpoint: %w", err)
+		}
+		if header.Checkpoint, err = json.Marshal(ck); err != nil {
+			return fmt.Errorf("scenario: marshal checkpoint: %w", err)
 		}
 	}
 	if err := r.tw.WriteHeader(header); err != nil {
@@ -244,7 +163,7 @@ func (r *RecordRun) RecordEpisode(ep int) (mechanism.EpisodeResult, error) {
 			return mechanism.EpisodeResult{}, err
 		}
 	}
-	rounds := r.env.Ledger().Rounds()
+	rounds := r.m.Env().Ledger().Rounds()
 	for i := range rounds {
 		if err := r.tw.WriteRound(ep, &rounds[i]); err != nil {
 			return mechanism.EpisodeResult{}, err

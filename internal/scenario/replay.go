@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"chiron/internal/experiment"
 	"chiron/internal/mechanism"
+	"chiron/internal/rl"
 	"chiron/internal/trace"
 )
 
@@ -108,15 +108,13 @@ func Replay(tr *trace.Trace, opts ReplayOptions) (*ReplayResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	env, accRng, err := spec.BuildEnv(budget, envHooks{draws: tape})
+	cell := Cell{Mechanism: kind.String(), Kind: kind, Budget: budget}
+	run, accRng, err := openCell(spec, cell, envHooks{draws: tape})
 	if err != nil {
 		return nil, err
 	}
+	m, env := run.m, run.m.Env()
 	tape.bindFleet(env.Fleet().CommTime)
-	m, err := experiment.BuildMechanism(kind, env, spec.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: mechanism: %w", err)
-	}
 	if sameMechanism {
 		// The recorded policy plays again — restored from the embedded
 		// checkpoint even under a budget override, so the counterfactual is
@@ -126,32 +124,32 @@ func Replay(tr *trace.Trace, opts ReplayOptions) (*ReplayResult, error) {
 			if !ok {
 				return nil, fmt.Errorf("scenario: trace carries a checkpoint but %s cannot load one", m.Name())
 			}
-			if err := loadCheckpointBytes(cp, h.Checkpoint); err != nil {
-				return nil, err
+			ck, err := rl.ParseCheckpoint(h.Checkpoint)
+			if err != nil {
+				return nil, fmt.Errorf("scenario: embedded checkpoint: %w", err)
+			}
+			if err := cp.Restore(ck); err != nil {
+				return nil, fmt.Errorf("scenario: restore checkpoint: %w", err)
 			}
 		}
-	} else if _, trainable := m.(mechanism.Trainable); trainable && spec.TrainEpisodes > 0 {
+	} else if run.TrainRemaining() > 0 {
 		// A counterfactual learner trains from scratch on a plain
 		// environment at the replay budget (its own fresh draws — training
-		// must not consume the tape), then its weights transfer onto the
-		// taped environment through a checkpoint.
-		trainEnv, _, err := spec.BuildEnv(budget, envHooks{})
+		// must not consume the tape), then its state transfers onto the
+		// taped environment as a checkpoint value.
+		trainer, err := OpenCell(spec, cell)
 		if err != nil {
 			return nil, err
 		}
-		mt, err := experiment.BuildMechanism(kind, trainEnv, spec.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: mechanism: %w", err)
-		}
-		if _, err := mt.(mechanism.Trainable).Train(spec.TrainEpisodes, nil); err != nil {
-			return nil, fmt.Errorf("scenario: train %s: %w", mt.Name(), err)
-		}
-		blob, err := saveCheckpointBytes(mt.(mechanism.Checkpointer))
-		if err != nil {
+		if err := trainer.Train(CellHooks{}); err != nil {
 			return nil, err
 		}
-		if err := loadCheckpointBytes(m.(mechanism.Checkpointer), blob); err != nil {
-			return nil, err
+		ck, err := trainer.m.(mechanism.Checkpointer).Checkpoint()
+		if err != nil {
+			return nil, fmt.Errorf("scenario: checkpoint %s: %w", m.Name(), err)
+		}
+		if err := m.(mechanism.Checkpointer).Restore(ck); err != nil {
+			return nil, fmt.Errorf("scenario: restore checkpoint: %w", err)
 		}
 	}
 

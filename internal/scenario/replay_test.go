@@ -2,10 +2,13 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
+	"chiron/internal/rl"
 	"chiron/internal/trace"
 )
 
@@ -16,10 +19,8 @@ func record(s *Spec, tw *trace.Writer) (*EpisodeSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	for run.TrainRemaining() > 0 {
-		if _, err := run.TrainEpisode(); err != nil {
-			return nil, err
-		}
+	if err := run.Train(CellHooks{}); err != nil {
+		return nil, err
 	}
 	for ep := 1; ep <= run.Episodes(); ep++ {
 		if _, err := run.RecordEpisode(ep); err != nil {
@@ -186,6 +187,32 @@ func TestReplayRequiresHeader(t *testing.T) {
 	if _, err := Replay(&trace.Trace{}, ReplayOptions{}); err == nil ||
 		!strings.Contains(err.Error(), "no header") {
 		t.Errorf("headerless replay error = %v", err)
+	}
+}
+
+// TestReplayRejectsDamagedCheckpoint: a recorded checkpoint that is torn
+// fails as corrupt, and one pinned to another fleet shape fails as a shape
+// mismatch, both before any episode replays.
+func TestReplayRejectsDamagedCheckpoint(t *testing.T) {
+	_, tr, _ := recordToTrace(t, "flash-crowd") // trained Greedy: carries a checkpoint
+	good := tr.Header.Checkpoint
+	if len(good) == 0 {
+		t.Fatal("recorded trace carries no checkpoint")
+	}
+	tr.Header.Checkpoint = good[:len(good)/2]
+	if _, err := Replay(tr, ReplayOptions{}); !errors.Is(err, rl.ErrCorruptCheckpoint) {
+		t.Errorf("torn checkpoint: err %v, want ErrCorruptCheckpoint", err)
+	}
+	ck, err := rl.ParseCheckpoint(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck.Nodes++
+	if tr.Header.Checkpoint, err = json.Marshal(ck); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Replay(tr, ReplayOptions{}); !errors.Is(err, rl.ErrShapeMismatch) {
+		t.Errorf("wrong-shape checkpoint: err %v, want ErrShapeMismatch", err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"hash"
 	"hash/fnv"
 	"math"
+	"math/rand"
 	"strings"
 
 	"chiron/internal/experiment"
@@ -71,16 +72,26 @@ type CellRun struct {
 // OpenCell compiles the cell's environment and mechanism. The spec must
 // already be validated (all callers funnel through Validate).
 func OpenCell(s *Spec, c Cell) (*CellRun, error) {
-	env, _, err := s.BuildEnv(c.Budget, envHooks{})
+	run, _, err := openCell(s, c, envHooks{})
+	return run, err
+}
+
+// openCell compiles the cell with hooks threaded into its environment and
+// also returns the environment's accuracy RNG.
+func openCell(s *Spec, c Cell, hooks envHooks) (*CellRun, *rand.Rand, error) {
+	env, accRng, err := s.BuildEnv(c.Budget, hooks)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	m, err := experiment.BuildMechanism(c.Kind, env, s.Seed)
 	if err != nil {
-		return nil, fmt.Errorf("scenario: mechanism: %w", err)
+		return nil, nil, fmt.Errorf("scenario: mechanism: %w", err)
 	}
-	return &CellRun{spec: s, cell: c, m: m}, nil
+	return &CellRun{spec: s, cell: c, m: m}, accRng, nil
 }
+
+// Cell returns the cell the run executes.
+func (c *CellRun) Cell() Cell { return c.cell }
 
 // Mechanism returns the cell's live mechanism.
 func (c *CellRun) Mechanism() mechanism.Mechanism { return c.m }
@@ -94,18 +105,38 @@ func (c *CellRun) TrainRemaining() int {
 	return c.spec.TrainEpisodes - c.trained
 }
 
-// TrainEpisode runs the next single training episode.
+// TrainEpisode runs the next single training episode. It fails once no
+// training episode is owed.
 func (c *CellRun) TrainEpisode() (mechanism.EpisodeResult, error) {
-	t, ok := c.m.(mechanism.Trainable)
-	if !ok {
-		return mechanism.EpisodeResult{}, fmt.Errorf("scenario: %s is not trainable", c.m.Name())
+	if c.TrainRemaining() <= 0 {
+		return mechanism.EpisodeResult{}, fmt.Errorf("scenario: %s owes no training episode", c.m.Name())
 	}
-	res, err := t.Train(1, nil)
+	res, err := c.m.(mechanism.Trainable).Train(1, nil)
 	if err != nil {
 		return mechanism.EpisodeResult{}, fmt.Errorf("mechanism: train %s: %w", c.m.Name(), err)
 	}
 	c.trained++
 	return res[0], nil
+}
+
+// Train runs every owed training episode, consulting hooks.Gate before each
+// and reporting each to hooks.Episode.
+func (c *CellRun) Train(hooks CellHooks) error {
+	for c.TrainRemaining() > 0 {
+		if hooks.Gate != nil {
+			if err := hooks.Gate(); err != nil {
+				return err
+			}
+		}
+		res, err := c.TrainEpisode()
+		if err != nil {
+			return err
+		}
+		if hooks.Episode != nil {
+			hooks.Episode(c.cell, res, false)
+		}
+	}
+	return nil
 }
 
 // Evaluate averages the spec's deterministic evaluation episodes — the
@@ -140,19 +171,8 @@ func CellJob(s *Spec, c Cell, hooks CellHooks) experiment.Job[mechanism.EpisodeR
 			if err != nil {
 				return mechanism.EpisodeResult{}, err
 			}
-			for run.TrainRemaining() > 0 {
-				if hooks.Gate != nil {
-					if err := hooks.Gate(); err != nil {
-						return mechanism.EpisodeResult{}, err
-					}
-				}
-				res, err := run.TrainEpisode()
-				if err != nil {
-					return mechanism.EpisodeResult{}, err
-				}
-				if hooks.Episode != nil {
-					hooks.Episode(c, res, false)
-				}
+			if err := run.Train(hooks); err != nil {
+				return mechanism.EpisodeResult{}, err
 			}
 			if hooks.Gate != nil {
 				if err := hooks.Gate(); err != nil {

@@ -77,22 +77,16 @@ func (s *Session) runGrid(spec *scenario.Spec) error {
 }
 
 // runRecord records one cell to the configured trace writer, pausing and
-// stopping at episode boundaries like the grid path.
+// stopping at episode boundaries like the grid path. Events carry the
+// recording's resolved cell, so a zero RecordConfig still reports the
+// mechanism and budget that actually ran.
 func (s *Session) runRecord(spec *scenario.Spec) error {
 	run, err := scenario.StartRecord(spec, s.cfg.Record.Mechanism, s.cfg.Record.Budget, s.cfg.Record.Writer)
 	if err != nil {
 		return err
 	}
-	cell := scenario.Cell{Mechanism: run.Mechanism().Name(), Budget: s.cfg.Record.Budget}
-	for run.TrainRemaining() > 0 {
-		if err := s.gate(); err != nil {
-			return err
-		}
-		res, err := run.TrainEpisode()
-		if err != nil {
-			return err
-		}
-		s.observe(cell, res, false)
+	if err := run.Train(scenario.CellHooks{Gate: s.gate, Episode: s.observe}); err != nil {
+		return err
 	}
 	for ep := 1; ep <= run.Episodes(); ep++ {
 		if err := s.gate(); err != nil {
@@ -102,7 +96,7 @@ func (s *Session) runRecord(spec *scenario.Spec) error {
 		if err != nil {
 			return err
 		}
-		s.observe(cell, res, true)
+		s.observe(run.Cell(), res, true)
 	}
 	rec, err := run.Finish()
 	if err != nil {

@@ -62,15 +62,11 @@ func (f *stepTarget) Train(episodes int, callback func(mechanism.EpisodeResult))
 	return out, nil
 }
 
-func (f *stepTarget) SaveCheckpoint(path string) error {
-	return rl.SaveCheckpoint(path, &rl.Checkpoint{Mechanism: "step", Nodes: 1, Episode: f.episode})
+func (f *stepTarget) Checkpoint() (*rl.Checkpoint, error) {
+	return &rl.Checkpoint{Mechanism: "step", Nodes: 1, Episode: f.episode}, nil
 }
 
-func (f *stepTarget) LoadCheckpoint(path string) error {
-	ck, err := rl.LoadCheckpoint(path)
-	if err != nil {
-		return err
-	}
+func (f *stepTarget) Restore(ck *rl.Checkpoint) error {
 	if ck.Mechanism != "step" {
 		return fmt.Errorf("%w: checkpoint for %q, want \"step\"", rl.ErrShapeMismatch, ck.Mechanism)
 	}
@@ -243,15 +239,25 @@ func record(s *scenario.Spec, tw *trace.Writer) (*scenario.EpisodeSet, error) {
 	return run.Finish()
 }
 
+// TestRecordMatchesCLIRecord records a trained cell through a session with
+// a zero RecordConfig: the trace must match the step API's bytes, and every
+// training and evaluation event must carry the resolved cell (the spec's
+// first mechanism and budget), not the config's ""/0.
 func TestRecordMatchesCLIRecord(t *testing.T) {
+	spec := func() *scenario.Spec {
+		s := quickSpec("rec-twin", 31)
+		s.Mechanisms = []string{"greedy", "uniform"}
+		s.TrainEpisodes = 2
+		return s
+	}
 	var cliBuf bytes.Buffer
-	want, err := record(quickSpec("rec-twin", 31), trace.NewWriter(&cliBuf))
+	want, err := record(spec(), trace.NewWriter(&cliBuf))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
 	s, err := New(Config{
-		Spec:   quickSpec("rec-twin", 31),
+		Spec:   spec(),
 		Record: &RecordConfig{Writer: trace.NewWriter(&buf)},
 	})
 	if err != nil {
@@ -272,6 +278,16 @@ func TestRecordMatchesCLIRecord(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), cliBuf.Bytes()) {
 		t.Fatal("session trace bytes differ from the CLI recording")
+	}
+	events := s.Episodes(0)
+	if len(events) != 4 {
+		t.Fatalf("%d events, want 2 training + 2 evaluation", len(events))
+	}
+	for _, ev := range events {
+		if ev.Mechanism != want.Mechanism || ev.Budget != want.Budget {
+			t.Errorf("event %d (eval=%v) labelled %q η=%v, want %q η=%v",
+				ev.Seq, ev.Eval, ev.Mechanism, ev.Budget, want.Mechanism, want.Budget)
+		}
 	}
 }
 

@@ -3,9 +3,9 @@
 // auto-checkpointing (atomic write-temp-then-rename through
 // rl.SaveCheckpoint), a bounded restart policy driven by the unified
 // faults.Backoff type, and recovery that reloads the newest valid
-// checkpoint — falling back past corrupt or truncated files via the
-// rl.ErrCorruptCheckpoint / trace.ErrTruncated error paths — and resumes
-// with CountingSource RNG accounting intact.
+// checkpoint — falling back past corrupt, torn or shape-mismatched files
+// via the rl.ErrCorruptCheckpoint / rl.ErrShapeMismatch error paths — and
+// resumes with CountingSource RNG accounting intact.
 //
 // The recovery contract is exact resume: because every learnable mechanism
 // serializes its complete training state (weights, optimizer moments,
@@ -29,7 +29,6 @@ import (
 	"chiron/internal/faults"
 	"chiron/internal/mechanism"
 	"chiron/internal/rl"
-	"chiron/internal/trace"
 )
 
 // Target is what the supervisor drives: a mechanism that can train and
@@ -168,12 +167,11 @@ func (r *Runner) Checkpoints() ([]string, error) {
 }
 
 // recoverable reports whether a failed checkpoint load should fall back to
-// an older file rather than abort recovery: corrupt JSON, a torn tail, or
-// a shape pin that does not match the freshly built target (a stale file
-// from a different configuration).
+// an older file rather than abort recovery: corrupt JSON (a torn tail
+// included), or a shape pin that does not match the freshly built target
+// (a stale file from a different configuration).
 func recoverable(err error) bool {
-	return errors.Is(err, rl.ErrCorruptCheckpoint) || errors.Is(err, trace.ErrTruncated) ||
-		errors.Is(err, rl.ErrShapeMismatch)
+	return errors.Is(err, rl.ErrCorruptCheckpoint) || errors.Is(err, rl.ErrShapeMismatch)
 }
 
 // Recover builds a fresh target restored from the newest valid checkpoint
@@ -190,7 +188,10 @@ func (r *Runner) Recover() (t Target, skipped int, err error) {
 		if err != nil {
 			return nil, skipped, fmt.Errorf("supervise: build target: %w", err)
 		}
-		loadErr := t.LoadCheckpoint(path)
+		ck, loadErr := rl.LoadCheckpoint(path)
+		if loadErr == nil {
+			loadErr = t.Restore(ck)
+		}
 		if loadErr == nil {
 			return t, skipped, nil
 		}
@@ -282,11 +283,15 @@ func (r *Runner) Run(total int, callback func(mechanism.EpisodeResult)) (Target,
 }
 
 // Save checkpoints the target's current state at its episode counter
-// (atomic write-temp-then-rename via SaveCheckpoint) and prunes past the
+// (atomic write-temp-then-rename via rl.SaveCheckpoint) and prunes past the
 // Keep bound. Run calls it after every chunk; graceful-shutdown paths call
 // it directly to flush a final checkpoint before exiting.
 func (r *Runner) Save(t Target) error {
-	if err := t.SaveCheckpoint(r.checkpointPath(t.Episode())); err != nil {
+	ck, err := t.Checkpoint()
+	if err == nil {
+		err = rl.SaveCheckpoint(r.checkpointPath(t.Episode()), ck)
+	}
+	if err != nil {
 		return fmt.Errorf("supervise: checkpoint: %w", err)
 	}
 	return r.prune()

@@ -50,15 +50,11 @@ func (f *fakeTarget) Train(episodes int, callback func(mechanism.EpisodeResult))
 	return out, nil
 }
 
-func (f *fakeTarget) SaveCheckpoint(path string) error {
-	return rl.SaveCheckpoint(path, &rl.Checkpoint{Mechanism: "fake", Nodes: 1, Episode: f.episode})
+func (f *fakeTarget) Checkpoint() (*rl.Checkpoint, error) {
+	return &rl.Checkpoint{Mechanism: "fake", Nodes: 1, Episode: f.episode}, nil
 }
 
-func (f *fakeTarget) LoadCheckpoint(path string) error {
-	ck, err := rl.LoadCheckpoint(path)
-	if err != nil {
-		return err
-	}
+func (f *fakeTarget) Restore(ck *rl.Checkpoint) error {
 	if ck.Mechanism != "fake" {
 		return fmt.Errorf("%w: checkpoint for mechanism %q, want \"fake\"", rl.ErrShapeMismatch, ck.Mechanism)
 	}
@@ -124,7 +120,7 @@ func TestRecoverSkipsCorruptAndMismatched(t *testing.T) {
 	// shape-mismatched checkpoint (different mechanism tag) and a torn
 	// JSON tail. Recovery must fall back past both.
 	good := &fakeTarget{episode: 2}
-	if err := good.SaveCheckpoint(r.checkpointPath(2)); err != nil {
+	if err := r.Save(good); err != nil {
 		t.Fatal(err)
 	}
 	if err := rl.SaveCheckpoint(r.checkpointPath(4), &rl.Checkpoint{Mechanism: "other", Episode: 4}); err != nil {
@@ -184,7 +180,7 @@ func TestCheckpointsIgnoreForeignEntries(t *testing.T) {
 		}
 	}
 	f := &fakeTarget{episode: 4}
-	if err := f.SaveCheckpoint(r.checkpointPath(4)); err != nil {
+	if err := r.Save(f); err != nil {
 		t.Fatal(err)
 	}
 	paths, err := r.Checkpoints()
@@ -252,7 +248,7 @@ func TestRunResumesFromExistingCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	prior := &fakeTarget{episode: 3}
-	if err := prior.SaveCheckpoint(r.checkpointPath(3)); err != nil {
+	if err := r.Save(prior); err != nil {
 		t.Fatal(err)
 	}
 	target, report, err := r.Run(5, nil)

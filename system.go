@@ -5,11 +5,11 @@ import (
 	"math/rand"
 
 	"chiron/internal/accuracy"
-	"chiron/internal/baselines"
 	"chiron/internal/core"
 	"chiron/internal/dataset"
 	"chiron/internal/device"
 	"chiron/internal/edgeenv"
+	"chiron/internal/experiment"
 	"chiron/internal/fl"
 	"chiron/internal/mat"
 	"chiron/internal/nn"
@@ -224,26 +224,31 @@ func (s *System) Evaluate(episodes int) (EpisodeResult, error) {
 // NewBaselineDRL builds the DRL-based comparison mechanism on a fresh
 // environment identical to the system's (same fleet, same task seed).
 func (s *System) NewBaselineDRL() (*DRLBased, error) {
-	env, err := s.cloneEnv()
+	m, err := s.newBaseline(experiment.KindDRLBased)
 	if err != nil {
 		return nil, err
 	}
-	cfg := baselines.DefaultDRLBasedConfig()
-	cfg.Seed = s.cfg.Seed
-	cfg.PPO.CriticLR = 3e-4
-	return baselines.NewDRLBased(env, cfg)
+	return m.(*DRLBased), nil
 }
 
 // NewBaselineGreedy builds the Greedy comparison mechanism on a fresh
 // environment identical to the system's.
 func (s *System) NewBaselineGreedy() (*Greedy, error) {
+	m, err := s.newBaseline(experiment.KindGreedy)
+	if err != nil {
+		return nil, err
+	}
+	return m.(*Greedy), nil
+}
+
+// newBaseline builds a comparison mechanism with the experiment harness's
+// configuration on a clone of the system's environment.
+func (s *System) newBaseline(kind experiment.MechanismKind) (Mechanism, error) {
 	env, err := s.cloneEnv()
 	if err != nil {
 		return nil, err
 	}
-	cfg := baselines.DefaultGreedyConfig()
-	cfg.Seed = s.cfg.Seed
-	return baselines.NewGreedy(env, cfg)
+	return experiment.BuildMechanism(kind, env, s.cfg.Seed)
 }
 
 // cloneEnv rebuilds an environment with the same fleet and a fresh
