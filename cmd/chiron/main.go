@@ -20,10 +20,10 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 
 	"chiron"
+	"chiron/internal/accuracy"
 	"chiron/internal/mechanism"
 	"chiron/internal/rl"
 	"chiron/internal/scenario"
@@ -477,13 +477,18 @@ func cmdList() error {
 	return nil
 }
 
+// parseDataset resolves a -dataset name through accuracy.ParsePreset, the
+// vocabulary scenario specs share. The Table I preset names no task here.
 func parseDataset(name string) (chiron.Dataset, error) {
-	switch strings.ToLower(name) {
-	case "mnist":
+	// An unknown name gives the zero Preset, refused below with the
+	// Table I one.
+	p, _ := accuracy.ParsePreset(name)
+	switch p {
+	case accuracy.PresetMNIST:
 		return chiron.DatasetMNIST, nil
-	case "fashion", "fashion-mnist", "fmnist":
+	case accuracy.PresetFashion:
 		return chiron.DatasetFashionMNIST, nil
-	case "cifar", "cifar10", "cifar-10":
+	case accuracy.PresetCIFAR:
 		return chiron.DatasetCIFAR10, nil
 	default:
 		return 0, fmt.Errorf("unknown dataset %q (want mnist, fashion, or cifar)", name)

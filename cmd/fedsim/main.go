@@ -44,6 +44,7 @@ import (
 	"strconv"
 	"strings"
 
+	"chiron/internal/accuracy"
 	"chiron/internal/dataset"
 	"chiron/internal/faults"
 	"chiron/internal/fl"
@@ -323,26 +324,32 @@ func run(args []string, w io.Writer) error {
 	return nil
 }
 
+// parseSpec resolves a -dataset name through accuracy.ParsePreset, the
+// vocabulary scenario specs share, to its synthetic task. The Table I
+// preset names no task here.
 func parseSpec(name string, samples int) (dataset.SynthSpec, error) {
-	switch strings.ToLower(name) {
-	case "mnist":
+	// An unknown name gives the zero Preset, refused below with the
+	// Table I one.
+	p, _ := accuracy.ParsePreset(name)
+	switch p {
+	case accuracy.PresetMNIST:
 		spec := dataset.SynthMNIST(samples)
 		spec.Noise = 0.9 // learnable-but-gradual; see DESIGN.md
 		spec.Overlap = 0.2
 		spec.Jitter = 2
 		return spec, nil
-	case "fashion", "fashion-mnist", "fmnist":
+	case accuracy.PresetFashion:
 		spec := dataset.SynthFashion(samples)
 		spec.Noise = 1.2
 		spec.Overlap = 0.35
 		return spec, nil
-	case "cifar", "cifar10", "cifar-10":
+	case accuracy.PresetCIFAR:
 		spec := dataset.SynthCIFAR(samples)
 		spec.Noise = 1.5
 		spec.Overlap = 0.55
 		return spec, nil
 	default:
-		return dataset.SynthSpec{}, fmt.Errorf("unknown dataset %q", name)
+		return dataset.SynthSpec{}, fmt.Errorf("unknown dataset %q (want mnist, fashion, or cifar)", name)
 	}
 }
 

@@ -14,9 +14,12 @@
 package accuracy
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
+	"strings"
 )
 
 // Model produces the global-model accuracy trajectory of one edge-learning
@@ -170,6 +173,44 @@ func (p Preset) String() string {
 	default:
 		return fmt.Sprintf("preset(%d)", int(p))
 	}
+}
+
+// ErrUnknownPreset reports a dataset name outside the vocabulary of
+// ParsePreset.
+var ErrUnknownPreset = errors.New("accuracy: unknown dataset")
+
+// presetNames is the one dataset vocabulary of scenario specs, chirond
+// sessions and the chiron and fedsim CLIs: each task's short and long
+// names and common spellings, and the Table I preset.
+var presetNames = map[string]Preset{
+	"mnist":          PresetMNIST,
+	"fashion":        PresetFashion,
+	"fashion-mnist":  PresetFashion,
+	"fmnist":         PresetFashion,
+	"cifar":          PresetCIFAR,
+	"cifar10":        PresetCIFAR,
+	"cifar-10":       PresetCIFAR,
+	"mnist-large":    PresetMNISTLarge,
+	"mnist-100nodes": PresetMNISTLarge,
+}
+
+// ParsePreset resolves a dataset name, in any letter case, to its preset.
+func ParsePreset(name string) (Preset, error) {
+	if p, ok := presetNames[strings.ToLower(name)]; ok {
+		return p, nil
+	}
+	return 0, fmt.Errorf("%w %q (want mnist, fashion, cifar, or mnist-large)", ErrUnknownPreset, name)
+}
+
+// PresetNames returns every name ParsePreset accepts, in lower case,
+// sorted.
+func PresetNames() []string {
+	names := make([]string, 0, len(presetNames))
+	for n := range presetNames {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // NewPresetCurve returns the calibrated surrogate for a dataset preset and

@@ -96,15 +96,8 @@ func (m *Matrix) SumRowsTo(out []float64) error {
 	if len(out) != m.cols {
 		return fmt.Errorf("%w: sumRows out len %d for %d cols", ErrShape, len(out), m.cols)
 	}
-	for c := range out {
-		out[c] = 0
-	}
-	for r := 0; r < m.rows; r++ {
-		row := m.data[r*m.cols : (r+1)*m.cols]
-		for c, v := range row {
-			out[c] += v
-		}
-	}
+	clear(out)
+	addRows(out, 0, m.data, m.cols, m.rows, m.cols)
 	return nil
 }
 

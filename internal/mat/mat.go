@@ -123,20 +123,13 @@ func AddRowVector(m *Matrix, v []float64) error {
 	if len(v) != m.cols {
 		return fmt.Errorf("%w: row vector len %d for %d cols", ErrShape, len(v), m.cols)
 	}
-	for r := 0; r < m.rows; r++ {
-		row := m.Row(r)
-		for c := range row {
-			row[c] += v[c]
-		}
-	}
+	addRows(m.data, m.cols, v, 0, m.rows, m.cols)
 	return nil
 }
 
 // Scale multiplies every element of m by s in place.
 func (m *Matrix) Scale(s float64) {
-	for i := range m.data {
-		m.data[i] *= s
-	}
+	ScaleVec(m.data, s)
 }
 
 // AddScaled performs m += s·other in place (axpy).
@@ -144,8 +137,6 @@ func (m *Matrix) AddScaled(other *Matrix, s float64) error {
 	if m.rows != other.rows || m.cols != other.cols {
 		return fmt.Errorf("%w: addScaled %dx%d and %dx%d", ErrShape, m.rows, m.cols, other.rows, other.cols)
 	}
-	for i, v := range other.data {
-		m.data[i] += s * v
-	}
+	axpy(m.data, other.data, s)
 	return nil
 }

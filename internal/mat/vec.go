@@ -5,13 +5,6 @@ import (
 	"math"
 )
 
-// ScaleVec multiplies every element of v by s in place.
-func ScaleVec(v []float64, s float64) {
-	for i := range v {
-		v[i] *= s
-	}
-}
-
 // CloneVec returns a copy of v.
 func CloneVec(v []float64) []float64 {
 	cp := make([]float64, len(v))

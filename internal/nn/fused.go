@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"chiron/internal/mat"
 )
@@ -94,26 +93,35 @@ func (f *FusedMLP) Forward(x *mat.Matrix) (*mat.Matrix, error) {
 		if err := mat.MulTo(y, x, d.w.Value); err != nil {
 			return nil, fmt.Errorf("nn: fused forward unit %d: %w", l, err)
 		}
-		epilogue(y, d.b.Value.Row(0), u.act)
+		if err := epilogue(y, d.b.Value.Row(0), u.act); err != nil {
+			return nil, fmt.Errorf("nn: fused forward unit %d bias: %w", l, err)
+		}
 		x = y
 	}
 	return x, nil
 }
 
-// epilogue adds the bias row vector and applies the activation in one sweep
-// over y. Per element this computes act(y[i][j] + bias[j]), the exact value
-// (and floating-point operation order) of the separate bias and activation
-// passes it fuses.
-func epilogue(y *mat.Matrix, bias []float64, act Activation) {
+// epilogue adds the bias row vector and applies the activation in place.
+// Per element this computes act(y[i][j] + bias[j]), the exact value (and
+// floating-point operation order) of the separate bias and activation
+// passes it fuses. Tanh and the identity run as two whole-matrix mat
+// kernels, the bias add and then tanh; ReLU and sigmoid fold both into one
+// sweep.
+func epilogue(y *mat.Matrix, bias []float64, act Activation) error {
+	if act != ActReLU && act != ActSigmoid {
+		if err := mat.AddRowVector(y, bias); err != nil {
+			return err
+		}
+		if act == ActTanh {
+			mat.TanhVec(y.Data())
+		}
+		return nil
+	}
 	rows, cols := y.Rows(), y.Cols()
 	data := y.Data()
 	for r := 0; r < rows; r++ {
 		yrow := data[r*cols : (r+1)*cols]
 		switch act {
-		case ActTanh:
-			for j, bv := range bias {
-				yrow[j] = math.Tanh(yrow[j] + bv)
-			}
 		case ActReLU:
 			for j, bv := range bias {
 				if v := yrow[j] + bv; v < 0 {
@@ -126,12 +134,9 @@ func epilogue(y *mat.Matrix, bias []float64, act Activation) {
 			for j, bv := range bias {
 				yrow[j] = mat.Sigmoid(yrow[j] + bv)
 			}
-		default:
-			for j, bv := range bias {
-				yrow[j] += bv
-			}
 		}
 	}
+	return nil
 }
 
 // Backward propagates grad back through every unit, accumulating parameter
@@ -166,9 +171,7 @@ func (f *FusedMLP) Backward(grad *mat.Matrix, needInputGrad bool) (*mat.Matrix, 
 					}
 				}
 			case ActTanh:
-				for i, y := range yd {
-					dd[i] = gd[i] * (1 - y*y)
-				}
+				mat.TanhGradTo(dd, gd, yd)
 			case ActSigmoid:
 				for i, y := range yd {
 					dd[i] = gd[i] * (y * (1 - y))
@@ -194,10 +197,7 @@ func (f *FusedMLP) Backward(grad *mat.Matrix, needInputGrad bool) (*mat.Matrix, 
 		if err := delta.SumRowsTo(f.sums[l]); err != nil {
 			return nil, fmt.Errorf("nn: fused backward unit %d db: %w", l, err)
 		}
-		bias := d.b.Grad.Row(0)
-		for i, v := range f.sums[l] {
-			bias[i] += v
-		}
+		mat.AddVec(d.b.Grad.Row(0), f.sums[l])
 		if l == 0 && !needInputGrad {
 			return nil, nil
 		}

@@ -91,10 +91,9 @@ func TestPropSessionMatchesCLIDigest(t *testing.T) {
 		}
 		// Resume whenever the injected pause lands (it may never fire if
 		// the run has fewer episode events than pauseSeq). A pause injected
-		// on the last episode event has no later gate to hold at, so the run
-		// can finish between the poll seeing StatePaused and the Resume; that
-		// refusal is fine once the session is terminal, and the final state
-		// and digest are checked below as usual.
+		// on the last episode event holds the finished run until the Resume;
+		// a Resume refused by a terminal session would still leave the final
+		// state and digest to the checks below.
 		for {
 			if st := s.State(); terminal(st) {
 				break

@@ -113,13 +113,14 @@ type PPO struct {
 	// Recycled update scratch: batched states and off-chain next states,
 	// where each row's V(s′) lives (next) and the values themselves (vals),
 	// TD targets plus the critic loss gradient (critic stream only), and
-	// the actor mean gradient (actor stream only). Reused across Update
-	// calls, so a steady-state update allocates only the stream fork's few
-	// objects, plus a closure per kernel call large enough to fan out
-	// into GEMM row bands.
+	// the actor mean gradient and σ = exp(log σ) (actor stream only).
+	// Reused across Update calls, so a steady-state update allocates only
+	// the stream fork's few objects, plus a closure per kernel call large
+	// enough to fan out into GEMM row bands.
 	states, offChain *mat.Matrix
 	targets, cgrad   *mat.Matrix
 	meanGrad         *mat.Matrix
+	std              []float64
 	next             []int
 	vals, adv        []float64
 }
@@ -406,6 +407,12 @@ func (p *PPO) updateActor(trans []Transition, states *mat.Matrix, adv []float64)
 	meanGrad.Zero() // only the unclipped branch writes entries
 	logStdGrad := p.actor.logStd.Grad.Data()
 	p.actor.ZeroGrad()
+	// log σ is fixed within the pass, so σ is computed once, not per row.
+	p.std = mat.EnsureVec(p.std, actDim)
+	std := p.std
+	for j, l := range ls[:actDim] {
+		std[j] = math.Exp(l)
+	}
 
 	invN := 1 / float64(n)
 	var clipped int
@@ -413,8 +420,7 @@ func (p *PPO) updateActor(trans []Transition, states *mat.Matrix, adv []float64)
 		// New log-probability under current parameters.
 		var lp float64
 		for j := 0; j < actDim; j++ {
-			std := math.Exp(ls[j])
-			z := (t.Action[j] - means.At(i, j)) / std
+			z := (t.Action[j] - means.At(i, j)) / std[j]
 			lp += -0.5*z*z - ls[j] - 0.5*log2Pi
 		}
 		ratio := math.Exp(lp - t.LogProb)
@@ -425,13 +431,12 @@ func (p *PPO) updateActor(trans []Transition, states *mat.Matrix, adv []float64)
 			// Gradient flows through the unclipped branch:
 			// dL/dlogπ = −Â·ρ/n, then chain into μ and logσ.
 			gradLP := -adv[i] * ratio * invN
-			for j := 0; j < actDim; j++ {
-				std := math.Exp(ls[j])
+			for j, sd := range std {
 				diff := t.Action[j] - means.At(i, j)
 				// ∂logπ/∂μ_j = (a_j − μ_j)/σ_j²
-				meanGrad.Set(i, j, gradLP*diff/(std*std))
+				meanGrad.Set(i, j, gradLP*diff/(sd*sd))
 				// ∂logπ/∂logσ_j = (a_j − μ_j)²/σ_j² − 1
-				logStdGrad[j] += gradLP * (diff*diff/(std*std) - 1)
+				logStdGrad[j] += gradLP * (diff*diff/(sd*sd) - 1)
 			}
 			loss -= surr1 * invN
 		} else {

@@ -29,20 +29,13 @@ var profiles = map[string]profile{
 }
 
 // datasetPreset resolves a spec dataset name to the calibrated accuracy
-// preset.
+// preset through accuracy.ParsePreset, the vocabulary the CLIs share.
 func datasetPreset(name string) (accuracy.Preset, error) {
-	switch name {
-	case "mnist":
-		return accuracy.PresetMNIST, nil
-	case "fashion", "fashion-mnist":
-		return accuracy.PresetFashion, nil
-	case "cifar", "cifar-10":
-		return accuracy.PresetCIFAR, nil
-	case "mnist-large", "mnist-100nodes":
-		return accuracy.PresetMNISTLarge, nil
-	default:
+	p, err := accuracy.ParsePreset(name)
+	if err != nil {
 		return 0, fmt.Errorf("%w: %q (want mnist, fashion, cifar, or mnist-large)", ErrUnknownDataset, name)
 	}
+	return p, nil
 }
 
 // scale returns v, or 1 when the spec left the factor at its zero value.

@@ -39,6 +39,12 @@ func (s *Session) run(spec *scenario.Spec) {
 	default:
 		err = s.runGrid(spec)
 	}
+	if err == nil {
+		// A pause that lands after the last episode's gate holds the
+		// finished run until Resume or Stop, so a paused session never
+		// finishes on its own; a late Stop leaves the completed run done.
+		_ = s.gate()
+	}
 	s.finish(err)
 }
 

@@ -330,8 +330,9 @@ func (s *Session) Start() error {
 	return nil
 }
 
-// Pause requests a hold at the next episode boundary. Legal while queued,
-// running, or already paused; a no-op in the latter case.
+// Pause requests a hold at the next episode boundary, or, after the last
+// episode, before the session finishes. Legal while queued, running, or
+// already paused; a no-op in the latter case.
 func (s *Session) Pause() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

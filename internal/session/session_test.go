@@ -219,6 +219,49 @@ func TestPauseResumeKeepsDigest(t *testing.T) {
 	}
 }
 
+// TestPauseAfterLastEpisodeHolds pauses on the last episode event, after
+// the last gate: the finished run must hold in StatePaused until Resume,
+// not finish behind a status that still reports the pause.
+func TestPauseAfterLastEpisodeHolds(t *testing.T) {
+	var last int
+	want, err := scenario.Run(quickSpec("late-pause", 29), 1, scenario.CellHooks{
+		Episode: func(scenario.Cell, mechanism.EpisodeResult, bool) { last++ },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s *Session
+	s, err = New(Config{Spec: quickSpec("late-pause", 29), Workers: 1, OnEpisode: pauseAt(&s, last)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, StatePaused)
+	select {
+	case <-s.Done():
+		t.Fatalf("paused session finished on its own: %s", s.State())
+	case <-time.After(50 * time.Millisecond):
+	}
+	if got := len(s.Episodes(0)); got != last {
+		t.Fatalf("%d episode events, want %d", got, last)
+	}
+	if err := s.Resume(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Wait(); got != StateDone {
+		t.Fatalf("final state %s (err %v), want done", got, s.Err())
+	}
+	res, err := s.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Digest() != want.Digest() {
+		t.Fatalf("late-paused digest %s != uninterrupted %s", res.Digest(), want.Digest())
+	}
+}
+
 // record runs one cell of s through the StartRecord step API —
 // training, then every evaluation episode — and streams its trace to tw.
 func record(s *scenario.Spec, tw *trace.Writer) (*scenario.EpisodeSet, error) {
