@@ -3,6 +3,7 @@ package device
 import (
 	"fmt"
 	"math/rand"
+	"unsafe"
 )
 
 // Fleet is the struct-of-arrays batch form of a device fleet: one
@@ -95,23 +96,34 @@ func FromNodes(nodes []*Node) *Fleet {
 	return f
 }
 
-// newEmptyFleet allocates all columns for n nodes.
+// newEmptyFleet allocates all columns for n nodes as consecutive n-long
+// windows of one slab, each capped at its window; the two int columns view
+// their windows as int, which is no wider than float64 on any platform.
+// One allocation per fleet keeps the peak resident set of a process that
+// builds fleet after fleet steady: a collection the fleet triggers starts
+// after all of it is placed, not at whichever of 13 column allocations the
+// GC pacer picked, which decided how many columns landed on fresh pages.
 func newEmptyFleet(n int) *Fleet {
+	slab := make([]float64, 13*n)
+	col := func(k int) []float64 { return slab[k*n : (k+1)*n : (k+1)*n] }
+	intCol := func(k int) []int {
+		return unsafe.Slice((*int)(unsafe.Pointer(unsafe.SliceData(col(k)))), n)
+	}
 	return &Fleet{
 		n:              n,
-		CyclesPerBit:   make([]float64, n),
-		DataBits:       make([]float64, n),
-		FreqMin:        make([]float64, n),
-		FreqMax:        make([]float64, n),
-		Capacitance:    make([]float64, n),
-		CommTime:       make([]float64, n),
-		CommEnergyRate: make([]float64, n),
-		Reserve:        make([]float64, n),
-		Epochs:         make([]int, n),
-		SampleCount:    make([]int, n),
-		workload:       make([]float64, n),
-		priceCoef:      make([]float64, n),
-		energyCoef:     make([]float64, n),
+		CyclesPerBit:   col(0),
+		DataBits:       col(1),
+		FreqMin:        col(2),
+		FreqMax:        col(3),
+		Capacitance:    col(4),
+		CommTime:       col(5),
+		CommEnergyRate: col(6),
+		Reserve:        col(7),
+		Epochs:         intCol(8),
+		SampleCount:    intCol(9),
+		workload:       col(10),
+		priceCoef:      col(11),
+		energyCoef:     col(12),
 	}
 }
 

@@ -173,6 +173,48 @@ func TestFleetColumnBytes(t *testing.T) {
 	}
 }
 
+// TestFleetColumnsDisjoint checks the slab layout: every column is n long
+// with no spare capacity, so an append copies instead of writing into the
+// next column, and a write to one column shows in no other.
+func TestFleetColumnsDisjoint(t *testing.T) {
+	for _, n := range []int{0, 1, 5} {
+		f := newEmptyFleet(n)
+		floats := [][]float64{f.CyclesPerBit, f.DataBits, f.FreqMin, f.FreqMax, f.Capacitance,
+			f.CommTime, f.CommEnergyRate, f.Reserve, f.workload, f.priceCoef, f.energyCoef}
+		ints := [][]int{f.Epochs, f.SampleCount}
+		for k, col := range floats {
+			if col == nil || len(col) != n || cap(col) != n {
+				t.Fatalf("n=%d: float column %d nil=%v len %d cap %d", n, k, col == nil, len(col), cap(col))
+			}
+			for i := range col {
+				col[i] = float64(100*k + i + 1)
+			}
+		}
+		for k, col := range ints {
+			if col == nil || len(col) != n || cap(col) != n {
+				t.Fatalf("n=%d: int column %d nil=%v len %d cap %d", n, k, col == nil, len(col), cap(col))
+			}
+			for i := range col {
+				col[i] = -(100*k + i + 1)
+			}
+		}
+		for k, col := range floats {
+			for i, v := range col {
+				if want := float64(100*k + i + 1); v != want {
+					t.Fatalf("n=%d: float column %d[%d] = %v, want %v", n, k, i, v, want)
+				}
+			}
+		}
+		for k, col := range ints {
+			for i, v := range col {
+				if want := -(100*k + i + 1); v != want {
+					t.Fatalf("n=%d: int column %d[%d] = %v, want %v", n, k, i, v, want)
+				}
+			}
+		}
+	}
+}
+
 // newBatchResponse returns the four round-pipeline columns sized for n
 // nodes, with the optional Util and Energy columns left nil.
 func newBatchResponse(n int) BatchResponse {
