@@ -189,25 +189,15 @@ func ExtraArtifacts() []Artifact { return experiment.ExtraArtifacts() }
 
 // DescribeArtifact returns a one-line description of a paper artifact or
 // ablation study.
-func DescribeArtifact(a Artifact) string {
-	if experiment.IsExtra(a) {
-		return experiment.DescribeExtra(a)
-	}
-	return experiment.Describe(a)
-}
+func DescribeArtifact(a Artifact) string { return experiment.Describe(a) }
 
-// RunArtifact executes one paper artifact serially at the given scale
-// (1.0 = the paper's full episode counts) and returns a rendered text
-// report.
+// RunArtifact executes a paper artifact or ablation study serially at the
+// given scale (1.0 = the paper's full episode counts) and returns a
+// rendered text report. 'chiron run -artifact' runs the same path with a
+// worker bound and writes the CSV series too.
 func RunArtifact(a Artifact, scale float64) (string, error) {
-	return experiment.Run(a, scale)
-}
-
-// RunArtifactJobs is RunArtifact with a worker bound for the artifact's
-// grid of independent jobs (1 = serial, 0 = GOMAXPROCS). Reports are
-// byte-identical at any worker count.
-func RunArtifactJobs(a Artifact, scale float64, jobs int) (string, error) {
-	return experiment.RunJobs(a, scale, jobs)
+	report, _, err := experiment.RunJobs(a, scale, 1)
+	return report, err
 }
 
 // DefaultFleetSpec returns the paper's Sec. VI-A device constants for n

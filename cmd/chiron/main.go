@@ -8,7 +8,7 @@
 //	               [-episodes E] [-seed S] [-real] [-baseline chiron|drl|greedy]
 //	               [-churn SCRIPT] [-depart-rate P] [-arrive-rate P]
 //	               [-auto-checkpoint DIR] [-checkpoint-every N] [-max-restarts R]
-//	chiron run     [-artifact fig3|fig4|fig5|fig6|fig7a|fig7b|tab1] [-scale F] [-jobs N]
+//	chiron run     [-artifact ID[,ID...]|all] [-scale F] [-jobs N] [-out DIR]
 //	chiron run     [-scenario NAME|file.json] [-scale F] [-jobs N] [-churn SCRIPT]
 //	               [-record trace.jsonl [-mechanism M] [-budget η]]
 //	chiron replay  [-trace trace.jsonl] [-mechanism M] [-budget η] [-episodes E]
@@ -20,10 +20,14 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"path/filepath"
+	"slices"
+	"strings"
 	"syscall"
 
 	"chiron"
 	"chiron/internal/accuracy"
+	"chiron/internal/experiment"
 	"chiron/internal/mechanism"
 	"chiron/internal/rl"
 	"chiron/internal/scenario"
@@ -273,7 +277,7 @@ func cmdTrain(args []string) error {
 
 func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
-	artifact := fs.String("artifact", "", "paper artifact id (fig3, fig4, fig5, fig6, fig7a, fig7b, tab1) or 'all'")
+	artifact := fs.String("artifact", "", "comma-separated artifact ids (see 'chiron list'), or 'all' for the paper's seven")
 	scale := fs.Float64("scale", 1.0, "episode-count scale factor in (0,1]; 1.0 reproduces the paper's full runs")
 	jobs := fs.Int("jobs", 1, "concurrent experiment jobs (0 = GOMAXPROCS); reports are identical at any setting")
 	scenarioArg := fs.String("scenario", "", "library scenario name or spec file (JSON); runs its full mechanism × budget grid")
@@ -281,6 +285,7 @@ func cmdRun(args []string) error {
 	mech := fs.String("mechanism", "", "with -record: which of the scenario's mechanisms to record (default: its first)")
 	budget := fs.Float64("budget", 0, "with -record: which of the scenario's budgets to record (default: its first)")
 	churnSpec := fs.String("churn", "", "with -scenario: scripted churn plan, e.g. \"-3@5,+3@9\", for specs with no churn block")
+	out := fs.String("out", "", "with -artifact: write each paper artifact's CSV series and summary.txt (every report) to this directory")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -292,6 +297,9 @@ func cmdRun(args []string) error {
 		if *artifact != "" {
 			return fmt.Errorf("-artifact and -scenario are mutually exclusive")
 		}
+		if set["out"] {
+			return fmt.Errorf("-out requires -artifact")
+		}
 		return runScenario(*scenarioArg, *scale, *jobs, *record, *mech, *budget, *churnSpec, set)
 	}
 	for _, name := range []string{"record", "mechanism", "budget", "churn"} {
@@ -302,18 +310,48 @@ func cmdRun(args []string) error {
 	if *artifact == "" {
 		return fmt.Errorf("-artifact or -scenario is required (use 'chiron list' to see both)")
 	}
-	ids := []chiron.Artifact{chiron.Artifact(*artifact)}
-	if *artifact == "all" {
-		ids = chiron.Artifacts()
+	return runArtifacts(*artifact, *scale, *jobs, *out)
+}
+
+// runArtifacts runs each listed artifact through experiment.RunJobs and
+// prints its report. With a non-empty outDir it also writes each paper
+// artifact's CSV series as <id>.csv and every report to summary.txt.
+func runArtifacts(list string, scale float64, jobs int, outDir string) error {
+	ids := chiron.Artifacts()
+	if list != "all" {
+		known := append(chiron.Artifacts(), chiron.ExtraArtifacts()...)
+		ids = nil
+		for _, tok := range strings.Split(list, ",") {
+			id := chiron.Artifact(strings.TrimSpace(tok))
+			if !slices.Contains(known, id) {
+				return fmt.Errorf("unknown artifact %q (see 'chiron list')", id)
+			}
+			ids = append(ids, id)
+		}
 	}
+	if outDir != "" {
+		if err := os.MkdirAll(outDir, 0o755); err != nil {
+			return err
+		}
+	}
+	var summary strings.Builder
 	for _, id := range ids {
-		report, err := chiron.RunArtifactJobs(id, *scale, *jobs)
+		report, csv, err := experiment.RunJobs(id, scale, jobs)
 		if err != nil {
 			return err
 		}
 		fmt.Println(report)
+		summary.WriteString(report + "\n")
+		if outDir != "" && csv != nil {
+			if err := os.WriteFile(filepath.Join(outDir, string(id)+".csv"), csv, 0o644); err != nil {
+				return err
+			}
+		}
 	}
-	return nil
+	if outDir == "" {
+		return nil
+	}
+	return os.WriteFile(filepath.Join(outDir, "summary.txt"), []byte(summary.String()), 0o644)
 }
 
 // runSession starts a hosted session and waits for its terminal state. An

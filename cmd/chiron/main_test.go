@@ -158,6 +158,11 @@ func TestRunFlagScenarioConflicts(t *testing.T) {
 			"requires -scenario",
 		},
 		{
+			"out with scenario",
+			[]string{"run", "-scenario", "paper-baseline", "-out", "results"},
+			"-out requires -artifact",
+		},
+		{
 			"neither artifact nor scenario",
 			[]string{"run"},
 			"-artifact or -scenario is required",

@@ -325,32 +325,16 @@ func run(args []string, w io.Writer) error {
 }
 
 // parseSpec resolves a -dataset name through accuracy.ParsePreset, the
-// vocabulary scenario specs share, to its synthetic task. The Table I
-// preset names no task here.
+// vocabulary scenario specs share, to its calibrated real-training task.
+// The Table I preset names no task here.
 func parseSpec(name string, samples int) (dataset.SynthSpec, error) {
-	// An unknown name gives the zero Preset, refused below with the
-	// Table I one.
+	// An unknown name gives the zero Preset, which has no task either.
 	p, _ := accuracy.ParsePreset(name)
-	switch p {
-	case accuracy.PresetMNIST:
-		spec := dataset.SynthMNIST(samples)
-		spec.Noise = 0.9 // learnable-but-gradual; see DESIGN.md
-		spec.Overlap = 0.2
-		spec.Jitter = 2
-		return spec, nil
-	case accuracy.PresetFashion:
-		spec := dataset.SynthFashion(samples)
-		spec.Noise = 1.2
-		spec.Overlap = 0.35
-		return spec, nil
-	case accuracy.PresetCIFAR:
-		spec := dataset.SynthCIFAR(samples)
-		spec.Noise = 1.5
-		spec.Overlap = 0.55
-		return spec, nil
-	default:
+	spec, _, err := accuracy.Task(p, samples)
+	if err != nil {
 		return dataset.SynthSpec{}, fmt.Errorf("unknown dataset %q (want mnist, fashion, or cifar)", name)
 	}
+	return spec, nil
 }
 
 func parsePartitioner(name string, alpha float64) (dataset.Partitioner, error) {

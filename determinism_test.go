@@ -369,25 +369,6 @@ func comparisonCSV(t *testing.T, jobs int) string {
 	return buf.String()
 }
 
-// convergenceCSV runs a small fig3-shaped learning-curve job with the given
-// worker bound and returns the rendered CSV bytes.
-func convergenceCSV(t *testing.T, jobs int) string {
-	t.Helper()
-	conv, err := experiment.RunConvergence(experiment.ConvergenceParams{
-		Preset: accuracy.PresetMNIST, Nodes: 3, Budget: 120,
-		Mechanism: experiment.KindChiron, Episodes: 2, Window: 2, Seed: 11,
-		Jobs: jobs,
-	})
-	if err != nil {
-		t.Fatalf("RunConvergence(jobs=%d): %v", jobs, err)
-	}
-	var buf bytes.Buffer
-	if err := experiment.WriteConvergenceCSV(&buf, conv); err != nil {
-		t.Fatalf("WriteConvergenceCSV: %v", err)
-	}
-	return buf.String()
-}
-
 // TestComparisonDeterministicAcrossJobs pins the experiment scheduler's
 // contract: a sweep run serially and at -jobs=8 must produce byte-identical
 // CSV output, because jobs are fully independent (each owns every RNG it
@@ -402,12 +383,5 @@ func TestComparisonDeterministicAcrossJobs(t *testing.T) {
 	defer runtime.GOMAXPROCS(prev)
 	if got := comparisonCSV(t, 0); got != base {
 		t.Fatalf("comparison CSV diverged between jobs=1 and GOMAXPROCS=3:\n%s\nvs\n%s", base, got)
-	}
-}
-
-func TestConvergenceDeterministicAcrossJobs(t *testing.T) {
-	base := convergenceCSV(t, 1)
-	if got := convergenceCSV(t, 8); got != base {
-		t.Fatalf("convergence CSV diverged between jobs=1 and jobs=8:\n%s\nvs\n%s", base, got)
 	}
 }

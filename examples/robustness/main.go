@@ -15,13 +15,10 @@ package main
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 
 	"chiron"
 	"chiron/internal/accuracy"
-	"chiron/internal/core"
-	"chiron/internal/device"
 	"chiron/internal/edgeenv"
 	"chiron/internal/experiment"
 	"chiron/internal/faults"
@@ -55,15 +52,12 @@ func run(w io.Writer, nodes, eps, evalEps int, budget float64) error {
 	}
 
 	// Evaluate the frozen policy under churn and injected faults. Each
-	// scenario rebuilds the environment with the same fleet and restores
-	// the trained weights into a fresh agent bound to it.
-	fleet, err := device.NewFleetBatch(rand.New(rand.NewSource(seed)), device.DefaultFleetSpec(nodes))
-	if err != nil {
-		return err
-	}
-	// Deadline: 20% above the slowest clean response, so healthy nodes
-	// are never cut but crashes time out and big stragglers are dropped.
-	deadline := experiment.FleetDeadline(fleet)
+	// scenario rebuilds the clean environment (same fleet, same task),
+	// perturbs it, and restores the trained weights into a fresh agent
+	// bound to it. Faults come with a round deadline 20% above the slowest
+	// clean response, so healthy nodes are never cut but crashes time out
+	// and big stragglers are dropped.
+	setup := experiment.Setup{Preset: accuracy.PresetMNIST, Nodes: nodes, Budget: budget, Seed: seed}
 	faultMix := faults.Rates{Crash: 0.03, Straggle: 0.06, Drop: 0.05, Corrupt: 0.03}
 	scenarios := []struct {
 		name         string
@@ -84,38 +78,12 @@ func run(w io.Writer, nodes, eps, evalEps int, budget float64) error {
 	fmt.Fprintf(w, "\nfrozen policy under churn and injected faults (%d eval episodes each):\n", evalEps)
 	fmt.Fprintf(w, "%-30s %10s %8s %10s %10s\n", "scenario", "accuracy", "rounds", "time-eff", "failures")
 	for _, sc := range scenarios {
-		acc, err := accuracy.NewPresetCurve(rand.New(rand.NewSource(seed+1)), accuracy.PresetMNIST, nodes)
-		if err != nil {
-			return err
-		}
-		cfg := edgeenv.DefaultConfig(fleet, acc, budget)
-		cfg.CommJitter = sc.jitter
-		cfg.Availability = sc.availability
-		if sc.jitter > 0 || (sc.availability > 0 && sc.availability < 1) {
-			cfg.Rng = rand.New(rand.NewSource(seed + 2))
-		}
-		if sc.rates.Any() {
-			sampler, err := faults.NewSampler(sc.rates, seed+3)
-			if err != nil {
+		res, env, err := experiment.EvalFrozen(ck, setup, evalEps, func(cfg *edgeenv.Config) error {
+			if err := experiment.SoftChurn(sc.jitter, sc.availability, seed+2)(cfg); err != nil {
 				return err
 			}
-			cfg.Faults = sampler
-			cfg.RoundDeadline = deadline
-			cfg.MaxRetries = 2
-			cfg.RetryBackoff = 1
-		}
-		env, err := edgeenv.New(cfg)
-		if err != nil {
-			return err
-		}
-		agent, err := core.New(env, chiron.DefaultAgentConfig(seed))
-		if err != nil {
-			return err
-		}
-		if err := agent.Restore(ck); err != nil {
-			return err
-		}
-		res, err := agent.Evaluate(evalEps)
+			return experiment.InjectFaults(sc.rates, seed+3)(cfg)
+		})
 		if err != nil {
 			return err
 		}
@@ -147,31 +115,14 @@ func run(w io.Writer, nodes, eps, evalEps int, budget float64) error {
 	fmt.Fprintf(w, "\nfrozen policy under Markov fleet churn (depart-rate / arrive-rate):\n")
 	fmt.Fprintf(w, "%-30s %10s %8s %10s %10s %10s\n", "scenario", "accuracy", "rounds", "time-eff", "absent", "departed")
 	for _, sc := range churnGrid {
-		acc, err := accuracy.NewPresetCurve(rand.New(rand.NewSource(seed+1)), accuracy.PresetMNIST, nodes)
-		if err != nil {
-			return err
-		}
-		cfg := edgeenv.DefaultConfig(fleet, acc, budget)
-		if sc.depart > 0 {
-			cfg.Churn, err = faults.NewChurnSampler(faults.ChurnRates{
-				Depart: sc.depart, Arrive: sc.arrive,
-			}, seed+4)
-			if err != nil {
-				return err
+		res, env, err := experiment.EvalFrozen(ck, setup, evalEps, func(cfg *edgeenv.Config) error {
+			if sc.depart == 0 {
+				return nil
 			}
-		}
-		env, err := edgeenv.New(cfg)
-		if err != nil {
+			var err error
+			cfg.Churn, err = faults.NewChurnSampler(faults.ChurnRates{Depart: sc.depart, Arrive: sc.arrive}, seed+4)
 			return err
-		}
-		agent, err := core.New(env, chiron.DefaultAgentConfig(seed))
-		if err != nil {
-			return err
-		}
-		if err := agent.Restore(ck); err != nil {
-			return err
-		}
-		res, err := agent.Evaluate(evalEps)
+		})
 		if err != nil {
 			return err
 		}

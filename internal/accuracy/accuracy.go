@@ -20,6 +20,8 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+
+	"chiron/internal/dataset"
 )
 
 // Model produces the global-model accuracy trajectory of one edge-learning
@@ -211,6 +213,30 @@ func PresetNames() []string {
 	}
 	sort.Strings(names)
 	return names
+}
+
+// Task returns the synthetic dataset and classifier-MLP width a preset's
+// real FedAvg training runs on, with samples examples. The noise levels
+// are raised relative to the surrogate presets so the measured accuracy
+// climbs gradually over tens of rounds instead of saturating immediately;
+// see DESIGN.md. The Table I preset is a fitted curve with no task.
+func Task(p Preset, samples int) (spec dataset.SynthSpec, hidden int, err error) {
+	switch p {
+	case PresetMNIST:
+		spec = dataset.SynthMNIST(samples)
+		spec.Noise, spec.Overlap, spec.Jitter = 0.9, 0.2, 2
+		return spec, 32, nil
+	case PresetFashion:
+		spec = dataset.SynthFashion(samples)
+		spec.Noise, spec.Overlap = 1.2, 0.35
+		return spec, 32, nil
+	case PresetCIFAR:
+		spec = dataset.SynthCIFAR(samples)
+		spec.Noise, spec.Overlap = 1.5, 0.55
+		return spec, 48, nil
+	default:
+		return dataset.SynthSpec{}, 0, fmt.Errorf("accuracy: preset %v has no real-training task", p)
+	}
 }
 
 // NewPresetCurve returns the calibrated surrogate for a dataset preset and

@@ -158,6 +158,31 @@ func TestPresets(t *testing.T) {
 	}
 }
 
+// TestTask checks the calibrated real-training tasks: each dataset preset
+// keeps its own synthetic task at the requested size, noisier from MNIST to
+// CIFAR-10, and the Table I preset (a fitted curve) has none.
+func TestTask(t *testing.T) {
+	var prevNoise float64
+	for _, p := range []Preset{PresetMNIST, PresetFashion, PresetCIFAR} {
+		spec, hidden, err := Task(p, 300)
+		if err != nil {
+			t.Fatalf("Task(%v): %v", p, err)
+		}
+		if spec.Samples != 300 || hidden <= 0 {
+			t.Fatalf("Task(%v) = %d samples, width %d", p, spec.Samples, hidden)
+		}
+		if spec.Noise <= prevNoise {
+			t.Fatalf("Task(%v) noise %v, want above %v", p, spec.Noise, prevNoise)
+		}
+		prevNoise = spec.Noise
+	}
+	for _, p := range []Preset{PresetMNISTLarge, 0} {
+		if _, _, err := Task(p, 300); err == nil {
+			t.Fatalf("Task(%v) accepted a preset with no task", p)
+		}
+	}
+}
+
 func TestPresetDifficultyOrdering(t *testing.T) {
 	// After the same number of full-participation rounds, MNIST should be
 	// most accurate and CIFAR least, matching the real datasets.

@@ -156,20 +156,22 @@ func TestFleetColumns(t *testing.T) {
 }
 
 // TestFleetColumnBytes pins the fleet's resident column bytes per node:
-// every column, parameter or derived, is one 8-byte word per node, 13 in
-// all. A new column changes the per-node cost of a 100k-node fleet and
-// must update this pin deliberately.
+// every column, parameter or derived, is a view onto one 8-byte float64
+// word per node of the fleet's slab, 13 in all. It counts slab words, not
+// element sizes, because the []int columns' 4-byte elements on 32-bit
+// platforms still occupy whole words. A new column changes the per-node
+// cost of a 100k-node fleet and must update this pin deliberately.
 func TestFleetColumnBytes(t *testing.T) {
 	fleet := FromNodes([]*Node{testNode(), testNode()})
 	v := reflect.ValueOf(fleet).Elem()
-	var bytes int
+	var words int
 	for i := 0; i < v.NumField(); i++ {
 		if col := v.Field(i); col.Kind() == reflect.Slice {
-			bytes += col.Cap() * int(col.Type().Elem().Size())
+			words += col.Cap()
 		}
 	}
-	if perNode := bytes / fleet.Len(); perNode != 13*8 {
-		t.Fatalf("per-node footprint %d bytes, want %d", perNode, 13*8)
+	if perNode := words / fleet.Len(); perNode != 13 {
+		t.Fatalf("per-node footprint %d slab words (%d bytes), want 13 (104 bytes)", perNode, 8*perNode)
 	}
 }
 

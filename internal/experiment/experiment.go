@@ -3,9 +3,10 @@
 // the paper's constants, comparison sweeps across budgets for the three
 // mechanisms, convergence (learning-curve) runs, and text/CSV emitters.
 //
-// Each experiment is registered under the paper artifact it reproduces
-// (fig3 … fig7, tab1) and accepts a Scale factor so tests and benchmarks
-// can run reduced versions of the same code path.
+// One table registers every experiment under the paper artifact it
+// reproduces (fig3 … fig7, tab1) or the ablation study it runs (abl-*),
+// and RunJobs dispatches any of them at a Scale factor so tests and
+// benchmarks can run reduced versions of the same code path.
 package experiment
 
 import (
@@ -18,6 +19,7 @@ import (
 	"chiron/internal/device"
 	"chiron/internal/edgeenv"
 	"chiron/internal/mechanism"
+	"chiron/internal/rl"
 )
 
 // Setup describes one experiment environment: a dataset preset, fleet size,
@@ -40,20 +42,21 @@ type Setup struct {
 	TimeWeight float64
 }
 
-// BuildEnv constructs the edge-learning environment for a setup, using the
-// paper's Sec. VI-A device constants.
-func BuildEnv(s Setup) (*edgeenv.Env, error) {
+// config assembles the environment configuration of a setup with the
+// paper's Sec. VI-A device constants — the one construction BuildEnv and
+// EvalFrozen share.
+func (s Setup) config() (edgeenv.Config, error) {
 	if s.Nodes <= 0 {
-		return nil, fmt.Errorf("experiment: nodes %d, want > 0", s.Nodes)
+		return edgeenv.Config{}, fmt.Errorf("experiment: nodes %d, want > 0", s.Nodes)
 	}
 	rng := rand.New(rand.NewSource(s.Seed))
 	fleet, err := device.NewFleetBatch(rng, device.DefaultFleetSpec(s.Nodes))
 	if err != nil {
-		return nil, fmt.Errorf("experiment: fleet: %w", err)
+		return edgeenv.Config{}, fmt.Errorf("experiment: fleet: %w", err)
 	}
 	acc, err := accuracy.NewPresetCurve(rand.New(rand.NewSource(s.Seed+1)), s.Preset, s.Nodes)
 	if err != nil {
-		return nil, fmt.Errorf("experiment: accuracy: %w", err)
+		return edgeenv.Config{}, fmt.Errorf("experiment: accuracy: %w", err)
 	}
 	cfg := edgeenv.DefaultConfig(fleet, acc, s.Budget)
 	if s.Lambda > 0 {
@@ -62,11 +65,51 @@ func BuildEnv(s Setup) (*edgeenv.Env, error) {
 	if s.TimeWeight > 0 {
 		cfg.TimeWeight = s.TimeWeight
 	}
+	return cfg, nil
+}
+
+// BuildEnv constructs the edge-learning environment for a setup, using the
+// paper's Sec. VI-A device constants.
+func BuildEnv(s Setup) (*edgeenv.Env, error) {
+	cfg, err := s.config()
+	if err != nil {
+		return nil, err
+	}
 	env, err := edgeenv.New(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: env: %w", err)
 	}
 	return env, nil
+}
+
+// EvalFrozen is the frozen-policy evaluator: it builds the setup's
+// environment, lets perturb (nil = none) add a study's disturbance to its
+// config, restores ck into a fresh Chiron agent on it and averages
+// episodes deterministic evaluation episodes. It returns the environment
+// too, whose ledger still holds the last evaluation episode.
+func EvalFrozen(ck *rl.Checkpoint, s Setup, episodes int, perturb func(*edgeenv.Config) error) (mechanism.EpisodeResult, *edgeenv.Env, error) {
+	cfg, err := s.config()
+	if err != nil {
+		return mechanism.EpisodeResult{}, nil, err
+	}
+	if perturb != nil {
+		if err := perturb(&cfg); err != nil {
+			return mechanism.EpisodeResult{}, nil, err
+		}
+	}
+	env, err := edgeenv.New(cfg)
+	if err != nil {
+		return mechanism.EpisodeResult{}, nil, fmt.Errorf("experiment: env: %w", err)
+	}
+	agent, err := core.New(env, TunedChironConfig(s.Seed))
+	if err != nil {
+		return mechanism.EpisodeResult{}, nil, err
+	}
+	if err := agent.Restore(ck); err != nil {
+		return mechanism.EpisodeResult{}, nil, err
+	}
+	res, err := mechanism.Evaluate(agent, episodes)
+	return res, env, err
 }
 
 // TunedChironConfig returns the Chiron hyperparameters used throughout the

@@ -176,16 +176,18 @@ func TestArtifactRegistry(t *testing.T) {
 		if strings.Contains(desc, "unknown") {
 			t.Fatalf("artifact %s has no description", a)
 		}
-		if IsComparison(a) {
-			if _, err := ComparisonDefaults(a); err != nil {
-				t.Fatalf("ComparisonDefaults(%s): %v", a, err)
+		// Every paper artifact is exactly one of a budget sweep
+		// (fig4, fig5, fig6, tab1) and a learning curve (fig3, fig7a, fig7b).
+		_, cmpErr := ComparisonDefaults(a)
+		_, convErr := ConvergenceDefaults(a)
+		switch a {
+		case Fig4, Fig5, Fig6, Tab1:
+			if cmpErr != nil || convErr == nil {
+				t.Fatalf("%s: comparison defaults %v, convergence defaults %v; want only comparison", a, cmpErr, convErr)
 			}
-			if _, err := ConvergenceDefaults(a); err == nil {
-				t.Fatalf("%s should not have convergence defaults", a)
-			}
-		} else {
-			if _, err := ConvergenceDefaults(a); err != nil {
-				t.Fatalf("ConvergenceDefaults(%s): %v", a, err)
+		default:
+			if convErr != nil || cmpErr == nil {
+				t.Fatalf("%s: convergence defaults %v, comparison defaults %v; want only convergence", a, convErr, cmpErr)
 			}
 		}
 	}
@@ -225,11 +227,14 @@ func TestDefaultsMatchPaperSettings(t *testing.T) {
 }
 
 func TestRunRejectsBadScale(t *testing.T) {
-	if _, err := Run(Fig3, 0); err == nil {
+	if _, _, err := RunJobs(Fig3, 0, 1); err == nil {
 		t.Fatal("accepted scale 0")
 	}
-	if _, err := Run(Fig3, 1.5); err == nil {
+	if _, _, err := RunJobs(Fig3, 1.5, 1); err == nil {
 		t.Fatal("accepted scale > 1")
+	}
+	if _, _, err := RunJobs(Artifact("nope"), 0.5, 1); err == nil {
+		t.Fatal("accepted unknown artifact")
 	}
 }
 

@@ -17,73 +17,6 @@ import (
 	"chiron/internal/rl"
 )
 
-// Extra ablation studies beyond the paper's artifacts, runnable through
-// the same CLI. Each probes one design choice documented in DESIGN.md.
-const (
-	AblLambda Artifact = "abl-lambda" // preference coefficient λ sweep
-	AblReward Artifact = "abl-reward" // Eqn. 9 vs literal Eqn. 14 time weighting
-	AblRobust Artifact = "abl-robust" // frozen policy under bandwidth jitter / node churn
-	AblNonIID Artifact = "abl-noniid" // real FedAvg training, IID vs Dirichlet splits
-	AblFaults Artifact = "abl-faults" // frozen policy under escalating injected faults
-)
-
-// ExtraArtifacts lists the ablation studies.
-func ExtraArtifacts() []Artifact {
-	return []Artifact{AblLambda, AblReward, AblRobust, AblNonIID, AblFaults}
-}
-
-// IsExtra reports whether the artifact is an ablation study rather than a
-// paper figure/table.
-func IsExtra(a Artifact) bool {
-	switch a {
-	case AblLambda, AblReward, AblRobust, AblNonIID, AblFaults:
-		return true
-	default:
-		return false
-	}
-}
-
-// DescribeExtra returns a one-line description of an ablation artifact.
-func DescribeExtra(a Artifact) string {
-	switch a {
-	case AblLambda:
-		return "Ablation: preference coefficient λ sweep (accuracy-vs-time trade-off)"
-	case AblReward:
-		return "Ablation: Eqn. 9-consistent vs literal Eqn. 14 exterior reward"
-	case AblRobust:
-		return "Ablation: trained policy under bandwidth jitter and node churn"
-	case AblNonIID:
-		return "Ablation: real FedAvg training under IID vs Dirichlet non-IID splits"
-	case AblFaults:
-		return "Ablation: trained policy under escalating crash/straggler/drop/corruption faults"
-	default:
-		return fmt.Sprintf("unknown ablation %q", a)
-	}
-}
-
-// RunExtraJobs executes an ablation study at the given scale and returns a
-// rendered report. jobs bounds the study's job plan (1 = serial, 0 =
-// GOMAXPROCS); reports are byte-identical at any setting.
-func RunExtraJobs(a Artifact, scale float64, jobs int) (string, error) {
-	if scale <= 0 || scale > 1 {
-		return "", fmt.Errorf("experiment: scale %v outside (0,1]", scale)
-	}
-	switch a {
-	case AblLambda:
-		return runLambdaAblation(scale, jobs)
-	case AblReward:
-		return runRewardAblation(scale, jobs)
-	case AblRobust:
-		return runRobustnessAblation(scale, jobs)
-	case AblNonIID:
-		return runNonIIDAblation(scale, jobs)
-	case AblFaults:
-		return runFaultSweep(scale, jobs)
-	default:
-		return "", fmt.Errorf("experiment: unknown ablation %q", a)
-	}
-}
-
 // chironEvalRow builds and trains a Chiron agent on env through the shared
 // mechanism.TrainAndEvaluate path and condenses its evaluation to one table
 // row.
@@ -151,7 +84,7 @@ func runLambdaAblation(scale float64, jobs int) (string, error) {
 			lambda, res.Accuracy, res.Rounds, 100*res.TimeEfficiency, res.Utility))
 	}
 	return renderRows(
-		DescribeExtra(AblLambda),
+		Describe(AblLambda),
 		fmt.Sprintf("%-8s %10s %8s %10s %12s", "lambda", "accuracy", "rounds", "time-eff", "utility"),
 		rows), nil
 }
@@ -192,73 +125,42 @@ func runRewardAblation(scale float64, jobs int) (string, error) {
 			tw.name, res.Accuracy, res.Rounds, 100*res.TimeEfficiency))
 	}
 	return renderRows(
-		DescribeExtra(AblReward),
+		Describe(AblReward),
 		fmt.Sprintf("%-20s %10s %8s %10s", "time weight", "accuracy", "rounds", "time-eff"),
 		rows), nil
 }
 
-// trainFrozenChiron trains a Chiron agent on the clean 5-node η=300 MNIST
-// environment and returns its checkpoint plus the (read-only) fleet the
-// frozen-policy studies re-create their perturbed environments around.
-func trainFrozenChiron(seed int64, scale float64) (*rl.Checkpoint, *device.Fleet, error) {
-	clean, err := BuildEnv(Setup{Preset: accuracy.PresetMNIST, Nodes: 5, Budget: 300, Seed: seed})
-	if err != nil {
-		return nil, nil, err
-	}
-	ch, err := core.New(clean, TunedChironConfig(seed))
-	if err != nil {
-		return nil, nil, err
-	}
-	if _, err := ch.Train(ScaleCount(500, scale), nil); err != nil {
-		return nil, nil, err
-	}
-	ck, err := ch.Checkpoint()
-	if err != nil {
-		return nil, nil, err
-	}
-	fleet, err := device.NewFleetBatch(rand.New(rand.NewSource(seed)), device.DefaultFleetSpec(5))
-	if err != nil {
-		return nil, nil, err
-	}
-	return ck, fleet, nil
+// frozenSetup is the clean 5-node η=300 MNIST environment the
+// frozen-policy studies train on and then perturb.
+func frozenSetup(seed int64) Setup {
+	return Setup{Preset: accuracy.PresetMNIST, Nodes: 5, Budget: 300, Seed: seed}
 }
 
-// evalFrozenChiron builds the clean 5-node η=300 MNIST environment around
-// fleet, lets perturb add a study's disturbance to its config, restores ck
-// into a fresh agent on it and averages three deterministic episodes — the
-// shared tail of the frozen-policy studies. It returns the environment too,
-// whose ledger still holds the last evaluation episode.
-func evalFrozenChiron(ck *rl.Checkpoint, fleet *device.Fleet, seed int64, perturb func(*edgeenv.Config) error) (mechanism.EpisodeResult, *edgeenv.Env, error) {
-	acc, err := accuracy.NewPresetCurve(rand.New(rand.NewSource(seed+1)), accuracy.PresetMNIST, 5)
+// trainFrozenChiron trains a Chiron agent on a setup's clean environment
+// and returns its checkpoint for EvalFrozen.
+func trainFrozenChiron(s Setup, scale float64) (*rl.Checkpoint, error) {
+	env, err := BuildEnv(s)
 	if err != nil {
-		return mechanism.EpisodeResult{}, nil, err
+		return nil, err
 	}
-	cfg := edgeenv.DefaultConfig(fleet, acc, 300)
-	if err := perturb(&cfg); err != nil {
-		return mechanism.EpisodeResult{}, nil, err
-	}
-	env, err := edgeenv.New(cfg)
+	ch, err := core.New(env, TunedChironConfig(s.Seed))
 	if err != nil {
-		return mechanism.EpisodeResult{}, nil, err
+		return nil, err
 	}
-	agent, err := core.New(env, TunedChironConfig(seed))
-	if err != nil {
-		return mechanism.EpisodeResult{}, nil, err
+	if _, err := ch.Train(ScaleCount(500, scale), nil); err != nil {
+		return nil, err
 	}
-	if err := agent.Restore(ck); err != nil {
-		return mechanism.EpisodeResult{}, nil, err
-	}
-	res, err := mechanism.Evaluate(agent, 3)
-	return res, env, err
+	return ch.Checkpoint()
 }
 
 // runRobustnessAblation trains once on the clean environment and evaluates
 // the frozen policy under increasing churn. One job per scenario, each
-// owning its environment, churn RNG and restored agent; the checkpoint and
-// fleet are shared read-only.
+// owning its environment, churn RNG and restored agent; the checkpoint is
+// shared read-only.
 func runRobustnessAblation(scale float64, jobs int) (string, error) {
 	const seed = 7
-	ck, fleet, err := trainFrozenChiron(seed, scale)
+	setup := frozenSetup(seed)
+	ck, err := trainFrozenChiron(setup, scale)
 	if err != nil {
 		return "", err
 	}
@@ -278,14 +180,7 @@ func runRobustnessAblation(scale float64, jobs int) (string, error) {
 		plan.Jobs = append(plan.Jobs, Job[mechanism.EpisodeResult]{
 			Label: fmt.Sprintf("Chiron %s seed=%d", sc.name, seed),
 			Run: func() (mechanism.EpisodeResult, error) {
-				res, _, err := evalFrozenChiron(ck, fleet, seed, func(cfg *edgeenv.Config) error {
-					cfg.CommJitter = sc.jitter
-					cfg.Availability = sc.availability
-					if sc.jitter > 0 || (sc.availability > 0 && sc.availability < 1) {
-						cfg.Rng = rand.New(rand.NewSource(seed + 2))
-					}
-					return nil
-				})
+				res, _, err := EvalFrozen(ck, setup, 3, SoftChurn(sc.jitter, sc.availability, seed+2))
 				return res, err
 			},
 		})
@@ -301,16 +196,51 @@ func runRobustnessAblation(scale float64, jobs int) (string, error) {
 			sc.name, res.FinalAccuracy, res.Rounds, 100*res.TimeEfficiency))
 	}
 	return renderRows(
-		DescribeExtra(AblRobust),
+		Describe(AblRobust),
 		fmt.Sprintf("%-26s %10s %8s %10s", "scenario", "accuracy", "rounds", "time-eff"),
 		rows), nil
 }
 
-// FleetDeadline returns the round deadline the fault experiments use: 20%
+// SoftChurn returns an EvalFrozen perturbation with relative bandwidth
+// jitter and a per-round node availability (0 = always present), both
+// drawn from a stream seeded at seed.
+func SoftChurn(jitter, availability float64, seed int64) func(*edgeenv.Config) error {
+	return func(cfg *edgeenv.Config) error {
+		cfg.CommJitter = jitter
+		cfg.Availability = availability
+		if jitter > 0 || (availability > 0 && availability < 1) {
+			cfg.Rng = rand.New(rand.NewSource(seed))
+		}
+		return nil
+	}
+}
+
+// InjectFaults returns an EvalFrozen perturbation that samples crash,
+// straggler, drop and corruption faults at rates from seed, under a
+// fleetDeadline round deadline with two upload retries. Zero rates leave
+// the config clean.
+func InjectFaults(rates faults.Rates, seed int64) func(*edgeenv.Config) error {
+	return func(cfg *edgeenv.Config) error {
+		if !rates.Any() {
+			return nil
+		}
+		sampler, err := faults.NewSampler(rates, seed)
+		if err != nil {
+			return err
+		}
+		cfg.Faults = sampler
+		cfg.RoundDeadline = fleetDeadline(cfg.Fleet)
+		cfg.MaxRetries = 2
+		cfg.RetryBackoff = 1
+		return nil
+	}
+}
+
+// fleetDeadline returns the round deadline the fault experiments use: 20%
 // above the slowest clean response the fleet can produce (minimum
 // frequency, nominal upload), so no healthy node is ever cut but crashed
 // nodes time out and ≥1.5× stragglers lose the round.
-func FleetDeadline(fleet *device.Fleet) float64 {
+func fleetDeadline(fleet *device.Fleet) float64 {
 	var worst float64
 	for i := 0; i < fleet.Len(); i++ {
 		if t := fleet.Workload(i)/fleet.FreqMin[i] + fleet.CommTime[i]; t > worst {
@@ -327,7 +257,8 @@ func FleetDeadline(fleet *device.Fleet) float64 {
 // per fault level; each counts its failures before it returns.
 func runFaultSweep(scale float64, jobs int) (string, error) {
 	const seed = 7
-	ck, fleet, err := trainFrozenChiron(seed, scale)
+	setup := frozenSetup(seed)
+	ck, err := trainFrozenChiron(setup, scale)
 	if err != nil {
 		return "", err
 	}
@@ -341,7 +272,6 @@ func runFaultSweep(scale float64, jobs int) (string, error) {
 		{"moderate (3x)", base.Scale(3)},
 		{"severe (6x)", base.Scale(6)},
 	}
-	deadline := FleetDeadline(fleet)
 	type faultRow struct {
 		res      mechanism.EpisodeResult
 		failures int
@@ -351,20 +281,7 @@ func runFaultSweep(scale float64, jobs int) (string, error) {
 		plan.Jobs = append(plan.Jobs, Job[faultRow]{
 			Label: fmt.Sprintf("Chiron %s seed=%d", lv.name, seed),
 			Run: func() (faultRow, error) {
-				res, env, err := evalFrozenChiron(ck, fleet, seed, func(cfg *edgeenv.Config) error {
-					if !lv.rates.Any() {
-						return nil
-					}
-					sampler, err := faults.NewSampler(lv.rates, seed+3)
-					if err != nil {
-						return err
-					}
-					cfg.Faults = sampler
-					cfg.RoundDeadline = deadline
-					cfg.MaxRetries = 2
-					cfg.RetryBackoff = 1
-					return nil
-				})
+				res, env, err := EvalFrozen(ck, setup, 3, InjectFaults(lv.rates, seed+3))
 				if err != nil {
 					return faultRow{}, err
 				}
@@ -389,7 +306,7 @@ func runFaultSweep(scale float64, jobs int) (string, error) {
 			lv.name, res.FinalAccuracy, res.Rounds, 100*res.TimeEfficiency, results[i].failures))
 	}
 	return renderRows(
-		DescribeExtra(AblFaults),
+		Describe(AblFaults),
 		fmt.Sprintf("%-16s %10s %8s %10s %10s", "fault level", "accuracy", "rounds", "time-eff", "failures*"),
 		rows) + "(*failures counted over the final evaluation episode)\n", nil
 }
@@ -409,10 +326,10 @@ func runNonIIDAblation(scale float64, jobs int) (string, error) {
 		{"dirichlet α=0.1", dataset.Dirichlet{Alpha: 0.1}},
 		{"shards (2/node)", dataset.Shards{ShardsPerNode: 2}},
 	}
-	spec := dataset.SynthMNIST(1500)
-	spec.Noise = 0.9
-	spec.Overlap = 0.2
-	spec.Jitter = 2
+	spec, hidden, err := accuracy.Task(accuracy.PresetMNIST, 1500)
+	if err != nil {
+		return "", err
+	}
 	plan := Plan[float64]{Name: "abl-noniid", Workers: jobs}
 	for _, sp := range splits {
 		plan.Jobs = append(plan.Jobs, Job[float64]{
@@ -422,7 +339,7 @@ func runNonIIDAblation(scale float64, jobs int) (string, error) {
 					Spec:        spec,
 					Partitioner: sp.part,
 					Factory: func(rng *rand.Rand) (*nn.Network, error) {
-						return nn.NewClassifierMLP(rng, spec.Dim(), 32, spec.Classes)
+						return nn.NewClassifierMLP(rng, spec.Dim(), hidden, spec.Classes)
 					},
 					Train:        fl.DefaultConfig(),
 					NumNodes:     5,
@@ -452,7 +369,7 @@ func runNonIIDAblation(scale float64, jobs int) (string, error) {
 		rows = append(rows, fmt.Sprintf("%-18s %10.3f", sp.name, results[i]))
 	}
 	return renderRows(
-		fmt.Sprintf("%s (%d real FedAvg rounds each)", DescribeExtra(AblNonIID), rounds),
+		fmt.Sprintf("%s (%d real FedAvg rounds each)", Describe(AblNonIID), rounds),
 		fmt.Sprintf("%-18s %10s", "split", "accuracy"),
 		rows), nil
 }

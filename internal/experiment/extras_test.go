@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -14,34 +15,46 @@ func TestExtraRegistry(t *testing.T) {
 		t.Fatalf("extras %d, want 5", len(extras))
 	}
 	for _, a := range extras {
-		if !IsExtra(a) {
-			t.Fatalf("%s not recognized as extra", a)
-		}
-		if strings.Contains(DescribeExtra(a), "unknown") {
+		if strings.Contains(Describe(a), "unknown") {
 			t.Fatalf("%s undescribed", a)
 		}
-	}
-	for _, a := range Artifacts() {
-		if IsExtra(a) {
-			t.Fatalf("paper artifact %s claimed as extra", a)
+		if slices.Contains(Artifacts(), a) {
+			t.Fatalf("ablation %s listed as a paper artifact", a)
+		}
+		if _, err := ComparisonDefaults(a); err == nil {
+			t.Fatalf("ablation %s has comparison defaults", a)
+		}
+		if _, err := ConvergenceDefaults(a); err == nil {
+			t.Fatalf("ablation %s has convergence defaults", a)
 		}
 	}
 }
 
+// runAblation runs an ablation study through RunJobs, which must return
+// its report and no CSV series.
+func runAblation(t *testing.T, a Artifact, scale float64, jobs int) string {
+	t.Helper()
+	report, csv, err := RunJobs(a, scale, jobs)
+	if err != nil {
+		t.Fatalf("RunJobs(%s): %v", a, err)
+	}
+	if csv != nil {
+		t.Fatalf("RunJobs(%s) returned a CSV series for an ablation", a)
+	}
+	return report
+}
+
 func TestRunExtraRejectsBadInput(t *testing.T) {
-	if _, err := RunExtraJobs(AblLambda, 0, 1); err == nil {
+	if _, _, err := RunJobs(AblLambda, 0, 1); err == nil {
 		t.Fatal("accepted scale 0")
 	}
-	if _, err := RunExtraJobs(Artifact("abl-nope"), 0.5, 1); err == nil {
+	if _, _, err := RunJobs(Artifact("abl-nope"), 0.5, 1); err == nil {
 		t.Fatal("accepted unknown ablation")
 	}
 }
 
 func TestRunExtraLambdaTiny(t *testing.T) {
-	report, err := RunExtraJobs(AblLambda, 0.002, 1) // 1 episode per λ
-	if err != nil {
-		t.Fatalf("RunExtraJobs: %v", err)
-	}
+	report := runAblation(t, AblLambda, 0.002, 1) // 1 episode per λ
 	for _, want := range []string{"lambda", "500", "2000", "8000"} {
 		if !strings.Contains(report, want) {
 			t.Fatalf("report missing %q:\n%s", want, report)
@@ -50,20 +63,14 @@ func TestRunExtraLambdaTiny(t *testing.T) {
 }
 
 func TestRunExtraRewardTiny(t *testing.T) {
-	report, err := RunExtraJobs(AblReward, 0.002, 1)
-	if err != nil {
-		t.Fatalf("RunExtraJobs: %v", err)
-	}
+	report := runAblation(t, AblReward, 0.002, 1)
 	if !strings.Contains(report, "eqn14") {
 		t.Fatalf("report missing eqn14 row:\n%s", report)
 	}
 }
 
 func TestRunExtraRobustTiny(t *testing.T) {
-	report, err := RunExtraJobs(AblRobust, 0.002, 1)
-	if err != nil {
-		t.Fatalf("RunExtraJobs: %v", err)
-	}
+	report := runAblation(t, AblRobust, 0.002, 1)
 	for _, want := range []string{"clean", "jitter", "availability"} {
 		if !strings.Contains(report, want) {
 			t.Fatalf("report missing %q:\n%s", want, report)
@@ -75,10 +82,7 @@ func TestRunExtraNonIIDTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real training skipped in -short mode")
 	}
-	report, err := RunExtraJobs(AblNonIID, 0.04, 1) // 1 round per split
-	if err != nil {
-		t.Fatalf("RunExtraJobs: %v", err)
-	}
+	report := runAblation(t, AblNonIID, 0.04, 1) // 1 round per split
 	for _, want := range []string{"iid", "dirichlet", "shards"} {
 		if !strings.Contains(report, want) {
 			t.Fatalf("report missing %q:\n%s", want, report)
@@ -87,10 +91,7 @@ func TestRunExtraNonIIDTiny(t *testing.T) {
 }
 
 func TestRunExtraFaultSweepTiny(t *testing.T) {
-	report, err := RunExtraJobs(AblFaults, 0.002, 1)
-	if err != nil {
-		t.Fatalf("RunExtraJobs: %v", err)
-	}
+	report := runAblation(t, AblFaults, 0.002, 1)
 	for _, want := range []string{"clean", "light", "moderate", "severe", "failures"} {
 		if !strings.Contains(report, want) {
 			t.Fatalf("report missing %q:\n%s", want, report)
@@ -99,12 +100,9 @@ func TestRunExtraFaultSweepTiny(t *testing.T) {
 }
 
 func TestRunDispatchesExtras(t *testing.T) {
-	report, err := Run(AblLambda, 0.002)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if !strings.Contains(report, "lambda") {
-		t.Fatalf("Run did not dispatch to the ablation:\n%s", report)
+	report := runAblation(t, AblLambda, 0.002, 1)
+	if !strings.HasPrefix(report, Describe(AblLambda)) || !strings.Contains(report, "lambda") {
+		t.Fatalf("RunJobs did not dispatch to the ablation:\n%s", report)
 	}
 }
 
@@ -128,11 +126,7 @@ func TestFrozenPolicyReportsMatchGoldens(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := RunExtraJobs(tc.artifact, 0.002, tc.jobs)
-			if err != nil {
-				t.Fatalf("RunExtraJobs: %v", err)
-			}
-			if got != string(want) {
+			if got := runAblation(t, tc.artifact, 0.002, tc.jobs); got != string(want) {
 				t.Fatalf("report differs from golden:\ngot:\n%s\nwant:\n%s", got, want)
 			}
 		})

@@ -25,7 +25,7 @@ type Job[T any] struct {
 // a job runs, never *what* it computes or *where* its result lands — the
 // same contract mat.SetWorkers establishes for the compute kernels.
 type Plan[T any] struct {
-	// Name prefixes job errors ("comparison", "convergence", ...).
+	// Name prefixes job errors ("comparison", "abl-robust", ...).
 	Name string
 	// Jobs is the grid in its canonical (serial) order.
 	Jobs []Job[T]

@@ -1,13 +1,15 @@
 package experiment
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 
 	"chiron/internal/accuracy"
 )
 
-// Artifact identifies one table or figure of the paper's evaluation.
+// Artifact identifies one table or figure of the paper's evaluation, or
+// one of the ablation studies shipped beside them.
 type Artifact string
 
 // The reproduced artifacts.
@@ -21,30 +23,140 @@ const (
 	Tab1  Artifact = "tab1"  // Chiron at 100 nodes across budgets
 )
 
-// Artifacts lists every reproduced artifact in paper order.
-func Artifacts() []Artifact {
-	return []Artifact{Fig3, Fig4, Fig5, Fig6, Fig7a, Fig7b, Tab1}
+// Ablation studies beyond the paper's artifacts, each probing one design
+// choice documented in DESIGN.md.
+const (
+	AblLambda Artifact = "abl-lambda" // preference coefficient λ sweep
+	AblReward Artifact = "abl-reward" // Eqn. 9 vs literal Eqn. 14 time weighting
+	AblRobust Artifact = "abl-robust" // frozen policy under bandwidth jitter / node churn
+	AblNonIID Artifact = "abl-noniid" // real FedAvg training, IID vs Dirichlet splits
+	AblFaults Artifact = "abl-faults" // frozen policy under escalating injected faults
+)
+
+// runner executes an artifact at a scale with a worker bound and returns
+// its rendered report and its CSV series (nil for ablations).
+type runner func(a Artifact, scale float64, jobs int) (report string, csv []byte, err error)
+
+// entry is one row of the artifact table.
+type entry struct {
+	id   Artifact
+	desc string
+	run  runner
+}
+
+// paperArtifacts counts the table's leading rows that reproduce the
+// paper's own evaluation; the ablation studies follow them.
+const paperArtifacts = 7
+
+// table lists every artifact: the paper's, in paper order, then the
+// ablation studies. It is a function rather than a variable because the
+// runners render their titles through Describe, which reads it.
+func table() []entry {
+	return []entry{
+		{Fig3, "Fig. 3: Chiron episode-reward convergence (MNIST, 5 nodes, η=300)", convergenceArtifact},
+		{Fig4, "Fig. 4: accuracy / rounds / time efficiency vs budget (MNIST, 5 nodes)", comparisonArtifact},
+		{Fig5, "Fig. 5: accuracy / rounds / time efficiency vs budget (Fashion-MNIST, 5 nodes)", comparisonArtifact},
+		{Fig6, "Fig. 6: accuracy / rounds / time efficiency vs budget (CIFAR-10, 5 nodes)", comparisonArtifact},
+		{Fig7a, "Fig. 7(a): Chiron exterior-agent convergence (MNIST, 100 nodes, η=300)", convergenceArtifact},
+		{Fig7b, "Fig. 7(b): DRL-based convergence failure (MNIST, 100 nodes, η=300)", convergenceArtifact},
+		{Tab1, "Table I: Chiron under MNIST with 100 edge nodes across budgets", comparisonArtifact},
+		{AblLambda, "Ablation: preference coefficient λ sweep (accuracy-vs-time trade-off)", ablation(runLambdaAblation)},
+		{AblReward, "Ablation: Eqn. 9-consistent vs literal Eqn. 14 exterior reward", ablation(runRewardAblation)},
+		{AblRobust, "Ablation: trained policy under bandwidth jitter and node churn", ablation(runRobustnessAblation)},
+		{AblNonIID, "Ablation: real FedAvg training under IID vs Dirichlet non-IID splits", ablation(runNonIIDAblation)},
+		{AblFaults, "Ablation: trained policy under escalating crash/straggler/drop/corruption faults", ablation(runFaultSweep)},
+	}
+}
+
+func ids(entries []entry) []Artifact {
+	out := make([]Artifact, len(entries))
+	for i, e := range entries {
+		out[i] = e.id
+	}
+	return out
+}
+
+// Artifacts lists every reproduced paper artifact in paper order.
+func Artifacts() []Artifact { return ids(table()[:paperArtifacts]) }
+
+// ExtraArtifacts lists the ablation studies.
+func ExtraArtifacts() []Artifact { return ids(table()[paperArtifacts:]) }
+
+func lookup(a Artifact) (entry, bool) {
+	for _, e := range table() {
+		if e.id == a {
+			return e, true
+		}
+	}
+	return entry{}, false
 }
 
 // Describe returns a one-line description of an artifact.
 func Describe(a Artifact) string {
-	switch a {
-	case Fig3:
-		return "Fig. 3: Chiron episode-reward convergence (MNIST, 5 nodes, η=300)"
-	case Fig4:
-		return "Fig. 4: accuracy / rounds / time efficiency vs budget (MNIST, 5 nodes)"
-	case Fig5:
-		return "Fig. 5: accuracy / rounds / time efficiency vs budget (Fashion-MNIST, 5 nodes)"
-	case Fig6:
-		return "Fig. 6: accuracy / rounds / time efficiency vs budget (CIFAR-10, 5 nodes)"
-	case Fig7a:
-		return "Fig. 7(a): Chiron exterior-agent convergence (MNIST, 100 nodes, η=300)"
-	case Fig7b:
-		return "Fig. 7(b): DRL-based convergence failure (MNIST, 100 nodes, η=300)"
-	case Tab1:
-		return "Table I: Chiron under MNIST with 100 edge nodes across budgets"
-	default:
-		return fmt.Sprintf("unknown artifact %q", a)
+	if e, ok := lookup(a); ok {
+		return e.desc
+	}
+	return fmt.Sprintf("unknown artifact %q", a)
+}
+
+// RunJobs executes an artifact at the given scale (1.0 = full paper scale)
+// with a worker bound for its job plan (1 = serial, 0 = GOMAXPROCS). It
+// returns the rendered text report and the CSV series for external
+// plotting, nil for ablation studies. Both are byte-identical at any
+// worker count.
+func RunJobs(a Artifact, scale float64, jobs int) (report string, csv []byte, err error) {
+	if scale <= 0 || scale > 1 {
+		return "", nil, fmt.Errorf("experiment: scale %v outside (0,1]", scale)
+	}
+	e, ok := lookup(a)
+	if !ok {
+		return "", nil, fmt.Errorf("experiment: unknown artifact %q", a)
+	}
+	return e.run(a, scale, jobs)
+}
+
+// comparisonArtifact runs a budget-sweep artifact from its defaults.
+func comparisonArtifact(a Artifact, scale float64, jobs int) (string, []byte, error) {
+	params, err := ComparisonDefaults(a)
+	if err != nil {
+		return "", nil, err
+	}
+	params.Jobs = jobs
+	cmp, err := RunComparison(params.Scale(scale))
+	if err != nil {
+		return "", nil, err
+	}
+	var csv bytes.Buffer
+	if err := WriteComparisonCSV(&csv, cmp); err != nil {
+		return "", nil, err
+	}
+	return RenderComparison(a, cmp), csv.Bytes(), nil
+}
+
+// convergenceArtifact runs a learning-curve artifact from its defaults. A
+// curve is one sequential training run, so jobs does not apply.
+func convergenceArtifact(a Artifact, scale float64, _ int) (string, []byte, error) {
+	params, err := ConvergenceDefaults(a)
+	if err != nil {
+		return "", nil, err
+	}
+	conv, err := RunConvergence(params.Scale(scale))
+	if err != nil {
+		return "", nil, err
+	}
+	var csv bytes.Buffer
+	if err := WriteConvergenceCSV(&csv, conv); err != nil {
+		return "", nil, err
+	}
+	return RenderConvergence(a, conv), csv.Bytes(), nil
+}
+
+// ablation adapts an ablation study, which renders only a report, to a
+// runner.
+func ablation(run func(scale float64, jobs int) (string, error)) runner {
+	return func(_ Artifact, scale float64, jobs int) (string, []byte, error) {
+		report, err := run(scale, jobs)
+		return report, nil, err
 	}
 }
 
@@ -108,57 +220,6 @@ func ConvergenceDefaults(a Artifact) (ConvergenceParams, error) {
 	default:
 		return ConvergenceParams{}, fmt.Errorf("experiment: %q is not a convergence artifact", a)
 	}
-}
-
-// IsComparison reports whether the artifact is a budget-sweep comparison.
-func IsComparison(a Artifact) bool {
-	switch a {
-	case Fig4, Fig5, Fig6, Tab1:
-		return true
-	default:
-		return false
-	}
-}
-
-// Run executes an artifact serially at the given scale (1.0 = full paper
-// scale) and returns a rendered text report.
-func Run(a Artifact, scale float64) (string, error) {
-	return RunJobs(a, scale, 1)
-}
-
-// RunJobs is Run with a worker bound for the artifact's job plan (1 =
-// serial, 0 = GOMAXPROCS). It is the single entry point used by the CLI
-// and the benchmark harness; it also resolves ablation artifacts. Reports
-// are byte-identical at any worker count.
-func RunJobs(a Artifact, scale float64, jobs int) (string, error) {
-	if scale <= 0 || scale > 1 {
-		return "", fmt.Errorf("experiment: scale %v outside (0,1]", scale)
-	}
-	if IsExtra(a) {
-		return RunExtraJobs(a, scale, jobs)
-	}
-	if IsComparison(a) {
-		params, err := ComparisonDefaults(a)
-		if err != nil {
-			return "", err
-		}
-		params.Jobs = jobs
-		cmp, err := RunComparison(params.Scale(scale))
-		if err != nil {
-			return "", err
-		}
-		return RenderComparison(a, cmp), nil
-	}
-	params, err := ConvergenceDefaults(a)
-	if err != nil {
-		return "", err
-	}
-	params.Jobs = jobs
-	conv, err := RunConvergence(params.Scale(scale))
-	if err != nil {
-		return "", err
-	}
-	return RenderConvergence(a, conv), nil
 }
 
 // sortedNames returns the mechanism names of a point in deterministic

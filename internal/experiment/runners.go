@@ -154,10 +154,6 @@ type ConvergenceParams struct {
 	// TimeWeight overrides the environment's exterior time weighting
 	// (0 = calibrated default).
 	TimeWeight float64
-	// Jobs bounds concurrent plan jobs (1 = serial, 0 = GOMAXPROCS). A
-	// single convergence run is one job, so this only matters when the run
-	// is embedded in a larger plan.
-	Jobs int
 }
 
 // Validate reports whether the parameters are usable.
@@ -192,37 +188,27 @@ type Convergence struct {
 }
 
 // RunConvergence trains the mechanism and records its per-episode results.
-// The run is a one-job plan so it shares the scheduler's error-attribution
-// path with the sweeps.
 func RunConvergence(p ConvergenceParams) (*Convergence, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	job := Job[[]mechanism.EpisodeResult]{
-		Label: fmt.Sprintf("%s η=%v seed=%d", p.Mechanism, p.Budget, p.Seed),
-		Run: func() ([]mechanism.EpisodeResult, error) {
-			env, err := BuildEnv(Setup{Preset: p.Preset, Nodes: p.Nodes, Budget: p.Budget, Seed: p.Seed, TimeWeight: p.TimeWeight})
-			if err != nil {
-				return nil, err
-			}
-			m, err := BuildMechanism(p.Mechanism, env, p.Seed)
-			if err != nil {
-				return nil, err
-			}
-			t, ok := m.(mechanism.Trainable)
-			if !ok {
-				return nil, fmt.Errorf("mechanism %s is not trainable", m.Name())
-			}
-			return t.Train(p.Episodes, nil)
-		},
-	}
-	curves, err := Plan[[]mechanism.EpisodeResult]{Name: "convergence", Jobs: []Job[[]mechanism.EpisodeResult]{job}, Workers: p.Jobs}.Execute()
+	env, err := BuildEnv(Setup{Preset: p.Preset, Nodes: p.Nodes, Budget: p.Budget, Seed: p.Seed, TimeWeight: p.TimeWeight})
 	if err != nil {
 		return nil, err
 	}
-	out := &Convergence{Params: p, Episodes: curves[0]}
-	out.SmoothedReward = smooth(extReturns(curves[0]), p.Window)
-	return out, nil
+	m, err := BuildMechanism(p.Mechanism, env, p.Seed)
+	if err != nil {
+		return nil, err
+	}
+	t, ok := m.(mechanism.Trainable)
+	if !ok {
+		return nil, fmt.Errorf("experiment: mechanism %s is not trainable", m.Name())
+	}
+	episodes, err := t.Train(p.Episodes, nil)
+	if err != nil {
+		return nil, fmt.Errorf("experiment: convergence %s η=%v seed=%d: %w", p.Mechanism, p.Budget, p.Seed, err)
+	}
+	return &Convergence{Params: p, Episodes: episodes, SmoothedReward: smooth(extReturns(episodes), p.Window)}, nil
 }
 
 func extReturns(results []mechanism.EpisodeResult) []float64 {

@@ -20,8 +20,8 @@ var ErrBusy = errors.New("session: pool at capacity")
 //
 // A session reserves its admission slot at New (Admit), trades it for a
 // worker slot when its run goroutine reaches the front (acquire), and
-// frees both on terminal transition. A queued session that is stopped
-// abandons the line without ever holding a worker.
+// frees both just before its terminal transition. A queued session that
+// is stopped abandons the line without ever holding a worker.
 type Pool struct {
 	mu       sync.Mutex
 	admitted int

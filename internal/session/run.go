@@ -11,15 +11,17 @@ import (
 // run executes the session's mode on its own goroutine: acquire a worker
 // slot (queued sessions wait here), drive the episodes through the gate,
 // and map the outcome onto a terminal state. spec is the latched spec —
-// the config's spec plus any registry-derived churn script.
+// the config's spec plus any registry-derived churn script. The pool slots
+// are freed before the terminal transition, so a caller woken by Wait can
+// be admitted at once.
 func (s *Session) run(spec *scenario.Spec) {
-	if p := s.cfg.Pool; p != nil {
+	p := s.cfg.Pool
+	if p != nil {
 		if err := p.acquire(s.stopCh); err != nil {
 			p.forfeit()
 			s.finish(err)
 			return
 		}
-		defer p.releaseWorker()
 	}
 	s.mu.Lock()
 	// A pause or stop issued while queued stays in force; only an
@@ -44,6 +46,9 @@ func (s *Session) run(spec *scenario.Spec) {
 		// finished run until Resume or Stop, so a paused session never
 		// finishes on its own; a late Stop leaves the completed run done.
 		_ = s.gate()
+	}
+	if p != nil {
+		p.releaseWorker()
 	}
 	s.finish(err)
 }

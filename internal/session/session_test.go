@@ -611,3 +611,29 @@ func TestPoolAdmissionAndBackpressure(t *testing.T) {
 		t.Fatalf("over-admit error %v, want ErrBusy", err)
 	}
 }
+
+// TestPoolSlotFreeOnceWaitReturns pins that a session frees its pool slots
+// before its terminal transition: on a 1-worker, 0-queue pool, a New right
+// after the previous session's Wait must be admitted, every time.
+func TestPoolSlotFreeOnceWaitReturns(t *testing.T) {
+	pool, err := NewPool(1, 0, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		s, err := New(Config{Pool: pool, Train: &TrainConfig{
+			Factory:   stepFactory(0, nil),
+			Episodes:  1,
+			Supervise: supervise.Config{Dir: t.TempDir(), Every: 1},
+		}})
+		if err != nil {
+			t.Fatalf("session %d: New: %v", i, err)
+		}
+		if err := s.Start(); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Wait(); got != StateDone {
+			t.Fatalf("session %d: state %s (err %v)", i, got, s.Err())
+		}
+	}
+}

@@ -6,7 +6,6 @@ import (
 
 	"chiron/internal/accuracy"
 	"chiron/internal/core"
-	"chiron/internal/dataset"
 	"chiron/internal/device"
 	"chiron/internal/edgeenv"
 	"chiron/internal/experiment"
@@ -136,8 +135,17 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 // buildAccuracyModel selects between the surrogate curve and real FedAvg
 // training for the configured dataset.
 func buildAccuracyModel(cfg SystemConfig, nodes int) (accuracy.Model, error) {
+	preset, err := presetFor(cfg.Dataset)
+	if err != nil {
+		return nil, err
+	}
 	if cfg.RealTraining {
-		spec, hidden := realTrainingTask(cfg.Dataset)
+		// 1200 samples per episode keep a 500-episode DRL sweep tractable
+		// on CPU.
+		spec, hidden, err := accuracy.Task(preset, 1200)
+		if err != nil {
+			return nil, err
+		}
 		factory := func(rng *rand.Rand) (*nn.Network, error) {
 			return nn.NewClassifierMLP(rng, spec.Dim(), hidden, spec.Classes)
 		}
@@ -150,49 +158,17 @@ func buildAccuracyModel(cfg SystemConfig, nodes int) (accuracy.Model, error) {
 			Seed:         cfg.Seed,
 		})
 	}
-	preset, err := presetFor(cfg.Dataset, nodes)
-	if err != nil {
-		return nil, err
+	// The 100-node MNIST surrogate is fit to the paper's Table I.
+	if preset == accuracy.PresetMNIST && nodes >= 50 {
+		preset = accuracy.PresetMNISTLarge
 	}
 	return accuracy.NewPresetCurve(rand.New(rand.NewSource(cfg.Seed+1)), preset, nodes)
 }
 
-// realTrainingTask returns the synthetic dataset spec and MLP width used
-// when RealTraining is enabled. Sample counts are sized so a 500-episode
-// DRL sweep stays tractable on CPU, and the noise levels are raised
-// relative to the surrogate presets so the measured accuracy climbs
-// gradually over tens of rounds instead of saturating immediately; see
-// DESIGN.md.
-func realTrainingTask(d Dataset) (dataset.SynthSpec, int) {
-	const samplesPerEpisode = 1200
-	switch d {
-	case DatasetFashionMNIST:
-		spec := dataset.SynthFashion(samplesPerEpisode)
-		spec.Noise = 1.2
-		spec.Overlap = 0.35
-		return spec, 32
-	case DatasetCIFAR10:
-		spec := dataset.SynthCIFAR(samplesPerEpisode)
-		spec.Noise = 1.5
-		spec.Overlap = 0.55
-		return spec, 48
-	default:
-		spec := dataset.SynthMNIST(samplesPerEpisode)
-		spec.Noise = 0.9
-		spec.Overlap = 0.2
-		spec.Jitter = 2
-		return spec, 32
-	}
-}
-
-// presetFor maps a dataset and fleet size to the calibrated surrogate
-// preset (the 100-node MNIST preset is fit to the paper's Table I).
-func presetFor(d Dataset, nodes int) (accuracy.Preset, error) {
+// presetFor maps a dataset to its calibrated accuracy preset.
+func presetFor(d Dataset) (accuracy.Preset, error) {
 	switch d {
 	case DatasetMNIST:
-		if nodes >= 50 {
-			return accuracy.PresetMNISTLarge, nil
-		}
 		return accuracy.PresetMNIST, nil
 	case DatasetFashionMNIST:
 		return accuracy.PresetFashion, nil
