@@ -16,6 +16,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -31,7 +32,6 @@ import (
 	"chiron/internal/mechanism"
 	"chiron/internal/rl"
 	"chiron/internal/scenario"
-	"chiron/internal/session"
 	"chiron/internal/supervise"
 	"chiron/internal/trace"
 )
@@ -45,7 +45,7 @@ func main() {
 
 func run(args []string) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: chiron <train|run|list> [flags]")
+		return fmt.Errorf("usage: chiron <train|run|replay|list> [flags]")
 	}
 	switch args[0] {
 	case "train":
@@ -192,47 +192,33 @@ func cmdTrain(args []string) error {
 		}
 	}
 	if *autoCkpt != "" {
-		sess, err := session.New(session.Config{
-			Train: &session.TrainConfig{
-				Factory: func() (supervise.Target, error) {
-					fresh, err := buildMechanism()
-					if err != nil {
-						return nil, err
-					}
-					target, ok := fresh.(supervise.Target)
-					if !ok {
-						return nil, fmt.Errorf("mechanism %s cannot be supervised (needs training + checkpoints)", fresh.Name())
-					}
-					// Point the trace/eval plumbing at the live attempt.
-					m = fresh
-					return target, nil
-				},
-				Episodes: *episodes,
-				Supervise: supervise.Config{
-					Dir:   *autoCkpt,
-					Every: *ckptEvery,
-					Retry: chiron.Backoff{Base: 1, Factor: 2, Max: 30, MaxRetries: *maxRestarts},
-				},
-			},
-			OnEpisode: func(ev session.EpisodeEvent) { callback(ev.Result) },
-		})
-		if err != nil {
-			return err
-		}
 		interrupts := make(chan os.Signal, 1)
 		signal.Notify(interrupts, os.Interrupt, syscall.SIGTERM)
 		defer signal.Stop(interrupts)
-		st, err := runSession(sess, interrupts)
-		if err != nil {
-			return err
+		factory := func() (supervise.Target, error) {
+			fresh, err := buildMechanism()
+			if err != nil {
+				return nil, err
+			}
+			target, ok := fresh.(supervise.Target)
+			if !ok {
+				return nil, fmt.Errorf("mechanism %s cannot be supervised (needs training + checkpoints)", fresh.Name())
+			}
+			// Point the trace/eval plumbing at the live attempt.
+			m = fresh
+			return target, nil
 		}
-		report, err := sess.Report()
+		report, stopped, err := superviseTrain(factory, *episodes, supervise.Config{
+			Dir:   *autoCkpt,
+			Every: *ckptEvery,
+			Retry: chiron.Backoff{Base: 1, Factor: 2, Max: 30, MaxRetries: *maxRestarts},
+		}, interrupts, callback)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("supervised run: resumed from episode %d, %d checkpoints, %d restarts, %d corrupt checkpoints skipped\n",
 			report.ResumedFrom, report.Checkpoints, report.Restarts, report.CorruptSkipped)
-		if st == session.StateStopped {
+		if stopped {
 			fmt.Printf("stopped after episode %d; final checkpoint flushed to %s — rerun with -auto-checkpoint to resume\n",
 				report.ResumedFrom+len(report.Episodes), *autoCkpt)
 			return nil
@@ -292,6 +278,9 @@ func cmdRun(args []string) error {
 	set := setFlags(fs)
 	if *jobs < 0 {
 		return fmt.Errorf("jobs %d must be >= 0 (0 = GOMAXPROCS)", *jobs)
+	}
+	if !(*scale > 0 && *scale <= 1) {
+		return fmt.Errorf("scale %v outside (0,1]", *scale)
 	}
 	if *scenarioArg != "" {
 		if *artifact != "" {
@@ -354,24 +343,35 @@ func runArtifacts(list string, scale float64, jobs int, outDir string) error {
 	return os.WriteFile(filepath.Join(outDir, "summary.txt"), []byte(summary.String()), 0o644)
 }
 
-// runSession starts a hosted session and waits for its terminal state. An
-// interrupt signal (nil channel = none wired) stops the session gracefully
-// at the next episode boundary — in train mode that flushes a final atomic
-// checkpoint before the session reports StateStopped.
-func runSession(s *session.Session, interrupts <-chan os.Signal) (session.State, error) {
-	if err := s.Start(); err != nil {
-		return session.StateFailed, err
-	}
-	go func() {
+// errInterrupted is the supervise gate's error once SIGINT or SIGTERM has
+// arrived.
+var errInterrupted = errors.New("interrupted")
+
+// superviseTrain runs factory's target for episodes under cfg, with a gate
+// that fails with errInterrupted once a signal has arrived on interrupts
+// (nil = none wired). The runner consults the gate between checkpoint
+// chunks and flushes a final checkpoint before it returns the gate's error,
+// so an interrupted run reports stopped and leaves a resume point in
+// cfg.Dir.
+func superviseTrain(factory supervise.Factory, episodes int, cfg supervise.Config, interrupts <-chan os.Signal, callback func(mechanism.EpisodeResult)) (report *supervise.Report, stopped bool, err error) {
+	cfg.Gate = func() error {
 		select {
 		case <-interrupts:
-			fmt.Fprintln(os.Stderr, "chiron: interrupt — stopping at the next episode boundary")
-			s.Stop()
-		case <-s.Done():
+			fmt.Fprintln(os.Stderr, "chiron: interrupt — flushing a final checkpoint")
+			return errInterrupted
+		default:
+			return nil
 		}
-	}()
-	st := s.Wait()
-	return st, s.Err()
+	}
+	runner, err := supervise.New(factory, cfg)
+	if err != nil {
+		return nil, false, err
+	}
+	_, report, err = runner.Run(episodes, callback)
+	if errors.Is(err, errInterrupted) {
+		return report, true, nil
+	}
+	return report, false, err
 }
 
 // setFlags reports which flags were explicitly given on the command line,
@@ -426,14 +426,7 @@ func runScenario(arg string, scale float64, jobs int, record, mech string, budge
 				return fmt.Errorf("scenario %s fixes its own %s grid; -%s only selects the cell to -record", s.Name, name, name)
 			}
 		}
-		sess, err := session.New(session.Config{Spec: s, Workers: jobs})
-		if err != nil {
-			return err
-		}
-		if _, err := runSession(sess, nil); err != nil {
-			return err
-		}
-		res, err := sess.Result()
+		res, err := scenario.Run(s, jobs, scenario.CellHooks{})
 		if err != nil {
 			return err
 		}
@@ -444,22 +437,10 @@ func runScenario(arg string, scale float64, jobs int, record, mech string, budge
 	if err != nil {
 		return err
 	}
-	sess, err := session.New(session.Config{
-		Spec:   s,
-		Record: &session.RecordConfig{Writer: tw, Mechanism: mech, Budget: budget},
-	})
-	if err != nil {
-		_ = tw.Close()
-		return err
-	}
-	_, err = runSession(sess, nil)
+	rec, err := scenario.Record(s, mech, budget, tw)
 	if cerr := tw.Close(); err == nil {
 		err = cerr
 	}
-	if err != nil {
-		return err
-	}
-	rec, err := sess.Recorded()
 	if err != nil {
 		return err
 	}

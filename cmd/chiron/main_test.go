@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,7 +13,6 @@ import (
 	"chiron/internal/mechanism"
 	"chiron/internal/rl"
 	"chiron/internal/scenario"
-	"chiron/internal/session"
 	"chiron/internal/supervise"
 )
 
@@ -48,43 +48,25 @@ func (f *sigTarget) Restore(ck *rl.Checkpoint) error {
 }
 
 // TestTrainInterruptFlushesCheckpoint pins the graceful-shutdown contract
-// of the supervised train path: a SIGINT delivered mid-run stops the
-// session at the next episode boundary, the final checkpoint is flushed
-// atomically, and a rerun over the same directory resumes exactly where
-// the interrupt landed.
+// of `chiron train -auto-checkpoint`: a SIGINT delivered mid-run makes the
+// supervise gate fail at the next checkpoint chunk, the final checkpoint is
+// flushed atomically, and a rerun over the same directory resumes exactly
+// where the interrupt landed.
 func TestTrainInterruptFlushesCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	factory := func() (supervise.Target, error) { return &sigTarget{}, nil }
+	cfg := supervise.Config{Dir: dir, Every: 2}
 	interrupts := make(chan os.Signal, 1)
-	var sess *session.Session
-	sess, err := session.New(session.Config{
-		Train: &session.TrainConfig{
-			Factory:   factory,
-			Episodes:  6,
-			Supervise: supervise.Config{Dir: dir, Every: 2},
-		},
-		OnEpisode: func(ev session.EpisodeEvent) {
-			if ev.Seq == 2 {
-				// Pause first so the worker deterministically parks at the
-				// next gate, then deliver the fake signal.
-				sess.Pause()
-				interrupts <- syscall.SIGINT
-			}
-		},
+	report, stopped, err := superviseTrain(factory, 6, cfg, interrupts, func(res mechanism.EpisodeResult) {
+		if res.Episode == 2 {
+			interrupts <- syscall.SIGINT
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := runSession(sess, interrupts)
 	if err != nil {
 		t.Fatalf("interrupted run: %v", err)
 	}
-	if st != session.StateStopped {
-		t.Fatalf("state after interrupt %s, want stopped", st)
-	}
-	report, err := sess.Report()
-	if err != nil {
-		t.Fatal(err)
+	if !stopped {
+		t.Fatal("interrupted run did not report a stop")
 	}
 	if got := report.ResumedFrom + len(report.Episodes); got != 2 {
 		t.Fatalf("stopped after %d episodes, want 2", got)
@@ -93,28 +75,27 @@ func TestTrainInterruptFlushesCheckpoint(t *testing.T) {
 		t.Fatalf("final checkpoint missing: %v", err)
 	}
 
-	resumed, err := session.New(session.Config{
-		Train: &session.TrainConfig{
-			Factory:   factory,
-			Episodes:  6,
-			Supervise: supervise.Config{Dir: dir, Every: 2},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st, err := runSession(resumed, nil); err != nil || st != session.StateDone {
-		t.Fatalf("resumed run: state %s, err %v", st, err)
-	}
-	report, err = resumed.Report()
-	if err != nil {
-		t.Fatal(err)
+	report, stopped, err = superviseTrain(factory, 6, cfg, nil, nil)
+	if err != nil || stopped {
+		t.Fatalf("resumed run: stopped %v, err %v", stopped, err)
 	}
 	if report.ResumedFrom != 2 {
 		t.Fatalf("resumed from %d, want 2", report.ResumedFrom)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "ckpt-00000006.json")); err != nil {
 		t.Fatalf("completed checkpoint missing: %v", err)
+	}
+}
+
+// TestUsageListsEverySubcommand pins the no-argument usage line to the
+// four subcommands run dispatches.
+func TestUsageListsEverySubcommand(t *testing.T) {
+	err := run(nil)
+	if err == nil {
+		t.Fatal("run with no arguments succeeded")
+	}
+	if want := "usage: chiron <train|run|replay|list> [flags]"; err.Error() != want {
+		t.Fatalf("usage = %q, want %q", err, want)
 	}
 }
 
@@ -172,6 +153,11 @@ func TestRunFlagScenarioConflicts(t *testing.T) {
 			[]string{"run", "-scenario", "no-such-thing"},
 			"neither a library scenario",
 		},
+		{"zero scale", []string{"run", "-scenario", "paper-baseline", "-scale", "0"}, "outside (0,1]"},
+		{"negative scale", []string{"run", "-scenario", "paper-baseline", "-scale", "-1"}, "outside (0,1]"},
+		{"NaN scale", []string{"run", "-scenario", "paper-baseline", "-scale", "NaN"}, "outside (0,1]"},
+		{"scale above one", []string{"run", "-scenario", "paper-baseline", "-scale", "5"}, "outside (0,1]"},
+		{"record with bad scale", []string{"run", "-scenario", "paper-baseline", "-record", "t.jsonl", "-scale", "0"}, "outside (0,1]"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -221,5 +207,11 @@ func TestScenarioRecordReplayCLI(t *testing.T) {
 	}
 	if err := run([]string{"replay"}); err == nil {
 		t.Error("replay without -trace succeeded")
+	}
+	if err := run([]string{"replay", "-trace", tracePath, "-budget", "-100"}); !errors.Is(err, scenario.ErrNegativeBudget) {
+		t.Errorf("replay -budget -100 error = %v, want ErrNegativeBudget", err)
+	}
+	if err := run([]string{"replay", "-trace", tracePath, "-episodes", "-3"}); err == nil {
+		t.Error("replay -episodes -3 succeeded")
 	}
 }

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -232,6 +233,9 @@ func TestRunRejectsBadScale(t *testing.T) {
 	}
 	if _, _, err := RunJobs(Fig3, 1.5, 1); err == nil {
 		t.Fatal("accepted scale > 1")
+	}
+	if _, _, err := RunJobs(Fig3, math.NaN(), 1); err == nil {
+		t.Fatal("accepted scale NaN")
 	}
 	if _, _, err := RunJobs(Artifact("nope"), 0.5, 1); err == nil {
 		t.Fatal("accepted unknown artifact")

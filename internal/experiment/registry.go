@@ -105,7 +105,7 @@ func Describe(a Artifact) string {
 // plotting, nil for ablation studies. Both are byte-identical at any
 // worker count.
 func RunJobs(a Artifact, scale float64, jobs int) (report string, csv []byte, err error) {
-	if scale <= 0 || scale > 1 {
+	if !(scale > 0 && scale <= 1) {
 		return "", nil, fmt.Errorf("experiment: scale %v outside (0,1]", scale)
 	}
 	e, ok := lookup(a)

@@ -56,26 +56,6 @@ func randomReplaySpec(rng *rand.Rand, trial int) *scenario.Spec {
 	return s
 }
 
-// record runs one scenario cell through the StartRecord step API —
-// training, then every evaluation episode — and streams its trace to tw.
-func record(s *scenario.Spec, tw *trace.Writer) (*scenario.EpisodeSet, error) {
-	run, err := scenario.StartRecord(s, "", 0, tw)
-	if err != nil {
-		return nil, err
-	}
-	for run.TrainRemaining() > 0 {
-		if _, err := run.TrainEpisode(); err != nil {
-			return nil, err
-		}
-	}
-	for ep := 1; ep <= run.Episodes(); ep++ {
-		if _, err := run.RecordEpisode(ep); err != nil {
-			return nil, err
-		}
-	}
-	return run.Finish()
-}
-
 // TestPropReplayBitIdentical is the replay engine's law: for any scenario
 // — under churn, faults, availability loss, and comm jitter — recording an
 // episode set and replaying the trace with the recorded mechanism and
@@ -88,7 +68,7 @@ func TestPropReplayBitIdentical(t *testing.T) {
 			t.Fatalf("trial %d: generated invalid spec: %v", trial, err)
 		}
 		var buf bytes.Buffer
-		rec, err := record(s, trace.NewWriter(&buf))
+		rec, err := scenario.Record(s, "", 0, trace.NewWriter(&buf))
 		if err != nil {
 			t.Fatalf("trial %d: record: %v", trial, err)
 		}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash"
 	"hash/fnv"
-	"math/rand"
 
 	"chiron/internal/mechanism"
 	"chiron/internal/trace"
@@ -53,29 +52,19 @@ func (s *EpisodeSet) Digest() string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// RecordRun is one open recording cell: a CellRun compiled on a
-// draw-capturing environment, whose recorded evaluation runs one episode at
-// a time so a hosted session can pause between episodes. Training goes
-// through the embedded CellRun. Per evaluation episode the trace carries
-// every round's environment draws, the committed round records, and the
-// episode summary. The versioned header (spec + post-training checkpoint,
-// marshalled straight from the mechanism's checkpoint value) is written
-// lazily before the first recorded episode, after training has finished.
-type RecordRun struct {
-	*CellRun
-	rec        *recorder
-	accRng     *rand.Rand
-	tw         *trace.Writer
-	headerDone bool
-	out        *EpisodeSet
-}
-
-// StartRecord validates the spec, resolves the recorded cell (mech "" = the
-// spec's first mechanism, budget 0 = its first budget), and compiles the
-// draw-capturing environment and mechanism. The caller then trains the
-// cell (Train, or TrainEpisode until TrainRemaining reaches zero), records
-// episodes 1..Episodes() in order, and Finishes.
-func StartRecord(s *Spec, mech string, budget float64, tw *trace.Writer) (*RecordRun, error) {
+// Record trains one cell of the spec and records its evaluation to tw as a
+// replayable trace. The cell is resolved from mech ("" = the spec's first
+// mechanism) and budget (0 = its first budget) and compiled on a
+// draw-capturing environment. Record trains it through CellRun.Train, then
+// writes the versioned header (the spec and the mechanism's post-training
+// checkpoint, marshalled straight from its checkpoint value), then records
+// evaluation episodes 1..EvalEpisodes. Per episode the trace carries every
+// round's environment draws, the committed round records, and the episode
+// summary. Before each episode the accuracy RNG is reseeded from
+// evalSeed(seed, ep), making each episode's measurement-noise stream
+// independently reproducible: the exact discipline Replay repeats. Record
+// flushes tw; the caller owns Close.
+func Record(s *Spec, mech string, budget float64, tw *trace.Writer) (*EpisodeSet, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -94,31 +83,59 @@ func StartRecord(s *Spec, mech string, budget float64, tw *trace.Writer) (*Recor
 	if err != nil {
 		return nil, err
 	}
-	return &RecordRun{
-		CellRun: run, rec: rec, accRng: accRng, tw: tw,
-		out: &EpisodeSet{Scenario: s.Name, Mechanism: kind.String(), Budget: budget},
-	}, nil
+	if err := run.Train(CellHooks{}); err != nil {
+		return nil, err
+	}
+	if err := writeHeader(tw, s, run.cell, run.m); err != nil {
+		return nil, err
+	}
+	out := &EpisodeSet{Scenario: s.Name, Mechanism: kind.String(), Budget: budget}
+	for ep := 1; ep <= s.EvalEpisodes; ep++ {
+		accRng.Seed(evalSeed(s.Seed, ep))
+		rec.begin(ep)
+		res, err := run.m.RunEpisode(false)
+		if err != nil {
+			return nil, fmt.Errorf("scenario: record episode %d: %w", ep, err)
+		}
+		res.Episode = ep
+		for _, d := range rec.recs {
+			if err := tw.WriteDraws(d); err != nil {
+				return nil, err
+			}
+		}
+		rounds := run.m.Env().Ledger().Rounds()
+		for i := range rounds {
+			if err := tw.WriteRound(ep, &rounds[i]); err != nil {
+				return nil, err
+			}
+			out.Rounds = append(out.Rounds, trace.NewRoundRecord(ep, &rounds[i]))
+		}
+		if err := tw.WriteEpisode(res); err != nil {
+			return nil, err
+		}
+		out.Episodes = append(out.Episodes, res)
+	}
+	if err := tw.Flush(); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
-// Episodes reports how many evaluation episodes the recording covers.
-func (r *RecordRun) Episodes() int { return r.spec.EvalEpisodes }
-
-// writeHeader emits the versioned trace header: the spec and the
-// mechanism's post-training checkpoint. Called once, lazily, before the
-// first recorded episode.
-func (r *RecordRun) writeHeader() error {
+// writeHeader emits the versioned trace header of a recording of cell c:
+// the spec and mechanism m's post-training checkpoint.
+func writeHeader(tw *trace.Writer, s *Spec, c Cell, m mechanism.Mechanism) error {
 	header := trace.HeaderRecord{
-		Mechanism:    r.cell.Mechanism,
-		Budget:       r.cell.Budget,
-		Seed:         r.spec.Seed,
-		Nodes:        r.spec.NumNodes(),
-		EvalEpisodes: r.spec.EvalEpisodes,
+		Mechanism:    c.Mechanism,
+		Budget:       c.Budget,
+		Seed:         s.Seed,
+		Nodes:        s.NumNodes(),
+		EvalEpisodes: s.EvalEpisodes,
 	}
 	var err error
-	if header.Scenario, err = json.Marshal(r.spec); err != nil {
+	if header.Scenario, err = json.Marshal(s); err != nil {
 		return fmt.Errorf("scenario: marshal spec: %w", err)
 	}
-	if cp, ok := r.m.(mechanism.Checkpointer); ok {
+	if cp, ok := m.(mechanism.Checkpointer); ok {
 		ck, err := cp.Checkpoint()
 		if err != nil {
 			return fmt.Errorf("scenario: checkpoint: %w", err)
@@ -127,62 +144,5 @@ func (r *RecordRun) writeHeader() error {
 			return fmt.Errorf("scenario: marshal checkpoint: %w", err)
 		}
 	}
-	if err := r.tw.WriteHeader(header); err != nil {
-		return err
-	}
-	r.headerDone = true
-	return nil
-}
-
-// RecordEpisode plays evaluation episode ep (1-based, in order) with draw
-// capture armed and streams its draws, round records, and summary to the
-// trace. Before the episode the accuracy RNG is reseeded from
-// evalSeed(seed, ep), making each episode's measurement-noise stream
-// independently reproducible: the exact discipline Replay repeats.
-func (r *RecordRun) RecordEpisode(ep int) (mechanism.EpisodeResult, error) {
-	if !r.headerDone {
-		if r.TrainRemaining() > 0 {
-			return mechanism.EpisodeResult{}, fmt.Errorf("scenario: recording with %d training episodes owed", r.TrainRemaining())
-		}
-		if err := r.writeHeader(); err != nil {
-			return mechanism.EpisodeResult{}, err
-		}
-	}
-	if want := len(r.out.Episodes) + 1; ep != want {
-		return mechanism.EpisodeResult{}, fmt.Errorf("scenario: record episode %d out of order (want %d)", ep, want)
-	}
-	r.accRng.Seed(evalSeed(r.spec.Seed, ep))
-	r.rec.begin(ep)
-	res, err := r.m.RunEpisode(false)
-	if err != nil {
-		return mechanism.EpisodeResult{}, fmt.Errorf("scenario: record episode %d: %w", ep, err)
-	}
-	res.Episode = ep
-	for _, d := range r.rec.recs {
-		if err := r.tw.WriteDraws(d); err != nil {
-			return mechanism.EpisodeResult{}, err
-		}
-	}
-	rounds := r.m.Env().Ledger().Rounds()
-	for i := range rounds {
-		if err := r.tw.WriteRound(ep, &rounds[i]); err != nil {
-			return mechanism.EpisodeResult{}, err
-		}
-		r.out.Rounds = append(r.out.Rounds, trace.NewRoundRecord(ep, &rounds[i]))
-	}
-	if err := r.tw.WriteEpisode(res); err != nil {
-		return mechanism.EpisodeResult{}, err
-	}
-	r.out.Episodes = append(r.out.Episodes, res)
-	return res, nil
-}
-
-// Finish disarms the recorder, flushes the trace, and returns the recorded
-// episode set.
-func (r *RecordRun) Finish() (*EpisodeSet, error) {
-	r.rec.enabled = false
-	if err := r.tw.Flush(); err != nil {
-		return nil, err
-	}
-	return r.out, nil
+	return tw.WriteHeader(header)
 }

@@ -19,9 +19,11 @@ type ReplayOptions struct {
 	Mechanism string
 	// Budget overrides the recorded η (0 keeps it): "same environment,
 	// different budget". With the recorded mechanism, the recorded policy
-	// (checkpoint) plays under the new budget.
+	// (checkpoint) plays under the new budget. A negative or NaN budget
+	// is refused with ErrNegativeBudget.
 	Budget float64
-	// Episodes overrides how many recorded episodes to replay (0 = all).
+	// Episodes overrides how many recorded episodes to replay (0 = all;
+	// negative is refused).
 	Episodes int
 }
 
@@ -92,11 +94,17 @@ func Replay(tr *trace.Trace, opts ReplayOptions) (*ReplayResult, error) {
 		}
 	}
 	budget := h.Budget
-	if opts.Budget > 0 {
+	switch {
+	case !(opts.Budget >= 0):
+		return nil, fmt.Errorf("%w: replay η=%v", ErrNegativeBudget, opts.Budget)
+	case opts.Budget > 0:
 		budget = opts.Budget
 	}
 	episodes := h.EvalEpisodes
-	if opts.Episodes > 0 {
+	switch {
+	case opts.Episodes < 0:
+		return nil, fmt.Errorf("scenario: replay of %d episodes, want >= 0 (0 = as recorded)", opts.Episodes)
+	case opts.Episodes > 0:
 		episodes = opts.Episodes
 	}
 	if episodes <= 0 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -11,24 +12,6 @@ import (
 	"chiron/internal/rl"
 	"chiron/internal/trace"
 )
-
-// record runs one cell of s through the StartRecord step API —
-// training, then every evaluation episode — and streams its trace to tw.
-func record(s *Spec, tw *trace.Writer) (*EpisodeSet, error) {
-	run, err := StartRecord(s, "", 0, tw)
-	if err != nil {
-		return nil, err
-	}
-	if err := run.Train(CellHooks{}); err != nil {
-		return nil, err
-	}
-	for ep := 1; ep <= run.Episodes(); ep++ {
-		if _, err := run.RecordEpisode(ep); err != nil {
-			return nil, err
-		}
-	}
-	return run.Finish()
-}
 
 // recordToTrace records one cell of the named library scenario into memory
 // and parses the trace back.
@@ -40,7 +23,7 @@ func recordToTrace(t *testing.T, name string) (*Spec, *trace.Trace, *EpisodeSet)
 	}
 	var buf bytes.Buffer
 	tw := trace.NewWriter(&buf)
-	rec, err := record(s, tw)
+	rec, err := Record(s, "", 0, tw)
 	if err != nil {
 		t.Fatalf("record(%s): %v", name, err)
 	}
@@ -213,6 +196,20 @@ func TestReplayRejectsDamagedCheckpoint(t *testing.T) {
 	}
 	if _, err := Replay(tr, ReplayOptions{}); !errors.Is(err, rl.ErrShapeMismatch) {
 		t.Errorf("wrong-shape checkpoint: err %v, want ErrShapeMismatch", err)
+	}
+}
+
+// TestReplayRejectsNegativeOverrides pins that a negative (or NaN) budget
+// or episode override is refused rather than silently ignored.
+func TestReplayRejectsNegativeOverrides(t *testing.T) {
+	_, tr, _ := recordToTrace(t, "paper-baseline")
+	for _, budget := range []float64{-100, math.NaN()} {
+		if _, err := Replay(tr, ReplayOptions{Budget: budget}); !errors.Is(err, ErrNegativeBudget) {
+			t.Errorf("budget %v: err %v, want ErrNegativeBudget", budget, err)
+		}
+	}
+	if _, err := Replay(tr, ReplayOptions{Episodes: -3}); err == nil {
+		t.Error("episodes -3: replay succeeded")
 	}
 }
 

@@ -90,9 +90,6 @@ func openCell(s *Spec, c Cell, hooks envHooks) (*CellRun, *rand.Rand, error) {
 	return &CellRun{spec: s, cell: c, m: m}, accRng, nil
 }
 
-// Cell returns the cell the run executes.
-func (c *CellRun) Cell() Cell { return c.cell }
-
 // Mechanism returns the cell's live mechanism.
 func (c *CellRun) Mechanism() mechanism.Mechanism { return c.m }
 

@@ -1,8 +1,7 @@
 // Package session is the serving layer's unit of work: one Session owns a
-// compiled scenario (or a supervised training target), drives it through
-// the same code paths the CLI uses, and exposes the lifecycle a long-lived
-// server needs — Start, Pause, Resume, Snapshot, Stop — with exact-resume
-// checkpointing inherited from internal/supervise.
+// compiled scenario grid, drives it through scenario.Run — the code path
+// `chiron run -scenario` uses — and exposes the lifecycle a long-lived
+// server needs: Start, Pause, Resume, Snapshot, Stop.
 //
 // The package enforces a strict split between the two clocks a server
 // mixes:
@@ -12,17 +11,17 @@
 //     why a server-hosted session's run digest is bit-identical to a CLI
 //     run of the same spec and seed — the contract the propcheck property
 //     pins at 200 trials.
-//   - Wall-clock concerns — heartbeat deadlines, restart backoff, queue
-//     waits — may delay when simulation happens but never what it
-//     computes. Live node membership (Registry) is wall-clock only while
-//     a session holds in StateNew; Start latches it into a deterministic
-//     faults.ChurnScript applied uniformly to every episode, exactly as
-//     if the same script had been passed to `chiron run -churn`.
+//   - Wall-clock concerns — heartbeat deadlines, queue waits — may delay
+//     when simulation happens but never what it computes. Live node
+//     membership (Registry) is wall-clock only while a session holds in
+//     StateNew; Start latches it into a deterministic faults.ChurnScript
+//     applied uniformly to every episode, exactly as if the same script
+//     had been passed to `chiron run -churn`.
 //
-// Pause and Stop act at episode boundaries: every execution path consults
-// a gate before each episode, so a paused session holds between episodes
-// with all deterministic state intact, and a stopped supervised session
-// flushes a final checkpoint before exiting.
+// Pause and Stop act at episode boundaries: every grid cell consults a
+// gate before each episode, so a paused session holds between episodes
+// with all deterministic state intact, and a stopped one ends at the next
+// boundary.
 package session
 
 import (
@@ -34,8 +33,6 @@ import (
 	"chiron/internal/faults"
 	"chiron/internal/mechanism"
 	"chiron/internal/scenario"
-	"chiron/internal/supervise"
-	"chiron/internal/trace"
 )
 
 // State is a session's lifecycle position.
@@ -101,47 +98,17 @@ type realClock struct{}
 
 func (realClock) Now() time.Time { return time.Now() }
 
-// RecordConfig selects record mode: instead of running the spec's full
-// grid, the session records one (mechanism, budget) cell's environment
-// draws to a replayable trace, exactly as `chiron run -scenario -record`.
-type RecordConfig struct {
-	// Writer receives the trace. The caller owns Close.
-	Writer *trace.Writer
-	// Mechanism picks the recorded mechanism ("" = the spec's first).
-	Mechanism string
-	// Budget picks the recorded cell (0 = the spec's first).
-	Budget float64
-}
-
-// TrainConfig selects supervised-training mode: the session drives a
-// supervise.Runner over a raw mechanism target with periodic atomic
-// checkpoints, crash restarts, and a stop that flushes a final checkpoint.
-type TrainConfig struct {
-	// Factory builds a fresh target per recovery attempt.
-	Factory supervise.Factory
-	// Episodes is the training length.
-	Episodes int
-	// Supervise parameterizes checkpointing and restarts. Its Gate field
-	// must be unset — the session installs its own pause/stop gate.
-	Supervise supervise.Config
-}
-
-// Config parameterizes a Session. Exactly one mode applies: Train when
-// TrainConfig is set; otherwise Spec is required and Record (when set)
-// narrows the run to one recorded cell; otherwise the full grid runs.
+// Config parameterizes a Session.
 type Config struct {
-	// Spec is the scenario to run (grid and record modes). The session
-	// deep-copies nothing: callers must not mutate it after New.
+	// Spec is the scenario whose full mechanism × budget grid the session
+	// runs (required). The session deep-copies nothing: callers must not
+	// mutate it after New.
 	Spec *scenario.Spec
 	// Workers bounds grid concurrency inside the session (1 = serial,
 	// 0 = GOMAXPROCS). Results are identical at any setting.
 	Workers int
-	// Record, when non-nil, selects record mode.
-	Record *RecordConfig
-	// Train, when non-nil, selects supervised-training mode.
-	Train *TrainConfig
 	// OnEpisode, when non-nil, observes every episode event synchronously
-	// from the worker that produced it (the CLI's progress printing hook).
+	// from the worker that produced it.
 	OnEpisode func(EpisodeEvent)
 	// Clock supplies wall-clock time (nil = real time).
 	Clock Clock
@@ -161,7 +128,7 @@ type Config struct {
 type EpisodeEvent struct {
 	// Seq numbers events from 1 in observation order.
 	Seq int `json:"seq"`
-	// Mechanism and Budget identify the grid cell ("" / 0 in train mode).
+	// Mechanism and Budget identify the grid cell.
 	Mechanism string  `json:"mechanism,omitempty"`
 	Budget    float64 `json:"budget,omitempty"`
 	// Eval marks a cell's final averaged evaluation rather than a single
@@ -181,7 +148,7 @@ type Status struct {
 	Error string `json:"error,omitempty"`
 	// Episodes counts observed episode events so far.
 	Episodes int `json:"episodes"`
-	// Cells counts the spec's grid cells (0 in train mode).
+	// Cells counts the spec's grid cells.
 	Cells int `json:"cells,omitempty"`
 	// Digest is the final run digest, set only in StateDone.
 	Digest string `json:"digest,omitempty"`
@@ -190,8 +157,6 @@ type Status struct {
 	Churn string `json:"churn,omitempty"`
 	// Nodes counts currently-live registered nodes during the hold phase.
 	Nodes int `json:"nodes,omitempty"`
-	// Report summarizes a supervised run (train mode, terminal states).
-	Report *supervise.Report `json:"report,omitempty"`
 }
 
 // Session is one hosted run. All methods are safe for concurrent use.
@@ -210,49 +175,27 @@ type Session struct {
 	events   []EpisodeEvent
 	churn    string // latched churn script (text form), set by Start
 	result   *scenario.Result
-	recorded *scenario.EpisodeSet
-	report   *supervise.Report
 	cells    int
 }
 
 // New validates cfg, reserves a pool slot when admission control is on,
 // and returns a Session in StateNew.
 func New(cfg Config) (*Session, error) {
-	modes := 0
-	if cfg.Train != nil {
-		modes++
-		if cfg.Train.Factory == nil {
-			return nil, fmt.Errorf("session: train mode needs a target factory")
-		}
-		if cfg.Train.Episodes <= 0 {
-			return nil, fmt.Errorf("session: train %d episodes, want > 0", cfg.Train.Episodes)
-		}
-		if cfg.Train.Supervise.Gate != nil {
-			return nil, fmt.Errorf("session: train mode owns the supervise gate")
-		}
-		if cfg.Spec != nil || cfg.Record != nil {
-			return nil, fmt.Errorf("session: train mode excludes a scenario spec")
-		}
+	if cfg.Spec == nil {
+		return nil, fmt.Errorf("session: a scenario spec is required")
 	}
-	if cfg.Spec != nil {
-		modes++
-		if err := cfg.Spec.Validate(); err != nil {
-			return nil, err
-		}
-	} else if cfg.Record != nil {
-		return nil, fmt.Errorf("session: record mode needs a scenario spec")
-	}
-	if cfg.Record != nil && cfg.Record.Writer == nil {
-		return nil, fmt.Errorf("session: record mode needs a trace writer")
-	}
-	if modes != 1 {
-		return nil, fmt.Errorf("session: exactly one of Spec or Train is required")
+	if err := cfg.Spec.Validate(); err != nil {
+		return nil, err
 	}
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("session: workers %d, want >= 0", cfg.Workers)
 	}
 	if cfg.HeartbeatTimeout < 0 {
 		return nil, fmt.Errorf("session: heartbeat timeout %v, want >= 0", cfg.HeartbeatTimeout)
+	}
+	cells, err := cfg.Spec.Cells()
+	if err != nil {
+		return nil, err
 	}
 	clock := cfg.Clock
 	if clock == nil {
@@ -264,26 +207,14 @@ func New(cfg Config) (*Session, error) {
 		state:  StateNew,
 		stopCh: make(chan struct{}),
 		done:   make(chan struct{}),
+		cells:  len(cells),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	if cfg.HeartbeatTimeout > 0 {
-		if cfg.Spec == nil {
-			return nil, fmt.Errorf("session: a live-node registry needs a scenario spec")
-		}
 		if cfg.Spec.Churn != nil {
 			return nil, fmt.Errorf("session: scenario %s already declares churn; live registration would contradict it", cfg.Spec.Name)
 		}
 		s.registry = newRegistry(clock, cfg.HeartbeatTimeout, cfg.Spec.NumNodes(), cfg.Spec.EpisodeRounds())
-	}
-	if cfg.Spec != nil {
-		cells, err := cfg.Spec.Cells()
-		if err != nil {
-			return nil, err
-		}
-		s.cells = len(cells)
-		if cfg.Record != nil {
-			s.cells = 1
-		}
 	}
 	if cfg.Pool != nil {
 		if err := cfg.Pool.Admit(); err != nil {
@@ -367,8 +298,8 @@ func (s *Session) Resume() error {
 }
 
 // Stop cancels the session: a never-started session terminates
-// immediately; a queued or running one stops at the next episode boundary
-// (flushing a final checkpoint in train mode). Stop is idempotent — a
+// immediately; a queued or running one stops at the next episode
+// boundary. Stop is idempotent — a
 // second Stop, or a Stop after Done, is a no-op. Stop does not wait; use
 // Wait.
 func (s *Session) Stop() {
@@ -432,30 +363,17 @@ func (s *Session) Snapshot() Status {
 		Episodes:  len(s.events),
 		Cells:     s.cells,
 		Churn:     s.churn,
-		Report:    s.report,
 	}
 	if s.err != nil {
 		st.Error = s.err.Error()
 	}
 	if s.state == StateDone {
-		st.Digest = s.digestLocked()
+		st.Digest = s.result.Digest()
 	}
 	if s.registry != nil && s.state == StateNew {
 		st.Nodes = s.registry.Live()
 	}
 	return st
-}
-
-// digestLocked returns the terminal run digest for whichever mode ran.
-func (s *Session) digestLocked() string {
-	switch {
-	case s.result != nil:
-		return s.result.Digest()
-	case s.recorded != nil:
-		return s.recorded.Digest()
-	default:
-		return ""
-	}
 }
 
 // Result returns the grid result once the session is Done.
@@ -466,29 +384,6 @@ func (s *Session) Result() (*scenario.Result, error) {
 		return nil, fmt.Errorf("session: no result in state %s", s.state)
 	}
 	return s.result, nil
-}
-
-// Recorded returns the recorded episode set once a record-mode session is
-// Done.
-func (s *Session) Recorded() (*scenario.EpisodeSet, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.recorded == nil {
-		return nil, fmt.Errorf("session: no recording in state %s", s.state)
-	}
-	return s.recorded, nil
-}
-
-// Report returns the supervise report once a train-mode session reaches a
-// terminal state (including a stop, whose report covers the flushed
-// partial run).
-func (s *Session) Report() (*supervise.Report, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.report == nil {
-		return nil, fmt.Errorf("session: no report in state %s", s.state)
-	}
-	return s.report, nil
 }
 
 // Episodes returns the episode events with Seq > since, the cursor form
@@ -524,7 +419,7 @@ func (s *Session) observe(cell scenario.Cell, res mechanism.EpisodeResult, eval 
 	}
 }
 
-// gate is the episode-boundary control point every run path consults: it
+// gate is the episode-boundary control point every grid cell consults: it
 // returns ErrStopped once Stop has been called and blocks while paused.
 func (s *Session) gate() error {
 	s.mu.Lock()

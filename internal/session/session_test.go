@@ -1,18 +1,12 @@
 package session
 
 import (
-	"bytes"
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
-	"chiron/internal/faults"
 	"chiron/internal/mechanism"
-	"chiron/internal/rl"
 	"chiron/internal/scenario"
-	"chiron/internal/supervise"
-	"chiron/internal/trace"
 )
 
 // quickSpec is a small static-mechanism scenario that runs in milliseconds
@@ -29,54 +23,6 @@ func quickSpec(name string, seed int64) *scenario.Spec {
 		Mechanisms:   []string{"uniform", "equal-time"},
 		EvalEpisodes: 2,
 		MaxRounds:    30,
-	}
-}
-
-// stepTarget is a minimal supervise.Target whose whole training state is
-// its episode counter; tests park it deterministically by pausing the
-// session from the episode callback, which guarantees the worker holds at
-// the next gate. crashAt scripts one training failure.
-type stepTarget struct {
-	episode int
-	crashAt int // crash when training this episode (0 = never)
-	crashed *bool
-}
-
-func (f *stepTarget) Episode() int { return f.episode }
-
-func (f *stepTarget) Train(episodes int, callback func(mechanism.EpisodeResult)) ([]mechanism.EpisodeResult, error) {
-	var out []mechanism.EpisodeResult
-	for i := 0; i < episodes; i++ {
-		next := f.episode + 1
-		if f.crashAt == next && f.crashed != nil && !*f.crashed {
-			*f.crashed = true
-			return out, fmt.Errorf("steptarget: scripted crash at episode %d", next)
-		}
-		f.episode = next
-		res := mechanism.EpisodeResult{Episode: next, Rounds: next}
-		if callback != nil {
-			callback(res)
-		}
-		out = append(out, res)
-	}
-	return out, nil
-}
-
-func (f *stepTarget) Checkpoint() (*rl.Checkpoint, error) {
-	return &rl.Checkpoint{Mechanism: "step", Nodes: 1, Episode: f.episode}, nil
-}
-
-func (f *stepTarget) Restore(ck *rl.Checkpoint) error {
-	if ck.Mechanism != "step" {
-		return fmt.Errorf("%w: checkpoint for %q, want \"step\"", rl.ErrShapeMismatch, ck.Mechanism)
-	}
-	f.episode = ck.Episode
-	return nil
-}
-
-func stepFactory(crashAt int, crashed *bool) supervise.Factory {
-	return func() (supervise.Target, error) {
-		return &stepTarget{crashAt: crashAt, crashed: crashed}, nil
 	}
 }
 
@@ -108,23 +54,18 @@ func waitState(t *testing.T, s *Session, want State) {
 
 func TestNewValidation(t *testing.T) {
 	spec := quickSpec("validate", 3)
+	invalid := quickSpec("", 3) // no name
+	churny := quickSpec("churny", 3)
+	churny.Churn = &scenario.ChurnSpec{Script: "-1@5"}
 	cases := []struct {
 		name string
 		cfg  Config
 	}{
-		{"no mode", Config{}},
-		{"two modes", Config{Spec: spec, Train: &TrainConfig{Factory: stepFactory(0, nil), Episodes: 1}}},
-		{"record without spec", Config{Record: &RecordConfig{Writer: trace.NewWriter(&bytes.Buffer{})}}},
-		{"record without writer", Config{Spec: spec, Record: &RecordConfig{}}},
-		{"train without factory", Config{Train: &TrainConfig{Episodes: 1}}},
-		{"train without episodes", Config{Train: &TrainConfig{Factory: stepFactory(0, nil)}}},
+		{"no spec", Config{}},
+		{"invalid spec", Config{Spec: invalid}},
 		{"negative workers", Config{Spec: spec, Workers: -1}},
 		{"negative heartbeat", Config{Spec: spec, HeartbeatTimeout: -time.Second}},
-		{"registry without spec", Config{Train: &TrainConfig{Factory: stepFactory(0, nil), Episodes: 1}, HeartbeatTimeout: time.Second}},
-		{"foreign supervise gate", Config{Train: &TrainConfig{
-			Factory: stepFactory(0, nil), Episodes: 1,
-			Supervise: supervise.Config{Dir: t.TempDir(), Gate: func() error { return nil }},
-		}}},
+		{"registry over declared churn", Config{Spec: churny, HeartbeatTimeout: time.Second}},
 	}
 	for _, tc := range cases {
 		if _, err := New(tc.cfg); err == nil {
@@ -262,78 +203,9 @@ func TestPauseAfterLastEpisodeHolds(t *testing.T) {
 	}
 }
 
-// record runs one cell of s through the StartRecord step API —
-// training, then every evaluation episode — and streams its trace to tw.
-func record(s *scenario.Spec, tw *trace.Writer) (*scenario.EpisodeSet, error) {
-	run, err := scenario.StartRecord(s, "", 0, tw)
-	if err != nil {
-		return nil, err
-	}
-	for run.TrainRemaining() > 0 {
-		if _, err := run.TrainEpisode(); err != nil {
-			return nil, err
-		}
-	}
-	for ep := 1; ep <= run.Episodes(); ep++ {
-		if _, err := run.RecordEpisode(ep); err != nil {
-			return nil, err
-		}
-	}
-	return run.Finish()
-}
-
-// TestRecordMatchesCLIRecord records a trained cell through a session with
-// a zero RecordConfig: the trace must match the step API's bytes, and every
-// training and evaluation event must carry the resolved cell (the spec's
-// first mechanism and budget), not the config's ""/0.
-func TestRecordMatchesCLIRecord(t *testing.T) {
-	spec := func() *scenario.Spec {
-		s := quickSpec("rec-twin", 31)
-		s.Mechanisms = []string{"greedy", "uniform"}
-		s.TrainEpisodes = 2
-		return s
-	}
-	var cliBuf bytes.Buffer
-	want, err := record(spec(), trace.NewWriter(&cliBuf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	s, err := New(Config{
-		Spec:   spec(),
-		Record: &RecordConfig{Writer: trace.NewWriter(&buf)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Wait(); got != StateDone {
-		t.Fatalf("final state %s (err %v), want done", got, s.Err())
-	}
-	rec, err := s.Recorded()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Digest() != want.Digest() {
-		t.Fatalf("session recording digest %s != CLI %s", rec.Digest(), want.Digest())
-	}
-	if !bytes.Equal(buf.Bytes(), cliBuf.Bytes()) {
-		t.Fatal("session trace bytes differ from the CLI recording")
-	}
-	events := s.Episodes(0)
-	if len(events) != 4 {
-		t.Fatalf("%d events, want 2 training + 2 evaluation", len(events))
-	}
-	for _, ev := range events {
-		if ev.Mechanism != want.Mechanism || ev.Budget != want.Budget {
-			t.Errorf("event %d (eval=%v) labelled %q η=%v, want %q η=%v",
-				ev.Seq, ev.Eval, ev.Mechanism, ev.Budget, want.Mechanism, want.Budget)
-		}
-	}
-}
-
+// TestLifecycleTable drives a serial four-cell grid session through
+// every verb sequence; each quickSpec cell emits one evaluation event, so
+// pausing at event n parks the worker at the gate before cell n+1.
 func TestLifecycleTable(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -345,11 +217,11 @@ func TestLifecycleTable(t *testing.T) {
 			if err := s.Start(); err != nil {
 				t.Fatal(err)
 			}
-			waitState(t, s, StatePaused) // parked after episode 1
+			waitState(t, s, StatePaused) // parked after cell 1
 			if err := s.Resume(); err != nil {
 				t.Fatal(err)
 			}
-			waitState(t, s, StatePaused) // parked after episode 2
+			waitState(t, s, StatePaused) // parked after cell 2
 			s.Stop()
 		}, StateStopped},
 		{"pause-then-stop", []int{1}, func(t *testing.T, s *Session) {
@@ -385,12 +257,9 @@ func TestLifecycleTable(t *testing.T) {
 			var s *Session
 			var err error
 			s, err = New(Config{
+				Spec:      quickSpec("lifecycle", 5),
+				Workers:   1,
 				OnEpisode: pauseAt(&s, tc.pauseSeq...),
-				Train: &TrainConfig{
-					Factory:   stepFactory(0, nil),
-					Episodes:  3,
-					Supervise: supervise.Config{Dir: t.TempDir(), Every: 1},
-				},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -414,105 +283,17 @@ func TestLifecycleTable(t *testing.T) {
 	}
 }
 
-func TestTrainStopFlushesAndResumes(t *testing.T) {
-	dir := t.TempDir()
-	var s *Session
-	var err error
-	s, err = New(Config{
-		OnEpisode: pauseAt(&s, 2),
-		Train: &TrainConfig{
-			Factory:   stepFactory(0, nil),
-			Episodes:  5,
-			Supervise: supervise.Config{Dir: dir, Every: 1},
-		},
-	})
+// TestGridFailureState fails a grid session at run time: the session
+// does not copy its spec, so invalidating the spec between New and Start
+// makes scenario.Run refuse it, and the session must land in StateFailed
+// with the cause in both Err and the snapshot.
+func TestGridFailureState(t *testing.T) {
+	spec := quickSpec("fail", 7)
+	s, err := New(Config{Spec: spec, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
-	}
-	// The session parks at the boundary after episode 2; stop there.
-	waitState(t, s, StatePaused)
-	s.Stop()
-	if got := s.Wait(); got != StateStopped {
-		t.Fatalf("final state %s (err %v), want stopped", got, s.Err())
-	}
-	report, err := s.Report()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(report.Episodes) != 2 {
-		t.Fatalf("stopped report has %d episodes, want 2", len(report.Episodes))
-	}
-
-	// A fresh session over the same directory resumes from the flushed
-	// checkpoint and finishes the remaining episodes.
-	s2, err := New(Config{Train: &TrainConfig{
-		Factory:   stepFactory(0, nil),
-		Episodes:  5,
-		Supervise: supervise.Config{Dir: dir, Every: 1},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if got := s2.Wait(); got != StateDone {
-		t.Fatalf("resumed session state %s (err %v), want done", got, s2.Err())
-	}
-	report2, err := s2.Report()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report2.ResumedFrom != 2 {
-		t.Fatalf("resumed from %d, want 2", report2.ResumedFrom)
-	}
-}
-
-func TestTrainResumeAfterCrash(t *testing.T) {
-	crashed := false
-	s, err := New(Config{Train: &TrainConfig{
-		Factory:  stepFactory(3, &crashed),
-		Episodes: 5,
-		Supervise: supervise.Config{
-			Dir: t.TempDir(), Every: 1,
-			Retry: faults.Backoff{MaxRetries: 2},
-		},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Wait(); got != StateDone {
-		t.Fatalf("final state %s (err %v), want done", got, s.Err())
-	}
-	report, err := s.Report()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Restarts != 1 {
-		t.Fatalf("restarts %d, want 1", report.Restarts)
-	}
-	if n := len(report.Episodes); n != 5 {
-		t.Fatalf("final lineage has %d episodes, want 5", n)
-	}
-}
-
-func TestTrainFailureState(t *testing.T) {
-	crashed := false
-	s, err := New(Config{Train: &TrainConfig{
-		Factory:   stepFactory(2, &crashed),
-		Episodes:  5,
-		Supervise: supervise.Config{Dir: t.TempDir(), Every: 1},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Zero-retry policy: the scripted crash is terminal.
+	spec.EvalEpisodes = 0
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -522,8 +303,11 @@ func TestTrainFailureState(t *testing.T) {
 	if s.Err() == nil {
 		t.Fatal("failed session has no error")
 	}
-	if st := s.Snapshot(); st.Error == "" {
-		t.Fatal("snapshot of failed session lacks the error")
+	if st := s.Snapshot(); st.Error == "" || st.Digest != "" {
+		t.Fatalf("snapshot of failed session %+v: want an error and no digest", st)
+	}
+	if _, err := s.Result(); err == nil {
+		t.Fatal("failed session returned a result")
 	}
 }
 
@@ -535,25 +319,21 @@ func TestPoolAdmissionAndBackpressure(t *testing.T) {
 	if pool.RetryAfter() != 2*time.Second {
 		t.Fatalf("RetryAfter %v", pool.RetryAfter())
 	}
-	newTrain := func(hook func(EpisodeEvent)) (*Session, error) {
-		return New(Config{Pool: pool, OnEpisode: hook, Train: &TrainConfig{
-			Factory:   stepFactory(0, nil),
-			Episodes:  2,
-			Supervise: supervise.Config{Dir: t.TempDir(), Every: 1},
-		}})
+	newGrid := func(hook func(EpisodeEvent)) (*Session, error) {
+		return New(Config{Spec: quickSpec("pool", 13), Workers: 1, Pool: pool, OnEpisode: hook})
 	}
-	// s1 pauses after its first episode, holding the pool's only worker
-	// slot while parked — the documented simplification.
+	// s1 pauses after its first cell, holding the pool's only worker slot
+	// while parked — the documented simplification.
 	var s1 *Session
-	s1, err = newTrain(pauseAt(&s1, 1))
+	s1, err = newGrid(pauseAt(&s1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := newTrain(nil)
+	s2, err := newGrid(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := newTrain(nil); !errors.Is(err, ErrBusy) {
+	if _, err := newGrid(nil); !errors.Is(err, ErrBusy) {
 		t.Fatalf("third admission error %v, want ErrBusy", err)
 	}
 	if err := s1.Start(); err != nil {
@@ -585,7 +365,7 @@ func TestPoolAdmissionAndBackpressure(t *testing.T) {
 		t.Fatalf("queued stop: state %s", got)
 	}
 	// Its admission slot is back: a new session is admitted.
-	s3, err := newTrain(nil)
+	s3, err := newGrid(nil)
 	if err != nil {
 		t.Fatalf("admission after queued stop: %v", err)
 	}
@@ -621,11 +401,7 @@ func TestPoolSlotFreeOnceWaitReturns(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		s, err := New(Config{Pool: pool, Train: &TrainConfig{
-			Factory:   stepFactory(0, nil),
-			Episodes:  1,
-			Supervise: supervise.Config{Dir: t.TempDir(), Every: 1},
-		}})
+		s, err := New(Config{Spec: quickSpec("slot", int64(i)), Workers: 1, Pool: pool})
 		if err != nil {
 			t.Fatalf("session %d: New: %v", i, err)
 		}

@@ -63,12 +63,12 @@ type Config struct {
 	// Sleep overrides how the restart pause is served (nil = time.Sleep);
 	// tests inject a recorder here.
 	Sleep func(time.Duration)
-	// Gate, when set, is consulted before every training chunk. It may
-	// block (a hosted session parks here while paused); a returned error
-	// stops the run early — Run flushes a final checkpoint of the live
-	// target and returns the gate's error verbatim, so callers can
-	// distinguish a requested stop (errors.Is on their sentinel) from a
-	// training failure.
+	// Gate, when set, is consulted before every training chunk. A
+	// returned error stops the run early — Run flushes a final checkpoint
+	// of the live target and returns the gate's error verbatim, so callers
+	// can distinguish a requested stop (errors.Is on their sentinel) from
+	// a training failure. `chiron train -auto-checkpoint` installs a gate
+	// that fails once SIGINT or SIGTERM has arrived.
 	Gate func() error
 }
 
