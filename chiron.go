@@ -32,15 +32,12 @@ import (
 	"chiron/internal/accuracy"
 	"chiron/internal/baselines"
 	"chiron/internal/core"
-	"chiron/internal/dataset"
 	"chiron/internal/device"
 	"chiron/internal/edgeenv"
 	"chiron/internal/experiment"
 	"chiron/internal/faults"
 	"chiron/internal/fl"
-	"chiron/internal/market"
 	"chiron/internal/mechanism"
-	"chiron/internal/rl"
 )
 
 // Re-exported core types. The implementation lives in internal packages;
@@ -50,8 +47,6 @@ type (
 	Node = device.Node
 	// FleetSpec configures random fleet generation (Sec. VI-A constants).
 	FleetSpec = device.FleetSpec
-	// NodeResponse is a node's best response to a posted price (Eqn. 11).
-	NodeResponse = device.Response
 
 	// EpisodeResult summarizes one edge-learning episode.
 	EpisodeResult = mechanism.EpisodeResult
@@ -60,39 +55,23 @@ type (
 
 	// Env is the edge-learning MDP (fleet + accuracy model + budget).
 	Env = edgeenv.Env
-	// EnvConfig parameterizes the environment.
-	EnvConfig = edgeenv.Config
-	// StepResult reports one environment round.
-	StepResult = edgeenv.StepResult
-	// Round is the per-round market record {ζ_k, p_k, T_k, payment}.
-	Round = market.Round
-	// Ledger tracks the budget and round history of an episode.
-	Ledger = market.Ledger
 
 	// Agent is the hierarchical DRL incentive mechanism (the paper's
 	// primary contribution).
 	Agent = core.Chiron
 	// AgentConfig parameterizes the hierarchical agent.
 	AgentConfig = core.Config
-	// PPOConfig holds the PPO hyperparameters of a single layer.
-	PPOConfig = rl.PPOConfig
 
 	// DRLBased is the single-agent myopic comparison mechanism.
 	DRLBased = baselines.DRLBased
-	// DRLBasedConfig parameterizes the DRL-based baseline.
-	DRLBasedConfig = baselines.DRLBasedConfig
 	// Greedy is the replay-buffer comparison mechanism.
 	Greedy = baselines.Greedy
-	// GreedyConfig parameterizes the Greedy baseline.
-	GreedyConfig = baselines.GreedyConfig
 
 	// ChurnSchedule decides fleet membership per round: which nodes are
 	// present at a round's offer and which depart mid-round.
 	ChurnSchedule = faults.ChurnSchedule
 	// ChurnScript is an explicit scripted arrival/departure plan.
 	ChurnScript = faults.ChurnScript
-	// ChurnEvent is one scripted arrival or departure.
-	ChurnEvent = faults.ChurnEvent
 	// ChurnRates parameterizes the seed-deterministic Markov churn sampler.
 	ChurnRates = faults.ChurnRates
 	// ChurnSampler draws per-node membership chains from ChurnRates.
@@ -103,29 +82,12 @@ type (
 
 	// AccuracyModel produces the A(ω_k) trajectory of a learning task.
 	AccuracyModel = accuracy.Model
-	// SurrogateCurve is the calibrated analytic accuracy model.
-	SurrogateCurve = accuracy.SurrogateCurve
-	// RealTrainer measures accuracy by actually running FedAvg over pure-Go
-	// neural networks.
-	RealTrainer = accuracy.RealTrainer
-	// RealTrainerConfig parameterizes a RealTrainer.
-	RealTrainerConfig = accuracy.RealTrainerConfig
 
-	// SynthSpec describes a synthetic dataset.
-	SynthSpec = dataset.SynthSpec
 	// TrainConfig holds the local-SGD hyperparameters of federated training.
 	TrainConfig = fl.Config
 
 	// Artifact names one reproduced table or figure (fig3 … tab1).
 	Artifact = experiment.Artifact
-	// ComparisonParams configures a budget-sweep experiment.
-	ComparisonParams = experiment.ComparisonParams
-	// Comparison is a budget sweep's results.
-	Comparison = experiment.Comparison
-	// ConvergenceParams configures a learning-curve experiment.
-	ConvergenceParams = experiment.ConvergenceParams
-	// Convergence is a learning-curve run's results.
-	Convergence = experiment.Convergence
 )
 
 // ParseChurnScript parses the compact churn-plan notation: "+NODE@ROUND"

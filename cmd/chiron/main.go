@@ -61,6 +61,21 @@ func run(args []string) error {
 	}
 }
 
+// trainKind resolves -baseline through the mechanism names specs and
+// chirond accept (any letter case, "drl" or "drl-based", ...) and rejects
+// the static references, which have nothing to train.
+func trainKind(name string) (experiment.MechanismKind, error) {
+	kind, err := scenario.MechanismKind(name)
+	if err != nil {
+		return 0, fmt.Errorf("%w: -baseline %q (want chiron, drl, or greedy)", scenario.ErrUnknownMechanism, name)
+	}
+	switch kind {
+	case experiment.KindChiron, experiment.KindDRLBased, experiment.KindGreedy:
+		return kind, nil
+	}
+	return 0, fmt.Errorf("-baseline %q: %s is not trainable (want chiron, drl, or greedy)", name, kind)
+}
+
 func cmdTrain(args []string) error {
 	fs := flag.NewFlagSet("train", flag.ContinueOnError)
 	nodes := fs.Int("nodes", 5, "number of edge nodes")
@@ -89,6 +104,10 @@ func cmdTrain(args []string) error {
 		return fmt.Errorf("-load conflicts with -auto-checkpoint (the supervisor resumes from its own directory)")
 	}
 
+	kind, err := trainKind(*baseline)
+	if err != nil {
+		return err
+	}
 	ds, err := parseDataset(*datasetName)
 	if err != nil {
 		return err
@@ -126,15 +145,13 @@ func cmdTrain(args []string) error {
 		if err != nil {
 			return nil, err
 		}
-		switch *baseline {
-		case "chiron":
-			return sys.Agent(), nil
-		case "drl":
+		switch kind {
+		case experiment.KindDRLBased:
 			return sys.NewBaselineDRL()
-		case "greedy":
+		case experiment.KindGreedy:
 			return sys.NewBaselineGreedy()
 		default:
-			return nil, fmt.Errorf("unknown baseline %q (want chiron, drl, or greedy)", *baseline)
+			return sys.Agent(), nil
 		}
 	}
 	m, err := buildMechanism()

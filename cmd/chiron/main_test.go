@@ -10,6 +10,7 @@ import (
 	"syscall"
 	"testing"
 
+	"chiron/internal/experiment"
 	"chiron/internal/mechanism"
 	"chiron/internal/rl"
 	"chiron/internal/scenario"
@@ -213,5 +214,42 @@ func TestScenarioRecordReplayCLI(t *testing.T) {
 	}
 	if err := run([]string{"replay", "-trace", tracePath, "-episodes", "-3"}); err == nil {
 		t.Error("replay -episodes -3 succeeded")
+	}
+}
+
+func TestTrainKindAliases(t *testing.T) {
+	cases := []struct {
+		name string
+		want experiment.MechanismKind
+		err  string
+	}{
+		{"chiron", experiment.KindChiron, ""},
+		{"Chiron", experiment.KindChiron, ""},
+		{"drl", experiment.KindDRLBased, ""},
+		{"DRL", experiment.KindDRLBased, ""},
+		{"drl-based", experiment.KindDRLBased, ""},
+		{"DRL-Based", experiment.KindDRLBased, ""},
+		{"greedy", experiment.KindGreedy, ""},
+		{"GREEDY", experiment.KindGreedy, ""},
+		{"uniform", 0, "not trainable"},
+		{"equal-time", 0, "not trainable"},
+		{"EqualTime-Oracle", 0, "not trainable"},
+		{"ppo", 0, "unknown mechanism"},
+		{"", 0, "unknown mechanism"},
+	}
+	for _, c := range cases {
+		got, err := trainKind(c.name)
+		if c.err == "" {
+			if err != nil || got != c.want {
+				t.Errorf("trainKind(%q) = %v, %v; want %v", c.name, got, err, c.want)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), c.err) {
+			t.Errorf("trainKind(%q) error %v, want one containing %q", c.name, err, c.err)
+		}
+	}
+	if _, err := trainKind("nope"); !errors.Is(err, scenario.ErrUnknownMechanism) {
+		t.Errorf("unknown baseline error %v does not wrap ErrUnknownMechanism", err)
 	}
 }

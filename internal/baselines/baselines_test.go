@@ -1,14 +1,17 @@
 package baselines
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"chiron/internal/accuracy"
+	"chiron/internal/core"
 	"chiron/internal/device"
 	"chiron/internal/edgeenv"
-	"chiron/internal/policy"
+	"chiron/internal/rl"
 )
 
 func testEnv(t *testing.T, nodes int, budget float64) *edgeenv.Env {
@@ -46,16 +49,81 @@ func TestDRLBasedIsMyopic(t *testing.T) {
 		t.Fatalf("gamma %v, want 0 (single-round optimization)", cfg.PPO.Gamma)
 	}
 	env := testEnv(t, 3, 100)
-	myopic, err := policy.NewMyopicEncoder(env)
+	d, err := NewDRLBased(env, cfg)
 	if err != nil {
-		t.Fatalf("NewMyopicEncoder: %v", err)
+		t.Fatalf("NewDRLBased: %v", err)
 	}
-	exterior, err := policy.NewExteriorEncoder(env)
+	c, err := core.New(env, core.DefaultConfig())
 	if err != nil {
-		t.Fatalf("NewExteriorEncoder: %v", err)
+		t.Fatalf("core.New: %v", err)
 	}
-	if got, want := myopic.Dim(), exterior.Dim()-2; got != want {
-		t.Fatalf("myopic state dim %d, want %d (no budget, no round index)", got, want)
+	myopic, exterior := checkpointOf(t, d).StateDim, checkpointOf(t, c).StateDim
+	if myopic != exterior-2 {
+		t.Fatalf("myopic state dim %d, want %d (no budget, no round index)", myopic, exterior-2)
+	}
+}
+
+// TestMyopicStateIsHistoryWindow: after a round, the DRL-based
+// observation is exactly the environment's history window — the same
+// block that opens Chiron's exterior state.
+func TestMyopicStateIsHistoryWindow(t *testing.T) {
+	env := testEnv(t, 3, 100)
+	d, err := NewDRLBased(env, DefaultDRLBasedConfig())
+	if err != nil {
+		t.Fatalf("NewDRLBased: %v", err)
+	}
+	if err := env.Reset(); err != nil {
+		t.Fatalf("Reset: %v", err)
+	}
+	if _, err := env.Step(env.RandomPrices(rand.New(rand.NewSource(2)))); err != nil {
+		t.Fatalf("Step: %v", err)
+	}
+	want := make([]float64, env.HistoryDim())
+	env.History(want)
+	got := d.state()
+	if len(got) != len(want) {
+		t.Fatalf("myopic state len %d, want %d", len(got), len(want))
+	}
+	var nonzero bool
+	for i, v := range got {
+		if v != want[i] {
+			t.Fatalf("myopic[%d] = %v != history[%d] = %v", i, v, i, want[i])
+		}
+		nonzero = nonzero || v != 0
+	}
+	if !nonzero {
+		t.Fatal("myopic state empty after a round")
+	}
+}
+
+func TestDRLBasedPriceSquash(t *testing.T) {
+	d := &DRLBased{priceHi: 2}
+	prices := d.prices([]float64{-100, 0, 100})
+	if prices[0] > 0.01 || math.Abs(prices[1]-1) > 1e-12 || prices[2] < 1.99 {
+		t.Fatalf("prices = %v, want ~[0, 1, 2]", prices)
+	}
+	d.priceHi = 10
+	if got := d.prices([]float64{0})[0]; math.Abs(got-5) > 1e-12 {
+		t.Fatalf("prices(0) = %v, want midpoint 5", got)
+	}
+}
+
+// Property: the price squash always lands inside [0, priceHi] for finite
+// input and is monotone.
+func TestDRLBasedPriceSquashProperty(t *testing.T) {
+	d := &DRLBased{priceHi: 4}
+	f := func(u1, u2 float64) bool {
+		if math.IsNaN(u1) || math.IsNaN(u2) || math.Abs(u1) > 500 || math.Abs(u2) > 500 {
+			return true
+		}
+		p := d.prices([]float64{u1, u2})
+		if p[0] < 0 || p[0] > d.priceHi || p[1] < 0 || p[1] > d.priceHi {
+			return false
+		}
+		return !(u1 < u2 && p[0] > p[1])
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -117,6 +185,12 @@ func TestGreedyConfigValidation(t *testing.T) {
 	if err := (GreedyConfig{WarmupActions: 4, Epsilon: 1.5}).Validate(); err == nil {
 		t.Fatal("accepted epsilon > 1")
 	}
+	if err := (GreedyConfig{WarmupActions: 4, Epsilon: -0.1}).Validate(); err == nil {
+		t.Fatal("accepted negative epsilon")
+	}
+	if _, err := NewGreedy(testEnv(t, 2, 100), GreedyConfig{WarmupActions: 4, Epsilon: -0.1}); err == nil {
+		t.Fatal("NewGreedy accepted negative epsilon")
+	}
 }
 
 func TestGreedyWarmupAndExploration(t *testing.T) {
@@ -126,16 +200,16 @@ func TestGreedyWarmupAndExploration(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewGreedy: %v", err)
 	}
-	if g.head.Len() != 8 {
-		t.Fatalf("warmup buffer %d, want 8", g.head.Len())
+	if len(g.replay) != 8 {
+		t.Fatalf("warmup buffer %d, want 8", len(g.replay))
 	}
 	res, err := g.RunEpisode(true)
 	if err != nil {
 		t.Fatalf("RunEpisode: %v", err)
 	}
 	// With ε=1 every played round appends a new action.
-	if g.head.Len() < 8+res.Rounds {
-		t.Fatalf("buffer %d after %d exploring rounds", g.head.Len(), res.Rounds)
+	if len(g.replay) < 8+res.Rounds {
+		t.Fatalf("buffer %d after %d exploring rounds", len(g.replay), res.Rounds)
 	}
 }
 
@@ -149,7 +223,7 @@ func TestGreedyExploitsBestAction(t *testing.T) {
 	if _, err := g.RunEpisode(true); err != nil {
 		t.Fatalf("RunEpisode: %v", err)
 	}
-	size := g.head.Len()
+	size := len(g.replay)
 	if size != 8 {
 		t.Fatalf("buffer grew without exploration: %d", size)
 	}
@@ -164,6 +238,122 @@ func TestGreedyExploitsBestAction(t *testing.T) {
 	}
 	if a.Rounds != b.Rounds {
 		t.Fatal("greedy eval not deterministic")
+	}
+}
+
+// greedyWith builds a Greedy whose replay buffer holds exactly the given
+// untried actions.
+func greedyWith(t *testing.T, epsilon float64, actions ...[]float64) *Greedy {
+	t.Helper()
+	g, err := NewGreedy(testEnv(t, 1, 100), GreedyConfig{WarmupActions: 1, Epsilon: epsilon, Seed: 1})
+	if err != nil {
+		t.Fatalf("NewGreedy: %v", err)
+	}
+	g.replay = g.replay[:0]
+	for _, a := range actions {
+		g.replay = append(g.replay, ScoredAction{Prices: a})
+	}
+	return g
+}
+
+// score plays Greedy's reward observation for replay entry idx.
+func score(t *testing.T, g *Greedy, idx int, reward float64) {
+	t.Helper()
+	g.lastIdx = idx
+	if err := g.Observe(edgeenv.StepResult{ExteriorReward: reward}, true); err != nil {
+		t.Fatalf("Observe: %v", err)
+	}
+}
+
+func TestGreedyReplaySelectAndScore(t *testing.T) {
+	g := greedyWith(t, 0, []float64{1}, []float64{2}, []float64{3})
+	// Score entry 1 best, entry 0 worse.
+	score(t, g, 0, 1)
+	score(t, g, 1, 5)
+	prices, err := g.Decide(true)
+	if err != nil {
+		t.Fatalf("Decide: %v", err)
+	}
+	if g.lastIdx != 1 || prices[0] != 2 {
+		t.Fatalf("Decide picked entry %d (%v), want best entry 1", g.lastIdx, prices)
+	}
+	prices[0] = 99 // the posted vector must be a copy
+	if g.replay[1].Prices[0] != 2 {
+		t.Fatal("Decide aliased the replay entry")
+	}
+	// First score sets, second folds in the EMA with the exact paper
+	// constants (0.9/0.1).
+	score(t, g, 1, 10)
+	if got, want := g.replay[1].Reward, 0.9*5.0+0.1*10.0; got != want {
+		t.Fatalf("EMA reward %v, want %v", got, want)
+	}
+	// Eval never scores.
+	if err := g.Observe(edgeenv.StepResult{ExteriorReward: 100}, false); err != nil {
+		t.Fatalf("Observe: %v", err)
+	}
+	if g.replay[1].Reward != 0.9*5.0+0.1*10.0 {
+		t.Fatal("eval Observe changed a score")
+	}
+}
+
+func TestGreedyReplayExploreAppends(t *testing.T) {
+	g := greedyWith(t, 1, []float64{1}) // always explore when training
+	if _, err := g.Decide(true); err != nil {
+		t.Fatalf("Decide: %v", err)
+	}
+	if g.lastIdx != 1 || len(g.replay) != 2 {
+		t.Fatalf("explore did not append: idx=%d len=%d", g.lastIdx, len(g.replay))
+	}
+	if len(g.replay[1].Prices) != 1 || g.replay[1].Tried {
+		t.Fatalf("explored action stored as %+v", g.replay[1])
+	}
+	// Eval never explores even at ε=1.
+	if _, err := g.Decide(false); err != nil {
+		t.Fatalf("Decide: %v", err)
+	}
+	if len(g.replay) != 2 {
+		t.Fatal("eval Decide appended an action")
+	}
+}
+
+func TestGreedyReplaySnapshotRestore(t *testing.T) {
+	g := greedyWith(t, 0.5, []float64{2})
+	score(t, g, 0, 3)
+	ck := checkpointOf(t, g)
+
+	g2 := greedyWith(t, 0.5, []float64{7}, []float64{8})
+	if err := g2.Restore(ck); err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	if len(g2.replay) != 1 || g2.replay[0].Reward != 3 || !g2.replay[0].Tried || g2.replay[0].Prices[0] != 2 {
+		t.Fatalf("restored %+v", g2.replay)
+	}
+	for _, extra := range []string{`{"replay":[]}`, `{"replay":[{"prices":[]}]}`} {
+		bad := *ck
+		bad.Extra = []byte(extra)
+		if err := g2.Restore(&bad); !errors.Is(err, rl.ErrCorruptCheckpoint) {
+			t.Fatalf("Restore(%s): err %v, want ErrCorruptCheckpoint", extra, err)
+		}
+	}
+}
+
+func TestStaticReferencePostsClone(t *testing.T) {
+	env := testEnv(t, 2, 100)
+	per := 0.5 * env.MaxTotalPrice() / 2
+	src := []float64{per, per}
+	st := newStatic("static", env, src)
+	src[0] = 0 // the reference must have cloned
+	if _, err := st.RunEpisode(false); err != nil {
+		t.Fatalf("RunEpisode: %v", err)
+	}
+	rounds := env.Ledger().Rounds()
+	if len(rounds) == 0 {
+		t.Fatal("static reference played no rounds")
+	}
+	for _, r := range rounds {
+		if r.Prices[0] != per || r.Prices[1] != per {
+			t.Fatalf("round %d posted %v, want [%v %v]", r.Index, r.Prices, per, per)
+		}
 	}
 }
 

@@ -1,18 +1,17 @@
 // Package baselines implements the two comparison mechanisms of Sec. VI:
 // the single-agent DRL-based approach of Zhan et al. (INFOCOM'20) and the
 // replay-buffer Greedy strategy, plus a static Uniform reference used by
-// ablation benchmarks. All four run through the shared agent stack — the
-// internal/policy encoders and heads, the internal/rl learner core, and the
-// mechanism.Driver episode loop.
+// ablation benchmarks. All four run through the mechanism.Driver episode
+// loop; the DRL-based baseline learns with the internal/rl learner core.
 package baselines
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"chiron/internal/edgeenv"
 	"chiron/internal/mechanism"
-	"chiron/internal/policy"
 	"chiron/internal/rl"
 )
 
@@ -43,17 +42,18 @@ func DefaultDRLBasedConfig() DRLBasedConfig {
 // the single-round (myopic) objective. It scores each round with the same
 // per-round server reward Chiron's exterior agent receives (λΔA − w·T_k):
 // the paper's comparison methodology of an identical optimization goal, a
-// single-agent architecture and no budget awareness. Its observation (the
-// myopic encoder) omits the remaining budget — the defining difference
-// from Chiron's long-term exterior agent.
+// single-agent architecture and no budget awareness. Its observation is
+// the history window only: it omits the remaining budget and round index —
+// the defining difference from Chiron's long-term exterior agent.
 type DRLBased struct {
 	*mechanism.Driver
-	obs   *policy.Concat           // history-only myopic observation
-	head  policy.BoundedVectorHead // per-node price head
-	pair  *rl.Pair
-	sched *rl.Scheduler
-	src   *rl.CountingSource
-	rng   *rand.Rand
+	// priceHi bounds each node's price: the action square [0, priceHi]^N
+	// covers the same feasible region as Chiron's total-price simplex.
+	priceHi float64
+	pair    *rl.Pair
+	sched   *rl.Scheduler
+	src     *rl.CountingSource
+	rng     *rand.Rand
 
 	// Per-round actor scratch, valid between Decide and Observe.
 	lastState []float64
@@ -77,26 +77,19 @@ func NewDRLBased(env *edgeenv.Env, cfg DRLBasedConfig) (*DRLBased, error) {
 	}
 	src := rl.NewCountingSource(cfg.Seed)
 	rng := rand.New(src)
-	obs, err := policy.NewMyopicEncoder(env)
-	if err != nil {
-		return nil, fmt.Errorf("baselines: drl-based encoder: %w", err)
-	}
-	agent, err := rl.NewPPO(rng, obs.Dim(), env.NumNodes(), cfg.PPO)
+	agent, err := rl.NewPPO(rng, env.HistoryDim(), env.NumNodes(), cfg.PPO)
 	if err != nil {
 		return nil, fmt.Errorf("baselines: drl-based agent: %w", err)
 	}
 	d := &DRLBased{
-		obs: obs,
-		// The action square covers the same feasible region as Chiron's
-		// total-price simplex.
-		head: policy.BoundedVectorHead{Lo: 0, Hi: env.MaxTotalPrice() / float64(env.NumNodes())},
-		pair: rl.NewPair("agent", agent, cfg.RewardScale),
-		src:  src,
-		rng:  rng,
+		priceHi: env.MaxTotalPrice() / float64(env.NumNodes()),
+		pair:    rl.NewPair("agent", agent, cfg.RewardScale),
+		src:     src,
+		rng:     rng,
 	}
 	// Update-then-decay: nothing happens on an episode that produced no
 	// samples; otherwise update every episode (no cross-episode batching).
-	d.sched = &rl.Scheduler{Pairs: []*rl.Pair{d.pair}, Gate: 0, MinSamples: 1}
+	d.sched = &rl.Scheduler{Pairs: []*rl.Pair{d.pair}, MinSamples: 1}
 	d.Driver = mechanism.NewDriver("DRL-based", env, d)
 	return d, nil
 }
@@ -104,9 +97,26 @@ func NewDRLBased(env *edgeenv.Env, cfg DRLBasedConfig) (*DRLBased, error) {
 // Agent exposes the underlying PPO learner.
 func (d *DRLBased) Agent() *rl.PPO { return d.pair.Agent }
 
+// state renders the myopic observation: the history window alone.
+func (d *DRLBased) state() []float64 {
+	s := make([]float64, d.Env().HistoryDim())
+	d.Env().History(s)
+	return s
+}
+
+// prices maps each pre-squash action component independently into
+// (0, priceHi) via a sigmoid.
+func (d *DRLBased) prices(u []float64) []float64 {
+	out := make([]float64, len(u))
+	for i, v := range u {
+		out[i] = d.priceHi / (1 + math.Exp(-v))
+	}
+	return out
+}
+
 // Decide implements mechanism.Actor.
 func (d *DRLBased) Decide(train bool) ([]float64, error) {
-	d.lastState = d.obs.State()
+	d.lastState = d.state()
 	var err error
 	if train {
 		d.lastAct, d.lastLP, err = d.pair.Agent.Act(d.rng, d.lastState)
@@ -116,7 +126,7 @@ func (d *DRLBased) Decide(train bool) ([]float64, error) {
 	if err != nil {
 		return nil, fmt.Errorf("baselines: drl-based act: %w", err)
 	}
-	return d.head.Prices(d.lastAct), nil
+	return d.prices(d.lastAct), nil
 }
 
 // Observe implements mechanism.Actor.
@@ -128,7 +138,7 @@ func (d *DRLBased) Observe(res edgeenv.StepResult, train bool) error {
 		State:     d.lastState,
 		Action:    d.lastAct,
 		Reward:    res.ExteriorReward,
-		NextState: d.obs.State(),
+		NextState: d.state(),
 		Done:      res.Done,
 		LogProb:   d.lastLP,
 	})
@@ -163,7 +173,7 @@ func (d *DRLBased) Checkpoint() (*rl.Checkpoint, error) {
 	return &rl.Checkpoint{
 		Mechanism: drlCheckpointMechanism,
 		Nodes:     d.Env().NumNodes(),
-		StateDim:  d.obs.Dim(),
+		StateDim:  d.Env().HistoryDim(),
 		Episode:   d.Episode(),
 		RNG:       &rng,
 		Agents:    []rl.AgentState{rl.PairState(d.pair)},
@@ -172,7 +182,7 @@ func (d *DRLBased) Checkpoint() (*rl.Checkpoint, error) {
 
 // Restore implements mechanism.Checkpointer.
 func (d *DRLBased) Restore(ck *rl.Checkpoint) error {
-	if err := rl.CheckPins(ck, drlCheckpointMechanism, d.Env().NumNodes(), d.obs.Dim(), d.pair.Name); err != nil {
+	if err := rl.CheckPins(ck, drlCheckpointMechanism, d.Env().NumNodes(), d.Env().HistoryDim(), d.pair.Name); err != nil {
 		return err
 	}
 	if err := rl.RestorePair(d.pair, ck.Agent(d.pair.Name)); err != nil {

@@ -25,16 +25,12 @@ var _ mechanism.Mechanism = (*EqualTime)(nil)
 // seconds; it must be at least MinFeasibleTime(env) or nodes will be
 // unable to reach it and the slowest node will still define T_k. The
 // Lemma-1 prices depend only on the static node parameters, so they are
-// computed once here and posted by a static head every round.
+// computed once here and posted unchanged every round.
 func NewEqualTime(env *edgeenv.Env, target float64) (*EqualTime, error) {
 	if target <= 0 {
 		return nil, fmt.Errorf("baselines: equal-time target %v, want > 0", target)
 	}
-	st, err := newStatic("EqualTime-Oracle", env, PricesForTime(env.Nodes(), target))
-	if err != nil {
-		return nil, fmt.Errorf("baselines: equal-time: %w", err)
-	}
-	return &EqualTime{st}, nil
+	return &EqualTime{newStatic("EqualTime-Oracle", env, PricesForTime(env.Nodes(), target))}, nil
 }
 
 // MinFeasibleTime returns the smallest round time every node can reach:

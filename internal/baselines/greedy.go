@@ -6,10 +6,27 @@ import (
 	"math/rand"
 
 	"chiron/internal/edgeenv"
+	"chiron/internal/mat"
 	"chiron/internal/mechanism"
-	"chiron/internal/policy"
 	"chiron/internal/rl"
 )
+
+// emaKeep/emaNew weight the old and new scores when re-scoring a tried
+// action; the exponential moving average keeps scores current as the
+// accuracy curve's marginal returns shrink. Both are literals (not 1−emaKeep)
+// so the arithmetic is bit-identical to the pre-refactor traces.
+const (
+	emaKeep = 0.9
+	emaNew  = 0.1
+)
+
+// ScoredAction is one replay entry: a price vector with its observed
+// per-round reward score. Fields are exported for checkpoint serialization.
+type ScoredAction struct {
+	Prices []float64 `json:"prices"`
+	Reward float64   `json:"reward"`
+	Tried  bool      `json:"tried"`
+}
 
 // GreedyConfig parameterizes the Greedy baseline.
 type GreedyConfig struct {
@@ -39,16 +56,17 @@ func (c GreedyConfig) Validate() error {
 	return nil
 }
 
-// Greedy is the paper's second baseline: an ε-greedy replay head that fills
-// a buffer with random price vectors, scores them by observed per-round
-// reward, and replays the best-scoring action with probability 1−ε while
-// exploring new random actions with probability ε. It has no learning-time
-// structure and no budget pacing.
+// Greedy is the paper's second baseline: an ε-greedy replay strategy that
+// fills a buffer with random price vectors, scores them by observed
+// per-round reward, and replays the best-scoring action with probability
+// 1−ε while exploring new random actions with probability ε. It has no
+// learning-time structure and no budget pacing.
 type Greedy struct {
 	*mechanism.Driver
-	head *policy.ReplayHead
-	src  *rl.CountingSource
-	rng  *rand.Rand
+	epsilon float64
+	replay  []ScoredAction // grows with exploration
+	src     *rl.CountingSource
+	rng     *rand.Rand
 
 	// lastIdx is the replay entry selected by the latest Decide.
 	lastIdx int
@@ -66,40 +84,67 @@ func NewGreedy(env *edgeenv.Env, cfg GreedyConfig) (*Greedy, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	head, err := policy.NewReplayHead(cfg.Epsilon)
-	if err != nil {
-		return nil, fmt.Errorf("baselines: greedy: %w", err)
-	}
 	src := rl.NewCountingSource(cfg.Seed)
-	g := &Greedy{head: head, src: src, rng: rand.New(src)}
+	g := &Greedy{epsilon: cfg.Epsilon, src: src, rng: rand.New(src)}
 	for i := 0; i < cfg.WarmupActions; i++ {
-		head.Seed(env.RandomPrices(g.rng))
+		g.replay = append(g.replay, ScoredAction{Prices: env.RandomPrices(g.rng)})
 	}
 	g.Driver = mechanism.NewDriver("Greedy", env, g)
 	return g, nil
 }
 
-// Decide implements mechanism.Actor.
+// bestIndex returns the index of the highest-reward tried action, or a
+// random untried one when nothing has been scored yet.
+func (g *Greedy) bestIndex() int {
+	best := -1
+	for i := range g.replay {
+		if !g.replay[i].Tried {
+			continue
+		}
+		if best == -1 || g.replay[i].Reward > g.replay[best].Reward {
+			best = i
+		}
+	}
+	if best == -1 {
+		return g.rng.Intn(len(g.replay))
+	}
+	return best
+}
+
+// Decide implements mechanism.Actor: it posts a copy of the best known
+// action or — when training — a fresh random action with probability ε.
+// The RNG draw order (best-index tiebreak first, then the ε coin) is pinned
+// by the golden traces.
 func (g *Greedy) Decide(train bool) ([]float64, error) {
-	g.lastIdx = g.head.Select(g.rng, train, func() []float64 {
-		return g.Env().RandomPrices(g.rng)
-	})
-	return g.head.Prices(g.lastIdx), nil
+	g.lastIdx = g.bestIndex()
+	if train && g.rng.Float64() < g.epsilon {
+		g.replay = append(g.replay, ScoredAction{Prices: g.Env().RandomPrices(g.rng)})
+		g.lastIdx = len(g.replay) - 1
+	}
+	return mat.CloneVec(g.replay[g.lastIdx].Prices), nil
 }
 
 // Observe implements mechanism.Actor: with train set the committed round's
-// reward folds into the selected action's score.
+// reward folds into the selected action's score — the first observation
+// sets it, later ones fold in with an exponential moving average.
 func (g *Greedy) Observe(res edgeenv.StepResult, train bool) error {
-	if train {
-		g.head.Score(g.lastIdx, res.ExteriorReward)
+	if !train {
+		return nil
 	}
+	e := &g.replay[g.lastIdx]
+	if !e.Tried {
+		e.Tried = true
+		e.Reward = res.ExteriorReward
+		return nil
+	}
+	e.Reward = emaKeep*e.Reward + emaNew*res.ExteriorReward
 	return nil
 }
 
 // Discard implements mechanism.Actor: the discarded round scores nothing.
 func (g *Greedy) Discard(bool) {}
 
-// EndEpisode implements mechanism.Actor: the replay head has no
+// EndEpisode implements mechanism.Actor: the replay strategy has no
 // end-of-episode learner work.
 func (g *Greedy) EndEpisode(bool) error { return nil }
 
@@ -108,13 +153,13 @@ const greedyCheckpointMechanism = "greedy"
 
 // greedyExtra is the mechanism-specific payload of a Greedy checkpoint.
 type greedyExtra struct {
-	Replay []policy.ScoredAction `json:"replay"`
+	Replay []ScoredAction `json:"replay"`
 }
 
 // Checkpoint implements mechanism.Checkpointer: the scored replay buffer
 // rides in the Extra payload.
 func (g *Greedy) Checkpoint() (*rl.Checkpoint, error) {
-	extra, err := json.Marshal(greedyExtra{Replay: g.head.Snapshot()})
+	extra, err := json.Marshal(greedyExtra{Replay: g.replay})
 	if err != nil {
 		return nil, fmt.Errorf("baselines: marshal greedy replay: %w", err)
 	}
@@ -140,15 +185,17 @@ func (g *Greedy) Restore(ck *rl.Checkpoint) error {
 	if err := json.Unmarshal(ck.Extra, &extra); err != nil {
 		return fmt.Errorf("%w: parse greedy replay: %v", rl.ErrCorruptCheckpoint, err)
 	}
+	if len(extra.Replay) == 0 {
+		return fmt.Errorf("%w: empty greedy replay buffer", rl.ErrCorruptCheckpoint)
+	}
 	for i, a := range extra.Replay {
 		if len(a.Prices) != g.Env().NumNodes() {
 			return fmt.Errorf("%w: replay action %d has %d prices, want %d",
 				rl.ErrCorruptCheckpoint, i, len(a.Prices), g.Env().NumNodes())
 		}
 	}
-	if err := g.head.Restore(extra.Replay); err != nil {
-		return fmt.Errorf("%w: %v", rl.ErrCorruptCheckpoint, err)
-	}
+	// The decoded buffer is freshly allocated, so it is adopted as is.
+	g.replay = extra.Replay
 	g.SetEpisode(ck.Episode)
 	if ck.RNG != nil {
 		if err := g.src.Restore(*ck.RNG); err != nil {

@@ -4,24 +4,24 @@ import (
 	"fmt"
 
 	"chiron/internal/edgeenv"
+	"chiron/internal/mat"
 	"chiron/internal/mechanism"
-	"chiron/internal/policy"
 )
 
-// staticActor adapts a StaticHead to the driver's Actor surface — the
-// shared composition behind the non-learning references (Uniform,
-// EqualTime), which run through the same episode loop as the learners but
-// observe nothing and never update.
+// staticActor posts the same price vector every round — the actor behind
+// the non-learning references (Uniform, EqualTime), which run through the
+// same episode loop as the learners but observe nothing and never update.
+// Callers must not mutate the posted vector.
 type staticActor struct {
-	head *policy.StaticHead
+	prices []float64
 }
 
-func (a staticActor) Decide(bool) ([]float64, error)         { return a.head.Prices(), nil }
+func (a staticActor) Decide(bool) ([]float64, error)         { return a.prices, nil }
 func (a staticActor) Observe(edgeenv.StepResult, bool) error { return nil }
 func (a staticActor) Discard(bool)                           {}
 func (a staticActor) EndEpisode(bool) error                  { return nil }
 
-// static runs a StaticHead through an unexported episode driver. It does
+// static runs a staticActor through an unexported episode driver. It does
 // not embed *mechanism.Driver the way the learners do: that would promote
 // Train and make the references mechanism.Trainable, so every harness
 // would "train" them.
@@ -29,13 +29,10 @@ type static struct {
 	drv *mechanism.Driver
 }
 
-// newStatic binds a static head posting prices to env under name.
-func newStatic(name string, env *edgeenv.Env, prices []float64) (static, error) {
-	head, err := policy.NewStaticHead(prices)
-	if err != nil {
-		return static{}, err
-	}
-	return static{drv: mechanism.NewDriver(name, env, staticActor{head: head})}, nil
+// newStatic binds a static actor posting a clone of prices to env under
+// name.
+func newStatic(name string, env *edgeenv.Env, prices []float64) static {
+	return static{drv: mechanism.NewDriver(name, env, staticActor{prices: mat.CloneVec(prices)})}
 }
 
 // Name implements mechanism.Mechanism.
@@ -45,7 +42,7 @@ func (s static) Name() string { return s.drv.Name() }
 func (s static) Env() *edgeenv.Env { return s.drv.Env() }
 
 // RunEpisode implements mechanism.Mechanism. The train flag is ignored —
-// a static head has nothing to learn.
+// a static reference has nothing to learn.
 func (s static) RunEpisode(train bool) (mechanism.EpisodeResult, error) {
 	return s.drv.RunEpisode(train)
 }
@@ -72,9 +69,5 @@ func NewUniform(env *edgeenv.Env, fraction float64) (*Uniform, error) {
 	for i := range prices {
 		prices[i] = per
 	}
-	st, err := newStatic("Uniform", env, prices)
-	if err != nil {
-		return nil, fmt.Errorf("baselines: uniform: %w", err)
-	}
-	return &Uniform{st}, nil
+	return &Uniform{newStatic("Uniform", env, prices)}, nil
 }

@@ -17,7 +17,7 @@ func (c *Chiron) Checkpoint() (*rl.Checkpoint, error) {
 	return &rl.Checkpoint{
 		Mechanism: checkpointMechanism,
 		Nodes:     c.Env().NumNodes(),
-		StateDim:  c.obs.Dim(),
+		StateDim:  c.stateDim,
 		Episode:   c.Episode(),
 		RNG:       &rng,
 		Agents:    []rl.AgentState{rl.PairState(c.pairE), rl.PairState(c.pairI)},
@@ -26,7 +26,7 @@ func (c *Chiron) Checkpoint() (*rl.Checkpoint, error) {
 
 // Restore implements mechanism.Checkpointer.
 func (c *Chiron) Restore(ck *rl.Checkpoint) error {
-	if err := rl.CheckPins(ck, checkpointMechanism, c.Env().NumNodes(), c.obs.Dim(), c.pairE.Name, c.pairI.Name); err != nil {
+	if err := rl.CheckPins(ck, checkpointMechanism, c.Env().NumNodes(), c.stateDim, c.pairE.Name, c.pairI.Name); err != nil {
 		return err
 	}
 	if err := rl.RestorePair(c.pairE, ck.Agent(c.pairE.Name)); err != nil {

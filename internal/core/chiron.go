@@ -10,19 +10,19 @@
 // (Eqn. 13). Both agents train with clipped-surrogate PPO at episode end,
 // exactly the workflow of Algorithm 1.
 //
-// Chiron is built from the shared agent stack: internal/policy encoders and
-// action heads on top of two internal/rl policy+learner pairs, run by the
-// mechanism.Driver episode loop.
+// Chiron builds its own observations and price heads on top of two
+// internal/rl policy+learner pairs, run by the mechanism.Driver episode
+// loop.
 package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"chiron/internal/edgeenv"
 	"chiron/internal/mat"
 	"chiron/internal/mechanism"
-	"chiron/internal/policy"
 	"chiron/internal/rl"
 )
 
@@ -96,26 +96,22 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Chiron is the hierarchical DRL incentive mechanism: a thin composition of
-// an exterior policy+learner pair (total price, bounded scalar head over
-// the full exterior observation) and an inner pair (allocation proportions,
-// simplex head conditioned on the exterior action), run by its embedded
-// episode driver.
+// Chiron is the hierarchical DRL incentive mechanism: an exterior
+// policy+learner pair (total price, log-squashed over the full exterior
+// observation) and an inner pair (allocation proportions on the simplex,
+// conditioned on the exterior action), run by its embedded episode driver.
 type Chiron struct {
 	*mechanism.Driver
-	cfg       Config
-	obs       *policy.Concat             // exterior observation s^E_k
-	cond      policy.ConditioningEncoder // inner observation s^I_k
-	priceHead policy.BoundedScalarHead   // a^E_k → p_total,k
-	allocHead policy.SimplexHead         // a^I_k → pr_{i,k} → p_{i,k}
-	pairE     *rl.Pair
-	pairI     *rl.Pair
-	sched     *rl.Scheduler
-	src       *rl.CountingSource
-	rng       *rand.Rand
-	maxTotal  float64
-	priceLo   float64 // exterior action range, see New
-	priceHi   float64
+	cfg      Config
+	stateDim int // exterior observation length: history window + 2
+	pairE    *rl.Pair
+	pairI    *rl.Pair
+	sched    *rl.Scheduler
+	src      *rl.CountingSource
+	rng      *rand.Rand
+	maxTotal float64
+	priceLo  float64 // exterior action range, see New
+	priceHi  float64
 
 	// Per-round actor scratch, valid between Decide and Observe/Discard.
 	lastStateE []float64
@@ -143,33 +139,29 @@ func New(env *edgeenv.Env, cfg Config) (*Chiron, error) {
 	}
 	src := rl.NewCountingSource(cfg.Seed)
 	rng := rand.New(src)
-	obs, err := policy.NewExteriorEncoder(env)
-	if err != nil {
-		return nil, fmt.Errorf("core: exterior encoder: %w", err)
-	}
-	exterior, err := rl.NewPPO(rng, obs.Dim(), 1, cfg.Exterior)
+	stateDim := env.HistoryDim() + 2
+	exterior, err := rl.NewPPO(rng, stateDim, 1, cfg.Exterior)
 	if err != nil {
 		return nil, fmt.Errorf("core: exterior agent: %w", err)
 	}
-	inner, err := rl.NewPPO(rng, policy.NewConditioningEncoder(env).Dim(), env.NumNodes(), cfg.Inner)
+	// The inner state is the one-entry normalized exterior action.
+	inner, err := rl.NewPPO(rng, 1, env.NumNodes(), cfg.Inner)
 	if err != nil {
 		return nil, fmt.Errorf("core: inner agent: %w", err)
 	}
 	c := &Chiron{
 		cfg:      cfg,
-		obs:      obs,
-		cond:     policy.NewConditioningEncoder(env),
+		stateDim: stateDim,
 		pairE:    rl.NewPair("exterior", exterior, cfg.ExteriorRewardScale),
 		pairI:    rl.NewPair("inner", inner, cfg.InnerRewardScale),
 		src:      src,
 		rng:      rng,
 		maxTotal: env.MaxTotalPrice(),
 	}
-	// Update order is inner before exterior (Algorithm 1 lines 17–27), the
-	// gate watches the exterior buffer, and decay ticks every episode.
+	// Update order is inner before exterior (Algorithm 1 lines 17–27), so
+	// the gate watches the exterior buffer, and decay ticks every episode.
 	c.sched = &rl.Scheduler{
 		Pairs:      []*rl.Pair{c.pairI, c.pairE},
-		Gate:       1,
 		MinSamples: cfg.MinUpdateSamples,
 		DecayFirst: true,
 	}
@@ -181,7 +173,7 @@ func New(env *edgeenv.Env, cfg Config) (*Chiron, error) {
 	// corresponding total-price bounds come from inverting the fleet's
 	// price→payment map (uniform split, best responses), capped at the
 	// fleet's saturation price beyond which extra price is pure waste.
-	// The policy then works in log space over the range (LogSquash) so
+	// The policy then works in log space over the range (logSquash) so
 	// exploration starts near the geometric middle — a moderate pace at
 	// every fleet size and budget.
 	budget := env.Ledger().Budget()
@@ -197,8 +189,43 @@ func New(env *edgeenv.Env, cfg Config) (*Chiron, error) {
 	if c.priceLo >= c.priceHi {
 		c.priceLo = c.priceHi / 10
 	}
-	c.priceHead = policy.BoundedScalarHead{Lo: c.priceLo, Hi: c.priceHi}
 	return c, nil
+}
+
+// logSquash maps an unbounded pre-squash value into [lo, hi] on a
+// logarithmic scale: u=0 lands on the geometric mean √(lo·hi). Prices span
+// orders of magnitude, so the log parametrization gives the policy equal
+// resolution across the whole range and starts exploration near the middle
+// of the multiplicative range instead of half the maximum. lo must be
+// positive.
+func logSquash(u, lo, hi float64) float64 {
+	logLo, logHi := math.Log(lo), math.Log(hi)
+	return math.Exp(logLo + (logHi-logLo)/(1+math.Exp(-u)))
+}
+
+// SplitPrices is the Eqn. 13 inner head: it projects the inner agent's
+// pre-squash vector u onto the simplex (softmax) and scales the
+// proportions by the round's total price, p_{i,k} = a^E_k · a^I_{i,k}.
+func SplitPrices(total float64, u []float64) []float64 {
+	prices, _ := mat.Softmax(nil, u) // a nil dst is sized to u: no shape error
+	for i, pr := range prices {
+		prices[i] = total * pr
+	}
+	return prices
+}
+
+// exteriorState renders s^E_k into a fresh slice: the history window, then
+// the remaining budget fraction and the normalized round index — the two
+// long-term entries that distinguish Chiron from the myopic baselines.
+func (c *Chiron) exteriorState() []float64 {
+	env := c.Env()
+	s := make([]float64, c.stateDim)
+	h := c.stateDim - 2
+	env.History(s[:h])
+	ledger := env.Ledger()
+	s[h] = ledger.Remaining() / ledger.Budget()
+	s[h+1] = float64(env.Round()) / float64(env.Config().MaxRounds)
+	return s
 }
 
 // paymentForTotal estimates the round payment a uniformly split total
@@ -264,9 +291,10 @@ func (c *Chiron) decide(stateE []float64, train bool) (decision, error) {
 	if err != nil {
 		return decision{}, fmt.Errorf("core: exterior act: %w", err)
 	}
-	d.total = c.priceHead.Total(d.actE[0])
-	// The exterior action is the inner state (the hierarchy of Fig. 2).
-	d.stateI = c.cond.State(d.total)
+	d.total = logSquash(d.actE[0], c.priceLo, c.priceHi)
+	// The exterior action, normalized by the fleet's saturation price, is
+	// the inner state (the hierarchy of Fig. 2).
+	d.stateI = []float64{d.total / c.maxTotal}
 	if train {
 		d.actI, d.lpI, err = c.pairI.Agent.Act(c.rng, d.stateI)
 	} else {
@@ -275,16 +303,13 @@ func (c *Chiron) decide(stateE []float64, train bool) (decision, error) {
 	if err != nil {
 		return decision{}, fmt.Errorf("core: inner act: %w", err)
 	}
-	d.prices, err = c.allocHead.Prices(d.total, d.actI)
-	if err != nil {
-		return decision{}, err
-	}
+	d.prices = SplitPrices(d.total, d.actI)
 	return d, nil
 }
 
 // Decide implements mechanism.Actor.
 func (c *Chiron) Decide(train bool) ([]float64, error) {
-	c.lastStateE = c.obs.State()
+	c.lastStateE = c.exteriorState()
 	d, err := c.decide(c.lastStateE, train)
 	if err != nil {
 		return nil, err
@@ -305,7 +330,7 @@ func (c *Chiron) Observe(res edgeenv.StepResult, train bool) error {
 		State:     c.lastStateE,
 		Action:    d.actE,
 		Reward:    res.ExteriorReward,
-		NextState: c.obs.State(),
+		NextState: c.exteriorState(),
 		Done:      res.Done,
 		LogProb:   d.lpE,
 	})
@@ -386,7 +411,7 @@ func (c *Chiron) Evaluate(episodes int) (mechanism.EpisodeResult, error) {
 // environment state without stepping the environment — useful for
 // inspecting a trained policy.
 func (c *Chiron) PriceVector() ([]float64, error) {
-	d, err := c.decide(c.obs.State(), false)
+	d, err := c.decide(c.exteriorState(), false)
 	if err != nil {
 		return nil, err
 	}

@@ -74,7 +74,7 @@ func FuzzCheckpointLoad(f *testing.F) {
 		if ext == nil || ext.Snapshot == nil || inn == nil || inn.Snapshot == nil {
 			t.Fatalf("successful restore left a hollow agent: %+v", ck)
 		}
-		if ck.Nodes != env.NumNodes() || ck.StateDim != ch.obs.Dim() {
+		if ck.Nodes != env.NumNodes() || ck.StateDim != ch.stateDim {
 			t.Fatalf("successful restore changed the pinned shape: %+v", ck)
 		}
 	})

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 )
@@ -181,10 +182,10 @@ func gammaSample(rng *rand.Rand, shape float64) float64 {
 		for u == 0 {
 			u = rng.Float64()
 		}
-		return gammaSample(rng, shape+1) * powFloat(u, 1/shape)
+		return gammaSample(rng, shape+1) * math.Pow(u, 1/shape)
 	}
 	d := shape - 1.0/3.0
-	c := 1 / sqrtFloat(9*d)
+	c := 1 / math.Sqrt(9*d)
 	for {
 		x := rng.NormFloat64()
 		v := 1 + c*x
@@ -196,7 +197,7 @@ func gammaSample(rng *rand.Rand, shape float64) float64 {
 		if u < 1-0.0331*x*x*x*x {
 			return d * v
 		}
-		if u > 0 && logFloat(u) < 0.5*x*x+d*(1-v+logFloat(v)) {
+		if u > 0 && math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
 			return d * v
 		}
 	}

@@ -336,19 +336,46 @@ func (e *Env) Done() bool { return e.done }
 // (0, MaxTotalPrice].
 func (e *Env) MaxTotalPrice() float64 { return e.fleet.MaxTotalPrice() }
 
-// Norms returns the fleet's state-normalization constants: the maximum
-// ζ_max across the fleet, the per-node price driving the fastest node flat
-// out, and the slowest conceivable round time. The agent stack's
-// observation encoders (internal/policy) divide raw history entries by
-// these so the policy networks stay well conditioned; the state layout
-// itself lives with the encoders, not the environment.
-func (e *Env) Norms() (freq, price, time float64) {
-	return e.freqNorm, e.priceNorm, e.timeNorm
+// HistoryDim is the length of the window History renders: 3·N·L values.
+func (e *Env) HistoryDim() int { return 3 * e.fleet.Len() * e.cfg.HistoryLen }
+
+// History renders the windowed round history of the paper's exterior state
+// s^E_k into dst (length HistoryDim): the most recent L rounds of {ζ, p, T}
+// per node, oldest slot first, zero-padded before round L. Values are
+// divided by the fleet's saturation constants (max ζ_max, the price driving
+// the fastest node flat out, the slowest conceivable round time) to keep
+// the policy networks well conditioned. It draws no randomness, so
+// rendering the same state twice is bit-identical.
+//
+// The node axis is clamped per round record: a record narrower than the
+// fleet (a round played while churn had shrunk the roster, or a legacy
+// trace) contributes zeros for the missing tail instead of panicking.
+// Compact (fleet-scale aggregate) records carry no per-node vectors and
+// render as all-zero slots.
+func (e *Env) History(dst []float64) {
+	mat.FillVec(dst, 0)
+	rounds := e.ledger.Rounds()
+	n, window := e.fleet.Len(), e.cfg.HistoryLen
+	for slot := 0; slot < window; slot++ {
+		idx := len(rounds) - window + slot
+		if idx < 0 {
+			continue
+		}
+		r := &rounds[idx]
+		base := slot * 3 * n
+		m := min(n, len(r.Freqs), len(r.Prices), len(r.Times))
+		if m == 0 {
+			continue
+		}
+		mat.DivScalarVecTo(dst[base:base+m], r.Freqs[:m], e.freqNorm)
+		mat.DivScalarVecTo(dst[base+n:base+n+m], r.Prices[:m], e.priceNorm)
+		mat.DivScalarVecTo(dst[base+2*n:base+2*n+m], r.Times[:m], e.timeNorm)
+	}
 }
 
 // Reset begins a new episode: the ledger refills and the learning task
-// restarts. Observations are produced by the mechanism's encoders
-// (internal/policy), which read the freshly reset ledger on demand.
+// restarts. Mechanisms read their observations (History plus their own
+// features) from the freshly reset ledger on demand.
 func (e *Env) Reset() error {
 	e.ledger.Reset()
 	acc, err := e.cfg.Accuracy.Reset()

@@ -76,9 +76,8 @@ func TestConfigValidation(t *testing.T) {
 
 func TestNormsArePositive(t *testing.T) {
 	env := testEnv(t, 4, 100)
-	fn, pn, tn := env.Norms()
-	if fn <= 0 || pn <= 0 || tn <= 0 {
-		t.Fatalf("Norms = %v, %v, %v, want all > 0", fn, pn, tn)
+	if env.freqNorm <= 0 || env.priceNorm <= 0 || env.timeNorm <= 0 {
+		t.Fatalf("norms = %v, %v, %v, want all > 0", env.freqNorm, env.priceNorm, env.timeNorm)
 	}
 }
 

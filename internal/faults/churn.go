@@ -287,9 +287,9 @@ const churnSalt = 0xda3e39cb94b95bdb
 // unit returns the cell's uniform draw in [0,1). Round 0 carries the
 // initial-presence draw.
 func (s *ChurnSampler) unit(round, node int) float64 {
-	h := splitmix64(uint64(s.seed) ^ churnSalt)
-	h = splitmix64(h ^ uint64(round)*0x9e3779b97f4a7c15)
-	h = splitmix64(h ^ uint64(node)*0xbf58476d1ce4e5b9)
+	h := SplitMix64(uint64(s.seed) ^ churnSalt)
+	h = SplitMix64(h ^ uint64(round)*0x9e3779b97f4a7c15)
+	h = SplitMix64(h ^ uint64(node)*0xbf58476d1ce4e5b9)
 	return float64(h>>11) / (1 << 53)
 }
 

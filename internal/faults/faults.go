@@ -199,9 +199,10 @@ func NewSampler(rates Rates, seed int64) (*Sampler, error) {
 	return &Sampler{rates: rates, seed: seed}, nil
 }
 
-// splitmix64 is the SplitMix64 finalizer — a cheap, well-mixed hash that
-// turns (seed, round, node) into an independent RNG stream per cell.
-func splitmix64(x uint64) uint64 {
+// SplitMix64 is the SplitMix64 finalizer — a cheap, well-mixed hash that
+// turns (seed, round, node) into an independent RNG stream per cell. The
+// fault and churn samplers and the scenario tape all derive draws from it.
+func SplitMix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
@@ -209,9 +210,9 @@ func splitmix64(x uint64) uint64 {
 }
 
 func (s *Sampler) cellRng(round, node int) *rand.Rand {
-	h := splitmix64(uint64(s.seed))
-	h = splitmix64(h ^ uint64(round)*0x9e3779b97f4a7c15)
-	h = splitmix64(h ^ uint64(node)*0xbf58476d1ce4e5b9)
+	h := SplitMix64(uint64(s.seed))
+	h = SplitMix64(h ^ uint64(round)*0x9e3779b97f4a7c15)
+	h = SplitMix64(h ^ uint64(node)*0xbf58476d1ce4e5b9)
 	return rand.New(rand.NewSource(int64(h & math.MaxInt64)))
 }
 

@@ -8,10 +8,10 @@ import (
 )
 
 // Actor is the per-round decision surface a mechanism plugs into the shared
-// episode Driver. Implementations compose internal/policy encoders and
-// action heads (and, for learners, internal/rl pairs) — the driver owns the
-// episode loop, reward accumulation, and summary so all five mechanisms
-// share one control flow.
+// episode Driver. Implementations own their observation and price head
+// (and, for learners, internal/rl pairs) — the driver owns the episode
+// loop, reward accumulation, and summary so all five mechanisms share one
+// control flow.
 type Actor interface {
 	// Decide returns the per-node price vector for the current environment
 	// state. With train set, learners sample stochastically and remember

@@ -6,10 +6,10 @@ import (
 	"testing"
 
 	"chiron/internal/accuracy"
+	"chiron/internal/core"
 	"chiron/internal/device"
 	"chiron/internal/edgeenv"
 	"chiron/internal/faults"
-	"chiron/internal/policy"
 )
 
 // The struct-of-arrays bit-identity properties: every batched fleet kernel
@@ -71,8 +71,9 @@ func TestBatchBestResponseBitIdentity(t *testing.T) {
 }
 
 // TestBatchSimplexSplitBitIdentity checks the Eqn. (13) price
-// decomposition: the head's proportions form a valid simplex and its
-// prices are exactly total·share, bit for bit.
+// decomposition of Chiron's inner head: its proportions (the split of a
+// unit total) form a valid simplex and its prices are exactly total·share,
+// bit for bit.
 func TestBatchSimplexSplitBitIdentity(t *testing.T) {
 	Trials(t, 703, DefaultTrials, func(t *testing.T, rng *rand.Rand, trial int) {
 		n := 1 + rng.Intn(40)
@@ -81,15 +82,8 @@ func TestBatchSimplexSplitBitIdentity(t *testing.T) {
 			u[i] = Uniform(rng, -8, 8)
 		}
 		total := Uniform(rng, 0.01, 50)
-		var head policy.SimplexHead
-		prices, err := head.Prices(total, u)
-		if err != nil {
-			t.Fatalf("trial %d: Prices: %v", trial, err)
-		}
-		props, err := head.Proportions(u)
-		if err != nil {
-			t.Fatal(err)
-		}
+		prices := core.SplitPrices(total, u)
+		props := core.SplitPrices(1, u)
 		if err := CheckSimplex(props); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -11,7 +11,6 @@ import (
 	"chiron/internal/edgeenv"
 	"chiron/internal/faults"
 	"chiron/internal/mechanism"
-	"chiron/internal/policy"
 	"chiron/internal/rl"
 )
 
@@ -165,10 +164,10 @@ func TestMechanismInvariantsProperty(t *testing.T) {
 	}
 }
 
-// TestSimplexDecompositionProperty checks the Eqn. (13) machinery
-// directly: the inner agent's simplex projection always lands on the
-// simplex, and scaling it by an exterior total reproduces per-node prices
-// that exhaust the total.
+// TestSimplexDecompositionProperty checks Chiron's Eqn. (13) split
+// directly: the inner agent's simplex projection (the split of a unit
+// total) always lands on the simplex, and splitting an exterior total
+// reproduces per-node prices that exhaust it.
 func TestSimplexDecompositionProperty(t *testing.T) {
 	Trials(t, 401, DefaultTrials, func(t *testing.T, rng *rand.Rand, trial int) {
 		n := 2 + rng.Intn(10)
@@ -176,18 +175,12 @@ func TestSimplexDecompositionProperty(t *testing.T) {
 		for i := range raw {
 			raw[i] = Uniform(rng, -20, 20)
 		}
-		props, err := policy.SimplexProject(raw)
-		if err != nil {
-			t.Fatalf("trial %d: SimplexProject(%v): %v", trial, raw, err)
-		}
+		props := core.SplitPrices(1, raw)
 		if err := CheckSimplex(props); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		total := Uniform(rng, 0, 100)
-		prices := make([]float64, n)
-		for i := range prices {
-			prices[i] = total * props[i]
-		}
+		prices := core.SplitPrices(total, raw)
 		if err := CheckPriceDecomposition(total, props, prices); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -49,11 +49,9 @@ func (p *Pair) Store(t Transition) {
 //     then tick the decay schedule.
 type Scheduler struct {
 	// Pairs lists the agents (Chiron: inner before exterior); update
-	// errors are reported in this order.
+	// errors are reported in this order. The last pair is the gate: its
+	// buffer length is compared against MinSamples.
 	Pairs []*Pair
-	// Gate selects the pair whose buffer length is compared against
-	// MinSamples; negative gates on the last pair.
-	Gate int
 	// MinSamples defers updates until the gate buffer holds at least this
 	// many transitions, batching consecutive short episodes together. In
 	// update-then-decay mode it is raised to 1, the "any samples at all"
@@ -63,14 +61,8 @@ type Scheduler struct {
 	DecayFirst bool
 }
 
-// gateLen reports the gate buffer's current length.
-func (s *Scheduler) gateLen() int {
-	g := s.Gate
-	if g < 0 || g >= len(s.Pairs) {
-		g = len(s.Pairs) - 1
-	}
-	return s.Pairs[g].Buf.Len()
-}
+// gateLen reports the gate (last) buffer's current length.
+func (s *Scheduler) gateLen() int { return s.Pairs[len(s.Pairs)-1].Buf.Len() }
 
 // EndEpisode runs the configured end-of-episode schedule once.
 func (s *Scheduler) EndEpisode() error {

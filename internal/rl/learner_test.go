@@ -153,7 +153,7 @@ func TestSchedulerDecayFirstBatchesAcrossEpisodes(t *testing.T) {
 	cfg.LRDecayFactor = 0.5
 	inner := smallPair(t, "inner", 1, cfg)
 	exterior := smallPair(t, "exterior", 2, cfg)
-	s := &Scheduler{Pairs: []*Pair{inner, exterior}, Gate: 1, MinSamples: 4, DecayFirst: true}
+	s := &Scheduler{Pairs: []*Pair{inner, exterior}, MinSamples: 4, DecayFirst: true}
 
 	lr0 := exterior.Agent.Snapshot().ActorLR
 	// Below the gate: decay ticks, experience is retained.
@@ -185,7 +185,7 @@ func TestSchedulerUpdateThenDecaySkipsEmptyEpisodes(t *testing.T) {
 	cfg.LRDecayEvery = 1
 	cfg.LRDecayFactor = 0.5
 	p := smallPair(t, "agent", 1, cfg)
-	s := &Scheduler{Pairs: []*Pair{p}, Gate: 0, MinSamples: 1}
+	s := &Scheduler{Pairs: []*Pair{p}, MinSamples: 1}
 
 	lr0 := p.Agent.Snapshot().ActorLR
 	// Empty episode: no update, and crucially no decay tick either.
@@ -229,7 +229,7 @@ func TestSchedulerReportsErrorsInPairOrder(t *testing.T) {
 			p.Store(sampleTransition(1, false))
 			p.Store(bad)
 		}
-		s := &Scheduler{Pairs: []*Pair{inner, exterior}, Gate: 1, MinSamples: 1, DecayFirst: true}
+		s := &Scheduler{Pairs: []*Pair{inner, exterior}, MinSamples: 1, DecayFirst: true}
 		err := s.EndEpisode()
 		if err == nil || !strings.Contains(err.Error(), "rl: inner update") {
 			t.Fatalf("workers=%d: EndEpisode error %v, want the inner pair's", workers, err)

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"chiron/internal/mat"
-	"chiron/internal/policy"
 )
 
 func TestPPOConfigValidation(t *testing.T) {
@@ -82,6 +81,9 @@ func TestUpdateRejectsEmptyBuffer(t *testing.T) {
 	}
 }
 
+// sigmoid squashes a pre-squash bandit action into (0, 1).
+func sigmoid(u float64) float64 { return 1 / (1 + math.Exp(-u)) }
+
 // ppoBanditEpisode collects one episode of a 1-step continuous bandit whose
 // reward is -(squash(a) - target)²: the optimum is a known action.
 func ppoBanditEpisode(rng *rand.Rand, agent *PPO, target float64) (*Buffer, float64) {
@@ -90,7 +92,7 @@ func ppoBanditEpisode(rng *rand.Rand, agent *PPO, target float64) (*Buffer, floa
 	var total float64
 	for i := 0; i < 16; i++ {
 		act, lp, _ := agent.Act(rng, state)
-		a := policy.Squash(act[0], 0, 1)
+		a := sigmoid(act[0])
 		r := -(a - target) * (a - target)
 		total += r
 		buf.Add(Transition{
@@ -133,7 +135,7 @@ func TestPPOLearnsBandit(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ActDeterministic: %v", err)
 	}
-	if got := policy.Squash(act[0], 0, 1); math.Abs(got-target) > 0.2 {
+	if got := sigmoid(act[0]); math.Abs(got-target) > 0.2 {
 		t.Fatalf("learned action %v, want ≈%v", got, target)
 	}
 }

@@ -9,21 +9,11 @@ import (
 	"chiron/internal/trace"
 )
 
-// splitmix64 is the SplitMix64 finalizer, the same cheap well-mixed hash
-// the faults samplers use to derive per-cell draws. A private copy: the
-// faults one is unexported, and sharing a stream would correlate tape
-// extension draws with fault draws.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// The tape's hash salts: evalSalt decorrelates the per-episode accuracy
-// reseed from every per-cell stream; availSalt and jitterSalt give the
-// overrun extension independent availability and jitter draws per
-// (episode, round, node) cell.
+// The tape derives its draws from faults.SplitMix64 under its own salts,
+// so tape streams stay uncorrelated with fault draws: evalSalt decorrelates
+// the per-episode accuracy reseed from every per-cell stream; availSalt and
+// jitterSalt give the overrun extension independent availability and
+// jitter draws per (episode, round, node) cell.
 const (
 	evalSalt   = 0x6c62272e07bb0142
 	availSalt  = 0x9ae16a3b2f90404f
@@ -35,18 +25,18 @@ const (
 // so the measurement-noise stream of an episode is a pure function of
 // (spec seed, episode) — independent of how many draws training consumed.
 func evalSeed(seed int64, ep int) int64 {
-	h := splitmix64(uint64(seed) ^ evalSalt)
-	h = splitmix64(h ^ uint64(ep)*0x9e3779b97f4a7c15)
+	h := faults.SplitMix64(uint64(seed) ^ evalSalt)
+	h = faults.SplitMix64(h ^ uint64(ep)*0x9e3779b97f4a7c15)
 	return int64(h & math.MaxInt64)
 }
 
 // cellUnit returns a uniform draw in [0,1) for one (episode, round, node)
 // cell under a salt — the overrun extension's RNG.
 func cellUnit(seed int64, salt uint64, episode, roundIndex, node int) float64 {
-	h := splitmix64(uint64(seed) ^ salt)
-	h = splitmix64(h ^ uint64(episode)*0xbf58476d1ce4e5b9)
-	h = splitmix64(h ^ uint64(roundIndex)*0x9e3779b97f4a7c15)
-	h = splitmix64(h ^ uint64(node)*0x94d049bb133111eb)
+	h := faults.SplitMix64(uint64(seed) ^ salt)
+	h = faults.SplitMix64(h ^ uint64(episode)*0xbf58476d1ce4e5b9)
+	h = faults.SplitMix64(h ^ uint64(roundIndex)*0x9e3779b97f4a7c15)
+	h = faults.SplitMix64(h ^ uint64(node)*0x94d049bb133111eb)
 	return float64(h>>11) / (1 << 53)
 }
 
