@@ -97,14 +97,24 @@ func TestMyopicStateIsHistoryWindow(t *testing.T) {
 }
 
 func TestDRLBasedPriceSquash(t *testing.T) {
-	d := &DRLBased{priceHi: 2}
-	prices := d.prices([]float64{-100, 0, 100})
-	if prices[0] > 0.01 || math.Abs(prices[1]-1) > 1e-12 || prices[2] < 1.99 {
-		t.Fatalf("prices = %v, want ~[0, 1, 2]", prices)
-	}
-	d.priceHi = 10
+	d := &DRLBased{priceHi: 10}
 	if got := d.prices([]float64{0})[0]; math.Abs(got-5) > 1e-12 {
 		t.Fatalf("prices(0) = %v, want midpoint 5", got)
+	}
+	if got := d.prices([]float64{100})[0]; math.Abs(got-10) > 1e-6 {
+		t.Fatalf("prices(+inf-ish) = %v, want 10", got)
+	}
+	if got := d.prices([]float64{-100})[0]; math.Abs(got) > 1e-6 {
+		t.Fatalf("prices(-inf-ish) = %v, want 0", got)
+	}
+}
+
+// TestDRLBasedPriceSquashVector: each node's entry is squashed on its own.
+func TestDRLBasedPriceSquashVector(t *testing.T) {
+	d := &DRLBased{priceHi: 2}
+	prices := d.prices([]float64{-100, 0, 100})
+	if len(prices) != 3 || prices[0] > 0.01 || math.Abs(prices[1]-1) > 1e-12 || prices[2] < 1.99 {
+		t.Fatalf("prices = %v, want ~[0, 1, 2]", prices)
 	}
 }
 
@@ -185,11 +195,25 @@ func TestGreedyConfigValidation(t *testing.T) {
 	if err := (GreedyConfig{WarmupActions: 4, Epsilon: 1.5}).Validate(); err == nil {
 		t.Fatal("accepted epsilon > 1")
 	}
-	if err := (GreedyConfig{WarmupActions: 4, Epsilon: -0.1}).Validate(); err == nil {
-		t.Fatal("accepted negative epsilon")
+}
+
+// TestGreedyEpsilonValidation: the exploration rate must lie in [0, 1],
+// both in the config and at construction.
+func TestGreedyEpsilonValidation(t *testing.T) {
+	env := testEnv(t, 2, 100)
+	for _, eps := range []float64{-0.1, 1.5} {
+		cfg := GreedyConfig{WarmupActions: 4, Epsilon: eps}
+		if err := cfg.Validate(); err == nil {
+			t.Fatalf("Validate accepted epsilon %v", eps)
+		}
+		if _, err := NewGreedy(env, cfg); err == nil {
+			t.Fatalf("NewGreedy accepted epsilon %v", eps)
+		}
 	}
-	if _, err := NewGreedy(testEnv(t, 2, 100), GreedyConfig{WarmupActions: 4, Epsilon: -0.1}); err == nil {
-		t.Fatal("NewGreedy accepted negative epsilon")
+	for _, eps := range []float64{0, 1} {
+		if err := (GreedyConfig{WarmupActions: 4, Epsilon: eps}).Validate(); err != nil {
+			t.Fatalf("rejected epsilon %v: %v", eps, err)
+		}
 	}
 }
 

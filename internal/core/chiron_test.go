@@ -98,12 +98,8 @@ func TestPricingRespectsEqn13(t *testing.T) {
 	if d.total < ch.priceLo || d.total > ch.priceHi {
 		t.Fatalf("total %v outside [%v,%v]", d.total, ch.priceLo, ch.priceHi)
 	}
-	// The inner state must be the exterior action normalized by the fleet's
-	// saturation price (hierarchy).
-	if ch.maxTotal != env.MaxTotalPrice() {
-		t.Fatalf("maxTotal %v, want MaxTotalPrice %v", ch.maxTotal, env.MaxTotalPrice())
-	}
-	if len(d.stateI) != 1 || math.Abs(d.stateI[0]-d.total/ch.maxTotal) > 1e-12 {
+	// The inner state must be the normalized exterior action (hierarchy).
+	if math.Abs(d.stateI[0]-d.total/ch.maxTotal) > 1e-12 {
 		t.Fatalf("inner state %v != normalized total %v", d.stateI[0], d.total/ch.maxTotal)
 	}
 }

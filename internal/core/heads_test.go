@@ -34,19 +34,36 @@ func TestExteriorStateDimAndFreshLayout(t *testing.T) {
 }
 
 func TestLogSquashBoundsAndMidpoint(t *testing.T) {
-	for _, r := range []struct{ lo, hi float64 }{{0.01, 100}, {0.1, 10}} {
-		if got := logSquash(100, r.lo, r.hi); math.Abs(got-r.hi) > 1e-6*r.hi {
-			t.Fatalf("logSquash(+inf-ish, %v, %v) = %v, want %v", r.lo, r.hi, got, r.hi)
-		}
-		if got := logSquash(-100, r.lo, r.hi); math.Abs(got-r.lo) > 1e-6 {
-			t.Fatalf("logSquash(-inf-ish, %v, %v) = %v, want %v", r.lo, r.hi, got, r.lo)
-		}
-		// u=0 lands at the geometric middle of the range.
-		if got, want := logSquash(0, r.lo, r.hi), math.Sqrt(r.lo*r.hi); math.Abs(got-want) > 1e-9 {
-			t.Fatalf("logSquash(0, %v, %v) = %v, want geometric mean %v", r.lo, r.hi, got, want)
-		}
-		if got := logSquash(50, r.lo, r.hi); got > r.hi+1e-9 || got < r.lo {
-			t.Fatalf("logSquash(50, %v, %v) = %v out of bounds", r.lo, r.hi, got)
+	lo, hi := 0.01, 100.0
+	if got := logSquash(100, lo, hi); math.Abs(got-hi) > 1e-6*hi {
+		t.Fatalf("logSquash(+inf-ish) = %v, want %v", got, hi)
+	}
+	if got := logSquash(-100, lo, hi); math.Abs(got-lo) > 1e-6 {
+		t.Fatalf("logSquash(-inf-ish) = %v, want %v", got, lo)
+	}
+	// u=0 lands at the geometric middle of the range.
+	if got, want := logSquash(0, lo, hi), math.Sqrt(lo*hi); math.Abs(got-want) > 1e-9 {
+		t.Fatalf("logSquash(0) = %v, want geometric mean %v", got, want)
+	}
+}
+
+// TestTotalPriceHead: the exterior head maps its action into Chiron's
+// total-price range, starting exploration at the range's geometric mean.
+func TestTotalPriceHead(t *testing.T) {
+	if got := logSquash(0, 0.1, 10); math.Abs(got-1) > 1e-9 {
+		t.Fatalf("logSquash(0, 0.1, 10) = %v, want geometric mean 1", got)
+	}
+	ch := newTestChiron(t, testEnv(t, 4, 100))
+	lo, hi := ch.priceLo, ch.priceHi
+	if !(lo > 0 && lo < hi) {
+		t.Fatalf("total-price range [%v, %v] not positive and ordered", lo, hi)
+	}
+	if got, want := logSquash(0, lo, hi), math.Sqrt(lo*hi); math.Abs(got-want) > 1e-9*want {
+		t.Fatalf("total(0) = %v, want geometric mean %v", got, want)
+	}
+	for _, u := range []float64{-50, 50} {
+		if got := logSquash(u, lo, hi); got > hi*(1+1e-9) || got < lo*(1-1e-9) {
+			t.Fatalf("total(%v) = %v outside [%v, %v]", u, got, lo, hi)
 		}
 	}
 }
@@ -62,5 +79,45 @@ func TestSplitPricesExhaustTotal(t *testing.T) {
 	}
 	if math.Abs(sum-7) > 1e-9 {
 		t.Fatalf("prices sum %v, want 7", sum)
+	}
+}
+
+// TestSplitPricesUnitTotal: at a unit total the split is the simplex
+// projection itself — strictly positive proportions summing to one.
+func TestSplitPricesUnitTotal(t *testing.T) {
+	props := SplitPrices(1, []float64{1, 2, 3})
+	var sum float64
+	for _, p := range props {
+		if p <= 0 {
+			t.Fatalf("proportion %v <= 0", p)
+		}
+		sum += p
+	}
+	if math.Abs(sum-1) > 1e-12 {
+		t.Fatalf("proportions sum to %v", sum)
+	}
+}
+
+// TestInnerStateIsNormalizedTotal: the inner agent's state is the single
+// entry total/MaxTotalPrice — the exterior action normalized by the
+// fleet's saturation price (the hierarchy of Fig. 2).
+func TestInnerStateIsNormalizedTotal(t *testing.T) {
+	env := testEnv(t, 2, 100)
+	ch := newTestChiron(t, env)
+	if ch.maxTotal != env.MaxTotalPrice() {
+		t.Fatalf("maxTotal %v, want MaxTotalPrice %v", ch.maxTotal, env.MaxTotalPrice())
+	}
+	if err := env.Reset(); err != nil {
+		t.Fatalf("Reset: %v", err)
+	}
+	for _, train := range []bool{false, true} {
+		d, err := ch.decide(ch.exteriorState(), train)
+		if err != nil {
+			t.Fatalf("decide: %v", err)
+		}
+		want := d.total / env.MaxTotalPrice()
+		if len(d.stateI) != 1 || math.Abs(d.stateI[0]-want) > 1e-12 {
+			t.Fatalf("inner state %v, want [%v]", d.stateI, want)
+		}
 	}
 }
