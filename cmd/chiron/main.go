@@ -76,7 +76,7 @@ func trainKind(name string) (experiment.MechanismKind, error) {
 	return 0, fmt.Errorf("-baseline %q: %s is not trainable (want chiron, drl, or greedy)", name, kind)
 }
 
-func cmdTrain(args []string) error {
+func cmdTrain(args []string) (err error) {
 	fs := flag.NewFlagSet("train", flag.ContinueOnError)
 	nodes := fs.Int("nodes", 5, "number of edge nodes")
 	budget := fs.Float64("budget", 300, "total incentive budget η")
@@ -85,7 +85,7 @@ func cmdTrain(args []string) error {
 	evalEpisodes := fs.Int("eval", 5, "deterministic evaluation episodes after training")
 	seed := fs.Int64("seed", 7, "random seed")
 	real := fs.Bool("real", false, "measure accuracy with real FedAvg neural training instead of the surrogate curve")
-	workers := fs.Int("workers", 0, "matrix-kernel worker count, also bounding the PPO update's concurrent critic/actor and per-agent streams (0 = GOMAXPROCS, 1 = serial); results are identical at any setting")
+	workers := fs.Int("workers", 0, "worker count bounding the PPO update's concurrent critic/actor and per-agent streams and a large fleet's round bands (0 = GOMAXPROCS, 1 = serial); results are identical at any setting")
 	baseline := fs.String("baseline", "chiron", "mechanism to train: chiron, drl, or greedy")
 	logEvery := fs.Int("log-every", 50, "print progress every this many episodes (0 disables)")
 	save := fs.String("save", "", "write the trained mechanism checkpoint to this path (any learnable mechanism)")
@@ -175,14 +175,21 @@ func cmdTrain(args []string) error {
 	}
 	fmt.Printf("training %s: %d nodes, dataset %s, budget %.0f, %d episodes\n",
 		m.Name(), *nodes, ds, *budget, *episodes)
+	// An unwritable trace fails the command after training, evaluation and
+	// -save: with the first write error, or else Close's.
 	var tw *trace.Writer
+	var traceErr error
 	if *tracePath != "" {
 		if tw, err = trace.Create(*tracePath); err != nil {
 			return err
 		}
 		defer func() {
-			if cerr := tw.Close(); cerr != nil {
-				fmt.Fprintf(os.Stderr, "chiron: %v\n", cerr)
+			cerr := tw.Close()
+			if err == nil {
+				err = traceErr
+			}
+			if err == nil {
+				err = cerr
 			}
 		}()
 	}
@@ -193,19 +200,16 @@ func cmdTrain(args []string) error {
 			fmt.Printf("  episode %4d: rounds=%3d accuracy=%.3f reward=%8.1f time-eff=%5.1f%%\n",
 				r.Episode, r.Rounds, r.FinalAccuracy, r.ExteriorReturn, 100*r.TimeEfficiency)
 		}
-		if tw != nil {
+		if tw != nil && traceErr == nil {
 			// The ledger still holds this episode's rounds until the next
 			// Reset, so the full round history is recordable here.
 			rounds := m.Env().Ledger().Rounds()
 			for i := range rounds {
-				if err := tw.WriteRound(r.Episode, &rounds[i]); err != nil {
-					fmt.Fprintf(os.Stderr, "chiron: %v\n", err)
+				if traceErr = tw.WriteRound(r.Episode, &rounds[i]); traceErr != nil {
 					return
 				}
 			}
-			if err := tw.WriteEpisode(r); err != nil {
-				fmt.Fprintf(os.Stderr, "chiron: %v\n", err)
-			}
+			traceErr = tw.WriteEpisode(r)
 		}
 	}
 	if *autoCkpt != "" {

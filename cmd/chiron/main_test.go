@@ -88,6 +88,19 @@ func TestTrainInterruptFlushesCheckpoint(t *testing.T) {
 	}
 }
 
+// TestTrainTraceWriteErrorFails pins that `chiron train -trace` fails when
+// the trace cannot be written, rather than reporting the lost records and
+// exiting 0.
+func TestTrainTraceWriteErrorFails(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	err := cmdTrain([]string{"-nodes", "3", "-episodes", "3", "-eval", "0", "-log-every", "0", "-trace", "/dev/full"})
+	if !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("train -trace /dev/full error = %v, want ENOSPC", err)
+	}
+}
+
 // TestUsageListsEverySubcommand pins the no-argument usage line to the
 // four subcommands run dispatches.
 func TestUsageListsEverySubcommand(t *testing.T) {

@@ -31,8 +31,8 @@
 // a create, register or heartbeat body over 1 MiB is answered 413, and one
 // carrying a field the endpoint does not declare is answered 400.
 //
-// Sessions' matrix kernels and PPO update streams use GOMAXPROCS−1 workers
-// (at least one), leaving a core for the request path.
+// Sessions' PPO update streams and fleet round bands use GOMAXPROCS−1
+// workers (at least one), leaving a core for the request path.
 package main
 
 import (
@@ -79,10 +79,9 @@ func serve(args []string) error {
 	if err != nil {
 		return err
 	}
-	// Training uses every kernel worker it is given, and the PPO update's
-	// independent streams fork onto as many cores as mat.Workers allows;
-	// keep one core for the request path so control-plane latency does not
-	// queue behind learners.
+	// The PPO update's independent streams fork onto as many cores as
+	// mat.Workers allows; keep one core for the request path so
+	// control-plane latency does not queue behind learners.
 	mat.SetWorkers(max(1, runtime.GOMAXPROCS(0)-1))
 	srv := newServer(pool, nil, *heartbeat)
 	httpSrv := &http.Server{

@@ -12,7 +12,7 @@
 //	       [-crash-rate P] [-corrupt-rate P] [-drop-rate P]
 //	       [-max-retries R] [-min-quorum Q] [-max-delta-norm D]
 //	       [-depart-rate P] [-arrive-rate P] [-churn SCRIPT]
-//	       [-fault-seed S] [-workers W]
+//	       [-fault-seed S]
 //
 // The fault flags drive the failure-hardened round pipeline: clients crash
 // before training (crash-rate), upload damaged parameter vectors
@@ -48,7 +48,6 @@ import (
 	"chiron/internal/dataset"
 	"chiron/internal/faults"
 	"chiron/internal/fl"
-	"chiron/internal/mat"
 	"chiron/internal/nn"
 )
 
@@ -102,14 +101,9 @@ func run(args []string, w io.Writer) error {
 	arriveRate := fs.Float64("arrive-rate", 0, "per-round probability a departed client rejoins the fleet")
 	churnSpec := fs.String("churn", "", "scripted churn plan, e.g. \"-3@5,+3@9\" (overrides the churn rates)")
 	faultSeed := fs.Int64("fault-seed", 0, "seed of the fault schedule (0 = derive from -seed)")
-	workers := fs.Int("workers", 0, "matrix-kernel worker count (0 = GOMAXPROCS); results are identical at any setting")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *workers < 0 {
-		return fmt.Errorf("workers %d must be >= 0 (0 = GOMAXPROCS)", *workers)
-	}
-	mat.SetWorkers(*workers)
 	if *rounds <= 0 || *nodes <= 0 {
 		return fmt.Errorf("rounds and nodes must be positive")
 	}

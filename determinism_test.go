@@ -283,7 +283,7 @@ type learner interface {
 }
 
 // trainTwin trains kind on the Fig. 3 setup (MNIST surrogate, N=5, η=300)
-// for a few episodes at the given kernel worker count and returns the
+// for a few episodes at the given worker count and returns the
 // rendered episode results and the checkpoint bytes.
 func trainTwin(t *testing.T, kind experiment.MechanismKind, workers int) (results string, checkpoint []byte) {
 	t.Helper()

@@ -59,6 +59,11 @@ type DRLBased struct {
 	lastState []float64
 	lastAct   []float64
 	lastLP    float64
+	// next is the NextState a training Observe rendered, reused by the
+	// training Decide of round nextRound (the key keeps an episode a round
+	// hook abandoned from feeding the next one): one render per round.
+	next      []float64
+	nextRound int
 }
 
 var (
@@ -116,7 +121,12 @@ func (d *DRLBased) prices(u []float64) []float64 {
 
 // Decide implements mechanism.Actor.
 func (d *DRLBased) Decide(train bool) ([]float64, error) {
-	d.lastState = d.state()
+	if train && d.next != nil && d.nextRound == d.Env().Round() {
+		d.lastState = d.next
+	} else {
+		d.lastState = d.state()
+	}
+	d.next = nil
 	var err error
 	if train {
 		d.lastAct, d.lastLP, err = d.pair.Agent.Act(d.rng, d.lastState)
@@ -134,14 +144,18 @@ func (d *DRLBased) Observe(res edgeenv.StepResult, train bool) error {
 	if !train {
 		return nil
 	}
+	next := d.state()
 	d.pair.Store(rl.Transition{
 		State:     d.lastState,
 		Action:    d.lastAct,
 		Reward:    res.ExteriorReward,
-		NextState: d.state(),
+		NextState: next,
 		Done:      res.Done,
 		LogProb:   d.lastLP,
 	})
+	if !res.Done {
+		d.next, d.nextRound = next, d.Env().Round()
+	}
 	return nil
 }
 
@@ -155,6 +169,7 @@ func (d *DRLBased) Discard(train bool) {
 
 // EndEpisode implements mechanism.Actor.
 func (d *DRLBased) EndEpisode(train bool) error {
+	d.next = nil
 	if !train {
 		return nil
 	}
@@ -189,6 +204,7 @@ func (d *DRLBased) Restore(ck *rl.Checkpoint) error {
 		return fmt.Errorf("baselines: restore drl-based: %w", err)
 	}
 	d.SetEpisode(ck.Episode)
+	d.next = nil
 	if ck.RNG != nil {
 		if err := d.src.Restore(*ck.RNG); err != nil {
 			return fmt.Errorf("baselines: restore rng: %w", err)

@@ -36,7 +36,7 @@ func (c *Chiron) Restore(ck *rl.Checkpoint) error {
 		return fmt.Errorf("core: restore inner: %w", err)
 	}
 	c.SetEpisode(ck.Episode)
-	c.pending = nil
+	c.pending, c.nextE = nil, nil
 	if ck.RNG != nil {
 		if err := c.src.Restore(*ck.RNG); err != nil {
 			return fmt.Errorf("core: restore rng: %w", err)

@@ -116,6 +116,11 @@ type Chiron struct {
 	// Per-round actor scratch, valid between Decide and Observe/Discard.
 	lastStateE []float64
 	lastD      decision
+	// nextE is the NextState a training Observe rendered, reused by the
+	// training Decide of round nextRound (the key keeps an episode a round
+	// hook abandoned from feeding the next one): one render per round.
+	nextE     []float64
+	nextRound int
 	// The inner transition for round k needs round k+1's inner state, so
 	// its commit is delayed by one round (lines 13–15 of Algorithm 1).
 	pending *pendingInner
@@ -309,7 +314,12 @@ func (c *Chiron) decide(stateE []float64, train bool) (decision, error) {
 
 // Decide implements mechanism.Actor.
 func (c *Chiron) Decide(train bool) ([]float64, error) {
-	c.lastStateE = c.exteriorState()
+	if train && c.nextE != nil && c.nextRound == c.Env().Round() {
+		c.lastStateE = c.nextE
+	} else {
+		c.lastStateE = c.exteriorState()
+	}
+	c.nextE = nil
 	d, err := c.decide(c.lastStateE, train)
 	if err != nil {
 		return nil, err
@@ -326,14 +336,18 @@ func (c *Chiron) Observe(res edgeenv.StepResult, train bool) error {
 		return nil
 	}
 	d := c.lastD
+	next := c.exteriorState()
 	c.pairE.Store(rl.Transition{
 		State:     c.lastStateE,
 		Action:    d.actE,
 		Reward:    res.ExteriorReward,
-		NextState: c.exteriorState(),
+		NextState: next,
 		Done:      res.Done,
 		LogProb:   d.lpE,
 	})
+	if !res.Done {
+		c.nextE, c.nextRound = next, c.Env().Round()
+	}
 	if c.pending != nil {
 		c.pairI.Store(rl.Transition{
 			State:     c.pending.d.stateI,
@@ -394,6 +408,7 @@ func (c *Chiron) flushPending() {
 // transition and runs the Algorithm 1 end-of-episode schedule — decay every
 // episode, deferred batched PPO updates gated on the exterior buffer.
 func (c *Chiron) EndEpisode(train bool) error {
+	c.nextE = nil
 	if !train {
 		return nil
 	}

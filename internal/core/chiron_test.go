@@ -273,3 +273,67 @@ func TestBudgetNeverExceeded(t *testing.T) {
 		}
 	}
 }
+
+// TestObservedNextStateFeedsNextDecide pins the one-render-per-round
+// exterior state: every training Decide acts on exactly the state a fresh
+// render gives, also on the first round after an episode abandoned
+// mid-way (a round hook abort), and within an episode the exterior buffer
+// row k's NextState is bit-identical to row k+1's State — the chain
+// rl.PPO's linkNextStates follows to skip its off-chain critic pass.
+func TestObservedNextStateFeedsNextDecide(t *testing.T) {
+	env := testEnv(t, 3, 100)
+	ch := newTestChiron(t, env)
+	// play runs training rounds the way mechanism.Driver does, for at most
+	// limit rounds, checking each Decide's state against a fresh render.
+	play := func(limit int) {
+		if err := env.Reset(); err != nil {
+			t.Fatalf("Reset: %v", err)
+		}
+		for r := 0; r < limit && !env.Done(); r++ {
+			fresh := ch.exteriorState()
+			prices, err := ch.Decide(true)
+			if err != nil {
+				t.Fatalf("Decide: %v", err)
+			}
+			if !sameBits(ch.lastStateE, fresh) {
+				t.Fatalf("round %d: Decide state differs from a fresh render", env.Round())
+			}
+			res, err := env.Step(prices)
+			if err != nil {
+				t.Fatalf("Step: %v", err)
+			}
+			if res.Done && res.Round.Participants == 0 {
+				ch.Discard(true)
+				return
+			}
+			if err := ch.Observe(res, true); err != nil {
+				t.Fatalf("Observe: %v", err)
+			}
+		}
+	}
+	play(2) // abandoned after two observed rounds, its next state kept
+	start := ch.pairE.Buf.Len()
+	play(math.MaxInt)
+	rows := ch.pairE.Buf.Transitions()[start:]
+	if len(rows) < 3 || !rows[len(rows)-1].Done {
+		t.Fatalf("full episode stored %d rows, last done %v", len(rows), len(rows) > 0 && rows[len(rows)-1].Done)
+	}
+	for k := 0; k+1 < len(rows); k++ {
+		if !sameBits(rows[k].NextState, rows[k+1].State) {
+			t.Fatalf("row %d NextState differs from row %d State", k, k+1)
+		}
+	}
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}

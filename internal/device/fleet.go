@@ -231,7 +231,7 @@ type BatchResponse struct {
 // nodes are fully zeroed in out, so reused buffers never leak stale state.
 // The method only writes indices in [lo,hi) and reads immutable columns,
 // so disjoint ranges are safe to compute concurrently — this is the kernel
-// the round pipeline shards over the worker pool.
+// the round pipeline shards into node bands.
 func (f *Fleet) BestResponseRange(lo, hi int, prices, commTimes []float64, eligible []bool, out *BatchResponse) {
 	for i := lo; i < hi; i++ {
 		price := prices[i]

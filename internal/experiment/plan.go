@@ -23,7 +23,8 @@ type Job[T any] struct {
 // Plan is a named list of independent jobs plus a worker budget. Execute
 // is deterministic at any worker count — the scheduler only decides *when*
 // a job runs, never *what* it computes or *where* its result lands — the
-// same contract mat.SetWorkers establishes for the compute kernels.
+// same contract mat.SetWorkers establishes for the update streams and
+// fleet round bands.
 type Plan[T any] struct {
 	// Name prefixes job errors ("comparison", "abl-robust", ...).
 	Name string

@@ -20,9 +20,8 @@ func checkDst(op string, dst *Matrix, rows, cols int) error {
 	return nil
 }
 
-// MulTo computes dst = a × b without allocating. dst must be a.Rows()×
-// b.Cols() and must not alias a or b. Large products are row-blocked over
-// the worker pool; results are bit-identical at any worker count.
+// MulTo computes dst = a × b without allocating, on the calling goroutine.
+// dst must be a.Rows()×b.Cols() and must not alias a or b.
 func MulTo(dst, a, b *Matrix) error {
 	if a.cols != b.rows {
 		return fmt.Errorf("%w: mul %dx%d by %dx%d", ErrShape, a.rows, a.cols, b.rows, b.cols)
@@ -30,16 +29,21 @@ func MulTo(dst, a, b *Matrix) error {
 	if err := checkDst("mul", dst, a.rows, b.cols); err != nil {
 		return err
 	}
-	if flops := a.rows * a.cols * b.cols; serialRows(a.rows, flops) {
-		mulRange(dst, a, b, 0, a.rows)
-	} else {
-		parallelRows(a.rows, flops, a.rows, func(_, lo, hi int) { mulRange(dst, a, b, lo, hi) })
+	if !haveAVX2 || dst.cols == 0 {
+		gemm(dst.data, dst.cols, a.data, a.cols, b.data, b.cols, a.rows)
+		return nil
+	}
+	for i := 0; i < a.rows; i += 4 {
+		kernelRows(dst.data[i*dst.cols:], dst.cols, a.data[i*a.cols:], a.cols, 1, b.data, b.cols, a.cols, dst.cols, min(4, a.rows-i), false, true)
 	}
 	return nil
 }
 
-// MulTransATo computes dst = aᵀ × b without allocating. dst must be
-// a.Cols()×b.Cols() and must not alias a or b.
+// MulTransATo computes dst = aᵀ × b without allocating, on the calling
+// goroutine. dst must be a.Cols()×b.Cols() and must not alias a or b. dst
+// row i reads column i of a, so four rows read four adjacent a values per
+// k; the kernel follows the Go kernel's gemmKC tiling of k, reloading the
+// running sums from dst at each tile after the first.
 func MulTransATo(dst, a, b *Matrix) error {
 	if a.rows != b.rows {
 		return fmt.Errorf("%w: mulTransA (%dx%d)T by %dx%d", ErrShape, a.rows, a.cols, b.rows, b.cols)
@@ -47,17 +51,24 @@ func MulTransATo(dst, a, b *Matrix) error {
 	if err := checkDst("mulTransA", dst, a.cols, b.cols); err != nil {
 		return err
 	}
-	if flops := a.rows * a.cols * b.cols; serialRows(a.cols, flops) {
-		mulTransARange(dst, a, b, 0, a.cols)
-	} else {
-		parallelRows(a.cols, flops, a.cols, func(_, lo, hi int) { mulTransARange(dst, a, b, lo, hi) })
+	if !haveAVX2 || dst.cols == 0 || a.rows == 0 {
+		gemmTransA(dst.data, dst.cols, a.data, a.cols, a.rows, b.data, b.cols, a.cols)
+		return nil
+	}
+	for k0 := 0; k0 < a.rows; k0 += gemmKC {
+		kn := min(gemmKC, a.rows-k0)
+		for i := 0; i < a.cols; i += 4 {
+			kernelRows(dst.data[i*dst.cols:], dst.cols, a.data[k0*a.cols+i:], 1, a.cols, b.data[k0*b.cols:], b.cols, kn, dst.cols, min(4, a.cols-i), k0 > 0, true)
+		}
 	}
 	return nil
 }
 
-// MulTransBTo computes dst = a × bᵀ without allocating in steady state:
-// with AVX2 it packs bᵀ into a recycled panel for the assembly kernel. dst must
-// be a.Rows()×b.Rows() and must not alias a or b.
+// MulTransBTo computes dst = a × bᵀ without allocating in steady state, on
+// the calling goroutine: with AVX2 it packs bᵀ into a recycled panel and
+// runs the a × b form of the kernel over it, without the a == 0 skip the Go
+// transpose-B kernel never had. dst must be a.Rows()×b.Rows() and must not
+// alias a or b.
 func MulTransBTo(dst, a, b *Matrix) error {
 	if a.cols != b.cols {
 		return fmt.Errorf("%w: mulTransB %dx%d by (%dx%d)T", ErrShape, a.rows, a.cols, b.rows, b.cols)
@@ -65,16 +76,15 @@ func MulTransBTo(dst, a, b *Matrix) error {
 	if err := checkDst("mulTransB", dst, a.rows, b.rows); err != nil {
 		return err
 	}
-	var bt []float64
-	if haveAVX2 && b.rows > 0 {
-		bt = packTransB(b)
-		defer releasePanel(bt)
+	if !haveAVX2 || b.rows == 0 {
+		gemmTransB(dst.data, dst.cols, a.data, a.cols, b.data, b.rows, a.rows)
+		return nil
 	}
-	if flops := a.rows * a.cols * b.rows; serialRows(a.rows, flops) {
-		mulTransBRange(dst, a, b, bt, 0, a.rows)
-	} else {
-		parallelRows(a.rows, flops, a.rows, func(_, lo, hi int) { mulTransBRange(dst, a, b, bt, lo, hi) })
+	bt := packTransB(b)
+	for i := 0; i < a.rows; i += 4 {
+		kernelRows(dst.data[i*dst.cols:], dst.cols, a.data[i*a.cols:], a.cols, 1, bt, b.rows, a.cols, b.rows, min(4, a.rows-i), false, false)
 	}
+	releasePanel(bt)
 	return nil
 }
 

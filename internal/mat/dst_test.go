@@ -103,38 +103,31 @@ func TestToKernelShapeErrors(t *testing.T) {
 	}
 }
 
-// TestParallelGEMMBitIdentical runs the three GEMM kernels at several worker
-// counts on shapes large enough to cross the parallel threshold and demands
-// bit-identical results — the determinism contract of the row-blocked pool.
-func TestParallelGEMMBitIdentical(t *testing.T) {
+// TestGEMMAllocatesNothing pins that the three GEMMs make no per-call
+// allocation, even with several workers configured.
+func TestGEMMAllocatesNothing(t *testing.T) {
 	defer SetWorkers(0)
-	rng := rand.New(rand.NewSource(2))
-	a := New(97, 61)
-	b := New(61, 53)
+	SetWorkers(4)
+	const n = 64
+	rng := rand.New(rand.NewSource(4))
+	a, b, dst := New(n, n), New(n, n), New(n, n)
 	a.Randomize(rng, 1)
 	b.Randomize(rng, 1)
-	at := transpose(a)
-	bt := transpose(b)
-
-	forms := []struct {
-		op         string
-		form       gemmForm
-		a, b       *Matrix
-		rows, cols int
+	for _, tc := range []struct {
+		op   string
+		form gemmForm
 	}{
-		{"MulTo", MulTo, a, b, 97, 53},
-		{"MulTransATo", MulTransATo, at, b, 97, 53},
-		{"MulTransBTo", MulTransBTo, a, bt, 97, 53},
-	}
-	SetWorkers(1)
-	serial := make([]*Matrix, len(forms))
-	for i, f := range forms {
-		serial[i] = product(t, f.op, f.form, f.a, f.b, f.rows, f.cols)
-	}
-	for _, workers := range []int{2, 3, 4, 7} {
-		SetWorkers(workers)
-		for i, f := range forms {
-			assertIdentical(t, f.op, product(t, f.op, f.form, f.a, f.b, f.rows, f.cols), serial[i])
+		{"MulTo", MulTo},
+		{"MulTransATo", MulTransATo},
+		{"MulTransBTo", MulTransBTo},
+	} {
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := tc.form(dst, a, b); err != nil {
+				t.Fatalf("%s: %v", tc.op, err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s 64x64x64 at 4 workers: %v allocs per call, want 0", tc.op, allocs)
 		}
 	}
 }

@@ -5,16 +5,15 @@ package mat
 // amd64; with AVX2 the assembly kernel computes every column instead
 // (strip.go), and its tests use these as the oracle.
 //
-// Blocking scheme (DESIGN.md §16): the output is split into contiguous row
-// bands (one per worker — the parallel axis), each band into column blocks
-// of gemmNR elements held in registers, and deep reductions into k-tiles of
-// gemmKC so the streamed operand panels stay cache-resident. The one
-// invariant every variant preserves is the reduction-order contract: each
-// output element accumulates its k products in ascending k order, exactly
-// like the naive ikj loops these kernels replaced. Blocking changes which
-// element is computed when — never the order of any element's own
+// Blocking scheme (DESIGN.md §16): each output row is split into column
+// blocks of gemmNR elements held in registers, and deep reductions into
+// k-tiles of gemmKC so the streamed operand panels stay cache-resident. The
+// one invariant every variant preserves is the reduction-order contract:
+// each output element accumulates its k products in ascending k order,
+// exactly like the naive ikj loops these kernels replaced. Blocking changes
+// which element is computed when — never the order of any element's own
 // floating-point additions — so results are bit-identical to the unblocked
-// kernels at any worker count.
+// kernels.
 //
 // A k-tile boundary loads the running value back out of dst and continues
 // accumulating into registers; the addition sequence per element is the
@@ -35,14 +34,14 @@ const (
 	gemmKC = 64
 )
 
-// gemmRange computes rows [lo, hi) of dst = a × b. Per dst row
+// gemm computes dst = a × b, with rows rows in dst and a. Per dst row
 // the column axis is walked in gemmNR-wide register blocks; each block
 // accumulates its full k reduction in registers (ascending k, matching the
 // naive kernel) and stores once. Rows where an a element is zero skip that
 // k exactly like the naive kernel, preserving bit-identity in the presence
 // of Inf/NaN operands.
-func gemmRange(dst []float64, dcols int, a []float64, acols int, b []float64, bcols int, lo, hi int) {
-	for i := lo; i < hi; i++ {
+func gemm(dst []float64, dcols int, a []float64, acols int, b []float64, bcols int, rows int) {
+	for i := 0; i < rows; i++ {
 		arow := a[i*acols : (i+1)*acols]
 		drow := dst[i*dcols : (i+1)*dcols]
 		j := 0
@@ -101,11 +100,12 @@ func gemmRange(dst []float64, dcols int, a []float64, acols int, b []float64, bc
 	}
 }
 
-// gemmTransBRange computes rows [lo, hi) of dst = a × bᵀ as register-blocked row dot products: eight output columns
-// (rows of b) accumulate concurrently, each over k ascending, sharing every
-// arow load. Unlike the other two kernels it has no a==0 skip.
-func gemmTransBRange(dst []float64, dcols int, a []float64, acols int, b []float64, brows int, lo, hi int) {
-	for i := lo; i < hi; i++ {
+// gemmTransB computes dst = a × bᵀ, with rows rows in dst and a, as
+// register-blocked row dot products: eight output columns (rows of b)
+// accumulate concurrently, each over k ascending, sharing every arow load.
+// Unlike the other two kernels it has no a==0 skip.
+func gemmTransB(dst []float64, dcols int, a []float64, acols int, b []float64, brows int, rows int) {
+	for i := 0; i < rows; i++ {
 		arow := a[i*acols : (i+1)*acols : (i+1)*acols]
 		drow := dst[i*dcols : (i+1)*dcols]
 		j := 0
@@ -155,15 +155,16 @@ func gemmTransBRange(dst []float64, dcols int, a []float64, acols int, b []float
 	}
 }
 
-// gemmTransARange computes rows [lo, hi) of dst = aᵀ × b (output row i reads column i of a). The k axis is tiled at
-// gemmKC: within a tile, a gemmNR register block accumulates ascending-k
-// products on top of the running dst values loaded at tile entry, so the
-// per-element addition sequence is the unbroken ascending-k chain of the
-// naive kernel. The a[k][i]==0 skip of the naive kernel is preserved. An
-// empty reduction (arows == 0) zeroes the columns.
-func gemmTransARange(dst []float64, dcols int, a []float64, acols, arows int, b []float64, bcols int, lo, hi int) {
+// gemmTransA computes dst = aᵀ × b, with rows rows in dst (output row i
+// reads column i of a). The k axis is tiled at gemmKC: within a tile, a
+// gemmNR register block accumulates ascending-k products on top of the
+// running dst values loaded at tile entry, so the per-element addition
+// sequence is the unbroken ascending-k chain of the naive kernel. The
+// a[k][i]==0 skip of the naive kernel is preserved. An empty reduction
+// (arows == 0) zeroes the columns.
+func gemmTransA(dst []float64, dcols int, a []float64, acols, arows int, b []float64, bcols int, rows int) {
 	if arows == 0 {
-		for i := lo; i < hi; i++ {
+		for i := 0; i < rows; i++ {
 			clear(dst[i*dcols : (i+1)*dcols])
 		}
 	}
@@ -173,7 +174,7 @@ func gemmTransARange(dst []float64, dcols int, a []float64, acols, arows int, b 
 			k1 = arows
 		}
 		first := k0 == 0
-		for i := lo; i < hi; i++ {
+		for i := 0; i < rows; i++ {
 			drow := dst[i*dcols : (i+1)*dcols]
 			j := 0
 			for ; j+gemmNR <= dcols; j += gemmNR {

@@ -7,9 +7,11 @@
 // The compute core is destination-passing: the *To kernels (MulTo,
 // ApplyTo, ...) write into caller-supplied matrices and allocate nothing,
 // and Ensure/EnsureVec let hot loops keep one scratch buffer per role
-// across passes. Large GEMMs are row-blocked across a bounded worker pool
-// (SetWorkers; default GOMAXPROCS) with a fixed per-element reduction
-// order, so results are bit-identical at any parallelism.
+// across passes. Every kernel runs on its caller; the package starts no
+// goroutine that outlives a call. Parallelism lives above it: ParallelRange
+// shards a batch stage's index axis into bands (SetWorkers; default
+// GOMAXPROCS), each element computed exactly once, so results are
+// bit-identical at any worker count.
 package mat
 
 import (

@@ -3,11 +3,11 @@ package mat
 import "sync"
 
 // Routing between the amd64 AVX2 kernel and the Go kernels for the float64
-// GEMMs (DESIGN.md §16). With AVX2 the kernel computes every column of every
-// dst row, four rows per call; without it, and off amd64, the Go kernels do.
-// Both accumulate each element over k ascending with one rounding per
-// multiply and per add, so which one computes an element never changes its
-// bits.
+// GEMMs (DESIGN.md §16). With AVX2 MulTo, MulTransATo and MulTransBTo run
+// the kernel over every column of every dst row, four rows per call;
+// without it, and off amd64, the Go kernels do. Both accumulate each
+// element over k ascending with one rounding per multiply and per add, so
+// which one computes an element never changes its bits.
 
 // kernelRows runs gemmKernel over n ≤ 4 dst rows, reading row r's
 // a[r·aRowStride + k·aStride] and b[k·bStride + j] for k < kn, j < cols. It
@@ -22,48 +22,6 @@ func kernelRows(dst []float64, dstStride int, a []float64, aRowStride, aStride i
 		ap, bp = &a[0], &b[0]
 	}
 	gemmKernel(&dst[0], dstStride, ap, aRowStride, aStride, bp, bStride, kn, cols, n, load, skipZero)
-}
-
-// mulRange computes rows [lo, hi) of dst = a × b.
-func mulRange(dst, a, b *Matrix, lo, hi int) {
-	if !haveAVX2 || dst.cols == 0 {
-		gemmRange(dst.data, dst.cols, a.data, a.cols, b.data, b.cols, lo, hi)
-		return
-	}
-	for i := lo; i < hi; i += 4 {
-		kernelRows(dst.data[i*dst.cols:], dst.cols, a.data[i*a.cols:], a.cols, 1, b.data, b.cols, a.cols, dst.cols, min(4, hi-i), false, true)
-	}
-}
-
-// mulTransARange computes rows [lo, hi) of dst = aᵀ × b, where dst row i
-// reads column i of a, so four rows read four adjacent a values per k. The
-// kernel follows the Go kernel's gemmKC tiling of k, reloading the running
-// sums from dst at each tile after the first.
-func mulTransARange(dst, a, b *Matrix, lo, hi int) {
-	if !haveAVX2 || dst.cols == 0 || a.rows == 0 {
-		gemmTransARange(dst.data, dst.cols, a.data, a.cols, a.rows, b.data, b.cols, lo, hi)
-		return
-	}
-	for k0 := 0; k0 < a.rows; k0 += gemmKC {
-		kn := min(gemmKC, a.rows-k0)
-		for i := lo; i < hi; i += 4 {
-			kernelRows(dst.data[i*dst.cols:], dst.cols, a.data[k0*a.cols+i:], 1, a.cols, b.data[k0*b.cols:], b.cols, kn, dst.cols, min(4, hi-i), k0 > 0, true)
-		}
-	}
-}
-
-// mulTransBRange computes rows [lo, hi) of dst = a × bᵀ. bt is b transposed
-// (see packTransB), or nil when the Go kernel runs; the kernel runs the
-// a × b form over it without the a == 0 skip the Go transpose-B kernel
-// never had.
-func mulTransBRange(dst, a, b *Matrix, bt []float64, lo, hi int) {
-	if bt == nil {
-		gemmTransBRange(dst.data, dst.cols, a.data, a.cols, b.data, b.rows, lo, hi)
-		return
-	}
-	for i := lo; i < hi; i += 4 {
-		kernelRows(dst.data[i*dst.cols:], dst.cols, a.data[i*a.cols:], a.cols, 1, bt, b.rows, a.cols, b.rows, min(4, hi-i), false, false)
-	}
 }
 
 // packs recycles the transposed panels MulTransBTo packs. It is a

@@ -48,14 +48,12 @@ func sameFloats(got, want []float64) (int, bool) {
 // for bit. It covers dst widths 1–72 (two 32-column strips, the 16- and
 // 8-column strips and every column tail), row counts that leave 0–3 rows
 // after the last group of four, reductions on both sides of the gemmKC tile
-// depth, row bands at 1, 2 and 4 workers, and Inf/NaN/±0 operands, so the
-// a == 0 skip of MulTo and MulTransATo and its absence in MulTransBTo are
-// both pinned.
+// depth, and Inf/NaN/±0 operands, so the a == 0 skip of MulTo and
+// MulTransATo and its absence in MulTransBTo are both pinned.
 func TestStripKernelMatchesGeneric(t *testing.T) {
 	if !haveAVX2 {
 		t.Skip("no AVX2 kernel on this CPU")
 	}
-	defer SetWorkers(0)
 	rng := rand.New(rand.NewSource(3))
 	for _, k := range []int{0, 1, 63, 64, 65, 200} {
 		for cols := 1; cols <= 72; cols++ {
@@ -69,30 +67,27 @@ func TestStripKernelMatchesGeneric(t *testing.T) {
 				for _, m := range want {
 					m.Fill(math.NaN())
 				}
-				gemmRange(want["MulTo"].data, cols, a.data, k, b.data, cols, 0, rows)
-				gemmTransARange(want["MulTransATo"].data, cols, at.data, rows, k, b.data, cols, 0, rows)
-				gemmTransBRange(want["MulTransBTo"].data, cols, a.data, k, bt.data, cols, 0, rows)
+				gemm(want["MulTo"].data, cols, a.data, k, b.data, cols, rows)
+				gemmTransA(want["MulTransATo"].data, cols, at.data, rows, k, b.data, cols, rows)
+				gemmTransB(want["MulTransBTo"].data, cols, a.data, k, bt.data, cols, rows)
 
-				for _, workers := range []int{1, 2, 4} {
-					SetWorkers(workers)
-					for _, op := range []struct {
-						name string
-						run  func(dst *Matrix) error
-					}{
-						{"MulTo", func(dst *Matrix) error { return MulTo(dst, a, b) }},
-						{"MulTransATo", func(dst *Matrix) error { return MulTransATo(dst, at, b) }},
-						{"MulTransBTo", func(dst *Matrix) error { return MulTransBTo(dst, a, bt) }},
-					} {
-						dst := New(rows, cols)
-						dst.Fill(999) // stale contents must be fully overwritten
-						if err := op.run(dst); err != nil {
-							t.Fatalf("%s: %v", op.name, err)
-						}
-						if i, ok := sameFloats(dst.data, want[op.name].data); !ok {
-							t.Fatalf("%s rows=%d k=%d cols=%d workers=%d: element (%d,%d) = %v (%#x), Go kernel %v (%#x)",
-								op.name, rows, k, cols, workers, i/cols, i%cols,
-								dst.data[i], math.Float64bits(dst.data[i]), want[op.name].data[i], math.Float64bits(want[op.name].data[i]))
-						}
+				for _, op := range []struct {
+					name string
+					run  func(dst *Matrix) error
+				}{
+					{"MulTo", func(dst *Matrix) error { return MulTo(dst, a, b) }},
+					{"MulTransATo", func(dst *Matrix) error { return MulTransATo(dst, at, b) }},
+					{"MulTransBTo", func(dst *Matrix) error { return MulTransBTo(dst, a, bt) }},
+				} {
+					dst := New(rows, cols)
+					dst.Fill(999) // stale contents must be fully overwritten
+					if err := op.run(dst); err != nil {
+						t.Fatalf("%s: %v", op.name, err)
+					}
+					if i, ok := sameFloats(dst.data, want[op.name].data); !ok {
+						t.Fatalf("%s rows=%d k=%d cols=%d: element (%d,%d) = %v (%#x), Go kernel %v (%#x)",
+							op.name, rows, k, cols, i/cols, i%cols,
+							dst.data[i], math.Float64bits(dst.data[i]), want[op.name].data[i], math.Float64bits(want[op.name].data[i]))
 					}
 				}
 			}
@@ -134,8 +129,6 @@ func TestStripKernelMatchesGeneric(t *testing.T) {
 // panel sizes that differ per caller, so the shared free list of packed
 // panels hands each call a panel of its own.
 func TestMulTransBToConcurrentCallers(t *testing.T) {
-	defer SetWorkers(0)
-	SetWorkers(1)
 	const callers, calls = 4, 50
 	errs := make(chan error, callers)
 	for c := 0; c < callers; c++ {
@@ -143,7 +136,7 @@ func TestMulTransBToConcurrentCallers(t *testing.T) {
 		a := saltedOperand(rng, 9, 8*(c+1)+3, 0)
 		bt := saltedOperand(rng, 8*(c+2)+5, 8*(c+1)+3, 0)
 		want := New(a.rows, bt.rows)
-		gemmTransBRange(want.data, want.cols, a.data, a.cols, bt.data, bt.rows, 0, a.rows)
+		gemmTransB(want.data, want.cols, a.data, a.cols, bt.data, bt.rows, a.rows)
 		go func() {
 			dst := New(a.rows, bt.rows)
 			for i := 0; i < calls; i++ {

@@ -136,8 +136,9 @@ func TestFusedBackwardParamsOnlyMatchesFull(t *testing.T) {
 	}
 }
 
-// TestFusedVsLayeredParallelWorkers repeats the bit-identity pin under a
-// 4-worker kernel pool: row banding must not open any fused/layered gap.
+// TestFusedVsLayeredParallelWorkers repeats the bit-identity pin with four
+// workers configured: the worker count must not open any fused/layered
+// gap.
 func TestFusedVsLayeredParallelWorkers(t *testing.T) {
 	mat.SetWorkers(4)
 	defer mat.SetWorkers(0)

@@ -122,9 +122,9 @@ func TestGradCheckActivations(t *testing.T) {
 	}
 }
 
-// TestGradCheckParallelWorkers repeats the MLP check with a multi-worker
-// kernel pool: gradients must agree with finite differences regardless of
-// how GEMM rows are banded across workers.
+// TestGradCheckParallelWorkers repeats the MLP check with four workers
+// configured: gradients must agree with finite differences whatever the
+// worker count.
 func TestGradCheckParallelWorkers(t *testing.T) {
 	mat.SetWorkers(4)
 	defer mat.SetWorkers(0)

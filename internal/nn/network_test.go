@@ -236,9 +236,8 @@ func TestParamVectorRoundTripProperty(t *testing.T) {
 // TestClassifierStepAllocsZero pins the RealTraining inner loop of
 // fl.Client.TrainRound at zero steady-state allocations: a 64-32-10
 // classifier's forward pass, softmax cross-entropy and params-only backward
-// pass on a batch of 10 reuse the network's recycled workspaces. The
-// batch is small enough that no GEMM fans out into row bands, so the
-// contract holds at any worker count.
+// pass on a batch of 10 reuse the network's recycled workspaces. GEMMs
+// run on their caller, so the contract holds at any worker count.
 func TestClassifierStepAllocsZero(t *testing.T) {
 	defer mat.SetWorkers(0)
 	rng := rand.New(rand.NewSource(11))

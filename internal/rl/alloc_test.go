@@ -18,9 +18,7 @@ const maxUpdateAllocs = 8
 // serial path and on the forked one. Two buffer shapes run: self-loop rows
 // (each next state is its own state, so every non-terminal row is valued by
 // the off-chain forward pass) and trajectory rows (each next state is the
-// next row's state, so the states forward pass values them all). The
-// networks are small enough that no GEMM fans out into row bands, which
-// would add allocations per kernel call.
+// next row's state, so the states forward pass values them all).
 func TestUpdateAllocsConstant(t *testing.T) {
 	defer mat.SetWorkers(0)
 	for _, trajectory := range []bool{false, true} {

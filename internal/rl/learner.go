@@ -125,13 +125,14 @@ func (s *Scheduler) flush() error {
 	return nil
 }
 
-// concurrently runs every stream to completion. With more than one kernel
-// worker configured (mat.Workers) the streams after the first each get a
-// plain goroutine while the caller runs the first; otherwise they run one
-// after another in order, so -workers 1 stays truly serial. The streams
-// must touch disjoint mutable state, which makes the result bit-identical
-// either way. Plain goroutines rather than the mat worker pool keep the
-// streams' own GEMM row-band fan-out from waiting on a pool they occupy.
+// concurrently runs every stream to completion. With more than one worker
+// configured (mat.Workers) the streams after the first each get a plain
+// goroutine while the caller runs the first; otherwise they run one after
+// another in order, so -workers 1 stays truly serial. The streams must
+// touch disjoint mutable state, which makes the result bit-identical
+// either way. It is not mat.ParallelRange because a stream is a whole
+// closure rather than a band of one index axis, and wrapping each stream
+// as a band would cost the update allocations it does not need.
 func concurrently(streams ...func()) {
 	if len(streams) < 2 || mat.Workers() <= 1 {
 		for _, run := range streams {

@@ -115,8 +115,7 @@ type PPO struct {
 	// TD targets plus the critic loss gradient (critic stream only), and
 	// the actor mean gradient and σ = exp(log σ) (actor stream only).
 	// Reused across Update calls, so a steady-state update allocates only
-	// the stream fork's few objects, plus a closure per kernel call large
-	// enough to fan out into GEMM row bands.
+	// the stream fork's few objects.
 	states, offChain *mat.Matrix
 	targets, cgrad   *mat.Matrix
 	meanGrad         *mat.Matrix

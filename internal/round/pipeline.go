@@ -61,7 +61,7 @@ type Config struct {
 // safe for concurrent use (stages share the State and the churn RNG);
 // independent environments each own an independent pipeline, which is what
 // lets experiment sweeps run grid cells in parallel. (The node axis inside
-// Respond/Execute shards over the compute worker pool, but that
+// Respond/Execute shards into bands via mat.ParallelRange, but that
 // parallelism is internal to a single Run.)
 type Pipeline struct {
 	Offer   Offer

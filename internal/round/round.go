@@ -30,8 +30,8 @@
 //
 // Internally the stages are vectorized over the struct-of-arrays
 // device.Fleet: Respond's Eqn. (11) best response and Execute's failure
-// pipeline are elementwise per node, so they shard over the bounded worker
-// pool (mat.ParallelRange) — bit-identical at any worker count because
+// pipeline are elementwise per node, so they shard into node bands
+// (mat.ParallelRange) — bit-identical at any worker count because
 // each element is computed exactly once, independent of banding. Every
 // float reduction (the contracted-payment sum, the actual payment, and the
 // streamed T_k = max_i T_{i,k} / Σ_i T_{i,k} aggregates) runs as a single
@@ -342,7 +342,7 @@ type DrawRecorder interface {
 // is.
 //
 // The best response itself is the batched device.Fleet kernel sharded
-// over the worker pool. The same band pass writes every node's outcome and
+// into node bands. The same band pass writes every node's outcome and
 // CommTimes entry and tallies the exact per-band reductions; the
 // contracted-payment sum then runs as one ascending-index pass, so the
 // result is bit-identical to the per-node scalar loop at any worker count.
@@ -449,7 +449,7 @@ func (r Respond) Run(st *State) error {
 	}
 
 	// Phase 2 — the batched Eqn. (11) best response and respondBand,
-	// sharded over the worker pool. Elementwise: bit-identical at any
+	// sharded into node bands. Elementwise: bit-identical at any
 	// worker count.
 	out := device.BatchResponse{
 		Joined:  st.Joined,
@@ -539,7 +539,7 @@ func b2i(b bool) int {
 // still running. It rewrites Times and Outcomes in place.
 //
 // The per-node failure transform is pure (fault schedules answer
-// hash-derived, read-only queries), so it shards over the worker pool;
+// hash-derived, read-only queries), so it shards into node bands;
 // each node's time and outcome are written exactly once, keeping the
 // result bit-identical at any worker count. A round with no fault
 // schedule, no deadline and — as Respond established — no departing

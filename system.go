@@ -45,11 +45,12 @@ type SystemConfig struct {
 	// paper's fixed fleet). Build one with ParseChurnScript or
 	// NewChurnSampler.
 	Churn ChurnSchedule
-	// Workers bounds the compute worker pool used by the matrix kernels
-	// (0 = GOMAXPROCS); above 1 it also lets each PPO update run its
-	// critic and actor epochs, and the two agents' updates, concurrently.
-	// Results are bit-identical at any worker count; the setting is
-	// process-wide, so the last constructed system wins.
+	// Workers bounds the goroutines a batch stage fans out to (0 =
+	// GOMAXPROCS): above 1 each PPO update runs its critic and actor
+	// epochs, and the two agents' updates, concurrently, and a large
+	// fleet's round shards its nodes into that many bands. Results are
+	// bit-identical at any worker count; the setting is process-wide, so
+	// the last constructed system wins.
 	Workers int
 }
 
