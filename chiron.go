@@ -10,12 +10,15 @@
 // goal); the inner agent splits each round's total price across nodes to
 // equalize their finish times (short-term goal, Lemma 1).
 //
-// The package exposes the full system: the device/economic model with the
-// paper's constants, the FedAvg training substrate (with both a real
-// pure-Go neural-network trainer and a calibrated surrogate accuracy
-// model), the hierarchical agent, the paper's two comparison mechanisms,
-// and the experiment harness that regenerates every table and figure of
-// the evaluation section. Start with NewSystem:
+// The package is a small facade. NewSystem assembles the paper's setting:
+// a fleet drawn with the Sec. VI-A device constants (or explicit nodes),
+// the accuracy signal of the chosen dataset (a calibrated surrogate curve,
+// or real pure-Go FedAvg training), the environment at λ=2000 and the
+// hierarchical agent with its tuned hyperparameters. The System then
+// trains and evaluates the agent and builds the paper's two comparison
+// mechanisms on an identical environment. Artifacts lists the reproduced
+// tables and figures; 'chiron run -artifact' regenerates them. Start with
+// NewSystem:
 //
 //	sys, err := chiron.NewSystem(chiron.SystemConfig{
 //		Nodes:   5,
@@ -29,14 +32,12 @@
 package chiron
 
 import (
-	"chiron/internal/accuracy"
 	"chiron/internal/baselines"
 	"chiron/internal/core"
 	"chiron/internal/device"
 	"chiron/internal/edgeenv"
 	"chiron/internal/experiment"
 	"chiron/internal/faults"
-	"chiron/internal/fl"
 	"chiron/internal/mechanism"
 )
 
@@ -45,8 +46,6 @@ import (
 type (
 	// Node is one edge node's hardware and economic profile (Sec. III).
 	Node = device.Node
-	// FleetSpec configures random fleet generation (Sec. VI-A constants).
-	FleetSpec = device.FleetSpec
 
 	// EpisodeResult summarizes one edge-learning episode.
 	EpisodeResult = mechanism.EpisodeResult
@@ -59,8 +58,6 @@ type (
 	// Agent is the hierarchical DRL incentive mechanism (the paper's
 	// primary contribution).
 	Agent = core.Chiron
-	// AgentConfig parameterizes the hierarchical agent.
-	AgentConfig = core.Config
 
 	// DRLBased is the single-agent myopic comparison mechanism.
 	DRLBased = baselines.DRLBased
@@ -79,12 +76,6 @@ type (
 	// Backoff is the unified retry/backoff policy (upload retries, crash
 	// restarts).
 	Backoff = faults.Backoff
-
-	// AccuracyModel produces the A(ω_k) trajectory of a learning task.
-	AccuracyModel = accuracy.Model
-
-	// TrainConfig holds the local-SGD hyperparameters of federated training.
-	TrainConfig = fl.Config
 
 	// Artifact names one reproduced table or figure (fig3 … tab1).
 	Artifact = experiment.Artifact
@@ -131,17 +122,6 @@ func (d Dataset) String() string {
 	}
 }
 
-// Experiment artifacts, re-exported for CLI and benchmark callers.
-const (
-	Fig3  = experiment.Fig3
-	Fig4  = experiment.Fig4
-	Fig5  = experiment.Fig5
-	Fig6  = experiment.Fig6
-	Fig7a = experiment.Fig7a
-	Fig7b = experiment.Fig7b
-	Tab1  = experiment.Tab1
-)
-
 // Artifacts lists every reproduced paper artifact in paper order.
 func Artifacts() []Artifact { return experiment.Artifacts() }
 
@@ -152,26 +132,3 @@ func ExtraArtifacts() []Artifact { return experiment.ExtraArtifacts() }
 // DescribeArtifact returns a one-line description of a paper artifact or
 // ablation study.
 func DescribeArtifact(a Artifact) string { return experiment.Describe(a) }
-
-// RunArtifact executes a paper artifact or ablation study serially at the
-// given scale (1.0 = the paper's full episode counts) and returns a
-// rendered text report. 'chiron run -artifact' runs the same path with a
-// worker bound and writes the CSV series too.
-func RunArtifact(a Artifact, scale float64) (string, error) {
-	report, _, err := experiment.RunJobs(a, scale, 1)
-	return report, err
-}
-
-// DefaultFleetSpec returns the paper's Sec. VI-A device constants for n
-// nodes.
-func DefaultFleetSpec(n int) FleetSpec { return device.DefaultFleetSpec(n) }
-
-// DefaultAgentConfig returns the paper's hyperparameters for both agent
-// layers, including the reproduction's documented inner-agent tuning.
-func DefaultAgentConfig(seed int64) AgentConfig {
-	return experiment.TunedChironConfig(seed)
-}
-
-// DefaultTrainConfig mirrors the paper's local-training settings
-// (σ=5 epochs, batch size 10).
-func DefaultTrainConfig() TrainConfig { return fl.DefaultConfig() }

@@ -173,46 +173,8 @@ func TestArtifactsExposed(t *testing.T) {
 	}
 }
 
-func TestRunArtifactTinyScale(t *testing.T) {
-	// Exercise one full artifact pipeline end to end at minimum scale.
-	report, err := chiron.RunArtifact(chiron.Fig3, 0.002) // 1 episode
-	if err != nil {
-		t.Fatalf("RunArtifact: %v", err)
-	}
-	if !strings.Contains(report, "Fig. 3") {
-		t.Fatalf("report missing title:\n%s", report)
-	}
-}
-
-func TestDefaultFleetSpecMatchesPaperConstants(t *testing.T) {
-	spec := chiron.DefaultFleetSpec(5)
-	if spec.CyclesPerBit != 20 {
-		t.Fatalf("c_i = %v, want 20 cycles/bit", spec.CyclesPerBit)
-	}
-	if spec.FreqMaxLow != 1e9 || spec.FreqMaxHigh != 2e9 {
-		t.Fatalf("ζmax range [%v,%v], want [1,2] GHz", spec.FreqMaxLow, spec.FreqMaxHigh)
-	}
-	if spec.CommTimeMin != 10 || spec.CommTimeMax != 20 {
-		t.Fatalf("comm range [%v,%v], want [10,20] s", spec.CommTimeMin, spec.CommTimeMax)
-	}
-	if spec.Capacitance != 2e-28 {
-		t.Fatalf("α = %v, want 2e-28", spec.Capacitance)
-	}
-	if spec.Epochs != 5 {
-		t.Fatalf("σ = %d, want 5", spec.Epochs)
-	}
-}
-
-func TestDefaultTrainConfigMatchesPaper(t *testing.T) {
-	cfg := chiron.DefaultTrainConfig()
-	if cfg.Epochs != 5 || cfg.BatchSize != 10 {
-		t.Fatalf("train config %+v, want σ=5 batch=10", cfg)
-	}
-}
-
 func TestNodeEconomicsThroughPublicAPI(t *testing.T) {
-	spec := chiron.DefaultFleetSpec(1)
-	sys, err := chiron.NewSystem(chiron.SystemConfig{Nodes: 1, Fleet: &spec, Budget: 50, Seed: 4})
+	sys, err := chiron.NewSystem(chiron.SystemConfig{Nodes: 1, Budget: 50, Seed: 4})
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
 	}

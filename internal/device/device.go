@@ -40,19 +40,20 @@ type Node struct {
 }
 
 // Validate reports whether the node's parameters are physically sensible.
+// The comparisons are negated so that a NaN parameter fails them too.
 func (n *Node) Validate() error {
 	switch {
-	case n.CyclesPerBit <= 0:
+	case !(n.CyclesPerBit > 0):
 		return fmt.Errorf("device: node %d: cycles/bit %v, want > 0", n.ID, n.CyclesPerBit)
-	case n.DataBits <= 0:
+	case !(n.DataBits > 0):
 		return fmt.Errorf("device: node %d: data bits %v, want > 0", n.ID, n.DataBits)
-	case n.FreqMin <= 0 || n.FreqMax < n.FreqMin:
+	case !(n.FreqMin > 0 && n.FreqMax >= n.FreqMin):
 		return fmt.Errorf("device: node %d: frequency range [%v,%v]", n.ID, n.FreqMin, n.FreqMax)
-	case n.Capacitance <= 0:
+	case !(n.Capacitance > 0):
 		return fmt.Errorf("device: node %d: capacitance %v, want > 0", n.ID, n.Capacitance)
-	case n.CommTime < 0 || n.CommEnergyRate < 0:
+	case !(n.CommTime >= 0 && n.CommEnergyRate >= 0):
 		return fmt.Errorf("device: node %d: negative communication parameters", n.ID)
-	case n.Reserve < 0:
+	case !(n.Reserve >= 0):
 		return fmt.Errorf("device: node %d: reserve %v, want >= 0", n.ID, n.Reserve)
 	case n.Epochs <= 0:
 		return fmt.Errorf("device: node %d: epochs %d, want > 0", n.ID, n.Epochs)

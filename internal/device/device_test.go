@@ -39,6 +39,14 @@ func TestNodeValidate(t *testing.T) {
 		func(n *Node) { n.Reserve = -0.1 },
 		func(n *Node) { n.Epochs = 0 },
 		func(n *Node) { n.SampleCount = 0 },
+		func(n *Node) { n.CyclesPerBit = math.NaN() },
+		func(n *Node) { n.DataBits = math.NaN() },
+		func(n *Node) { n.FreqMin = math.NaN() },
+		func(n *Node) { n.FreqMax = math.NaN() },
+		func(n *Node) { n.Capacitance = math.NaN() },
+		func(n *Node) { n.CommTime = math.NaN() },
+		func(n *Node) { n.CommEnergyRate = math.NaN() },
+		func(n *Node) { n.Reserve = math.NaN() },
 	}
 	for i, mutate := range mutations {
 		bad := testNode()
@@ -222,6 +230,25 @@ func TestFleetSpecValidate(t *testing.T) {
 	bad.FreqMaxHigh = bad.FreqMaxLow / 2
 	if err := bad.Validate(); err == nil {
 		t.Fatal("inverted freq range accepted")
+	}
+}
+
+func TestDefaultFleetSpecMatchesPaperConstants(t *testing.T) {
+	spec := DefaultFleetSpec(5)
+	if spec.CyclesPerBit != 20 {
+		t.Fatalf("c_i = %v, want 20 cycles/bit", spec.CyclesPerBit)
+	}
+	if spec.FreqMaxLow != 1e9 || spec.FreqMaxHigh != 2e9 {
+		t.Fatalf("ζmax range [%v,%v], want [1,2] GHz", spec.FreqMaxLow, spec.FreqMaxHigh)
+	}
+	if spec.CommTimeMin != 10 || spec.CommTimeMax != 20 {
+		t.Fatalf("comm range [%v,%v], want [10,20] s", spec.CommTimeMin, spec.CommTimeMax)
+	}
+	if spec.Capacitance != 2e-28 {
+		t.Fatalf("α = %v, want 2e-28", spec.Capacitance)
+	}
+	if spec.Epochs != 5 {
+		t.Fatalf("σ = %d, want 5", spec.Epochs)
 	}
 }
 

@@ -26,6 +26,7 @@ package edgeenv
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"chiron/internal/accuracy"
@@ -159,38 +160,42 @@ func DefaultFleetConfig(fleet *device.Fleet, acc accuracy.Model, budget float64)
 	return cfg
 }
 
-// Validate reports whether the configuration is usable.
+// Validate reports whether the configuration is usable. It is the one
+// check of the environment's settings: New resolves the zero-value
+// defaults after it and assembles the round pipeline, whose stages trust
+// their fields. Every float knob must be finite (NaN and ±Inf are
+// rejected), in addition to its range.
 func (c Config) Validate() error {
 	switch {
 	case c.Fleet == nil || c.Fleet.Len() == 0:
 		return fmt.Errorf("edgeenv: no nodes")
 	case c.Accuracy == nil:
 		return fmt.Errorf("edgeenv: no accuracy model")
-	case c.Budget <= 0:
-		return fmt.Errorf("edgeenv: budget %v, want > 0", c.Budget)
-	case c.Lambda <= 0:
-		return fmt.Errorf("edgeenv: lambda %v, want > 0", c.Lambda)
-	case c.TimeWeight < 0:
-		return fmt.Errorf("edgeenv: time weight %v, want >= 0", c.TimeWeight)
+	case !finite(c.Budget) || c.Budget <= 0:
+		return fmt.Errorf("edgeenv: budget %v, want finite > 0", c.Budget)
+	case !finite(c.Lambda) || c.Lambda <= 0:
+		return fmt.Errorf("edgeenv: lambda %v, want finite > 0", c.Lambda)
+	case !finite(c.TimeWeight) || c.TimeWeight < 0:
+		return fmt.Errorf("edgeenv: time weight %v, want finite >= 0", c.TimeWeight)
 	case c.HistoryLen <= 0:
 		return fmt.Errorf("edgeenv: history length %d, want > 0", c.HistoryLen)
 	case c.MaxRounds <= 0:
 		return fmt.Errorf("edgeenv: max rounds %d, want > 0", c.MaxRounds)
-	case c.EmptyRoundTimeout < 0:
-		return fmt.Errorf("edgeenv: empty-round timeout %v, want >= 0", c.EmptyRoundTimeout)
-	case c.CommJitter < 0 || c.CommJitter >= 1:
+	case !finite(c.EmptyRoundTimeout) || c.EmptyRoundTimeout < 0:
+		return fmt.Errorf("edgeenv: empty-round timeout %v, want finite >= 0", c.EmptyRoundTimeout)
+	case !(c.CommJitter >= 0 && c.CommJitter < 1):
 		return fmt.Errorf("edgeenv: comm jitter %v outside [0,1)", c.CommJitter)
-	case c.Availability < 0 || c.Availability > 1:
+	case !(c.Availability >= 0 && c.Availability <= 1):
 		return fmt.Errorf("edgeenv: availability %v outside [0,1]", c.Availability)
 	case (c.CommJitter > 0 || (c.Availability > 0 && c.Availability < 1)) && c.Rng == nil && c.Draws == nil:
 		return fmt.Errorf("edgeenv: CommJitter/Availability require a Rng")
-	case c.RoundDeadline < 0:
-		return fmt.Errorf("edgeenv: round deadline %v, want >= 0", c.RoundDeadline)
+	case !finite(c.RoundDeadline) || c.RoundDeadline < 0:
+		return fmt.Errorf("edgeenv: round deadline %v, want finite >= 0", c.RoundDeadline)
 	case c.MaxRetries < 0:
 		return fmt.Errorf("edgeenv: max retries %d, want >= 0", c.MaxRetries)
-	case c.RetryBackoff < 0:
-		return fmt.Errorf("edgeenv: retry backoff %v, want >= 0", c.RetryBackoff)
-	case c.FailurePayment < 0 || c.FailurePayment > 1:
+	case !finite(c.RetryBackoff) || c.RetryBackoff < 0:
+		return fmt.Errorf("edgeenv: retry backoff %v, want finite >= 0", c.RetryBackoff)
+	case !(c.FailurePayment >= 0 && c.FailurePayment <= 1):
 		return fmt.Errorf("edgeenv: failure payment %v outside [0,1]", c.FailurePayment)
 	case c.MinQuorum < 0:
 		return fmt.Errorf("edgeenv: min quorum %d, want >= 0", c.MinQuorum)
@@ -199,6 +204,9 @@ func (c Config) Validate() error {
 	}
 	return c.Fleet.Validate()
 }
+
+// finite reports whether v is neither NaN nor ±Inf.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // StepResult reports the outcome of one environment step.
 type StepResult struct {
@@ -261,7 +269,7 @@ func New(cfg Config) (*Env, error) {
 		}
 	}
 	// Resolve the config's zero-value defaults before handing the round
-	// economics to the stage pipeline.
+	// economics to the stage pipeline, which trusts its fields.
 	minQuorum := cfg.MinQuorum
 	if minQuorum <= 0 {
 		minQuorum = 1
@@ -270,27 +278,33 @@ func New(cfg Config) (*Env, error) {
 	if emptyTimeout == 0 {
 		emptyTimeout = e.timeNorm
 	}
-	e.pipe, err = round.New(round.Config{
-		Fleet:          fleet,
-		Compact:        cfg.CompactRounds,
-		Churn:          cfg.Churn,
-		Availability:   cfg.Availability,
-		CommJitter:     cfg.CommJitter,
-		Rng:            cfg.Rng,
-		Bandwidth:      cfg.Bandwidth,
-		Draws:          cfg.Draws,
-		Recorder:       cfg.DrawRecorder,
-		Faults:         cfg.Faults,
-		Deadline:       cfg.RoundDeadline,
-		Retry:          faults.Constant(cfg.RetryBackoff, cfg.MaxRetries),
-		FailurePayment: cfg.FailurePayment,
-		EmptyTimeout:   emptyTimeout,
-		MinQuorum:      minQuorum,
-		Accuracy:       cfg.Accuracy,
-		Ledger:         ledger,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("edgeenv: %w", err)
+	e.pipe = &round.Pipeline{
+		Offer: round.Offer{NumNodes: fleet.Len(), Compact: cfg.CompactRounds},
+		Respond: round.Respond{
+			Fleet:        fleet,
+			Churn:        cfg.Churn,
+			Availability: cfg.Availability,
+			CommJitter:   cfg.CommJitter,
+			Rng:          cfg.Rng,
+			Bandwidth:    cfg.Bandwidth,
+			Draws:        cfg.Draws,
+			Recorder:     cfg.DrawRecorder,
+		},
+		Execute: round.Execute{
+			Faults:   cfg.Faults,
+			Deadline: cfg.RoundDeadline,
+			Retry:    faults.Constant(cfg.RetryBackoff, cfg.MaxRetries),
+		},
+		Settle: round.Settle{
+			FailurePayment: cfg.FailurePayment,
+			EmptyTimeout:   emptyTimeout,
+			Ledger:         ledger,
+		},
+		Commit: round.Commit{
+			Accuracy:  cfg.Accuracy,
+			Ledger:    ledger,
+			MinQuorum: minQuorum,
+		},
 	}
 	return e, nil
 }

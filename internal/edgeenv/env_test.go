@@ -9,6 +9,7 @@ import (
 
 	"chiron/internal/accuracy"
 	"chiron/internal/device"
+	"chiron/internal/faults"
 )
 
 func testEnv(t *testing.T, nodes int, budget float64) *Env {
@@ -61,6 +62,28 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.TimeWeight = -1 },
 		func(c *Config) { c.HistoryLen = 0 },
 		func(c *Config) { c.MaxRounds = 0 },
+		func(c *Config) { c.Availability = 0.5; c.Rng = nil },
+	}
+	// Every float knob rejects NaN, and those that must be finite reject
+	// +Inf; a plain range check passes NaN through.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, field := range []func(*Config) *float64{
+		func(c *Config) *float64 { return &c.Budget },
+		func(c *Config) *float64 { return &c.Lambda },
+		func(c *Config) *float64 { return &c.TimeWeight },
+		func(c *Config) *float64 { return &c.EmptyRoundTimeout },
+		func(c *Config) *float64 { return &c.CommJitter },
+		func(c *Config) *float64 { return &c.Availability },
+		func(c *Config) *float64 { return &c.RoundDeadline },
+		func(c *Config) *float64 { return &c.RetryBackoff },
+		func(c *Config) *float64 { return &c.FailurePayment },
+	} {
+		for _, v := range []float64{nan, inf} {
+			mutations = append(mutations, func(c *Config) {
+				c.Rng = rand.New(rand.NewSource(1))
+				*field(c) = v
+			})
+		}
 	}
 	for i, mutate := range mutations {
 		bad := DefaultConfig(fleet, acc, 100)
@@ -71,6 +94,53 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := New(bad); err == nil {
 			t.Fatalf("mutation %d accepted by New", i)
 		}
+	}
+}
+
+// TestNewResolvesPipelineDefaults: New hands the round pipeline the
+// resolved defaults — quorum 1 and the fleet's slowest possible round time
+// as the empty-round timeout — passes explicit values through, and builds
+// the flat retry policy from MaxRetries and RetryBackoff.
+func TestNewResolvesPipelineDefaults(t *testing.T) {
+	fleet, err := device.NewFleetBatch(rand.New(rand.NewSource(3)), device.DefaultFleetSpec(4))
+	if err != nil {
+		t.Fatalf("NewFleetBatch: %v", err)
+	}
+	acc, err := accuracy.NewPresetCurve(rand.New(rand.NewSource(4)), accuracy.PresetMNIST, 4)
+	if err != nil {
+		t.Fatalf("NewPresetCurve: %v", err)
+	}
+	cfg := DefaultConfig(fleet, acc, 100)
+	cfg.CommJitter = 0.2
+	cfg.Rng = rand.New(rand.NewSource(5))
+	cfg.RetryBackoff = 1.5
+	cfg.MaxRetries = 2
+	env, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	var slowest float64
+	for i := 0; i < fleet.Len(); i++ {
+		slowest = max(slowest, fleet.Workload(i)/fleet.FreqMin[i]+fleet.CommTime[i]*(1+cfg.CommJitter))
+	}
+	p := env.Pipeline()
+	if p.Commit.MinQuorum != 1 {
+		t.Fatalf("MinQuorum 0 resolved to %d, want 1", p.Commit.MinQuorum)
+	}
+	if p.Settle.EmptyTimeout != slowest || slowest <= 0 {
+		t.Fatalf("EmptyRoundTimeout 0 resolved to %v, want the slowest round time %v", p.Settle.EmptyTimeout, slowest)
+	}
+	if want := faults.Constant(1.5, 2); p.Execute.Retry != want {
+		t.Fatalf("retry policy %+v, want %+v", p.Execute.Retry, want)
+	}
+
+	cfg.MinQuorum = 3
+	cfg.EmptyRoundTimeout = 7
+	if env, err = New(cfg); err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if p := env.Pipeline(); p.Commit.MinQuorum != 3 || p.Settle.EmptyTimeout != 7 {
+		t.Fatalf("explicit quorum/timeout became %d/%v, want 3/7", p.Commit.MinQuorum, p.Settle.EmptyTimeout)
 	}
 }
 

@@ -11,12 +11,9 @@ import (
 
 // PPOConfig holds the Proximal Policy Optimization hyperparameters.
 type PPOConfig struct {
-	// Gamma is the reward discount factor (paper: 0.95).
+	// Gamma is the reward discount factor (paper: 0.95). Advantages are
+	// the paper's plain TD(0) residuals r + γV(s′) − V(s) (Algorithm 1).
 	Gamma float64
-	// GAELambda enables Generalized Advantage Estimation with the given λ
-	// when positive; 0 keeps the paper's plain TD(0) advantages. GAE
-	// trades bias for variance and is the conventional PPO pairing.
-	GAELambda float64
 	// ClipEps is the PPO clipping radius ε (standard: 0.2).
 	ClipEps float64
 	// ActorLR and CriticLR are the Adam learning rates (paper: 3e-5 both).
@@ -61,8 +58,6 @@ func (c PPOConfig) Validate() error {
 	switch {
 	case c.Gamma < 0 || c.Gamma > 1:
 		return fmt.Errorf("rl: gamma %v outside [0,1]", c.Gamma)
-	case c.GAELambda < 0 || c.GAELambda > 1:
-		return fmt.Errorf("rl: gae lambda %v outside [0,1]", c.GAELambda)
 	case c.ClipEps <= 0 || c.ClipEps >= 1:
 		return fmt.Errorf("rl: clip epsilon %v outside (0,1)", c.ClipEps)
 	case c.ActorLR <= 0 || c.CriticLR <= 0:
@@ -197,15 +192,11 @@ func (p *PPO) Update(buf *Buffer) (UpdateStats, error) {
 	}
 	p.linkNextStates(trans)
 
-	// Advantages from the pre-update critic, normalized across the batch
-	// for stable scaling: plain TD(0) residuals by default (Algorithm 1),
-	// or their GAE(λ) accumulation when configured.
+	// TD(0) advantages from the pre-update critic (Algorithm 1),
+	// normalized across the batch for stable scaling.
 	adv, err := p.tdAdvantages(trans)
 	if err != nil {
 		return UpdateStats{}, err
-	}
-	if p.cfg.GAELambda > 0 {
-		accumulateGAE(trans, adv, p.cfg.Gamma, p.cfg.GAELambda)
 	}
 	normalizeAdvantages(adv)
 
@@ -327,24 +318,6 @@ func (p *PPO) tdAdvantages(trans []Transition) ([]float64, error) {
 		adv[i] = t.Reward + p.cfg.Gamma*p.nextValue(i) - p.vals[i]
 	}
 	return adv, nil
-}
-
-// accumulateGAE folds TD residuals δ_t in place into GAE(λ) advantages
-// Â_t = Σ_l (γλ)^l δ_{t+l}, restarting at episode boundaries. The input
-// residuals must be in trajectory order, which is how the mechanisms fill
-// their buffers. The backward sweep reads each δ_i exactly once before
-// overwriting it, so deltas doubles as the output (also returned for
-// convenience).
-func accumulateGAE(trans []Transition, deltas []float64, gamma, lambda float64) []float64 {
-	var running float64
-	for i := len(deltas) - 1; i >= 0; i-- {
-		if trans[i].Done {
-			running = 0
-		}
-		running = deltas[i] + gamma*lambda*running
-		deltas[i] = running
-	}
-	return deltas
 }
 
 func normalizeAdvantages(adv []float64) {

@@ -212,17 +212,12 @@ func TestPipelineDepartureSettlement(t *testing.T) {
 	price := nodes[0].PriceForFreq(1e9)
 	ledger := testLedger(t, 1e6)
 	model := &stubModel{acc: 0.3, step: 0.01}
-	p, err := round.New(round.Config{
-		Fleet:          device.FromNodes(nodes),
-		Churn:          churnScript(t, "-1@1"),
-		FailurePayment: failurePayment,
-		EmptyTimeout:   5,
-		MinQuorum:      1,
-		Accuracy:       model,
-		Ledger:         ledger,
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
+	fleet := device.FromNodes(nodes)
+	p := &round.Pipeline{
+		Offer:   round.Offer{NumNodes: fleet.Len()},
+		Respond: round.Respond{Fleet: fleet, Churn: churnScript(t, "-1@1")},
+		Settle:  round.Settle{FailurePayment: failurePayment, EmptyTimeout: 5, Ledger: ledger},
+		Commit:  round.Commit{Accuracy: model, Ledger: ledger, MinQuorum: 1},
 	}
 	st := round.NewState(1, []float64{price, price}, 0.3, 2)
 	if err := p.Run(st); err != nil {
@@ -257,18 +252,13 @@ func TestPipelineZeroSurvivorsQuorum(t *testing.T) {
 	price := nodes[0].PriceForFreq(1e9)
 	ledger := testLedger(t, 1e6)
 	model := &stubModel{acc: 0.3, step: 0.01}
-	p, err := round.New(round.Config{
-		Fleet:          device.FromNodes(nodes),
-		Churn:          churnScript(t, "-0@1"),
-		Faults:         faults.Script{1: {1: {Kind: faults.Crash}}},
-		FailurePayment: failurePayment,
-		EmptyTimeout:   5,
-		MinQuorum:      1,
-		Accuracy:       model,
-		Ledger:         ledger,
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
+	fleet := device.FromNodes(nodes)
+	p := &round.Pipeline{
+		Offer:   round.Offer{NumNodes: fleet.Len()},
+		Respond: round.Respond{Fleet: fleet, Churn: churnScript(t, "-0@1")},
+		Execute: round.Execute{Faults: faults.Script{1: {1: {Kind: faults.Crash}}}},
+		Settle:  round.Settle{FailurePayment: failurePayment, EmptyTimeout: 5, Ledger: ledger},
+		Commit:  round.Commit{Accuracy: model, Ledger: ledger, MinQuorum: 1},
 	}
 	st := round.NewState(1, []float64{price, price}, 0.3, 2)
 	if err := p.Run(st); err != nil {

@@ -507,52 +507,16 @@ func TestCommitSurfacesLedgerError(t *testing.T) {
 	}
 }
 
-func TestNewValidation(t *testing.T) {
-	nodes := []*device.Node{testNode(0)}
-	model := &stubModel{}
-	ledger := testLedger(t, 10)
-	valid := round.Config{
-		Fleet: device.FromNodes(nodes), Accuracy: model, Ledger: ledger,
-		MinQuorum: 1, EmptyTimeout: 1,
-	}
-	if _, err := round.New(valid); err != nil {
-		t.Fatalf("valid config rejected: %v", err)
-	}
-	cases := []struct {
-		name   string
-		mutate func(*round.Config)
-		want   string
-	}{
-		{"no nodes", func(c *round.Config) { c.Fleet = nil }, "no nodes"},
-		{"empty fleet", func(c *round.Config) { c.Fleet = device.FromNodes(nil) }, "no nodes"},
-		{"no accuracy", func(c *round.Config) { c.Accuracy = nil }, "no accuracy"},
-		{"no ledger", func(c *round.Config) { c.Ledger = nil }, "no ledger"},
-		{"bad quorum", func(c *round.Config) { c.MinQuorum = 0 }, "quorum"},
-		{"bad timeout", func(c *round.Config) { c.EmptyTimeout = 0 }, "timeout"},
-		{"churn without rng", func(c *round.Config) { c.Availability = 0.5 }, "Rng"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := valid
-			tc.mutate(&cfg)
-			_, err := round.New(cfg)
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("New() error = %v, want mention of %q", err, tc.want)
-			}
-		})
-	}
-}
-
 func TestPipelineStopsAtTerminalStatus(t *testing.T) {
 	nodes := []*device.Node{testNode(0), testNode(1)}
 	model := &stubModel{acc: 0.5, step: 0.1}
 	ledger := testLedger(t, 100)
-	p, err := round.New(round.Config{
-		Fleet: device.FromNodes(nodes), Accuracy: model, Ledger: ledger,
-		MinQuorum: 1, EmptyTimeout: 3,
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
+	fleet := device.FromNodes(nodes)
+	p := &round.Pipeline{
+		Offer:   round.Offer{NumNodes: fleet.Len()},
+		Respond: round.Respond{Fleet: fleet},
+		Settle:  round.Settle{EmptyTimeout: 3, Ledger: ledger},
+		Commit:  round.Commit{Accuracy: model, Ledger: ledger, MinQuorum: 1},
 	}
 	// A zero price attracts nobody: Settle must end the round and Commit
 	// must never see it.
@@ -573,13 +537,7 @@ func TestPipelineStopsAtTerminalStatus(t *testing.T) {
 }
 
 func TestStagesOrder(t *testing.T) {
-	p, err := round.New(round.Config{
-		Fleet: device.FromNodes([]*device.Node{testNode(0)}), Accuracy: &stubModel{},
-		Ledger: testLedger(t, 1), MinQuorum: 1, EmptyTimeout: 1,
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	var p round.Pipeline
 	want := []string{"offer", "respond", "execute", "settle", "commit"}
 	stages := p.Stages()
 	if len(stages) != len(want) {
@@ -623,23 +581,30 @@ func TestPipelineEconomicLaws(t *testing.T) {
 		}
 		failurePayment := propcheck.Uniform(rng, 0, 1)
 		ledger := testLedger(t, propcheck.Uniform(rng, 10, 500))
-		cfg := round.Config{
-			Fleet:          device.FromNodes(nodes),
-			Availability:   availability,
-			CommJitter:     jitter,
-			Rng:            rand.New(rand.NewSource(rng.Int63())),
-			Faults:         sched,
-			Deadline:       deadline,
-			Retry:          faults.Constant(propcheck.Uniform(rng, 0, 2), rng.Intn(4)),
-			FailurePayment: failurePayment,
-			EmptyTimeout:   propcheck.Uniform(rng, 1, 60),
-			MinQuorum:      1 + rng.Intn(n),
-			Accuracy:       &stubModel{acc: 0.3, step: 0.01},
-			Ledger:         ledger,
-		}
-		p, err := round.New(cfg)
-		if err != nil {
-			t.Fatalf("New: %v", err)
+		fleet := device.FromNodes(nodes)
+		p := &round.Pipeline{
+			Offer: round.Offer{NumNodes: fleet.Len()},
+			Respond: round.Respond{
+				Fleet:        fleet,
+				Availability: availability,
+				CommJitter:   jitter,
+				Rng:          rand.New(rand.NewSource(rng.Int63())),
+			},
+			Execute: round.Execute{
+				Faults:   sched,
+				Deadline: deadline,
+				Retry:    faults.Constant(propcheck.Uniform(rng, 0, 2), rng.Intn(4)),
+			},
+			Settle: round.Settle{
+				FailurePayment: failurePayment,
+				EmptyTimeout:   propcheck.Uniform(rng, 1, 60),
+				Ledger:         ledger,
+			},
+			Commit: round.Commit{
+				Accuracy:  &stubModel{acc: 0.3, step: 0.01},
+				Ledger:    ledger,
+				MinQuorum: 1 + rng.Intn(n),
+			},
 		}
 
 		lastAcc := 0.3

@@ -19,28 +19,18 @@ import (
 type SystemConfig struct {
 	// Nodes is the fleet size N (required).
 	Nodes int
-	// Fleet overrides the generated fleet spec (nil = paper defaults).
-	Fleet *FleetSpec
 	// CustomNodes supplies an explicit fleet, bypassing random generation.
 	CustomNodes []*Node
 	// Dataset selects the learning task (default DatasetMNIST).
 	Dataset Dataset
 	// Budget is η, the total incentive budget (required).
 	Budget float64
-	// Lambda is λ, the accuracy preference (0 = paper default 2000).
-	Lambda float64
 	// Seed drives all stochasticity (0 = seed 1).
 	Seed int64
 	// RealTraining switches the accuracy signal from the calibrated
 	// surrogate curve to actual FedAvg training of a pure-Go MLP on the
 	// synthetic dataset. Slower, but exercises the entire paper pipeline.
 	RealTraining bool
-	// Agent overrides the hierarchical agent configuration (nil = tuned
-	// defaults).
-	Agent *AgentConfig
-	// Accuracy overrides the accuracy model entirely (advanced use; takes
-	// precedence over Dataset and RealTraining).
-	Accuracy AccuracyModel
 	// Churn schedules node arrivals and departures across rounds (nil = the
 	// paper's fixed fleet). Build one with ParseChurnScript or
 	// NewChurnSampler.
@@ -92,41 +82,25 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		}
 		fleet = device.FromNodes(cfg.CustomNodes)
 	} else {
-		spec := device.DefaultFleetSpec(cfg.Nodes)
-		if cfg.Fleet != nil {
-			spec = *cfg.Fleet
-		}
 		var err error
-		fleet, err = device.NewFleetBatch(rand.New(rand.NewSource(cfg.Seed)), spec)
+		fleet, err = device.NewFleetBatch(rand.New(rand.NewSource(cfg.Seed)), device.DefaultFleetSpec(cfg.Nodes))
 		if err != nil {
 			return nil, fmt.Errorf("chiron: fleet: %w", err)
 		}
 	}
 
-	acc := cfg.Accuracy
-	if acc == nil {
-		var err error
-		acc, err = buildAccuracyModel(cfg, fleet.Len())
-		if err != nil {
-			return nil, err
-		}
+	acc, err := buildAccuracyModel(cfg, fleet.Len())
+	if err != nil {
+		return nil, err
 	}
-
 	envCfg := edgeenv.DefaultConfig(fleet, acc, cfg.Budget)
-	if cfg.Lambda > 0 {
-		envCfg.Lambda = cfg.Lambda
-	}
 	envCfg.Churn = cfg.Churn
 	env, err := edgeenv.New(envCfg)
 	if err != nil {
 		return nil, fmt.Errorf("chiron: environment: %w", err)
 	}
 
-	agentCfg := DefaultAgentConfig(cfg.Seed)
-	if cfg.Agent != nil {
-		agentCfg = *cfg.Agent
-	}
-	agent, err := core.New(env, agentCfg)
+	agent, err := core.New(env, experiment.TunedChironConfig(cfg.Seed))
 	if err != nil {
 		return nil, fmt.Errorf("chiron: agent: %w", err)
 	}
@@ -231,13 +205,9 @@ func (s *System) newBaseline(kind experiment.MechanismKind) (Mechanism, error) {
 // cloneEnv rebuilds an environment with the same fleet and a fresh
 // accuracy model so baselines do not share mutable state with the agent.
 func (s *System) cloneEnv() (*edgeenv.Env, error) {
-	acc := s.cfg.Accuracy
-	if acc == nil {
-		var err error
-		acc, err = buildAccuracyModel(s.cfg, s.env.NumNodes())
-		if err != nil {
-			return nil, err
-		}
+	acc, err := buildAccuracyModel(s.cfg, s.env.NumNodes())
+	if err != nil {
+		return nil, err
 	}
 	envCfg := s.env.Config()
 	envCfg.Accuracy = acc
