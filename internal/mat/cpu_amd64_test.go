@@ -34,6 +34,17 @@ func TestDetectAVX2MatchesCPUInfo(t *testing.T) {
 	}
 }
 
+// TestDetectAVX512MatchesCPUInfo checks the AVX-512 tier's detection the
+// same way: Linux lists avx512f only when the CPU has it and the OS saves
+// the opmask and ZMM state, and haveAVX512 also requires haveAVX2.
+func TestDetectAVX512MatchesCPUInfo(t *testing.T) {
+	flags := cpuInfoFlags(t)
+	listed := strings.Contains(flags, " avx512f ") && strings.Contains(flags, " avx2 ")
+	if haveAVX512 != listed {
+		t.Fatalf("haveAVX512 = %v, /proc/cpuinfo lists avx512f and avx2: %v", haveAVX512, listed)
+	}
+}
+
 // TestTanhGateMatchesCPUInfo checks the tanh kernel's gate: it is on
 // exactly when /proc/cpuinfo lists avx2 and fma and math.Tanh takes
 // math.Exp's FMA path, which gives −0.6292001413901859 the tanh

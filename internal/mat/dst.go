@@ -22,19 +22,23 @@ func checkDst(op string, dst *Matrix, rows, cols int) error {
 
 // MulTo computes dst = a × b without allocating, on the calling goroutine.
 // dst must be a.Rows()×b.Cols() and must not alias a or b.
-func MulTo(dst, a, b *Matrix) error {
+func MulTo(dst, a, b *Matrix) error { return mulTo(gemmSIMD, dst, a, b) }
+
+// mulTo is MulTo on the assembly kernel kern, or on the Go kernel when kern
+// is nil.
+func mulTo(kern kernelFunc, dst, a, b *Matrix) error {
 	if a.cols != b.rows {
 		return fmt.Errorf("%w: mul %dx%d by %dx%d", ErrShape, a.rows, a.cols, b.rows, b.cols)
 	}
 	if err := checkDst("mul", dst, a.rows, b.cols); err != nil {
 		return err
 	}
-	if !haveAVX2 || dst.cols == 0 {
+	if kern == nil || dst.cols == 0 {
 		gemm(dst.data, dst.cols, a.data, a.cols, b.data, b.cols, a.rows)
 		return nil
 	}
 	for i := 0; i < a.rows; i += 4 {
-		kernelRows(dst.data[i*dst.cols:], dst.cols, a.data[i*a.cols:], a.cols, 1, b.data, b.cols, a.cols, dst.cols, min(4, a.rows-i), false, true)
+		kernelRows(kern, dst.data[i*dst.cols:], dst.cols, a.data[i*a.cols:], a.cols, 1, b.data, b.cols, a.cols, dst.cols, min(4, a.rows-i), false, true)
 	}
 	return nil
 }
@@ -44,21 +48,25 @@ func MulTo(dst, a, b *Matrix) error {
 // row i reads column i of a, so four rows read four adjacent a values per
 // k; the kernel follows the Go kernel's gemmKC tiling of k, reloading the
 // running sums from dst at each tile after the first.
-func MulTransATo(dst, a, b *Matrix) error {
+func MulTransATo(dst, a, b *Matrix) error { return mulTransATo(gemmSIMD, dst, a, b) }
+
+// mulTransATo is MulTransATo on the assembly kernel kern, or on the Go
+// kernel when kern is nil.
+func mulTransATo(kern kernelFunc, dst, a, b *Matrix) error {
 	if a.rows != b.rows {
 		return fmt.Errorf("%w: mulTransA (%dx%d)T by %dx%d", ErrShape, a.rows, a.cols, b.rows, b.cols)
 	}
 	if err := checkDst("mulTransA", dst, a.cols, b.cols); err != nil {
 		return err
 	}
-	if !haveAVX2 || dst.cols == 0 || a.rows == 0 {
+	if kern == nil || dst.cols == 0 || a.rows == 0 {
 		gemmTransA(dst.data, dst.cols, a.data, a.cols, a.rows, b.data, b.cols, a.cols)
 		return nil
 	}
 	for k0 := 0; k0 < a.rows; k0 += gemmKC {
 		kn := min(gemmKC, a.rows-k0)
 		for i := 0; i < a.cols; i += 4 {
-			kernelRows(dst.data[i*dst.cols:], dst.cols, a.data[k0*a.cols+i:], 1, a.cols, b.data[k0*b.cols:], b.cols, kn, dst.cols, min(4, a.cols-i), k0 > 0, true)
+			kernelRows(kern, dst.data[i*dst.cols:], dst.cols, a.data[k0*a.cols+i:], 1, a.cols, b.data[k0*b.cols:], b.cols, kn, dst.cols, min(4, a.cols-i), k0 > 0, true)
 		}
 	}
 	return nil
@@ -69,20 +77,24 @@ func MulTransATo(dst, a, b *Matrix) error {
 // runs the a × b form of the kernel over it, without the a == 0 skip the Go
 // transpose-B kernel never had. dst must be a.Rows()×b.Rows() and must not
 // alias a or b.
-func MulTransBTo(dst, a, b *Matrix) error {
+func MulTransBTo(dst, a, b *Matrix) error { return mulTransBTo(gemmSIMD, dst, a, b) }
+
+// mulTransBTo is MulTransBTo on the assembly kernel kern, or on the Go
+// kernel when kern is nil.
+func mulTransBTo(kern kernelFunc, dst, a, b *Matrix) error {
 	if a.cols != b.cols {
 		return fmt.Errorf("%w: mulTransB %dx%d by (%dx%d)T", ErrShape, a.rows, a.cols, b.rows, b.cols)
 	}
 	if err := checkDst("mulTransB", dst, a.rows, b.rows); err != nil {
 		return err
 	}
-	if !haveAVX2 || b.rows == 0 {
+	if kern == nil || b.rows == 0 {
 		gemmTransB(dst.data, dst.cols, a.data, a.cols, b.data, b.rows, a.rows)
 		return nil
 	}
 	bt := packTransB(b)
 	for i := 0; i < a.rows; i += 4 {
-		kernelRows(dst.data[i*dst.cols:], dst.cols, a.data[i*a.cols:], a.cols, 1, bt, b.rows, a.cols, b.rows, min(4, a.rows-i), false, false)
+		kernelRows(kern, dst.data[i*dst.cols:], dst.cols, a.data[i*a.cols:], a.cols, 1, bt, b.rows, a.cols, b.rows, min(4, a.rows-i), false, false)
 	}
 	releasePanel(bt)
 	return nil

@@ -22,6 +22,17 @@ func benchMatrix(rng *rand.Rand, r, c int) *Matrix {
 	return m
 }
 
+// benchTiers runs bench as one sub-benchmark per kernel this CPU can run;
+// a nil kernel is the Go kernels.
+func benchTiers(b *testing.B, bench func(b *testing.B, kern kernelFunc)) {
+	b.Run("go", func(b *testing.B) { bench(b, nil) })
+	for _, tier := range simdTiers {
+		if tier.have {
+			b.Run(tier.name, func(b *testing.B) { bench(b, tier.kern) })
+		}
+	}
+}
+
 func BenchmarkGemmMulTo(b *testing.B) {
 	cases := []struct{ m, k, n int }{
 		{100, 62, 64},  // policy MLP input layer
@@ -32,17 +43,19 @@ func BenchmarkGemmMulTo(b *testing.B) {
 	}
 	for _, cs := range cases {
 		b.Run(fmt.Sprintf("%dx%dx%d", cs.m, cs.k, cs.n), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			a := benchMatrix(rng, cs.m, cs.k)
-			bb := benchMatrix(rng, cs.k, cs.n)
-			dst := New(cs.m, cs.n)
-			b.SetBytes(int64(8 * cs.m * cs.k * cs.n))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := MulTo(dst, a, bb); err != nil {
-					b.Fatal(err)
+			benchTiers(b, func(b *testing.B, kern kernelFunc) {
+				rng := rand.New(rand.NewSource(1))
+				a := benchMatrix(rng, cs.m, cs.k)
+				bb := benchMatrix(rng, cs.k, cs.n)
+				dst := New(cs.m, cs.n)
+				b.SetBytes(int64(8 * cs.m * cs.k * cs.n))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := mulTo(kern, dst, a, bb); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
+			})
 		})
 	}
 }
@@ -57,17 +70,19 @@ func BenchmarkGemmMulTransATo(b *testing.B) {
 	}
 	for _, cs := range cases {
 		b.Run(fmt.Sprintf("%dx%dx%d", cs.m, cs.k, cs.n), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			a := benchMatrix(rng, cs.k, cs.m)
-			bb := benchMatrix(rng, cs.k, cs.n)
-			dst := New(cs.m, cs.n)
-			b.SetBytes(int64(8 * cs.m * cs.k * cs.n))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := MulTransATo(dst, a, bb); err != nil {
-					b.Fatal(err)
+			benchTiers(b, func(b *testing.B, kern kernelFunc) {
+				rng := rand.New(rand.NewSource(1))
+				a := benchMatrix(rng, cs.k, cs.m)
+				bb := benchMatrix(rng, cs.k, cs.n)
+				dst := New(cs.m, cs.n)
+				b.SetBytes(int64(8 * cs.m * cs.k * cs.n))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := mulTransATo(kern, dst, a, bb); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
+			})
 		})
 	}
 }
@@ -79,17 +94,19 @@ func BenchmarkGemmMulTransBTo(b *testing.B) {
 	}
 	for _, cs := range cases {
 		b.Run(fmt.Sprintf("%dx%dx%d", cs.m, cs.k, cs.n), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			a := benchMatrix(rng, cs.m, cs.k)
-			bb := benchMatrix(rng, cs.n, cs.k)
-			dst := New(cs.m, cs.n)
-			b.SetBytes(int64(8 * cs.m * cs.k * cs.n))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := MulTransBTo(dst, a, bb); err != nil {
-					b.Fatal(err)
+			benchTiers(b, func(b *testing.B, kern kernelFunc) {
+				rng := rand.New(rand.NewSource(1))
+				a := benchMatrix(rng, cs.m, cs.k)
+				bb := benchMatrix(rng, cs.n, cs.k)
+				dst := New(cs.m, cs.n)
+				b.SetBytes(int64(8 * cs.m * cs.k * cs.n))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := mulTransBTo(kern, dst, a, bb); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
+			})
 		})
 	}
 }

@@ -2,18 +2,38 @@ package mat
 
 import "sync"
 
-// Routing between the amd64 AVX2 kernel and the Go kernels for the float64
-// GEMMs (DESIGN.md §16). With AVX2 MulTo, MulTransATo and MulTransBTo run
-// the kernel over every column of every dst row, four rows per call;
-// without it, and off amd64, the Go kernels do. Both accumulate each
-// element over k ascending with one rounding per multiply and per add, so
-// which one computes an element never changes its bits.
+// Routing between the amd64 assembly kernels and the Go kernels for the
+// float64 GEMMs (DESIGN.md §16). With AVX2 MulTo, MulTransATo and
+// MulTransBTo run an assembly kernel over every column of every dst row,
+// four rows per call: gemmKernel512 when the CPU also has AVX-512F,
+// gemmKernel otherwise. Without AVX2, and off amd64, the Go kernels do.
+// All of them accumulate each element over k ascending with one rounding
+// per multiply and per add, so which one computes an element never changes
+// its bits.
 
-// kernelRows runs gemmKernel over n ≤ 4 dst rows, reading row r's
+// kernelFunc is the signature of the assembly GEMM kernels (gemmKernel's
+// contract in gemm_amd64.go).
+type kernelFunc func(dst *float64, dstStride int, a *float64, aRowStride, aStride int, b *float64, bStride, k, cols, rows int, load, skipZero bool)
+
+// gemmSIMD is the kernel the GEMMs run, chosen once at package init by the
+// CPU alone; nil means the Go kernels.
+var gemmSIMD = simdKernel()
+
+func simdKernel() kernelFunc {
+	switch {
+	case haveAVX512:
+		return gemmKernel512
+	case haveAVX2:
+		return gemmKernel
+	}
+	return nil
+}
+
+// kernelRows runs kern over n ≤ 4 dst rows, reading row r's
 // a[r·aRowStride + k·aStride] and b[k·bStride + j] for k < kn, j < cols. It
 // bounds-checks the last element of each operand first: the assembly checks
 // nothing.
-func kernelRows(dst []float64, dstStride int, a []float64, aRowStride, aStride int, b []float64, bStride, kn, cols, n int, load, skipZero bool) {
+func kernelRows(kern kernelFunc, dst []float64, dstStride int, a []float64, aRowStride, aStride int, b []float64, bStride, kn, cols, n int, load, skipZero bool) {
 	_ = dst[(n-1)*dstStride+cols-1]
 	var ap, bp *float64
 	if kn > 0 {
@@ -21,7 +41,7 @@ func kernelRows(dst []float64, dstStride int, a []float64, aRowStride, aStride i
 		_ = b[(kn-1)*bStride+cols-1]
 		ap, bp = &a[0], &b[0]
 	}
-	gemmKernel(&dst[0], dstStride, ap, aRowStride, aStride, bp, bStride, kn, cols, n, load, skipZero)
+	kern(&dst[0], dstStride, ap, aRowStride, aStride, bp, bStride, kn, cols, n, load, skipZero)
 }
 
 // packs recycles the transposed panels MulTransBTo packs. It is a

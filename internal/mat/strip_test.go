@@ -43,25 +43,56 @@ func sameFloats(got, want []float64) (int, bool) {
 	return 0, true
 }
 
+// simdTiers are the assembly GEMM kernels, each with whether this CPU can
+// run it. The tests and benchmarks take the kernel as an argument, so each
+// tier is tested on a CPU that has both, whichever one the GEMMs pick.
+var simdTiers = []struct {
+	name string
+	kern kernelFunc
+	have bool
+}{
+	{"avx2", gemmKernel, haveAVX2},
+	{"avx512", gemmKernel512, haveAVX512},
+}
+
 // TestStripKernelMatchesGeneric pins the float64 GEMMs, which with AVX2
-// run every column through the assembly kernel, to the plain Go kernels bit
-// for bit. It covers dst widths 1–72 (two 32-column strips, the 16- and
-// 8-column strips and every column tail), row counts that leave 0–3 rows
-// after the last group of four, reductions on both sides of the gemmKC tile
-// depth, and Inf/NaN/±0 operands, so the a == 0 skip of MulTo and
-// MulTransATo and its absence in MulTransBTo are both pinned.
+// run every column through an assembly kernel, to the plain Go kernels bit
+// for bit, once per SIMD tier. It covers dst widths 1–136 (two 64-column
+// strips, 64+32+16+8, every narrower strip and every column tail), row
+// counts that leave 0–3 rows after the last group of four and an odd row
+// after the last pair, reductions on both sides of the gemmKC tile depth
+// up to the N=100 exterior state's 1,202, and Inf/NaN/±0 operands, so the
+// a == 0 skip of MulTo and MulTransATo and its absence in MulTransBTo are
+// both pinned.
 func TestStripKernelMatchesGeneric(t *testing.T) {
-	if !haveAVX2 {
-		t.Skip("no AVX2 kernel on this CPU")
+	for _, tier := range simdTiers {
+		t.Run(tier.name, func(t *testing.T) {
+			if !tier.have {
+				t.Skipf("no %s kernel: not amd64, or the CPU lacks %s, or the OS does not save its registers", tier.name, tier.name)
+			}
+			testStripKernel(t, tier.kern)
+		})
 	}
+}
+
+// deepWidths are the dst widths the 1,202-deep reduction runs at, one per
+// strip combination the kernels can take and the tails on either side of
+// them; the shallower reductions run every width. Every width there would
+// make the test take minutes under the race detector.
+var deepWidths = map[int]bool{1: true, 5: true, 7: true, 8: true, 15: true, 24: true, 56: true, 63: true, 64: true, 65: true, 100: true, 120: true, 128: true, 129: true, 136: true}
+
+func testStripKernel(t *testing.T, kern kernelFunc) {
 	rng := rand.New(rand.NewSource(3))
-	for _, k := range []int{0, 1, 63, 64, 65, 200} {
-		for cols := 1; cols <= 72; cols++ {
-			for _, rows := range []int{1, 3, 6, 7, 8, 33} {
+	for _, k := range []int{0, 1, 63, 64, 65, 200, 1202} {
+		for cols := 1; cols <= 136; cols++ {
+			if k > 200 && !deepWidths[cols] {
+				continue
+			}
+			b := saltedOperand(rng, k, cols, 3)
+			bt := transpose(b)
+			for _, rows := range []int{1, 2, 3, 4, 5, 7, 8, 33} {
 				a := saltedOperand(rng, rows, k, 2)
 				at := transpose(a)
-				b := saltedOperand(rng, k, cols, 3)
-				bt := transpose(b)
 
 				want := map[string]*Matrix{"MulTo": New(rows, cols), "MulTransATo": New(rows, cols), "MulTransBTo": New(rows, cols)}
 				for _, m := range want {
@@ -75,9 +106,9 @@ func TestStripKernelMatchesGeneric(t *testing.T) {
 					name string
 					run  func(dst *Matrix) error
 				}{
-					{"MulTo", func(dst *Matrix) error { return MulTo(dst, a, b) }},
-					{"MulTransATo", func(dst *Matrix) error { return MulTransATo(dst, at, b) }},
-					{"MulTransBTo", func(dst *Matrix) error { return MulTransBTo(dst, a, bt) }},
+					{"MulTo", func(dst *Matrix) error { return mulTo(kern, dst, a, b) }},
+					{"MulTransATo", func(dst *Matrix) error { return mulTransATo(kern, dst, at, b) }},
+					{"MulTransBTo", func(dst *Matrix) error { return mulTransBTo(kern, dst, a, bt) }},
 				} {
 					dst := New(rows, cols)
 					dst.Fill(999) // stale contents must be fully overwritten
@@ -100,7 +131,7 @@ func TestStripKernelMatchesGeneric(t *testing.T) {
 	// GEMMs cannot start a sum at −0, so this loads it into the kernel
 	// directly, in every strip and tail column and in every row of a group.
 	negZero := math.Copysign(0, -1)
-	for cols := 1; cols <= 72; cols++ {
+	for cols := 1; cols <= 136; cols++ {
 		for n := 1; n <= 4; n++ {
 			dst := make([]float64, n*cols)
 			for i := range dst {
@@ -114,7 +145,7 @@ func TestStripKernelMatchesGeneric(t *testing.T) {
 			for i := range b {
 				b[i] = math.Inf(1 - i%2*2)
 			}
-			kernelRows(dst, cols, a, 2, 1, b, cols, 2, cols, n, true, true)
+			kernelRows(kern, dst, cols, a, 2, 1, b, cols, 2, cols, n, true, true)
 			for i, v := range dst {
 				if math.Float64bits(v) != math.Float64bits(negZero) {
 					t.Fatalf("cols=%d rows=%d: element (%d,%d) = %v (%#x), want -0", cols, n, i/cols, i%cols, v, math.Float64bits(v))
@@ -161,10 +192,11 @@ func TestMulTransBToConcurrentCallers(t *testing.T) {
 
 // TestStripRowBoundsChecked pins kernelRows, the Go-side guard in front
 // of the assembly: an operand too short for the rows, reduction and
-// columns asked for panics before the kernel reads or writes past it.
+// columns asked for panics before any kernel this CPU has reads or writes
+// past it.
 func TestStripRowBoundsChecked(t *testing.T) {
 	if !haveAVX2 {
-		t.Skip("no AVX2 kernel on this CPU")
+		t.Skip("no assembly kernel on this CPU")
 	}
 	const n, k, cols = 3, 4, 19
 	for _, tc := range []struct {
@@ -182,12 +214,19 @@ func TestStripRowBoundsChecked(t *testing.T) {
 		{"short b", n * cols, n * k, k*cols - 1, k, 1, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			defer func() {
-				if r := recover(); (r != nil) != tc.shouldFail {
-					t.Fatalf("panic = %v, want panic %v", r, tc.shouldFail)
+			for _, tier := range simdTiers {
+				if !tier.have {
+					continue
 				}
-			}()
-			kernelRows(make([]float64, tc.dst), cols, make([]float64, tc.a), tc.aRowStride, tc.aStride, make([]float64, tc.b), cols, k, cols, n, false, true)
+				func() {
+					defer func() {
+						if r := recover(); (r != nil) != tc.shouldFail {
+							t.Errorf("%s: panic = %v, want panic %v", tier.name, r, tc.shouldFail)
+						}
+					}()
+					kernelRows(tier.kern, make([]float64, tc.dst), cols, make([]float64, tc.a), tc.aRowStride, tc.aStride, make([]float64, tc.b), cols, k, cols, n, false, true)
+				}()
+			}
 		})
 	}
 }
