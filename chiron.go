@@ -32,6 +32,7 @@
 package chiron
 
 import (
+	"chiron/internal/accuracy"
 	"chiron/internal/baselines"
 	"chiron/internal/core"
 	"chiron/internal/device"
@@ -97,30 +98,17 @@ func NewChurnSampler(rates ChurnRates, seed int64) (*ChurnSampler, error) {
 	return faults.NewChurnSampler(rates, seed)
 }
 
-// Dataset identifies one of the paper's three evaluation tasks.
-type Dataset int
+// Dataset identifies one of the paper's three evaluation tasks by its
+// calibrated accuracy preset.
+type Dataset = accuracy.Preset
 
 // The evaluation datasets. The offline reproduction substitutes calibrated
 // synthetic equivalents; see DESIGN.md.
 const (
-	DatasetMNIST Dataset = iota + 1
-	DatasetFashionMNIST
-	DatasetCIFAR10
+	DatasetMNIST        = accuracy.PresetMNIST
+	DatasetFashionMNIST = accuracy.PresetFashion
+	DatasetCIFAR10      = accuracy.PresetCIFAR
 )
-
-// String implements fmt.Stringer.
-func (d Dataset) String() string {
-	switch d {
-	case DatasetMNIST:
-		return "mnist"
-	case DatasetFashionMNIST:
-		return "fashion-mnist"
-	case DatasetCIFAR10:
-		return "cifar-10"
-	default:
-		return "dataset(unknown)"
-	}
-}
 
 // Artifacts lists every reproduced paper artifact in paper order.
 func Artifacts() []Artifact { return experiment.Artifacts() }

@@ -520,17 +520,9 @@ func cmdList() error {
 // parseDataset resolves a -dataset name through accuracy.ParsePreset, the
 // vocabulary scenario specs share. The Table I preset names no task here.
 func parseDataset(name string) (chiron.Dataset, error) {
-	// An unknown name gives the zero Preset, refused below with the
-	// Table I one.
-	p, _ := accuracy.ParsePreset(name)
-	switch p {
-	case accuracy.PresetMNIST:
-		return chiron.DatasetMNIST, nil
-	case accuracy.PresetFashion:
-		return chiron.DatasetFashionMNIST, nil
-	case accuracy.PresetCIFAR:
-		return chiron.DatasetCIFAR10, nil
-	default:
+	p, err := accuracy.ParsePreset(name)
+	if err != nil || p == accuracy.PresetMNISTLarge {
 		return 0, fmt.Errorf("unknown dataset %q (want mnist, fashion, or cifar)", name)
 	}
+	return p, nil
 }

@@ -74,9 +74,6 @@ var (
 
 // NewDRLBased builds the baseline bound to env.
 func NewDRLBased(env *edgeenv.Env, cfg DRLBasedConfig) (*DRLBased, error) {
-	if err := cfg.PPO.Validate(); err != nil {
-		return nil, fmt.Errorf("baselines: drl-based: %w", err)
-	}
 	if cfg.RewardScale <= 0 {
 		return nil, fmt.Errorf("baselines: drl-based reward scale %v, want > 0", cfg.RewardScale)
 	}

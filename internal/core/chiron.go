@@ -76,14 +76,9 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate reports whether the configuration is usable.
+// Validate reports whether the configuration is usable. The two PPO
+// configurations are checked by rl.NewPPO as New builds each agent.
 func (c Config) Validate() error {
-	if err := c.Exterior.Validate(); err != nil {
-		return fmt.Errorf("core: exterior config: %w", err)
-	}
-	if err := c.Inner.Validate(); err != nil {
-		return fmt.Errorf("core: inner config: %w", err)
-	}
 	if c.TotalPriceFloor < 0 || c.TotalPriceFloor >= 1 {
 		return fmt.Errorf("core: total price floor %v outside [0,1)", c.TotalPriceFloor)
 	}

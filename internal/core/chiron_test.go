@@ -57,8 +57,8 @@ func TestConfigValidation(t *testing.T) {
 	}
 	bad = DefaultConfig()
 	bad.Exterior.Gamma = 2
-	if err := bad.Validate(); err == nil {
-		t.Fatal("accepted bad exterior PPO config")
+	if _, err := New(testEnv(t, 2, 100), bad); err == nil {
+		t.Fatal("New accepted bad exterior PPO config")
 	}
 }
 

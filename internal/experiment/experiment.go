@@ -42,10 +42,10 @@ type Setup struct {
 	TimeWeight float64
 }
 
-// config assembles the environment configuration of a setup with the
-// paper's Sec. VI-A device constants — the one construction BuildEnv and
-// EvalFrozen share.
-func (s Setup) config() (edgeenv.Config, error) {
+// Config assembles the environment configuration of a setup with the
+// paper's Sec. VI-A device constants — the one construction of the paper
+// environment that BuildEnv, EvalFrozen and chiron.NewSystem share.
+func (s Setup) Config() (edgeenv.Config, error) {
 	if s.Nodes <= 0 {
 		return edgeenv.Config{}, fmt.Errorf("experiment: nodes %d, want > 0", s.Nodes)
 	}
@@ -71,7 +71,7 @@ func (s Setup) config() (edgeenv.Config, error) {
 // BuildEnv constructs the edge-learning environment for a setup, using the
 // paper's Sec. VI-A device constants.
 func BuildEnv(s Setup) (*edgeenv.Env, error) {
-	cfg, err := s.config()
+	cfg, err := s.Config()
 	if err != nil {
 		return nil, err
 	}
@@ -88,7 +88,7 @@ func BuildEnv(s Setup) (*edgeenv.Env, error) {
 // episodes deterministic evaluation episodes. It returns the environment
 // too, whose ledger still holds the last evaluation episode.
 func EvalFrozen(ck *rl.Checkpoint, s Setup, episodes int, perturb func(*edgeenv.Config) error) (mechanism.EpisodeResult, *edgeenv.Env, error) {
-	cfg, err := s.config()
+	cfg, err := s.Config()
 	if err != nil {
 		return mechanism.EpisodeResult{}, nil, err
 	}

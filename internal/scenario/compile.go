@@ -246,13 +246,16 @@ func (s *Spec) BuildEnv(budget float64, hooks envHooks) (*edgeenv.Env, *rand.Ran
 		return nil, nil, err
 	}
 	cfg := edgeenv.DefaultConfig(fleet, curve, budget)
-	if s.Lambda > 0 {
+	// A nonzero setting is forwarded even when out of range, so
+	// edgeenv.Config.Validate rejects it instead of the default replacing
+	// it.
+	if s.Lambda != 0 {
 		cfg.Lambda = s.Lambda
 	}
-	if s.TimeWeight > 0 {
+	if s.TimeWeight != 0 {
 		cfg.TimeWeight = s.TimeWeight
 	}
-	if s.MaxRounds > 0 {
+	if s.MaxRounds != 0 {
 		cfg.MaxRounds = s.MaxRounds
 	}
 	cfg.Availability = s.Availability

@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strings"
@@ -247,7 +248,12 @@ func (s *Spec) Scale(f float64) *Spec {
 }
 
 // Validate reports the first problem with the spec. All scenario
-// construction paths (Parse, Run, Record, Replay) funnel through it.
+// construction paths (Parse, Run, Record, Replay) funnel through it. It
+// checks the spec's own structure, then compiles the first budget's
+// environment: every environment setting (λ, the time weight, the round
+// cap, availability, jitter, deadline, retries, failure payment, quorum,
+// churn and faults) is checked once, by BuildEnv and
+// edgeenv.Config.Validate.
 func (s *Spec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("scenario: spec has no name")
@@ -272,8 +278,8 @@ func (s *Spec) Validate() error {
 			{"freq_scale", c.FreqScale}, {"comm_scale", c.CommScale},
 			{"data_scale", c.DataScale}, {"reserve_scale", c.ReserveScale},
 		} {
-			if f.v < 0 {
-				return fmt.Errorf("scenario: class %d (%s) %s %v, want >= 0", i, c.Profile, f.name, f.v)
+			if !(f.v >= 0) || math.IsInf(f.v, 1) {
+				return fmt.Errorf("scenario: class %d (%s) %s %v, want finite >= 0", i, c.Profile, f.name, f.v)
 			}
 		}
 	}
@@ -281,8 +287,8 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("%w: scenario %q has no budgets", ErrNegativeBudget, s.Name)
 	}
 	for _, b := range s.Budgets {
-		if b <= 0 {
-			return fmt.Errorf("%w: η=%v", ErrNegativeBudget, b)
+		if !(b > 0) || math.IsInf(b, 1) {
+			return fmt.Errorf("%w: η=%v, want finite > 0", ErrNegativeBudget, b)
 		}
 	}
 	if len(s.Mechanisms) == 0 {
@@ -298,30 +304,8 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("scenario: train episodes %d, want >= 0", s.TrainEpisodes)
 	case s.EvalEpisodes <= 0:
 		return fmt.Errorf("scenario: eval episodes %d, want > 0", s.EvalEpisodes)
-	case s.Lambda < 0:
-		return fmt.Errorf("scenario: lambda %v, want >= 0", s.Lambda)
-	case s.TimeWeight < 0:
-		return fmt.Errorf("scenario: time weight %v, want >= 0", s.TimeWeight)
-	case s.MaxRounds < 0:
-		return fmt.Errorf("scenario: max rounds %d, want >= 0", s.MaxRounds)
-	case s.NonIID < 0:
-		return fmt.Errorf("scenario: non-IID severity %v, want >= 0", s.NonIID)
-	case s.Availability < 0 || s.Availability > 1:
-		return fmt.Errorf("scenario: availability %v outside [0,1]", s.Availability)
-	case s.CommJitter < 0 || s.CommJitter >= 1:
-		return fmt.Errorf("scenario: comm jitter %v outside [0,1)", s.CommJitter)
-	case s.RoundDeadline < 0:
-		return fmt.Errorf("scenario: round deadline %v, want >= 0", s.RoundDeadline)
-	case s.MaxRetries < 0:
-		return fmt.Errorf("scenario: max retries %d, want >= 0", s.MaxRetries)
-	case s.RetryBackoff < 0:
-		return fmt.Errorf("scenario: retry backoff %v, want >= 0", s.RetryBackoff)
-	case s.FailurePayment < 0 || s.FailurePayment > 1:
-		return fmt.Errorf("scenario: failure payment %v outside [0,1]", s.FailurePayment)
-	case s.MinQuorum < 0:
-		return fmt.Errorf("scenario: min quorum %d, want >= 0", s.MinQuorum)
-	case s.MinQuorum > s.NumNodes():
-		return fmt.Errorf("scenario: min quorum %d exceeds fleet size %d", s.MinQuorum, s.NumNodes())
+	case !(s.NonIID >= 0) || math.IsInf(s.NonIID, 1):
+		return fmt.Errorf("scenario: non-IID severity %v, want finite >= 0", s.NonIID)
 	}
 	for i, p := range s.Bandwidth {
 		if p.FromRound < 1 {
@@ -331,21 +315,12 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("scenario: bandwidth phases out of order at index %d (round %d after %d)",
 				i, p.FromRound, s.Bandwidth[i-1].FromRound)
 		}
-		if p.Factor <= 0 {
-			return fmt.Errorf("scenario: bandwidth phase %d factor %v, want > 0", i, p.Factor)
+		if !(p.Factor > 0) || math.IsInf(p.Factor, 1) {
+			return fmt.Errorf("scenario: bandwidth phase %d factor %v, want finite > 0", i, p.Factor)
 		}
 	}
-	if s.Churn != nil {
-		if _, err := s.churnSchedule(); err != nil {
-			return err
-		}
-	}
-	if s.Faults != nil {
-		if _, err := s.faultRates(); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, _, err := s.BuildEnv(s.Budgets[0], envHooks{})
+	return err
 }
 
 // validateWindows checks the declarative churn windows: well-formed

@@ -54,14 +54,13 @@ type System struct {
 
 // NewSystem validates cfg and assembles the environment and agent.
 func NewSystem(cfg SystemConfig) (*System, error) {
-	if cfg.Nodes <= 0 && len(cfg.CustomNodes) == 0 {
-		return nil, fmt.Errorf("chiron: SystemConfig.Nodes must be positive (or CustomNodes non-empty)")
-	}
-	if cfg.Budget <= 0 {
-		return nil, fmt.Errorf("chiron: SystemConfig.Budget must be positive")
-	}
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("chiron: SystemConfig.Workers %d must be >= 0 (0 = GOMAXPROCS)", cfg.Workers)
+	}
+	for i, n := range cfg.CustomNodes {
+		if n == nil {
+			return nil, fmt.Errorf("chiron: CustomNodes[%d] is nil", i)
+		}
 	}
 	if cfg.Dataset == 0 {
 		cfg.Dataset = DatasetMNIST
@@ -73,28 +72,13 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		mat.SetWorkers(cfg.Workers)
 	}
 
-	var fleet *device.Fleet
-	if len(cfg.CustomNodes) > 0 {
-		for i, n := range cfg.CustomNodes {
-			if n == nil {
-				return nil, fmt.Errorf("chiron: CustomNodes[%d] is nil", i)
-			}
-		}
-		fleet = device.FromNodes(cfg.CustomNodes)
-	} else {
-		var err error
-		fleet, err = device.NewFleetBatch(rand.New(rand.NewSource(cfg.Seed)), device.DefaultFleetSpec(cfg.Nodes))
-		if err != nil {
-			return nil, fmt.Errorf("chiron: fleet: %w", err)
-		}
-	}
-
-	acc, err := buildAccuracyModel(cfg, fleet.Len())
+	envCfg, err := cfg.envConfig()
 	if err != nil {
 		return nil, err
 	}
-	envCfg := edgeenv.DefaultConfig(fleet, acc, cfg.Budget)
-	envCfg.Churn = cfg.Churn
+	if len(cfg.CustomNodes) > 0 {
+		envCfg.Fleet = device.FromNodes(cfg.CustomNodes)
+	}
 	env, err := edgeenv.New(envCfg)
 	if err != nil {
 		return nil, fmt.Errorf("chiron: environment: %w", err)
@@ -107,51 +91,45 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	return &System{cfg: cfg, env: env, agent: agent}, nil
 }
 
-// buildAccuracyModel selects between the surrogate curve and real FedAvg
-// training for the configured dataset.
-func buildAccuracyModel(cfg SystemConfig, nodes int) (accuracy.Model, error) {
-	preset, err := presetFor(cfg.Dataset)
-	if err != nil {
-		return nil, err
+// envConfig is the paper environment of experiment.Setup.Config for cfg,
+// with cfg's churn schedule and, when cfg asks for it, real FedAvg
+// training of a pure-Go MLP as the accuracy signal.
+func (cfg SystemConfig) envConfig() (edgeenv.Config, error) {
+	nodes := cfg.Nodes
+	if len(cfg.CustomNodes) > 0 {
+		nodes = len(cfg.CustomNodes)
 	}
-	if cfg.RealTraining {
-		// 1200 samples per episode keep a 500-episode DRL sweep tractable
-		// on CPU.
-		spec, hidden, err := accuracy.Task(preset, 1200)
-		if err != nil {
-			return nil, err
-		}
-		factory := func(rng *rand.Rand) (*nn.Network, error) {
-			return nn.NewClassifierMLP(rng, spec.Dim(), hidden, spec.Classes)
-		}
-		return accuracy.NewRealTrainer(accuracy.RealTrainerConfig{
-			Spec:         spec,
-			Factory:      factory,
-			Train:        fl.DefaultConfig(),
-			NumNodes:     nodes,
-			TestFraction: 0.2,
-			Seed:         cfg.Seed,
-		})
-	}
+	preset := cfg.Dataset
 	// The 100-node MNIST surrogate is fit to the paper's Table I.
-	if preset == accuracy.PresetMNIST && nodes >= 50 {
+	if !cfg.RealTraining && preset == DatasetMNIST && nodes >= 50 {
 		preset = accuracy.PresetMNISTLarge
 	}
-	return accuracy.NewPresetCurve(rand.New(rand.NewSource(cfg.Seed+1)), preset, nodes)
-}
-
-// presetFor maps a dataset to its calibrated accuracy preset.
-func presetFor(d Dataset) (accuracy.Preset, error) {
-	switch d {
-	case DatasetMNIST:
-		return accuracy.PresetMNIST, nil
-	case DatasetFashionMNIST:
-		return accuracy.PresetFashion, nil
-	case DatasetCIFAR10:
-		return accuracy.PresetCIFAR, nil
-	default:
-		return 0, fmt.Errorf("chiron: unknown dataset %v", d)
+	envCfg, err := experiment.Setup{Preset: preset, Nodes: nodes, Budget: cfg.Budget, Seed: cfg.Seed}.Config()
+	if err != nil {
+		return edgeenv.Config{}, fmt.Errorf("chiron: %w", err)
 	}
+	envCfg.Churn = cfg.Churn
+	if !cfg.RealTraining {
+		return envCfg, nil
+	}
+	// 1200 samples per episode keep a 500-episode DRL sweep tractable on
+	// CPU.
+	spec, hidden, err := accuracy.Task(cfg.Dataset, 1200)
+	if err != nil {
+		return edgeenv.Config{}, err
+	}
+	factory := func(rng *rand.Rand) (*nn.Network, error) {
+		return nn.NewClassifierMLP(rng, spec.Dim(), hidden, spec.Classes)
+	}
+	envCfg.Accuracy, err = accuracy.NewRealTrainer(accuracy.RealTrainerConfig{
+		Spec:         spec,
+		Factory:      factory,
+		Train:        fl.DefaultConfig(),
+		NumNodes:     nodes,
+		TestFraction: 0.2,
+		Seed:         cfg.Seed,
+	})
+	return envCfg, err
 }
 
 // Env returns the system's environment.
@@ -202,15 +180,15 @@ func (s *System) newBaseline(kind experiment.MechanismKind) (Mechanism, error) {
 	return experiment.BuildMechanism(kind, env, s.cfg.Seed)
 }
 
-// cloneEnv rebuilds an environment with the same fleet and a fresh
+// cloneEnv rebuilds an environment on the system's fleet with a fresh
 // accuracy model so baselines do not share mutable state with the agent.
 func (s *System) cloneEnv() (*edgeenv.Env, error) {
-	acc, err := buildAccuracyModel(s.cfg, s.env.NumNodes())
+	fresh, err := s.cfg.envConfig()
 	if err != nil {
 		return nil, err
 	}
 	envCfg := s.env.Config()
-	envCfg.Accuracy = acc
+	envCfg.Accuracy = fresh.Accuracy
 	env, err := edgeenv.New(envCfg)
 	if err != nil {
 		return nil, fmt.Errorf("chiron: clone environment: %w", err)
