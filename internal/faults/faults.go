@@ -145,8 +145,8 @@ func (r Rates) Validate() error {
 	if total := r.Crash + r.Straggle + r.Drop + r.Corrupt; total > 1 {
 		return fmt.Errorf("faults: rates sum to %v > 1", total)
 	}
-	if r.StraggleFactor != 0 && r.StraggleFactor < 1.5 {
-		return fmt.Errorf("faults: straggle factor %v, want 0 (default) or >= 1.5", r.StraggleFactor)
+	if f := r.StraggleFactor; f != 0 && !(f >= 1.5 && !math.IsInf(f, 1)) {
+		return fmt.Errorf("faults: straggle factor %v, want 0 (default) or finite >= 1.5", f)
 	}
 	return nil
 }

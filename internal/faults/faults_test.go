@@ -19,6 +19,11 @@ func TestRatesValidate(t *testing.T) {
 	if err := (Rates{Straggle: 0.1, StraggleFactor: 1.1}).Validate(); err == nil {
 		t.Fatal("accepted straggle factor below 1.5")
 	}
+	for _, f := range []float64{math.NaN(), math.Inf(1)} {
+		if err := (Rates{Straggle: 0.1, StraggleFactor: f}).Validate(); err == nil {
+			t.Fatalf("accepted straggle factor %v", f)
+		}
+	}
 }
 
 func TestRatesScale(t *testing.T) {

@@ -3,6 +3,7 @@ package scenario
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -130,6 +131,57 @@ func TestValidateTable(t *testing.T) {
 				t.Errorf("error %v does not wrap %v", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestValidateRejectsNonFinite sets every float setting of a spec to NaN,
+// +Inf and -Inf in turn: Validate must refuse each one rather than let a
+// NaN pass as the default (λ) or as a no-op (non-IID severity), or fail
+// only later inside a grid job. Only Go callers can build these, since
+// JSON carries no NaN or Inf.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	settings := map[string]func(*Spec, float64){
+		"budget":        func(s *Spec, v float64) { s.Budgets = []float64{100, v} },
+		"freq_scale":    func(s *Spec, v float64) { s.Classes[0].FreqScale = v },
+		"comm_scale":    func(s *Spec, v float64) { s.Classes[0].CommScale = v },
+		"data_scale":    func(s *Spec, v float64) { s.Classes[0].DataScale = v },
+		"reserve_scale": func(s *Spec, v float64) { s.Classes[0].ReserveScale = v },
+		"lambda":        func(s *Spec, v float64) { s.Lambda = v },
+		"time_weight":   func(s *Spec, v float64) { s.TimeWeight = v },
+		"non_iid":       func(s *Spec, v float64) { s.NonIID = v },
+		"availability":  func(s *Spec, v float64) { s.Availability = v },
+		"comm_jitter":   func(s *Spec, v float64) { s.CommJitter = v },
+		"bandwidth factor": func(s *Spec, v float64) {
+			s.Bandwidth = []BandwidthPhase{{FromRound: 1, Factor: v}}
+		},
+		"round_deadline":  func(s *Spec, v float64) { s.RoundDeadline = v },
+		"retry_backoff":   func(s *Spec, v float64) { s.RetryBackoff = v },
+		"failure_payment": func(s *Spec, v float64) { s.FailurePayment = v },
+		"churn depart": func(s *Spec, v float64) {
+			s.Churn = &ChurnSpec{Rates: &ChurnRatesSpec{Depart: v, Arrive: 0.5}}
+		},
+		"churn arrive": func(s *Spec, v float64) {
+			s.Churn = &ChurnSpec{Rates: &ChurnRatesSpec{Depart: 0.1, Arrive: v}}
+		},
+		"churn initial absent": func(s *Spec, v float64) {
+			s.Churn = &ChurnSpec{Rates: &ChurnRatesSpec{Depart: 0.1, Arrive: 0.5, InitialAbsent: v}}
+		},
+		"fault crash":    func(s *Spec, v float64) { s.Faults = &FaultSpec{Crash: v} },
+		"fault straggle": func(s *Spec, v float64) { s.Faults = &FaultSpec{Straggle: v} },
+		"fault drop":     func(s *Spec, v float64) { s.Faults = &FaultSpec{Drop: v} },
+		"fault corrupt":  func(s *Spec, v float64) { s.Faults = &FaultSpec{Corrupt: v} },
+		"straggle factor": func(s *Spec, v float64) {
+			s.Faults = &FaultSpec{Straggle: 0.1, StraggleFactor: v}
+		},
+	}
+	for name, set := range settings {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			s := validSpec()
+			set(s, v)
+			if err := s.Validate(); err == nil {
+				t.Errorf("Validate accepted %s = %v", name, v)
+			}
+		}
 	}
 }
 
