@@ -250,10 +250,8 @@ func (s *Spec) Scale(f float64) *Spec {
 // Validate reports the first problem with the spec. All scenario
 // construction paths (Parse, Run, Record, Replay) funnel through it. It
 // checks the spec's own structure, then compiles the first budget's
-// environment: every environment setting (λ, the time weight, the round
-// cap, availability, jitter, deadline, retries, failure payment, quorum,
-// churn and faults) is checked once, by BuildEnv and
-// edgeenv.Config.Validate.
+// environment, so BuildEnv and edgeenv.Config.Validate are the one check
+// of every environment setting.
 func (s *Spec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("scenario: spec has no name")
