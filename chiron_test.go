@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"chiron"
+	"chiron/internal/mat"
 )
 
 func TestNewSystemValidation(t *testing.T) {
@@ -14,6 +15,18 @@ func TestNewSystemValidation(t *testing.T) {
 	}
 	if _, err := chiron.NewSystem(chiron.SystemConfig{Nodes: 3}); err == nil {
 		t.Fatal("accepted zero budget")
+	}
+}
+
+// TestNewSystemRejectLeavesWorkers pins that a rejected config leaves
+// the process-wide GEMM worker count as it was.
+func TestNewSystemRejectLeavesWorkers(t *testing.T) {
+	before := mat.Workers()
+	if _, err := chiron.NewSystem(chiron.SystemConfig{Budget: 100, Workers: before + 1}); err == nil {
+		t.Fatal("accepted zero nodes")
+	}
+	if got := mat.Workers(); got != before {
+		t.Fatalf("rejected NewSystem changed the worker count from %d to %d", before, got)
 	}
 }
 

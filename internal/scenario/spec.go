@@ -247,6 +247,12 @@ func (s *Spec) Scale(f float64) *Spec {
 	return &scaled
 }
 
+// maxFleetNodes bounds the fleet a spec may declare. Validate compiles
+// the fleet, so the size a spec from outside declares is also the work and
+// memory of validating it; the bound keeps that to a fraction of a second
+// and a few hundred MB, and keeps the summed class counts from overflowing.
+const maxFleetNodes = 1 << 20
+
 // Validate reports the first problem with the spec. All scenario
 // construction paths (Parse, Run, Record, Replay) funnel through it. It
 // checks the spec's own structure, then compiles the first budget's
@@ -259,9 +265,10 @@ func (s *Spec) Validate() error {
 	if _, err := datasetPreset(s.Dataset); err != nil {
 		return err
 	}
-	if len(s.Classes) == 0 || s.NumNodes() == 0 {
+	if len(s.Classes) == 0 {
 		return fmt.Errorf("%w (scenario %q)", ErrEmptyFleet, s.Name)
 	}
+	nodes := 0
 	for i, c := range s.Classes {
 		if _, ok := profiles[c.Profile]; !ok {
 			return fmt.Errorf("%w: class %d names profile %q", ErrUnknownClass, i, c.Profile)
@@ -269,6 +276,11 @@ func (s *Spec) Validate() error {
 		if c.Count <= 0 {
 			return fmt.Errorf("scenario: class %d (%s) count %d, want > 0", i, c.Profile, c.Count)
 		}
+		if c.Count > maxFleetNodes-nodes {
+			return fmt.Errorf("scenario: class %d (%s) count %d takes the fleet past %d nodes",
+				i, c.Profile, c.Count, maxFleetNodes)
+		}
+		nodes += c.Count
 		for _, f := range []struct {
 			name string
 			v    float64

@@ -45,6 +45,13 @@ func TestValidateTable(t *testing.T) {
 		{"unknown dataset", func(s *Spec) { s.Dataset = "imagenet" }, ErrUnknownDataset},
 		{"no classes", func(s *Spec) { s.Classes = nil }, ErrEmptyFleet},
 		{"zero-count classes", func(s *Spec) { s.Classes[0].Count = 0 }, nil},
+		{"class counts overflow int", func(s *Spec) {
+			s.Classes = []DeviceClass{{Profile: "paper", Count: 5e18}, {Profile: "paper", Count: 5e18}}
+		}, nil},
+		{"class count past the fleet bound", func(s *Spec) { s.Classes[0].Count = 1e14 }, nil},
+		{"class counts sum past the fleet bound", func(s *Spec) {
+			s.Classes = []DeviceClass{{Profile: "paper", Count: maxFleetNodes}, {Profile: "paper", Count: 1}}
+		}, nil},
 		{"unknown profile", func(s *Spec) { s.Classes[0].Profile = "mainframe" }, ErrUnknownClass},
 		{"negative class scale", func(s *Spec) { s.Classes[0].FreqScale = -1 }, nil},
 		{"no budgets", func(s *Spec) { s.Budgets = nil }, ErrNegativeBudget},

@@ -179,19 +179,32 @@ type Session struct {
 }
 
 // New validates cfg, reserves a pool slot when admission control is on,
-// and returns a Session in StateNew.
-func New(cfg Config) (*Session, error) {
+// and returns a Session in StateNew. The slot is reserved before the spec
+// is validated, because validating compiles the spec's environment: that
+// work runs only for a session the pool has room for, and a refused
+// spec hands its slot back.
+func New(cfg Config) (_ *Session, err error) {
 	if cfg.Spec == nil {
 		return nil, fmt.Errorf("session: a scenario spec is required")
-	}
-	if err := cfg.Spec.Validate(); err != nil {
-		return nil, err
 	}
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("session: workers %d, want >= 0", cfg.Workers)
 	}
 	if cfg.HeartbeatTimeout < 0 {
 		return nil, fmt.Errorf("session: heartbeat timeout %v, want >= 0", cfg.HeartbeatTimeout)
+	}
+	if cfg.Pool != nil {
+		if err := cfg.Pool.Admit(); err != nil {
+			return nil, err
+		}
+		defer func() {
+			if err != nil {
+				cfg.Pool.forfeit()
+			}
+		}()
+	}
+	if err := cfg.Spec.Validate(); err != nil {
+		return nil, err
 	}
 	cells, err := cfg.Spec.Cells()
 	if err != nil {
@@ -215,11 +228,6 @@ func New(cfg Config) (*Session, error) {
 			return nil, fmt.Errorf("session: scenario %s already declares churn; live registration would contradict it", cfg.Spec.Name)
 		}
 		s.registry = newRegistry(clock, cfg.HeartbeatTimeout, cfg.Spec.NumNodes(), cfg.Spec.EpisodeRounds())
-	}
-	if cfg.Pool != nil {
-		if err := cfg.Pool.Admit(); err != nil {
-			return nil, err
-		}
 	}
 	return s, nil
 }

@@ -392,6 +392,36 @@ func TestPoolAdmissionAndBackpressure(t *testing.T) {
 	}
 }
 
+// TestPoolAdmitsBeforeValidating pins that New reserves its pool slot
+// before it validates (and so compiles) the spec: a full pool refuses even
+// a malformed spec with ErrBusy, and a spec refused by validation hands
+// its slot back.
+func TestPoolAdmitsBeforeValidating(t *testing.T) {
+	pool, err := NewPool(1, 0, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := quickSpec("bad", 1)
+	bad.Budgets = []float64{-1}
+	for i := 0; i < 3; i++ {
+		if _, err := New(Config{Spec: bad, Workers: 1, Pool: pool}); err == nil || errors.Is(err, ErrBusy) {
+			t.Fatalf("malformed spec %d on a free pool: error %v, want a validation error", i, err)
+		}
+	}
+	s, err := New(Config{Spec: quickSpec("good", 1), Workers: 1, Pool: pool})
+	if err != nil {
+		t.Fatalf("valid spec after refused ones: %v", err)
+	}
+	if _, err := New(Config{Spec: bad, Workers: 1, Pool: pool}); !errors.Is(err, ErrBusy) {
+		t.Fatalf("malformed spec on a full pool: error %v, want ErrBusy", err)
+	}
+	s.Stop()
+	s.Wait()
+	if err := pool.Admit(); err != nil {
+		t.Fatalf("admit after the only session stopped: %v", err)
+	}
+}
+
 // TestPoolSlotFreeOnceWaitReturns pins that a session frees its pool slots
 // before its terminal transition: on a 1-worker, 0-queue pool, a New right
 // after the previous session's Wait must be admitted, every time.

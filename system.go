@@ -68,10 +68,6 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if cfg.Workers != 0 {
-		mat.SetWorkers(cfg.Workers)
-	}
-
 	envCfg, err := cfg.envConfig()
 	if err != nil {
 		return nil, err
@@ -87,6 +83,11 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	agent, err := core.New(env, experiment.TunedChironConfig(cfg.Seed))
 	if err != nil {
 		return nil, fmt.Errorf("chiron: agent: %w", err)
+	}
+	// The worker count is process-wide, so it is set only once cfg has
+	// been accepted: a rejected config leaves it alone.
+	if cfg.Workers != 0 {
+		mat.SetWorkers(cfg.Workers)
 	}
 	return &System{cfg: cfg, env: env, agent: agent}, nil
 }
@@ -182,6 +183,10 @@ func (s *System) newBaseline(kind experiment.MechanismKind) (Mechanism, error) {
 
 // cloneEnv rebuilds an environment on the system's fleet with a fresh
 // accuracy model so baselines do not share mutable state with the agent.
+// The fresh model comes from the same envConfig that built the system's;
+// the fleet that call also draws is discarded on purpose, since the clone
+// keeps the system's own immutable fleet (CustomNodes are caller-owned
+// pointers a re-read could see changed).
 func (s *System) cloneEnv() (*edgeenv.Env, error) {
 	fresh, err := s.cfg.envConfig()
 	if err != nil {
