@@ -106,29 +106,33 @@ func TestRunDispatchesExtras(t *testing.T) {
 	}
 }
 
-// TestFrozenPolicyReportsMatchGoldens pins the abl-robust and abl-faults
-// reports byte for byte at one and two workers. The goldens were rendered
-// when these studies still evaluated every scenario in one batched lockstep
-// pass, so they also pin that per-scenario mechanism.Evaluate jobs reproduce
-// that evaluator's results exactly.
+// TestFrozenPolicyReportsMatchGoldens pins the report of every artifact,
+// the paper's and the ablations', byte for byte at scale 0.002 (one
+// episode, or one FedAvg round, per cell) and at one and two workers. The
+// abl-robust and abl-faults goldens were rendered when those studies still
+// evaluated every scenario in one batched lockstep pass, so they also pin
+// that per-scenario mechanism.Evaluate jobs reproduce that evaluator's
+// results exactly.
 func TestFrozenPolicyReportsMatchGoldens(t *testing.T) {
-	for _, tc := range []struct {
-		artifact Artifact
-		jobs     int
-	}{
-		{AblRobust, 1},
-		{AblRobust, 2},
-		{AblFaults, 1},
-		{AblFaults, 2},
-	} {
-		t.Run(fmt.Sprintf("%s/jobs=%d", tc.artifact, tc.jobs), func(t *testing.T) {
-			want, err := os.ReadFile(filepath.Join("testdata", string(tc.artifact)+".golden"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := runAblation(t, tc.artifact, 0.002, tc.jobs); got != string(want) {
-				t.Fatalf("report differs from golden:\ngot:\n%s\nwant:\n%s", got, want)
-			}
-		})
+	all := append(Artifacts(), ExtraArtifacts()...)
+	if len(all) != 12 {
+		t.Fatalf("%d artifacts, want 12", len(all))
+	}
+	for _, a := range all {
+		for _, jobs := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/jobs=%d", a, jobs), func(t *testing.T) {
+				want, err := os.ReadFile(filepath.Join("testdata", string(a)+".golden"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, _, err := RunJobs(a, 0.002, jobs)
+				if err != nil {
+					t.Fatalf("RunJobs(%s): %v", a, err)
+				}
+				if got != string(want) {
+					t.Fatalf("report differs from golden:\ngot:\n%s\nwant:\n%s", got, want)
+				}
+			})
+		}
 	}
 }
