@@ -40,14 +40,23 @@ type Fleet struct {
 	energyCoef []float64 // α·w — the E^cmp coefficient
 }
 
-// NewFleetBatch draws a heterogeneous fleet directly into columns using the
-// same per-node draw order as NewFleet (DataBits, FreqMax, CommTime,
-// Reserve), so a given rng seed yields the bit-identical fleet in either
-// layout. It is how callers drawing from a spec build the fleet the round
-// pipeline runs over; NewFleet stays as the per-node reference.
-func NewFleetBatch(rng *rand.Rand, spec FleetSpec) (*Fleet, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
+// NewFleetBatch draws a heterogeneous fleet directly into columns: the
+// nodes of each spec in turn, all from rng, into one fleet. It keeps
+// NewFleet's per-node draw order (DataBits, FreqMax, CommTime, Reserve), so
+// a given rng seed yields the bit-identical fleet in either layout, and
+// several specs yield the nodes NewFleet would draw for each in order.
+// It is how callers drawing from specs build the fleet the round pipeline
+// runs over; NewFleet stays as the per-node reference.
+func NewFleetBatch(rng *rand.Rand, specs ...FleetSpec) (*Fleet, error) {
+	if len(specs) == 0 {
+		return nil, fmt.Errorf("device: no fleet spec")
+	}
+	n := 0
+	for _, spec := range specs {
+		if err := spec.Validate(); err != nil {
+			return nil, err
+		}
+		n += spec.N
 	}
 	uniform := func(lo, hi float64) float64 {
 		if hi <= lo {
@@ -55,18 +64,21 @@ func NewFleetBatch(rng *rand.Rand, spec FleetSpec) (*Fleet, error) {
 		}
 		return lo + rng.Float64()*(hi-lo)
 	}
-	f := newEmptyFleet(spec.N)
-	for i := 0; i < spec.N; i++ {
-		f.CyclesPerBit[i] = spec.CyclesPerBit
-		f.DataBits[i] = uniform(spec.DataBitsMin, spec.DataBitsMax)
-		f.FreqMin[i] = spec.FreqMin
-		f.FreqMax[i] = uniform(spec.FreqMaxLow, spec.FreqMaxHigh)
-		f.Capacitance[i] = spec.Capacitance
-		f.CommTime[i] = uniform(spec.CommTimeMin, spec.CommTimeMax)
-		f.CommEnergyRate[i] = spec.CommEnergyRate
-		f.Reserve[i] = uniform(0, spec.ReserveMax)
-		f.Epochs[i] = spec.Epochs
-		f.SampleCount[i] = spec.SamplesPerNode
+	f := newEmptyFleet(n)
+	i := 0
+	for _, spec := range specs {
+		for end := i + spec.N; i < end; i++ {
+			f.CyclesPerBit[i] = spec.CyclesPerBit
+			f.DataBits[i] = uniform(spec.DataBitsMin, spec.DataBitsMax)
+			f.FreqMin[i] = spec.FreqMin
+			f.FreqMax[i] = uniform(spec.FreqMaxLow, spec.FreqMaxHigh)
+			f.Capacitance[i] = spec.Capacitance
+			f.CommTime[i] = uniform(spec.CommTimeMin, spec.CommTimeMax)
+			f.CommEnergyRate[i] = spec.CommEnergyRate
+			f.Reserve[i] = uniform(0, spec.ReserveMax)
+			f.Epochs[i] = spec.Epochs
+			f.SampleCount[i] = spec.SamplesPerNode
+		}
 	}
 	f.derive()
 	if err := f.Validate(); err != nil {

@@ -9,26 +9,44 @@ import (
 
 // TestNewFleetBatchMatchesNewFleet pins the layout contract: the same seed
 // yields the bit-identical fleet whether drawn into per-node structs or
-// directly into columns.
+// directly into columns, for one spec and for several drawn in turn from
+// one rng.
 func TestNewFleetBatchMatchesNewFleet(t *testing.T) {
-	spec := DefaultFleetSpec(64)
-	nodes, err := NewFleet(rand.New(rand.NewSource(7)), spec)
-	if err != nil {
-		t.Fatalf("NewFleet: %v", err)
-	}
-	fleet, err := NewFleetBatch(rand.New(rand.NewSource(7)), spec)
-	if err != nil {
-		t.Fatalf("NewFleetBatch: %v", err)
-	}
-	if fleet.Len() != len(nodes) {
-		t.Fatalf("fleet len %d, want %d", fleet.Len(), len(nodes))
-	}
-	for i, n := range nodes {
-		v := fleet.Node(i)
-		v.ID = n.ID // NewFleet numbers IDs; the column view uses the index
-		if v != *n {
-			t.Fatalf("node %d: batch view %+v != struct %+v", i, v, *n)
+	fast := DefaultFleetSpec(5)
+	fast.FreqMaxLow, fast.FreqMaxHigh, fast.CommTimeMax = 3e9, 4e9, 12
+	for _, specs := range [][]FleetSpec{
+		{DefaultFleetSpec(64)},
+		{DefaultFleetSpec(3), fast, DefaultFleetSpec(1)},
+	} {
+		rng := rand.New(rand.NewSource(7))
+		var nodes []*Node
+		for _, spec := range specs {
+			class, err := NewFleet(rng, spec)
+			if err != nil {
+				t.Fatalf("NewFleet: %v", err)
+			}
+			nodes = append(nodes, class...)
 		}
+		fleet, err := NewFleetBatch(rand.New(rand.NewSource(7)), specs...)
+		if err != nil {
+			t.Fatalf("NewFleetBatch: %v", err)
+		}
+		if fleet.Len() != len(nodes) {
+			t.Fatalf("fleet len %d, want %d", fleet.Len(), len(nodes))
+		}
+		for i, n := range nodes {
+			v := fleet.Node(i)
+			v.ID = n.ID // NewFleet numbers IDs; the column view uses the index
+			if v != *n {
+				t.Fatalf("%d specs, node %d: batch view %+v != struct %+v", len(specs), i, v, *n)
+			}
+		}
+	}
+	if _, err := NewFleetBatch(rand.New(rand.NewSource(7))); err == nil {
+		t.Fatal("NewFleetBatch accepted no spec")
+	}
+	if _, err := NewFleetBatch(rand.New(rand.NewSource(7)), DefaultFleetSpec(2), DefaultFleetSpec(0)); err == nil {
+		t.Fatal("NewFleetBatch accepted an empty second spec")
 	}
 }
 

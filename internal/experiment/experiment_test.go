@@ -28,6 +28,17 @@ func TestBuildEnvValidation(t *testing.T) {
 	if env2.Config().Lambda != 555 {
 		t.Fatalf("lambda %v, want 555", env2.Config().Lambda)
 	}
+	// A nonzero λ or time weight is forwarded, so an invalid one is refused
+	// rather than replaced by the default.
+	for _, s := range []Setup{
+		{Lambda: -1}, {Lambda: math.NaN()}, {Lambda: math.Inf(1)},
+		{TimeWeight: -0.5}, {TimeWeight: math.NaN()}, {TimeWeight: math.Inf(1)},
+	} {
+		s.Nodes, s.Preset, s.Budget, s.Seed = 3, accuracy.PresetMNIST, 100, 1
+		if _, err := BuildEnv(s); err == nil {
+			t.Fatalf("accepted λ=%v time weight=%v", s.Lambda, s.TimeWeight)
+		}
+	}
 }
 
 func TestBuildEnvDeterministic(t *testing.T) {

@@ -14,35 +14,64 @@ import (
 	"chiron/internal/fl"
 	"chiron/internal/mechanism"
 	"chiron/internal/nn"
-	"chiron/internal/rl"
 )
 
-// chironEvalRow builds and trains a Chiron agent on env through the shared
-// mechanism.TrainAndEvaluate path and condenses its evaluation to one table
-// row.
-func chironEvalRow(env *edgeenv.Env, seed int64, scale float64, evalEpisodes int) (evalResult, error) {
-	ch, err := core.New(env, TunedChironConfig(seed))
-	if err != nil {
-		return evalResult{}, err
+// ablationSetup is the clean 5-node η=300 MNIST environment the Chiron
+// ablations vary (chironSweep) or train on and then perturb (frozenSweep).
+var ablationSetup = Setup{Preset: accuracy.PresetMNIST, Nodes: 5, Budget: 300, Seed: 7}
+
+// chironSweep trains and evaluates Chiron once per row, one cell job each,
+// on ablationSetup as vary changes it for row i; vary returns the row's
+// grid point for the job label. The evaluations come back in row order.
+func chironSweep(a Artifact, scale float64, jobs, rows int, vary func(i int, s *Setup) string) ([]mechanism.EpisodeResult, error) {
+	plan := Plan[mechanism.EpisodeResult]{Name: string(a), Workers: jobs}
+	for i := 0; i < rows; i++ {
+		s := ablationSetup
+		point := vary(i, &s)
+		plan.Jobs = append(plan.Jobs, cellJob(point, s, KindChiron, ScaleCount(500, scale), 3))
 	}
-	summary, err := mechanism.TrainAndEvaluate(ch, ScaleCount(500, scale), evalEpisodes)
-	if err != nil {
-		return evalResult{}, err
-	}
-	return evalResult{
-		Accuracy:       summary.FinalAccuracy,
-		Rounds:         summary.Rounds,
-		TimeEfficiency: summary.TimeEfficiency,
-		Utility:        summary.ServerUtility,
-	}, nil
+	return plan.Execute()
 }
 
-// evalResult is the condensed row every ablation table reports.
-type evalResult struct {
-	Accuracy       float64
-	Rounds         int
-	TimeEfficiency float64
-	Utility        float64
+// frozenSweep trains Chiron once on ablationSetup, then evaluates the frozen
+// policy under each row's perturbation, one job per row owning its
+// environment, perturbation RNG and restored agent (the checkpoint is
+// shared read-only). perturb returns row i's grid point and perturbation.
+// Each row also counts the failures of its last evaluation episode, which
+// the environment's ledger still holds.
+func frozenSweep(a Artifact, scale float64, jobs, rows int, perturb func(i int) (string, func(*edgeenv.Config) error)) ([]mechanism.EpisodeResult, []int, error) {
+	m, err := ablationSetup.open(KindChiron)
+	if err != nil {
+		return nil, nil, err
+	}
+	ch := m.(*core.Chiron)
+	if _, err := ch.Train(ScaleCount(500, scale), nil); err != nil {
+		return nil, nil, err
+	}
+	ck, err := ch.Checkpoint()
+	if err != nil {
+		return nil, nil, err
+	}
+	failures := make([]int, rows)
+	plan := Plan[mechanism.EpisodeResult]{Name: string(a), Workers: jobs}
+	for i := 0; i < rows; i++ {
+		point, p := perturb(i)
+		plan.Jobs = append(plan.Jobs, Job[mechanism.EpisodeResult]{
+			Label: fmt.Sprintf("%s %s seed=%d", KindChiron, point, ablationSetup.Seed),
+			Run: func() (mechanism.EpisodeResult, error) {
+				res, env, err := EvalFrozen(ck, ablationSetup, 3, p)
+				if err != nil {
+					return res, err
+				}
+				for _, r := range env.Ledger().Rounds() {
+					failures[i] += r.Failures()
+				}
+				return res, nil
+			},
+		})
+	}
+	results, err := plan.Execute()
+	return results, failures, err
 }
 
 func renderRows(title string, header string, rows []string) string {
@@ -57,23 +86,13 @@ func renderRows(title string, header string, rows []string) string {
 
 // runLambdaAblation sweeps the preference coefficient λ: larger λ should
 // push the learned policy toward more rounds and higher final accuracy at
-// the cost of total time. One job per λ.
+// the cost of total time.
 func runLambdaAblation(scale float64, jobs int) (string, error) {
 	lambdas := []float64{500, 2000, 8000}
-	plan := Plan[evalResult]{Name: "abl-lambda", Workers: jobs}
-	for _, lambda := range lambdas {
-		plan.Jobs = append(plan.Jobs, Job[evalResult]{
-			Label: fmt.Sprintf("Chiron λ=%v seed=7", lambda),
-			Run: func() (evalResult, error) {
-				env, err := BuildEnv(Setup{Preset: accuracy.PresetMNIST, Nodes: 5, Budget: 300, Seed: 7, Lambda: lambda})
-				if err != nil {
-					return evalResult{}, err
-				}
-				return chironEvalRow(env, 7, scale, 3)
-			},
-		})
-	}
-	results, err := plan.Execute()
+	results, err := chironSweep(AblLambda, scale, jobs, len(lambdas), func(i int, s *Setup) string {
+		s.Lambda = lambdas[i]
+		return fmt.Sprintf("λ=%v", lambdas[i])
+	})
 	if err != nil {
 		return "", err
 	}
@@ -81,7 +100,7 @@ func runLambdaAblation(scale float64, jobs int) (string, error) {
 	for i, lambda := range lambdas {
 		res := results[i]
 		rows = append(rows, fmt.Sprintf("%-8.0f %10.3f %8d %10.1f%% %12.1f",
-			lambda, res.Accuracy, res.Rounds, 100*res.TimeEfficiency, res.Utility))
+			lambda, res.FinalAccuracy, res.Rounds, 100*res.TimeEfficiency, res.ServerUtility))
 	}
 	return renderRows(
 		Describe(AblLambda),
@@ -91,7 +110,6 @@ func runLambdaAblation(scale float64, jobs int) (string, error) {
 
 // runRewardAblation compares the exterior time weighting: the calibrated
 // Eqn. 9-consistent default, the raw w=1, and the literal Eqn. 14 (w=λ).
-// One job per weighting.
 func runRewardAblation(scale float64, jobs int) (string, error) {
 	weights := []struct {
 		name string
@@ -101,20 +119,10 @@ func runRewardAblation(scale float64, jobs int) (string, error) {
 		{"unit (1.0)", 1.0},
 		{"eqn14 literal (λ)", 2000},
 	}
-	plan := Plan[evalResult]{Name: "abl-reward", Workers: jobs}
-	for _, tw := range weights {
-		plan.Jobs = append(plan.Jobs, Job[evalResult]{
-			Label: fmt.Sprintf("Chiron w=%v seed=7", tw.w),
-			Run: func() (evalResult, error) {
-				env, err := BuildEnv(Setup{Preset: accuracy.PresetMNIST, Nodes: 5, Budget: 300, Seed: 7, TimeWeight: tw.w})
-				if err != nil {
-					return evalResult{}, err
-				}
-				return chironEvalRow(env, 7, scale, 3)
-			},
-		})
-	}
-	results, err := plan.Execute()
+	results, err := chironSweep(AblReward, scale, jobs, len(weights), func(i int, s *Setup) string {
+		s.TimeWeight = weights[i].w
+		return fmt.Sprintf("w=%v", weights[i].w)
+	})
 	if err != nil {
 		return "", err
 	}
@@ -122,7 +130,7 @@ func runRewardAblation(scale float64, jobs int) (string, error) {
 	for i, tw := range weights {
 		res := results[i]
 		rows = append(rows, fmt.Sprintf("%-20s %10.3f %8d %10.1f%%",
-			tw.name, res.Accuracy, res.Rounds, 100*res.TimeEfficiency))
+			tw.name, res.FinalAccuracy, res.Rounds, 100*res.TimeEfficiency))
 	}
 	return renderRows(
 		Describe(AblReward),
@@ -130,40 +138,9 @@ func runRewardAblation(scale float64, jobs int) (string, error) {
 		rows), nil
 }
 
-// frozenSetup is the clean 5-node η=300 MNIST environment the
-// frozen-policy studies train on and then perturb.
-func frozenSetup(seed int64) Setup {
-	return Setup{Preset: accuracy.PresetMNIST, Nodes: 5, Budget: 300, Seed: seed}
-}
-
-// trainFrozenChiron trains a Chiron agent on a setup's clean environment
-// and returns its checkpoint for EvalFrozen.
-func trainFrozenChiron(s Setup, scale float64) (*rl.Checkpoint, error) {
-	env, err := BuildEnv(s)
-	if err != nil {
-		return nil, err
-	}
-	ch, err := core.New(env, TunedChironConfig(s.Seed))
-	if err != nil {
-		return nil, err
-	}
-	if _, err := ch.Train(ScaleCount(500, scale), nil); err != nil {
-		return nil, err
-	}
-	return ch.Checkpoint()
-}
-
-// runRobustnessAblation trains once on the clean environment and evaluates
-// the frozen policy under increasing churn. One job per scenario, each
-// owning its environment, churn RNG and restored agent; the checkpoint is
-// shared read-only.
+// runRobustnessAblation evaluates the frozen policy under increasing
+// bandwidth jitter and node churn.
 func runRobustnessAblation(scale float64, jobs int) (string, error) {
-	const seed = 7
-	setup := frozenSetup(seed)
-	ck, err := trainFrozenChiron(setup, scale)
-	if err != nil {
-		return "", err
-	}
 	scenarios := []struct {
 		name         string
 		jitter       float64
@@ -175,17 +152,10 @@ func runRobustnessAblation(scale float64, jobs int) (string, error) {
 		{"availability 80%", 0, 0.80},
 		{"jitter 30% + avail 80%", 0.30, 0.80},
 	}
-	plan := Plan[mechanism.EpisodeResult]{Name: "abl-robust", Workers: jobs}
-	for _, sc := range scenarios {
-		plan.Jobs = append(plan.Jobs, Job[mechanism.EpisodeResult]{
-			Label: fmt.Sprintf("Chiron %s seed=%d", sc.name, seed),
-			Run: func() (mechanism.EpisodeResult, error) {
-				res, _, err := EvalFrozen(ck, setup, 3, SoftChurn(sc.jitter, sc.availability, seed+2))
-				return res, err
-			},
-		})
-	}
-	results, err := plan.Execute()
+	results, _, err := frozenSweep(AblRobust, scale, jobs, len(scenarios), func(i int) (string, func(*edgeenv.Config) error) {
+		sc := scenarios[i]
+		return sc.name, SoftChurn(sc.jitter, sc.availability, ablationSetup.Seed+2)
+	})
 	if err != nil {
 		return "", err
 	}
@@ -250,18 +220,11 @@ func fleetDeadline(fleet *device.Fleet) float64 {
 	return worst * 1.2
 }
 
-// runFaultSweep trains Chiron on the clean environment once, then
-// evaluates the frozen policy under escalating injected fault rates — the
-// degradation table for crash, straggler, upload-drop, and corruption
-// failures combined with a round deadline and zero failure payment. One job
-// per fault level; each counts its failures before it returns.
+// runFaultSweep evaluates the frozen policy under escalating injected fault
+// rates — the degradation table for crash, straggler, upload-drop, and
+// corruption failures combined with a round deadline and zero failure
+// payment.
 func runFaultSweep(scale float64, jobs int) (string, error) {
-	const seed = 7
-	setup := frozenSetup(seed)
-	ck, err := trainFrozenChiron(setup, scale)
-	if err != nil {
-		return "", err
-	}
 	base := faults.Rates{Crash: 0.02, Straggle: 0.05, Drop: 0.05, Corrupt: 0.02}
 	levels := []struct {
 		name  string
@@ -272,38 +235,17 @@ func runFaultSweep(scale float64, jobs int) (string, error) {
 		{"moderate (3x)", base.Scale(3)},
 		{"severe (6x)", base.Scale(6)},
 	}
-	type faultRow struct {
-		res      mechanism.EpisodeResult
-		failures int
-	}
-	plan := Plan[faultRow]{Name: "abl-faults", Workers: jobs}
-	for _, lv := range levels {
-		plan.Jobs = append(plan.Jobs, Job[faultRow]{
-			Label: fmt.Sprintf("Chiron %s seed=%d", lv.name, seed),
-			Run: func() (faultRow, error) {
-				res, env, err := EvalFrozen(ck, setup, 3, InjectFaults(lv.rates, seed+3))
-				if err != nil {
-					return faultRow{}, err
-				}
-				// The ledger still holds the last evaluation episode, so its
-				// per-round outcomes give a representative failure count.
-				row := faultRow{res: res}
-				for _, r := range env.Ledger().Rounds() {
-					row.failures += r.Failures()
-				}
-				return row, nil
-			},
-		})
-	}
-	results, err := plan.Execute()
+	results, failures, err := frozenSweep(AblFaults, scale, jobs, len(levels), func(i int) (string, func(*edgeenv.Config) error) {
+		return levels[i].name, InjectFaults(levels[i].rates, ablationSetup.Seed+3)
+	})
 	if err != nil {
 		return "", err
 	}
 	rows := make([]string, 0, len(levels))
 	for i, lv := range levels {
-		res := results[i].res
+		res := results[i]
 		rows = append(rows, fmt.Sprintf("%-16s %10.3f %8d %10.1f%% %10d",
-			lv.name, res.FinalAccuracy, res.Rounds, 100*res.TimeEfficiency, results[i].failures))
+			lv.name, res.FinalAccuracy, res.Rounds, 100*res.TimeEfficiency, failures[i]))
 	}
 	return renderRows(
 		Describe(AblFaults),

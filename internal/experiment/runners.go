@@ -83,22 +83,21 @@ type Comparison struct {
 	Points []BudgetPoint
 }
 
-// comparisonJob builds the self-contained job for one (budget, mechanism)
-// grid cell. Everything stochastic inside the closure is re-seeded from the
-// sweep seed, so cells are independent and can run on any worker.
-func comparisonJob(p ComparisonParams, budget float64, kind MechanismKind) Job[mechanism.EpisodeResult] {
+// cellJob is the job of one trained experiment cell: it opens kind on the
+// setup's environment, trains it for train episodes and averages eval
+// deterministic evaluation episodes. Everything stochastic inside the
+// closure is seeded from the setup, so cells are independent and can run
+// on any worker. point names the cell's grid point in the label
+// ("Chiron η=300 seed=7").
+func cellJob(point string, s Setup, kind MechanismKind, train, eval int) Job[mechanism.EpisodeResult] {
 	return Job[mechanism.EpisodeResult]{
-		Label: fmt.Sprintf("%s η=%v seed=%d", kind, budget, p.Seed),
+		Label: fmt.Sprintf("%s %s seed=%d", kind, point, s.Seed),
 		Run: func() (mechanism.EpisodeResult, error) {
-			env, err := BuildEnv(Setup{Preset: p.Preset, Nodes: p.Nodes, Budget: budget, Seed: p.Seed, TimeWeight: p.TimeWeight})
+			m, err := s.open(kind)
 			if err != nil {
 				return mechanism.EpisodeResult{}, err
 			}
-			m, err := BuildMechanism(kind, env, p.Seed)
-			if err != nil {
-				return mechanism.EpisodeResult{}, err
-			}
-			return mechanism.TrainAndEvaluate(m, p.TrainEpisodes, p.EvalEpisodes)
+			return mechanism.TrainAndEvaluate(m, train, eval)
 		},
 	}
 }
@@ -115,7 +114,8 @@ func RunComparison(p ComparisonParams) (*Comparison, error) {
 	jobs := make([]Job[mechanism.EpisodeResult], 0, len(p.Budgets)*len(p.Mechanisms))
 	for _, budget := range p.Budgets {
 		for _, kind := range p.Mechanisms {
-			jobs = append(jobs, comparisonJob(p, budget, kind))
+			s := Setup{Preset: p.Preset, Nodes: p.Nodes, Budget: budget, Seed: p.Seed, TimeWeight: p.TimeWeight}
+			jobs = append(jobs, cellJob(fmt.Sprintf("η=%v", budget), s, kind, p.TrainEpisodes, p.EvalEpisodes))
 		}
 	}
 	results, err := Plan[mechanism.EpisodeResult]{Name: "comparison", Jobs: jobs, Workers: p.Jobs}.Execute()
@@ -192,11 +192,7 @@ func RunConvergence(p ConvergenceParams) (*Convergence, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	env, err := BuildEnv(Setup{Preset: p.Preset, Nodes: p.Nodes, Budget: p.Budget, Seed: p.Seed, TimeWeight: p.TimeWeight})
-	if err != nil {
-		return nil, err
-	}
-	m, err := BuildMechanism(p.Mechanism, env, p.Seed)
+	m, err := Setup{Preset: p.Preset, Nodes: p.Nodes, Budget: p.Budget, Seed: p.Seed, TimeWeight: p.TimeWeight}.open(p.Mechanism)
 	if err != nil {
 		return nil, err
 	}

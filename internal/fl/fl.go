@@ -122,7 +122,7 @@ func (c *Client) TrainRound(global []float64) ([]float64, float64, error) {
 				return err
 			}
 			c.model.ZeroGrad()
-			if err := c.model.BackwardParamsOnly(c.grad); err != nil {
+			if err := c.model.Backward(c.grad); err != nil {
 				return err
 			}
 			if err := c.opt.Step(); err != nil {

@@ -53,15 +53,11 @@ func layeredForwardBackward(t *testing.T, net *nn.Network, x, grad *mat.Matrix) 
 // outputs and parameter gradients are bit-for-bit equal to layered
 // execution over the same layer objects.
 func TestFusedVsLayeredBitIdentical(t *testing.T) {
-	for _, act := range []nn.Activation{nn.ActReLU, nn.ActTanh, nn.ActSigmoid} {
+	for _, act := range []nn.Activation{nn.ActReLU, nn.ActTanh, nn.ActIdentity} {
 		rng := rand.New(rand.NewSource(31))
 		net, err := nn.NewMLP(rng, act, 6, 8, 5, 3)
 		if err != nil {
 			t.Fatal(err)
-		}
-		fused := net.Fused()
-		if fused == nil {
-			t.Fatal("MLP stack did not fuse")
 		}
 		x := mat.New(7, 6)
 		x.Randomize(rng, 1)
@@ -70,7 +66,7 @@ func TestFusedVsLayeredBitIdentical(t *testing.T) {
 
 		for pass := 0; pass < 2; pass++ { // fresh workspaces, then recycled
 			wantY, wantG := layeredForwardBackward(t, net, x, grad)
-			gotY, err := fused.Forward(x)
+			gotY, err := net.Forward(x)
 			if err != nil {
 				t.Fatalf("act %v pass %d: fused forward: %v", act, pass, err)
 			}
@@ -80,7 +76,7 @@ func TestFusedVsLayeredBitIdentical(t *testing.T) {
 				}
 			}
 			net.ZeroGrad()
-			if _, err := fused.Backward(grad, true); err != nil {
+			if err := net.Backward(grad); err != nil {
 				t.Fatalf("act %v pass %d: fused backward: %v", act, pass, err)
 			}
 			for i, w := range wantG {
@@ -92,46 +88,46 @@ func TestFusedVsLayeredBitIdentical(t *testing.T) {
 	}
 }
 
-// TestFusedBackwardParamsOnlyMatchesFull pins that skipping the first
-// unit's input-gradient GEMM changes nothing observable: parameter
-// gradients are bit-identical to the full backward pass. The layered case
-// starts with an activation, so it does not fuse and runs Network's layered
-// BackwardParamsOnly.
-func TestFusedBackwardParamsOnlyMatchesFull(t *testing.T) {
-	for _, layered := range []bool{false, true} {
-		rng := rand.New(rand.NewSource(32))
-		var layers []nn.Layer
-		if layered {
-			layers = append(layers, nn.NewActivate(nn.ActTanh))
-		}
-		layers = append(layers, nn.NewDense(rng, 5, 9), nn.NewActivate(nn.ActTanh), nn.NewDense(rng, 9, 4))
-		net := nn.NewNetwork(layers...)
-		if (net.Fused() == nil) != layered {
-			t.Fatalf("layered=%v: fused plan %v", layered, net.Fused())
-		}
-		x := mat.New(6, 5)
-		x.Randomize(rng, 1)
-		grad := mat.New(6, 4)
-		grad.Randomize(rng, 1)
+// TestFusedNewPlanSharesParameters pins the second plan a network hands out: it
+// computes the network's own outputs from the same parameters, and a
+// forward pass through it leaves the network's pending backward alone.
+func TestFusedNewPlanSharesParameters(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	net, err := nn.NewMLP(rng, nn.ActTanh, 5, 9, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := mat.New(6, 5)
+	x.Randomize(rng, 1)
+	other := mat.New(3, 5)
+	other.Randomize(rng, 1)
+	grad := mat.New(6, 4)
+	grad.Randomize(rng, 1)
+	wantY, wantG := layeredForwardBackward(t, net, x, grad)
 
-		for pass := 0; pass < 2; pass++ {
-			if _, err := net.Forward(x); err != nil {
-				t.Fatal(err)
-			}
-			net.ZeroGrad()
-			if _, err := net.Backward(grad); err != nil {
-				t.Fatal(err)
-			}
-			want := flattenGrads(net)
-			net.ZeroGrad()
-			if err := net.BackwardParamsOnly(grad); err != nil {
-				t.Fatal(err)
-			}
-			for i, w := range want {
-				if g := flattenGrads(net)[i]; g != w {
-					t.Fatalf("layered=%v pass %d: grad[%d] params-only %v full %v", layered, pass, i, g, w)
-				}
-			}
+	plan := net.NewPlan()
+	gotY, err := plan.Forward(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range wantY.Data() {
+		if gotY.Data()[i] != w {
+			t.Fatalf("output[%d] second plan %v layered %v", i, gotY.Data()[i], w)
+		}
+	}
+	if _, err := net.Forward(x); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := plan.Forward(other); err != nil {
+		t.Fatal(err)
+	}
+	net.ZeroGrad()
+	if err := net.Backward(grad); err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range wantG {
+		if g := flattenGrads(net)[i]; g != w {
+			t.Fatalf("grad[%d] after a second-plan forward %v, layered %v", i, g, w)
 		}
 	}
 }
@@ -163,7 +159,7 @@ func TestFusedVsLayeredParallelWorkers(t *testing.T) {
 			}
 		}
 		net.ZeroGrad()
-		if _, err := net.Backward(grad); err != nil {
+		if err := net.Backward(grad); err != nil {
 			t.Fatal(err)
 		}
 		for i, w := range wantG {

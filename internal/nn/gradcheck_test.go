@@ -30,7 +30,7 @@ func numericVsBackprop(t *testing.T, net *nn.Network, x *mat.Matrix, labels []in
 		t.Fatalf("loss: %v", err)
 	}
 	net.ZeroGrad()
-	if _, err := net.Backward(grad); err != nil {
+	if err := net.Backward(grad); err != nil {
 		t.Fatalf("backward: %v", err)
 	}
 	analytic := flattenGrads(net)
@@ -88,30 +88,14 @@ func TestGradCheckDenseMLP(t *testing.T) {
 }
 
 // TestGradCheckActivations checks each activation fused between two Dense
-// layers. The layered case leads with an activation, so the stack does not
-// fuse and the check runs Network's layer-by-layer forward and backward.
+// layers.
 func TestGradCheckActivations(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		act     nn.Activation
-		layered bool
-	}{
-		{"relu", nn.ActReLU, false},
-		{"tanh", nn.ActTanh, false},
-		{"sigmoid", nn.ActSigmoid, false},
-		{"identity", nn.ActIdentity, false},
-		{"tanh_layered", nn.ActTanh, true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
+	for _, act := range []nn.Activation{nn.ActReLU, nn.ActTanh, nn.ActIdentity} {
+		t.Run(act.String(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(22))
-			var layers []nn.Layer
-			if tc.layered {
-				layers = append(layers, nn.NewActivate(nn.ActSigmoid))
-			}
-			layers = append(layers, nn.NewDense(rng, 3, 8), nn.NewActivate(tc.act), nn.NewDense(rng, 8, 2))
-			net := nn.NewNetwork(layers...)
-			if (net.Fused() == nil) != tc.layered {
-				t.Fatalf("fused plan %v, want layered=%v", net.Fused(), tc.layered)
+			net, err := nn.NewMLP(rng, act, 3, 8, 2)
+			if err != nil {
+				t.Fatal(err)
 			}
 			x := mat.New(4, 3)
 			x.Randomize(rng, 1)

@@ -1,10 +1,11 @@
 // Package nn is a from-scratch float64 neural-network library built for
-// the Chiron reproduction. It provides the dense layers, activations,
-// losses and optimizers (SGD, Adam) needed by the PPO actor/critic networks
-// of the hierarchical reinforcement mechanism and by the MLP classifier of
-// the real FedAvg workload. A pure Dense/Activate stack runs through one
-// fused execution plan (fused.go), bit-identical to running its layers one
-// by one.
+// the Chiron reproduction. It provides the MLP networks, losses and
+// optimizers (SGD, Adam) needed by the PPO actor/critic networks of the
+// hierarchical reinforcement mechanism and by the MLP classifier of the
+// real FedAvg workload. A network runs through one fused execution plan
+// (fused.go), bit-identical to running its Dense and Activate layers one
+// by one; the layers keep their own Forward and Backward as the reference
+// the plan is tested against.
 //
 // Design: layers implement forward/backward over mini-batches stored as
 // row-major mat.Matrix values (one sample per row). Parameters are exposed
@@ -132,7 +133,6 @@ type Activation int
 const (
 	ActReLU Activation = iota + 1
 	ActTanh
-	ActSigmoid
 	ActIdentity
 )
 
@@ -143,8 +143,6 @@ func (a Activation) String() string {
 		return "relu"
 	case ActTanh:
 		return "tanh"
-	case ActSigmoid:
-		return "sigmoid"
 	case ActIdentity:
 		return "identity"
 	default:
@@ -173,8 +171,6 @@ func (a *Activate) Forward(x *mat.Matrix) (*mat.Matrix, error) {
 		err = mat.ApplyTo(y, x, relu)
 	case ActTanh:
 		err = mat.ApplyTo(y, x, tanh)
-	case ActSigmoid:
-		err = mat.ApplyTo(y, x, mat.Sigmoid)
 	case ActIdentity:
 		err = y.CopyFrom(x)
 	default:
@@ -209,10 +205,6 @@ func (a *Activate) Backward(grad *mat.Matrix) (*mat.Matrix, error) {
 	case ActTanh:
 		for i := range xd {
 			xd[i] *= 1 - yd[i]*yd[i]
-		}
-	case ActSigmoid:
-		for i := range xd {
-			xd[i] *= yd[i] * (1 - yd[i])
 		}
 	case ActIdentity:
 	default:

@@ -8,31 +8,14 @@ import (
 	"chiron/internal/mat"
 )
 
-// Network is an ordered stack of layers trained end to end.
+// Network is a multilayer perceptron: a stack of Dense layers with an
+// activation between each pair, trained end to end. It runs through one
+// fused execution plan (fused.go); the layer objects hold the parameters
+// and stay the layer-by-layer reference the plan is tested against.
 type Network struct {
 	layers []Layer
 	params []Param // cached: the layer stack is immutable after construction
-	// fused is the single-pass execution plan used when the stack is a pure
-	// Dense/Activate MLP; nil for any other layer order (an empty stack, or
-	// one with an activation that follows no Dense layer), which runs
-	// layered.
-	// Fused and layered execution are bit-identical (see fused.go), so
-	// which one runs is invisible to callers.
-	fused *FusedMLP
-}
-
-// NewNetwork builds a network from the given layers in order.
-func NewNetwork(layers ...Layer) *Network {
-	n := &Network{layers: layers}
-	for _, l := range layers {
-		n.params = append(n.params, l.Params()...)
-	}
-	// Re-slice to exact length so callers appending to the returned slice
-	// (to add their own parameters) always reallocate instead of scribbling
-	// over a shared backing array.
-	n.params = n.params[:len(n.params):len(n.params)]
-	n.fused, _ = fuseLayers(layers)
-	return n
+	plan   *FusedMLP
 }
 
 // NewMLP builds a multilayer perceptron with the given layer widths
@@ -42,14 +25,24 @@ func NewMLP(rng *rand.Rand, act Activation, widths ...int) (*Network, error) {
 	if len(widths) < 2 {
 		return nil, fmt.Errorf("nn: MLP needs at least input and output widths, got %d", len(widths))
 	}
-	var layers []Layer
-	for i := 0; i+1 < len(widths); i++ {
-		layers = append(layers, NewDense(rng, widths[i], widths[i+1]))
-		if i+2 < len(widths) {
-			layers = append(layers, NewActivate(act))
+	n := &Network{}
+	units := make([]fusedUnit, len(widths)-1)
+	for i := range units {
+		d := NewDense(rng, widths[i], widths[i+1])
+		units[i] = fusedUnit{dense: d, act: ActIdentity}
+		n.layers = append(n.layers, d)
+		n.params = append(n.params, d.Params()...)
+		if i+1 < len(units) {
+			units[i].act = act
+			n.layers = append(n.layers, NewActivate(act))
 		}
 	}
-	return NewNetwork(layers...), nil
+	// Re-slice to exact length so callers appending to the returned slice
+	// (to add their own parameters) always reallocate instead of scribbling
+	// over a shared backing array.
+	n.params = n.params[:len(n.params):len(n.params)]
+	n.plan = newFusedMLP(units)
+	return n, nil
 }
 
 // NewClassifierMLP builds the one-hidden-layer ReLU classifier the real
@@ -68,67 +61,26 @@ func (n *Network) Layers() []Layer {
 	return out
 }
 
-// Forward runs a batch through every layer.
+// Forward runs a batch through the network.
 //
-// The returned matrix is owned by the network's final layer and is reused
+// The returned matrix is a workspace of the network's plan and is reused
 // by the next Forward call, so callers that need two forward results alive
 // at once (e.g. V(s) and V(s')) must copy the first before computing the
 // second.
 func (n *Network) Forward(x *mat.Matrix) (*mat.Matrix, error) {
-	if n.fused != nil {
-		return n.fused.Forward(x)
-	}
-	var err error
-	for i, l := range n.layers {
-		if x, err = l.Forward(x); err != nil {
-			return nil, fmt.Errorf("nn: layer %d forward: %w", i, err)
-		}
-	}
-	return x, nil
+	return n.plan.Forward(x)
 }
 
-// Backward propagates the output gradient back through every layer,
-// accumulating parameter gradients, and returns the input gradient.
-func (n *Network) Backward(grad *mat.Matrix) (*mat.Matrix, error) {
-	if n.fused != nil {
-		return n.fused.Backward(grad, true)
-	}
-	var err error
-	for i := len(n.layers) - 1; i >= 0; i-- {
-		if grad, err = n.layers[i].Backward(grad); err != nil {
-			return nil, fmt.Errorf("nn: layer %d backward: %w", i, err)
-		}
-	}
-	return grad, nil
+// Backward propagates the output gradient of the last Forward back through
+// the network, accumulating parameter gradients.
+func (n *Network) Backward(grad *mat.Matrix) error {
+	return n.plan.Backward(grad)
 }
 
-// BackwardParamsOnly accumulates parameter gradients like Backward but
-// skips computing the gradient with respect to the network input — dead
-// work for every optimizer-driven training loop. On a fused MLP a whole
-// GEMM is saved per pass; a layered stack still runs its first layer's
-// full backward.
-func (n *Network) BackwardParamsOnly(grad *mat.Matrix) error {
-	if n.fused != nil {
-		_, err := n.fused.Backward(grad, false)
-		return err
-	}
-	var err error
-	for i := len(n.layers) - 1; i >= 1; i-- {
-		if grad, err = n.layers[i].Backward(grad); err != nil {
-			return fmt.Errorf("nn: layer %d backward: %w", i, err)
-		}
-	}
-	if len(n.layers) > 0 {
-		if _, err := n.layers[0].Backward(grad); err != nil {
-			return fmt.Errorf("nn: layer 0 backward: %w", err)
-		}
-	}
-	return nil
-}
-
-// Fused exposes the network's fused execution plan, or nil when the layer
-// stack does not fuse. Tests use it to pin fused-vs-layered bit-identity.
-func (n *Network) Fused() *FusedMLP { return n.fused }
+// NewPlan returns a second fused plan over the network's parameters with
+// its own workspaces, so a forward pass through it leaves the network's
+// last forward (and its pending Backward) untouched.
+func (n *Network) NewPlan() *FusedMLP { return newFusedMLP(n.plan.units) }
 
 // Params returns all trainable parameters in layer order. The slice is
 // cached and shared across calls — callers must not modify its elements

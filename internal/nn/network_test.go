@@ -74,7 +74,7 @@ func TestZeroGrad(t *testing.T) {
 	x.Randomize(rng, 1)
 	logits, _ := net.Forward(x)
 	_, grad, _ := crossEntropy(logits, []int{0, 1})
-	if _, err := net.Backward(grad); err != nil {
+	if err := net.Backward(grad); err != nil {
 		t.Fatalf("Backward: %v", err)
 	}
 	var nonzero bool
@@ -157,7 +157,7 @@ func TestSGDReducesLoss(t *testing.T) {
 		}
 		last = loss
 		net.ZeroGrad()
-		if _, err := net.Backward(grad); err != nil {
+		if err := net.Backward(grad); err != nil {
 			t.Fatalf("backward: %v", err)
 		}
 		if err := opt.Step(); err != nil {
@@ -191,7 +191,7 @@ func TestAdamReducesLoss(t *testing.T) {
 		}
 		last = loss
 		net.ZeroGrad()
-		if _, err := net.Backward(grad); err != nil {
+		if err := net.Backward(grad); err != nil {
 			t.Fatalf("backward: %v", err)
 		}
 		if err := opt.Step(); err != nil {
@@ -235,9 +235,9 @@ func TestParamVectorRoundTripProperty(t *testing.T) {
 
 // TestClassifierStepAllocsZero pins the RealTraining inner loop of
 // fl.Client.TrainRound at zero steady-state allocations: a 64-32-10
-// classifier's forward pass, softmax cross-entropy and params-only backward
-// pass on a batch of 10 reuse the network's recycled workspaces. GEMMs
-// run on their caller, so the contract holds at any worker count.
+// classifier's forward pass, softmax cross-entropy and backward pass on a
+// batch of 10 reuse the network's recycled workspaces. GEMMs run on their
+// caller, so the contract holds at any worker count.
 func TestClassifierStepAllocsZero(t *testing.T) {
 	defer mat.SetWorkers(0)
 	rng := rand.New(rand.NewSource(11))
@@ -259,7 +259,7 @@ func TestClassifierStepAllocsZero(t *testing.T) {
 			t.Fatal(err)
 		}
 		net.ZeroGrad()
-		if err := net.BackwardParamsOnly(grad); err != nil {
+		if err := net.Backward(grad); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -7,17 +7,6 @@ import (
 	"chiron/internal/mat"
 )
 
-// Optimizer applies accumulated gradients to a set of parameters.
-type Optimizer interface {
-	// Step applies one update using the current gradients. It does not
-	// clear gradients; call Network.ZeroGrad between steps.
-	Step() error
-	// SetLR changes the learning rate (PPO learning-rate decay, checkpoint restore).
-	SetLR(lr float64)
-	// LR reports the current learning rate.
-	LR() float64
-}
-
 // SGD is plain stochastic gradient descent with optional momentum, the
 // optimizer the paper's edge nodes use for local training.
 type SGD struct {
@@ -26,8 +15,6 @@ type SGD struct {
 	momentum float64
 	velocity []*mat.Matrix
 }
-
-var _ Optimizer = (*SGD)(nil)
 
 // NewSGD returns an SGD optimizer over params. momentum of 0 disables the
 // velocity term.
@@ -52,7 +39,8 @@ func (s *SGD) Reset() {
 	}
 }
 
-// Step implements Optimizer.
+// Step applies one update using the current gradients. It does not clear
+// them; call Network.ZeroGrad between steps.
 func (s *SGD) Step() error {
 	for i, p := range s.params {
 		if s.momentum == 0 {
@@ -73,12 +61,6 @@ func (s *SGD) Step() error {
 	return nil
 }
 
-// SetLR implements Optimizer.
-func (s *SGD) SetLR(lr float64) { s.lr = lr }
-
-// LR implements Optimizer.
-func (s *SGD) LR() float64 { return s.lr }
-
 // Adam implements the Adam optimizer used for the PPO actor and critic
 // networks.
 type Adam struct {
@@ -90,8 +72,6 @@ type Adam struct {
 	t      int
 	m, v   []*mat.Matrix
 }
-
-var _ Optimizer = (*Adam)(nil)
 
 // NewAdam returns an Adam optimizer with the standard β₁=0.9, β₂=0.999,
 // ε=1e-8 defaults.
@@ -106,7 +86,8 @@ func NewAdam(params []Param, lr float64) *Adam {
 	return a
 }
 
-// Step implements Optimizer. With AVX2 the mat kernel updates each
+// Step applies one update using the current gradients, which it does not
+// clear. With AVX2 the mat kernel updates each
 // parameter block four elements at a time and adamScalar the rest;
 // otherwise adamScalar updates everything, with the same bits.
 func (a *Adam) Step() error {
@@ -155,10 +136,11 @@ func adamScalar(pd, gd, md, vd []float64, c *mat.AdamCoeffs) {
 	}
 }
 
-// SetLR implements Optimizer.
+// SetLR changes the learning rate (PPO learning-rate decay, checkpoint
+// restore).
 func (a *Adam) SetLR(lr float64) { a.lr = lr }
 
-// LR implements Optimizer.
+// LR reports the current learning rate.
 func (a *Adam) LR() float64 { return a.lr }
 
 // State returns a deep copy of the optimizer's moment estimates and step

@@ -102,11 +102,9 @@ func (p *GaussianPolicy) MeanBatch(states *mat.Matrix) (*mat.Matrix, error) {
 func (p *GaussianPolicy) MeanNet() *nn.Network { return p.net }
 
 // BackwardMean propagates a gradient with respect to the batch means back
-// through the mean network, accumulating parameter gradients. The gradient
-// with respect to the states themselves is never needed, so the input-grad
-// GEMM is skipped.
+// through the mean network, accumulating parameter gradients.
 func (p *GaussianPolicy) BackwardMean(grad *mat.Matrix) error {
-	return p.net.BackwardParamsOnly(grad)
+	return p.net.Backward(grad)
 }
 
 // Std returns the current standard deviation vector.

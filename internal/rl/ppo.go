@@ -133,15 +133,11 @@ func NewPPO(rng *rand.Rand, stateDim, actionDim int, cfg PPOConfig) (*PPO, error
 	if err != nil {
 		return nil, fmt.Errorf("rl: critic network: %w", err)
 	}
-	offChainPlan, ok := nn.Fuse(critic)
-	if !ok {
-		return nil, fmt.Errorf("rl: critic network does not fuse")
-	}
 	return &PPO{
 		cfg:          cfg,
 		actor:        actor,
 		critic:       critic,
-		offChainPlan: offChainPlan,
+		offChainPlan: critic.NewPlan(),
 		optA:         nn.NewAdam(actor.Params(), cfg.ActorLR),
 		optC:         nn.NewAdam(critic.Params(), cfg.CriticLR),
 	}, nil
@@ -352,7 +348,7 @@ func (p *PPO) updateCritic(trans []Transition) (float64, error) {
 		return 0, err
 	}
 	p.critic.ZeroGrad()
-	if err := p.critic.BackwardParamsOnly(p.cgrad); err != nil {
+	if err := p.critic.Backward(p.cgrad); err != nil {
 		return 0, err
 	}
 	if p.cfg.MaxGradNorm > 0 {

@@ -48,10 +48,10 @@ func scale(v float64) float64 {
 
 // buildFleet draws the composed fleet: each class's nodes come from the
 // paper's DefaultFleetSpec with the profile (and per-class) multipliers
-// applied, drawn from the shared rng in class order so the fleet is a pure
-// function of (classes, seed), and packed into one fleet.
+// applied, drawn from the shared rng in class order straight into one
+// fleet's columns, so the fleet is a pure function of (classes, seed).
 func (s *Spec) buildFleet(rng *rand.Rand) (*device.Fleet, error) {
-	nodes := make([]*device.Node, 0, s.NumNodes())
+	specs := make([]device.FleetSpec, len(s.Classes))
 	for i, c := range s.Classes {
 		p, ok := profiles[c.Profile]
 		if !ok {
@@ -70,13 +70,13 @@ func (s *Spec) buildFleet(rng *rand.Rand) (*device.Fleet, error) {
 		fs.DataBitsMin *= data
 		fs.DataBitsMax *= data
 		fs.ReserveMax *= reserve
-		classNodes, err := device.NewFleet(rng, fs)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: class %d (%s): %w", i, c.Profile, err)
-		}
-		nodes = append(nodes, classNodes...)
+		specs[i] = fs
 	}
-	return device.FromNodes(nodes), nil
+	fleet, err := device.NewFleetBatch(rng, specs...)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: fleet: %w", err)
+	}
+	return fleet, nil
 }
 
 // buildAccuracy constructs the dataset's calibrated curve bound to rng,
