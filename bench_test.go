@@ -284,7 +284,7 @@ func BenchmarkFedAvgRound(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		global := srv.Global()
+		global := srv.GlobalInto(nil)
 		updates := make([]fl.Update, 0, len(clients))
 		for _, c := range clients {
 			params, _, err := c.TrainRound(global)

@@ -78,7 +78,7 @@ func flFingerprint(t *testing.T, workers int) uint64 {
 		}
 	}
 	for round := 0; round < 3; round++ {
-		global := server.Global()
+		global := server.GlobalInto(nil)
 		updates := make([]fl.Update, 0, len(clients))
 		for i, c := range clients {
 			params, _, err := c.TrainRound(global)
@@ -96,7 +96,7 @@ func flFingerprint(t *testing.T, workers int) uint64 {
 		t.Fatal(err)
 	}
 	h := fnv.New64a()
-	hashFloats(h, server.Global())
+	hashFloats(h, server.GlobalInto(nil))
 	hashFloats(h, []float64{acc})
 	return h.Sum64()
 }

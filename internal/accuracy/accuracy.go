@@ -182,8 +182,8 @@ func (p Preset) String() string {
 var ErrUnknownPreset = errors.New("accuracy: unknown dataset")
 
 // presetNames is the one dataset vocabulary of scenario specs, chirond
-// sessions and the chiron and fedsim CLIs: each task's short and long
-// names and common spellings, and the Table I preset.
+// sessions and the chiron CLI: each task's short and long names and
+// common spellings, and the Table I preset.
 var presetNames = map[string]Preset{
 	"mnist":          PresetMNIST,
 	"fashion":        PresetFashion,

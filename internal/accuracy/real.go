@@ -147,7 +147,7 @@ func (t *RealTrainer) Advance(participants []int) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		updates = append(updates, fl.Update{Params: params, Samples: t.clients[id].NumSamples()})
+		updates = append(updates, fl.Update{Client: id, Params: params, Samples: t.clients[id].NumSamples()})
 	}
 	t.updates = updates
 	if err := t.server.Aggregate(updates); err != nil {

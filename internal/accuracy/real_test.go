@@ -1,7 +1,9 @@
 package accuracy
 
 import (
+	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"chiron/internal/dataset"
@@ -87,6 +89,27 @@ func TestRealTrainerRejectsBadParticipant(t *testing.T) {
 	}
 	if _, err := rt.Advance([]int{-1}); err == nil {
 		t.Fatal("accepted negative participant")
+	}
+}
+
+// TestRealTrainerNamesCorruptParticipant overflows local SGD with a huge
+// learning rate, so every upload is non-finite. Aggregate refuses the
+// first in participant order, and the error must name that participant
+// (node 2), not its slot in the upload batch.
+func TestRealTrainerNamesCorruptParticipant(t *testing.T) {
+	cfg := testTrainerConfig(3)
+	cfg.Train.LearningRate = 1e300
+	rt, err := NewRealTrainer(cfg)
+	if err != nil {
+		t.Fatalf("NewRealTrainer: %v", err)
+	}
+	_, err = rt.Advance([]int{2, 0})
+	var corrupt *fl.CorruptUpdateError
+	if !errors.As(err, &corrupt) {
+		t.Fatalf("error %v, want *fl.CorruptUpdateError", err)
+	}
+	if corrupt.Client != 2 || !strings.Contains(err.Error(), "client 2") {
+		t.Fatalf("blamed client %d (%v), want participant 2", corrupt.Client, err)
 	}
 }
 

@@ -283,7 +283,7 @@ func TestDropRetriesCostTimeAndExhaustionDropsNode(t *testing.T) {
 func TestCorruptUpdateRejectedUnpaid(t *testing.T) {
 	clean := cleanRound(t, 3, 1000)
 	env := faultEnv(t, 3, 1000, func(c *Config) {
-		c.Faults = faults.Script{1: {2: {Kind: faults.Corrupt, Mode: faults.CorruptNaN}}}
+		c.Faults = faults.Script{1: {2: {Kind: faults.Corrupt}}}
 	})
 	if err := env.Reset(); err != nil {
 		t.Fatalf("Reset: %v", err)

@@ -33,7 +33,7 @@ const (
 	// once the server's retry budget is exhausted.
 	Drop
 	// Corrupt delivers the upload on time but with a damaged parameter
-	// vector (NaN/Inf entries or a norm blowup, per Fault.Mode).
+	// vector, so the server refuses it and settles the node as failed.
 	Corrupt
 )
 
@@ -55,34 +55,6 @@ func (k Kind) String() string {
 	}
 }
 
-// CorruptionMode selects how a Corrupt fault damages the parameter vector.
-type CorruptionMode uint8
-
-// The corruption modes.
-const (
-	// CorruptNaN overwrites a subset of parameters with NaN.
-	CorruptNaN CorruptionMode = iota
-	// CorruptInf overwrites a subset of parameters with ±Inf.
-	CorruptInf
-	// CorruptBlowup scales the whole vector by a huge factor — every
-	// entry stays finite, so only norm screening catches it.
-	CorruptBlowup
-)
-
-// String implements fmt.Stringer.
-func (m CorruptionMode) String() string {
-	switch m {
-	case CorruptNaN:
-		return "nan"
-	case CorruptInf:
-		return "inf"
-	case CorruptBlowup:
-		return "blowup"
-	default:
-		return fmt.Sprintf("mode(%d)", uint8(m))
-	}
-}
-
 // Fault is one injected failure for one node in one round.
 type Fault struct {
 	Kind Kind
@@ -90,8 +62,6 @@ type Fault struct {
 	Slowdown float64
 	// Attempts is how many consecutive uploads are lost (Drop only, ≥ 1).
 	Attempts int
-	// Mode selects the corruption flavor (Corrupt only).
-	Mode CorruptionMode
 }
 
 // Schedule answers "which fault, if any, hits node i in round k". Rounds
@@ -243,40 +213,8 @@ func (s *Sampler) At(round, node int) (Fault, bool) {
 		}
 		return Fault{Kind: Drop, Attempts: attempts}, true
 	case u < s.rates.Crash+s.rates.Straggle+s.rates.Drop+s.rates.Corrupt:
-		return Fault{Kind: Corrupt, Mode: CorruptionMode(rng.Intn(3))}, true
+		return Fault{Kind: Corrupt}, true
 	default:
 		return Fault{}, false
-	}
-}
-
-// CorruptParams damages params in place according to mode, using rng for
-// the damaged positions. It is the reference corruption used by the fault
-// harnesses; the sanitization layer in internal/fl must catch all three
-// modes.
-func CorruptParams(params []float64, mode CorruptionMode, rng *rand.Rand) {
-	if len(params) == 0 {
-		return
-	}
-	switch mode {
-	case CorruptNaN, CorruptInf:
-		bad := math.NaN()
-		if mode == CorruptInf {
-			bad = math.Inf(1)
-			if rng.Intn(2) == 1 {
-				bad = math.Inf(-1)
-			}
-		}
-		// Damage a handful of entries — enough that any aggregation that
-		// touches the vector is poisoned, sparse enough to be realistic
-		// bit-rot rather than a zeroed buffer.
-		n := 1 + rng.Intn(3)
-		for j := 0; j < n; j++ {
-			params[rng.Intn(len(params))] = bad
-		}
-	case CorruptBlowup:
-		scale := 1e9 * (1 + rng.Float64())
-		for i := range params {
-			params[i] *= scale
-		}
 	}
 }

@@ -2,7 +2,6 @@ package faults
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
 
@@ -187,79 +186,12 @@ func TestSamplerZeroRatesNeverFire(t *testing.T) {
 	}
 }
 
-func hasNonFinite(v []float64) bool {
-	for _, x := range v {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return true
-		}
-	}
-	return false
-}
-
-func TestCorruptParamsModes(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	base := func() []float64 {
-		p := make([]float64, 64)
-		for i := range p {
-			p[i] = 0.01 * float64(i)
-		}
-		return p
-	}
-
-	nan := base()
-	CorruptParams(nan, CorruptNaN, rng)
-	var sawNaN bool
-	for _, v := range nan {
-		if math.IsNaN(v) {
-			sawNaN = true
-		}
-	}
-	if !sawNaN {
-		t.Fatal("CorruptNaN introduced no NaN")
-	}
-
-	inf := base()
-	CorruptParams(inf, CorruptInf, rng)
-	var sawInf bool
-	for _, v := range inf {
-		if math.IsInf(v, 0) {
-			sawInf = true
-		}
-	}
-	if !sawInf {
-		t.Fatal("CorruptInf introduced no Inf")
-	}
-
-	blow := base()
-	CorruptParams(blow, CorruptBlowup, rng)
-	if hasNonFinite(blow) {
-		t.Fatal("CorruptBlowup produced non-finite values; it must evade the finite check")
-	}
-	var normSq float64
-	for _, v := range blow {
-		normSq += v * v
-	}
-	if math.Sqrt(normSq) < 1e6 {
-		t.Fatalf("blowup norm %v too small to trip norm screening", math.Sqrt(normSq))
-	}
-
-	// Empty vectors must not panic.
-	CorruptParams(nil, CorruptNaN, rng)
-}
-
-func TestKindAndModeStrings(t *testing.T) {
+func TestKindStrings(t *testing.T) {
 	for k, want := range map[Kind]string{
 		None: "none", Crash: "crash", Straggle: "straggle", Drop: "drop", Corrupt: "corrupt",
 	} {
 		if k.String() != want {
 			t.Errorf("Kind(%d).String() = %q, want %q", k, k.String(), want)
-		}
-	}
-	for m, want := range map[CorruptionMode]string{
-		CorruptNaN: "nan", CorruptInf: "inf", CorruptBlowup: "blowup",
-	} {
-		if m.String() != want {
-			t.Errorf("mode %d = %q, want %q", m, m.String(), want)
 		}
 	}
 }

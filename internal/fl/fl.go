@@ -9,6 +9,7 @@ package fl
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"chiron/internal/dataset"
@@ -169,16 +170,10 @@ func NewServer(test *dataset.Dataset, factory ModelFactory, rng *rand.Rand) (*Se
 	return &Server{global: model.FlattenParams(), test: test, eval: model}, nil
 }
 
-// Global returns a copy of the current global parameter vector.
-func (s *Server) Global() []float64 {
-	cp := make([]float64, len(s.global))
-	copy(cp, s.global)
-	return cp
-}
-
 // GlobalInto copies the current global parameter vector into dst, growing
-// it if the length differs, and returns the (possibly reallocated) slice —
-// the allocation-free counterpart of Global for per-round download loops.
+// it if the length differs, and returns the (possibly reallocated) slice,
+// so per-round download loops allocate nothing; GlobalInto(nil) is a fresh
+// copy.
 func (s *Server) GlobalInto(dst []float64) []float64 {
 	dst = mat.EnsureVec(dst, len(s.global))
 	copy(dst, s.global)
@@ -200,8 +195,10 @@ type Update struct {
 // with no samples, mismatched sizes, or non-finite (NaN/±Inf) parameters
 // are rejected — a single poisoned vector would otherwise silently spread
 // through the weighted average into the global model. Non-finite updates
-// surface as a *CorruptUpdateError naming the offending client, and the
-// global model is left untouched on any error.
+// surface as a *CorruptUpdateError naming the offending client. Finite
+// uploads near ±MaxFloat64 can still round their weighted sum to ±Inf, so
+// a non-finite average refuses the round too. The global model is left
+// untouched on any error.
 func (s *Server) Aggregate(updates []Update) error {
 	if len(updates) == 0 {
 		return fmt.Errorf("fl: aggregate with no updates")
@@ -230,9 +227,35 @@ func (s *Server) Aggregate(updates []Update) error {
 			next[j] += w * v
 		}
 	}
+	if j, bad := firstNonFinite(next); bad {
+		return fmt.Errorf("fl: aggregate overflowed to %v at index %d", next[j], j)
+	}
 	// Swap rather than copy: the old global becomes next round's scratch.
 	s.global, s.scratch = next, s.global
 	return nil
+}
+
+// CorruptUpdateError reports an upload Aggregate refused for non-finite
+// parameters; it names the offending client so the caller can exclude,
+// refuse payment to, or log it.
+type CorruptUpdateError struct {
+	Client int
+	Reason string
+}
+
+// Error implements error.
+func (e *CorruptUpdateError) Error() string {
+	return fmt.Sprintf("fl: corrupt update from client %d: %s", e.Client, e.Reason)
+}
+
+// firstNonFinite returns the index of the first NaN/±Inf entry, if any.
+func firstNonFinite(params []float64) (int, bool) {
+	for i, v := range params {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return i, true
+		}
+	}
+	return 0, false
 }
 
 // Evaluate scores the current global model on the held-out test set and

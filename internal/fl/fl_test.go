@@ -1,8 +1,11 @@
 package fl
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -114,7 +117,7 @@ func TestAggregateWeightedMean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)
 	}
-	dim := len(srv.Global())
+	dim := len(srv.GlobalInto(nil))
 	a := make([]float64, dim)
 	b := make([]float64, dim)
 	for i := range a {
@@ -129,7 +132,7 @@ func TestAggregateWeightedMean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Aggregate: %v", err)
 	}
-	for i, v := range srv.Global() {
+	for i, v := range srv.GlobalInto(nil) {
 		if math.Abs(v-3) > 1e-12 {
 			t.Fatalf("global[%d] = %v, want 3", i, v)
 		}
@@ -149,7 +152,7 @@ func TestAggregateErrors(t *testing.T) {
 	if err := srv.Aggregate([]Update{{Params: []float64{1}, Samples: 1}}); err == nil {
 		t.Fatal("accepted wrong-size update")
 	}
-	good := srv.Global()
+	good := srv.GlobalInto(nil)
 	if err := srv.Aggregate([]Update{{Params: good, Samples: 0}}); err == nil {
 		t.Fatal("accepted zero-sample update")
 	}
@@ -161,10 +164,49 @@ func TestGlobalReturnsCopy(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)
 	}
-	g := srv.Global()
+	g := srv.GlobalInto(nil)
 	g[0] = 1e9
-	if srv.Global()[0] == 1e9 {
-		t.Fatal("Global returns a live reference")
+	if srv.GlobalInto(nil)[0] == 1e9 {
+		t.Fatal("GlobalInto returns a live reference")
+	}
+	// A buffer of the right length is reused, not reallocated.
+	if again := srv.GlobalInto(g); &again[0] != &g[0] || again[0] == 1e9 {
+		t.Fatal("GlobalInto did not refill the caller's buffer")
+	}
+}
+
+func TestAggregateRejectsNonFinite(t *testing.T) {
+	d := testData(t, 40, 31)
+	srv, err := NewServer(d, mlpFactory(d.Dim(), 4, 10), rand.New(rand.NewSource(32)))
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	before := srv.GlobalInto(nil)
+	for name, poison := range map[string]float64{
+		"NaN": math.NaN(), "+Inf": math.Inf(1), "-Inf": math.Inf(-1),
+	} {
+		bad := srv.GlobalInto(nil)
+		bad[3] = poison
+		err := srv.Aggregate([]Update{
+			{Client: 0, Params: srv.GlobalInto(nil), Samples: 10},
+			{Client: 7, Params: bad, Samples: 10},
+		})
+		if err == nil {
+			t.Fatalf("%s update accepted", name)
+		}
+		var corrupt *CorruptUpdateError
+		if !errors.As(err, &corrupt) {
+			t.Fatalf("%s: error %T, want *CorruptUpdateError", name, err)
+		}
+		if corrupt.Client != 7 {
+			t.Fatalf("%s: blamed client %d, want 7", name, corrupt.Client)
+		}
+		if !strings.Contains(err.Error(), "client 7") {
+			t.Fatalf("%s: message does not name the client: %v", name, err)
+		}
+		if !slices.Equal(srv.GlobalInto(nil), before) {
+			t.Fatalf("%s: rejected aggregation mutated the global model", name)
+		}
 	}
 }
 
@@ -203,7 +245,7 @@ func TestFederatedRoundImprovesAccuracy(t *testing.T) {
 		}
 	}
 	for round := 0; round < 3; round++ {
-		global := srv.Global()
+		global := srv.GlobalInto(nil)
 		var updates []Update
 		for _, c := range clients {
 			params, _, err := c.TrainRound(global)
@@ -235,7 +277,7 @@ func TestAggregateAlgebraProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		dim := len(srv.Global())
+		dim := len(srv.GlobalInto(nil))
 		v := make([]float64, dim)
 		for i := range v {
 			v[i] = rng.NormFloat64()
@@ -243,7 +285,7 @@ func TestAggregateAlgebraProperty(t *testing.T) {
 		if err := srv.Aggregate([]Update{{Params: v, Samples: 7}, {Params: v, Samples: 13}}); err != nil {
 			return false
 		}
-		got := srv.Global()
+		got := srv.GlobalInto(nil)
 		for i := range got {
 			if math.Abs(got[i]-v[i]) > 1e-12 {
 				return false
@@ -269,7 +311,7 @@ func TestAggregateAlgebraProperty(t *testing.T) {
 		if err := srv2.Aggregate([]Update{{Params: a, Samples: 30}, {Params: b, Samples: 50}}); err != nil {
 			return false
 		}
-		g1, g2 := srv1.Global(), srv2.Global()
+		g1, g2 := srv1.GlobalInto(nil), srv2.GlobalInto(nil)
 		for i := range g1 {
 			if math.Abs(g1[i]-g2[i]) > 1e-12 {
 				return false

@@ -2,66 +2,102 @@ package fl
 
 import (
 	"encoding/binary"
+	"errors"
 	"math"
 	"testing"
 )
 
-// FuzzSanitizeUpdate decodes arbitrary bytes into client updates and runs
-// them through the sanitizer. Whatever the bytes say, Sanitize must never
-// panic, must account for every input exactly once, must only accept
-// finite, right-sized, norm-bounded updates, and must give every rejection
-// a reason.
-func FuzzSanitizeUpdate(f *testing.F) {
-	f.Add([]byte{}, uint8(4), float64(10))
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0xf0, 0x7f}, uint8(1), float64(10))            // +Inf parameter
-	f.Add([]byte{1, 0, 0, 0, 0, 0, 0xf8, 0x7f, 2, 2, 2, 2}, uint8(1), float64(0)) // NaN + short tail
-	f.Add([]byte{64, 64, 64, 64, 64, 64, 64, 64}, uint8(1), float64(1e-12))       // norm blowup
+// fuzzUpdates decodes fuzz bytes into at most 16 client updates against a
+// model of n parameters. Each update is a two-byte header, then its
+// parameters as raw little-endian float64 bits, so NaN, ±Inf, denormals
+// and huge magnitudes all occur. The first header byte is the sample count
+// as a signed byte (zero and negatives included); the second picks the
+// length: n unless it is a multiple of 4, else a length in [0, n+1].
+func fuzzUpdates(data []byte, n int) []Update {
+	var updates []Update
+	for client := 0; len(data) >= 2 && client < 16; client++ {
+		samples, lenSel := int(int8(data[0])), data[1]
+		data = data[2:]
+		take := n
+		if lenSel%4 == 0 {
+			take = int(lenSel/4) % (n + 2)
+		}
+		params := make([]float64, 0, take)
+		for i := 0; i < take && len(data) >= 8; i++ {
+			params = append(params, math.Float64frombits(binary.LittleEndian.Uint64(data[:8])))
+			data = data[8:]
+		}
+		updates = append(updates, Update{Client: client, Params: params, Samples: samples})
+	}
+	return updates
+}
 
-	f.Fuzz(func(t *testing.T, data []byte, dim uint8, maxDeltaNorm float64) {
-		n := int(dim%8) + 1 // global model size 1..8
+// fuzzUpdateBytes encodes one right-length update of the given samples
+// whose parameters all equal v, in fuzzUpdates' format.
+func fuzzUpdateBytes(samples int8, n int, v float64) []byte {
+	b := []byte{byte(samples), 1}
+	for i := 0; i < n; i++ {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return b
+}
+
+// FuzzAggregate feeds arbitrary client updates to Server.Aggregate.
+// Whatever the bytes say, Aggregate must never panic, and must either
+// refuse the round and leave the global vector bit-identical, or accept it
+// and leave every entry finite. It accepts only right-sized updates with
+// positive samples and finite parameters, and a *CorruptUpdateError names
+// a client whose upload holds a non-finite parameter.
+func FuzzAggregate(f *testing.F) {
+	var overflow []byte
+	for i := 0; i < 11; i++ {
+		overflow = append(overflow, fuzzUpdateBytes(1, 1, math.MaxFloat64)...)
+	}
+	f.Add([]byte{}, uint8(3))
+	f.Add(append(fuzzUpdateBytes(5, 2, 0.25), fuzzUpdateBytes(7, 2, -1)...), uint8(1))
+	f.Add(append(fuzzUpdateBytes(5, 1, 1), fuzzUpdateBytes(3, 1, math.Inf(1))...), uint8(0))
+	f.Add(append(fuzzUpdateBytes(0, 4, 1), fuzzUpdateBytes(2, 4, math.NaN())...), uint8(3))
+	f.Add([]byte{4, 8, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f}, uint8(2)) // one short update
+	f.Add(overflow, uint8(0))                                   // eleven MaxFloat64 uploads
+
+	f.Fuzz(func(t *testing.T, data []byte, dim uint8) {
+		n := int(dim%8) + 1
 		global := make([]float64, n)
-		// Slice the fuzz bytes into updates of varying shapes: parameter
-		// values come straight from the raw bits, so NaN, Inf, denormals,
-		// and huge magnitudes all occur.
-		var updates []Update
-		for client := 0; len(data) >= 8 && client < 16; client++ {
-			params := make([]float64, 0, n+1)
-			take := client%(n+2) + 1 // deliberately wrong lengths too
-			for i := 0; i < take && len(data) >= 8; i++ {
-				params = append(params, math.Float64frombits(binary.LittleEndian.Uint64(data[:8])))
-				data = data[8:]
-			}
-			samples := client - 2 // negatives and zeros included
-			updates = append(updates, Update{Client: client, Params: params, Samples: samples})
+		for i := range global {
+			global[i] = float64(i) - 1.5
 		}
-		accepted, rejected := Sanitize(updates, global, math.Abs(maxDeltaNorm))
-		if len(accepted)+len(rejected) != len(updates) {
-			t.Fatalf("%d in, %d accepted + %d rejected", len(updates), len(accepted), len(rejected))
-		}
-		for _, rej := range rejected {
-			if rej.Reason == "" {
-				t.Fatalf("client %d rejected without a reason", rej.Client)
-			}
-		}
-		bound := math.Abs(maxDeltaNorm)
-		for _, u := range accepted {
-			if len(u.Params) != n {
-				t.Fatalf("accepted update with %d params, model has %d", len(u.Params), n)
-			}
-			if u.Samples <= 0 {
-				t.Fatalf("accepted update with %d samples", u.Samples)
-			}
-			var sq float64
-			for i, v := range u.Params {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					t.Fatalf("accepted non-finite parameter %v", v)
+		srv := &Server{global: append([]float64(nil), global...)}
+		updates := fuzzUpdates(data, n)
+
+		err := srv.Aggregate(updates)
+		got := srv.GlobalInto(nil)
+		if err != nil {
+			for i := range global {
+				if math.Float64bits(got[i]) != math.Float64bits(global[i]) {
+					t.Fatalf("refused round (%v) changed global[%d] %v -> %v", err, i, global[i], got[i])
 				}
-				d := v - global[i]
-				sq += d * d
 			}
-			if bound > 0 && math.Sqrt(sq) > bound*(1+1e-12) {
-				t.Fatalf("accepted norm %v beyond bound %v", math.Sqrt(sq), bound)
+			var corrupt *CorruptUpdateError
+			if errors.As(err, &corrupt) {
+				if _, bad := firstNonFinite(updates[corrupt.Client].Params); !bad {
+					t.Fatalf("blamed client %d, whose upload is finite", corrupt.Client)
+				}
 			}
+			return
+		}
+		if len(updates) == 0 {
+			t.Fatal("accepted an empty round")
+		}
+		for _, u := range updates {
+			if len(u.Params) != n || u.Samples <= 0 {
+				t.Fatalf("accepted client %d with %d params and %d samples", u.Client, len(u.Params), u.Samples)
+			}
+			if _, bad := firstNonFinite(u.Params); bad {
+				t.Fatalf("accepted client %d with a non-finite parameter", u.Client)
+			}
+		}
+		if j, bad := firstNonFinite(got); bad {
+			t.Fatalf("accepted round left global[%d] = %v", j, got[j])
 		}
 	})
 }

@@ -29,7 +29,7 @@ var profiles = map[string]profile{
 }
 
 // datasetPreset resolves a spec dataset name to the calibrated accuracy
-// preset through accuracy.ParsePreset, the vocabulary the CLIs share.
+// preset through accuracy.ParsePreset, the vocabulary the chiron CLI shares.
 func datasetPreset(name string) (accuracy.Preset, error) {
 	p, err := accuracy.ParsePreset(name)
 	if err != nil {

@@ -9,8 +9,8 @@ import (
 )
 
 // TestDatasetAliases checks that a spec's dataset takes every name of
-// accuracy.ParsePreset, the vocabulary the chiron and fedsim CLIs share
-// (their tests walk the same table), in any letter case, and resolves it
+// accuracy.ParsePreset, the vocabulary the chiron CLI shares (its test
+// walks the same table), in any letter case, and resolves it
 // to the same preset: a parsed spec with "dataset": "cifar10" is valid.
 func TestDatasetAliases(t *testing.T) {
 	for _, name := range accuracy.PresetNames() {
