@@ -100,6 +100,12 @@ func cmdTrain(args []string) (err error) {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *evalEpisodes < 0 {
+		return fmt.Errorf("eval %d must be >= 0 (0 skips evaluation)", *evalEpisodes)
+	}
+	if *logEvery < 0 {
+		return fmt.Errorf("log-every %d must be >= 0 (0 disables progress lines)", *logEvery)
+	}
 	if *autoCkpt != "" && *load != "" {
 		return fmt.Errorf("-load conflicts with -auto-checkpoint (the supervisor resumes from its own directory)")
 	}

@@ -101,6 +101,18 @@ func TestTrainTraceWriteErrorFails(t *testing.T) {
 	}
 }
 
+// TestTrainRejectsNegativeCounts: a negative -eval or -log-every is an
+// error naming the flag, not a silent skip of the evaluation or the
+// progress lines; 0 still means "skip".
+func TestTrainRejectsNegativeCounts(t *testing.T) {
+	for _, flag := range []string{"eval", "log-every"} {
+		err := cmdTrain([]string{"-nodes", "3", "-episodes", "1", "-" + flag, "-1"})
+		if err == nil || !strings.Contains(err.Error(), flag+" -1 must be >= 0") {
+			t.Errorf("train -%s -1: error %v, want one naming -%s", flag, err, flag)
+		}
+	}
+}
+
 // TestUsageListsEverySubcommand pins the no-argument usage line to the
 // four subcommands run dispatches.
 func TestUsageListsEverySubcommand(t *testing.T) {

@@ -19,7 +19,6 @@ type RealTrainer struct {
 	factory  fl.ModelFactory
 	cfg      fl.Config
 	numNodes int
-	testFrac float64
 	seedBase int64
 	episode  int
 	clients  []*fl.Client
@@ -31,6 +30,10 @@ type RealTrainer struct {
 	globalBuf []float64
 	updates   []fl.Update
 }
+
+// testFraction is the held-out share of each episode's dataset on which the
+// global model's accuracy is measured.
+const testFraction = 0.2
 
 // RealTrainerConfig bundles the construction parameters for a RealTrainer.
 type RealTrainerConfig struct {
@@ -44,8 +47,6 @@ type RealTrainerConfig struct {
 	Train fl.Config
 	// NumNodes is the fleet size.
 	NumNodes int
-	// TestFraction is the held-out share for accuracy measurement.
-	TestFraction float64
 	// Seed derives the per-episode RNG streams.
 	Seed int64
 }
@@ -58,9 +59,6 @@ func NewRealTrainer(cfg RealTrainerConfig) (*RealTrainer, error) {
 	}
 	if cfg.NumNodes <= 0 {
 		return nil, fmt.Errorf("accuracy: real trainer nodes %d, want > 0", cfg.NumNodes)
-	}
-	if cfg.TestFraction <= 0 || cfg.TestFraction >= 1 {
-		return nil, fmt.Errorf("accuracy: test fraction %v outside (0,1)", cfg.TestFraction)
 	}
 	if err := cfg.Train.Validate(); err != nil {
 		return nil, err
@@ -78,7 +76,6 @@ func NewRealTrainer(cfg RealTrainerConfig) (*RealTrainer, error) {
 		factory:  cfg.Factory,
 		cfg:      cfg.Train,
 		numNodes: cfg.NumNodes,
-		testFrac: cfg.TestFraction,
 		seedBase: cfg.Seed,
 	}
 	if _, err := t.Reset(); err != nil {
@@ -98,7 +95,7 @@ func (t *RealTrainer) Reset() (float64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("accuracy: real trainer dataset: %w", err)
 	}
-	train, test, err := full.Split(rng, t.testFrac)
+	train, test, err := full.Split(rng, testFraction)
 	if err != nil {
 		return 0, fmt.Errorf("accuracy: real trainer split: %w", err)
 	}

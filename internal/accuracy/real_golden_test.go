@@ -54,10 +54,9 @@ func realGoldenLine(t *testing.T, name string, spec dataset.SynthSpec, parts dat
 		Factory: func(rng *rand.Rand) (*nn.Network, error) {
 			return nn.NewClassifierMLP(rng, spec.Dim(), 8, spec.Classes)
 		},
-		Train:        fl.DefaultConfig(),
-		NumNodes:     4,
-		TestFraction: 0.2,
-		Seed:         11,
+		Train:    fl.DefaultConfig(),
+		NumNodes: 4,
+		Seed:     11,
 	})
 	if err != nil {
 		t.Fatalf("NewRealTrainer: %v", err)

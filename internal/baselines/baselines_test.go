@@ -35,9 +35,9 @@ func testEnv(t *testing.T, nodes int, budget float64) *edgeenv.Env {
 func TestDRLBasedConfigValidation(t *testing.T) {
 	env := testEnv(t, 2, 100)
 	bad := DefaultDRLBasedConfig()
-	bad.RewardScale = 0
+	bad.PPO.UpdateEpochs = 0
 	if _, err := NewDRLBased(env, bad); err == nil {
-		t.Fatal("accepted zero reward scale")
+		t.Fatal("accepted zero update epochs")
 	}
 }
 
@@ -189,10 +189,7 @@ func TestGreedyConfigValidation(t *testing.T) {
 	if err := DefaultGreedyConfig().Validate(); err != nil {
 		t.Fatalf("default rejected: %v", err)
 	}
-	if err := (GreedyConfig{WarmupActions: 0, Epsilon: 0.1}).Validate(); err == nil {
-		t.Fatal("accepted zero warmup")
-	}
-	if err := (GreedyConfig{WarmupActions: 4, Epsilon: 1.5}).Validate(); err == nil {
+	if err := (GreedyConfig{Epsilon: 1.5}).Validate(); err == nil {
 		t.Fatal("accepted epsilon > 1")
 	}
 }
@@ -202,7 +199,7 @@ func TestGreedyConfigValidation(t *testing.T) {
 func TestGreedyEpsilonValidation(t *testing.T) {
 	env := testEnv(t, 2, 100)
 	for _, eps := range []float64{-0.1, 1.5} {
-		cfg := GreedyConfig{WarmupActions: 4, Epsilon: eps}
+		cfg := GreedyConfig{Epsilon: eps}
 		if err := cfg.Validate(); err == nil {
 			t.Fatalf("Validate accepted epsilon %v", eps)
 		}
@@ -211,7 +208,7 @@ func TestGreedyEpsilonValidation(t *testing.T) {
 		}
 	}
 	for _, eps := range []float64{0, 1} {
-		if err := (GreedyConfig{WarmupActions: 4, Epsilon: eps}).Validate(); err != nil {
+		if err := (GreedyConfig{Epsilon: eps}).Validate(); err != nil {
 			t.Fatalf("rejected epsilon %v: %v", eps, err)
 		}
 	}
@@ -219,27 +216,27 @@ func TestGreedyEpsilonValidation(t *testing.T) {
 
 func TestGreedyWarmupAndExploration(t *testing.T) {
 	env := testEnv(t, 3, 100)
-	cfg := GreedyConfig{WarmupActions: 8, Epsilon: 1.0, Seed: 3} // always explore
+	cfg := GreedyConfig{Epsilon: 1.0, Seed: 3} // always explore
 	g, err := NewGreedy(env, cfg)
 	if err != nil {
 		t.Fatalf("NewGreedy: %v", err)
 	}
-	if len(g.replay) != 8 {
-		t.Fatalf("warmup buffer %d, want 8", len(g.replay))
+	if len(g.replay) != greedyWarmup {
+		t.Fatalf("warmup buffer %d, want %d", len(g.replay), greedyWarmup)
 	}
 	res, err := g.RunEpisode(true)
 	if err != nil {
 		t.Fatalf("RunEpisode: %v", err)
 	}
 	// With ε=1 every played round appends a new action.
-	if len(g.replay) < 8+res.Rounds {
+	if len(g.replay) < greedyWarmup+res.Rounds {
 		t.Fatalf("buffer %d after %d exploring rounds", len(g.replay), res.Rounds)
 	}
 }
 
 func TestGreedyExploitsBestAction(t *testing.T) {
 	env := testEnv(t, 3, 100)
-	cfg := GreedyConfig{WarmupActions: 8, Epsilon: 0, Seed: 3} // never explore
+	cfg := GreedyConfig{Epsilon: 0, Seed: 3} // never explore
 	g, err := NewGreedy(env, cfg)
 	if err != nil {
 		t.Fatalf("NewGreedy: %v", err)
@@ -248,7 +245,7 @@ func TestGreedyExploitsBestAction(t *testing.T) {
 		t.Fatalf("RunEpisode: %v", err)
 	}
 	size := len(g.replay)
-	if size != 8 {
+	if size != greedyWarmup {
 		t.Fatalf("buffer grew without exploration: %d", size)
 	}
 	// Eval replays deterministically.
@@ -269,7 +266,7 @@ func TestGreedyExploitsBestAction(t *testing.T) {
 // untried actions.
 func greedyWith(t *testing.T, epsilon float64, actions ...[]float64) *Greedy {
 	t.Helper()
-	g, err := NewGreedy(testEnv(t, 1, 100), GreedyConfig{WarmupActions: 1, Epsilon: epsilon, Seed: 1})
+	g, err := NewGreedy(testEnv(t, 1, 100), GreedyConfig{Epsilon: epsilon, Seed: 1})
 	if err != nil {
 		t.Fatalf("NewGreedy: %v", err)
 	}

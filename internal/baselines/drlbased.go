@@ -20,9 +20,6 @@ type DRLBasedConfig struct {
 	// PPO holds the agent's hyperparameters (the paper gives it the same
 	// standard PPO machinery as Chiron).
 	PPO rl.PPOConfig
-	// RewardScale rescales rewards to O(1) before they enter the replay
-	// buffer (learner conditioning only).
-	RewardScale float64
 	// Seed drives the agent's stochasticity.
 	Seed int64
 }
@@ -32,7 +29,7 @@ type DRLBasedConfig struct {
 // single round", so its agent optimizes each round's reward in isolation
 // with no credit flowing across rounds.
 func DefaultDRLBasedConfig() DRLBasedConfig {
-	cfg := DRLBasedConfig{PPO: rl.DefaultPPOConfig(), RewardScale: 0.01, Seed: 1}
+	cfg := DRLBasedConfig{PPO: rl.DefaultPPOConfig(), Seed: 1}
 	cfg.PPO.Gamma = 0
 	return cfg
 }
@@ -74,9 +71,6 @@ var (
 
 // NewDRLBased builds the baseline bound to env.
 func NewDRLBased(env *edgeenv.Env, cfg DRLBasedConfig) (*DRLBased, error) {
-	if cfg.RewardScale <= 0 {
-		return nil, fmt.Errorf("baselines: drl-based reward scale %v, want > 0", cfg.RewardScale)
-	}
 	src := rl.NewCountingSource(cfg.Seed)
 	rng := rand.New(src)
 	agent, err := rl.NewPPO(rng, env.HistoryDim(), env.NumNodes(), cfg.PPO)
@@ -85,7 +79,7 @@ func NewDRLBased(env *edgeenv.Env, cfg DRLBasedConfig) (*DRLBased, error) {
 	}
 	d := &DRLBased{
 		priceHi: env.MaxTotalPrice() / float64(env.NumNodes()),
-		pair:    rl.NewPair("agent", agent, cfg.RewardScale),
+		pair:    rl.NewPair("agent", agent),
 		src:     src,
 		rng:     rng,
 	}

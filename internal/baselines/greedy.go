@@ -28,10 +28,12 @@ type ScoredAction struct {
 	Tried  bool      `json:"tried"`
 }
 
+// greedyWarmup is the number of random price vectors that seed the replay
+// buffer.
+const greedyWarmup = 32
+
 // GreedyConfig parameterizes the Greedy baseline.
 type GreedyConfig struct {
-	// WarmupActions seeds the replay buffer with random price vectors.
-	WarmupActions int
 	// Epsilon is the exploration probability: with probability Epsilon a
 	// new random action is tried instead of the best known one.
 	Epsilon float64
@@ -40,16 +42,13 @@ type GreedyConfig struct {
 }
 
 // DefaultGreedyConfig mirrors the paper's description: a random warmup
-// buffer, then exploit-with-high-probability.
+// buffer (greedyWarmup actions), then exploit-with-high-probability.
 func DefaultGreedyConfig() GreedyConfig {
-	return GreedyConfig{WarmupActions: 32, Epsilon: 0.1, Seed: 1}
+	return GreedyConfig{Epsilon: 0.1, Seed: 1}
 }
 
 // Validate reports whether the configuration is usable.
 func (c GreedyConfig) Validate() error {
-	if c.WarmupActions <= 0 {
-		return fmt.Errorf("baselines: greedy warmup %d, want > 0", c.WarmupActions)
-	}
 	if c.Epsilon < 0 || c.Epsilon > 1 {
 		return fmt.Errorf("baselines: greedy epsilon %v outside [0,1]", c.Epsilon)
 	}
@@ -86,7 +85,7 @@ func NewGreedy(env *edgeenv.Env, cfg GreedyConfig) (*Greedy, error) {
 	}
 	src := rl.NewCountingSource(cfg.Seed)
 	g := &Greedy{epsilon: cfg.Epsilon, src: src, rng: rand.New(src)}
-	for i := 0; i < cfg.WarmupActions; i++ {
+	for i := 0; i < greedyWarmup; i++ {
 		g.replay = append(g.replay, ScoredAction{Prices: env.RandomPrices(g.rng)})
 	}
 	g.Driver = mechanism.NewDriver("Greedy", env, g)

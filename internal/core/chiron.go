@@ -26,21 +26,16 @@ import (
 	"chiron/internal/rl"
 )
 
+// totalPriceFloor is the lower bound of the exterior action as a fraction
+// of the environment's MaxTotalPrice, keeping the squashed action away from
+// the degenerate zero-price corner.
+const totalPriceFloor = 0.01
+
 // Config parameterizes the hierarchical agent.
 type Config struct {
 	// Exterior and Inner hold the PPO hyperparameters of the two agents.
 	Exterior rl.PPOConfig
 	Inner    rl.PPOConfig
-	// TotalPriceFloor is the lower bound of the exterior action as a
-	// fraction of the environment's MaxTotalPrice, keeping the squashed
-	// action away from the degenerate zero-price corner.
-	TotalPriceFloor float64
-	// ExteriorRewardScale and InnerRewardScale rescale rewards to O(1)
-	// before they enter the replay buffers, keeping the critic's value
-	// targets compatible with gradient clipping. They only affect learner
-	// conditioning; reported metrics stay in paper units.
-	ExteriorRewardScale float64
-	InnerRewardScale    float64
 	// MinUpdateSamples defers the end-of-episode PPO update until the
 	// exterior buffer holds at least this many transitions, batching
 	// consecutive short episodes together. Large fleets burn small budgets
@@ -55,7 +50,9 @@ type Config struct {
 // the reproduction's documented conditioning adjustments (DESIGN.md): a
 // faster exterior critic so the value of low-budget states is learned
 // before the myopic price-up gradient dominates, and a lower-noise,
-// harder-trained inner agent for the allocation simplex.
+// harder-trained inner agent for the allocation simplex. The exterior price
+// floor (totalPriceFloor) and both agents' ×0.01 reward scale (in rl) are
+// constants, not settings.
 func DefaultConfig() Config {
 	exterior := rl.DefaultPPOConfig()
 	exterior.CriticLR = 3e-4
@@ -66,25 +63,16 @@ func DefaultConfig() Config {
 	inner.EntropyCoef = 1e-4
 	inner.UpdateEpochs = 20
 	return Config{
-		Exterior:            exterior,
-		Inner:               inner,
-		TotalPriceFloor:     0.01,
-		ExteriorRewardScale: 0.01,
-		InnerRewardScale:    0.01,
-		MinUpdateSamples:    64,
-		Seed:                1,
+		Exterior:         exterior,
+		Inner:            inner,
+		MinUpdateSamples: 64,
+		Seed:             1,
 	}
 }
 
 // Validate reports whether the configuration is usable. The two PPO
 // configurations are checked by rl.NewPPO as New builds each agent.
 func (c Config) Validate() error {
-	if c.TotalPriceFloor < 0 || c.TotalPriceFloor >= 1 {
-		return fmt.Errorf("core: total price floor %v outside [0,1)", c.TotalPriceFloor)
-	}
-	if c.ExteriorRewardScale <= 0 || c.InnerRewardScale <= 0 {
-		return fmt.Errorf("core: reward scales %v/%v, want > 0", c.ExteriorRewardScale, c.InnerRewardScale)
-	}
 	if c.MinUpdateSamples < 0 {
 		return fmt.Errorf("core: min update samples %d, want >= 0", c.MinUpdateSamples)
 	}
@@ -152,8 +140,8 @@ func New(env *edgeenv.Env, cfg Config) (*Chiron, error) {
 	c := &Chiron{
 		cfg:      cfg,
 		stateDim: stateDim,
-		pairE:    rl.NewPair("exterior", exterior, cfg.ExteriorRewardScale),
-		pairI:    rl.NewPair("inner", inner, cfg.InnerRewardScale),
+		pairE:    rl.NewPair("exterior", exterior),
+		pairI:    rl.NewPair("inner", inner),
 		src:      src,
 		rng:      rng,
 		maxTotal: env.MaxTotalPrice(),
@@ -183,7 +171,7 @@ func New(env *edgeenv.Env, cfg Config) (*Chiron, error) {
 	if c.priceHi > c.maxTotal {
 		c.priceHi = c.maxTotal
 	}
-	if floor := c.cfg.TotalPriceFloor * c.maxTotal; c.priceLo < floor {
+	if floor := totalPriceFloor * c.maxTotal; c.priceLo < floor {
 		c.priceLo = floor
 	}
 	if c.priceLo >= c.priceHi {
@@ -245,7 +233,7 @@ func (c *Chiron) paymentForTotal(total float64) float64 {
 // fleet's max total price.
 func (c *Chiron) totalPriceForPayment(target float64) float64 {
 	if target <= 0 {
-		return c.cfg.TotalPriceFloor * c.maxTotal
+		return totalPriceFloor * c.maxTotal
 	}
 	if c.paymentForTotal(c.maxTotal) <= target {
 		return c.maxTotal

@@ -46,14 +46,9 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatalf("default config rejected: %v", err)
 	}
 	bad := DefaultConfig()
-	bad.TotalPriceFloor = 1
+	bad.MinUpdateSamples = -1
 	if err := bad.Validate(); err == nil {
-		t.Fatal("accepted floor 1")
-	}
-	bad = DefaultConfig()
-	bad.ExteriorRewardScale = 0
-	if err := bad.Validate(); err == nil {
-		t.Fatal("accepted zero reward scale")
+		t.Fatal("accepted negative min update samples")
 	}
 	bad = DefaultConfig()
 	bad.Exterior.Gamma = 2

@@ -62,11 +62,6 @@ type Config struct {
 	HistoryLen int
 	// MaxRounds caps episode length against degenerate zero-payment loops.
 	MaxRounds int
-	// EmptyRoundTimeout is the wall-clock cost of an offer that attracts no
-	// participants: the server waits this long before reposting. Zero
-	// selects the automatic default (the slowest conceivable round time of
-	// the fleet), which keeps "price everyone out" from being a free skip.
-	EmptyRoundTimeout float64
 	// CommJitter models per-round bandwidth variation (the paper's
 	// B_{i,k}): each node's upload time is scaled each round by a uniform
 	// factor in [1−CommJitter, 1+CommJitter]. Zero disables jitter.
@@ -160,17 +155,34 @@ func DefaultFleetConfig(fleet *device.Fleet, acc accuracy.Model, budget float64)
 	return cfg
 }
 
-// Validate reports whether the configuration is usable. It is the one
-// check of the environment's settings: New resolves the zero-value
-// defaults after it and assembles the round pipeline, whose stages trust
-// their fields. Every float knob must be finite (NaN and ±Inf are
-// rejected), in addition to its range.
+// Validate reports whether the configuration is usable: a non-empty fleet
+// of valid nodes, an accuracy model, a Rng when draws need one, and the
+// settings ValidateSettings checks. New resolves the zero-value defaults
+// after it and assembles the round pipeline, whose stages trust their
+// fields.
 func (c Config) Validate() error {
 	switch {
 	case c.Fleet == nil || c.Fleet.Len() == 0:
 		return fmt.Errorf("edgeenv: no nodes")
 	case c.Accuracy == nil:
 		return fmt.Errorf("edgeenv: no accuracy model")
+	}
+	if err := c.ValidateSettings(c.Fleet.Len()); err != nil {
+		return err
+	}
+	if (c.CommJitter > 0 || (c.Availability > 0 && c.Availability < 1)) && c.Rng == nil && c.Draws == nil {
+		return fmt.Errorf("edgeenv: CommJitter/Availability require a Rng")
+	}
+	return c.Fleet.Validate()
+}
+
+// ValidateSettings is the one check of the environment's setting values
+// for a fleet of numNodes nodes. It reads none of the built objects (Fleet,
+// Accuracy, Rng, schedules), so a caller can check the settings before it
+// builds them. Every float setting must be finite (NaN and ±Inf are
+// rejected), in addition to its range.
+func (c Config) ValidateSettings(numNodes int) error {
+	switch {
 	case !finite(c.Budget) || c.Budget <= 0:
 		return fmt.Errorf("edgeenv: budget %v, want finite > 0", c.Budget)
 	case !finite(c.Lambda) || c.Lambda <= 0:
@@ -181,14 +193,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("edgeenv: history length %d, want > 0", c.HistoryLen)
 	case c.MaxRounds <= 0:
 		return fmt.Errorf("edgeenv: max rounds %d, want > 0", c.MaxRounds)
-	case !finite(c.EmptyRoundTimeout) || c.EmptyRoundTimeout < 0:
-		return fmt.Errorf("edgeenv: empty-round timeout %v, want finite >= 0", c.EmptyRoundTimeout)
 	case !(c.CommJitter >= 0 && c.CommJitter < 1):
 		return fmt.Errorf("edgeenv: comm jitter %v outside [0,1)", c.CommJitter)
 	case !(c.Availability >= 0 && c.Availability <= 1):
 		return fmt.Errorf("edgeenv: availability %v outside [0,1]", c.Availability)
-	case (c.CommJitter > 0 || (c.Availability > 0 && c.Availability < 1)) && c.Rng == nil && c.Draws == nil:
-		return fmt.Errorf("edgeenv: CommJitter/Availability require a Rng")
 	case !finite(c.RoundDeadline) || c.RoundDeadline < 0:
 		return fmt.Errorf("edgeenv: round deadline %v, want finite >= 0", c.RoundDeadline)
 	case c.MaxRetries < 0:
@@ -199,10 +207,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("edgeenv: failure payment %v outside [0,1]", c.FailurePayment)
 	case c.MinQuorum < 0:
 		return fmt.Errorf("edgeenv: min quorum %d, want >= 0", c.MinQuorum)
-	case c.MinQuorum > c.Fleet.Len():
-		return fmt.Errorf("edgeenv: min quorum %d exceeds fleet size %d", c.MinQuorum, c.Fleet.Len())
+	case c.MinQuorum > numNodes:
+		return fmt.Errorf("edgeenv: min quorum %d exceeds fleet size %d", c.MinQuorum, numNodes)
 	}
-	return c.Fleet.Validate()
+	return nil
 }
 
 // finite reports whether v is neither NaN nor ±Inf.
@@ -274,10 +282,6 @@ func New(cfg Config) (*Env, error) {
 	if minQuorum <= 0 {
 		minQuorum = 1
 	}
-	emptyTimeout := cfg.EmptyRoundTimeout
-	if emptyTimeout == 0 {
-		emptyTimeout = e.timeNorm
-	}
 	e.pipe = &round.Pipeline{
 		Offer: round.Offer{NumNodes: fleet.Len(), Compact: cfg.CompactRounds},
 		Respond: round.Respond{
@@ -297,8 +301,11 @@ func New(cfg Config) (*Env, error) {
 		},
 		Settle: round.Settle{
 			FailurePayment: cfg.FailurePayment,
-			EmptyTimeout:   emptyTimeout,
-			Ledger:         ledger,
+			// An offer that attracts no participants costs the slowest
+			// conceivable round time before the server reposts, which
+			// keeps "price everyone out" from being a free skip.
+			EmptyTimeout: e.timeNorm,
+			Ledger:       ledger,
 		},
 		Commit: round.Commit{
 			Accuracy:  cfg.Accuracy,

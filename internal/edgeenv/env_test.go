@@ -71,7 +71,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) *float64 { return &c.Budget },
 		func(c *Config) *float64 { return &c.Lambda },
 		func(c *Config) *float64 { return &c.TimeWeight },
-		func(c *Config) *float64 { return &c.EmptyRoundTimeout },
 		func(c *Config) *float64 { return &c.CommJitter },
 		func(c *Config) *float64 { return &c.Availability },
 		func(c *Config) *float64 { return &c.RoundDeadline },
@@ -99,8 +98,8 @@ func TestConfigValidation(t *testing.T) {
 
 // TestNewResolvesPipelineDefaults: New hands the round pipeline the
 // resolved defaults — quorum 1 and the fleet's slowest possible round time
-// as the empty-round timeout — passes explicit values through, and builds
-// the flat retry policy from MaxRetries and RetryBackoff.
+// as the empty-round timeout — passes an explicit quorum through, and
+// builds the flat retry policy from MaxRetries and RetryBackoff.
 func TestNewResolvesPipelineDefaults(t *testing.T) {
 	fleet, err := device.NewFleetBatch(rand.New(rand.NewSource(3)), device.DefaultFleetSpec(4))
 	if err != nil {
@@ -128,19 +127,37 @@ func TestNewResolvesPipelineDefaults(t *testing.T) {
 		t.Fatalf("MinQuorum 0 resolved to %d, want 1", p.Commit.MinQuorum)
 	}
 	if p.Settle.EmptyTimeout != slowest || slowest <= 0 {
-		t.Fatalf("EmptyRoundTimeout 0 resolved to %v, want the slowest round time %v", p.Settle.EmptyTimeout, slowest)
+		t.Fatalf("empty-round timeout %v, want the slowest round time %v", p.Settle.EmptyTimeout, slowest)
 	}
 	if want := faults.Constant(1.5, 2); p.Execute.Retry != want {
 		t.Fatalf("retry policy %+v, want %+v", p.Execute.Retry, want)
 	}
 
 	cfg.MinQuorum = 3
-	cfg.EmptyRoundTimeout = 7
 	if env, err = New(cfg); err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if p := env.Pipeline(); p.Commit.MinQuorum != 3 || p.Settle.EmptyTimeout != 7 {
-		t.Fatalf("explicit quorum/timeout became %d/%v, want 3/7", p.Commit.MinQuorum, p.Settle.EmptyTimeout)
+	if p := env.Pipeline(); p.Commit.MinQuorum != 3 {
+		t.Fatalf("explicit quorum became %d, want 3", p.Commit.MinQuorum)
+	}
+}
+
+// TestValidateSettingsNeedsNoFleet: the settings check runs on a config
+// with no fleet, accuracy model or Rng, and judges the quorum against the
+// fleet size it is given.
+func TestValidateSettingsNeedsNoFleet(t *testing.T) {
+	cfg := DefaultConfig(nil, nil, 100)
+	cfg.Availability = 0.5
+	cfg.MinQuorum = 3
+	if err := cfg.ValidateSettings(3); err != nil {
+		t.Fatalf("ValidateSettings(3): %v", err)
+	}
+	if err := cfg.ValidateSettings(2); err == nil {
+		t.Fatal("ValidateSettings(2) accepted quorum 3")
+	}
+	cfg.Budget = math.NaN()
+	if err := cfg.ValidateSettings(3); err == nil {
+		t.Fatal("ValidateSettings accepted a NaN budget")
 	}
 }
 

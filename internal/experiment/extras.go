@@ -283,10 +283,9 @@ func runNonIIDAblation(scale float64, jobs int) (string, error) {
 					Factory: func(rng *rand.Rand) (*nn.Network, error) {
 						return nn.NewClassifierMLP(rng, spec.Dim(), hidden, spec.Classes)
 					},
-					Train:        fl.DefaultConfig(),
-					NumNodes:     5,
-					TestFraction: 0.2,
-					Seed:         11,
+					Train:    fl.DefaultConfig(),
+					NumNodes: 5,
+					Seed:     11,
 				})
 				if err != nil {
 					return 0, err

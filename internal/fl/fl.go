@@ -22,21 +22,26 @@ import (
 // flat parameter vectors.
 type ModelFactory func(rng *rand.Rand) (*nn.Network, error)
 
+// The local-SGD settings every client shares.
+const (
+	// batchSize is the local mini-batch size (paper: 10).
+	batchSize = 10
+	// momentum is the local SGD momentum.
+	momentum = 0.5
+)
+
 // Config parameterizes a federated training engine.
 type Config struct {
 	// Epochs is σ, the local epochs per round (paper: 5).
 	Epochs int
-	// BatchSize is the local mini-batch size (paper: 10).
-	BatchSize int
 	// LearningRate is the local SGD step size.
 	LearningRate float64
-	// Momentum is the local SGD momentum (0 disables).
-	Momentum float64
 }
 
-// DefaultConfig mirrors the paper's local-training settings.
+// DefaultConfig mirrors the paper's local-training settings. The batch size
+// and momentum are the constants above.
 func DefaultConfig() Config {
-	return Config{Epochs: 5, BatchSize: 10, LearningRate: 0.05, Momentum: 0.5}
+	return Config{Epochs: 5, LearningRate: 0.05}
 }
 
 // Validate reports whether the configuration is usable.
@@ -44,12 +49,8 @@ func (c Config) Validate() error {
 	switch {
 	case c.Epochs <= 0:
 		return fmt.Errorf("fl: epochs %d, want > 0", c.Epochs)
-	case c.BatchSize <= 0:
-		return fmt.Errorf("fl: batch size %d, want > 0", c.BatchSize)
 	case c.LearningRate <= 0:
 		return fmt.Errorf("fl: learning rate %v, want > 0", c.LearningRate)
-	case c.Momentum < 0 || c.Momentum >= 1:
-		return fmt.Errorf("fl: momentum %v, want [0,1)", c.Momentum)
 	}
 	return nil
 }
@@ -84,7 +85,7 @@ func NewClient(id int, data *dataset.Dataset, factory ModelFactory, cfg Config, 
 	if err != nil {
 		return nil, fmt.Errorf("fl: client %d model: %w", id, err)
 	}
-	opt := nn.NewSGD(model.Params(), cfg.LearningRate, cfg.Momentum)
+	opt := nn.NewSGD(model.Params(), cfg.LearningRate, momentum)
 	return &Client{id: id, data: data, model: model, cfg: cfg, rng: rng, opt: opt}, nil
 }
 
@@ -111,7 +112,7 @@ func (c *Client) TrainRound(global []float64) ([]float64, float64, error) {
 		c.data.Shuffle(c.rng)
 		var epochLoss float64
 		var batches int
-		err := c.data.Batches(c.cfg.BatchSize, func(x *mat.Matrix, y []int) error {
+		err := c.data.Batches(batchSize, func(x *mat.Matrix, y []int) error {
 			logits, err := c.model.Forward(x)
 			if err != nil {
 				return err

@@ -34,10 +34,8 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatalf("default config rejected: %v", err)
 	}
 	bad := []Config{
-		{Epochs: 0, BatchSize: 10, LearningRate: 0.1},
-		{Epochs: 1, BatchSize: 0, LearningRate: 0.1},
-		{Epochs: 1, BatchSize: 10, LearningRate: 0},
-		{Epochs: 1, BatchSize: 10, LearningRate: 0.1, Momentum: 1},
+		{Epochs: 0, LearningRate: 0.1},
+		{Epochs: 1, LearningRate: 0},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -51,8 +49,8 @@ func TestDefaultConfigMatchesPaper(t *testing.T) {
 	if cfg.Epochs != 5 {
 		t.Fatalf("epochs %d, want σ=5", cfg.Epochs)
 	}
-	if cfg.BatchSize != 10 {
-		t.Fatalf("batch size %d, want 10", cfg.BatchSize)
+	if batchSize != 10 {
+		t.Fatalf("batch size %d, want 10", batchSize)
 	}
 }
 

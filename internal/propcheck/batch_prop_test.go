@@ -108,7 +108,6 @@ func twinEnvs(rng *rand.Rand) (vec, compact *edgeenv.Env, err error) {
 	base.Lambda = Uniform(rng, 100, 4000)
 	base.TimeWeight = Uniform(rng, 0, 1.5)
 	base.MaxRounds = 6 + rng.Intn(20)
-	base.EmptyRoundTimeout = Uniform(rng, 5, 80)
 	if rng.Intn(2) == 0 {
 		base.CommJitter = Uniform(rng, 0, 0.4)
 	}

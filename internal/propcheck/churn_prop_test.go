@@ -26,7 +26,6 @@ func churnPropEnv(rng *rand.Rand) (*edgeenv.Env, error) {
 	}
 	cfg := edgeenv.DefaultConfig(fleet, acc, Uniform(rng, 30, 300))
 	cfg.MaxRounds = 8 + rng.Intn(17)
-	cfg.EmptyRoundTimeout = Uniform(rng, 5, 60)
 	if rng.Intn(2) == 0 {
 		cfg.RoundDeadline = Uniform(rng, 10, 400)
 	}

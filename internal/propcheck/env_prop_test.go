@@ -103,7 +103,7 @@ func TestStepInvariantsProperty(t *testing.T) {
 				}
 				lastAcc = r.Accuracy
 			case ledger.WastedTime() > wasteBefore: // empty offer: timeout penalty
-				timeout := cfg.EmptyRoundTimeout
+				timeout := env.Pipeline().Settle.EmptyTimeout
 				if !approxEqual(ledger.WastedTime()-wasteBefore, timeout, tolExact) {
 					t.Fatalf("trial %d step %d: waste grew %v, want timeout %v",
 						trial, steps, ledger.WastedTime()-wasteBefore, timeout)

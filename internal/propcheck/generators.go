@@ -116,8 +116,7 @@ func RandomRates(rng *rand.Rand) faults.Rates {
 // RandomEnv assembles a random but valid environment: a random fleet of
 // 2..maxNodes nodes, a surrogate accuracy curve, and randomized budget,
 // reward weights, churn, fault schedule, deadline, retry, failure-payment,
-// and quorum settings. The explicit EmptyRoundTimeout makes the empty-round
-// penalty checkable from the outside.
+// and quorum settings.
 func RandomEnv(rng *rand.Rand, maxNodes int) (*edgeenv.Env, error) {
 	n := 2 + rng.Intn(maxNodes-1)
 	fleet := RandomFleet(rng, n)
@@ -131,7 +130,6 @@ func RandomEnv(rng *rand.Rand, maxNodes int) (*edgeenv.Env, error) {
 	cfg.Lambda = Uniform(rng, 100, 4000)
 	cfg.TimeWeight = Uniform(rng, 0, 1.5)
 	cfg.MaxRounds = 8 + rng.Intn(25)
-	cfg.EmptyRoundTimeout = Uniform(rng, 5, 80)
 	if rng.Intn(2) == 0 {
 		cfg.CommJitter = Uniform(rng, 0, 0.4)
 	}

@@ -17,19 +17,16 @@ type Pair struct {
 	Agent *PPO
 	// Buf is the pair's rollout buffer.
 	Buf *Buffer
-	// RewardScale rescales rewards to O(1) before they enter the buffer
-	// (learner conditioning only; reported metrics stay in paper units).
-	RewardScale float64
 }
 
 // NewPair builds a pair with an empty buffer.
-func NewPair(name string, agent *PPO, rewardScale float64) *Pair {
-	return &Pair{Name: name, Agent: agent, Buf: &Buffer{}, RewardScale: rewardScale}
+func NewPair(name string, agent *PPO) *Pair {
+	return &Pair{Name: name, Agent: agent, Buf: &Buffer{}}
 }
 
-// Store scales t's reward by RewardScale and adds it to the buffer.
+// Store scales t's reward by rewardScale and adds it to the buffer.
 func (p *Pair) Store(t Transition) {
-	t.Reward = t.Reward * p.RewardScale
+	t.Reward = t.Reward * rewardScale
 	p.Buf.Add(t)
 }
 

@@ -18,7 +18,7 @@ func smallPair(t *testing.T, name string, seed int64, cfg PPOConfig) *Pair {
 	if err != nil {
 		t.Fatalf("NewPPO: %v", err)
 	}
-	return NewPair(name, agent, 1)
+	return NewPair(name, agent)
 }
 
 func smallCfg() PPOConfig {
@@ -140,33 +140,38 @@ func TestCountingSourceSeedResetsCounter(t *testing.T) {
 
 func TestPairStoreScalesReward(t *testing.T) {
 	p := smallPair(t, "agent", 1, smallCfg())
-	p.RewardScale = 0.5
 	p.Store(sampleTransition(4, false))
-	if got := p.Buf.Transitions()[0].Reward; got != 2 {
-		t.Fatalf("stored reward %v, want 2", got)
+	if got := p.Buf.Transitions()[0].Reward; got != 0.04 {
+		t.Fatalf("stored reward %v, want 0.04", got)
 	}
 }
 
+// TestSchedulerDecayFirstBatchesAcrossEpisodes: in DecayFirst mode every
+// episode ticks the decay schedule, even one the MinSamples gate defers,
+// so 20 gated episodes decay the learning rate with no update run.
 func TestSchedulerDecayFirstBatchesAcrossEpisodes(t *testing.T) {
-	cfg := smallCfg()
-	cfg.LRDecayEvery = 1
-	cfg.LRDecayFactor = 0.5
-	inner := smallPair(t, "inner", 1, cfg)
-	exterior := smallPair(t, "exterior", 2, cfg)
+	inner := smallPair(t, "inner", 1, smallCfg())
+	exterior := smallPair(t, "exterior", 2, smallCfg())
 	s := &Scheduler{Pairs: []*Pair{inner, exterior}, MinSamples: 4, DecayFirst: true}
 
 	lr0 := exterior.Agent.Snapshot().ActorLR
 	// Below the gate: decay ticks, experience is retained.
 	exterior.Store(sampleTransition(1, true))
 	exterior.Store(sampleTransition(1, true))
-	if err := s.EndEpisode(); err != nil {
-		t.Fatalf("EndEpisode: %v", err)
-	}
-	if got := exterior.Agent.Snapshot().ActorLR; got != lr0*0.5 {
-		t.Fatalf("decay-first LR %v, want %v", got, lr0*0.5)
+	for ep := 1; ep <= lrDecayEvery; ep++ {
+		if err := s.EndEpisode(); err != nil {
+			t.Fatalf("EndEpisode: %v", err)
+		}
+		want := lr0
+		if ep == lrDecayEvery {
+			want = lr0 * lrDecayFactor
+		}
+		if got := exterior.Agent.Snapshot().ActorLR; got != want {
+			t.Fatalf("decay-first LR after %d gated episodes %v, want %v", ep, got, want)
+		}
 	}
 	if exterior.Buf.Len() != 2 {
-		t.Fatalf("gated episode flushed the buffer (len %d)", exterior.Buf.Len())
+		t.Fatalf("gated episodes flushed the buffer (len %d)", exterior.Buf.Len())
 	}
 	// Reaching the gate flushes every non-empty pair and resets all buffers.
 	exterior.Store(sampleTransition(1, true))
@@ -180,15 +185,26 @@ func TestSchedulerDecayFirstBatchesAcrossEpisodes(t *testing.T) {
 	}
 }
 
+// TestSchedulerUpdateThenDecaySkipsEmptyEpisodes: in update-then-decay
+// mode an episode without samples runs no update and no decay tick, so the
+// 20th tick, and with it the decay, waits for the 20th episode that
+// updated.
 func TestSchedulerUpdateThenDecaySkipsEmptyEpisodes(t *testing.T) {
-	cfg := smallCfg()
-	cfg.LRDecayEvery = 1
-	cfg.LRDecayFactor = 0.5
-	p := smallPair(t, "agent", 1, cfg)
+	p := smallPair(t, "agent", 1, smallCfg())
 	s := &Scheduler{Pairs: []*Pair{p}, MinSamples: 1}
 
 	lr0 := p.Agent.Snapshot().ActorLR
-	// Empty episode: no update, and crucially no decay tick either.
+	for ep := 1; ep < lrDecayEvery; ep++ {
+		p.Store(sampleTransition(1, true))
+		if err := s.EndEpisode(); err != nil {
+			t.Fatalf("EndEpisode: %v", err)
+		}
+		if p.Buf.Len() != 0 {
+			t.Fatalf("buffer not reset after update: %d", p.Buf.Len())
+		}
+	}
+	// Empty episode: no update, and crucially no decay tick either. A
+	// decay-first schedule would decay here.
 	if err := s.EndEpisode(); err != nil {
 		t.Fatalf("EndEpisode: %v", err)
 	}
@@ -199,11 +215,8 @@ func TestSchedulerUpdateThenDecaySkipsEmptyEpisodes(t *testing.T) {
 	if err := s.EndEpisode(); err != nil {
 		t.Fatalf("EndEpisode: %v", err)
 	}
-	if got := p.Agent.Snapshot().ActorLR; got != lr0*0.5 {
-		t.Fatalf("update-then-decay LR %v, want %v", got, lr0*0.5)
-	}
-	if p.Buf.Len() != 0 {
-		t.Fatalf("buffer not reset after update: %d", p.Buf.Len())
+	if got := p.Agent.Snapshot().ActorLR; got != lr0*lrDecayFactor {
+		t.Fatalf("update-then-decay LR %v, want %v", got, lr0*lrDecayFactor)
 	}
 }
 
@@ -266,7 +279,7 @@ func TestPairStateRoundTrip(t *testing.T) {
 	if got, want := snapshotJSON(t, dst.Agent.Snapshot()), snapshotJSON(t, src.Agent.Snapshot()); got != want {
 		t.Fatal("restored agent snapshot differs from source")
 	}
-	if dst.Buf.Len() != 2 || dst.Buf.Transitions()[1].Reward != 2 {
+	if dst.Buf.Len() != 2 || dst.Buf.Transitions()[1].Reward != 2*rewardScale {
 		t.Fatalf("restored buffer %d transitions", dst.Buf.Len())
 	}
 	// The carried buffer must be a deep copy, not an alias of the source.

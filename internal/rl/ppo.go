@@ -9,25 +9,38 @@ import (
 	"chiron/internal/nn"
 )
 
-// PPOConfig holds the Proximal Policy Optimization hyperparameters.
+// The learner settings every agent shares; no agent varies them. The decay
+// schedule is the paper's (Sec. VI-A) and the clipping radius PPO's
+// standard one; the gradient clip and the reward scale are this
+// reproduction's conditioning choices (DESIGN.md).
+const (
+	// clipEps is the PPO clipping radius ε (standard: 0.2).
+	clipEps = 0.2
+	// maxGradNorm clips the global gradient norm of each network.
+	maxGradNorm = 0.5
+	// lrDecayFactor and lrDecayEvery implement the paper's "decays by 95%
+	// every 20 episodes" learning-rate schedule.
+	lrDecayFactor = 0.95
+	lrDecayEvery  = 20
+	// rewardScale rescales rewards to O(1) before they enter a pair's
+	// buffer, keeping the critic's value targets compatible with gradient
+	// clipping. It only affects learner conditioning; reported metrics stay
+	// in paper units.
+	rewardScale = 0.01
+)
+
+// PPOConfig holds the Proximal Policy Optimization hyperparameters that
+// differ between agents.
 type PPOConfig struct {
 	// Gamma is the reward discount factor (paper: 0.95). Advantages are
 	// the paper's plain TD(0) residuals r + γV(s′) − V(s) (Algorithm 1).
 	Gamma float64
-	// ClipEps is the PPO clipping radius ε (standard: 0.2).
-	ClipEps float64
 	// ActorLR and CriticLR are the Adam learning rates (paper: 3e-5 both).
 	ActorLR, CriticLR float64
 	// UpdateEpochs is M, the optimization passes per update (Algorithm 1).
 	UpdateEpochs int
 	// EntropyCoef weights the exploration entropy bonus.
 	EntropyCoef float64
-	// MaxGradNorm clips the global gradient norm (0 disables).
-	MaxGradNorm float64
-	// LRDecayFactor and LRDecayEvery implement the paper's "decays by 95%
-	// every 20 episodes" schedule; LRDecayEvery of 0 disables decay.
-	LRDecayFactor float64
-	LRDecayEvery  int
 	// InitLogStd initializes the policy's log standard deviation.
 	InitLogStd float64
 	// Hidden lists the MLP hidden-layer widths for actor and critic.
@@ -35,21 +48,18 @@ type PPOConfig struct {
 }
 
 // DefaultPPOConfig returns the paper's DRL hyperparameters (Sec. VI-A):
-// γ=0.95, actor/critic learning rate 3e-5 decaying by ×0.95 every 20
-// episodes, and conventional PPO clipping of 0.2.
+// γ=0.95 and an actor/critic learning rate of 3e-5. The schedule decaying
+// it by ×0.95 every 20 episodes and the PPO clipping of 0.2 are the
+// package constants above.
 func DefaultPPOConfig() PPOConfig {
 	return PPOConfig{
-		Gamma:         0.95,
-		ClipEps:       0.2,
-		ActorLR:       3e-5,
-		CriticLR:      3e-5,
-		UpdateEpochs:  10,
-		EntropyCoef:   1e-3,
-		MaxGradNorm:   0.5,
-		LRDecayFactor: 0.95,
-		LRDecayEvery:  20,
-		InitLogStd:    -0.5,
-		Hidden:        []int{64, 64},
+		Gamma:        0.95,
+		ActorLR:      3e-5,
+		CriticLR:     3e-5,
+		UpdateEpochs: 10,
+		EntropyCoef:  1e-3,
+		InitLogStd:   -0.5,
+		Hidden:       []int{64, 64},
 	}
 }
 
@@ -58,18 +68,12 @@ func (c PPOConfig) Validate() error {
 	switch {
 	case c.Gamma < 0 || c.Gamma > 1:
 		return fmt.Errorf("rl: gamma %v outside [0,1]", c.Gamma)
-	case c.ClipEps <= 0 || c.ClipEps >= 1:
-		return fmt.Errorf("rl: clip epsilon %v outside (0,1)", c.ClipEps)
 	case c.ActorLR <= 0 || c.CriticLR <= 0:
 		return fmt.Errorf("rl: learning rates %v/%v, want > 0", c.ActorLR, c.CriticLR)
 	case c.UpdateEpochs <= 0:
 		return fmt.Errorf("rl: update epochs %d, want > 0", c.UpdateEpochs)
 	case c.EntropyCoef < 0:
 		return fmt.Errorf("rl: entropy coef %v, want >= 0", c.EntropyCoef)
-	case c.MaxGradNorm < 0:
-		return fmt.Errorf("rl: max grad norm %v, want >= 0", c.MaxGradNorm)
-	case c.LRDecayEvery < 0:
-		return fmt.Errorf("rl: lr decay interval %d, want >= 0", c.LRDecayEvery)
 	case len(c.Hidden) == 0:
 		return fmt.Errorf("rl: no hidden layers")
 	}
@@ -163,9 +167,9 @@ func (p *PPO) ActDeterministic(state []float64) ([]float64, error) {
 // returns the actor learning rate now in force.
 func (p *PPO) EndEpisode() float64 {
 	p.episode++
-	if p.cfg.LRDecayEvery > 0 && p.episode%p.cfg.LRDecayEvery == 0 {
-		p.optA.SetLR(p.optA.LR() * p.cfg.LRDecayFactor)
-		p.optC.SetLR(p.optC.LR() * p.cfg.LRDecayFactor)
+	if p.episode%lrDecayEvery == 0 {
+		p.optA.SetLR(p.optA.LR() * lrDecayFactor)
+		p.optC.SetLR(p.optC.LR() * lrDecayFactor)
 	}
 	return p.optA.LR()
 }
@@ -351,9 +355,7 @@ func (p *PPO) updateCritic(trans []Transition) (float64, error) {
 	if err := p.critic.Backward(p.cgrad); err != nil {
 		return 0, err
 	}
-	if p.cfg.MaxGradNorm > 0 {
-		p.critic.ClipGradNorm(p.cfg.MaxGradNorm)
-	}
+	p.critic.ClipGradNorm(maxGradNorm)
 	if err := p.optC.Step(); err != nil {
 		return 0, err
 	}
@@ -394,7 +396,7 @@ func (p *PPO) updateActor(trans []Transition, states *mat.Matrix, adv []float64)
 		ratio := math.Exp(lp - t.LogProb)
 		meanRatio += ratio * invN
 		surr1 := ratio * adv[i]
-		surr2 := mat.Clamp(ratio, 1-p.cfg.ClipEps, 1+p.cfg.ClipEps) * adv[i]
+		surr2 := mat.Clamp(ratio, 1-clipEps, 1+clipEps) * adv[i]
 		if surr1 <= surr2 {
 			// Gradient flows through the unclipped branch:
 			// dL/dlogπ = −Â·ρ/n, then chain into μ and logσ.
@@ -422,9 +424,7 @@ func (p *PPO) updateActor(trans []Transition, states *mat.Matrix, adv []float64)
 	if err := p.actor.BackwardMean(meanGrad); err != nil {
 		return 0, 0, 0, err
 	}
-	if p.cfg.MaxGradNorm > 0 {
-		clipPolicyGradNorm(p.actor, p.cfg.MaxGradNorm)
-	}
+	clipPolicyGradNorm(p.actor, maxGradNorm)
 	if err := p.optA.Step(); err != nil {
 		return 0, 0, 0, err
 	}

@@ -15,14 +15,10 @@ func TestPPOConfigValidation(t *testing.T) {
 	mutations := []func(*PPOConfig){
 		func(c *PPOConfig) { c.Gamma = -0.1 },
 		func(c *PPOConfig) { c.Gamma = 1.1 },
-		func(c *PPOConfig) { c.ClipEps = 0 },
-		func(c *PPOConfig) { c.ClipEps = 1 },
 		func(c *PPOConfig) { c.ActorLR = 0 },
 		func(c *PPOConfig) { c.CriticLR = -1 },
 		func(c *PPOConfig) { c.UpdateEpochs = 0 },
 		func(c *PPOConfig) { c.EntropyCoef = -1 },
-		func(c *PPOConfig) { c.MaxGradNorm = -1 },
-		func(c *PPOConfig) { c.LRDecayEvery = -1 },
 		func(c *PPOConfig) { c.Hidden = nil },
 	}
 	for i, mutate := range mutations {
@@ -51,22 +47,27 @@ func TestPPODefaultsMatchPaper(t *testing.T) {
 	if cfg.ActorLR != 3e-5 || cfg.CriticLR != 3e-5 {
 		t.Fatalf("lr %v/%v, want 3e-5", cfg.ActorLR, cfg.CriticLR)
 	}
-	if cfg.LRDecayFactor != 0.95 || cfg.LRDecayEvery != 20 {
-		t.Fatalf("decay %v/%d, want 0.95/20", cfg.LRDecayFactor, cfg.LRDecayEvery)
+	if lrDecayFactor != 0.95 || lrDecayEvery != 20 {
+		t.Fatalf("decay %v/%d, want 0.95/20", lrDecayFactor, lrDecayEvery)
 	}
 }
 
+// TestEndEpisodeDecay: the learning rate holds for 19 episodes and decays
+// by ×0.95 at the 20th, the paper's schedule.
 func TestEndEpisodeDecay(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	cfg := DefaultPPOConfig()
-	cfg.LRDecayEvery = 2
 	agent, err := NewPPO(rng, 3, 1, cfg)
 	if err != nil {
 		t.Fatalf("NewPPO: %v", err)
 	}
-	agent.EndEpisode()
+	for ep := 1; ep < lrDecayEvery; ep++ {
+		if lr := agent.EndEpisode(); lr != cfg.ActorLR {
+			t.Fatalf("lr after %d episodes %v, want %v", ep, lr, cfg.ActorLR)
+		}
+	}
 	if lr := agent.EndEpisode(); math.Abs(lr-cfg.ActorLR*0.95) > 1e-15 {
-		t.Fatalf("lr after 2 episodes %v, want %v", lr, cfg.ActorLR*0.95)
+		t.Fatalf("lr after %d episodes %v, want %v", lrDecayEvery, lr, cfg.ActorLR*0.95)
 	}
 }
 
@@ -110,7 +111,6 @@ func TestPPOLearnsBandit(t *testing.T) {
 	cfg := DefaultPPOConfig()
 	cfg.ActorLR = 3e-3
 	cfg.CriticLR = 3e-3
-	cfg.LRDecayEvery = 0
 	cfg.Hidden = []int{16}
 	agent, err := NewPPO(rng, 1, 1, cfg)
 	if err != nil {
@@ -181,7 +181,6 @@ func TestCriticLearnsValue(t *testing.T) {
 	cfg := DefaultPPOConfig()
 	cfg.CriticLR = 1e-2
 	cfg.ActorLR = 1e-6 // hold the policy still
-	cfg.LRDecayEvery = 0
 	cfg.Hidden = []int{8}
 	agent, err := NewPPO(rng, 1, 1, cfg)
 	if err != nil {

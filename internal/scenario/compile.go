@@ -46,11 +46,9 @@ func scale(v float64) float64 {
 	return v
 }
 
-// buildFleet draws the composed fleet: each class's nodes come from the
-// paper's DefaultFleetSpec with the profile (and per-class) multipliers
-// applied, drawn from the shared rng in class order straight into one
-// fleet's columns, so the fleet is a pure function of (classes, seed).
-func (s *Spec) buildFleet(rng *rand.Rand) (*device.Fleet, error) {
+// fleetSpecs returns each class's fleet spec: the paper's DefaultFleetSpec
+// with the profile (and per-class) multipliers applied. It draws nothing.
+func (s *Spec) fleetSpecs() ([]device.FleetSpec, error) {
 	specs := make([]device.FleetSpec, len(s.Classes))
 	for i, c := range s.Classes {
 		p, ok := profiles[c.Profile]
@@ -71,6 +69,17 @@ func (s *Spec) buildFleet(rng *rand.Rand) (*device.Fleet, error) {
 		fs.DataBitsMax *= data
 		fs.ReserveMax *= reserve
 		specs[i] = fs
+	}
+	return specs, nil
+}
+
+// buildFleet draws the composed fleet: the nodes of each class's fleet spec,
+// drawn from the shared rng in class order straight into one fleet's
+// columns, so the fleet is a pure function of (classes, seed).
+func (s *Spec) buildFleet(rng *rand.Rand) (*device.Fleet, error) {
+	specs, err := s.fleetSpecs()
+	if err != nil {
+		return nil, err
 	}
 	fleet, err := device.NewFleetBatch(rng, specs...)
 	if err != nil {
@@ -214,6 +223,32 @@ func (p phaseSchedule) Factor(roundIndex int) float64 {
 	return f
 }
 
+// envSettings returns the environment settings the spec selects at one
+// budget: the edgeenv defaults with the spec's overrides, and no fleet,
+// accuracy model, RNG or schedule. A nonzero setting is forwarded even when
+// out of range, so edgeenv.Config.ValidateSettings rejects it instead of
+// the default replacing it.
+func (s *Spec) envSettings(budget float64) edgeenv.Config {
+	cfg := edgeenv.DefaultConfig(nil, nil, budget)
+	if s.Lambda != 0 {
+		cfg.Lambda = s.Lambda
+	}
+	if s.TimeWeight != 0 {
+		cfg.TimeWeight = s.TimeWeight
+	}
+	if s.MaxRounds != 0 {
+		cfg.MaxRounds = s.MaxRounds
+	}
+	cfg.Availability = s.Availability
+	cfg.CommJitter = s.CommJitter
+	cfg.RoundDeadline = s.RoundDeadline
+	cfg.MaxRetries = s.MaxRetries
+	cfg.RetryBackoff = s.RetryBackoff
+	cfg.FailurePayment = s.FailurePayment
+	cfg.MinQuorum = s.MinQuorum
+	return cfg
+}
+
 // envHooks carries the replay-engine attachments BuildEnv threads into the
 // environment: exactly one of draws (replay) or recorder (record) is set,
 // or neither (a plain run).
@@ -245,26 +280,9 @@ func (s *Spec) BuildEnv(budget float64, hooks envHooks) (*edgeenv.Env, *rand.Ran
 	if err != nil {
 		return nil, nil, err
 	}
-	cfg := edgeenv.DefaultConfig(fleet, curve, budget)
-	// A nonzero setting is forwarded even when out of range, so
-	// edgeenv.Config.Validate rejects it instead of the default replacing
-	// it.
-	if s.Lambda != 0 {
-		cfg.Lambda = s.Lambda
-	}
-	if s.TimeWeight != 0 {
-		cfg.TimeWeight = s.TimeWeight
-	}
-	if s.MaxRounds != 0 {
-		cfg.MaxRounds = s.MaxRounds
-	}
-	cfg.Availability = s.Availability
-	cfg.CommJitter = s.CommJitter
-	cfg.RoundDeadline = s.RoundDeadline
-	cfg.MaxRetries = s.MaxRetries
-	cfg.RetryBackoff = s.RetryBackoff
-	cfg.FailurePayment = s.FailurePayment
-	cfg.MinQuorum = s.MinQuorum
+	cfg := s.envSettings(budget)
+	cfg.Fleet = fleet
+	cfg.Accuracy = curve
 	if hooks.draws != nil {
 		// A replay source supplies every draw verbatim: the RNG, churn
 		// schedule, and bandwidth regime must not be consulted at all.

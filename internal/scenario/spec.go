@@ -247,17 +247,21 @@ func (s *Spec) Scale(f float64) *Spec {
 	return &scaled
 }
 
-// maxFleetNodes bounds the fleet a spec may declare. Validate compiles
-// the fleet, so the size a spec from outside declares is also the work and
-// memory of validating it; the bound keeps that to a fraction of a second
-// and a few hundred MB, and keeps the summed class counts from overflowing.
+// maxFleetNodes bounds the fleet a spec may declare. Running a spec
+// compiles its fleet, so the size a spec from outside declares is also the
+// work and memory of each environment it builds; the bound keeps that to a
+// fraction of a second and a few hundred MB, and keeps the summed class
+// counts from overflowing.
 const maxFleetNodes = 1 << 20
 
 // Validate reports the first problem with the spec. All scenario
 // construction paths (Parse, Run, Record, Replay) funnel through it. It
-// checks the spec's own structure, then compiles the first budget's
-// environment, so BuildEnv and edgeenv.Config.Validate are the one check
-// of every environment setting.
+// checks the spec's own structure, each class's fleet spec, the churn and
+// fault blocks, and the environment settings (through
+// edgeenv.Config.ValidateSettings, their one check) against the fleet
+// size. It draws nothing and builds no fleet, curve or RNG, so its cost
+// does not grow with the node count; a spec it accepts compiles at every
+// budget.
 func (s *Spec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("scenario: spec has no name")
@@ -329,8 +333,25 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("scenario: bandwidth phase %d factor %v, want finite > 0", i, p.Factor)
 		}
 	}
-	_, _, err := s.BuildEnv(s.Budgets[0], envHooks{})
-	return err
+	specs, err := s.fleetSpecs()
+	if err != nil {
+		return err
+	}
+	for i, fs := range specs {
+		if err := fs.Validate(); err != nil {
+			return fmt.Errorf("scenario: fleet: class %d (%s): %w", i, s.Classes[i].Profile, err)
+		}
+	}
+	if _, err := s.churnSchedule(); err != nil {
+		return err
+	}
+	if _, err := s.faultRates(); err != nil {
+		return err
+	}
+	if err := s.envSettings(s.Budgets[0]).ValidateSettings(nodes); err != nil {
+		return fmt.Errorf("scenario: env: %w", err)
+	}
+	return nil
 }
 
 // validateWindows checks the declarative churn windows: well-formed

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -62,6 +63,15 @@ func TestValidateTable(t *testing.T) {
 		{"negative train episodes", func(s *Spec) { s.TrainEpisodes = -1 }, nil},
 		{"zero eval episodes", func(s *Spec) { s.EvalEpisodes = 0 }, nil},
 		{"negative lambda", func(s *Spec) { s.Lambda = -1 }, nil},
+		{"negative time weight", func(s *Spec) { s.TimeWeight = -1 }, nil},
+		{"negative max rounds", func(s *Spec) { s.MaxRounds = -1 }, nil},
+		{"negative round deadline", func(s *Spec) { s.RoundDeadline = -1 }, nil},
+		{"negative max retries", func(s *Spec) { s.MaxRetries = -1 }, nil},
+		{"negative retry backoff", func(s *Spec) { s.RetryBackoff = -1 }, nil},
+		{"negative quorum", func(s *Spec) { s.MinQuorum = -1 }, nil},
+		{"class scale underflows the frequency range", func(s *Spec) {
+			s.Classes[0] = DeviceClass{Profile: "iot", Count: 3, FreqScale: 5e-324}
+		}, nil},
 		{"negative non-iid", func(s *Spec) { s.NonIID = -0.5 }, nil},
 		{"availability above one", func(s *Spec) { s.Availability = 1.5 }, nil},
 		{"jitter at one", func(s *Spec) { s.CommJitter = 1 }, nil},
@@ -192,6 +202,32 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 	}
 }
 
+// TestValidateDrawsNothing: Validate checks the settings against the node
+// count without compiling the fleet, so a spec at the fleet bound, with
+// churn, faults and a quorum of every node, validates in well under 1 MB
+// (drawing its fleet takes about 100 MB).
+func TestValidateDrawsNothing(t *testing.T) {
+	s := validSpec()
+	s.Classes = []DeviceClass{{Profile: "paper", Count: maxFleetNodes - 1}, {Profile: "iot", Count: 1}}
+	s.Churn = &ChurnSpec{Script: "-7@2,+7@5", Windows: []ChurnWindow{{Node: maxFleetNodes - 1, From: 3, To: 4}}}
+	s.Faults = &FaultSpec{Crash: 0.01, Straggle: 0.02}
+	s.MinQuorum = maxFleetNodes
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := s.Validate()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("validating a %d-node spec allocated %d bytes, want < 1 MB", s.NumNodes(), got)
+	}
+	s.MinQuorum = maxFleetNodes + 1
+	if err := s.Validate(); err == nil {
+		t.Fatal("Validate accepted a quorum above the fleet size")
+	}
+}
+
 func TestParseRejectsUnknownFields(t *testing.T) {
 	_, err := Parse([]byte(`{"name":"x","dataset":"mnist","clases":[]}`))
 	if err == nil || !strings.Contains(err.Error(), "unknown field") {
@@ -276,7 +312,11 @@ func TestBandwidthPhaseSchedule(t *testing.T) {
 
 // FuzzScenarioParse feeds arbitrary bytes (seeded with every library
 // scenario and a few malformed shapes) through Parse: it must never panic,
-// and anything it accepts must survive a marshal → parse round trip.
+// anything it accepts must survive a marshal → parse round trip, and its
+// environment must compile at every budget, since Validate itself compiles
+// none. The compile check skips specs whose fleets times budgets exceed
+// maxFuzzCompileNodes, which keeps each input cheap; Validate runs the same
+// checks at every size.
 func FuzzScenarioParse(f *testing.F) {
 	for _, name := range Names() {
 		s, _ := Lookup(name)
@@ -306,5 +346,16 @@ func FuzzScenarioParse(f *testing.F) {
 		if back.Name != s.Name || back.NumNodes() != s.NumNodes() {
 			t.Fatalf("round trip drifted: %q/%d vs %q/%d", back.Name, back.NumNodes(), s.Name, s.NumNodes())
 		}
+		if s.NumNodes()*len(s.Budgets) > maxFuzzCompileNodes {
+			return
+		}
+		for _, b := range s.Budgets {
+			if _, _, err := s.BuildEnv(b, envHooks{}); err != nil {
+				t.Fatalf("accepted spec does not compile at η=%v: %v\n%s", b, err, data)
+			}
+		}
 	})
 }
+
+// maxFuzzCompileNodes bounds the nodes FuzzScenarioParse compiles per input.
+const maxFuzzCompileNodes = 1 << 14

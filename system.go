@@ -123,12 +123,11 @@ func (cfg SystemConfig) envConfig() (edgeenv.Config, error) {
 		return nn.NewClassifierMLP(rng, spec.Dim(), hidden, spec.Classes)
 	}
 	envCfg.Accuracy, err = accuracy.NewRealTrainer(accuracy.RealTrainerConfig{
-		Spec:         spec,
-		Factory:      factory,
-		Train:        fl.DefaultConfig(),
-		NumNodes:     nodes,
-		TestFraction: 0.2,
-		Seed:         cfg.Seed,
+		Spec:     spec,
+		Factory:  factory,
+		Train:    fl.DefaultConfig(),
+		NumNodes: nodes,
+		Seed:     cfg.Seed,
 	})
 	return envCfg, err
 }
