@@ -74,9 +74,6 @@ type (
 	ChurnRates = faults.ChurnRates
 	// ChurnSampler draws per-node membership chains from ChurnRates.
 	ChurnSampler = faults.ChurnSampler
-	// Backoff is the unified retry/backoff policy (upload retries, crash
-	// restarts).
-	Backoff = faults.Backoff
 
 	// Artifact names one reproduced table or figure (fig3 … tab1).
 	Artifact = experiment.Artifact

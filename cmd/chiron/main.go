@@ -7,12 +7,18 @@
 //	chiron train   [-nodes N] [-budget η] [-dataset mnist|fashion|cifar]
 //	               [-episodes E] [-seed S] [-real] [-baseline chiron|drl|greedy]
 //	               [-churn SCRIPT] [-depart-rate P] [-arrive-rate P]
-//	               [-auto-checkpoint DIR] [-checkpoint-every N] [-max-restarts R]
+//	               [-auto-checkpoint DIR [-checkpoint-every N]]
 //	chiron run     [-artifact ID[,ID...]|all] [-scale F] [-jobs N] [-out DIR]
 //	chiron run     [-scenario NAME|file.json] [-scale F] [-jobs N] [-churn SCRIPT]
 //	               [-record trace.jsonl [-mechanism M] [-budget η]]
 //	chiron replay  [-trace trace.jsonl] [-mechanism M] [-budget η] [-episodes E]
 //	chiron list
+//
+// With -auto-checkpoint, train saves a checkpoint into DIR every
+// -checkpoint-every episodes and starts from the newest valid one there.
+// A training error ends the command; running the same command again
+// resumes from the last checkpoint. SIGINT or SIGTERM flushes a final
+// checkpoint first.
 package main
 
 import (
@@ -96,7 +102,6 @@ func cmdTrain(args []string) (err error) {
 	arriveRate := fs.Float64("arrive-rate", 0, "per-round probability a departed node rejoins")
 	autoCkpt := fs.String("auto-checkpoint", "", "supervise training with periodic checkpoints in this directory, resuming from the newest valid one")
 	ckptEvery := fs.Int("checkpoint-every", 10, "episodes between auto-checkpoints (with -auto-checkpoint)")
-	maxRestarts := fs.Int("max-restarts", 3, "crash recoveries before the supervised run gives up (with -auto-checkpoint)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -108,6 +113,9 @@ func cmdTrain(args []string) (err error) {
 	}
 	if *autoCkpt != "" && *load != "" {
 		return fmt.Errorf("-load conflicts with -auto-checkpoint (the supervisor resumes from its own directory)")
+	}
+	if *autoCkpt == "" && setFlags(fs)["checkpoint-every"] {
+		return fmt.Errorf("-checkpoint-every requires -auto-checkpoint")
 	}
 
 	kind, err := trainKind(*baseline)
@@ -136,8 +144,8 @@ func cmdTrain(args []string) (err error) {
 		}
 	}
 	// buildMechanism assembles a fresh system and mechanism from scratch —
-	// called once for a plain run, once per recovery attempt when the
-	// supervisor restarts a crashed run.
+	// called once for a plain run, once per checkpoint the supervisor tries
+	// to restore.
 	buildMechanism := func() (chiron.Mechanism, error) {
 		sys, err := chiron.NewSystem(chiron.SystemConfig{
 			Nodes:        *nodes,
@@ -238,13 +246,12 @@ func cmdTrain(args []string) (err error) {
 		report, stopped, err := superviseTrain(factory, *episodes, supervise.Config{
 			Dir:   *autoCkpt,
 			Every: *ckptEvery,
-			Retry: chiron.Backoff{Base: 1, Factor: 2, Max: 30, MaxRetries: *maxRestarts},
 		}, interrupts, callback)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("supervised run: resumed from episode %d, %d checkpoints, %d restarts, %d corrupt checkpoints skipped\n",
-			report.ResumedFrom, report.Checkpoints, report.Restarts, report.CorruptSkipped)
+		fmt.Printf("supervised run: resumed from episode %d, %d checkpoints, %d corrupt checkpoints skipped\n",
+			report.ResumedFrom, report.Checkpoints, report.CorruptSkipped)
 		if stopped {
 			fmt.Printf("stopped after episode %d; final checkpoint flushed to %s — rerun with -auto-checkpoint to resume\n",
 				report.ResumedFrom+len(report.Episodes), *autoCkpt)

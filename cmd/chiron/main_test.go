@@ -113,6 +113,16 @@ func TestTrainRejectsNegativeCounts(t *testing.T) {
 	}
 }
 
+// TestTrainCheckpointEveryNeedsAutoCheckpoint: -checkpoint-every only
+// shapes a supervised run, so without -auto-checkpoint it is refused rather
+// than ignored.
+func TestTrainCheckpointEveryNeedsAutoCheckpoint(t *testing.T) {
+	err := cmdTrain([]string{"-nodes", "3", "-episodes", "1", "-eval", "0", "-checkpoint-every", "5"})
+	if want := "-checkpoint-every requires -auto-checkpoint"; err == nil || err.Error() != want {
+		t.Fatalf("train -checkpoint-every without -auto-checkpoint: error %v, want %q", err, want)
+	}
+}
+
 // TestUsageListsEverySubcommand pins the no-argument usage line to the
 // four subcommands run dispatches.
 func TestUsageListsEverySubcommand(t *testing.T) {

@@ -40,21 +40,24 @@ type Node struct {
 }
 
 // Validate reports whether the node's parameters are physically sensible.
-// The comparisons are negated so that a NaN parameter fails them too.
+// The comparisons are negated so that a NaN parameter fails them too, and
+// the MaxFloat64 bounds refuse +Inf.
 func (n *Node) Validate() error {
+	const maxF = math.MaxFloat64
 	switch {
-	case !(n.CyclesPerBit > 0):
-		return fmt.Errorf("device: node %d: cycles/bit %v, want > 0", n.ID, n.CyclesPerBit)
-	case !(n.DataBits > 0):
-		return fmt.Errorf("device: node %d: data bits %v, want > 0", n.ID, n.DataBits)
-	case !(n.FreqMin > 0 && n.FreqMax >= n.FreqMin):
+	case !(n.CyclesPerBit > 0 && n.CyclesPerBit <= maxF):
+		return fmt.Errorf("device: node %d: cycles/bit %v, want finite > 0", n.ID, n.CyclesPerBit)
+	case !(n.DataBits > 0 && n.DataBits <= maxF):
+		return fmt.Errorf("device: node %d: data bits %v, want finite > 0", n.ID, n.DataBits)
+	case !(n.FreqMin > 0 && n.FreqMax >= n.FreqMin && n.FreqMax <= maxF):
 		return fmt.Errorf("device: node %d: frequency range [%v,%v]", n.ID, n.FreqMin, n.FreqMax)
-	case !(n.Capacitance > 0):
-		return fmt.Errorf("device: node %d: capacitance %v, want > 0", n.ID, n.Capacitance)
-	case !(n.CommTime >= 0 && n.CommEnergyRate >= 0):
-		return fmt.Errorf("device: node %d: negative communication parameters", n.ID)
-	case !(n.Reserve >= 0):
-		return fmt.Errorf("device: node %d: reserve %v, want >= 0", n.ID, n.Reserve)
+	case !(n.Capacitance > 0 && n.Capacitance <= maxF):
+		return fmt.Errorf("device: node %d: capacitance %v, want finite > 0", n.ID, n.Capacitance)
+	case !(n.CommTime >= 0 && n.CommTime <= maxF && n.CommEnergyRate >= 0 && n.CommEnergyRate <= maxF):
+		return fmt.Errorf("device: node %d: communication parameters (%v, %v), want finite >= 0",
+			n.ID, n.CommTime, n.CommEnergyRate)
+	case !(n.Reserve >= 0 && n.Reserve <= maxF):
+		return fmt.Errorf("device: node %d: reserve %v, want finite >= 0", n.ID, n.Reserve)
 	case n.Epochs <= 0:
 		return fmt.Errorf("device: node %d: epochs %d, want > 0", n.ID, n.Epochs)
 	case n.SampleCount <= 0:
@@ -236,21 +239,22 @@ func DefaultFleetSpec(n int) FleetSpec {
 
 // Validate reports whether the spec is well formed.
 func (s FleetSpec) Validate() error {
+	const maxF = math.MaxFloat64
 	switch {
 	case s.N <= 0:
 		return fmt.Errorf("device: fleet size %d, want > 0", s.N)
-	case s.CyclesPerBit <= 0:
-		return fmt.Errorf("device: cycles/bit %v, want > 0", s.CyclesPerBit)
-	case s.DataBitsMin <= 0 || s.DataBitsMax < s.DataBitsMin:
+	case !(s.CyclesPerBit > 0 && s.CyclesPerBit <= maxF):
+		return fmt.Errorf("device: cycles/bit %v, want finite > 0", s.CyclesPerBit)
+	case !(s.DataBitsMin > 0 && s.DataBitsMax >= s.DataBitsMin && s.DataBitsMax <= maxF):
 		return fmt.Errorf("device: data bits range [%v,%v]", s.DataBitsMin, s.DataBitsMax)
-	case s.FreqMin <= 0 || s.FreqMaxLow < s.FreqMin || s.FreqMaxHigh < s.FreqMaxLow:
+	case !(s.FreqMin > 0 && s.FreqMaxLow >= s.FreqMin && s.FreqMaxHigh >= s.FreqMaxLow && s.FreqMaxHigh <= maxF):
 		return fmt.Errorf("device: frequency ranges [%v,%v,%v]", s.FreqMin, s.FreqMaxLow, s.FreqMaxHigh)
-	case s.CommTimeMin < 0 || s.CommTimeMax < s.CommTimeMin:
+	case !(s.CommTimeMin >= 0 && s.CommTimeMax >= s.CommTimeMin && s.CommTimeMax <= maxF):
 		return fmt.Errorf("device: comm time range [%v,%v]", s.CommTimeMin, s.CommTimeMax)
-	case s.Capacitance <= 0:
-		return fmt.Errorf("device: capacitance %v, want > 0", s.Capacitance)
-	case s.CommEnergyRate < 0 || s.ReserveMax < 0:
-		return fmt.Errorf("device: negative energy or reserve parameters")
+	case !(s.Capacitance > 0 && s.Capacitance <= maxF):
+		return fmt.Errorf("device: capacitance %v, want finite > 0", s.Capacitance)
+	case !(s.CommEnergyRate >= 0 && s.CommEnergyRate <= maxF && s.ReserveMax >= 0 && s.ReserveMax <= maxF):
+		return fmt.Errorf("device: energy rate %v and reserve cap %v, want finite >= 0", s.CommEnergyRate, s.ReserveMax)
 	case s.Epochs <= 0:
 		return fmt.Errorf("device: epochs %d, want > 0", s.Epochs)
 	case s.SamplesPerNode <= 0:

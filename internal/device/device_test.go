@@ -47,6 +47,14 @@ func TestNodeValidate(t *testing.T) {
 		func(n *Node) { n.CommTime = math.NaN() },
 		func(n *Node) { n.CommEnergyRate = math.NaN() },
 		func(n *Node) { n.Reserve = math.NaN() },
+		func(n *Node) { n.CyclesPerBit = math.Inf(1) },
+		func(n *Node) { n.DataBits = math.Inf(1) },
+		func(n *Node) { n.FreqMax = math.Inf(1) },
+		func(n *Node) { n.FreqMin, n.FreqMax = math.Inf(1), math.Inf(1) },
+		func(n *Node) { n.Capacitance = math.Inf(1) },
+		func(n *Node) { n.CommTime = math.Inf(1) },
+		func(n *Node) { n.CommEnergyRate = math.Inf(1) },
+		func(n *Node) { n.Reserve = math.Inf(1) },
 	}
 	for i, mutate := range mutations {
 		bad := testNode()
@@ -230,6 +238,29 @@ func TestFleetSpecValidate(t *testing.T) {
 	bad.FreqMaxHigh = bad.FreqMaxLow / 2
 	if err := bad.Validate(); err == nil {
 		t.Fatal("inverted freq range accepted")
+	}
+	// Every float bound must be finite: an upper bound at +Inf (or a
+	// whole range there) passes the ordering checks but draws +Inf nodes.
+	nonFinite := map[string]func(*FleetSpec, float64){
+		"cycles/bit":  func(s *FleetSpec, v float64) { s.CyclesPerBit = v },
+		"data bits":   func(s *FleetSpec, v float64) { s.DataBitsMax = v },
+		"data range":  func(s *FleetSpec, v float64) { s.DataBitsMin, s.DataBitsMax = v, v },
+		"freq max":    func(s *FleetSpec, v float64) { s.FreqMaxHigh = v },
+		"freq range":  func(s *FleetSpec, v float64) { s.FreqMin, s.FreqMaxLow, s.FreqMaxHigh = v, v, v },
+		"comm time":   func(s *FleetSpec, v float64) { s.CommTimeMax = v },
+		"comm range":  func(s *FleetSpec, v float64) { s.CommTimeMin, s.CommTimeMax = v, v },
+		"capacitance": func(s *FleetSpec, v float64) { s.Capacitance = v },
+		"comm energy": func(s *FleetSpec, v float64) { s.CommEnergyRate = v },
+		"reserve max": func(s *FleetSpec, v float64) { s.ReserveMax = v },
+	}
+	for name, set := range nonFinite {
+		for _, v := range []float64{math.Inf(1), math.NaN()} {
+			bad := DefaultFleetSpec(5)
+			set(&bad, v)
+			if err := bad.Validate(); err == nil {
+				t.Errorf("%s = %v accepted", name, v)
+			}
+		}
 	}
 }
 

@@ -295,9 +295,10 @@ func New(cfg Config) (*Env, error) {
 			Recorder:     cfg.DrawRecorder,
 		},
 		Execute: round.Execute{
-			Faults:   cfg.Faults,
-			Deadline: cfg.RoundDeadline,
-			Retry:    faults.Constant(cfg.RetryBackoff, cfg.MaxRetries),
+			Faults:       cfg.Faults,
+			Deadline:     cfg.RoundDeadline,
+			MaxRetries:   cfg.MaxRetries,
+			RetryBackoff: cfg.RetryBackoff,
 		},
 		Settle: round.Settle{
 			FailurePayment: cfg.FailurePayment,

@@ -9,7 +9,6 @@ import (
 
 	"chiron/internal/accuracy"
 	"chiron/internal/device"
-	"chiron/internal/faults"
 )
 
 func testEnv(t *testing.T, nodes int, budget float64) *Env {
@@ -129,8 +128,8 @@ func TestNewResolvesPipelineDefaults(t *testing.T) {
 	if p.Settle.EmptyTimeout != slowest || slowest <= 0 {
 		t.Fatalf("empty-round timeout %v, want the slowest round time %v", p.Settle.EmptyTimeout, slowest)
 	}
-	if want := faults.Constant(1.5, 2); p.Execute.Retry != want {
-		t.Fatalf("retry policy %+v, want %+v", p.Execute.Retry, want)
+	if p.Execute.MaxRetries != 2 || p.Execute.RetryBackoff != 1.5 {
+		t.Fatalf("retry policy (%d, %v), want (2, 1.5)", p.Execute.MaxRetries, p.Execute.RetryBackoff)
 	}
 
 	cfg.MinQuorum = 3

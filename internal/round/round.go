@@ -550,9 +550,11 @@ type Execute struct {
 	Faults faults.Schedule
 	// Deadline is the server's straggler cutoff in seconds (0 disables).
 	Deadline float64
-	// Retry is the dropped-upload retry policy: MaxRetries bounds
-	// re-requests, Base/Factor/Max shape the per-attempt backoff pause.
-	Retry faults.Backoff
+	// MaxRetries bounds the re-requests of a dropped upload; past it the
+	// node is abandoned.
+	MaxRetries int
+	// RetryBackoff is the pause in seconds before each re-request.
+	RetryBackoff float64
 }
 
 // Name implements Stage.
@@ -604,11 +606,11 @@ func (x Execute) Run(st *State) error {
 						// the node is abandoned once the retry budget runs
 						// out.
 						retries := f.Attempts
-						if retries > x.Retry.MaxRetries {
-							retries = x.Retry.MaxRetries
+						if retries > x.MaxRetries {
+							retries = x.MaxRetries
 							outcome = market.OutcomeDropped
 						}
-						t += x.Retry.RetryTime(st.CommTimes[i], retries)
+						t += float64(retries) * (st.CommTimes[i] + x.RetryBackoff)
 						if outcome == market.OutcomeDropped {
 							// The final, abandoned attempt still burned its
 							// upload time before the server gave up.

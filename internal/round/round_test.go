@@ -324,7 +324,7 @@ func TestExecuteFaultMatrix(t *testing.T) {
 			if tc.haveFault {
 				sched = faults.Script{1: {0: tc.fault}}
 			}
-			x := round.Execute{Faults: sched, Deadline: tc.deadline, Retry: faults.Constant(backoff, 2)}
+			x := round.Execute{Faults: sched, Deadline: tc.deadline, MaxRetries: 2, RetryBackoff: backoff}
 			if err := x.Run(st); err != nil {
 				t.Fatalf("Execute: %v", err)
 			}
@@ -335,6 +335,47 @@ func TestExecuteFaultMatrix(t *testing.T) {
 				t.Errorf("outcome = %v, want %v", st.Record.Outcomes[0], tc.wantOutcome)
 			}
 		})
+	}
+}
+
+// TestExecuteDropRetryTime pins the drop-retry arithmetic: n re-uploads
+// within the budget charge the single-multiply closed form
+// n·(comm+backoff), bit for bit, and a drop past the budget charges
+// MaxRetries re-uploads plus the abandoned attempt's upload.
+func TestExecuteDropRetryTime(t *testing.T) {
+	const (
+		nominal, comm, backoff = 40.0, 7.7, 0.3
+		maxRetries             = 9
+	)
+	run := func(attempts int) (float64, market.Outcome) {
+		st := round.NewState(1, []float64{1}, 0, 1)
+		if err := (round.Offer{NumNodes: 1}).Run(st); err != nil {
+			t.Fatalf("Offer: %v", err)
+		}
+		st.Joined[0] = true
+		st.Record.Participants = 1
+		st.Record.Times[0] = nominal
+		st.Record.Outcomes[0] = market.OutcomeCompleted
+		st.CommTimes[0] = comm
+		x := round.Execute{
+			Faults:       faults.Script{1: {0: {Kind: faults.Drop, Attempts: attempts}}},
+			MaxRetries:   maxRetries,
+			RetryBackoff: backoff,
+		}
+		if err := x.Run(st); err != nil {
+			t.Fatalf("Execute: %v", err)
+		}
+		return st.Record.Times[0], st.Record.Outcomes[0]
+	}
+	for n := 0; n <= maxRetries; n++ {
+		got, outcome := run(n)
+		if want := nominal + float64(n)*(comm+backoff); got != want || outcome != market.OutcomeCompleted {
+			t.Errorf("%d drops: time %v outcome %v, want %v completed", n, got, outcome, want)
+		}
+	}
+	got, outcome := run(maxRetries + 3)
+	if want := nominal + float64(maxRetries)*(comm+backoff) + comm; got != want || outcome != market.OutcomeDropped {
+		t.Errorf("drops past the budget: time %v outcome %v, want %v dropped", got, outcome, want)
 	}
 }
 
@@ -591,9 +632,10 @@ func TestPipelineEconomicLaws(t *testing.T) {
 				Rng:          rand.New(rand.NewSource(rng.Int63())),
 			},
 			Execute: round.Execute{
-				Faults:   sched,
-				Deadline: deadline,
-				Retry:    faults.Constant(propcheck.Uniform(rng, 0, 2), rng.Intn(4)),
+				Faults:       sched,
+				Deadline:     deadline,
+				RetryBackoff: propcheck.Uniform(rng, 0, 2),
+				MaxRetries:   rng.Intn(4),
 			},
 			Settle: round.Settle{
 				FailurePayment: failurePayment,

@@ -72,6 +72,10 @@ func TestValidateTable(t *testing.T) {
 		{"class scale underflows the frequency range", func(s *Spec) {
 			s.Classes[0] = DeviceClass{Profile: "iot", Count: 3, FreqScale: 5e-324}
 		}, nil},
+		{"class scale overflows the comm range", func(s *Spec) {
+			// Every factor is finite; their product is +Inf.
+			s.Classes[0] = DeviceClass{Profile: "server", Count: 3, CommScale: 1e308}
+		}, nil},
 		{"negative non-iid", func(s *Spec) { s.NonIID = -0.5 }, nil},
 		{"availability above one", func(s *Spec) { s.Availability = 1.5 }, nil},
 		{"jitter at one", func(s *Spec) { s.CommJitter = 1 }, nil},

@@ -1,21 +1,27 @@
 // Package supervise wraps a learnable mechanism's training loop in the
-// crash-recovery machinery a long-lived incentive server needs: periodic
+// checkpointing a long-lived incentive server needs: periodic
 // auto-checkpointing (atomic write-temp-then-rename through
-// rl.SaveCheckpoint), a bounded restart policy driven by the unified
-// faults.Backoff type, and recovery that reloads the newest valid
+// rl.SaveCheckpoint), and recovery that reloads the newest valid
 // checkpoint — falling back past corrupt, torn or shape-mismatched files
 // via the rl.ErrCorruptCheckpoint / rl.ErrShapeMismatch error paths — and
 // resumes with CountingSource RNG accounting intact.
 //
+// Crash recovery is resume-on-start. A training error ends Run; the next
+// Run (a restarted process, or a re-run of `chiron train
+// -auto-checkpoint`) recovers from the newest valid checkpoint. There is
+// no in-process retry: every learner resumes bit-exactly and the
+// environment is deterministic, so replaying from a checkpoint inside the
+// same process would only reach the same error at the same round.
+//
 // The recovery contract is exact resume: because every learnable mechanism
 // serializes its complete training state (weights, optimizer moments,
 // carried rollout buffers, RNG draw counts, episode counter) into the
-// unified rl.Checkpoint, a run killed at any point and recovered through
-// the supervisor finishes in exactly the state the uninterrupted run
-// reaches — the property internal/propcheck's chaos harness asserts
-// byte-for-byte. The one caveat is inherited from the checkpoint format:
-// environment-side RNG (comm jitter, availability) is not checkpointed, so
-// exact resume holds for deterministic environments (the default).
+// unified rl.Checkpoint, a run killed at any point and resumed by a later
+// Run finishes in exactly the state the uninterrupted run reaches — the
+// property internal/propcheck's chaos harness asserts byte-for-byte. The
+// one caveat is inherited from the checkpoint format: environment-side RNG
+// (comm jitter, availability) is not checkpointed, so exact resume holds
+// for deterministic environments (the default).
 package supervise
 
 import (
@@ -24,9 +30,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"time"
 
-	"chiron/internal/faults"
 	"chiron/internal/mechanism"
 	"chiron/internal/rl"
 )
@@ -39,11 +43,11 @@ type Target interface {
 	mechanism.Checkpointer
 }
 
-// Factory builds a fresh Target positioned at episode zero. The supervisor
-// calls it once per recovery attempt — never reusing a target across
-// restore attempts, because a restore that fails midway (a corrupt file
-// whose shape pins parse but whose payload does not apply cleanly) may
-// leave the target partially mutated.
+// Factory builds a fresh Target positioned at episode zero. Recover calls
+// it once per checkpoint it tries — never reusing a target across restore
+// attempts, because a restore that fails midway (a corrupt file whose
+// shape pins parse but whose payload does not apply cleanly) may leave the
+// target partially mutated.
 type Factory func() (Target, error)
 
 // Config parameterizes a Runner.
@@ -52,17 +56,6 @@ type Config struct {
 	Dir string
 	// Every is the auto-checkpoint period in episodes (default 1).
 	Every int
-	// Keep bounds how many checkpoints are retained, oldest pruned first
-	// (default 3). Keeping more than one is what makes corrupt-fallback
-	// recovery possible at all.
-	Keep int
-	// Retry is the restart policy after a training crash: MaxRetries
-	// bounds restarts across one Run, Base/Factor/Max shape the pause
-	// before each. The zero value never restarts.
-	Retry faults.Backoff
-	// Sleep overrides how the restart pause is served (nil = time.Sleep);
-	// tests inject a recorder here.
-	Sleep func(time.Duration)
 	// Gate, when set, is consulted before every training chunk. A
 	// returned error stops the run early — Run flushes a final checkpoint
 	// of the live target and returns the gate's error verbatim, so callers
@@ -72,22 +65,24 @@ type Config struct {
 	Gate func() error
 }
 
-// Report summarizes what one Run survived.
+// keep bounds how many checkpoints are retained, oldest pruned first.
+// Keeping more than one is what makes corrupt-fallback recovery possible
+// at all.
+const keep = 3
+
+// Report summarizes one Run.
 type Report struct {
-	// Episodes holds the per-episode results of the final successful
-	// lineage: exactly one entry per episode trained after the initial
-	// recovery point, with episodes lost to a crash (trained but not yet
-	// checkpointed) excluded. The caller's callback, in contrast, sees
-	// every attempt, including episodes later replayed after a restart.
+	// Episodes holds the per-episode results of the checkpointed chunks:
+	// one entry per episode trained after the recovery point and saved.
+	// Episodes of a chunk that crashed are excluded (their learner state
+	// was never checkpointed); the caller's callback still saw them.
 	Episodes []mechanism.EpisodeResult
 	// ResumedFrom is the episode count restored at start (0 = fresh run).
 	ResumedFrom int
-	// Restarts counts crash recoveries performed during the Run.
-	Restarts int
 	// Checkpoints counts successful checkpoint saves.
 	Checkpoints int
 	// CorruptSkipped counts unusable checkpoint files skipped during
-	// recoveries (corrupt, truncated, or shape-mismatched).
+	// recovery (corrupt, truncated, or shape-mismatched).
 	CorruptSkipped int
 }
 
@@ -109,20 +104,8 @@ func New(factory Factory, cfg Config) (*Runner, error) {
 	if cfg.Every < 0 {
 		return nil, fmt.Errorf("supervise: checkpoint period %d, want >= 0", cfg.Every)
 	}
-	if cfg.Keep < 0 {
-		return nil, fmt.Errorf("supervise: keep %d, want >= 0", cfg.Keep)
-	}
-	if err := cfg.Retry.Validate(); err != nil {
-		return nil, fmt.Errorf("supervise: %w", err)
-	}
 	if cfg.Every == 0 {
 		cfg.Every = 1
-	}
-	if cfg.Keep == 0 {
-		cfg.Keep = 3
-	}
-	if cfg.Sleep == nil {
-		cfg.Sleep = time.Sleep
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("supervise: checkpoint directory: %w", err)
@@ -208,11 +191,12 @@ func (r *Runner) Recover() (t Target, skipped int, err error) {
 }
 
 // Run supervises training until the target has completed total episodes:
-// recover (or start fresh), train in checkpoint-period chunks, save after
-// each chunk, and on a training error restart from the latest valid
-// checkpoint under the Retry policy. It returns the final target alongside
-// the Report; on a terminal error (restart budget exhausted, checkpoint
-// save failure) the partial report accompanies the error.
+// recover (or start fresh), train in checkpoint-period chunks and save
+// after each chunk. It returns the final target alongside the Report. A
+// training error ends the Run: the live target is neither saved nor
+// returned, the error comes back with the partial report, and the next Run
+// resumes from the newest valid checkpoint. A checkpoint save failure ends
+// the Run the same way.
 func (r *Runner) Run(total int, callback func(mechanism.EpisodeResult)) (Target, *Report, error) {
 	if total <= 0 {
 		return nil, nil, fmt.Errorf("supervise: run %d episodes, want > 0", total)
@@ -222,10 +206,9 @@ func (r *Runner) Run(total int, callback func(mechanism.EpisodeResult)) (Target,
 	if err != nil {
 		return nil, report, err
 	}
-	report.CorruptSkipped += skipped
+	report.CorruptSkipped = skipped
 	report.ResumedFrom = target.Episode()
 
-	restarts := 0
 	for {
 		done := target.Episode()
 		if done >= total {
@@ -243,36 +226,10 @@ func (r *Runner) Run(total int, callback func(mechanism.EpisodeResult)) (Target,
 				return target, report, gateErr
 			}
 		}
-		chunk := r.cfg.Every
-		if done+chunk > total {
-			chunk = total - done
-		}
-		results, trainErr := target.Train(chunk, callback)
-		if trainErr != nil {
-			// Crash: the chunk's partial episodes are lost (their learner
-			// state was never checkpointed); restart from the latest valid
-			// checkpoint if the retry budget allows.
-			if restarts >= r.cfg.Retry.MaxRetries {
-				return target, report, fmt.Errorf("supervise: restart budget (%d) exhausted: %w",
-					r.cfg.Retry.MaxRetries, trainErr)
-			}
-			restarts++
-			report.Restarts++
-			if d := r.cfg.Retry.Delay(restarts); d > 0 {
-				r.cfg.Sleep(time.Duration(d * float64(time.Second)))
-			}
-			target, skipped, err = r.Recover()
-			if err != nil {
-				return nil, report, err
-			}
-			report.CorruptSkipped += skipped
-			// Episodes re-run after the restart are re-appended by the
-			// loop; drop any beyond the recovered episode count so the
-			// report's lineage stays duplicate-free.
-			if n := target.Episode() - report.ResumedFrom; n >= 0 && n < len(report.Episodes) {
-				report.Episodes = report.Episodes[:n]
-			}
-			continue
+		chunk := min(r.cfg.Every, total-done)
+		results, err := target.Train(chunk, callback)
+		if err != nil {
+			return nil, report, fmt.Errorf("supervise: training after episode %d: %w", done, err)
 		}
 		report.Episodes = append(report.Episodes, results...)
 		if err := r.Save(target); err != nil {
@@ -284,7 +241,7 @@ func (r *Runner) Run(total int, callback func(mechanism.EpisodeResult)) (Target,
 
 // Save checkpoints the target's current state at its episode counter
 // (atomic write-temp-then-rename via rl.SaveCheckpoint) and prunes past the
-// Keep bound. Run calls it after every chunk; graceful-shutdown paths call
+// keep bound. Run calls it after every chunk; graceful-shutdown paths call
 // it directly to flush a final checkpoint before exiting.
 func (r *Runner) Save(t Target) error {
 	ck, err := t.Checkpoint()
@@ -297,13 +254,13 @@ func (r *Runner) Save(t Target) error {
 	return r.prune()
 }
 
-// prune deletes the oldest checkpoints past the Keep bound.
+// prune deletes the oldest checkpoints past the keep bound.
 func (r *Runner) prune() error {
 	paths, err := r.Checkpoints()
 	if err != nil {
 		return err
 	}
-	for _, path := range paths[min(len(paths), r.cfg.Keep):] {
+	for _, path := range paths[min(len(paths), keep):] {
 		if err := os.Remove(path); err != nil {
 			return fmt.Errorf("supervise: prune %s: %w", path, err)
 		}

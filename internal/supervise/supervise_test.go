@@ -7,17 +7,15 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
-	"chiron/internal/faults"
 	"chiron/internal/mechanism"
 	"chiron/internal/rl"
 )
 
 // crashPlan scripts training failures shared across the factory's fresh
 // targets: failures[n] counts how many times training episode n crashes
-// before succeeding. It lives outside the target, mirroring how a real
-// crash kills the process but not the fault that caused it.
+// before succeeding. It lives outside the target, so a later Run sees the
+// faults an earlier one consumed.
 type crashPlan struct {
 	failures map[int]int
 }
@@ -79,8 +77,6 @@ func TestNewValidation(t *testing.T) {
 		{"nil factory", nil, Config{Dir: dir}},
 		{"no dir", ok, Config{}},
 		{"negative every", ok, Config{Dir: dir, Every: -1}},
-		{"negative keep", ok, Config{Dir: dir, Keep: -2}},
-		{"bad retry", ok, Config{Dir: dir, Retry: faults.Backoff{Base: -1}}},
 	}
 	for _, tc := range cases {
 		if _, err := New(tc.factory, tc.cfg); err == nil {
@@ -201,43 +197,44 @@ func TestCheckpointsIgnoreForeignEntries(t *testing.T) {
 
 func TestRunChunkedCheckpointing(t *testing.T) {
 	dir := t.TempDir()
-	r, err := New(fakeFactory(nil), Config{Dir: dir, Every: 2, Keep: 2})
+	r, err := New(fakeFactory(nil), Config{Dir: dir, Every: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var seen []int
-	target, report, err := r.Run(5, func(res mechanism.EpisodeResult) { seen = append(seen, res.Episode) })
+	target, report, err := r.Run(7, func(res mechanism.EpisodeResult) { seen = append(seen, res.Episode) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if target.Episode() != 5 {
-		t.Errorf("final episode %d, want 5", target.Episode())
+	if target.Episode() != 7 {
+		t.Errorf("final episode %d, want 7", target.Episode())
 	}
-	// Chunks of 2 with a short tail: checkpoints after episodes 2, 4, 5.
-	if report.Checkpoints != 3 {
-		t.Errorf("checkpoints %d, want 3", report.Checkpoints)
+	// Chunks of 2 with a short tail: checkpoints after episodes 2, 4, 6, 7.
+	if report.Checkpoints != 4 {
+		t.Errorf("checkpoints %d, want 4", report.Checkpoints)
 	}
-	if report.ResumedFrom != 0 || report.Restarts != 0 || report.CorruptSkipped != 0 {
+	if report.ResumedFrom != 0 || report.CorruptSkipped != 0 {
 		t.Errorf("unexpected report %+v for a clean run", report)
 	}
-	if len(report.Episodes) != 5 {
-		t.Fatalf("report has %d episodes, want 5", len(report.Episodes))
+	if len(report.Episodes) != 7 {
+		t.Fatalf("report has %d episodes, want 7", len(report.Episodes))
 	}
 	for i, res := range report.Episodes {
 		if res.Episode != i+1 {
 			t.Errorf("report episode[%d] = %d, want %d", i, res.Episode, i+1)
 		}
 	}
-	if len(seen) != 5 {
-		t.Errorf("callback saw %d episodes, want 5", len(seen))
+	if len(seen) != 7 {
+		t.Errorf("callback saw %d episodes, want 7", len(seen))
 	}
-	// Keep=2 prunes the episode-2 file, leaving the two newest.
+	// Keeping three prunes the episode-2 file.
 	paths, err := r.Checkpoints()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(paths) != 2 || !strings.HasSuffix(paths[0], "ckpt-00000005.json") || !strings.HasSuffix(paths[1], "ckpt-00000004.json") {
-		t.Errorf("retained checkpoints %v, want newest two (5, 4)", paths)
+	want := []string{r.checkpointPath(7), r.checkpointPath(6), r.checkpointPath(4)}
+	if strings.Join(paths, ",") != strings.Join(want, ",") {
+		t.Errorf("retained checkpoints %v, want newest three %v", paths, want)
 	}
 }
 
@@ -263,128 +260,97 @@ func TestRunResumesFromExistingCheckpoint(t *testing.T) {
 	}
 }
 
-func TestRunCrashRestartsWithBackoff(t *testing.T) {
+// TestRunCrashReturns: a training error ends the Run at once. The error
+// comes back with the partial report of the checkpointed episodes, no
+// target is returned, the crashed chunk is not saved, and the crash is
+// tried exactly once.
+func TestRunCrashReturns(t *testing.T) {
 	dir := t.TempDir()
-	plan := &crashPlan{failures: map[int]int{3: 2}}
-	var slept []time.Duration
-	r, err := New(fakeFactory(plan), Config{
-		Dir:   dir,
-		Retry: faults.Backoff{Base: 2, Factor: 2, Max: 3, MaxRetries: 5},
-		Sleep: func(d time.Duration) { slept = append(slept, d) },
-	})
+	plan := &crashPlan{failures: map[int]int{3: 100}}
+	r, err := New(fakeFactory(plan), Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	target, report, err := r.Run(4, nil)
+	target, report, err := r.Run(5, nil)
+	if err == nil || !strings.Contains(err.Error(), "crash training episode 3") {
+		t.Fatalf("Run error %v, want the episode-3 crash", err)
+	}
+	if target != nil {
+		t.Errorf("Run returned the crashed target at episode %d", target.Episode())
+	}
+	if plan.failures[3] != 99 {
+		t.Errorf("episode 3 crashed %d times in one Run, want 1", 100-plan.failures[3])
+	}
+	if report.Checkpoints != 2 || len(report.Episodes) != 2 || report.Episodes[1].Episode != 2 {
+		t.Errorf("report %+v, want episodes 1 and 2 checkpointed", report)
+	}
+	paths, err := r.Checkpoints()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if target.Episode() != 4 {
-		t.Errorf("final episode %d, want 4", target.Episode())
-	}
-	if report.Restarts != 2 {
-		t.Errorf("restarts %d, want 2", report.Restarts)
-	}
-	// Geometric pauses: Delay(1)=2s, Delay(2)=min(4,3)=3s.
-	want := []time.Duration{2 * time.Second, 3 * time.Second}
-	if len(slept) != len(want) || slept[0] != want[0] || slept[1] != want[1] {
-		t.Errorf("backoff pauses %v, want %v", slept, want)
-	}
-	// The lineage holds each episode exactly once despite the replays.
-	if len(report.Episodes) != 4 {
-		t.Fatalf("report has %d episodes, want 4", len(report.Episodes))
-	}
-	for i, res := range report.Episodes {
-		if res.Episode != i+1 {
-			t.Errorf("report episode[%d] = %d, want %d", i, res.Episode, i+1)
-		}
+	if len(paths) != 2 || paths[0] != r.checkpointPath(2) {
+		t.Errorf("checkpoints %v, want %s newest of two", paths, r.checkpointPath(2))
 	}
 }
 
-func TestRunRestartBudgetExhausted(t *testing.T) {
+// TestRunResumesOnNextRun: recovery from a crash is the next Run, which
+// resumes from the newest checkpoint and trains only the episodes left.
+func TestRunResumesOnNextRun(t *testing.T) {
 	dir := t.TempDir()
-	plan := &crashPlan{failures: map[int]int{2: 100}}
-	r, err := New(fakeFactory(plan), Config{
-		Dir:   dir,
-		Retry: faults.Backoff{MaxRetries: 3},
-		Sleep: func(time.Duration) {},
-	})
+	plan := &crashPlan{failures: map[int]int{3: 1}}
+	r, err := New(fakeFactory(plan), Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	target, report, err := r.Run(4, nil)
-	if err == nil {
-		t.Fatal("Run succeeded past an unrecoverable crash")
+	if _, _, err := r.Run(4, nil); err == nil {
+		t.Fatal("Run survived the episode-3 crash")
 	}
-	if report.Restarts != 3 {
-		t.Errorf("restarts %d, want 3", report.Restarts)
-	}
-	// Episode 1 checkpointed before the crash loop; the final target sits
-	// there, and its result is the whole surviving lineage.
-	if target == nil || target.Episode() != 1 {
-		t.Errorf("final target at episode %v, want 1", target)
-	}
-	if len(report.Episodes) != 1 || report.Episodes[0].Episode != 1 {
-		t.Errorf("report lineage %+v, want exactly episode 1", report.Episodes)
-	}
-}
-
-func TestRunZeroRetryNeverRestarts(t *testing.T) {
-	plan := &crashPlan{failures: map[int]int{1: 1}}
-	r, err := New(fakeFactory(plan), Config{Dir: t.TempDir()})
+	var seen []int
+	target, report, err := r.Run(4, func(res mechanism.EpisodeResult) { seen = append(seen, res.Episode) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, report, err := r.Run(2, nil)
-	if err == nil {
-		t.Fatal("zero-value Retry restarted after a crash")
+	if target.Episode() != 4 || report.ResumedFrom != 2 {
+		t.Fatalf("resumed from %d to %d, want 2 to 4", report.ResumedFrom, target.Episode())
 	}
-	if report.Restarts != 0 {
-		t.Errorf("restarts %d, want 0", report.Restarts)
+	if len(report.Episodes) != 2 || report.Episodes[0].Episode != 3 || report.Episodes[1].Episode != 4 {
+		t.Errorf("report episodes %+v, want 3 and 4", report.Episodes)
+	}
+	if len(seen) != 2 || seen[0] != 3 || seen[1] != 4 {
+		t.Errorf("callback saw episodes %v, want [3 4]", seen)
 	}
 }
 
-func TestRunLineageTruncatedOnDeepFallback(t *testing.T) {
-	// Crash at episode 5 with the newest checkpoint (episode 4) corrupted
-	// while the supervisor pauses: recovery falls back to episode 2 and the
-	// report's lineage must shrink to match before episodes 3-5 replay.
+// TestRunCorruptFallbackAcrossRuns: the newest checkpoint is torn between
+// a crashed Run and the next one, which falls back to the previous file
+// and replays from there.
+func TestRunCorruptFallbackAcrossRuns(t *testing.T) {
 	dir := t.TempDir()
 	plan := &crashPlan{failures: map[int]int{5: 1}}
-	var r *Runner
-	cfg := Config{
-		Dir:   dir,
-		Every: 2,
-		Keep:  3,
-		// Base must be positive so the restart pause (where the corruption
-		// hook rides) actually fires.
-		Retry: faults.Backoff{Base: 0.5, MaxRetries: 2},
-	}
-	cfg.Sleep = func(time.Duration) {
-		if err := os.WriteFile(r.checkpointPath(4), []byte("torn"), 0o644); err != nil {
-			t.Errorf("corrupt newest checkpoint: %v", err)
-		}
-	}
-	var err error
-	r, err = New(fakeFactory(plan), cfg)
+	r, err := New(fakeFactory(plan), Config{Dir: dir, Every: 2})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := r.Run(6, nil); err == nil {
+		t.Fatal("Run survived the episode-5 crash")
+	}
+	if err := os.WriteFile(r.checkpointPath(4), []byte("torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	target, report, err := r.Run(6, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if target.Episode() != 6 {
-		t.Errorf("final episode %d, want 6", target.Episode())
+	if target.Episode() != 6 || report.ResumedFrom != 2 || report.CorruptSkipped != 1 {
+		t.Fatalf("episode %d resumed from %d with %d corrupt skipped, want 6, 2 and 1",
+			target.Episode(), report.ResumedFrom, report.CorruptSkipped)
 	}
-	if report.Restarts != 1 || report.CorruptSkipped != 1 {
-		t.Errorf("restarts %d corrupt-skipped %d, want 1 and 1", report.Restarts, report.CorruptSkipped)
-	}
-	if len(report.Episodes) != 6 {
-		t.Fatalf("report has %d episodes, want 6", len(report.Episodes))
+	if len(report.Episodes) != 4 {
+		t.Fatalf("report has %d episodes, want 4", len(report.Episodes))
 	}
 	for i, res := range report.Episodes {
-		if res.Episode != i+1 {
-			t.Errorf("report episode[%d] = %d, want %d", i, res.Episode, i+1)
+		if res.Episode != i+3 {
+			t.Errorf("report episode[%d] = %d, want %d", i, res.Episode, i+3)
 		}
 	}
 }

@@ -16,7 +16,7 @@ import (
 // named *Config in the program's non-test Go files outside bench/: the
 // settings a caller can vary. A change that adds or removes a setting
 // updates this number in its own diff.
-const wantConfigKnobs = 64
+const wantConfigKnobs = 61
 
 // TestConfigKnobCount pins the settable surface of the program. It fails in
 // either direction, so a new setting is a visible decision and a setting
