@@ -1,11 +1,10 @@
 // Robustness stresses the learned mechanism beyond the paper's idealized
-// assumptions. It trains Chiron on the clean environment, then evaluates
-// the same frozen policy under escalating failure regimes: bandwidth
-// jitter and node churn (the soft knobs), and injected faults from
-// internal/faults — node crashes, stragglers, dropped uploads, and
-// corrupted updates — with a round deadline, bounded retries, and
-// zero payment to failed nodes. The degradation table is what a
-// deployment engineer would want before rollout.
+// assumptions. It trains Chiron on a clean scenario spec, then evaluates
+// the same frozen policy on that spec with escalating failure regimes set:
+// bandwidth jitter and node availability, injected faults (crashes,
+// stragglers, dropped uploads, corrupted updates) under a round deadline,
+// and Markov fleet churn. The degradation table is what a deployment
+// engineer would want before rollout.
 //
 // Run with:
 //
@@ -17,12 +16,10 @@ import (
 	"io"
 	"os"
 
-	"chiron"
-	"chiron/internal/accuracy"
-	"chiron/internal/edgeenv"
-	"chiron/internal/experiment"
-	"chiron/internal/faults"
 	"chiron/internal/market"
+	"chiron/internal/mechanism"
+	"chiron/internal/rl"
+	"chiron/internal/scenario"
 )
 
 func main() {
@@ -33,72 +30,73 @@ func main() {
 }
 
 func run(w io.Writer, nodes, eps, evalEps int, budget float64) error {
-	const seed = 7
+	base := scenario.Spec{
+		Name:          "robustness",
+		Dataset:       "mnist",
+		Seed:          7,
+		Classes:       []scenario.DeviceClass{{Profile: "paper", Count: nodes}},
+		Budgets:       []float64{budget},
+		Mechanisms:    []string{"chiron"},
+		TrainEpisodes: eps,
+		EvalEpisodes:  evalEps,
+	}
 
 	// Train on the clean environment.
-	sys, err := chiron.NewSystem(chiron.SystemConfig{
-		Nodes: nodes, Dataset: chiron.DatasetMNIST, Budget: budget, Seed: seed,
-	})
+	fmt.Fprintf(w, "training Chiron on the clean environment (%d episodes)...\n", eps)
+	trainer, err := open(base)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "training Chiron on the clean environment (%d episodes)...\n", eps)
-	if _, err := sys.Train(eps, nil); err != nil {
+	if err := trainer.Train(scenario.CellHooks{}); err != nil {
 		return err
 	}
-	ck, err := sys.Agent().Checkpoint()
+	ck, err := trainer.Mechanism().(mechanism.Checkpointer).Checkpoint()
 	if err != nil {
 		return err
 	}
 
-	// Evaluate the frozen policy under churn and injected faults. Each
-	// scenario rebuilds the clean environment (same fleet, same task),
-	// perturbs it, and restores the trained weights into a fresh agent
-	// bound to it. Faults come with a round deadline 20% above the slowest
-	// clean response, so healthy nodes are never cut but crashes time out
-	// and big stragglers are dropped.
-	setup := experiment.Setup{Preset: accuracy.PresetMNIST, Nodes: nodes, Budget: budget, Seed: seed}
-	faultMix := faults.Rates{Crash: 0.03, Straggle: 0.06, Drop: 0.05, Corrupt: 0.03}
+	// Evaluate the frozen policy under churn and injected faults: each row
+	// is the clean spec (same fleet, same task) with its perturbation set.
+	// Faults are k times a base mix under a 60 s round deadline, above the
+	// paper fleet's slowest clean response (32 s of compute at the minimum
+	// frequency plus at most 26 s of upload under 30% jitter).
 	scenarios := []struct {
-		name         string
-		jitter       float64
-		availability float64
-		rates        faults.Rates
+		name                 string
+		jitter, availability float64
+		faults               float64 // k, the multiple of the base mix
 	}{
-		{"clean (paper assumptions)", 0, 0, faults.Rates{}},
-		{"±10% bandwidth jitter", 0.10, 0, faults.Rates{}},
-		{"±30% bandwidth jitter", 0.30, 0, faults.Rates{}},
-		{"90% node availability", 0, 0.90, faults.Rates{}},
-		{"70% node availability", 0, 0.70, faults.Rates{}},
-		{"faults: light (1x mix)", 0, 0, faultMix},
-		{"faults: moderate (3x mix)", 0, 0, faultMix.Scale(3)},
-		{"faults: severe (6x mix)", 0, 0, faultMix.Scale(6)},
-		{"severe faults + 30% jitter", 0.30, 0, faultMix.Scale(6)},
+		{"clean (paper assumptions)", 0, 0, 0},
+		{"±10% bandwidth jitter", 0.10, 0, 0},
+		{"±30% bandwidth jitter", 0.30, 0, 0},
+		{"90% node availability", 0, 0.90, 0},
+		{"70% node availability", 0, 0.70, 0},
+		{"faults: light (1x mix)", 0, 0, 1},
+		{"faults: moderate (3x mix)", 0, 0, 3},
+		{"faults: severe (5x mix)", 0, 0, 5},
+		{"severe faults + 30% jitter", 0.30, 0, 5},
 	}
 	fmt.Fprintf(w, "\nfrozen policy under churn and injected faults (%d eval episodes each):\n", evalEps)
 	fmt.Fprintf(w, "%-30s %10s %8s %10s %10s\n", "scenario", "accuracy", "rounds", "time-eff", "failures")
 	for _, sc := range scenarios {
-		res, env, err := experiment.EvalFrozen(ck, setup, evalEps, func(cfg *edgeenv.Config) error {
-			if err := experiment.SoftChurn(sc.jitter, sc.availability, seed+2)(cfg); err != nil {
-				return err
-			}
-			return experiment.InjectFaults(sc.rates, seed+3)(cfg)
-		})
+		s := base
+		s.CommJitter = sc.jitter
+		s.Availability = sc.availability
+		if k := sc.faults; k > 0 {
+			s.Faults = &scenario.FaultSpec{Crash: 0.03 * k, Straggle: 0.06 * k, Drop: 0.05 * k, Corrupt: 0.03 * k}
+			s.RoundDeadline = 60
+			s.MaxRetries = 2
+			s.RetryBackoff = 1
+		}
+		res, n, err := evalFrozen(s, ck)
 		if err != nil {
 			return err
 		}
-		// The ledger still holds the final evaluation episode's rounds,
-		// so its outcomes give a representative failure count.
-		var failures int
-		for _, r := range env.Ledger().Rounds() {
-			failures += r.Failures()
-		}
 		fmt.Fprintf(w, "%-30s %10.3f %8d %9.1f%% %10d\n",
-			sc.name, res.FinalAccuracy, res.Rounds, 100*res.TimeEfficiency, failures)
+			sc.name, res.FinalAccuracy, res.Rounds, 100*res.TimeEfficiency, n.failures)
 	}
 	// Second sweep: fleet churn proper. Unlike the availability knob above
-	// (a per-round coin flip), a ChurnSchedule evolves membership as a
-	// Markov chain — departed nodes stay gone until they re-arrive, and a
+	// (a per-round coin flip), churn rates evolve membership as a Markov
+	// chain — departed nodes stay gone until they re-arrive, and a
 	// mid-round departure forfeits its payment under the failure-payment
 	// rule. The table shows the frozen policy degrading as the fleet gets
 	// flakier.
@@ -115,30 +113,16 @@ func run(w io.Writer, nodes, eps, evalEps int, budget float64) error {
 	fmt.Fprintf(w, "\nfrozen policy under Markov fleet churn (depart-rate / arrive-rate):\n")
 	fmt.Fprintf(w, "%-30s %10s %8s %10s %10s %10s\n", "scenario", "accuracy", "rounds", "time-eff", "absent", "departed")
 	for _, sc := range churnGrid {
-		res, env, err := experiment.EvalFrozen(ck, setup, evalEps, func(cfg *edgeenv.Config) error {
-			if sc.depart == 0 {
-				return nil
-			}
-			var err error
-			cfg.Churn, err = faults.NewChurnSampler(faults.ChurnRates{Depart: sc.depart, Arrive: sc.arrive}, seed+4)
-			return err
-		})
+		s := base
+		if sc.depart > 0 {
+			s.Churn = &scenario.ChurnSpec{Rates: &scenario.ChurnRatesSpec{Depart: sc.depart, Arrive: sc.arrive}}
+		}
+		res, n, err := evalFrozen(s, ck)
 		if err != nil {
 			return err
 		}
-		var absent, departed int
-		for _, r := range env.Ledger().Rounds() {
-			for _, o := range r.Outcomes {
-				switch o {
-				case market.OutcomeAbsent:
-					absent++
-				case market.OutcomeDeparted:
-					departed++
-				}
-			}
-		}
 		fmt.Fprintf(w, "%-30s %10.3f %8d %9.1f%% %10d %10d\n",
-			sc.name, res.FinalAccuracy, res.Rounds, 100*res.TimeEfficiency, absent, departed)
+			sc.name, res.FinalAccuracy, res.Rounds, 100*res.TimeEfficiency, n.absent, n.departed)
 	}
 
 	fmt.Fprintln(w, "\nthe policy degrades gracefully: jitter erodes time consistency,")
@@ -146,4 +130,49 @@ func run(w io.Writer, nodes, eps, evalEps int, budget float64) error {
 	fmt.Fprintln(w, "injected faults cost failed rounds — but the deadline, quorum, and")
 	fmt.Fprintln(w, "no-pay-on-failure rules keep every episode running within budget.")
 	return nil
+}
+
+// open validates the spec and opens its one (Chiron, budget) cell.
+func open(s scenario.Spec) (*scenario.CellRun, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	cells, err := s.Cells()
+	if err != nil {
+		return nil, err
+	}
+	return scenario.OpenCell(&s, cells[0])
+}
+
+// tally counts the failed, absent and departed node-rounds of one episode.
+type tally struct{ failures, absent, departed int }
+
+// evalFrozen restores ck into the spec's cell and averages its evaluation
+// episodes, tallying the last one's outcomes, which the ledger still holds.
+func evalFrozen(s scenario.Spec, ck *rl.Checkpoint) (mechanism.EpisodeResult, tally, error) {
+	var n tally
+	run, err := open(s)
+	if err != nil {
+		return mechanism.EpisodeResult{}, n, err
+	}
+	m := run.Mechanism()
+	if err := m.(mechanism.Checkpointer).Restore(ck); err != nil {
+		return mechanism.EpisodeResult{}, n, err
+	}
+	res, err := run.Evaluate()
+	if err != nil {
+		return res, n, err
+	}
+	for _, r := range m.Env().Ledger().Rounds() {
+		n.failures += r.Failures()
+		for _, o := range r.Outcomes {
+			switch o {
+			case market.OutcomeAbsent:
+				n.absent++
+			case market.OutcomeDeparted:
+				n.departed++
+			}
+		}
+	}
+	return res, n, nil
 }

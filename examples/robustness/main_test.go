@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// TestRunSmoke trains a tiny policy and sweeps all nine churn/fault
-// scenarios with one evaluation episode each.
+// TestRunSmoke trains a tiny policy and evaluates it under every jitter,
+// availability, fault and churn regime with one evaluation episode each.
 func TestRunSmoke(t *testing.T) {
 	if err := run(io.Discard, 3, 2, 1, 60); err != nil {
 		t.Fatalf("run: %v", err)

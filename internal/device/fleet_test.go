@@ -50,6 +50,51 @@ func TestNewFleetBatchMatchesNewFleet(t *testing.T) {
 	}
 }
 
+// TestNewFleetBatchBoundarySpecsValidate pins the invariant that lets
+// NewFleetBatch return what it drew unchecked: every node drawn from a
+// valid spec passes Fleet.Validate, also at the edges of the spec's
+// ranges — degenerate ranges (lo == hi), upper bounds of math.MaxFloat64,
+// the widest positive ranges and a zero reserve cap.
+func TestNewFleetBatchBoundarySpecsValidate(t *testing.T) {
+	const maxF = math.MaxFloat64
+	point := DefaultFleetSpec(16)
+	point.DataBitsMax = point.DataBitsMin
+	point.FreqMaxLow, point.FreqMaxHigh = point.FreqMin, point.FreqMin
+	point.CommTimeMax = point.CommTimeMin
+	point.ReserveMax = 0
+	silent := point
+	silent.CommTimeMin, silent.CommTimeMax, silent.CommEnergyRate = 0, 0, 0
+	huge := DefaultFleetSpec(16)
+	huge.CyclesPerBit, huge.Capacitance, huge.CommEnergyRate = maxF, maxF, maxF
+	huge.DataBitsMax, huge.FreqMaxHigh, huge.CommTimeMax, huge.ReserveMax = maxF, maxF, maxF, maxF
+	top := huge
+	top.DataBitsMin, top.FreqMin, top.FreqMaxLow, top.CommTimeMin = maxF, maxF, maxF, maxF
+	wide := huge
+	wide.DataBitsMin, wide.FreqMin, wide.FreqMaxLow, wide.CommTimeMin = 5e-324, 5e-324, 5e-324, 0
+	specs := map[string]FleetSpec{"point": point, "silent": silent, "huge": huge, "top": top, "wide": wide}
+	for name, spec := range specs {
+		if err := spec.Validate(); err != nil {
+			t.Fatalf("%s spec: %v", name, err)
+		}
+		for seed := int64(1); seed <= 3; seed++ {
+			fleet, err := NewFleetBatch(rand.New(rand.NewSource(seed)), spec)
+			if err != nil {
+				t.Fatalf("%s spec, seed %d: NewFleetBatch: %v", name, seed, err)
+			}
+			if err := fleet.Validate(); err != nil {
+				t.Errorf("%s spec, seed %d: drawn fleet invalid: %v", name, seed, err)
+			}
+		}
+	}
+	fleet, err := NewFleetBatch(rand.New(rand.NewSource(7)), point, silent, huge, top, wide)
+	if err != nil {
+		t.Fatalf("NewFleetBatch of every boundary spec: %v", err)
+	}
+	if err := fleet.Validate(); err != nil {
+		t.Errorf("fleet drawn from every boundary spec invalid: %v", err)
+	}
+}
+
 // TestFromNodesRoundTrip pins Fleet ⇄ []*Node conversion.
 func TestFromNodesRoundTrip(t *testing.T) {
 	nodes, err := NewFleet(rand.New(rand.NewSource(3)), DefaultFleetSpec(17))

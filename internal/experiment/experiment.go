@@ -7,7 +7,8 @@
 // mechanism), and trained and evaluated by one job, cellJob: each
 // comparison point and each λ or time-weight ablation row is a cellJob,
 // a learning curve trains the mechanism open returns, and the frozen-policy
-// ablations train once and evaluate the checkpoint through EvalFrozen.
+// ablations (frozenSweep) train once and evaluate the checkpoint under each
+// row's disturbance of the same environment.
 //
 // One table registers every experiment under the paper artifact it
 // reproduces (fig3 … fig7, tab1) or the ablation study it runs (abl-*),
@@ -25,7 +26,6 @@ import (
 	"chiron/internal/device"
 	"chiron/internal/edgeenv"
 	"chiron/internal/mechanism"
-	"chiron/internal/rl"
 )
 
 // Setup describes one experiment environment: a dataset preset, fleet size,
@@ -52,7 +52,8 @@ type Setup struct {
 
 // Config assembles the environment configuration of a setup with the
 // paper's Sec. VI-A device constants — the one construction of the paper
-// environment that BuildEnv, EvalFrozen and chiron.NewSystem share.
+// environment that BuildEnv, the frozen-policy ablations and
+// chiron.NewSystem share.
 func (s Setup) Config() (edgeenv.Config, error) {
 	if s.Nodes <= 0 {
 		return edgeenv.Config{}, fmt.Errorf("experiment: nodes %d, want > 0", s.Nodes)
@@ -98,36 +99,6 @@ func (s Setup) open(kind MechanismKind) (mechanism.Mechanism, error) {
 		return nil, err
 	}
 	return BuildMechanism(kind, env, s.Seed)
-}
-
-// EvalFrozen is the frozen-policy evaluator: it builds the setup's
-// environment, lets perturb (nil = none) add a study's disturbance to its
-// config, restores ck into a fresh Chiron agent on it and averages
-// episodes deterministic evaluation episodes. It returns the environment
-// too, whose ledger still holds the last evaluation episode.
-func EvalFrozen(ck *rl.Checkpoint, s Setup, episodes int, perturb func(*edgeenv.Config) error) (mechanism.EpisodeResult, *edgeenv.Env, error) {
-	cfg, err := s.Config()
-	if err != nil {
-		return mechanism.EpisodeResult{}, nil, err
-	}
-	if perturb != nil {
-		if err := perturb(&cfg); err != nil {
-			return mechanism.EpisodeResult{}, nil, err
-		}
-	}
-	env, err := edgeenv.New(cfg)
-	if err != nil {
-		return mechanism.EpisodeResult{}, nil, fmt.Errorf("experiment: env: %w", err)
-	}
-	agent, err := core.New(env, TunedChironConfig(s.Seed))
-	if err != nil {
-		return mechanism.EpisodeResult{}, nil, err
-	}
-	if err := agent.Restore(ck); err != nil {
-		return mechanism.EpisodeResult{}, nil, err
-	}
-	res, err := mechanism.Evaluate(agent, episodes)
-	return res, env, err
 }
 
 // TunedChironConfig returns the Chiron hyperparameters used throughout the

@@ -33,13 +33,48 @@ func chironSweep(a Artifact, scale float64, jobs, rows int, vary func(i int, s *
 	return plan.Execute()
 }
 
+// frozenRow is one frozen-policy evaluation regime: ablationSetup with
+// relative bandwidth jitter, a per-round node availability (0 = always
+// present) and injected fault rates (zero = none).
+type frozenRow struct {
+	name                 string
+	jitter, availability float64
+	rates                faults.Rates
+}
+
+// env builds ablationSetup's environment with the row's disturbance:
+// jitter and availability draw from a stream seeded at Seed+2, and faults
+// sample from Seed+3 under a fleetDeadline round deadline with two upload
+// retries.
+func (r frozenRow) env() (*edgeenv.Env, error) {
+	cfg, err := ablationSetup.Config()
+	if err != nil {
+		return nil, err
+	}
+	cfg.CommJitter = r.jitter
+	cfg.Availability = r.availability
+	if r.jitter > 0 || (r.availability > 0 && r.availability < 1) {
+		cfg.Rng = rand.New(rand.NewSource(ablationSetup.Seed + 2))
+	}
+	if r.rates.Any() {
+		sampler, err := faults.NewSampler(r.rates, ablationSetup.Seed+3)
+		if err != nil {
+			return nil, err
+		}
+		cfg.Faults = sampler
+		cfg.RoundDeadline = fleetDeadline(cfg.Fleet)
+		cfg.MaxRetries = 2
+		cfg.RetryBackoff = 1
+	}
+	return edgeenv.New(cfg)
+}
+
 // frozenSweep trains Chiron once on ablationSetup, then evaluates the frozen
-// policy under each row's perturbation, one job per row owning its
-// environment, perturbation RNG and restored agent (the checkpoint is
-// shared read-only). perturb returns row i's grid point and perturbation.
-// Each row also counts the failures of its last evaluation episode, which
-// the environment's ledger still holds.
-func frozenSweep(a Artifact, scale float64, jobs, rows int, perturb func(i int) (string, func(*edgeenv.Config) error)) ([]mechanism.EpisodeResult, []int, error) {
+// policy over 3 deterministic episodes per row, one job per row owning its
+// environment, disturbance RNG and restored agent (the checkpoint is shared
+// read-only). Each row also counts the failures of its last evaluation
+// episode, which the environment's ledger still holds.
+func frozenSweep(a Artifact, scale float64, jobs int, rows []frozenRow) ([]mechanism.EpisodeResult, []int, error) {
 	m, err := ablationSetup.open(KindChiron)
 	if err != nil {
 		return nil, nil, err
@@ -52,14 +87,24 @@ func frozenSweep(a Artifact, scale float64, jobs, rows int, perturb func(i int) 
 	if err != nil {
 		return nil, nil, err
 	}
-	failures := make([]int, rows)
+	failures := make([]int, len(rows))
 	plan := Plan[mechanism.EpisodeResult]{Name: string(a), Workers: jobs}
-	for i := 0; i < rows; i++ {
-		point, p := perturb(i)
+	for i, row := range rows {
 		plan.Jobs = append(plan.Jobs, Job[mechanism.EpisodeResult]{
-			Label: fmt.Sprintf("%s %s seed=%d", KindChiron, point, ablationSetup.Seed),
+			Label: fmt.Sprintf("%s %s seed=%d", KindChiron, row.name, ablationSetup.Seed),
 			Run: func() (mechanism.EpisodeResult, error) {
-				res, env, err := EvalFrozen(ck, ablationSetup, 3, p)
+				env, err := row.env()
+				if err != nil {
+					return mechanism.EpisodeResult{}, err
+				}
+				agent, err := core.New(env, TunedChironConfig(ablationSetup.Seed))
+				if err != nil {
+					return mechanism.EpisodeResult{}, err
+				}
+				if err := agent.Restore(ck); err != nil {
+					return mechanism.EpisodeResult{}, err
+				}
+				res, err := mechanism.Evaluate(agent, 3)
 				if err != nil {
 					return res, err
 				}
@@ -141,69 +186,27 @@ func runRewardAblation(scale float64, jobs int) (string, error) {
 // runRobustnessAblation evaluates the frozen policy under increasing
 // bandwidth jitter and node churn.
 func runRobustnessAblation(scale float64, jobs int) (string, error) {
-	scenarios := []struct {
-		name         string
-		jitter       float64
-		availability float64
-	}{
-		{"clean", 0, 0},
-		{"jitter 10%", 0.10, 0},
-		{"jitter 30%", 0.30, 0},
-		{"availability 80%", 0, 0.80},
-		{"jitter 30% + avail 80%", 0.30, 0.80},
+	rows := []frozenRow{
+		{name: "clean"},
+		{name: "jitter 10%", jitter: 0.10},
+		{name: "jitter 30%", jitter: 0.30},
+		{name: "availability 80%", availability: 0.80},
+		{name: "jitter 30% + avail 80%", jitter: 0.30, availability: 0.80},
 	}
-	results, _, err := frozenSweep(AblRobust, scale, jobs, len(scenarios), func(i int) (string, func(*edgeenv.Config) error) {
-		sc := scenarios[i]
-		return sc.name, SoftChurn(sc.jitter, sc.availability, ablationSetup.Seed+2)
-	})
+	results, _, err := frozenSweep(AblRobust, scale, jobs, rows)
 	if err != nil {
 		return "", err
 	}
-	rows := make([]string, 0, len(scenarios))
-	for i, sc := range scenarios {
+	lines := make([]string, 0, len(rows))
+	for i, row := range rows {
 		res := results[i]
-		rows = append(rows, fmt.Sprintf("%-26s %10.3f %8d %10.1f%%",
-			sc.name, res.FinalAccuracy, res.Rounds, 100*res.TimeEfficiency))
+		lines = append(lines, fmt.Sprintf("%-26s %10.3f %8d %10.1f%%",
+			row.name, res.FinalAccuracy, res.Rounds, 100*res.TimeEfficiency))
 	}
 	return renderRows(
 		Describe(AblRobust),
 		fmt.Sprintf("%-26s %10s %8s %10s", "scenario", "accuracy", "rounds", "time-eff"),
-		rows), nil
-}
-
-// SoftChurn returns an EvalFrozen perturbation with relative bandwidth
-// jitter and a per-round node availability (0 = always present), both
-// drawn from a stream seeded at seed.
-func SoftChurn(jitter, availability float64, seed int64) func(*edgeenv.Config) error {
-	return func(cfg *edgeenv.Config) error {
-		cfg.CommJitter = jitter
-		cfg.Availability = availability
-		if jitter > 0 || (availability > 0 && availability < 1) {
-			cfg.Rng = rand.New(rand.NewSource(seed))
-		}
-		return nil
-	}
-}
-
-// InjectFaults returns an EvalFrozen perturbation that samples crash,
-// straggler, drop and corruption faults at rates from seed, under a
-// fleetDeadline round deadline with two upload retries. Zero rates leave
-// the config clean.
-func InjectFaults(rates faults.Rates, seed int64) func(*edgeenv.Config) error {
-	return func(cfg *edgeenv.Config) error {
-		if !rates.Any() {
-			return nil
-		}
-		sampler, err := faults.NewSampler(rates, seed)
-		if err != nil {
-			return err
-		}
-		cfg.Faults = sampler
-		cfg.RoundDeadline = fleetDeadline(cfg.Fleet)
-		cfg.MaxRetries = 2
-		cfg.RetryBackoff = 1
-		return nil
-	}
+		lines), nil
 }
 
 // fleetDeadline returns the round deadline the fault experiments use: 20%
@@ -226,31 +229,26 @@ func fleetDeadline(fleet *device.Fleet) float64 {
 // payment.
 func runFaultSweep(scale float64, jobs int) (string, error) {
 	base := faults.Rates{Crash: 0.02, Straggle: 0.05, Drop: 0.05, Corrupt: 0.02}
-	levels := []struct {
-		name  string
-		rates faults.Rates
-	}{
-		{"clean", faults.Rates{}},
-		{"light (1x)", base},
-		{"moderate (3x)", base.Scale(3)},
-		{"severe (6x)", base.Scale(6)},
+	rows := []frozenRow{
+		{name: "clean"},
+		{name: "light (1x)", rates: base},
+		{name: "moderate (3x)", rates: base.Scale(3)},
+		{name: "severe (6x)", rates: base.Scale(6)},
 	}
-	results, failures, err := frozenSweep(AblFaults, scale, jobs, len(levels), func(i int) (string, func(*edgeenv.Config) error) {
-		return levels[i].name, InjectFaults(levels[i].rates, ablationSetup.Seed+3)
-	})
+	results, failures, err := frozenSweep(AblFaults, scale, jobs, rows)
 	if err != nil {
 		return "", err
 	}
-	rows := make([]string, 0, len(levels))
-	for i, lv := range levels {
+	lines := make([]string, 0, len(rows))
+	for i, row := range rows {
 		res := results[i]
-		rows = append(rows, fmt.Sprintf("%-16s %10.3f %8d %10.1f%% %10d",
-			lv.name, res.FinalAccuracy, res.Rounds, 100*res.TimeEfficiency, failures[i]))
+		lines = append(lines, fmt.Sprintf("%-16s %10.3f %8d %10.1f%% %10d",
+			row.name, res.FinalAccuracy, res.Rounds, 100*res.TimeEfficiency, failures[i]))
 	}
 	return renderRows(
 		Describe(AblFaults),
 		fmt.Sprintf("%-16s %10s %8s %10s %10s", "fault level", "accuracy", "rounds", "time-eff", "failures*"),
-		rows) + "(*failures counted over the final evaluation episode)\n", nil
+		lines) + "(*failures counted over the final evaluation episode)\n", nil
 }
 
 // runNonIIDAblation runs real FedAvg training (no surrogate) with IID and

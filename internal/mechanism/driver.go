@@ -123,9 +123,10 @@ func (d *Driver) Train(episodes int, callback func(EpisodeResult)) ([]EpisodeRes
 	}
 	results := make([]EpisodeResult, 0, episodes)
 	for ep := 0; ep < episodes; ep++ {
+		n := d.episode + 1 // the mechanism's count, not this call's index
 		res, err := d.RunEpisode(true)
 		if err != nil {
-			return results, fmt.Errorf("mechanism: %s episode %d: %w", d.name, ep+1, err)
+			return results, fmt.Errorf("mechanism: %s episode %d: %w", d.name, n, err)
 		}
 		results = append(results, res)
 		if callback != nil {

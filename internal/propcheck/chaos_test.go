@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"chiron/internal/baselines"
@@ -273,6 +274,11 @@ func TestChaosDeterministicCrashRecurs(t *testing.T) {
 		target, report, err := runner.Run(5, nil)
 		if !errors.Is(err, errCrash) || target != nil {
 			t.Fatalf("run %d: target %v, error %v, want a nil target and the hook's error", run, target, err)
+		}
+		// The error names the failed episode by the mechanism's count, not
+		// by its index within the one-episode training chunk.
+		if !strings.Contains(err.Error(), "Chiron episode 3: ") {
+			t.Fatalf("run %d: error %q does not name episode 3", run, err)
 		}
 		if len(fired) != run {
 			t.Fatalf("run %d: the hook failed %d times in total, want %d (one per Run)", run, len(fired), run)

@@ -116,18 +116,17 @@ func (s *Spec) buildAccuracy(rng *rand.Rand) (*accuracy.SurrogateCurve, error) {
 	return curve, nil
 }
 
-// churnSchedule compiles the spec's churn block into a faults schedule.
-// Returns (nil, nil) when the spec declares no churn.
+// churnSchedule compiles the spec's churn block into a faults schedule:
+// the parsed script, or the Markov sampler seeded at seed+7. Returns
+// (nil, nil) when the spec declares no churn.
 func (s *Spec) churnSchedule() (faults.ChurnSchedule, error) {
 	c := s.Churn
-	if c == nil {
+	switch {
+	case c == nil:
 		return nil, nil
-	}
-	exact := c.Script != "" || len(c.Windows) > 0
-	if exact && c.Rates != nil {
-		return nil, fmt.Errorf("scenario: churn declares both an exact schedule (script/windows) and sampled rates")
-	}
-	if c.Rates != nil {
+	case c.Script != "" && c.Rates != nil:
+		return nil, fmt.Errorf("scenario: churn declares both an exact script and sampled rates")
+	case c.Rates != nil:
 		rates := faults.ChurnRates{
 			Depart:        c.Rates.Depart,
 			Arrive:        c.Rates.Arrive,
@@ -138,39 +137,12 @@ func (s *Spec) churnSchedule() (faults.ChurnSchedule, error) {
 			return nil, fmt.Errorf("scenario: churn: %w", err)
 		}
 		return sampler, nil
-	}
-	if !exact {
+	case c.Script == "":
 		return nil, nil
 	}
-	var events []faults.ChurnEvent
-	if c.Script != "" {
-		parsed, err := faults.ParseChurnScript(c.Script)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: churn: %w", err)
-		}
-		events = parsed.Events()
-	}
-	if err := validateWindows(c.Windows, s.NumNodes()); err != nil {
-		return nil, err
-	}
-	for _, w := range c.Windows {
-		if w.Kind == "visit" {
-			// Absent until From, present through To, gone after.
-			events = append(events,
-				faults.ChurnEvent{Round: w.From, Node: w.Node, Kind: faults.ChurnArrive},
-				faults.ChurnEvent{Round: w.To, Node: w.Node, Kind: faults.ChurnDepart})
-		} else {
-			// Away: departs mid-round From, back at To+1.
-			events = append(events,
-				faults.ChurnEvent{Round: w.From, Node: w.Node, Kind: faults.ChurnDepart},
-				faults.ChurnEvent{Round: w.To + 1, Node: w.Node, Kind: faults.ChurnArrive})
-		}
-	}
-	script, err := faults.NewChurnScript(events)
+	script, err := faults.ParseChurnScript(c.Script)
 	if err != nil {
-		// Script events and window events can only conflict with each other
-		// (each form is self-consistent), so this is an overlap in spirit.
-		return nil, fmt.Errorf("%w: %v", ErrChurnOverlap, err)
+		return nil, fmt.Errorf("scenario: churn: %w", err)
 	}
 	if err := script.Validate(s.NumNodes()); err != nil {
 		return nil, fmt.Errorf("scenario: churn: %w", err)

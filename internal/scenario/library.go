@@ -40,10 +40,8 @@ var library = []Spec{
 		},
 		Budgets:    []float64{400},
 		Mechanisms: []string{"greedy"},
-		Churn: &ChurnSpec{Windows: []ChurnWindow{
-			{Node: 3, From: 3, To: 8, Kind: "visit"},
-			{Node: 4, From: 3, To: 8, Kind: "visit"},
-		}},
+		// Nodes 3 and 4 arrive at round 3 and depart mid-round 8.
+		Churn:         &ChurnSpec{Script: "+3@3,-3@8,+4@3,-4@8"},
 		TrainEpisodes: 6,
 		EvalEpisodes:  3,
 	},

@@ -43,7 +43,7 @@ func TestSameMechanismReplayBitIdentical(t *testing.T) {
 		"paper-baseline",   // clean fleet, no draws at all
 		"flaky-network",    // availability + jitter draws
 		"churny-fleet",     // sampled churn over a flaky network
-		"flash-crowd",      // churn windows plus a trained Greedy policy
+		"flash-crowd",      // churn script plus a trained Greedy policy
 		"faulty-fleet",     // injected faults under a deadline
 		"congested-uplink", // time-varying bandwidth regime
 	} {

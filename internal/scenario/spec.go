@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"sort"
 	"strings"
 
 	"chiron/internal/edgeenv"
@@ -40,8 +39,6 @@ var (
 	ErrUnknownClass = errors.New("scenario: unknown device class profile")
 	// ErrNegativeBudget reports a non-positive episode budget.
 	ErrNegativeBudget = errors.New("scenario: non-positive budget")
-	// ErrChurnOverlap reports churn windows that overlap for one node.
-	ErrChurnOverlap = errors.New("scenario: overlapping churn windows")
 	// ErrUnknownMechanism reports a mechanism name outside the vocabulary.
 	ErrUnknownMechanism = errors.New("scenario: unknown mechanism")
 	// ErrUnknownDataset reports a dataset name outside the vocabulary.
@@ -145,32 +142,17 @@ type BandwidthPhase struct {
 	Factor    float64 `json:"factor"`
 }
 
-// ChurnSpec schedules fleet membership. Exactly the forms the faults
-// package supports, plus declarative away/visit windows: Script and
-// Windows compile into one exact faults.ChurnScript; Rates selects the
-// seed-deterministic Markov sampler instead. Script/Windows and Rates are
-// mutually exclusive.
+// ChurnSpec schedules fleet membership in exactly the forms the faults
+// package supports: an exact Script, or the seed-deterministic Markov
+// sampler Rates selects. The two are mutually exclusive.
 type ChurnSpec struct {
 	// Script is the textual event form: "+NODE@ROUND" arrivals and
-	// "-NODE@ROUND" departures, comma-separated.
+	// "-NODE@ROUND" departures, comma-separated. A node away for rounds
+	// (From, To] is "-NODE@From,+NODE@To+1"; a node that visits for rounds
+	// From..To only is "+NODE@From,-NODE@To".
 	Script string `json:"script,omitempty"`
-	// Windows declares per-node membership intervals (see ChurnWindow).
-	Windows []ChurnWindow `json:"windows,omitempty"`
 	// Rates selects a sampled two-state Markov schedule.
 	Rates *ChurnRatesSpec `json:"rates,omitempty"`
-}
-
-// ChurnWindow is one node's membership interval. An "away" window (the
-// default) removes the node for rounds (From, To]: it departs mid-round
-// From and re-enters at round To+1. A "visit" window inverts that: the
-// node starts outside the fleet, arrives at round From, and departs
-// mid-round To — the flash-crowd form. Windows for one node must not
-// overlap.
-type ChurnWindow struct {
-	Node int    `json:"node"`
-	From int    `json:"from"`
-	To   int    `json:"to"`
-	Kind string `json:"kind,omitempty"` // "away" (default) or "visit"
 }
 
 // ChurnRatesSpec mirrors faults.ChurnRates for JSON specs.
@@ -350,48 +332,6 @@ func (s *Spec) Validate() error {
 	}
 	if err := s.envSettings(s.Budgets[0]).ValidateSettings(nodes); err != nil {
 		return fmt.Errorf("scenario: env: %w", err)
-	}
-	return nil
-}
-
-// validateWindows checks the declarative churn windows: well-formed
-// intervals, known kinds, and — per node — no overlap.
-func validateWindows(windows []ChurnWindow, nodes int) error {
-	byNode := make(map[int][]ChurnWindow)
-	for i, w := range windows {
-		switch {
-		case w.Node < 0 || w.Node >= nodes:
-			return fmt.Errorf("scenario: churn window %d names node %d, but the fleet has %d nodes", i, w.Node, nodes)
-		case w.From < 1 || w.To < w.From:
-			return fmt.Errorf("scenario: churn window %d rounds [%d,%d], want 1 <= from <= to", i, w.From, w.To)
-		case w.Kind != "" && w.Kind != "away" && w.Kind != "visit":
-			return fmt.Errorf("scenario: churn window %d kind %q (want away or visit)", i, w.Kind)
-		}
-		byNode[w.Node] = append(byNode[w.Node], w)
-	}
-	for node, ws := range byNode {
-		sort.Slice(ws, func(i, j int) bool { return ws[i].From < ws[j].From })
-		for i := 1; i < len(ws); i++ {
-			// An away window spans (From, To]; its arrival lands at To+1, so
-			// the next window must start after To+1 to leave the arrival and
-			// the next departure on distinct rounds. Visit windows occupy
-			// [From, To] outright. Requiring From > previous To+1 covers
-			// both forms.
-			if ws[i].From <= ws[i-1].To+1 {
-				return fmt.Errorf("%w: node %d windows [%d,%d] and [%d,%d]",
-					ErrChurnOverlap, node, ws[i-1].From, ws[i-1].To, ws[i].From, ws[i].To)
-			}
-		}
-		if len(ws) > 0 && ws[0].Kind == "visit" {
-			// A visiting node starts absent; a later away window would imply
-			// it was present in between, which the visit windows already
-			// decide. Mixing kinds per node is therefore rejected.
-			for _, w := range ws[1:] {
-				if w.Kind != "visit" {
-					return fmt.Errorf("%w: node %d mixes visit and away windows", ErrChurnOverlap, node)
-				}
-			}
-		}
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package scenario
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"strings"
@@ -99,40 +100,24 @@ func TestValidateTable(t *testing.T) {
 			s.Churn = &ChurnSpec{Rates: &ChurnRatesSpec{Depart: 1.5}}
 		}, nil},
 		{"churn window unknown node", func(s *Spec) {
-			s.Churn = &ChurnSpec{Windows: []ChurnWindow{{Node: 7, From: 2, To: 4}}}
+			// A visit by node 7 of a 3-node fleet.
+			s.Churn = &ChurnSpec{Script: "+7@2,-7@4"}
 		}, nil},
-		{"churn window inverted", func(s *Spec) {
-			s.Churn = &ChurnSpec{Windows: []ChurnWindow{{Node: 0, From: 5, To: 2}}}
-		}, nil},
-		{"churn window bad kind", func(s *Spec) {
-			s.Churn = &ChurnSpec{Windows: []ChurnWindow{{Node: 0, From: 2, To: 4, Kind: "vacation"}}}
-		}, nil},
+		// The exact-schedule conflicts below reach the faults script
+		// errors; TestValidateChurnScriptErrors pins which one each row
+		// reaches.
 		{"overlapping churn windows", func(s *Spec) {
-			s.Churn = &ChurnSpec{Windows: []ChurnWindow{
-				{Node: 0, From: 2, To: 6},
-				{Node: 0, From: 5, To: 9},
-			}}
-		}, ErrChurnOverlap},
+			s.Churn = &ChurnSpec{Script: overlappingVisits}
+		}, nil},
 		{"adjacent churn windows collide", func(s *Spec) {
-			// The first away window's re-arrival lands at round 7; a second
-			// departure that same round is a conflict.
-			s.Churn = &ChurnSpec{Windows: []ChurnWindow{
-				{Node: 0, From: 2, To: 6},
-				{Node: 0, From: 7, To: 9},
-			}}
-		}, ErrChurnOverlap},
+			s.Churn = &ChurnSpec{Script: adjacentAways}
+		}, nil},
 		{"mixed visit and away windows", func(s *Spec) {
-			s.Churn = &ChurnSpec{Windows: []ChurnWindow{
-				{Node: 0, From: 2, To: 4, Kind: "visit"},
-				{Node: 0, From: 8, To: 9},
-			}}
-		}, ErrChurnOverlap},
+			s.Churn = &ChurnSpec{Script: visitThenAway}
+		}, nil},
 		{"window collides with script", func(s *Spec) {
-			s.Churn = &ChurnSpec{
-				Script:  "-0@3",
-				Windows: []ChurnWindow{{Node: 0, From: 3, To: 5}},
-			}
-		}, ErrChurnOverlap},
+			s.Churn = &ChurnSpec{Script: doubleDepart}
+		}, nil},
 		{"fault rates above one", func(s *Spec) {
 			s.Faults = &FaultSpec{Crash: 0.8, Straggle: 0.8}
 		}, nil},
@@ -152,6 +137,38 @@ func TestValidateTable(t *testing.T) {
 				t.Errorf("error %v does not wrap %v", err, tc.want)
 			}
 		})
+	}
+}
+
+// Exact churn schedules that contradict themselves for node 0.
+const (
+	// Visits for rounds 2..6 and 5..9: node 0 arrives at round 5 while
+	// already present.
+	overlappingVisits = "+0@2,-0@6,+0@5,-0@9"
+	// Away for rounds (2,6] and (7,9]: the re-arrival and the second
+	// departure share round 7.
+	adjacentAways = "-0@2,+0@7,-0@7,+0@10"
+	// A visit for rounds 2..4, then away for (8,9]: node 0 departs at
+	// round 8 while already absent.
+	visitThenAway = "+0@2,-0@4,-0@8,+0@10"
+	// Two departures at round 3.
+	doubleDepart = "-0@3,-0@3,+0@6"
+)
+
+// TestValidateChurnScriptErrors checks that each self-contradicting churn
+// script is refused with the faults error that names its conflict.
+func TestValidateChurnScriptErrors(t *testing.T) {
+	for script, want := range map[string]string{
+		overlappingVisits: "node 0 arrives at round 5 while already present",
+		adjacentAways:     "node 0 has two churn events at round 7",
+		visitThenAway:     "node 0 departs at round 8 while already absent",
+		doubleDepart:      "node 0 has two churn events at round 3",
+	} {
+		s := validSpec()
+		s.Churn = &ChurnSpec{Script: script}
+		if err := s.Validate(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("script %q: error %v, want %q", script, err, want)
+		}
 	}
 }
 
@@ -213,7 +230,7 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 func TestValidateDrawsNothing(t *testing.T) {
 	s := validSpec()
 	s.Classes = []DeviceClass{{Profile: "paper", Count: maxFleetNodes - 1}, {Profile: "iot", Count: 1}}
-	s.Churn = &ChurnSpec{Script: "-7@2,+7@5", Windows: []ChurnWindow{{Node: maxFleetNodes - 1, From: 3, To: 4}}}
+	s.Churn = &ChurnSpec{Script: fmt.Sprintf("-7@2,+7@5,-%d@3,+%d@5", maxFleetNodes-1, maxFleetNodes-1)}
 	s.Faults = &FaultSpec{Crash: 0.01, Straggle: 0.02}
 	s.MinQuorum = maxFleetNodes
 	var before, after runtime.MemStats
@@ -236,6 +253,14 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 	_, err := Parse([]byte(`{"name":"x","dataset":"mnist","clases":[]}`))
 	if err == nil || !strings.Contains(err.Error(), "unknown field") {
 		t.Errorf("typo'd field error = %v", err)
+	}
+	// Churn windows are spelled as script events; a spec still carrying
+	// the window form is refused, not run without its churn.
+	_, err = Parse([]byte(`{"name":"x","dataset":"mnist","seed":1,
+		"classes":[{"profile":"paper","count":3}],"budgets":[100],"mechanisms":["uniform"],
+		"eval_episodes":1,"churn":{"windows":[{"node":0,"from":2,"to":4}]}}`))
+	if err == nil || !strings.Contains(err.Error(), `unknown field "windows"`) {
+		t.Errorf("churn windows error = %v", err)
 	}
 }
 
