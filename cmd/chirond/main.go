@@ -79,7 +79,7 @@ func serve(args []string) error {
 	if err != nil {
 		return err
 	}
-	// The PPO update's independent streams fork onto as many cores as
+	// The PPO update's independent streams run on as many cores as
 	// mat.Workers allows; keep one core for the request path so
 	// control-plane latency does not queue behind learners.
 	mat.SetWorkers(max(1, runtime.GOMAXPROCS(0)-1))

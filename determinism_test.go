@@ -105,7 +105,7 @@ func flFingerprint(t *testing.T, workers int) uint64 {
 // hashes everything the update writes: the policy and critic parameters,
 // both Adam optimizers' step counts and moment estimates, each update's
 // UpdateStats, and a value estimate. Above one worker the critic and actor
-// epochs run as concurrent streams, so equal fingerprints pin that fork as
+// epochs run as concurrent streams, so equal fingerprints pin the pool as
 // bit-identical to the serial path.
 //
 // The chain episode repeats one state, so every next state equals the next
@@ -328,9 +328,10 @@ func trainTwin(t *testing.T, kind experiment.MechanismKind, workers int) (result
 
 // TestTrainingBitIdenticalAcrossUpdateStreams pins the concurrent PPO
 // update end to end. Serial kernels (workers=1) run every update stream
-// one after another; the default and workers=4 fork the critic and actor
-// epochs and, for Chiron, the inner and exterior agents. Every episode
-// result and every checkpoint byte must agree.
+// one after another; the default and workers=4 run the critic and actor
+// epochs of every agent (for Chiron, inner and exterior) side by side from
+// one stream list. Every episode result and every checkpoint byte must
+// agree.
 func TestTrainingBitIdenticalAcrossUpdateStreams(t *testing.T) {
 	for _, kind := range []experiment.MechanismKind{experiment.KindChiron, experiment.KindDRLBased} {
 		t.Run(kind.String(), func(t *testing.T) {

@@ -123,7 +123,6 @@ func (c *Client) TrainRound(global []float64) ([]float64, float64, error) {
 			if err != nil {
 				return err
 			}
-			c.model.ZeroGrad()
 			if err := c.model.Backward(c.grad); err != nil {
 				return err
 			}

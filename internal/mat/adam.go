@@ -2,10 +2,11 @@ package mat
 
 // AdamCoeffs are the scalars of one Adam step: the moment decays B1 and B2,
 // their complements C1 = 1−B1 and C2 = 1−B2, the bias corrections BC1 and
-// BC2, the learning rate and ε. The amd64 kernel reads them in this field
-// order.
+// BC2, the learning rate, ε, and GS, the factor every gradient is
+// multiplied by before the moments read it (a gradient-norm clip's scale,
+// or 1). The amd64 kernel reads them in this field order.
 type AdamCoeffs struct {
-	B1, C1, B2, C2, BC1, BC2, LR, Eps float64
+	B1, C1, B2, C2, BC1, BC2, LR, Eps, GS float64
 }
 
 // AdamStepVec applies one Adam step to the leading elements of p that the

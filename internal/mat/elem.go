@@ -44,12 +44,6 @@ func tanhGradLoop(dst, g, y []float64) {
 	}
 }
 
-// AddVec adds src into dst elementwise; src must be at least as long as
-// dst.
-func AddVec(dst, src []float64) {
-	addRows(dst, 0, src, 0, 1, len(dst))
-}
-
 // addRows adds src[r·srcStride + j] into dst[r·dstStride + j] for r < rows
 // and j < cols, rows in ascending order. A zero stride reuses one row: a
 // zero srcStride adds a row vector to every dst row, a zero dstStride sums

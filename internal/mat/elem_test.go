@@ -169,9 +169,9 @@ func TestElementwiseKernelsMatchLoops(t *testing.T) {
 			check(fmt.Sprintf("ScaleVec(s=%v)", s), n, got, want)
 
 			got, want = append([]float64(nil), d...), append([]float64(nil), d...)
-			AddVec(got, g)
+			addRows(got, 0, g, 0, 1, n)
 			addRowsLoop(want, 0, g, 0, 1, 0, n)
-			check("AddVec", n, got, want)
+			check("addRows(vector)", n, got, want)
 
 			for _, rows := range []int{1, 3, 5} {
 				m := elemOperand(rng, rows*n)

@@ -75,3 +75,10 @@ func gemmKernel512(dst *float64, dstStride int, a *float64, aRowStride, aStride 
 //
 //go:noescape
 func adamStep(p, grad, m, v *float64, n int, c *AdamCoeffs)
+
+// transposeKernel sets dst[k·dstStride + j] = src[j·srcStride + k] for
+// j < rows and k < cols, both multiples of 4. It does no bounds checks;
+// call it through transposeTo.
+//
+//go:noescape
+func transposeKernel(dst *float64, dstStride int, src *float64, srcStride, rows, cols int)

@@ -699,7 +699,7 @@ zdone:
 
 // func adamStep(p, grad, m, v *float64, n int, c *AdamCoeffs)
 //
-// Per element, in the order of the Go loop: m = b1·m + c1·g,
+// Per element, in the order of the Go loop: g = gs·g, m = b1·m + c1·g,
 // v = b2·v + (c2·g)·g, m̂ = m/bc1, v̂ = v/bc2, p −= (lr·m̂)/(√v̂ + ε).
 // VDIVPD and VSQRTPD round correctly, like DIVSD and SQRTSD. n is a
 // multiple of 4; the coefficients are read in AdamCoeffs field order.
@@ -718,12 +718,13 @@ TEXT ·adamStep(SB), NOSPLIT, $0-48
 	VBROADCASTSD 40(AX), Y13
 	VBROADCASTSD 48(AX), Y14
 	VBROADCASTSD 56(AX), Y15
+	VBROADCASTSD 64(AX), Y7
 	XORQ BX, BX
 	SHRQ $2, CX
 	JEQ  adone
 
 aloop:
-	VMOVUPD (SI)(BX*1), Y0
+	VMULPD  (SI)(BX*1), Y7, Y0
 	VMULPD  (R8)(BX*1), Y8, Y1
 	VMULPD  Y0, Y9, Y2
 	VADDPD  Y2, Y1, Y1
@@ -766,4 +767,67 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-4
 	MOVL $0, CX
 	XGETBV
 	MOVL AX, xcr0+0(FP)
+	RET
+
+// func transposeKernel(dst *float64, dstStride int, src *float64, srcStride, rows, cols int)
+//
+// dst[k·dstStride + j] = src[j·srcStride + k] for j < rows and k < cols,
+// both multiples of 4, in 4×4 blocks: four rows of src are loaded, and
+// VUNPCKLPD/VUNPCKHPD then VPERM2F128 turn them into four columns, stored
+// as four rows of dst. Pure data movement, so every bit is kept. The outer
+// loop walks src's row bands, the inner one their column blocks.
+//
+// Register use: SI src band, DI dst column, R8/R9 dst/src stride (bytes),
+// R10/R11 three dst/src strides, CX bands left, DX blocks per band, AX/BX
+// src/dst block cursors, R12 blocks left, Y0–Y7 the block.
+TEXT ·transposeKernel(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ dstStride+8(FP), R8
+	MOVQ src+16(FP), SI
+	MOVQ srcStride+24(FP), R9
+	MOVQ rows+32(FP), CX
+	MOVQ cols+40(FP), DX
+	SHLQ $3, R8
+	SHLQ $3, R9
+	LEAQ (R8)(R8*2), R10
+	LEAQ (R9)(R9*2), R11
+	SHRQ $2, CX
+	JEQ  tdone
+	SHRQ $2, DX
+	JEQ  tdone
+
+tband:
+	MOVQ SI, AX
+	MOVQ DI, BX
+	MOVQ DX, R12
+
+tblock:
+	VMOVUPD    (AX), Y0
+	VMOVUPD    (AX)(R9*1), Y1
+	VMOVUPD    (AX)(R9*2), Y2
+	VMOVUPD    (AX)(R11*1), Y3
+	VUNPCKLPD  Y1, Y0, Y4
+	VUNPCKHPD  Y1, Y0, Y5
+	VUNPCKLPD  Y3, Y2, Y6
+	VUNPCKHPD  Y3, Y2, Y7
+	VPERM2F128 $0x20, Y6, Y4, Y0
+	VPERM2F128 $0x20, Y7, Y5, Y1
+	VPERM2F128 $0x31, Y6, Y4, Y2
+	VPERM2F128 $0x31, Y7, Y5, Y3
+	VMOVUPD    Y0, (BX)
+	VMOVUPD    Y1, (BX)(R8*1)
+	VMOVUPD    Y2, (BX)(R8*2)
+	VMOVUPD    Y3, (BX)(R10*1)
+	ADDQ       $32, AX
+	LEAQ       (BX)(R8*4), BX
+	DECQ       R12
+	JNE        tblock
+
+	LEAQ (SI)(R9*4), SI
+	ADDQ $32, DI
+	DECQ CX
+	JNE  tband
+
+tdone:
+	VZEROUPPER
 	RET

@@ -110,3 +110,19 @@ func BenchmarkGemmMulTransBTo(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPackTransB times packing b transposed into MulTransBTo's panel,
+// over the weight shapes whose input gradients the fused backward computes
+// (hidden 64×64, the N=100 head's 64×100, the N=5 head's 64×5) and the
+// N=100 exterior input layer's 1202×64.
+func BenchmarkPackTransB(b *testing.B) {
+	for _, cs := range []struct{ rows, cols int }{{64, 64}, {64, 100}, {64, 5}, {1202, 64}} {
+		b.Run(fmt.Sprintf("%dx%d", cs.rows, cs.cols), func(b *testing.B) {
+			m := benchMatrix(rand.New(rand.NewSource(1)), cs.rows, cs.cols)
+			b.SetBytes(int64(8 * m.Size()))
+			for i := 0; i < b.N; i++ {
+				releasePanel(packTransB(m))
+			}
+		})
+	}
+}

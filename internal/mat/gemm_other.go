@@ -22,3 +22,8 @@ func gemmKernel512(dst *float64, dstStride int, a *float64, aRowStride, aStride 
 func adamStep(p, grad, m, v *float64, n int, c *AdamCoeffs) {
 	panic("mat: AVX2 kernel called without haveAVX2")
 }
+
+// transposeKernel is never called when haveAVX2 is false.
+func transposeKernel(dst *float64, dstStride int, src *float64, srcStride, rows, cols int) {
+	panic("mat: AVX2 kernel called without haveAVX2")
+}

@@ -69,12 +69,34 @@ func packTransB(b *Matrix) []float64 {
 	} else {
 		bt = bt[:n]
 	}
-	for j := 0; j < b.rows; j++ {
-		for k, v := range b.data[j*b.cols : (j+1)*b.cols] {
-			bt[k*b.rows+j] = v
+	transposeTo(bt, b.data, b.rows, b.cols)
+	return bt
+}
+
+// transposeTo writes the rows × cols matrix src, transposed, into dst.
+// With AVX2 transposeKernel moves the leading rows and columns that are
+// multiples of 4 in 4×4 blocks, and transposeLoop the edges; without it
+// transposeLoop moves everything. Either way every element is copied, so
+// the bits are the same.
+func transposeTo(dst, src []float64, rows, cols int) {
+	r4, c4 := 0, 0
+	if haveAVX2 && rows >= 4 && cols >= 4 {
+		r4, c4 = rows&^3, cols&^3
+		_, _ = src[(r4-1)*cols+c4-1], dst[(c4-1)*rows+r4-1]
+		transposeKernel(&dst[0], rows, &src[0], cols, r4, c4)
+	}
+	transposeLoop(dst, src, rows, cols, 0, r4, c4)
+	transposeLoop(dst, src, rows, cols, r4, rows, 0)
+}
+
+// transposeLoop is transposeTo over src rows [j0, j1) and columns [k0, cols),
+// one element at a time, and the oracle the kernel is tested against.
+func transposeLoop(dst, src []float64, rows, cols, j0, j1, k0 int) {
+	for j := j0; j < j1; j++ {
+		for k, v := range src[j*cols+k0 : (j+1)*cols] {
+			dst[(k0+k)*rows+j] = v
 		}
 	}
-	return bt
 }
 
 // releasePanel returns a panel from packTransB to the free list.

@@ -230,3 +230,76 @@ func TestStripRowBoundsChecked(t *testing.T) {
 		})
 	}
 }
+
+// TestPackTransBMatchesLoop pins packTransB, which with AVX2 moves 4×4
+// blocks in assembly and the edges in Go, to the element-by-element
+// transpose bit for bit, NaN payloads and the sign of zero included. The
+// shapes cover every row and column count 1–9 (each edge of a block, and
+// matrices too small for one), single rows and columns up to the N=100
+// exterior state's 1,202, and the weight shapes the fused backward packs
+// (1202×64 and its transpose, 64×100, 64×5). The panel it packs into is
+// recycled full of NaN first, so an element the pack skips shows. Then,
+// once per SIMD GEMM tier, MulTransBTo over the packed panel must match
+// the Go transpose-B kernel at the same shapes, whose wide destinations
+// (up to 1,202 columns) the GEMM oracle does not reach.
+func TestPackTransBMatchesLoop(t *testing.T) {
+	type shape struct{ rows, cols int }
+	var shapes []shape
+	for r := 1; r <= 9; r++ {
+		for c := 1; c <= 9; c++ {
+			shapes = append(shapes, shape{r, c})
+		}
+	}
+	for _, n := range []int{4, 63, 64, 65, 1202} {
+		shapes = append(shapes, shape{1, n}, shape{n, 1})
+	}
+	shapes = append(shapes, shape{1202, 64}, shape{64, 1202}, shape{64, 100}, shape{64, 5}, shape{13, 17})
+
+	rng := rand.New(rand.NewSource(35))
+	operands := make([]*Matrix, len(shapes))
+	for i, s := range shapes {
+		b := saltedOperand(rng, s.rows, s.cols, 4)
+		for j := range b.data {
+			if rng.Intn(50) == 0 {
+				b.data[j] = math.Float64frombits(0x7ff8000000000000 | uint64(rng.Int63n(1<<51))) // a NaN with a payload
+			}
+		}
+		operands[i] = b
+		want := make([]float64, s.rows*s.cols)
+		transposeLoop(want, b.data, s.rows, s.cols, 0, s.rows, 0)
+		stale := make([]float64, s.rows*s.cols)
+		for j := range stale {
+			stale[j] = math.NaN()
+		}
+		releasePanel(stale)
+		got := packTransB(b)
+		for j, w := range want {
+			if math.Float64bits(got[j]) != math.Float64bits(w) {
+				t.Fatalf("%dx%d: panel element (%d,%d) = %#x, transposed element %#x",
+					s.rows, s.cols, j/s.rows, j%s.rows, math.Float64bits(got[j]), math.Float64bits(w))
+			}
+		}
+	}
+
+	for _, tier := range simdTiers {
+		t.Run(tier.name, func(t *testing.T) {
+			if !tier.have {
+				t.Skipf("no %s kernel: not amd64, or the CPU lacks %s, or the OS does not save its registers", tier.name, tier.name)
+			}
+			for i, s := range shapes {
+				b := operands[i]
+				a := saltedOperand(rng, 3, s.cols, 0)
+				want := New(a.rows, s.rows)
+				gemmTransB(want.data, want.cols, a.data, a.cols, b.data, b.rows, a.rows)
+				dst := New(a.rows, s.rows)
+				dst.Fill(999)
+				if err := mulTransBTo(tier.kern, dst, a, b); err != nil {
+					t.Fatal(err)
+				}
+				if j, ok := sameFloats(dst.data, want.data); !ok {
+					t.Fatalf("b %dx%d: MulTransBTo element (%d,%d) = %v, Go kernel %v", s.rows, s.cols, j/dst.cols, j%dst.cols, dst.data[j], want.data[j])
+				}
+			}
+		})
+	}
+}

@@ -15,22 +15,20 @@ import (
 // — no per-layer interface dispatch, no gradient copies, and every
 // intermediate lives in a preallocated workspace recycled across calls.
 //
-// The fused plan is bit-identical to running the layers one by one: the
-// epilogue computes act(gemm[i][j] + b[j]) exactly as the AddRowVector /
-// ApplyTo pair does per element, and the backward pass invokes the same mat
-// kernels on the same values in the same per-element order. It shares the
-// layers' Param tensors, so optimizers, checkpointing, and serialization
-// see the layers' parameters.
+// The fused plan is bit-identical to running the layers one by one on
+// zeroed gradients: the epilogue computes act(gemm[i][j] + b[j]) exactly as
+// the AddRowVector / ApplyTo pair does per element, and the backward pass
+// invokes the same mat kernels on the same values in the same per-element
+// order. It shares the layers' Param tensors, so optimizers,
+// checkpointing, and serialization see the layers' parameters.
 type FusedMLP struct {
 	units []fusedUnit
 	lastX *mat.Matrix
 	// Recycled workspaces, one per unit: post-activation outputs, local
-	// gradients (delta), dW scratch, and the per-unit input gradients.
+	// gradients (delta), and the per-unit input gradients.
 	ys    []*mat.Matrix
 	delta []*mat.Matrix
-	dw    []*mat.Matrix
 	dxs   []*mat.Matrix
-	sums  [][]float64
 }
 
 // fusedUnit is one Dense layer plus the activation fused onto its output
@@ -47,9 +45,7 @@ func newFusedMLP(units []fusedUnit) *FusedMLP {
 		units: units,
 		ys:    make([]*mat.Matrix, len(units)),
 		delta: make([]*mat.Matrix, len(units)),
-		dw:    make([]*mat.Matrix, len(units)),
 		dxs:   make([]*mat.Matrix, len(units)),
-		sums:  make([][]float64, len(units)),
 	}
 }
 
@@ -107,11 +103,15 @@ func epilogue(y *mat.Matrix, bias []float64, act Activation) error {
 	return nil
 }
 
-// Backward propagates grad back through every unit, accumulating parameter
-// gradients into the shared Param tensors. The activation derivative is
-// folded into the production of each unit's local gradient, so no layer
-// boundary copies a matrix. No caller needs the gradient with respect to
-// the plan's input, so the first unit stops after its dW and db.
+// Backward propagates grad back through every unit, writing each unit's dW
+// and db straight into the shared Param gradients, whatever they held
+// before. That has the bits of zeroing them and then accumulating: the
+// GEMM and row-sum accumulators start at +0, and a round-to-nearest sum
+// that starts at +0 is never −0, so 0 + dW has the bits of dW. The
+// activation derivative is folded into the production of each unit's
+// local gradient, so no layer boundary copies a matrix. No caller needs
+// the gradient with respect to the plan's input, so the first unit stops
+// after its dW and db.
 func (f *FusedMLP) Backward(grad *mat.Matrix) error {
 	if f.lastX == nil {
 		return fmt.Errorf("nn: fused backward before forward")
@@ -148,19 +148,12 @@ func (f *FusedMLP) Backward(grad *mat.Matrix) error {
 		if l > 0 {
 			x = f.ys[l-1]
 		}
-		dw := mat.Ensure(f.dw[l], d.in, d.out)
-		f.dw[l] = dw
-		if err := mat.MulTransATo(dw, x, delta); err != nil {
+		if err := mat.MulTransATo(d.w.Grad, x, delta); err != nil {
 			return fmt.Errorf("nn: fused backward unit %d dW: %w", l, err)
 		}
-		if err := d.w.Grad.AddScaled(dw, 1); err != nil {
-			return fmt.Errorf("nn: fused backward unit %d accumulate dW: %w", l, err)
-		}
-		f.sums[l] = mat.EnsureVec(f.sums[l], d.out)
-		if err := delta.SumRowsTo(f.sums[l]); err != nil {
+		if err := delta.SumRowsTo(d.b.Grad.Row(0)); err != nil {
 			return fmt.Errorf("nn: fused backward unit %d db: %w", l, err)
 		}
-		mat.AddVec(d.b.Grad.Row(0), f.sums[l])
 		if l == 0 {
 			return nil
 		}

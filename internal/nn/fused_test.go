@@ -7,6 +7,7 @@ package nn_test
 // pool.
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -23,8 +24,18 @@ func flattenGrads(net *nn.Network) []float64 {
 	return out
 }
 
+// zeroGrads sets every gradient of net to +0.
+func zeroGrads(net *nn.Network) {
+	for _, p := range net.Params() {
+		p.Grad.Zero()
+	}
+}
+
 // layeredForwardBackward runs the network's layers one by one, bypassing the
 // fused plan, and returns a copy of the output and the flattened gradients.
+// The layers accumulate into the gradients, so it zeroes them first: this
+// is the zero-then-accumulate path the fused Backward's in-place writes
+// must reproduce.
 func layeredForwardBackward(t *testing.T, net *nn.Network, x, grad *mat.Matrix) (*mat.Matrix, []float64) {
 	t.Helper()
 	cur := x
@@ -38,7 +49,7 @@ func layeredForwardBackward(t *testing.T, net *nn.Network, x, grad *mat.Matrix) 
 	if err := out.CopyFrom(cur); err != nil {
 		t.Fatal(err)
 	}
-	net.ZeroGrad()
+	zeroGrads(net)
 	g := grad
 	layers := net.Layers()
 	for i := len(layers) - 1; i >= 0; i-- {
@@ -75,7 +86,6 @@ func TestFusedVsLayeredBitIdentical(t *testing.T) {
 					t.Fatalf("act %v pass %d: output[%d] fused %v layered %v", act, pass, i, gotY.Data()[i], w)
 				}
 			}
-			net.ZeroGrad()
 			if err := net.Backward(grad); err != nil {
 				t.Fatalf("act %v pass %d: fused backward: %v", act, pass, err)
 			}
@@ -121,7 +131,6 @@ func TestFusedNewPlanSharesParameters(t *testing.T) {
 	if _, err := plan.Forward(other); err != nil {
 		t.Fatal(err)
 	}
-	net.ZeroGrad()
 	if err := net.Backward(grad); err != nil {
 		t.Fatal(err)
 	}
@@ -158,13 +167,77 @@ func TestFusedVsLayeredParallelWorkers(t *testing.T) {
 				t.Fatalf("pass %d: output[%d] fused %v layered %v", pass, i, gotY.Data()[i], w)
 			}
 		}
-		net.ZeroGrad()
 		if err := net.Backward(grad); err != nil {
 			t.Fatal(err)
 		}
 		for i, w := range wantG {
 			if g := flattenGrads(net)[i]; g != w {
 				t.Fatalf("pass %d: grad[%d] fused %v layered %v", pass, i, g, w)
+			}
+		}
+	}
+}
+
+// TestBackwardOverwritesGrads pins the fused Backward's contract: it writes
+// every parameter gradient in place, whatever the gradients held, with the
+// bits of zeroing them and accumulating one batch, the layered path. The
+// gradients start as garbage (NaN, ±0, ±1e300, ±Inf); the batch has an
+// all-zero input column, whose weight-gradient row the GEMM skips to +0,
+// and an output-gradient column of −0s, whose bias gradient sums to +0. It
+// runs every activation, and a one-unit network, whose only unit is the
+// first and stops after its dW and db.
+func TestBackwardOverwritesGrads(t *testing.T) {
+	garbage := []float64{math.NaN(), math.Copysign(0, -1), 0, 1e300, -1e300, math.Inf(1), math.Inf(-1)}
+	nets := []struct {
+		act    nn.Activation
+		widths []int
+	}{
+		{nn.ActReLU, []int{6, 8, 5, 3}},
+		{nn.ActTanh, []int{6, 8, 5, 3}},
+		{nn.ActIdentity, []int{6, 8, 5, 3}},
+		{nn.ActTanh, []int{6, 3}},
+	}
+	for _, tc := range nets {
+		rng := rand.New(rand.NewSource(35))
+		net, err := nn.NewMLP(rng, tc.act, tc.widths...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := mat.New(7, 6)
+		x.Randomize(rng, 1)
+		grad := mat.New(7, 3)
+		grad.Randomize(rng, 1)
+		for i := 0; i < 7; i++ {
+			x.Set(i, 2, 0)
+			grad.Set(i, 1, math.Copysign(0, -1))
+		}
+		wantY, wantG := layeredForwardBackward(t, net, x, grad)
+		for pass := 0; pass < 2; pass++ { // fresh workspaces, then recycled
+			k := pass
+			for _, p := range net.Params() {
+				d := p.Grad.Data()
+				for i := range d {
+					d[i] = garbage[k%len(garbage)]
+					k++
+				}
+			}
+			gotY, err := net.Forward(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, w := range wantY.Data() {
+				if gotY.Data()[i] != w {
+					t.Fatalf("act %v widths %v: output[%d] fused %v layered %v", tc.act, tc.widths, i, gotY.Data()[i], w)
+				}
+			}
+			if err := net.Backward(grad); err != nil {
+				t.Fatal(err)
+			}
+			for i, g := range flattenGrads(net) {
+				if math.Float64bits(g) != math.Float64bits(wantG[i]) {
+					t.Fatalf("act %v widths %v pass %d: grad[%d] = %v (%#x) over garbage, zero-then-accumulate %v (%#x)",
+						tc.act, tc.widths, pass, i, g, math.Float64bits(g), wantG[i], math.Float64bits(wantG[i]))
+				}
 			}
 		}
 	}

@@ -29,7 +29,6 @@ func numericVsBackprop(t *testing.T, net *nn.Network, x *mat.Matrix, labels []in
 	if _, err := nn.SoftmaxCrossEntropyTo(grad, logits, labels, nil); err != nil {
 		t.Fatalf("loss: %v", err)
 	}
-	net.ZeroGrad()
 	if err := net.Backward(grad); err != nil {
 		t.Fatalf("backward: %v", err)
 	}

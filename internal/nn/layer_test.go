@@ -32,7 +32,6 @@ func numericGradCheck(t *testing.T, net *Network, x *mat.Matrix, labels []int, t
 	if err != nil {
 		t.Fatalf("loss: %v", err)
 	}
-	net.ZeroGrad()
 	if err := net.Backward(grad); err != nil {
 		t.Fatalf("backward: %v", err)
 	}

@@ -72,7 +72,7 @@ func (n *Network) Forward(x *mat.Matrix) (*mat.Matrix, error) {
 }
 
 // Backward propagates the output gradient of the last Forward back through
-// the network, accumulating parameter gradients.
+// the network, overwriting every parameter gradient with this batch's.
 func (n *Network) Backward(grad *mat.Matrix) error {
 	return n.plan.Backward(grad)
 }
@@ -87,13 +87,6 @@ func (n *Network) NewPlan() *FusedMLP { return newFusedMLP(n.plan.units) }
 // (appending is safe: the slice is capacity-clipped).
 func (n *Network) Params() []Param {
 	return n.params
-}
-
-// ZeroGrad clears all accumulated gradients.
-func (n *Network) ZeroGrad() {
-	for _, p := range n.Params() {
-		p.Grad.Zero()
-	}
 }
 
 // NumParams reports the total number of trainable scalars.
@@ -143,22 +136,19 @@ func (n *Network) LoadParams(flat []float64) error {
 	return nil
 }
 
-// ClipGradNorm rescales all gradients so their global L2 norm does not
-// exceed maxNorm, returning the pre-clip norm.
-func (n *Network) ClipGradNorm(maxNorm float64) float64 {
+// GradClipScale returns the factor that clips the gradients' global L2
+// norm to maxNorm: maxNorm/norm when the norm exceeds it, and 1 otherwise,
+// including a NaN norm and maxNorm <= 0. It leaves the gradients alone;
+// Adam.Step applies the factor as it reads them.
+func (n *Network) GradClipScale(maxNorm float64) float64 {
 	var sq float64
-	params := n.Params()
-	for _, p := range params {
+	for _, p := range n.Params() {
 		for _, g := range p.Grad.Data() {
 			sq += g * g
 		}
 	}
-	norm := math.Sqrt(sq)
-	if maxNorm > 0 && norm > maxNorm {
-		scale := maxNorm / norm
-		for _, p := range params {
-			p.Grad.Scale(scale)
-		}
+	if norm := math.Sqrt(sq); maxNorm > 0 && norm > maxNorm {
+		return maxNorm / norm
 	}
-	return norm
+	return 1
 }

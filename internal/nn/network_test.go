@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -67,64 +68,91 @@ func TestLoadParamsSizeMismatch(t *testing.T) {
 	}
 }
 
+// TestZeroGrad pins why the network needs no ZeroGrad: Backward overwrites
+// the gradients instead of adding to them, so a batch's Backward gives the
+// same gradient bits after another batch's Backward as on fresh gradients,
+// not their sum.
 func TestZeroGrad(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	net, _ := NewMLP(rng, ActTanh, 3, 4, 2)
-	x := mat.New(2, 3)
-	x.Randomize(rng, 1)
-	logits, _ := net.Forward(x)
-	_, grad, _ := crossEntropy(logits, []int{0, 1})
-	if err := net.Backward(grad); err != nil {
-		t.Fatalf("Backward: %v", err)
-	}
-	var nonzero bool
-	for _, g := range flattenGrads(net) {
-		if g != 0 {
-			nonzero = true
-			break
+	backward := func(x *mat.Matrix, labels []int) []float64 {
+		logits, _ := net.Forward(x)
+		_, grad, _ := crossEntropy(logits, labels)
+		if err := net.Backward(grad); err != nil {
+			t.Fatalf("Backward: %v", err)
 		}
+		return flattenGrads(net)
+	}
+	x, y := mat.New(2, 3), mat.New(2, 3)
+	x.Randomize(rng, 1)
+	y.Randomize(rng, 1)
+	first := backward(x, []int{0, 1})
+	var nonzero bool
+	for _, g := range first {
+		nonzero = nonzero || g != 0
 	}
 	if !nonzero {
 		t.Fatal("backward produced all-zero gradients")
 	}
-	net.ZeroGrad()
-	for i, g := range flattenGrads(net) {
-		if g != 0 {
-			t.Fatalf("grad %d = %v after ZeroGrad", i, g)
+	other := backward(y, []int{1, 1})
+	for i, g := range backward(x, []int{0, 1}) {
+		if math.Float64bits(g) != math.Float64bits(first[i]) {
+			t.Fatalf("grad %d = %v after another batch and the first again, first Backward gave %v", i, g, first[i])
 		}
+	}
+	if slices.Equal(other, first) {
+		t.Fatal("two different batches gave the same gradients")
 	}
 }
 
+// TestClipGradNorm pins the clip scale: for gradients whose global norm
+// exceeds maxNorm it is maxNorm/norm, which scales the norm to maxNorm, and
+// the gradients themselves are left alone.
 func TestClipGradNorm(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	net, _ := NewMLP(rng, ActTanh, 3, 3, 2)
 	for _, p := range net.Params() {
 		p.Grad.Fill(10)
 	}
-	before := net.ClipGradNorm(1.0)
-	if before <= 1 {
-		t.Fatalf("pre-clip norm %v, want > 1", before)
-	}
+	scale := net.GradClipScale(1.0)
 	var sq float64
 	for _, g := range flattenGrads(net) {
-		sq += g * g
+		if g != 10 {
+			t.Fatalf("GradClipScale changed a gradient to %v", g)
+		}
+		sq += (g * scale) * (g * scale)
+	}
+	if want := 1 / math.Sqrt(float64(100*net.NumParams())); scale != want {
+		t.Fatalf("clip scale %v, want 1/norm = %v", scale, want)
 	}
 	if math.Abs(math.Sqrt(sq)-1.0) > 1e-9 {
-		t.Fatalf("post-clip norm %v, want 1", math.Sqrt(sq))
+		t.Fatalf("scaled norm %v, want 1", math.Sqrt(sq))
 	}
 }
 
+// TestClipGradNormBelowThresholdUntouched pins the scale at exactly 1 when
+// the norm is within maxNorm, when maxNorm is not positive, and when the
+// norm is NaN: Adam.Step then multiplies every gradient by 1, which leaves
+// it bit for bit.
 func TestClipGradNormBelowThresholdUntouched(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	net, _ := NewMLP(rng, ActTanh, 2, 2)
 	for _, p := range net.Params() {
 		p.Grad.Fill(1e-6)
 	}
-	net.ClipGradNorm(10)
+	for _, maxNorm := range []float64{10, 0, -1} {
+		if s := net.GradClipScale(maxNorm); s != 1 {
+			t.Fatalf("maxNorm %v: clip scale %v, want 1", maxNorm, s)
+		}
+	}
 	for _, g := range flattenGrads(net) {
 		if g != 1e-6 {
-			t.Fatal("clip modified small gradients")
+			t.Fatal("GradClipScale modified small gradients")
 		}
+	}
+	net.Params()[0].Grad.Set(0, 0, math.NaN())
+	if s := net.GradClipScale(1e-9); s != 1 {
+		t.Fatalf("NaN norm: clip scale %v, want 1 (no clipping)", s)
 	}
 }
 
@@ -156,7 +184,6 @@ func TestSGDReducesLoss(t *testing.T) {
 			first = loss
 		}
 		last = loss
-		net.ZeroGrad()
 		if err := net.Backward(grad); err != nil {
 			t.Fatalf("backward: %v", err)
 		}
@@ -190,11 +217,10 @@ func TestAdamReducesLoss(t *testing.T) {
 			first = loss
 		}
 		last = loss
-		net.ZeroGrad()
 		if err := net.Backward(grad); err != nil {
 			t.Fatalf("backward: %v", err)
 		}
-		if err := opt.Step(); err != nil {
+		if err := opt.Step(1); err != nil {
 			t.Fatalf("step: %v", err)
 		}
 	}
@@ -258,7 +284,6 @@ func TestClassifierStepAllocsZero(t *testing.T) {
 		if _, err := SoftmaxCrossEntropyTo(grad, logits, labels, probs); err != nil {
 			t.Fatal(err)
 		}
-		net.ZeroGrad()
 		if err := net.Backward(grad); err != nil {
 			t.Fatal(err)
 		}

@@ -39,8 +39,8 @@ func (s *SGD) Reset() {
 	}
 }
 
-// Step applies one update using the current gradients. It does not clear
-// them; call Network.ZeroGrad between steps.
+// Step applies one update using the current gradients, which the next
+// Network.Backward overwrites.
 func (s *SGD) Step() error {
 	for i, p := range s.params {
 		if s.momentum == 0 {
@@ -86,13 +86,16 @@ func NewAdam(params []Param, lr float64) *Adam {
 	return a
 }
 
-// Step applies one update using the current gradients, which it does not
-// clear. With AVX2 the mat kernel updates each
-// parameter block four elements at a time and adamScalar the rest;
-// otherwise adamScalar updates everything, with the same bits.
-func (a *Adam) Step() error {
+// Step applies one update using the current gradients, each multiplied by
+// gradScale first: the clip scale of a gradient-norm pass
+// (Network.GradClipScale), or 1 for the plain gradients, which ×1 leaves
+// bit for bit. The gradients themselves are left as they are. With AVX2
+// the mat kernel updates each parameter block four elements at a time and
+// adamScalar the rest; otherwise adamScalar updates everything, with the
+// same bits.
+func (a *Adam) Step(gradScale float64) error {
 	a.t++
-	c := a.coeffs()
+	c := a.coeffs(gradScale)
 	for i, p := range a.params {
 		md, vd := a.m[i].Data(), a.v[i].Data()
 		gd, pd := p.Grad.Data(), p.Value.Data()
@@ -105,14 +108,14 @@ func (a *Adam) Step() error {
 	return nil
 }
 
-// coeffs returns the scalars of step a.t.
-func (a *Adam) coeffs() mat.AdamCoeffs {
+// coeffs returns the scalars of step a.t with gradient scale gs.
+func (a *Adam) coeffs(gs float64) mat.AdamCoeffs {
 	return mat.AdamCoeffs{
 		B1: a.beta1, C1: 1 - a.beta1,
 		B2: a.beta2, C2: 1 - a.beta2,
 		BC1: 1 - math.Pow(a.beta1, float64(a.t)),
 		BC2: 1 - math.Pow(a.beta2, float64(a.t)),
-		LR:  a.lr, Eps: a.eps,
+		LR:  a.lr, Eps: a.eps, GS: gs,
 	}
 }
 
@@ -124,8 +127,9 @@ func adamScalar(pd, gd, md, vd []float64, c *mat.AdamCoeffs) {
 	// the moment-buffer writes don't alias c, so without locals it reloads
 	// them on each iteration.
 	b1, c1, b2, c2 := c.B1, c.C1, c.B2, c.C2
-	bc1, bc2, lr, eps := c.BC1, c.BC2, c.LR, c.Eps
+	bc1, bc2, lr, eps, gs := c.BC1, c.BC2, c.LR, c.Eps, c.GS
 	for j, g := range gd {
+		g *= gs
 		m := b1*md[j] + c1*g
 		v := b2*vd[j] + c2*g*g
 		md[j] = m

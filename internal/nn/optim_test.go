@@ -40,11 +40,18 @@ func sameBits(got, want []float64) (int, bool) {
 	return 0, true
 }
 
+// adamScales are the gradient scales the Adam tests step with, one per
+// step: 1 (no clipping), clip-sized fractions, 0 (an infinite norm), a
+// factor that makes the scaled gradients subnormal, and NaN last, since it
+// turns every later value into NaN.
+var adamScales = []float64{1, 0.37, 1, 1e-310, 0.5, 0, 2.5, math.NaN()}
+
 // TestAdamVectorMatchesScalar pins Adam.Step, which with AVX2 updates each
 // block four elements at a time in assembly, to the scalar loop bit for
 // bit: over parameter blocks of every length 0–37 (every tail length after
 // the vector part), with ±0, ±Inf and NaN gradients mixed in, across
-// several steps, and across a State/SetState resume into a fresh optimizer.
+// several steps with the gradient scales of adamScales, and across a
+// State/SetState resume into a fresh optimizer.
 func TestAdamVectorMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	newParams := func(values [][]float64) []Param {
@@ -95,10 +102,11 @@ func TestAdamVectorMatchesScalar(t *testing.T) {
 	step := 0
 	for ; step < 5; step++ {
 		fillGrads(ps)
-		if err := opt.Step(); err != nil {
+		gs := adamScales[step]
+		if err := opt.Step(gs); err != nil {
 			t.Fatal(err)
 		}
-		o.step(ps, opt.coeffs())
+		o.step(ps, opt.coeffs(gs))
 		check(step, ps, opt, o)
 	}
 
@@ -113,11 +121,72 @@ func TestAdamVectorMatchesScalar(t *testing.T) {
 	}
 	for ; step < 8; step++ {
 		fillGrads(resumed)
-		if err := ropt.Step(); err != nil {
+		gs := adamScales[step]
+		if err := ropt.Step(gs); err != nil {
 			t.Fatal(err)
 		}
-		o.step(resumed, ropt.coeffs())
+		o.step(resumed, ropt.coeffs(gs))
 		check(step, resumed, ropt, o)
+	}
+}
+
+// TestAdamScaledStepMatchesScaleThenStep pins the clip folded into the
+// step: Step(s) on the gradients gives, bit for bit, the parameters and
+// moments of multiplying the gradients by s first (Matrix.Scale, the
+// separate pass it replaces) and then stepping with scale 1. It runs every
+// scale of adamScales over blocks of lengths 0–37 with ±0, ±Inf and NaN
+// gradients mixed in, and leaves the gradients unscaled.
+func TestAdamScaledStepMatchesScaleThenStep(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()}
+	var fused, split []Param
+	for n := 0; n <= 37; n++ {
+		v := mat.New(1, n)
+		v.Randomize(rng, 2)
+		w := mat.New(1, n)
+		copy(w.Data(), v.Data())
+		fused = append(fused, Param{Value: v, Grad: mat.New(1, n)})
+		split = append(split, Param{Value: w, Grad: mat.New(1, n)})
+	}
+	fusedOpt, splitOpt := NewAdam(fused, 0.01), NewAdam(split, 0.01)
+	for step, gs := range adamScales {
+		for i, p := range fused {
+			g := p.Grad.Data()
+			for j := range g {
+				if rng.Intn(20) == 0 {
+					g[j] = specials[rng.Intn(len(specials))]
+				} else {
+					g[j] = rng.NormFloat64()
+				}
+			}
+			copy(split[i].Grad.Data(), g)
+			split[i].Grad.Scale(gs)
+		}
+		want := make([][]float64, len(fused))
+		for i, p := range fused {
+			want[i] = mat.CloneVec(p.Grad.Data())
+		}
+		if err := fusedOpt.Step(gs); err != nil {
+			t.Fatal(err)
+		}
+		if err := splitOpt.Step(1); err != nil {
+			t.Fatal(err)
+		}
+		_, fm, fv := fusedOpt.State()
+		_, sm, sv := splitOpt.State()
+		for i, p := range fused {
+			for _, c := range []struct {
+				name      string
+				got, want []float64
+			}{{"param", p.Value.Data(), split[i].Value.Data()}, {"m", fm[i], sm[i]}, {"v", fv[i], sv[i]}, {"grad", p.Grad.Data(), want[i]}} {
+				for j, g := range c.got {
+					if math.Float64bits(g) != math.Float64bits(c.want[j]) {
+						t.Fatalf("step %d scale %v, block len %d: %s[%d] = %#x, Scale then Step %#x",
+							step, gs, i, c.name, j, math.Float64bits(g), math.Float64bits(c.want[j]))
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -133,7 +202,7 @@ func BenchmarkAdamStep(b *testing.B) {
 	b.SetBytes(int64(8 * 4 * p.Value.Size()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := opt.Step(); err != nil {
+		if err := opt.Step(1); err != nil {
 			b.Fatal(err)
 		}
 	}

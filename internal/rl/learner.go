@@ -1,8 +1,11 @@
 package rl
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"chiron/internal/mat"
 )
@@ -32,9 +35,10 @@ func (p *Pair) Store(t Transition) {
 
 // Scheduler runs the end-of-episode learner work for a set of pairs: the
 // learning-rate decay ticks, the MinSamples batching gate, the PPO updates
-// (concurrent across pairs), and the buffer resets. The two decay orders
-// in the zoo are both modeled exactly because they are numerically
-// distinct (the learning rate in force during an update differs):
+// (every pair's streams from one list), and the buffer resets. The two
+// decay orders in the zoo are both modeled exactly because they are
+// numerically distinct (the learning rate in force during an update
+// differs):
 //
 //   - DecayFirst (Chiron, Algorithm 1 lines 17–27): every agent's decay
 //     schedule advances each episode; when the gate buffer is still below
@@ -56,6 +60,9 @@ type Scheduler struct {
 	MinSamples int
 	// DecayFirst selects the Chiron ordering above.
 	DecayFirst bool
+
+	// streams is flush's recycled stream list.
+	streams []updateStream
 }
 
 // gateLen reports the gate (last) buffer's current length.
@@ -95,25 +102,29 @@ func (s *Scheduler) EndEpisode() error {
 }
 
 // flush updates every pair with a non-empty buffer, then resets all
-// buffers. The pairs share no parameters, optimizer state or buffers, so
-// their updates run concurrently; the first error in pair order wins.
+// buffers. It prepares the pairs one by one, then runs every prepared
+// pair's critic and actor streams from one list (runStreams): the pairs
+// share no parameters, optimizer state or buffers, so all the streams are
+// independent. The first error in pair order wins, and within a pair the
+// critic's before the actor's.
 func (s *Scheduler) flush() error {
 	errs := make([]error, len(s.Pairs))
-	updates := make([]func(), 0, len(s.Pairs))
+	s.streams = s.streams[:0]
 	for i, p := range s.Pairs {
 		if p.Buf.Len() == 0 {
 			continue
 		}
-		updates = append(updates, func() {
-			if _, err := p.Agent.Update(p.Buf); err != nil {
-				errs[i] = fmt.Errorf("rl: %s update: %w", p.Name, err)
-			}
-		})
+		if errs[i] = p.Agent.prepare(p.Buf); errs[i] == nil {
+			s.streams = p.Agent.appendStreams(s.streams)
+		}
 	}
-	concurrently(updates...)
-	for _, err := range errs {
-		if err != nil {
-			return err
+	runStreams(s.streams)
+	for i, p := range s.Pairs {
+		if errs[i] == nil && p.Buf.Len() > 0 {
+			_, errs[i] = p.Agent.result()
+		}
+		if errs[i] != nil {
+			return fmt.Errorf("rl: %s update: %w", p.Name, errs[i])
 		}
 	}
 	for _, p := range s.Pairs {
@@ -122,29 +133,54 @@ func (s *Scheduler) flush() error {
 	return nil
 }
 
-// concurrently runs every stream to completion. With more than one worker
-// configured (mat.Workers) the streams after the first each get a plain
-// goroutine while the caller runs the first; otherwise they run one after
-// another in order, so -workers 1 stays truly serial. The streams must
-// touch disjoint mutable state, which makes the result bit-identical
-// either way. It is not mat.ParallelRange because a stream is a whole
-// closure rather than a band of one index axis, and wrapping each stream
-// as a band would cost the update allocations it does not need.
-func concurrently(streams ...func()) {
-	if len(streams) < 2 || mat.Workers() <= 1 {
-		for _, run := range streams {
-			run()
+// updateStream is one epoch loop of a prepared update: the agent's critic
+// stream (critic set) or its actor stream, with its fixed cost estimate.
+type updateStream struct {
+	agent  *PPO
+	critic bool
+	cost   int
+}
+
+func (s updateStream) run() {
+	if s.critic {
+		s.agent.criticEpochs()
+	} else {
+		s.agent.actorEpochs()
+	}
+}
+
+// runStreams sorts streams longest-first by cost, keeping the given order
+// among equal costs, and runs each to completion. The caller and up to
+// mat.Workers()−1 goroutines take streams off the list in that order, so
+// the longest start first and the short ones fill in behind them; with one
+// worker they run one after another on the caller, and -workers 1 stays
+// truly serial. The streams touch disjoint mutable state, which makes the
+// result bit-identical at any worker count and in any order. It is not
+// mat.ParallelRange because a stream is a whole epoch loop rather than a
+// band of one index axis.
+func runStreams(streams []updateStream) {
+	slices.SortStableFunc(streams, func(a, b updateStream) int { return cmp.Compare(b.cost, a.cost) })
+	workers := min(mat.Workers(), len(streams))
+	if workers <= 1 {
+		for _, st := range streams {
+			st.run()
 		}
 		return
 	}
+	var next atomic.Int64
+	work := func() {
+		for i := next.Add(1) - 1; i < int64(len(streams)); i = next.Add(1) - 1 {
+			streams[i].run()
+		}
+	}
 	var wg sync.WaitGroup
-	wg.Add(len(streams) - 1)
-	for _, run := range streams[1:] {
+	wg.Add(workers - 1)
+	for range workers - 1 {
 		go func() {
 			defer wg.Done()
-			run()
+			work()
 		}()
 	}
-	streams[0]()
+	work()
 	wg.Wait()
 }

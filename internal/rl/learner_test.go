@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"chiron/internal/mat"
+	"chiron/internal/nn"
 )
 
 func smallPair(t *testing.T, name string, seed int64, cfg PPOConfig) *Pair {
@@ -246,6 +247,114 @@ func TestSchedulerReportsErrorsInPairOrder(t *testing.T) {
 		err := s.EndEpisode()
 		if err == nil || !strings.Contains(err.Error(), "rl: inner update") {
 			t.Fatalf("workers=%d: EndEpisode error %v, want the inner pair's", workers, err)
+		}
+	}
+}
+
+// TestSchedulerReportsStreamErrorsInOrder pins the error contract for
+// errors the streams themselves return: the first failing pair in Pairs
+// order is reported, and within a pair the critic's error before the
+// actor's, whichever stream finished first and at any worker count. An
+// Adam state sized for another parameter set makes a stream's first step
+// fail.
+func TestSchedulerReportsStreamErrorsInOrder(t *testing.T) {
+	defer mat.SetWorkers(0)
+	badAdam := func() *nn.Adam {
+		return nn.NewAdam([]nn.Param{{Value: mat.New(1, 1), Grad: mat.New(1, 2)}}, 1e-3)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		mat.SetWorkers(workers)
+		for _, tc := range []struct {
+			name                     string
+			innerCritic, innerActor  bool
+			exteriorCritic, extActor bool
+			want                     string
+		}{
+			{"both inner streams", true, true, true, true, "rl: inner update: rl: critic update"},
+			{"inner actor, exterior critic", false, true, true, false, "rl: inner update: rl: actor update"},
+			{"exterior actor only", false, false, false, true, "rl: exterior update: rl: actor update"},
+		} {
+			inner := smallPair(t, "inner", 1, smallCfg())
+			exterior := smallPair(t, "exterior", 2, smallCfg())
+			for _, c := range []struct {
+				agent         *PPO
+				critic, actor bool
+			}{{inner.Agent, tc.innerCritic, tc.innerActor}, {exterior.Agent, tc.exteriorCritic, tc.extActor}} {
+				if c.critic {
+					c.agent.optC = badAdam()
+				}
+				if c.actor {
+					c.agent.optA = badAdam()
+				}
+			}
+			for _, p := range []*Pair{inner, exterior} {
+				p.Store(sampleTransition(1, false))
+				p.Store(sampleTransition(1, true))
+			}
+			s := &Scheduler{Pairs: []*Pair{inner, exterior}, MinSamples: 1, DecayFirst: true}
+			err := s.EndEpisode()
+			if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+				t.Fatalf("workers=%d %s: EndEpisode error %v, want prefix %q", workers, tc.name, err, tc.want)
+			}
+		}
+	}
+}
+
+// TestFlushRunsStreamsLongestFirst pins the stream list one flush runs:
+// every prepared pair's critic and actor stream, costed at epochs ×
+// samples × parameters and sorted longest-first, equal costs in pair order.
+// The caller and the workers take streams off the list in this order, so
+// at one worker it is the order they run in.
+func TestFlushRunsStreamsLongestFirst(t *testing.T) {
+	defer mat.SetWorkers(0)
+	mat.SetWorkers(1)
+	newPair := func(name string, seed int64, stateDim int, hidden []int) *Pair {
+		cfg := smallCfg()
+		cfg.Hidden = hidden
+		cfg.UpdateEpochs = 3
+		agent, err := NewPPO(rand.New(rand.NewSource(seed)), stateDim, 1, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewPair(name, agent)
+	}
+	a := newPair("a", 1, 2, []int{4})
+	b := newPair("b", 2, 6, []int{8})
+	c := newPair("c", 3, 2, []int{4})
+	empty := newPair("empty", 4, 6, []int{16})
+	fill := func(p *Pair, n, stateDim int) {
+		for i := 0; i < n; i++ {
+			tr := sampleTransition(1, i == n-1)
+			tr.State = make([]float64, stateDim)
+			tr.NextState = make([]float64, stateDim)
+			p.Store(tr)
+		}
+	}
+	fill(a, 3, 2)
+	fill(b, 5, 6)
+	fill(c, 3, 2)
+	s := &Scheduler{Pairs: []*Pair{a, b, empty, c}, MinSamples: 1, DecayFirst: true}
+	if err := s.EndEpisode(); err != nil {
+		t.Fatal(err)
+	}
+	// Actor parameters are the critic's plus the log-std vector's one.
+	small, big := 3*3*(2*4+4+4+1), 3*5*(6*8+8+8+1)
+	want := []struct {
+		agent  *PPO
+		critic bool
+		cost   int
+	}{
+		{b.Agent, false, big + 3*5}, {b.Agent, true, big},
+		{a.Agent, false, small + 3*3}, {c.Agent, false, small + 3*3},
+		{a.Agent, true, small}, {c.Agent, true, small},
+	}
+	if len(s.streams) != len(want) {
+		t.Fatalf("flush ran %d streams, want %d", len(s.streams), len(want))
+	}
+	for i, w := range want {
+		if got := s.streams[i]; got.agent != w.agent || got.critic != w.critic || got.cost != w.cost {
+			t.Fatalf("stream %d: agent %p critic %v cost %d, want agent %p critic %v cost %d",
+				i, got.agent, got.critic, got.cost, w.agent, w.critic, w.cost)
 		}
 	}
 }

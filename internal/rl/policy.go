@@ -62,11 +62,9 @@ func (p *GaussianPolicy) Params() []nn.Param {
 	return p.params
 }
 
-// ZeroGrad clears all parameter gradients.
-func (p *GaussianPolicy) ZeroGrad() {
-	p.net.ZeroGrad()
-	p.logStd.Grad.Zero()
-}
+// numParams reports the number of trainable scalars: the mean network's
+// and the log-std vector's.
+func (p *GaussianPolicy) numParams() int { return p.net.NumParams() + p.actionDim }
 
 // ClampLogStd keeps the log standard deviation inside a numerically safe
 // band; call after each optimizer step.
@@ -102,7 +100,7 @@ func (p *GaussianPolicy) MeanBatch(states *mat.Matrix) (*mat.Matrix, error) {
 func (p *GaussianPolicy) MeanNet() *nn.Network { return p.net }
 
 // BackwardMean propagates a gradient with respect to the batch means back
-// through the mean network, accumulating parameter gradients.
+// through the mean network, overwriting its parameter gradients.
 func (p *GaussianPolicy) BackwardMean(grad *mat.Matrix) error {
 	return p.net.Backward(grad)
 }

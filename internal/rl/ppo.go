@@ -93,8 +93,8 @@ type UpdateStats struct {
 }
 
 // PPO is an actor-critic PPO learner over a Gaussian policy. It is not
-// safe for concurrent use; Update itself runs the critic and actor epochs
-// concurrently (see concurrently), each stream on state only it touches.
+// safe for concurrent use; an update runs its critic and actor epochs as
+// two streams (see runStreams), each on state only it touches.
 type PPO struct {
 	cfg     PPOConfig
 	actor   *GaussianPolicy
@@ -109,12 +109,21 @@ type PPO struct {
 	// count and its last forward stays the one over the states.
 	offChainPlan *nn.FusedMLP
 
+	// The prepared update (prepare): its transitions, the critic's output
+	// V(s) from the advantage pass, which the critic stream's first epoch
+	// reuses, and what each stream reports back: the stats it fills in and
+	// its error.
+	trans               []Transition
+	pred                *mat.Matrix
+	stats               UpdateStats
+	criticErr, actorErr error
+
 	// Recycled update scratch: batched states and off-chain next states,
 	// where each row's V(s′) lives (next) and the values themselves (vals),
 	// TD targets plus the critic loss gradient (critic stream only), and
 	// the actor mean gradient and σ = exp(log σ) (actor stream only).
 	// Reused across Update calls, so a steady-state update allocates only
-	// the stream fork's few objects.
+	// the stream pool's few objects.
 	states, offChain *mat.Matrix
 	targets, cgrad   *mat.Matrix
 	meanGrad         *mat.Matrix
@@ -178,50 +187,89 @@ func (p *PPO) EndEpisode() float64 {
 // (lines 17–27 of Algorithm 1): the critic regresses TD(0) targets and the
 // actor ascends the clipped importance-weighted advantage.
 func (p *PPO) Update(buf *Buffer) (UpdateStats, error) {
-	if err := buf.Validate(); err != nil {
+	if err := p.prepare(buf); err != nil {
 		return UpdateStats{}, err
+	}
+	var streams [2]updateStream
+	runStreams(p.appendStreams(streams[:0]))
+	return p.result()
+}
+
+// prepare readies an update over buf: the batched states, the next-state
+// links, and the TD(0) advantages from the pre-update critic (Algorithm 1),
+// normalized across the batch for stable scaling. After it the critic's M
+// regression epochs and the actor's M surrogate epochs read only the
+// now-fixed trans, states and adv, and each writes only its own network,
+// Adam state and scratch (the critic's includes next, vals and offChain),
+// so they run as two streams (appendStreams), bit-identical in any order
+// or side by side.
+func (p *PPO) prepare(buf *Buffer) error {
+	if err := buf.Validate(); err != nil {
+		return err
 	}
 	trans := buf.Transitions()
 	n := len(trans)
-	stateDim := len(trans[0].State)
-
-	p.states = mat.Ensure(p.states, n, stateDim)
-	states := p.states
+	p.trans = trans
+	p.states = mat.Ensure(p.states, n, len(trans[0].State))
 	for i, t := range trans {
-		copy(states.Row(i), t.State)
+		copy(p.states.Row(i), t.State)
 	}
 	p.linkNextStates(trans)
-
-	// TD(0) advantages from the pre-update critic (Algorithm 1),
-	// normalized across the batch for stable scaling.
 	adv, err := p.tdAdvantages(trans)
 	if err != nil {
-		return UpdateStats{}, err
+		return err
 	}
 	normalizeAdvantages(adv)
+	p.stats = UpdateStats{NumSamples: n}
+	p.criticErr, p.actorErr = nil, nil
+	return nil
+}
 
-	// The critic's M regression epochs and the actor's M surrogate epochs
-	// read only the now-fixed trans, states and adv, and each writes only
-	// its own network, Adam state and scratch (the critic's includes next,
-	// vals and offChain) — so they run as two concurrent streams,
-	// bit-identical to running them one after the other.
-	stats := UpdateStats{NumSamples: n}
-	var criticErr, actorErr error
-	concurrently(func() {
-		for epoch := 0; epoch < p.cfg.UpdateEpochs && criticErr == nil; epoch++ {
-			stats.CriticLoss, criticErr = p.updateCritic(trans)
+// appendStreams appends the prepared update's critic and actor streams to
+// dst, each costed at epochs × samples × parameters.
+func (p *PPO) appendStreams(dst []updateStream) []updateStream {
+	work := p.cfg.UpdateEpochs * len(p.trans)
+	return append(dst,
+		updateStream{agent: p, critic: true, cost: work * p.critic.NumParams()},
+		updateStream{agent: p, cost: work * p.actor.numParams()})
+}
+
+// criticEpochs is the critic stream: M regression epochs, the first on the
+// advantage pass's forward, which ran on the same parameters.
+func (p *PPO) criticEpochs() {
+	pred := p.pred
+	for epoch := 0; epoch < p.cfg.UpdateEpochs; epoch++ {
+		if epoch > 0 {
+			if pred, p.criticErr = p.values(); p.criticErr != nil {
+				return
+			}
 		}
-	}, func() {
-		for epoch := 0; epoch < p.cfg.UpdateEpochs && actorErr == nil; epoch++ {
-			stats.ActorLoss, stats.MeanRatio, stats.ClipFrac, actorErr = p.updateActor(trans, states, adv)
+		if p.stats.CriticLoss, p.criticErr = p.updateCritic(p.trans, pred); p.criticErr != nil {
+			return
 		}
-	})
-	if criticErr != nil {
-		return UpdateStats{}, fmt.Errorf("rl: critic update: %w", criticErr)
 	}
-	if actorErr != nil {
-		return UpdateStats{}, fmt.Errorf("rl: actor update: %w", actorErr)
+}
+
+// actorEpochs is the actor stream: M clipped-surrogate epochs.
+func (p *PPO) actorEpochs() {
+	for epoch := 0; epoch < p.cfg.UpdateEpochs; epoch++ {
+		p.stats.ActorLoss, p.stats.MeanRatio, p.stats.ClipFrac, p.actorErr = p.updateActor(p.trans, p.states, p.adv)
+		if p.actorErr != nil {
+			return
+		}
 	}
+}
+
+// result reports a finished update: the critic stream's error first, then
+// the actor's, or the stats.
+func (p *PPO) result() (UpdateStats, error) {
+	if p.criticErr != nil {
+		return UpdateStats{}, fmt.Errorf("rl: critic update: %w", p.criticErr)
+	}
+	if p.actorErr != nil {
+		return UpdateStats{}, fmt.Errorf("rl: actor update: %w", p.actorErr)
+	}
+	stats := p.stats
 	stats.Entropy = p.actor.Entropy()
 	stats.ActorLR = p.optA.LR()
 	stats.CriticLR = p.optC.LR()
@@ -306,10 +354,12 @@ func (p *PPO) nextValue(i int) float64 {
 	return 0
 }
 
-// tdAdvantages computes r + γV(s′)(1−done) − V(s) with the current critic.
-// The returned slice is owned by the agent and reused by the next call.
+// tdAdvantages computes r + γV(s′)(1−done) − V(s) with the current critic
+// and keeps the critic's output V(s) in pred. The returned slice is owned
+// by the agent and reused by the next call.
 func (p *PPO) tdAdvantages(trans []Transition) ([]float64, error) {
-	if _, err := p.values(); err != nil {
+	var err error
+	if p.pred, err = p.values(); err != nil {
 		return nil, err
 	}
 	p.adv = mat.EnsureVec(p.adv, len(trans))
@@ -331,15 +381,12 @@ func normalizeAdvantages(adv []float64) {
 	}
 }
 
-// updateCritic performs one semi-gradient TD(0) regression pass: targets
-// r + γV(s′) are recomputed with the current critic and treated as
-// constants, per line 19 of Algorithm 1. One forward pass over the states
-// yields both the prediction and, through linkNextStates, the targets.
-func (p *PPO) updateCritic(trans []Transition) (float64, error) {
-	pred, err := p.values()
-	if err != nil {
-		return 0, err
-	}
+// updateCritic performs one semi-gradient TD(0) regression pass on pred,
+// the critic's output from the last values call: targets r + γV(s′) come
+// from the current critic and are treated as constants, per line 19 of
+// Algorithm 1. One forward pass over the states yields both the prediction
+// and, through linkNextStates, the targets.
+func (p *PPO) updateCritic(trans []Transition, pred *mat.Matrix) (float64, error) {
 	n := len(trans)
 	p.targets = mat.Ensure(p.targets, n, 1)
 	targets := p.targets
@@ -351,12 +398,10 @@ func (p *PPO) updateCritic(trans []Transition) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	p.critic.ZeroGrad()
 	if err := p.critic.Backward(p.cgrad); err != nil {
 		return 0, err
 	}
-	p.critic.ClipGradNorm(maxGradNorm)
-	if err := p.optC.Step(); err != nil {
+	if err := p.optC.Step(p.critic.GradClipScale(maxGradNorm)); err != nil {
 		return 0, err
 	}
 	return loss, nil
@@ -375,8 +420,10 @@ func (p *PPO) updateActor(trans []Transition, states *mat.Matrix, adv []float64)
 	p.meanGrad = mat.Ensure(p.meanGrad, n, actDim)
 	meanGrad := p.meanGrad
 	meanGrad.Zero() // only the unclipped branch writes entries
+	// Backward overwrites the mean network's gradients; only the log-std
+	// gradient, which the loop below accumulates, needs zeroing.
 	logStdGrad := p.actor.logStd.Grad.Data()
-	p.actor.ZeroGrad()
+	clear(logStdGrad)
 	// log σ is fixed within the pass, so σ is computed once, not per row.
 	p.std = mat.EnsureVec(p.std, actDim)
 	std := p.std
@@ -424,30 +471,27 @@ func (p *PPO) updateActor(trans []Transition, states *mat.Matrix, adv []float64)
 	if err := p.actor.BackwardMean(meanGrad); err != nil {
 		return 0, 0, 0, err
 	}
-	clipPolicyGradNorm(p.actor, maxGradNorm)
-	if err := p.optA.Step(); err != nil {
+	if err := p.optA.Step(policyGradClipScale(p.actor, maxGradNorm)); err != nil {
 		return 0, 0, 0, err
 	}
 	p.actor.ClampLogStd()
 	return loss, meanRatio, float64(clipped) / float64(n), nil
 }
 
-// clipPolicyGradNorm applies global-norm clipping across the mean network
-// and the log-std vector together.
-func clipPolicyGradNorm(pol *GaussianPolicy, maxNorm float64) {
+// policyGradClipScale is the factor that clips the global gradient norm
+// across the mean network and the log-std vector together to maxNorm:
+// maxNorm/norm, or 1 when the norm is within it. Unlike
+// Network.GradClipScale it scales by NaN on a NaN norm.
+func policyGradClipScale(pol *GaussianPolicy, maxNorm float64) float64 {
 	var sq float64
-	params := pol.Params()
-	for _, p := range params {
+	for _, p := range pol.Params() {
 		for _, g := range p.Grad.Data() {
 			sq += g * g
 		}
 	}
 	norm := math.Sqrt(sq)
 	if norm <= maxNorm {
-		return
+		return 1
 	}
-	scale := maxNorm / norm
-	for _, p := range params {
-		p.Grad.Scale(scale)
-	}
+	return maxNorm / norm
 }

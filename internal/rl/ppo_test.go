@@ -234,3 +234,29 @@ func TestPPOClipFracGrowsWithStaleness(t *testing.T) {
 		t.Fatal("no clipping after aggressive updates; clip logic suspect")
 	}
 }
+
+// TestPolicyGradClipScale pins the actor's clip scale, which spans the mean
+// network and the log-std vector: maxNorm/norm above maxNorm, exactly 1
+// within it, and NaN on a NaN norm (the critic's Network.GradClipScale
+// returns 1 there instead).
+func TestPolicyGradClipScale(t *testing.T) {
+	pol, err := NewGaussianPolicy(rand.New(rand.NewSource(3)), 3, 2, []int{4}, -0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var count int
+	for _, p := range pol.Params() {
+		p.Grad.Fill(2)
+		count += p.Grad.Size()
+	}
+	if got, want := policyGradClipScale(pol, 0.5), 0.5/math.Sqrt(float64(4*count)); got != want {
+		t.Fatalf("clip scale %v, want maxNorm/norm = %v", got, want)
+	}
+	if got := policyGradClipScale(pol, 1e9); got != 1 {
+		t.Fatalf("clip scale within maxNorm %v, want 1", got)
+	}
+	pol.logStd.Grad.Set(0, 1, math.NaN())
+	if got := policyGradClipScale(pol, 0.5); !math.IsNaN(got) {
+		t.Fatalf("NaN norm: clip scale %v, want NaN", got)
+	}
+}
