@@ -170,10 +170,10 @@ func NewServer(test *dataset.Dataset, factory ModelFactory, rng *rand.Rand) (*Se
 	return &Server{global: model.FlattenParams(), test: test, eval: model}, nil
 }
 
-// GlobalInto copies the current global parameter vector into dst, growing
-// it if the length differs, and returns the (possibly reallocated) slice,
-// so per-round download loops allocate nothing; GlobalInto(nil) is a fresh
-// copy.
+// GlobalInto copies the current global parameter vector into dst, reusing
+// its storage when it has room (mat.EnsureVec), and returns the (possibly
+// reallocated) slice, so per-round download loops allocate nothing;
+// GlobalInto(nil) is a fresh copy.
 func (s *Server) GlobalInto(dst []float64) []float64 {
 	dst = mat.EnsureVec(dst, len(s.global))
 	copy(dst, s.global)

@@ -57,3 +57,15 @@ func TestTanhGateMatchesCPUInfo(t *testing.T) {
 		t.Fatalf("haveTanhKernel = %v, /proc/cpuinfo lists avx2 and fma: %v, math.Tanh on the FMA path: %v", haveTanhKernel, hardware, mathFMA)
 	}
 }
+
+// TestAdamGateMatchesCPUInfo checks the gate of the Adam kernel's
+// divide-free quotients: haveFMA is on exactly when /proc/cpuinfo lists
+// avx2 and fma. It reads CPUID alone, so unlike the tanh gate it stays on
+// under GODEBUG=cpu.fma=off.
+func TestAdamGateMatchesCPUInfo(t *testing.T) {
+	flags := cpuInfoFlags(t)
+	listed := strings.Contains(flags, " avx2 ") && strings.Contains(flags, " fma ")
+	if haveFMA != listed {
+		t.Fatalf("haveFMA = %v, /proc/cpuinfo lists avx2 and fma: %v", haveFMA, listed)
+	}
+}

@@ -123,22 +123,27 @@ func (m *Matrix) SumRowsTo(out []float64) error {
 	return nil
 }
 
-// Ensure returns m when it already has the requested shape and a freshly
-// allocated rows×cols matrix otherwise, for code that keeps one long-lived
-// scratch buffer per role: contents are unspecified, so callers must fully
-// overwrite (every *To kernel does) or Zero first.
+// Ensure returns a rows×cols matrix for code that keeps one long-lived
+// scratch buffer per role: m itself, reshaped in place, when its storage
+// has room for rows·cols elements, and a freshly allocated matrix
+// otherwise. So a buffer sized once for the largest shape serves every
+// smaller one without allocating, and anything holding m sees the new
+// shape. Contents are unspecified, so callers must fully overwrite (every
+// *To kernel does) or Zero first.
 func Ensure(m *Matrix, rows, cols int) *Matrix {
-	if m != nil && m.rows == rows && m.cols == cols {
+	if m != nil && rows >= 0 && cols >= 0 && rows*cols <= cap(m.data) {
+		m.rows, m.cols, m.data = rows, cols, m.data[:rows*cols]
 		return m
 	}
 	return New(rows, cols)
 }
 
-// EnsureVec is Ensure for flat slices: it returns v when len(v) == n and a
-// new slice otherwise, with unspecified contents.
+// EnsureVec is Ensure for flat slices: it returns v[:n] when v's storage
+// has room for n elements and a new slice otherwise, with unspecified
+// contents.
 func EnsureVec(v []float64, n int) []float64 {
-	if len(v) == n {
-		return v
+	if n <= cap(v) {
+		return v[:n]
 	}
 	return make([]float64, n)
 }

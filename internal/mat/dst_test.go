@@ -143,3 +143,32 @@ func TestSetWorkers(t *testing.T) {
 		t.Fatalf("default Workers() = %d, want >= 1", got)
 	}
 }
+
+// TestEnsureReusesStorage pins Ensure's and EnsureVec's recycling: a
+// buffer whose storage has room is reshaped in place, at any row count up
+// to what it was sized for, and only a larger shape allocates.
+func TestEnsureReusesStorage(t *testing.T) {
+	m := Ensure(nil, 8, 5)
+	if m.Rows() != 8 || m.Cols() != 5 || m.Size() != 40 {
+		t.Fatalf("Ensure(nil, 8, 5) is %dx%d with %d values", m.Rows(), m.Cols(), m.Size())
+	}
+	for _, shape := range [][2]int{{3, 5}, {1, 5}, {0, 5}, {8, 5}, {4, 10}, {2, 3}} {
+		got := Ensure(m, shape[0], shape[1])
+		if got != m || got.Rows() != shape[0] || got.Cols() != shape[1] || got.Size() != shape[0]*shape[1] {
+			t.Fatalf("Ensure to %dx%d: %p %dx%d with %d values, want %p reshaped", shape[0], shape[1], got, got.Rows(), got.Cols(), got.Size(), m)
+		}
+	}
+	if got := Ensure(m, 9, 5); got == m || got.Rows() != 9 || got.Cols() != 5 {
+		t.Fatalf("Ensure to 9x5 past the storage reused it: %dx%d", got.Rows(), got.Cols())
+	}
+	if got := Ensure(m, -1, 5); got == m || got.Size() != 0 {
+		t.Fatalf("Ensure to -1x5: %p with %d values", got, got.Size())
+	}
+	v := EnsureVec(nil, 6)
+	if w := EnsureVec(v[:2], 4); len(w) != 4 || &w[0] != &v[0] {
+		t.Fatalf("EnsureVec within capacity: len %d, storage reused %v", len(w), &w[0] == &v[0])
+	}
+	if w := EnsureVec(v, 7); len(w) != 7 || &w[0] == &v[0] {
+		t.Fatalf("EnsureVec past capacity: len %d, storage reused %v", len(w), &w[0] == &v[0])
+	}
+}

@@ -9,13 +9,7 @@ import "math"
 // math.Tanh's bits on inputs from both of tanh's branches, among them
 // −0.6292001413901859, whose tanh is 0xbfe1d70cc4517ea9 with math.Exp's FMA
 // path and …ea8 without it.
-var haveTanhKernel = haveAVX2 && detectFMA() && tanhProbe()
-
-func detectFMA() bool {
-	const fma = 1 << 12 // CPUID.1:ECX
-	_, _, ecx, _ := cpuid(1, 0)
-	return ecx&fma != 0
-}
+var haveTanhKernel = haveFMA && tanhProbe()
 
 func tanhProbe() bool {
 	in := [4]float64{-0.6292001413901859, 0.3, 2.5, -7}

@@ -45,6 +45,18 @@ func detectAVX512() bool {
 	return ebx&avx512f != 0 && xgetbv0()&zmm == zmm
 }
 
+// haveFMA reports whether the CPU runs FMA3 on top of haveAVX2: the Adam
+// kernel's divide-free quotients and the tanh kernel need it. It reads
+// CPUID only, so GODEBUG=cpu.fma=off, which switches off math's FMA paths,
+// leaves it set; the Adam kernel's bits do not depend on it.
+var haveFMA = haveAVX2 && detectFMA()
+
+func detectFMA() bool {
+	const fma = 1 << 12 // CPUID.1:ECX
+	_, _, ecx, _ := cpuid(1, 0)
+	return ecx&fma != 0
+}
+
 // cpuid executes CPUID with EAX=leaf and ECX=sub.
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
@@ -70,11 +82,13 @@ func gemmKernel(dst *float64, dstStride int, a *float64, aRowStride, aStride int
 func gemmKernel512(dst *float64, dstStride int, a *float64, aRowStride, aStride int, b *float64, bStride, k, cols, rows int, load, skipZero bool)
 
 // adamStep applies one Adam update to the first n (a multiple of 4)
-// elements of p, grad, m and v. It does no bounds checks; call it through
-// AdamStepVec.
+// elements of p, grad, m and v. rbc1 and rbc2 must be 1/c.BC1 and 1/c.BC2;
+// with fma set (which needs haveFMA) the kernel divides by them through an
+// exact FMA correction wherever that gives VDIVPD's bits. It does no bounds
+// checks; call it through AdamStepVec.
 //
 //go:noescape
-func adamStep(p, grad, m, v *float64, n int, c *AdamCoeffs)
+func adamStep(p, grad, m, v *float64, n int, c *AdamCoeffs, rbc1, rbc2 float64, fma bool)
 
 // transposeKernel sets dst[k·dstStride + j] = src[j·srcStride + k] for
 // j < rows and k < cols, both multiples of 4. It does no bounds checks;

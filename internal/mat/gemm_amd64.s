@@ -8,10 +8,12 @@
 // host with AVX-512F: `go test -race -run TestStrip -v ./internal/mat`
 // must print "--- PASS: TestStripKernelMatchesGeneric/avx512".
 //
-// Every lane does exactly the arithmetic of the Go code it replaces, in the
-// same order: a separate VMULPD and VADDPD per product, so two roundings,
-// like the Go kernels' scalar c += av*b. No FMA, no reassociation, and lanes
-// never mix, so there is no horizontal sum.
+// Every lane gets exactly the bits of the Go code it replaces. The GEMMs do
+// its arithmetic in the same order: a separate VMULPD and VADDPD per
+// product, so two roundings, like the Go kernels' scalar c += av*b. No FMA,
+// no reassociation, and lanes never mix, so there is no horizontal sum. The
+// Adam step uses FMA only for exact residuals that give its divides' bits
+// (see adamStep).
 //
 // gemmKernel computes cols columns of n ≤ 4 dst rows. The whole 8-column
 // blocks of each row run as 32-, 16- and 8-column strips held in YMM
@@ -697,19 +699,61 @@ zdone:
 	VZEROUPPER
 	RET
 
-// func adamStep(p, grad, m, v *float64, n int, c *AdamCoeffs)
+// The Adam step's gate constants: |x| and the bounds [2^-900, 2^900] of
+// the dividends whose quotients take the FMA correction.
+DATA adamc<>+0(SB)/8, $0x7fffffffffffffff
+DATA adamc<>+8(SB)/8, $0x7fffffffffffffff
+DATA adamc<>+16(SB)/8, $0x7fffffffffffffff
+DATA adamc<>+24(SB)/8, $0x7fffffffffffffff
+DATA adamc<>+32(SB)/8, $0x07b0000000000000
+DATA adamc<>+40(SB)/8, $0x07b0000000000000
+DATA adamc<>+48(SB)/8, $0x07b0000000000000
+DATA adamc<>+56(SB)/8, $0x07b0000000000000
+DATA adamc<>+64(SB)/8, $0x7830000000000000
+DATA adamc<>+72(SB)/8, $0x7830000000000000
+DATA adamc<>+80(SB)/8, $0x7830000000000000
+DATA adamc<>+88(SB)/8, $0x7830000000000000
+GLOBL adamc<>(SB), RODATA|NOPTR, $96
+
+#define ADAM_ABS adamc<>+0(SB)
+#define ADAM_LO adamc<>+32(SB)
+#define ADAM_HI adamc<>+64(SB)
+
+// CMPPD predicates, ordered and quiet: a NaN lane compares false.
+#define GE_OQ $0x1d
+#define LE_OQ $0x12
+
+// func adamStep(p, grad, m, v *float64, n int, c *AdamCoeffs, rbc1, rbc2 float64, fma bool)
 //
 // Per element, in the order of the Go loop: g = gs·g, m = b1·m + c1·g,
 // v = b2·v + (c2·g)·g, m̂ = m/bc1, v̂ = v/bc2, p −= (lr·m̂)/(√v̂ + ε).
 // VDIVPD and VSQRTPD round correctly, like DIVSD and SQRTSD. n is a
 // multiple of 4; the coefficients are read in AdamCoeffs field order.
-TEXT ·adamStep(SB), NOSPLIT, $0-48
+//
+// With fma set, a block whose four |m| and v all lie in [2^-900, 2^900]
+// gets m̂ and v̂ without a divide, from rbc1 = 1/bc1 and rbc2 = 1/bc2
+// (both correctly rounded): q = m·rbc1, then q + (m − q·bc1)·rbc1 with
+// the residual m − q·bc1 exact in VFNMADD231PD (Markstein, IBM J. R&D
+// 1990). That is the correctly rounded m/bc1, the bits of VDIVPD, for
+// every such m and every bc1 in [2^-100, 2^100], the range AdamStepVec
+// passes fma for (DESIGN.md §16). A block with a
+// lane outside the range, among them ±0, subnormals, ±Inf, NaN and a
+// negative v, divides as without fma. The last divide, by √v̂ + ε, varies
+// per element and stays a VDIVPD.
+//
+// Registers: DI/SI/R8/R9 p/grad/m/v, BX the offset, CX blocks left, R10
+// fma, DX the gate mask, Y0–Y4 the block, Y5/Y6 rbc1/rbc2, Y7 gs, Y8–Y15
+// b1, c1, b2, c2, bc1, bc2, lr, ε.
+TEXT ·adamStep(SB), NOSPLIT, $0-65
 	MOVQ p+0(FP), DI
 	MOVQ grad+8(FP), SI
 	MOVQ m+16(FP), R8
 	MOVQ v+24(FP), R9
 	MOVQ n+32(FP), CX
 	MOVQ c+40(FP), AX
+	MOVBQZX fma+64(FP), R10
+	VBROADCASTSD rbc1+48(FP), Y5
+	VBROADCASTSD rbc2+56(FP), Y6
 	VBROADCASTSD 0(AX), Y8
 	VBROADCASTSD 8(AX), Y9
 	VBROADCASTSD 16(AX), Y10
@@ -734,15 +778,42 @@ aloop:
 	VMULPD  Y0, Y4, Y4
 	VADDPD  Y4, Y3, Y3
 	VMOVUPD Y3, (R9)(BX*1)
-	VDIVPD  Y12, Y1, Y1
-	VDIVPD  Y13, Y3, Y3
-	VSQRTPD Y3, Y3
-	VADDPD  Y15, Y3, Y3
-	VMULPD  Y1, Y14, Y1
-	VDIVPD  Y3, Y1, Y1
-	VMOVUPD (DI)(BX*1), Y5
-	VSUBPD  Y1, Y5, Y5
-	VMOVUPD Y5, (DI)(BX*1)
+	TESTQ   R10, R10
+	JEQ     adiv
+
+	// The gate: every |m| and v in [2^-900, 2^900]; NaN compares false.
+	VANDPD    ADAM_ABS, Y1, Y0
+	VCMPPD    GE_OQ, ADAM_LO, Y0, Y2
+	VCMPPD    LE_OQ, ADAM_HI, Y0, Y0
+	VANDPD    Y2, Y0, Y0
+	VCMPPD    GE_OQ, ADAM_LO, Y3, Y2
+	VANDPD    Y2, Y0, Y0
+	VCMPPD    LE_OQ, ADAM_HI, Y3, Y2
+	VANDPD    Y2, Y0, Y0
+	VMOVMSKPD Y0, DX
+	CMPL      DX, $15
+	JNE       adiv
+
+	VMULPD       Y5, Y1, Y0
+	VFNMADD231PD Y0, Y12, Y1
+	VFMADD231PD  Y1, Y5, Y0
+	VMULPD       Y6, Y3, Y2
+	VFNMADD231PD Y2, Y13, Y3
+	VFMADD231PD  Y3, Y6, Y2
+	JMP          aupdate
+
+adiv:
+	VDIVPD Y12, Y1, Y0
+	VDIVPD Y13, Y3, Y2
+
+aupdate:
+	VSQRTPD Y2, Y2
+	VADDPD  Y15, Y2, Y2
+	VMULPD  Y0, Y14, Y0
+	VDIVPD  Y2, Y0, Y0
+	VMOVUPD (DI)(BX*1), Y1
+	VSUBPD  Y0, Y1, Y1
+	VMOVUPD Y1, (DI)(BX*1)
 	ADDQ    $32, BX
 	DECQ    CX
 	JNE     aloop

@@ -8,6 +8,9 @@ const haveAVX2 = false
 // haveAVX512 is false off amd64.
 const haveAVX512 = false
 
+// haveFMA is false off amd64.
+const haveFMA = false
+
 // gemmKernel is never called when haveAVX2 is false.
 func gemmKernel(dst *float64, dstStride int, a *float64, aRowStride, aStride int, b *float64, bStride, k, cols, rows int, load, skipZero bool) {
 	panic("mat: AVX2 kernel called without haveAVX2")
@@ -19,7 +22,7 @@ func gemmKernel512(dst *float64, dstStride int, a *float64, aRowStride, aStride 
 }
 
 // adamStep is never called when haveAVX2 is false.
-func adamStep(p, grad, m, v *float64, n int, c *AdamCoeffs) {
+func adamStep(p, grad, m, v *float64, n int, c *AdamCoeffs, rbc1, rbc2 float64, fma bool) {
 	panic("mat: AVX2 kernel called without haveAVX2")
 }
 

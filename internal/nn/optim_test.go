@@ -50,8 +50,9 @@ var adamScales = []float64{1, 0.37, 1, 1e-310, 0.5, 0, 2.5, math.NaN()}
 // block four elements at a time in assembly, to the scalar loop bit for
 // bit: over parameter blocks of every length 0–37 (every tail length after
 // the vector part), with ±0, ±Inf and NaN gradients mixed in, across
-// several steps with the gradient scales of adamScales, and across a
-// State/SetState resume into a fresh optimizer.
+// several steps with the gradient scales of adamScales, across a
+// State/SetState resume into a fresh optimizer, and at step counts where
+// the bias corrections have reached exactly 1.
 func TestAdamVectorMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	newParams := func(values [][]float64) []Param {
@@ -119,6 +120,7 @@ func TestAdamVectorMatchesScalar(t *testing.T) {
 	if err := ropt.SetState(opt.State()); err != nil {
 		t.Fatal(err)
 	}
+	_, m5, v5 := opt.State()
 	for ; step < 8; step++ {
 		fillGrads(resumed)
 		gs := adamScales[step]
@@ -127,6 +129,30 @@ func TestAdamVectorMatchesScalar(t *testing.T) {
 		}
 		o.step(resumed, ropt.coeffs(gs))
 		check(step, resumed, ropt, o)
+	}
+
+	// Late steps, from step 5's moments: from t = 356 on BC1 is exactly 1,
+	// and from t ≈ 37,400 on BC2 is too.
+	for _, t0 := range []int{355, 40_000} {
+		late := newParams(nil)
+		lopt := NewAdam(late, 0.01)
+		if err := lopt.SetState(t0, m5, v5); err != nil {
+			t.Fatal(err)
+		}
+		lo := newAdamOracle(late)
+		_, lo.m, lo.v = lopt.State()
+		for i, gs := range adamScales {
+			fillGrads(late)
+			if err := lopt.Step(gs); err != nil {
+				t.Fatal(err)
+			}
+			c := lopt.coeffs(gs)
+			if c.BC1 != 1 || (t0 >= 40_000 && c.BC2 != 1) {
+				t.Fatalf("step t = %d: BC1 = %v, BC2 = %v", t0+i+1, c.BC1, c.BC2)
+			}
+			lo.step(late, c)
+			check(t0+i+1, late, lopt, lo)
+		}
 	}
 }
 

@@ -102,19 +102,22 @@ func (s *Scheduler) EndEpisode() error {
 }
 
 // flush updates every pair with a non-empty buffer, then resets all
-// buffers. It prepares the pairs one by one, then runs every prepared
-// pair's critic and actor streams from one list (runStreams): the pairs
-// share no parameters, optimizer state or buffers, so all the streams are
-// independent. The first error in pair order wins, and within a pair the
-// critic's before the actor's.
+// buffers. It prepares the pairs side by side on the pool (runPool), then
+// runs every prepared pair's critic and actor streams from one list
+// (runStreams): the pairs share no parameters, optimizer state, scratch or
+// buffers, so the prepares are independent and so are all the streams.
+// The first error in pair order wins, and within a pair the critic's
+// before the actor's.
 func (s *Scheduler) flush() error {
 	errs := make([]error, len(s.Pairs))
+	runPool(len(s.Pairs), func(i int) {
+		if p := s.Pairs[i]; p.Buf.Len() > 0 {
+			errs[i] = p.Agent.prepare(p.Buf)
+		}
+	})
 	s.streams = s.streams[:0]
 	for i, p := range s.Pairs {
-		if p.Buf.Len() == 0 {
-			continue
-		}
-		if errs[i] = p.Agent.prepare(p.Buf); errs[i] == nil {
+		if errs[i] == nil && p.Buf.Len() > 0 {
 			s.streams = p.Agent.appendStreams(s.streams)
 		}
 	}
@@ -150,37 +153,54 @@ func (s updateStream) run() {
 }
 
 // runStreams sorts streams longest-first by cost, keeping the given order
-// among equal costs, and runs each to completion. The caller and up to
-// mat.Workers()−1 goroutines take streams off the list in that order, so
-// the longest start first and the short ones fill in behind them; with one
-// worker they run one after another on the caller, and -workers 1 stays
-// truly serial. The streams touch disjoint mutable state, which makes the
-// result bit-identical at any worker count and in any order. It is not
-// mat.ParallelRange because a stream is a whole epoch loop rather than a
-// band of one index axis.
+// among equal costs, and runs each to completion on the pool, so the
+// longest start first and the short ones fill in behind them. The streams
+// touch disjoint mutable state, which makes the result bit-identical at
+// any worker count and in any order.
 func runStreams(streams []updateStream) {
 	slices.SortStableFunc(streams, func(a, b updateStream) int { return cmp.Compare(b.cost, a.cost) })
-	workers := min(mat.Workers(), len(streams))
+	runPool(len(streams), func(i int) { streams[i].run() })
+}
+
+// runPool calls run(i) once for each i in [0, n). The caller and up to
+// mat.Workers()−1 goroutines take the indices in ascending order; with one
+// worker they run one after another on the caller, and -workers 1 stays
+// truly serial. It is not mat.ParallelRange because each index is a whole
+// piece of update work (a pair's prepare, a stream's epoch loop) rather
+// than a band of one index axis.
+func runPool(n int, run func(i int)) {
+	workers := min(mat.Workers(), n)
 	if workers <= 1 {
-		for _, st := range streams {
-			st.run()
+		for i := range n {
+			run(i)
 		}
 		return
 	}
-	var next atomic.Int64
-	work := func() {
-		for i := next.Add(1) - 1; i < int64(len(streams)); i = next.Add(1) - 1 {
-			streams[i].run()
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
+	p := &pool{n: int64(n), run: run}
+	p.wg.Add(workers - 1)
 	for range workers - 1 {
-		go func() {
-			defer wg.Done()
-			work()
-		}()
+		go p.worker()
 	}
-	work()
-	wg.Wait()
+	p.work()
+	p.wg.Wait()
+}
+
+// pool is one runPool call's shared state, in one allocation.
+type pool struct {
+	next atomic.Int64
+	n    int64
+	run  func(i int)
+	wg   sync.WaitGroup
+}
+
+// work runs indices off the shared counter until none is left.
+func (p *pool) work() {
+	for i := p.next.Add(1) - 1; i < p.n; i = p.next.Add(1) - 1 {
+		p.run(int(i))
+	}
+}
+
+func (p *pool) worker() {
+	defer p.wg.Done()
+	p.work()
 }

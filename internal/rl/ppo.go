@@ -288,9 +288,10 @@ func (p *PPO) result() (UpdateStats, error) {
 // n plus the row of offChain), or is −1 for a terminal row.
 func (p *PPO) linkNextStates(trans []Transition) {
 	n := len(trans)
-	if len(p.next) != n {
+	if cap(p.next) < n {
 		p.next = make([]int, n)
 	}
+	p.next = p.next[:n]
 	k := 0
 	for i, t := range trans {
 		switch {
